@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from .errors import ComponentsUndetectable
 from .groups import centralizer, detect_components, subgroup_product, \
     sylow_subgroup
 from .gspec import BUNDLED, load_group
@@ -250,8 +251,8 @@ def _prop_c():
         B = G.group.subgroup(np.unique(pick))
         CB = centralizer(G, B)
         AB = subgroup_product(A, B)
-        lhs = np.intersect1d(subgroup_product(A, CA).midx,
-                             subgroup_product(B, CB).midx)
+        lhs = subgroup_product(A, CA).intersection(
+            subgroup_product(B, CB)).midx
         rhs = subgroup_product(AB, centralizer(G, AB)).midx
         if not np.array_equal(lhs, rhs):
             fails += 1
@@ -265,7 +266,7 @@ def _prop_d():
         G = _group(name)
         try:
             ctx = OrbitContext(G, 2)
-        except Exception:
+        except ComponentsUndetectable:
             skipped.append(name)
             continue
         dec = decomposition(ctx)

@@ -23,6 +23,10 @@ class MalformedSpec(QuillenError):
     """A group spec file is syntactically or semantically invalid."""
 
 
+class NotAnElement(QuillenError):
+    """A permutation row is not an element of the enumerated group."""
+
+
 class SubgroupNotContained(QuillenError):
     """Claimed subgroup has a member outside the ambient group."""
 

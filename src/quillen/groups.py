@@ -11,6 +11,17 @@ Conventions:
   * element 0 is the identity;
   * a Subgroup is a sorted array of member indices into its parent group,
     always containing 0.
+
+The hot set work runs in bulk rather than element by element in Python:
+  * the one element index is a dict from a row's int16 bytes to its
+    index; PermGroup.lookup_rows resolves a whole batch in one pass (a
+    void view of the rows, one list of keys, one map over the dict) and
+    raises NotAnElement for a row outside the group;
+  * close_indices grows a subgroup a BFS level at a time, one
+    lookup_rows per generator per level;
+  * Subgroup.contains_indices (binary search in the sorted member array)
+    is the one membership test; intersections and meets are member
+    arrays filtered by it.
 """
 
 import numpy as np
@@ -20,6 +31,7 @@ from .errors import (
     ActorDoesNotNormalize,
     ComponentsUndetectable,
     EnumerationCapExceeded,
+    NotAnElement,
     NotPrime,
     OrderCapExceeded,
     ParentMismatch,
@@ -94,15 +106,32 @@ class PermGroup:
 
     # -- element table access ------------------------------------------------
 
+    def _not_an_element(self, key):
+        row = np.frombuffer(key, dtype=np.int16).tolist()
+        return NotAnElement(f"{row} is not an element of {self!r}")
+
     def lookup_row(self, row):
-        return self._index[np.ascontiguousarray(row, dtype=np.int16).tobytes()]
+        key = np.ascontiguousarray(row, dtype=np.int16).tobytes()
+        try:
+            return self._index[key]
+        except KeyError:
+            raise self._not_an_element(key) from None
 
     def lookup_rows(self, rows):
+        """Indices of a batch of rows, shape (n, degree), in one pass."""
         rows = np.ascontiguousarray(rows, dtype=np.int16)
-        idx = self._index
-        return np.fromiter(
-            (idx[rows[i].tobytes()] for i in range(rows.shape[0])),
-            dtype=np.int64, count=rows.shape[0])
+        if rows.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.degree:
+            raise NotAnElement(
+                f"rows of shape {rows.shape} are not elements of {self!r}")
+        keys = rows.view(np.dtype((np.void, rows.itemsize * self.degree)))
+        try:
+            return np.fromiter(
+                map(self._index.__getitem__, keys.ravel().tolist()),
+                dtype=np.int64, count=rows.shape[0])
+        except KeyError as e:
+            raise self._not_an_element(e.args[0]) from None
 
     def compose(self, i, j):
         """Index of perms[i] ∘ perms[j]."""
@@ -177,23 +206,24 @@ class PermGroup:
 
 
 def close_indices(group, gen_indices):
-    """Member indices of the subgroup generated by gen_indices (BFS)."""
+    """Member indices of the subgroup generated by gen_indices, ascending.
+
+    BFS by whole levels: each level is the frontier times every generator,
+    looked up in one batch per generator, less the members already found.
+    """
     member = np.zeros(group.order, dtype=bool)
     member[0] = True
-    gens = [g for g in gen_indices if g != 0]
-    frontier = np.array([0], dtype=np.int64)
-    grows = [group.perms[g] for g in gens]
-    while frontier.size:
+    grows = [group.perms[g] for g in gen_indices if g != 0]
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size and grows:
         P = group.perms[frontier]
-        fresh = []
+        new = np.zeros(group.order, dtype=bool)
         for g in grows:
-            idx = group.lookup_rows(P[:, g])
-            for i in idx:
-                if not member[i]:
-                    member[i] = True
-                    fresh.append(i)
-        frontier = np.array(fresh, dtype=np.int64)
-    return np.nonzero(member)[0].astype(np.int64)
+            new[group.lookup_rows(P[:, g])] = True
+        new &= ~member
+        member |= new
+        frontier = np.flatnonzero(new)
+    return np.flatnonzero(member)
 
 
 class Subgroup:
@@ -236,15 +266,11 @@ class Subgroup:
     def __repr__(self):
         return f"<Subgroup order {self.order} of {self.group.name or 'G'}>"
 
-    def contains_index(self, i):
-        pos = np.searchsorted(self.midx, i)
-        return pos < self.midx.size and self.midx[pos] == i
-
     def contains_indices(self, idx):
+        """Boolean membership of each parent index in idx."""
         idx = np.asarray(idx, dtype=np.int64)
         pos = np.searchsorted(self.midx, idx)
-        pos = np.clip(pos, 0, self.midx.size - 1)
-        return self.midx[pos] == idx
+        return self.midx.take(pos, mode="clip") == idx
 
     def is_subset_of(self, other):
         if other.group is not self.group:
@@ -259,17 +285,11 @@ class Subgroup:
             return self.gens
         if "gens" not in self._cache:
             gens = []
-            known = np.array([0], dtype=np.int64)
-            for i in self.midx:
-                if i == 0:
-                    continue
-                pos = np.searchsorted(known, i)
-                if pos < known.size and known[pos] == i:
-                    continue
-                gens.append(int(i))
-                known = close_indices(self.group, gens)
-                if known.size == self.order:
-                    break
+            known = Subgroup(self.group, np.zeros(1, dtype=np.int64))
+            while known.order < self.order:
+                outside = self.midx[~known.contains_indices(self.midx)]
+                gens.append(int(outside[0]))
+                known = Subgroup(self.group, close_indices(self.group, gens))
             self._cache["gens"] = tuple(gens) if gens else (0,)
         return self._cache["gens"]
 
@@ -284,7 +304,9 @@ class Subgroup:
     def intersection(self, other):
         if other.group is not self.group:
             raise ParentMismatch("subgroups of different groups")
-        return Subgroup(self.group, np.intersect1d(self.midx, other.midx))
+        small, big = sorted((self, other), key=lambda S: S.order)
+        return Subgroup(self.group,
+                        small.midx[big.contains_indices(small.midx)])
 
     def element_orders(self):
         return self.group.element_orders()[self.midx]
@@ -388,25 +410,19 @@ def normal_closure(ambient, seed_indices):
     ambient = as_subgroup(ambient)
     G = ambient.group
     gens = list(dict.fromkeys(int(s) for s in seed_indices if s != 0))
-    K = close_indices(G, gens)
+    K = G.subgroup(gens)
     agens = ambient.generating_set()
     while True:
         grew = False
         for g in agens:
-            conj = G.conj_batch(g, K)
-            outside = conj[~_in_sorted(K, conj)]
+            conj = G.conj_batch(g, K.midx)
+            outside = conj[~K.contains_indices(conj)]
             if outside.size:
                 gens.extend(int(x) for x in outside[:3])
-                K = close_indices(G, gens)
+                K = G.subgroup(gens)
                 grew = True
         if not grew:
-            return Subgroup(G, K, gens=tuple(gens) if gens else (0,))
-
-
-def _in_sorted(sorted_arr, vals):
-    pos = np.searchsorted(sorted_arr, vals)
-    pos = np.clip(pos, 0, sorted_arr.size - 1)
-    return sorted_arr[pos] == vals
+            return Subgroup(G, K.midx, gens=tuple(gens) if gens else (0,))
 
 
 # -- conjugacy classes and normal subgroups -----------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedSpec
+from .errors import MalformedSpec, NotAnElement
 from .groups import DEFAULT_ORDER_CAP, PermGroup, Subgroup, close_indices
 from .perms import parse_cycles
 
@@ -141,10 +141,9 @@ def build_group(spec, order_cap=None):
     G = PermGroup.generate(rows, degree, name=spec.name, order_cap=cap)
 
     if extra and extra[0] == "semidirect":
-        base_rows = extra[1]
-        base = G.subgroup([G.lookup_row(r) for r in base_rows])
-        for t in extra[2]:
-            ti = G.lookup_row(t)
+        what = "semidirect generator outside the group"
+        base = G.subgroup(_lookup(G, extra[1], what))
+        for ti in _lookup(G, extra[2], what):
             conj = base.conjugate(ti)
             if conj.key != base.key:
                 raise MalformedSpec("semidirect top does not normalize the base")
@@ -152,9 +151,8 @@ def build_group(spec, order_cap=None):
     if extra and extra[0] == "subgroup_of":
         pdeg, prows = _build_rows(extra[1])[:2]
         parent = PermGroup.generate(prows, pdeg, name="parent", order_cap=cap)
-        for i in range(G.order):
-            if G.perms[i].tobytes() not in parent._index:
-                raise MalformedSpec("subgroup_of generators leave the parent group")
+        _lookup(parent, G.perms,
+                "subgroup_of generators leave the parent group")
 
     expect = raw.get("order")
     if expect is not None and G.order != int(expect):
@@ -165,10 +163,19 @@ def build_group(spec, order_cap=None):
     if "components" in raw:
         comps = []
         for gen_list in raw["components"]:
-            idx = [G.lookup_row(parse_cycles(s, degree)) for s in gen_list]
+            idx = _lookup(G, [parse_cycles(s, degree) for s in gen_list],
+                          "component generator outside the group").tolist()
             members = close_indices(G, [i for i in idx if i != 0])
             comps.append(Subgroup(G, members, gens=tuple(i for i in idx if i != 0) or (0,)))
     return GroupBundle(group=G, components=comps, spec=spec)
+
+
+def _lookup(G, rows, what):
+    """Indices of spec-given rows in G; a row outside G is a spec error."""
+    try:
+        return G.lookup_rows(rows)
+    except NotAnElement as e:
+        raise MalformedSpec(f"{what}: {e}") from None
 
 
 def load_group(name_or_path, order_cap=None):

@@ -17,6 +17,7 @@ from .errors import (
     CenterHasPTorsion,
     ComponentsUndetectable,
     EmptyFactor,
+    EnumerationCapExceeded,
     IndexOutOfRange,
     WrongArity,
 )
@@ -96,21 +97,28 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
 
 
 def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):
-    """Poset of nontrivial elementary abelian p-subgroups, cached on sub."""
+    """Poset of nontrivial elementary abelian p-subgroups, cached on sub.
+
+    A cached poset larger than cap raises, as a fresh enumeration would.
+    """
     sub = as_subgroup(sub)
     p = _check_prime(p)
     key = ("ap-poset", p)
     if key not in sub._cache:
         elab = elementary_abelian_subgroups(sub, p, cap=cap)
         sub._cache[key] = poset_from_subgroups(elab, closed_under_subgroups=True)
-    return sub._cache[key]
+    P = sub._cache[key]
+    if P.n > cap:
+        raise EnumerationCapExceeded(
+            f"{P.n} elementary abelian subgroups exceeds cap {cap}")
+    return P
 
 
 def meet_subposet(P, H):
     """Members of a subgroup poset meeting H nontrivially; (sub, inc ids)."""
     H = as_subgroup(H)
     ids = [i for i, S in enumerate(P.elements)
-           if np.intersect1d(S.midx, H.midx).size > 1]
+           if np.count_nonzero(H.contains_indices(S.midx)) > 1]
     return P.induced(np.array(ids, dtype=np.int64))
 
 
@@ -173,40 +181,68 @@ def _p_subgroup_class_reps(P):
     subgroup's whole P-class is marked seen at once, so each class is
     extended exactly once.  Every subgroup T arises from a representative
     of a maximal subgroup of a conjugate of T, so nothing is missed.
+
+    Closures and conjugates are computed in P's own multiplication table,
+    on local indices (positions in P.midx).  P.midx is sorted, so local
+    order is global order and the representatives, their member arrays
+    and their generator tuples are those the parent-level computation
+    gives.
     """
     G = P.group
-    trivial = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
+    k = P.order
+    rows = G.perms[P.midx]
+    # mul[a, b]: local index of rows[a] o rows[b]; rows[:, rows][a, b] is
+    # rows[a] indexed by rows[b]
+    mul = np.searchsorted(P.midx, G.lookup_rows(
+        rows[:, rows].reshape(-1, G.degree))).reshape(k, k)
+    inv = np.argmax(mul == 0, axis=1)
+    conj = [mul[mul[g], inv[g]]
+            for g in np.searchsorted(P.midx, P.generating_set())]
+
+    def close(S, gens):
+        # <S, gens> for a subgroup S of <gens>: BFS from S's members
+        member = np.zeros(k, dtype=bool)
+        member[S] = True
+        frontier = S
+        while frontier.size:
+            new = np.zeros(k, dtype=bool)
+            new[mul[frontier][:, gens]] = True
+            new &= ~member
+            member |= new
+            frontier = new.nonzero()[0]
+        return member.nonzero()[0]
+
+    trivial = (np.zeros(1, dtype=np.int64), ())
     reps = [trivial]
-    seen = {trivial.key}
-    pgens = P.generating_set()
+    seen = {trivial[0].tobytes()}
     frontier = [trivial]
     while frontier:
         fresh = []
-        for S in frontier:
-            if S.order == P.order:
+        for S, sgens in frontier:
+            if S.size == k:
                 continue
-            smem = set(int(x) for x in S.midx)
-            sgens = S.generating_set()
-            for x in P.midx:
-                x = int(x)
-                if x in smem:
+            outside = np.ones(k, dtype=bool)
+            outside[S] = False
+            for x in np.flatnonzero(outside).tolist():
+                gens = tuple(sorted(sgens + (x,)))
+                T = close(S, list(gens))
+                if T.tobytes() in seen:
                     continue
-                T = G.subgroup(sgens + (x,))
-                if T.key in seen:
-                    continue
-                seen.add(T.key)
+                seen.add(T.tobytes())
                 queue = [T]
                 while queue:
                     U = queue.pop()
-                    for g in pgens:
-                        V = U.conjugate(g)
-                        if V.key not in seen:
-                            seen.add(V.key)
+                    for c in conj:
+                        V = np.sort(c[U])
+                        if V.tobytes() not in seen:
+                            seen.add(V.tobytes())
                             queue.append(V)
-                fresh.append(T)
+                fresh.append((T, gens))
         reps.extend(fresh)
         frontier = fresh
-    return reps
+    return [Subgroup(G, P.midx[T],
+                     gens=tuple(P.midx[list(gens)].tolist()) or (0,))
+            for T, gens in reps]
 
 
 def bouc_poset(sub, p):
@@ -322,7 +358,7 @@ def outers_in_image(ip):
     trivially, plus the inner-automorphism subgroup itself."""
     inn = ip.action.project_subgroup(ip.action.target)
     ids = [i for i, S in enumerate(ip.poset.elements)
-           if np.intersect1d(S.midx, inn.midx).size == 1]
+           if np.count_nonzero(inn.contains_indices(S.midx)) == 1]
     return ids, inn
 
 
@@ -346,7 +382,7 @@ def p_outer_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
     host = normalizer(ambient, L)
     LC = subgroup_product(L, centralizer(ambient, L))
     members = [A for A in elementary_abelian_subgroups(host, p, cap=cap)
-               if np.intersect1d(A.midx, LC.midx).size == 1]
+               if np.count_nonzero(LC.contains_indices(A.midx)) == 1]
     poset = poset_from_subgroups(members, closed_under_subgroups=True)
     cyclic_only = bool(members) and all(A.order == p for A in members)
     return OuterPoset(poset=poset, host=host, product=LC,
@@ -728,7 +764,7 @@ def decomposition(ctx):
     G = ctx.G.group
     inY, inZ, meets = [], [], {}
     for idx, E in enumerate(B.elements):
-        m = np.intersect1d(E.midx, H.midx)
+        m = E.midx[H.contains_indices(E.midx)]
         if m.size > 1:
             inY.append(idx)
             meets[idx] = m
@@ -777,7 +813,7 @@ def diagonal_poset(ctx):
             cuts = set()
             dup = False
             for j in range(1, ctx.t + 1):
-                c = np.intersect1d(A.midx, ctx.cent[j].midx).tobytes()
+                c = A.midx[ctx.cent[j].contains_indices(A.midx)].tobytes()
                 if c in cuts:
                     dup = True
                     break

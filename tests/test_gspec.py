@@ -76,3 +76,13 @@ def test_malformed():
         build_group({"construction": "nonsense"})
     with pytest.raises(MalformedSpec):
         build_group({"degree": 5})
+
+
+def test_generators_outside_the_group():
+    with pytest.raises(MalformedSpec, match="component generator"):
+        build_group({"construction": "alternating", "degree": 4,
+                     "components": [["(1,2)"]]})
+    with pytest.raises(MalformedSpec, match="leave the parent"):
+        build_group({"construction": "subgroup_of",
+                     "parent": {"construction": "alternating", "degree": 4},
+                     "generators": ["(1 2)"]})

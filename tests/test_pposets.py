@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from quillen.errors import EmptyFactor
+from quillen.errors import EmptyFactor, EnumerationCapExceeded
 from quillen.groups import centralizer, conjugation_action, \
     detect_components, subgroup_product, sylow_subgroup
+from quillen.gspec import load_group
 from quillen.homology import betti_of_poset
 from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
     decomposition, image_poset, outers_in_image, p_outer_poset
@@ -16,6 +17,16 @@ def test_ap_sizes():
     assert ap_poset(bundled("alt5"), 2).n == 20
     assert ap_poset(bundled("sym5"), 2).n == 45
     assert ap_poset(bundled("alt6"), 2).n == 75
+
+
+def test_ap_poset_cap_holds_on_cache_hit():
+    with pytest.raises(EnumerationCapExceeded):
+        ap_poset(load_group("sym6").group.full(), 2, cap=10)
+    G = bundled("sym6")
+    assert ap_poset(G, 2).n == 270
+    with pytest.raises(EnumerationCapExceeded):
+        ap_poset(G, 2, cap=10)
+    assert ap_poset(G, 2, cap=270).n == 270
 
 
 def test_ap_rank_profile(sym4):
