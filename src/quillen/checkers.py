@@ -34,12 +34,12 @@ from .groups import (
     subgroup_product,
     _check_prime,
 )
-from .posets import PosetMap, fixed_subposet, make_map, order_complex
+from .posets import PosetMap, fixed_subposet, make_map
 from .homology import (
     DEFAULT_WORK_CAP,
     RawComplex,
     betti_of_poset,
-    chain_map_from_poset_map,
+    induced_map,
     induced_map_from_chain,
 )
 from .pposets import (
@@ -126,25 +126,13 @@ def _ctx_betti(ctx, name, P):
     return ctx._cache[key]
 
 
-def _induced(f, bettiS=None, bettiT=None, work_cap=DEFAULT_WORK_CAP):
-    """induced_map with optional precomputed Betti vectors."""
-    KS = order_complex(f.source)
-    KT = order_complex(f.target)
-    colmaps = chain_map_from_poset_map(f, KS, KT)
-    rawS = RawComplex.from_simplicial(KS)
-    rawT = RawComplex.from_simplicial(KT)
-    return induced_map_from_chain(rawS, rawT, colmaps, work_cap=work_cap,
-                                  sizes=KS.size() + KT.size(),
-                                  bettiS=bettiS, bettiT=bettiT)
-
-
 def psi_induced(ctx):
     """Induced map in homology of the full chain projection, cached."""
     if "psi-induced" not in ctx._cache:
         bAH = _ctx_betti(ctx, "AH", ctx.ap_H())
         bX = _ctx_betti(ctx, "X", ctx.join().X)
-        ctx._cache["psi-induced"] = _induced(ctx.psi(), bAH, bX,
-                                             work_cap=ctx.work_cap)
+        ctx._cache["psi-induced"] = induced_map(ctx.psi(), bAH, bX,
+                                                work_cap=ctx.work_cap)
     return ctx._cache["psi-induced"]
 
 
@@ -152,7 +140,7 @@ def phi_induced(ctx, i):
     """Induced map in homology of the single chain step phi_i, cached."""
     key = ("phi-induced", int(i))
     if key not in ctx._cache:
-        ctx._cache[key] = _induced(ctx.phi_step(i), work_cap=ctx.work_cap)
+        ctx._cache[key] = induced_map(ctx.phi_step(i), work_cap=ctx.work_cap)
     return ctx._cache[key]
 
 
@@ -173,8 +161,8 @@ def _surjectivity(f, bettiS, bettiT, work_cap):
             details["method"] = "dimension count"
             details["witness_degree"] = k
             return True, details
-    report = _induced(f, bettiS, bettiT, work_cap=work_cap)
-    details["method"] = f"induced ranks ({report.method})"
+    report = induced_map(f, bettiS, bettiT, work_cap=work_cap)
+    details["method"] = "induced ranks (cone)"
     details["ranks"] = _ranks_dict(report)
     missed = [k for k in range(-1, top + 1)
               if report.rank(k) < bettiT.get(k)]
@@ -273,8 +261,7 @@ def _condition_E(ctx):
     rawT = RawComplex.from_simplicial(cx.KX)
     colmaps = _inclusion_colmaps(cx.K0, cx.KX)
     report = induced_map_from_chain(rawS, rawT, colmaps,
-                                    work_cap=ctx.work_cap,
-                                    sizes=cx.K0.size() + cx.KX.size())
+                                    work_cap=ctx.work_cap)
     holds = report.is_zero()
     det = {"ranks": _ranks_dict(report),
            "K0_simplices": cx.K0.simplex_counts,
@@ -417,7 +404,7 @@ def check_thm41(ctx, restrict=None, check_goal=True, work_cap=None):
         ids = _restrict_ids(psi.source, restrict)
         sub, inc = psi.source.induced(ids)
         fmap = PosetMap(sub, psi.target, psi.table[inc], validate=False)
-        report = _induced(fmap, work_cap=work_cap)
+        report = induced_map(fmap, work_cap=work_cap)
         size = sub.n
         label = "restricted"
     holds = report.nonzero()
@@ -532,7 +519,7 @@ def check_cor51(ctx, variant="factor", aut=None, check_goal=False,
     for i in range(1, ctx.t + 1):
         f, what = _cor51_component_map(ctx, i, variant, aut)
         bL = betti_ap(ctx.orbit[i - 1], ctx.p, work_cap)
-        rep = _induced(f, bettiS=bL, work_cap=work_cap)
+        rep = induced_map(f, bettiS=bL, work_cap=work_cap)
         nz = rep.nonzero()
         all_nonzero = all_nonzero and nz
         per.append({"component": i,
@@ -708,9 +695,9 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
             if c["rep"] is None:
                 apCE = ap_poset(c["sub"], p)
                 apL = ap_poset(L, p)
-                c["rep"] = _induced(make_map(apCE, apL, lambda E: E),
-                                    bettiS=bCE, bettiT=bL,
-                                    work_cap=work_cap)
+                c["rep"] = induced_map(make_map(apCE, apL, lambda E: E),
+                                       bettiS=bCE, bettiT=bL,
+                                       work_cap=work_cap)
             if c["rep"].rank(kk) != 0:
                 good = False
                 break
@@ -732,7 +719,7 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
                  f"degree {chosen}")
     if L.order <= cross_check_cap:
         ip = image_poset(ambient, L, p)
-        rep = _induced(ip.embedded, bettiS=bL, work_cap=work_cap)
+        rep = induced_map(ip.embedded, bettiS=bL, work_cap=work_cap)
         mono = rep.rank(chosen) == bL.get(chosen)
         ev["embedding_rank_at_k"] = int(rep.rank(chosen))
         assert mono, "criterion held but the image-poset embedding " \

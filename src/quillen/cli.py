@@ -7,8 +7,7 @@ prop68, robinson).  `reproduce-paper` runs the acceptance suite.
 
 Reports are deterministic: identical configs produce byte-identical
 output.  Text format is human-oriented; structured format is a stable
-JSON schema (qg/1).  Set QG_THREADS to parallelize independent matrix
-eliminations.
+JSON schema (qg/1).
 """
 
 import argparse
@@ -17,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import QuillenError
-from .groups import (DEFAULT_ORDER_CAP, Subgroup, detect_components,
+from .groups import (DEFAULT_ORDER_CAP, _check_prime, detect_components,
                      sylow_subgroup)
 from .gspec import BUNDLED, load_group
 from .homology import DEFAULT_WORK_CAP, betti_of_poset
@@ -64,9 +63,7 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.command != "reproduce-paper":
-            pp = self.p
-            if pp < 2 or any(pp % d == 0 for d in range(2, int(pp ** 0.5) + 1)):
-                raise ValueError(f"p = {pp} is not prime")
+            _check_prime(self.p)
 
 
 # -- shared loading -----------------------------------------------------------------
@@ -424,8 +421,7 @@ def build_parser():
         prog="qg",
         description="p-subgroup posets, exact rational homology, and "
                     "elimination-theorem certificates for finite "
-                    "permutation groups.",
-        epilog="Set QG_THREADS to parallelize independent eliminations.")
+                    "permutation groups.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def new(name, help_, orbit=False, group=True):

@@ -87,6 +87,10 @@ class NotACover(QuillenError):
     """The two subposets do not cover the target in the chain-by-chain sense."""
 
 
+class InvariantViolated(QuillenError):
+    """An exact self-check failed: a bug, never a property of the input."""
+
+
 # paper-specific constructions
 
 class CenterHasPTorsion(QuillenError):

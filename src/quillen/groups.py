@@ -554,25 +554,14 @@ def sylow_subgroup(sub, p):
     return P
 
 
-def p_core(sub, p, method="sylow"):
+def p_core(sub, p):
     """O_p(sub): the largest normal p-subgroup.
 
-    method "sylow": intersect a Sylow with conjugates until normal (the
-    result is a normal p-subgroup containing every normal p-subgroup).
-    method "lattice": largest p-subgroup among the normal subgroups.
+    Intersects a Sylow with conjugates until normal (the result is a
+    normal p-subgroup containing every normal p-subgroup).
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
-    G = sub.group
-    if method == "lattice":
-        best = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
-        for N in normal_subgroups(sub):
-            o = N.order
-            while o % p == 0:
-                o //= p
-            if o == 1 and N.order > best.order:
-                best = N
-        return best
     key = ("pcore", p)
     if key in sub._cache:
         return sub._cache[key]

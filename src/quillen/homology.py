@@ -7,32 +7,25 @@ consuming rows and columns with a single unit entry, which creates no
 fill), then falls back to fraction-free Bareiss elimination with
 Markowitz-style pivoting.
 
-Induced maps on homology are extracted two ways:
-  * rank profiles via the mapping cone of the chain map (works at scale,
-    returns ranks only);
-  * explicit matrices via column reduction over Q on small complexes.
-Both routes are kept side by side; their agreement is a test invariant.
+Induced maps on homology are known by their ranks only, read off the
+long exact sequence of the mapping cone of the chain map.  Zero,
+injective and surjective are all decided by those ranks.  The test suite
+checks them against a dense Fraction reference on small maps.
+
+Self-checks (d∘d = 0, exact division, Euler-Poincaré, the Euler
+characteristic across the core collapse, the cone-rank range) raise
+InvariantViolated, so they also run under ``python -O``.
 """
 
 import heapq
-import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import MatrixCapExceeded, NotACover
-from .posets import SimplicialComplex, order_complex
+from .errors import InvariantViolated, MatrixCapExceeded, NotACover
+from .posets import order_complex
 
 DEFAULT_WORK_CAP = 400_000_000
-
-
-def thread_count():
-    """Worker count for independent eliminations (QG_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("QG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- raw chain complexes ---------------------------------------------------------
@@ -108,8 +101,9 @@ class RawComplex:
                 for i, v in cols_k[j]:
                     for i2, v2 in cols_km1[i]:
                         acc[i2] = acc.get(i2, 0) + v * v2
-                assert all(v == 0 for v in acc.values()), \
-                    f"boundary composite nonzero at degree {k}, column {j}"
+                if any(acc.values()):
+                    raise InvariantViolated(
+                        f"boundary composite nonzero at degree {k}, column {j}")
 
 
 # -- sparse exact rank ------------------------------------------------------------
@@ -295,9 +289,10 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
                     if prev_piv == -1:
                         nv = -nv
                     elif prev_piv != 1:
-                        q, r = divmod(nv, prev_piv)
-                        assert r == 0, "fraction-free division failed"
-                        nv = q
+                        nv, r = divmod(nv, prev_piv)
+                        if r:
+                            raise InvariantViolated(
+                                "fraction-free division failed")
                     work += 1
                     if nv:
                         if not old:
@@ -360,13 +355,6 @@ class BettiVector:
 
 
 def _rank_profile(raw, degrees, work_cap):
-    nt = thread_count()
-    if nt > 1 and len(degrees) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nt) as ex:
-            futs = {k: ex.submit(sparse_rank, raw.columns(k), work_cap)
-                    for k in degrees}
-            return {k: f.result() for k, f in futs.items()}
     return {k: sparse_rank(raw.columns(k), work_cap) for k in degrees}
 
 
@@ -383,7 +371,8 @@ def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
     minus1 = raw.count(-1) - ranks.get(0, 0)
     chi = raw.euler()
     alt = -minus1 + sum(b if k % 2 == 0 else -b for k, b in enumerate(tilde))
-    assert alt == chi, f"Euler-Poincare mismatch: {alt} != {chi}"
+    if alt != chi:
+        raise InvariantViolated(f"Euler-Poincare mismatch: {alt} != {chi}")
     return BettiVector(tilde=tilde, minus1=minus1, chi=chi)
 
 
@@ -415,8 +404,9 @@ def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP, reduce_first=True):
     if reduce_first:
         # the collapse preserves the homotopy type, so the reduced Euler
         # characteristic from chain counts on P itself must agree
-        assert bv.chi == P.reduced_euler(), \
-            "core collapse changed the Euler characteristic"
+        if bv.chi != P.reduced_euler():
+            raise InvariantViolated(
+                "core collapse changed the Euler characteristic")
     P._cache[key] = bv
     return bv
 
@@ -496,121 +486,12 @@ def cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
     for k in range(cone.bottom, max(rawS.top, rawT.top) + 1):
         hcone_k = cone.count(k) - ranks_d.get(k, 0) - ranks_d.get(k + 1, 0)
         r_k = bettiT.get(k) - hcone_k + bettiS.get(k - 1) - r_prev
-        assert 0 <= r_k <= min(bettiS.get(k), bettiT.get(k)), \
-            f"cone rank recursion out of range at degree {k}: {r_k}"
+        if not 0 <= r_k <= min(bettiS.get(k), bettiT.get(k)):
+            raise InvariantViolated(
+                f"cone rank recursion out of range at degree {k}: {r_k}")
         out[k] = r_k
         r_prev = r_k
     return out
-
-
-# -- explicit homology bases (small complexes) ----------------------------------------
-
-
-def _reduce_columns(columns, track=False):
-    """Column reduction over Q with the lowest-one convention low = max row.
-
-    Returns (R, V, lowmap): R the reduced columns (dict row -> Fraction),
-    V the change of basis (dict col -> Fraction) when track is set, and
-    lowmap sending each occupied low row to its owning column.
-    """
-    R = []
-    V = []
-    lowmap = {}
-    for j, col in enumerate(columns):
-        r = {i: Fraction(v) for i, v in col if v}
-        v = {j: Fraction(1)} if track else None
-        while r:
-            low = max(r)
-            if low not in lowmap:
-                break
-            j2 = lowmap[low]
-            r2 = R[j2]
-            c = r[low] / r2[low]
-            for i, val in r2.items():
-                nv = r.get(i, Fraction(0)) - c * val
-                if nv:
-                    r[i] = nv
-                else:
-                    r.pop(i, None)
-            if track:
-                for i, val in V[j2].items():
-                    nv = v.get(i, Fraction(0)) - c * val
-                    if nv:
-                        v[i] = nv
-                    else:
-                        v.pop(i, None)
-        R.append(r)
-        V.append(v)
-        if r:
-            lowmap[max(r)] = j
-    return R, V, lowmap
-
-
-class HomologyBasis:
-    """Explicit basis of reduced H_k for a small raw complex.
-
-    Stores cycle representatives (as chain dicts) together with echelon
-    data that lets arbitrary cycles be expressed in the homology basis.
-    """
-
-    def __init__(self, raw, k):
-        self.raw = raw
-        self.k = k
-        nk = raw.count(k)
-        if raw.columns(k):
-            R, V, _ = _reduce_columns(raw.columns(k), track=True)
-            self.cycles = [V[j] for j in range(nk) if not R[j]]
-        else:
-            self.cycles = [{j: Fraction(1)} for j in range(nk)]
-        Rb, _, _ = _reduce_columns(raw.columns(k + 1), track=False)
-        self.bech = {}
-        for r in Rb:
-            if r:
-                self.bech[max(r)] = r
-        self.reps = []
-        self.hech = []
-        for z in self.cycles:
-            red = self._reduce(dict(z))
-            if red:
-                self.hech.append((max(red), red, len(self.reps)))
-                self.reps.append(z)
-
-    def _reduce(self, vec, record=None):
-        while vec:
-            low = max(vec)
-            pivot = self.bech.get(low)
-            coef_idx = None
-            if pivot is None:
-                for hlow, hvec, hidx in self.hech:
-                    if hlow == low:
-                        pivot = hvec
-                        coef_idx = hidx
-                        break
-            if pivot is None:
-                return vec
-            coef = vec[low] / pivot[low]
-            if record is not None and coef_idx is not None:
-                record[coef_idx] = record.get(coef_idx, Fraction(0)) + coef
-            for i, val in pivot.items():
-                nv = vec.get(i, Fraction(0)) - coef * val
-                if nv:
-                    vec[i] = nv
-                else:
-                    vec.pop(i, None)
-        return vec
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def coords(self, vec):
-        """Coordinates of a cycle in the homology basis, or None if the
-        vector does not reduce to zero (not a cycle up to boundaries)."""
-        record = {}
-        rem = self._reduce(dict(vec), record=record)
-        if rem:
-            return None
-        return [record.get(i, Fraction(0)) for i in range(len(self.reps))]
 
 
 @dataclass
@@ -619,8 +500,6 @@ class HomologyMapReport:
     source_betti: BettiVector
     target_betti: BettiVector
     ranks: dict
-    matrices: dict = None     # degree -> tuple of row tuples of Fractions
-    method: str = "cone"
 
     def rank(self, k):
         return self.ranks.get(k, 0)
@@ -652,96 +531,30 @@ class HomologyMapReport:
                    for k in range(-1, n + 1))
 
 
-MATRIX_SIZE_LIMIT = 40_000
+def induced_map(f, bettiS=None, bettiT=None, work_cap=DEFAULT_WORK_CAP):
+    """Induced map on reduced homology of a PosetMap, as mapping-cone ranks.
 
-
-def induced_map(f, KS=None, KT=None, want_matrices=None,
-                work_cap=DEFAULT_WORK_CAP):
-    """Induced map on reduced homology of a PosetMap.
-
-    Uses explicit bases (with matrices) when the complexes are small,
-    otherwise mapping-cone ranks.  Pass want_matrices to force a route.
+    Precomputed Betti vectors of the source and target order complexes
+    may be passed to skip recomputing them.
     """
-    if KS is None:
-        KS = order_complex(f.source)
-    if KT is None:
-        KT = order_complex(f.target)
+    KS = order_complex(f.source)
+    KT = order_complex(f.target)
     colmaps = chain_map_from_poset_map(f, KS, KT)
-    rawS = RawComplex.from_simplicial(KS)
-    rawT = RawComplex.from_simplicial(KT)
-    return induced_map_from_chain(rawS, rawT, colmaps,
-                                  want_matrices=want_matrices,
+    return induced_map_from_chain(RawComplex.from_simplicial(KS),
+                                  RawComplex.from_simplicial(KT), colmaps,
                                   work_cap=work_cap,
-                                  sizes=KS.size() + KT.size())
+                                  bettiS=bettiS, bettiT=bettiT)
 
 
-def induced_map_from_chain(rawS, rawT, colmaps, want_matrices=None,
-                           work_cap=DEFAULT_WORK_CAP, sizes=None,
+def induced_map_from_chain(rawS, rawT, colmaps, work_cap=DEFAULT_WORK_CAP,
                            bettiS=None, bettiT=None):
+    """Induced map on reduced homology of a chain map given by colmaps."""
     if bettiS is None:
         bettiS = betti_of_raw(rawS, work_cap=work_cap)
     if bettiT is None:
         bettiT = betti_of_raw(rawT, work_cap=work_cap)
-    if want_matrices is None:
-        if sizes is None:
-            sizes = sum(rawS.counts.values()) + sum(rawT.counts.values())
-        want_matrices = sizes <= MATRIX_SIZE_LIMIT
-    if not want_matrices:
-        ranks = cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
-                                  work_cap)
-        return HomologyMapReport(bettiS, bettiT, ranks, method="cone")
-    ranks = {}
-    mats = {}
-    lo = min(rawS.bottom, rawT.bottom)
-    hi = max(rawS.top, rawT.top)
-    for k in range(lo, hi + 1):
-        bs, bt = bettiS.get(k), bettiT.get(k)
-        if bs == 0 or bt == 0:
-            ranks[k] = 0
-            mats[k] = tuple(tuple(Fraction(0) for _ in range(bs))
-                            for _ in range(bt))
-            continue
-        HS = HomologyBasis(rawS, k)
-        HT = HomologyBasis(rawT, k)
-        assert HS.dim == bs and HT.dim == bt, "basis dimension mismatch"
-        fmap = colmaps.get(k, [])
-        image_coords = []
-        for z in HS.reps:
-            img = {}
-            for j, c in z.items():
-                for i, v in (fmap[j] if j < len(fmap) else []):
-                    img[i] = img.get(i, Fraction(0)) + c * v
-            img = {i: v for i, v in img.items() if v}
-            coords = HT.coords(img)
-            assert coords is not None, \
-                "image of a cycle is not a cycle modulo boundaries"
-            image_coords.append(coords)
-        mat = tuple(tuple(image_coords[j][i] for j in range(bs))
-                    for i in range(bt))
-        mats[k] = mat
-        ranks[k] = _dense_rank_fractions(image_coords, bt)
-    return HomologyMapReport(bettiS, bettiT, ranks, matrices=mats,
-                             method="basis")
-
-
-def _dense_rank_fractions(cols, nrows):
-    m = [list(c) for c in cols]
-    rank = 0
-    used = set()
-    for col in m:
-        piv = next((i for i in range(nrows)
-                    if i not in used and col[i]), None)
-        if piv is None:
-            continue
-        rank += 1
-        used.add(piv)
-        for other in m:
-            if other is col or not other[piv]:
-                continue
-            c = other[piv] / col[piv]
-            for i in range(nrows):
-                other[i] -= c * col[i]
-    return rank
+    ranks = cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT, work_cap)
+    return HomologyMapReport(bettiS, bettiT, ranks)
 
 
 # -- Kunneth and Mayer-Vietoris --------------------------------------------------------

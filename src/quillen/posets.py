@@ -94,17 +94,6 @@ class Poset:
             self._covers = out
         return self._covers
 
-    def lower_covers(self):
-        cov = self.covers()
-        out = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            for j in cov[i]:
-                out[j].append(i)
-        return out
-
-    def cover_edges(self):
-        return [(i, j) for i in range(self.n) for j in self.covers()[i]]
-
     def induced(self, ids):
         """Induced subposet on the given ids (any order; sorted internally).
 
@@ -158,100 +147,6 @@ class Poset:
         return len(self.chain_counts()) - 1
 
 
-def close_relation(n, pairs):
-    """Transitive closure of a relation given as (small, large) id pairs.
-
-    Returns up bitsets; raises NotAntisymmetric on a cycle.  Ids must
-    already be a linear extension candidate order; pairs may go either
-    way and are reoriented, with i == j pairs rejected.
-    """
-    direct = [0] * n
-    for a, b in pairs:
-        if a == b:
-            raise NotAntisymmetric(f"element {a} related to itself")
-        direct[a] |= 1 << b
-    # DFS closure with cycle detection
-    up = [None] * n
-    state = [0] * n  # 0 new, 1 active, 2 done
-    for start in range(n):
-        if state[start] == 2:
-            continue
-        stack = [(start, iter_bits(direct[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    raise NotAntisymmetric(f"cycle through elements {v} and {w}")
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter_bits(direct[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                acc = direct[v]
-                for w in iter_bits(direct[v]):
-                    acc |= up[w]
-                up[v] = acc
-                state[v] = 2
-                stack.pop()
-    return up
-
-
-def build_poset(elements, pairs, close=True):
-    """Poset from element labels and order pairs (label_small, label_large).
-
-    With close=True the transitive closure is taken; otherwise the input
-    must already be transitively closed (NotTransitiveAfterClosure).
-    Elements are reordered along a linear extension; original label order
-    breaks ties deterministically.
-    """
-    elements = list(elements)
-    pos = {e: i for i, e in enumerate(elements)}
-    if len(pos) != len(elements):
-        raise NotAntisymmetric("duplicate element labels")
-    idx_pairs = []
-    for a, b in pairs:
-        if a not in pos or b not in pos:
-            raise IndexOutOfRange(f"pair ({a!r}, {b!r}) uses unknown elements")
-        idx_pairs.append((pos[a], pos[b]))
-    n = len(elements)
-    up0 = close_relation(n, idx_pairs)
-    if not close:
-        for i in range(n):
-            acc = 0
-            for a, b in idx_pairs:
-                if a == i:
-                    acc |= 1 << b
-            if acc != up0[i]:
-                raise NotTransitiveAfterClosure(
-                    f"input relation not transitively closed at {elements[i]!r}")
-    # topological order: Kahn with smallest original index first
-    indeg = [0] * n
-    for i in range(n):
-        for j in iter_bits(up0[i]):
-            indeg[j] += 1
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        i = heapq.heappop(heap)
-        order.append(i)
-        for j in iter_bits(up0[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    rank = {o: k for k, o in enumerate(order)}
-    up = [0] * n
-    for i in range(n):
-        acc = 0
-        for j in iter_bits(up0[i]):
-            acc |= 1 << rank[j]
-        up[rank[i]] = acc
-    return Poset([elements[o] for o in order], up)
-
-
 def join_posets(posets, tag_elements=True):
     """Join: disjoint union with everything in an earlier factor below
     everything in a later factor.  Elements become (factor_index, label)
@@ -303,14 +198,6 @@ class SimplicialComplex:
         for d, simps in enumerate(self.dims):
             chi += len(simps) if d % 2 == 0 else -len(simps)
         return chi
-
-    def union(self, other):
-        dims = []
-        for d in range(max(len(self.dims), len(other.dims))):
-            a = self.dims[d] if d < len(self.dims) else []
-            b = other.dims[d] if d < len(other.dims) else []
-            dims.append(sorted(set(a) | set(b)))
-        return SimplicialComplex(dims)
 
     def is_subcomplex_of(self, other):
         oi = other.index_maps()

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,7 @@ def test_bad_p_exits_2(capsys):
     code, _, err = run_cli(capsys, "betti", "--group", "sym5", "--p", "6")
     assert code == 2
     assert err.startswith("error:")
+    assert "not prime" in err
 
 
 def test_unknown_command_usage_error(capsys):
@@ -108,3 +113,18 @@ def test_robinson_cli_structured(capsys):
     doc = json.loads(out)
     assert doc["result"]["verdict"] == "holds"
     assert doc["result"]["evidence"]["residue"] == 4
+
+
+@pytest.mark.parametrize("command", ["betti", "conditions"])
+def test_structured_output_is_identical_across_hash_seeds(command):
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quillen.cli", command, "--group", "sym5",
+             "--format", "structured"],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quillen.errors import MatrixCapExceeded, NotACover
 from quillen.homology import RawComplex, betti_of_complex, betti_of_poset, \
@@ -9,6 +16,7 @@ from quillen.posets import Poset, PosetMap, join_posets, make_map, \
 from quillen.pposets import ap_poset, bouc_poset
 
 from conftest import bundled
+from rank_oracle import dense_rank, induced_ranks
 
 
 def antichain(n):
@@ -77,6 +85,7 @@ def test_kunneth_including_empty():
 def test_induced_identity(ap2_sym5):
     f = PosetMap(ap2_sym5, ap2_sym5, np.arange(ap2_sym5.n, dtype=np.int64))
     rep = induced_map(f)
+    assert rep.ranks == induced_ranks(f)
     assert rep.rank(1) == 16
     assert rep.mono_through(1) and rep.epi_through(1)
     assert not rep.is_zero()
@@ -88,6 +97,7 @@ def test_induced_zero_inclusion(sym5, ap2_sym5):
     apA = ap_poset(comps[0], 2)
     f = make_map(apA, ap2_sym5, lambda E: E)
     rep = induced_map(f)
+    assert rep.ranks == induced_ranks(f)
     assert rep.is_zero()
     assert rep.source_betti.get(0) == 4
     assert rep.target_betti.get(1) == 16
@@ -98,7 +108,40 @@ def test_induced_collapse_to_point():
     Q = antichain(1)
     f = make_map(P, Q, lambda e: Q.elements[0])
     rep = induced_map(f)
+    assert rep.ranks == induced_ranks(f)
     assert rep.is_zero()
+
+
+_hosts = {}
+
+
+def host_poset(name):
+    if name not in _hosts:
+        if name == "join":
+            _hosts[name] = join_posets([antichain(2), antichain(3),
+                                        antichain(2)])
+        else:
+            _hosts[name] = ap_poset(bundled(name), 2)
+    return _hosts[name]
+
+
+@st.composite
+def subposet_inclusions(draw):
+    """Inclusion S -> T of random induced subposets S within T of a host."""
+    P = host_poset(draw(st.sampled_from(("sym4", "sym5", "d10", "join"))))
+    tids = draw(st.lists(st.integers(0, P.n - 1), unique=True,
+                         max_size=min(P.n, 24)))
+    sids = draw(st.lists(st.sampled_from(tids), unique=True)) if tids else []
+    T, incT = P.induced(tids)
+    S, incS = P.induced(sids)
+    pos = {int(o): k for k, o in enumerate(incT)}
+    return PosetMap(S, T, [pos[int(o)] for o in incS])
+
+
+@settings(max_examples=60, deadline=None)
+@given(subposet_inclusions())
+def test_induced_matches_oracle_on_inclusions(f):
+    assert induced_map(f).ranks == induced_ranks(f)
 
 
 def test_dd_zero_and_euler(ap2_sym5):
@@ -114,6 +157,31 @@ def test_sparse_rank_small():
     assert sparse_rank(cols) == 1
     cols = [[(0, 1)], [(1, 1)]]
     assert sparse_rank(cols) == 2
+
+
+def dense_columns(m):
+    return [[(i, v) for i, v in enumerate(col)] for col in zip(*m)]
+
+
+@pytest.mark.parametrize("m, rank", [
+    ([[2, 4], [6, 8]], 2),
+    ([[2, 4], [4, 8]], 1),
+    ([[2, 0, 4], [0, 6, 6], [4, 6, 14]], 2),
+    ([[3, 6, 9], [6, 3, 0], [9, 0, 3]], 3),
+])
+def test_sparse_rank_without_unit_pivots(m, rank):
+    # no entry is a unit, so coreduction cannot pivot and every step runs
+    # in fraction-free Bareiss mode
+    assert sparse_rank(dense_columns(m)) == rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=1, max_size=8)), st.sampled_from((1, 2, 3, 6)))
+def test_sparse_rank_matches_dense_fractions(rows, scale):
+    m = [[scale * v for v in row] for row in rows]
+    assert sparse_rank(dense_columns(m)) == dense_rank(list(zip(*m)), len(m))
 
 
 def test_work_cap():
@@ -141,3 +209,39 @@ def test_mv_not_a_cover(sym4):
     U = ap_poset(sym4, 2)
     with pytest.raises(NotACover):
         mv_rank_audit(U, np.arange(3), np.arange(2, 5))
+
+
+def test_self_checks_survive_python_O():
+    code = textwrap.dedent("""
+        import sys
+        from quillen.errors import InvariantViolated
+        from quillen.homology import (BettiVector, RawComplex,
+                                      cone_rank_profile)
+        assert False, "asserts must be stripped"
+        # one edge with boundary 2v, so d0 d1 = 2, not 0
+        bad = RawComplex({-1: 1, 0: 1, 1: 1},
+                         {0: [[(0, 1)]], 1: [[(0, 1), (0, 1)]]})
+        try:
+            bad.verify_dd_zero()
+            sys.exit("verify_dd_zero missed d o d != 0")
+        except InvariantViolated:
+            pass
+        # identity on two points with a source Betti vector that is too small
+        two = RawComplex({-1: 1, 0: 2}, {0: [[(0, 1)], [(0, 1)]]})
+        ident = {-1: [[(0, 1)]], 0: [[(0, 1)], [(1, 1)]]}
+        right = BettiVector(tilde=(1,), minus1=0, chi=1)
+        small = BettiVector(tilde=(0,), minus1=0, chi=1)
+        cone_rank_profile(two, two, ident, right, right)
+        try:
+            cone_rank_profile(two, two, ident, small, right)
+            sys.exit("cone_rank_profile accepted a rank above the source")
+        except InvariantViolated:
+            pass
+        print("ok", sys.flags.optimize)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.split() == ["ok", "1"]
