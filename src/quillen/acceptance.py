@@ -7,13 +7,14 @@ one pass/fail line per criterion; it is the engine behind the
 """
 
 import time
+from functools import cache
 
 import numpy as np
 
 from .errors import ComponentsUndetectable
 from .groups import centralizer, detect_components, subgroup_product, \
     sylow_subgroup
-from .gspec import BUNDLED, load_group
+from .gspec import BUNDLED, bundled_group, load_group
 from .homology import RawComplex, betti_of_poset, kunneth_check
 from .posets import beat_point_core, join_posets, order_complex
 from .pposets import OrbitContext, ap_poset, bouc_poset, conj_action_tables, \
@@ -32,26 +33,9 @@ def criterion(num, budget, title):
     return wrap
 
 
-_cache = {}
-
-
-def _group(name):
-    if name not in _cache:
-        _cache[name] = load_group(name).group.full()
-    return _cache[name]
-
-
-def _ap(name, p=2):
-    key = ("ap", name, p)
-    if key not in _cache:
-        _cache[key] = ap_poset(_group(name), p)
-    return _cache[key]
-
-
+@cache
 def _worked_ctx():
-    if "ctx" not in _cache:
-        _cache["ctx"] = OrbitContext(_group("a5xa5-exr"), 2)
-    return _cache["ctx"]
+    return OrbitContext(bundled_group("a5xa5-exr"), 2)
 
 
 def _tilde(bv, upto):
@@ -63,7 +47,7 @@ def _tilde(bv, upto):
 
 @criterion(1, 1.0, "5 components at p=2 for the smallest simple group")
 def c01():
-    P = _ap("alt5")
+    P = ap_poset(bundled_group("alt5"), 2)
     bv = betti_of_poset(P)
     core, _, _ = beat_point_core(P)
     ok = (_tilde(bv, 1) == (4, 0) and bv.nonzero_degrees() == [0]
@@ -74,31 +58,31 @@ def c01():
 
 @criterion(2, 5.0, "wedge of 16 circles for the degree-5 symmetric group")
 def c02():
-    bv = betti_of_poset(_ap("sym5"))
+    bv = betti_of_poset(ap_poset(bundled_group("sym5"), 2))
     return _tilde(bv, 2) == (0, 16, 0), f"betti {_tilde(bv, 2)}"
 
 
 @criterion(3, 10.0, "wedge of 16 circles for the degree-6 alternating group")
 def c03():
-    bv = betti_of_poset(_ap("alt6"))
+    bv = betti_of_poset(ap_poset(bundled_group("alt6"), 2))
     return _tilde(bv, 2) == (0, 16, 0), f"betti {_tilde(bv, 2)}"
 
 
 @criterion(4, 30.0, "wedge of 16 circles for the degree-6 symmetric group")
 def c04():
-    bv = betti_of_poset(_ap("sym6"))
+    bv = betti_of_poset(ap_poset(bundled_group("sym6"), 2))
     return _tilde(bv, 2) == (0, 16, 0), f"betti {_tilde(bv, 2)}"
 
 
 @criterion(5, 600.0, "wedge of 64 2-spheres for the degree-8 alternating group")
 def c05():
-    bv = betti_of_poset(_ap("alt8"))
+    bv = betti_of_poset(ap_poset(bundled_group("alt8"), 2))
     return _tilde(bv, 2) == (0, 0, 64), f"betti {_tilde(bv, 2)}"
 
 
 @criterion(6, 900.0, "radical 2-subgroup poset of the degree-8 symmetric group")
 def c06():
-    B = bouc_poset(_group("sym8"), 2)
+    B = bouc_poset(bundled_group("sym8"), 2)
     chi = B.reduced_euler()
     bv = betti_of_poset(B)
     ok = (B.height() == 2 and chi == 512 and _tilde(bv, 2) == (0, 0, 512))
@@ -108,9 +92,9 @@ def c06():
 
 @criterion(7, 1.0, "acyclic solvable case and discrete dihedral case")
 def c07():
-    P4 = _ap("sym4")
+    P4 = ap_poset(bundled_group("sym4"), 2)
     bv4 = betti_of_poset(P4)
-    Pd = _ap("d10")
+    Pd = ap_poset(bundled_group("d10"), 2)
     bvd = betti_of_poset(Pd)
     ok = (bv4.is_zero() and Pd.n == 5 and Pd.height() == 0
           and bvd.get(0) == 4)
@@ -140,10 +124,10 @@ def c08():
 
 @criterion(9, 10.0, "alternating-to-symmetric inclusion is zero in homology")
 def c09():
-    G = _group("sym5")
+    G = bundled_group("sym5")
     comps, _ = detect_components(G)
     apA = ap_poset(comps[0], 2)
-    apG = _ap("sym5")
+    apG = ap_poset(bundled_group("sym5"), 2)
     f = make_map(apA, apG, lambda E: E)
     rep = induced_map(f)
     return rep.is_zero(), f"ranks {dict(sorted(rep.ranks.items()))}"
@@ -169,13 +153,13 @@ def c10():
 
 
 def _pick_component(name):
-    comps, _ = detect_components(_group(name))
+    comps, _ = detect_components(bundled_group(name))
     return sorted(comps, key=lambda L: (L.order, L.key))[0]
 
 
 @criterion(11, 660.0, "outer-action elimination on the two simple hosts")
 def c11():
-    cert6 = checkers.check_prop68(_group("aut-alt6"),
+    cert6 = checkers.check_prop68(bundled_group("aut-alt6"),
                                   _pick_component("aut-alt6"), 2, k=1)
     bundleA8 = load_group("a8-in-s8")
     cert8 = checkers.check_prop68(bundleA8.group.full(),
@@ -187,7 +171,7 @@ def c11():
 
 @criterion(12, 300.0, "hyperelementary fixed-point certificate on 21 points")
 def c12():
-    G = _group("l34")
+    G = bundled_group("l34")
     Y = ap_poset(G, 2)
     S = sylow_subgroup(G, 5)
     tables = conj_action_tables(Y, S)
@@ -207,7 +191,7 @@ def c12():
 def _prop_a():
     bad = []
     for name in BUNDLED:
-        rep = checkers.euler_formula(_group(name), 2)
+        rep = checkers.euler_formula(bundled_group(name), 2)
         if not rep.match:
             bad.append(name)
     return not bad, f"euler formula on {len(BUNDLED)} groups" + (
@@ -215,12 +199,13 @@ def _prop_a():
 
 
 def _kunneth_pool():
-    pool = [_ap("sym4"), _ap("alt5"), _ap("d10"), _ap("sym5"),
-            ap_poset(_group("sym5"), 3), ap_poset(_group("sym4"), 3),
-            bouc_poset(_group("sym4"), 2), bouc_poset(_group("sym5"), 2),
-            bouc_poset(_group("sym5"), 3)]
+    pool = [ap_poset(bundled_group(name), p) for name, p in (
+        ("sym4", 2), ("alt5", 2), ("d10", 2), ("sym5", 2), ("sym5", 3),
+        ("sym4", 3))]
+    pool += [bouc_poset(bundled_group(name), p) for name, p in (
+        ("sym4", 2), ("sym5", 2), ("sym5", 3))]
     rng = np.random.default_rng(20260819)
-    big = _ap("sym5")
+    big = ap_poset(bundled_group("sym5"), 2)
     for _ in range(3):
         ids = np.sort(rng.choice(big.n, size=18, replace=False))
         sub, _unused = big.induced(ids.astype(np.int64))
@@ -243,7 +228,7 @@ def _prop_c():
     names = ["sym4", "alt5", "sym5", "d10", "alt6", "sym6"]
     checked = fails = 0
     while checked < 50:
-        G = _group(names[int(rng.integers(0, len(names)))])
+        G = bundled_group(names[int(rng.integers(0, len(names)))])
         k = G.midx.size
         A = G.group.subgroup(np.unique(rng.integers(0, k, size=2)))
         CA = centralizer(G, A)
@@ -263,7 +248,7 @@ def _prop_c():
 def _prop_d():
     skipped, structural, computed, bad = [], [], [], []
     for name in BUNDLED:
-        G = _group(name)
+        G = bundled_group(name)
         try:
             ctx = OrbitContext(G, 2)
         except ComponentsUndetectable:
@@ -290,9 +275,9 @@ def _prop_d():
 
 
 def _dd_pool():
-    pool = [_ap("sym4"), _ap("alt5"), _ap("d10"), _ap("sym5"), _ap("alt6"),
-            bouc_poset(_group("sym5"), 2), _worked_ctx().join().X]
-    return pool
+    return [ap_poset(bundled_group(name), 2)
+            for name in ("sym4", "alt5", "d10", "sym5", "alt6")] + \
+        [bouc_poset(bundled_group("sym5"), 2), _worked_ctx().join().X]
 
 
 def _prop_e():
@@ -306,7 +291,7 @@ def _prop_e():
 
 def _prop_f():
     bad = 0
-    pool = _dd_pool() + [bouc_poset(_group("sym4"), 2)]
+    pool = _dd_pool() + [bouc_poset(bundled_group("sym4"), 2)]
     for P in pool:
         a = betti_of_poset(P, reduce_first=True)
         b = betti_of_poset(P, reduce_first=False)

@@ -5,8 +5,6 @@ Python ints, one bit per element index.  CPython's big-int AND/OR are
 word-parallel, which is what makes the poset-scale set algebra cheap.
 """
 
-import numpy as np
-
 
 def bits_from_indices(idx):
     """Bitset with the given bits set.  idx: iterable of nonnegative ints."""
@@ -16,23 +14,9 @@ def bits_from_indices(idx):
     return v
 
 
-def indices_from_bits(v):
-    """Sorted numpy array of set-bit positions."""
-    if v == 0:
-        return np.empty(0, dtype=np.int64)
-    nbytes = (v.bit_length() + 7) // 8
-    raw = np.frombuffer(v.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    return np.nonzero(bits)[0].astype(np.int64)
-
-
 def iter_bits(v):
     """Yield set-bit positions in increasing order."""
     while v:
         low = v & -v
         yield low.bit_length() - 1
         v ^= low
-
-
-def popcount(v):
-    return v.bit_count()

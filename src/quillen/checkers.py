@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvariantViolated,
     NotHyperelementary,
     VariantUnavailable,
     WrongArity,
@@ -111,26 +112,15 @@ def _ranks_dict(report):
 
 
 def betti_ap(sub, p, work_cap=DEFAULT_WORK_CAP):
-    """Reduced Betti numbers of the p-subgroup poset, cached on the subgroup."""
-    sub = as_subgroup(sub)
-    key = ("betti-ap", int(p))
-    if key not in sub._cache:
-        sub._cache[key] = betti_of_poset(ap_poset(sub, p), work_cap=work_cap)
-    return sub._cache[key]
-
-
-def _ctx_betti(ctx, name, P):
-    key = ("betti", name)
-    if key not in ctx._cache:
-        ctx._cache[key] = betti_of_poset(P, work_cap=ctx.work_cap)
-    return ctx._cache[key]
+    """Reduced Betti numbers of the p-subgroup poset (cached on the poset)."""
+    return betti_of_poset(ap_poset(sub, p), work_cap=work_cap)
 
 
 def psi_induced(ctx):
     """Induced map in homology of the full chain projection, cached."""
     if "psi-induced" not in ctx._cache:
-        bAH = _ctx_betti(ctx, "AH", ctx.ap_H())
-        bX = _ctx_betti(ctx, "X", ctx.join().X)
+        bAH = betti_of_poset(ctx.ap_H(), work_cap=ctx.work_cap)
+        bX = betti_of_poset(ctx.join().X, work_cap=ctx.work_cap)
         ctx._cache["psi-induced"] = induced_map(ctx.psi(), bAH, bX,
                                                 work_cap=ctx.work_cap)
     return ctx._cache["psi-induced"]
@@ -310,16 +300,16 @@ def check_conditions(ctx, which=None, goal_betti=None, work_cap=None):
         certs[tag] = Certificate(tag, HOLDS if ns else FAILS, det, base)
 
     if "A" in which or "A'" in which or "B" in which:
-        bAH = _ctx_betti(ctx, "AH", dec.AH)
-        bY0 = _ctx_betti(ctx, "Y0", dec.Y0)
+        bAH = betti_of_poset(dec.AH, work_cap=ctx.work_cap)
+        bY0 = betti_of_poset(dec.Y0, work_cap=ctx.work_cap)
     if "A" in which:
-        bY = _ctx_betti(ctx, "Y", dec.Y)
+        bY = betti_of_poset(dec.Y, work_cap=ctx.work_cap)
         surj_cert("A", dec.a, bY0, bY, "inclusion of Y0 into Y")
     if "A'" in which:
         surj_cert("A'", dec.r0, bY0, bAH,
                   "Y0 followed by the meet retraction")
     if "B" in which:
-        bV0 = _ctx_betti(ctx, "V0", dec.V0)
+        bV0 = betti_of_poset(dec.V0, work_cap=ctx.work_cap)
         surj_cert("B", dec.b, bV0, bAH, "inclusion of V0")
     if "C" in which:
         ok, det = _condition_C(ctx, dec)
@@ -372,8 +362,9 @@ def _goal_cross_check(ctx, ev, work_cap):
     if op.order == 1:
         gb = betti_ap(ctx.G, ctx.p, work_cap)
         ev["goal_betti"] = _betti_dict(gb)
-        assert not gb.is_zero(), \
-            "criterion held but the ambient poset is acyclic"
+        if gb.is_zero():
+            raise InvariantViolated(
+                "criterion held but the ambient poset is acyclic")
     else:
         ev["goal"] = "conclusion vacuous (nontrivial p-core)"
 
@@ -448,12 +439,12 @@ def check_thm410(ctx, variant="formal", check_goal=True, work_cap=None):
     AH = ctx.ap_H()
     ev = {"diagonal_size": D.n, "poset_size": AH.n, "variant": variant}
     if D.n == AH.n:
-        bAH = _ctx_betti(ctx, "AH", AH)
+        bAH = betti_of_poset(AH, work_cap=ctx.work_cap)
         ev["target_betti"] = _betti_dict(bAH)
         ev["why"] = "diagonal poset is the whole poset; inclusion is the identity"
         return Certificate("thm410", FAILS, ev, inputs)
-    bD = _ctx_betti(ctx, ("diag", variant), D)
-    bAH = _ctx_betti(ctx, "AH", AH)
+    bD = betti_of_poset(D, work_cap=ctx.work_cap)
+    bAH = betti_of_poset(AH, work_cap=ctx.work_cap)
     ns, det = _surjectivity(dmap, bD, bAH, work_cap)
     ev.update(det)
     if ns:
@@ -600,8 +591,8 @@ def check_propEM(ctx, n, check_psi=True, work_cap=None):
         raise IndexOutOfRange(f"degree {n} must be nonnegative")
     work_cap = work_cap or ctx.work_cap
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t, n=int(n))
-    bAH = _ctx_betti(ctx, "AH", ctx.ap_H())
-    bX = _ctx_betti(ctx, "X", ctx.join().X)
+    bAH = betti_of_poset(ctx.ap_H(), work_cap=ctx.work_cap)
+    bX = betti_of_poset(ctx.join().X, work_cap=ctx.work_cap)
     steps = []
     for i in range(1, ctx.t + 1):
         rep = phi_induced(ctx, i)
@@ -631,9 +622,10 @@ def check_propEM(ctx, n, check_psi=True, work_cap=None):
             rep = psi_induced(ctx)
             expect = side if route == "E" else bAH.get(n)
             ev["psi_rank_at_n"] = int(rep.rank(n))
-            assert rep.rank(n) == expect, \
-                f"descent route {route} held but the projection rank " \
-                f"at degree {n} is {rep.rank(n)}, not {expect}"
+            if rep.rank(n) != expect:
+                raise InvariantViolated(
+                    f"descent route {route} held but the projection rank "
+                    f"at degree {n} is {rep.rank(n)}, not {expect}")
         out[route] = Certificate(tag, HOLDS if good else FAILS, ev, inputs)
     return out
 
@@ -722,8 +714,10 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
         rep = induced_map(ip.embedded, bettiS=bL, work_cap=work_cap)
         mono = rep.rank(chosen) == bL.get(chosen)
         ev["embedding_rank_at_k"] = int(rep.rank(chosen))
-        assert mono, "criterion held but the image-poset embedding " \
-                     "is not injective at the chosen degree"
+        if not mono:
+            raise InvariantViolated("criterion held but the image-poset "
+                                    "embedding is not injective at the "
+                                    "chosen degree")
     else:
         ev["embedding_rank_at_k"] = "skipped (component above cross-check cap)"
     return Certificate("prop68", HOLDS, ev, inputs)
@@ -816,8 +810,9 @@ def hqc_witness(sub, p, work_cap=DEFAULT_WORK_CAP):
     op = p_core(sub, p)
     b = betti_ap(sub, p, work_cap)
     if op.order > 1:
-        assert b.is_zero(), \
-            "nontrivial p-core must give an acyclic p-subgroup poset"
+        if not b.is_zero():
+            raise InvariantViolated(
+                "nontrivial p-core must give an acyclic p-subgroup poset")
         ev = {"op_order": int(op.order), "betti": _betti_dict(b),
               "why": "hypothesis void (nontrivial p-core); "
                      "poset verified acyclic"}

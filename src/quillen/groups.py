@@ -22,7 +22,18 @@ The hot set work runs in bulk rather than element by element in Python:
   * Subgroup.contains_indices (binary search in the sorted member array)
     is the one membership test; intersections and meets are member
     arrays filtered by it.
+
+The cache rule: data derived from a subgroup (Sylow subgroups, p-cores,
+classes, normal subgroups, components, a generating set, elementary
+abelian subgroups and the posets built from them) lives in one table on
+the parent group, keyed by Subgroup.key, so equal subgroups reached by
+different routes share it.  Subgroup._cache is that table's entry,
+created on first use.  Betti vectors are cached on the poset they
+describe, not here.
 """
+
+from functools import cache
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
@@ -31,6 +42,7 @@ from .errors import (
     ActorDoesNotNormalize,
     ComponentsUndetectable,
     EnumerationCapExceeded,
+    InvariantViolated,
     NotAnElement,
     NotPrime,
     OrderCapExceeded,
@@ -61,8 +73,9 @@ class PermGroup:
         self._index = {self.perms[i].tobytes(): i for i in range(self.order)}
         self._inv = None
         self._orders = None
-        self._conj_maps = {}
-        self._cache = {}
+        self._full = None
+        # Subgroup.key -> derived data of that subgroup (Subgroup._cache)
+        self._derived = {}
 
     @classmethod
     def generate(cls, gen_rows, degree, name="", order_cap=DEFAULT_ORDER_CAP):
@@ -163,10 +176,6 @@ class PermGroup:
             self._orders = orders
         return self._orders
 
-    def p_elements(self, p):
-        """Indices of elements of order exactly p, ascending."""
-        return np.nonzero(self.element_orders() == p)[0]
-
     # -- conjugation ----------------------------------------------------------
 
     def conj_batch(self, g, idx):
@@ -179,20 +188,13 @@ class PermGroup:
         rows = grow[self.perms[idx][:, ginv]]
         return self.lookup_rows(rows)
 
-    def conj_map(self, g):
-        """Full map i -> index of g e_i g^-1, cached per g."""
-        g = int(g)
-        if g not in self._conj_maps:
-            self._conj_maps[g] = self.conj_batch(g, np.arange(self.order))
-        return self._conj_maps[g]
-
     # -- subgroup constructors -------------------------------------------------
 
     def full(self):
-        if "full" not in self._cache:
-            self._cache["full"] = Subgroup(
+        if self._full is None:
+            self._full = Subgroup(
                 self, np.arange(self.order, dtype=np.int64), gens=self.gens)
-        return self._cache["full"]
+        return self._full
 
     def subgroup(self, gen_indices):
         """Subgroup generated by the given element indices."""
@@ -229,7 +231,7 @@ def close_indices(group, gen_indices):
 class Subgroup:
     """A subgroup given by its sorted member-index array (0 always present)."""
 
-    __slots__ = ("group", "midx", "gens", "_key", "_cache")
+    __slots__ = ("group", "midx", "gens", "_key")
 
     def __init__(self, group, member_indices, gens=None):
         self.group = group
@@ -238,7 +240,6 @@ class Subgroup:
             self.midx = np.unique(np.append(self.midx, 0))
         self.gens = tuple(int(g) for g in gens) if gens is not None else None
         self._key = None
-        self._cache = {}
 
     @property
     def order(self):
@@ -249,6 +250,11 @@ class Subgroup:
         if self._key is None:
             self._key = self.midx.tobytes()
         return self._key
+
+    @property
+    def _cache(self):
+        """Derived data, shared by every Subgroup equal to this one."""
+        return self.group._derived.setdefault(self.key, {})
 
     @property
     def bits(self):
@@ -829,9 +835,13 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
-    ckey = ("elab", p, cap)
+    ckey = ("elab", p)
     if ckey in sub._cache:
-        return sub._cache[ckey]
+        out = sub._cache[ckey]
+        if len(out) > cap:
+            raise EnumerationCapExceeded(
+                f"{len(out)} elementary abelian subgroups exceeds cap {cap}")
+        return out
     G = sub.group
     orders = G.element_orders()
     pel = sub.midx[orders[sub.midx] == p]
@@ -902,7 +912,9 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
             prod = G.lookup_rows(np.take_along_axis(Arows, zrows, axis=1))
             blocks.append(prod.reshape(-1, width))
         new_members = np.sort(np.concatenate(blocks, axis=1), axis=1)
-        assert new_members.shape[1] == new_width
+        if new_members.shape[1] != new_width:
+            raise InvariantViolated(
+                "a rank step did not multiply the order by p")
         new_members, first = np.unique(new_members, axis=0, return_index=True)
         new_gens = [gens[pair_sub[i]] + (int(pel[pair_z[i]]),) for i in first]
         new_masks = masks[pair_sub[first]] & comm[pair_z[first]]
@@ -922,37 +934,12 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
     return out
 
 
-def p_rank(sub, p):
-    """Largest r with an elementary abelian p-subgroup of order p^r."""
-    sub = as_subgroup(sub)
-    P = sylow_subgroup(sub, p)
-    if P.order == 1:
-        return 0
-    elab = elementary_abelian_subgroups(P, p)
-    best = max(s.order for s in elab)
-    r = 0
-    while best > 1:
-        best //= p
-        r += 1
-    return r
-
-
-def _fp_subspaces(p, r, dims=None):
-    """Bases (lists of coefficient row tuples) of subspaces of F_p^r in RREF.
-
-    dims: iterable of dimensions wanted (default 1..r-1, the proper
-    nontrivial ones).
-    """
-    from itertools import combinations, product as iproduct
-    if dims is None:
-        dims = range(1, r)
+@cache
+def _fp_subspaces(p, r):
+    """Bases (tuples of coefficient row tuples), in RREF, of the proper
+    nontrivial subspaces of F_p^r."""
     out = []
-    for k in dims:
-        if k < 0 or k > r:
-            continue
-        if k == 0:
-            out.append(())
-            continue
+    for k in range(1, r):
         for pivots in combinations(range(r), k):
             free_pos = [(i, j) for i in range(k) for j in range(r)
                         if j > pivots[i] and j not in pivots]
@@ -963,10 +950,7 @@ def _fp_subspaces(p, r, dims=None):
                 for (i, j), v in zip(free_pos, vals):
                     rows[i][j] = v
                 out.append(tuple(tuple(row) for row in rows))
-    return out
-
-
-_SUBSPACE_CACHE = {}
+    return tuple(out)
 
 
 def subgroups_of_elementary_abelian(E):
@@ -975,7 +959,6 @@ def subgroups_of_elementary_abelian(E):
     Returns a list of sorted nontrivial-member index tuples.  Works by
     coordinatizing E over F_p and enumerating subspaces in RREF.
     """
-    from itertools import product as iproduct
     G = E.group
     n = E.order
     p = int(G.element_orders()[E.midx[1]]) if n > 1 else 2
@@ -1006,12 +989,10 @@ def subgroups_of_elementary_abelian(E):
                 vec2el[nvec] = nel
         if len(el2vec) == n:
             break
-    assert len(basis) == r and len(el2vec) == n
-    key = (p, r)
-    if key not in _SUBSPACE_CACHE:
-        _SUBSPACE_CACHE[key] = _fp_subspaces(p, r)
+    if len(basis) != r or len(el2vec) != n:
+        raise InvariantViolated("subgroup is not elementary abelian of rank r")
     subs = []
-    for rows in _SUBSPACE_CACHE[key]:
+    for rows in _fp_subspaces(p, r):
         k = len(rows)
         mem = []
         for coeffs in iproduct(range(p), repeat=k):

@@ -23,6 +23,7 @@ Cycle notation in files is 1-based; indices are 0-based internally.
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -147,7 +148,6 @@ def build_group(spec, order_cap=None):
             conj = base.conjugate(ti)
             if conj.key != base.key:
                 raise MalformedSpec("semidirect top does not normalize the base")
-        G._cache["semidirect_base"] = base
     if extra and extra[0] == "subgroup_of":
         pdeg, prows = _build_rows(extra[1])[:2]
         parent = PermGroup.generate(prows, pdeg, name="parent", order_cap=cap)
@@ -192,3 +192,10 @@ def load_group(name_or_path, order_cap=None):
         return build_group(GroupSpec.from_text(text, name=name), order_cap=order_cap)
     raise MalformedSpec(
         f"unknown group {name_or_path!r}; bundled names: {', '.join(BUNDLED)}")
+
+
+@cache
+def bundled_group(name):
+    """The full group of a bundled spec, built once per process, so its
+    subgroup caches are shared by everything that asks for it."""
+    return load_group(name).group.full()

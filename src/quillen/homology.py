@@ -388,9 +388,11 @@ def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP, reduce_first=True):
     """Reduced Betti vector of the order complex of P.
 
     By default collapses P to its beat-point core first (same homotopy
-    type, usually far smaller).  Cached on the poset.
+    type, usually far smaller).  Cached on the poset per work_cap, so a
+    call with another cap computes afresh and raises if the cap is too
+    small.
     """
-    key = ("betti", reduce_first)
+    key = ("betti", reduce_first, work_cap)
     if key in P._cache:
         return P._cache[key]
     if reduce_first:
@@ -509,16 +511,6 @@ class HomologyMapReport:
 
     def nonzero(self):
         return not self.is_zero()
-
-    def flags(self, k):
-        r = self.rank(k)
-        bs, bt = self.source_betti.get(k), self.target_betti.get(k)
-        return {
-            "zero": r == 0,
-            "injective": r == bs,
-            "surjective": r == bt,
-            "isomorphism": r == bs == bt,
-        }
 
     def epi_through(self, n):
         """Surjective on reduced homology in every degree <= n."""

@@ -265,10 +265,6 @@ class PosetMap:
         return PosetMap(inner.source, self.target,
                         self.table[inner.table], validate=False)
 
-    def is_identity(self):
-        return self.source is self.target and np.array_equal(
-            self.table, np.arange(self.source.n))
-
 
 def make_map(source, target, fn):
     """PosetMap from a label function; fn may also return a target id."""

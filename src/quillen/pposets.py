@@ -17,8 +17,8 @@ from .errors import (
     CenterHasPTorsion,
     ComponentsUndetectable,
     EmptyFactor,
-    EnumerationCapExceeded,
     IndexOutOfRange,
+    InvariantViolated,
     WrongArity,
 )
 from .groups import (
@@ -97,29 +97,19 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
 
 
 def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):
-    """Poset of nontrivial elementary abelian p-subgroups, cached on sub.
+    """Poset of nontrivial elementary abelian p-subgroups, cached per
+    subgroup identity.
 
-    A cached poset larger than cap raises, as a fresh enumeration would.
+    The enumeration checks cap on a cache hit too, so a cached poset
+    larger than cap raises, as a fresh enumeration would.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
+    elab = elementary_abelian_subgroups(sub, p, cap=cap)
     key = ("ap-poset", p)
     if key not in sub._cache:
-        elab = elementary_abelian_subgroups(sub, p, cap=cap)
         sub._cache[key] = poset_from_subgroups(elab, closed_under_subgroups=True)
-    P = sub._cache[key]
-    if P.n > cap:
-        raise EnumerationCapExceeded(
-            f"{P.n} elementary abelian subgroups exceeds cap {cap}")
-    return P
-
-
-def meet_subposet(P, H):
-    """Members of a subgroup poset meeting H nontrivially; (sub, inc ids)."""
-    H = as_subgroup(H)
-    ids = [i for i, S in enumerate(P.elements)
-           if np.count_nonzero(H.contains_indices(S.midx)) > 1]
-    return P.induced(np.array(ids, dtype=np.int64))
+    return sub._cache[key]
 
 
 def subgroup_orbits(ambient, subs):
@@ -303,10 +293,12 @@ def _check_embedded_copy(source, poset, f):
     imgs = set()
     for i, E in enumerate(source.elements):
         j = f(i)
-        assert poset.elements[j].order == E.order, \
-            "projection is not faithful on p-subgroups of L"
+        if poset.elements[j].order != E.order:
+            raise InvariantViolated(
+                "projection is not faithful on p-subgroups of L")
         imgs.add(j)
-    assert len(imgs) == source.n, "embedded copy is not injective"
+    if len(imgs) != source.n:
+        raise InvariantViolated("embedded copy is not injective")
     mask = 0
     for j in imgs:
         mask |= 1 << j
@@ -314,8 +306,8 @@ def _check_embedded_copy(source, poset, f):
         expect = 0
         for k in iter_bits(source.up[i]):
             expect |= 1 << f(k)
-        assert poset.up[f(i)] & mask == expect, \
-            "embedded copy is not an induced subposet"
+        if poset.up[f(i)] & mask != expect:
+            raise InvariantViolated("embedded copy is not an induced subposet")
 
 
 def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
@@ -593,9 +585,11 @@ class OrbitContext:
                 hat_dims.append(keephat)
             K0 = SimplicialComplex(k0_dims)
             K0hat = SimplicialComplex(hat_dims)
-            assert K0.is_subcomplex_of(K0hat)
+            if not K0.is_subcomplex_of(K0hat):
+                raise InvariantViolated("K0 is not inside the union of stars")
             bhat = betti_of_complex(K0hat, work_cap=self.work_cap)
-            assert bhat.is_zero(), "union of factor stars is not acyclic"
+            if not bhat.is_zero():
+                raise InvariantViolated("union of factor stars is not acyclic")
             self._cache["complexes"] = JoinComplexes(
                 KX=KX, K0=K0, K0hat=K0hat, k0hat_betti=bhat)
         return self._cache["complexes"]
@@ -636,8 +630,9 @@ class OrbitContext:
                     if E.is_subset_of(self.C[j]):
                         kk = j
                         break
-                assert kk == k, \
-                    "the two descriptions of the projection index disagree"
+                if kk != k:
+                    raise InvariantViolated("the two descriptions of the "
+                                            "projection index disagree")
             labels.append((k, E) if k == 0
                           else (k, self.actions[k].project_subgroup(E)))
         table = np.array([target.index[lab] for lab in labels],
@@ -704,7 +699,9 @@ def verify_psi_tower(ctx):
             b = src_hi.index[E]
             la = lo.target.elements[lo.table[a]]
             lb = hi.target.elements[hi.table[b]]
-            assert la == lb, "projection does not commute with inclusion"
+            if la != lb:
+                raise InvariantViolated(
+                    "projection does not commute with inclusion")
             checked += 1
     return checked
 
@@ -720,13 +717,15 @@ def verify_phi_factorization(ctx, i=None):
     for k in range(i - 1, 0, -1):
         comp = ctx.phi_step(k, i).compose(comp)
     psi = ctx.psi(i)
-    assert comp.target is psi.target
+    if comp.target is not psi.target:
+        raise InvariantViolated("transfer maps end outside the join")
     src = ctx.ap_C(i)
     Tii = ctx.mixed_join(i, i)
     for a in range(src.n):
         b = Tii.index[("amb", src.elements[a])]
-        assert int(comp.table[b]) == int(psi.table[a]), \
-            "transfer maps do not compose to the projection"
+        if int(comp.table[b]) != int(psi.table[a]):
+            raise InvariantViolated(
+                "transfer maps do not compose to the projection")
     return src.n
 
 

@@ -1,17 +1,10 @@
 import pytest
 
-from quillen.gspec import load_group
+from quillen.gspec import bundled_group
 from quillen.pposets import OrbitContext, ap_poset
 
-
-_groups = {}
-
-
-def bundled(name):
-    """Session-wide group cache so posets and caches are shared."""
-    if name not in _groups:
-        _groups[name] = load_group(name).group.full()
-    return _groups[name]
+# one group object per bundled name, shared with the acceptance suite
+bundled = bundled_group
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from quillen.groups import center, centralizer, detect_components, \
     hyperelementary_check, is_simple, normalizer, subgroup_product, \
     sylow_subgroup
 from quillen.gspec import load_group
+from quillen.pposets import ap_poset, bouc_poset
 
 from conftest import bundled
 
@@ -114,3 +115,12 @@ def test_conjugate(sym5):
     t = G.subgroup_from_rows([[1, 0, 2, 3, 4]])
     g = G.lookup_row(np.array([1, 2, 3, 4, 0]))
     assert t.conjugate(g).order == 2
+
+
+def test_equal_subgroups_share_derived_data(sym5):
+    # a distinct object with the same members reads the same cache entry
+    H = sym5.intersection(sym5)
+    assert H is not sym5 and H == sym5
+    assert sylow_subgroup(H, 2) is sylow_subgroup(sym5, 2)
+    assert ap_poset(H, 2) is ap_poset(sym5, 2)
+    assert bouc_poset(H, 2) is bouc_poset(sym5, 2)

@@ -205,6 +205,14 @@ def test_mv_rank_audit(sym4):
     assert audit.chi_additive
 
 
+def test_betti_cache_honours_work_cap(sym5):
+    P = ap_poset(sym5, 2)
+    bv = betti_of_poset(P)
+    assert (bv.get(0), bv.get(1)) == (0, 16)
+    with pytest.raises(MatrixCapExceeded):
+        betti_of_poset(P, work_cap=1)
+
+
 def test_mv_not_a_cover(sym4):
     U = ap_poset(sym4, 2)
     with pytest.raises(NotACover):
@@ -235,6 +243,15 @@ def test_self_checks_survive_python_O():
         try:
             cone_rank_profile(two, two, ident, small, right)
             sys.exit("cone_rank_profile accepted a rank above the source")
+        except InvariantViolated:
+            pass
+        # every member sent to one point: not an embedded copy
+        from quillen.gspec import load_group
+        from quillen.pposets import _check_embedded_copy, ap_poset
+        P = ap_poset(load_group("sym4").group.full(), 2)
+        try:
+            _check_embedded_copy(P, P, lambda i: 0)
+            sys.exit("_check_embedded_copy accepted a non-injective map")
         except InvariantViolated:
             pass
         print("ok", sys.flags.optimize)

@@ -3,7 +3,8 @@ import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded
 from quillen.groups import centralizer, conjugation_action, \
-    detect_components, subgroup_product, sylow_subgroup
+    detect_components, elementary_abelian_subgroups, subgroup_product, \
+    sylow_subgroup
 from quillen.gspec import load_group
 from quillen.homology import betti_of_poset
 from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
@@ -27,6 +28,11 @@ def test_ap_poset_cap_holds_on_cache_hit():
     with pytest.raises(EnumerationCapExceeded):
         ap_poset(G, 2, cap=10)
     assert ap_poset(G, 2, cap=270).n == 270
+    # the enumeration is cached once per prime and checks cap on a hit
+    elab = elementary_abelian_subgroups(G, 2)
+    assert elementary_abelian_subgroups(G, 2, cap=270) is elab
+    with pytest.raises(EnumerationCapExceeded):
+        elementary_abelian_subgroups(G, 2, cap=269)
 
 
 def test_ap_rank_profile(sym4):
