@@ -16,9 +16,9 @@ from .groups import centralizer, detect_components, subgroup_product, \
     sylow_subgroup
 from .gspec import BUNDLED, bundled_group, load_group
 from .homology import RawComplex, betti_of_poset, kunneth_check
-from .posets import beat_point_core, join_posets, order_complex
+from .posets import beat_point_core, order_complex
 from .pposets import OrbitContext, ap_poset, bouc_poset, conj_action_tables, \
-    decomposition, diagonal_poset, image_poset, off_component_subposet
+    decomposition, diagonal_poset, off_component_subposet
 from .posets import fixed_subposet, make_map
 from .homology import induced_map
 from . import checkers

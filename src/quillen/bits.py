@@ -1,17 +1,11 @@
 """Bitset helpers.
 
-Subgroup member sets and poset relations are stored as arbitrary-size
-Python ints, one bit per element index.  CPython's big-int AND/OR are
-word-parallel, which is what makes the poset-scale set algebra cheap.
+Poset relations are stored as arbitrary-size Python ints, one bit per
+poset element: up[i] holds the elements above i.  CPython's big-int
+AND/OR are word-parallel, which is what makes the poset-scale set
+algebra cheap.  Subgroup member sets are sorted index arrays, not
+bitsets.
 """
-
-
-def bits_from_indices(idx):
-    """Bitset with the given bits set.  idx: iterable of nonnegative ints."""
-    v = 0
-    for i in idx:
-        v |= 1 << int(i)
-    return v
 
 
 def iter_bits(v):

@@ -32,12 +32,8 @@ created on first use.  Betti vectors are cached on the poset they
 describe, not here.
 """
 
-from functools import cache
-from itertools import combinations, product as iproduct
-
 import numpy as np
 
-from .bits import bits_from_indices
 from .errors import (
     ActorDoesNotNormalize,
     ComponentsUndetectable,
@@ -255,12 +251,6 @@ class Subgroup:
     def _cache(self):
         """Derived data, shared by every Subgroup equal to this one."""
         return self.group._derived.setdefault(self.key, {})
-
-    @property
-    def bits(self):
-        if "bits" not in self._cache:
-            self._cache["bits"] = bits_from_indices(self.midx)
-        return self._cache["bits"]
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.group is self.group
@@ -932,74 +922,3 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
             out.append(Subgroup(G, midx, gens=gens[k]))
     sub._cache[ckey] = out
     return out
-
-
-@cache
-def _fp_subspaces(p, r):
-    """Bases (tuples of coefficient row tuples), in RREF, of the proper
-    nontrivial subspaces of F_p^r."""
-    out = []
-    for k in range(1, r):
-        for pivots in combinations(range(r), k):
-            free_pos = [(i, j) for i in range(k) for j in range(r)
-                        if j > pivots[i] and j not in pivots]
-            for vals in iproduct(range(p), repeat=len(free_pos)):
-                rows = [[0] * r for _ in range(k)]
-                for i, pc in enumerate(pivots):
-                    rows[i][pc] = 1
-                for (i, j), v in zip(free_pos, vals):
-                    rows[i][j] = v
-                out.append(tuple(tuple(row) for row in rows))
-    return tuple(out)
-
-
-def subgroups_of_elementary_abelian(E):
-    """All proper nontrivial subgroups of an elementary abelian Subgroup.
-
-    Returns a list of sorted nontrivial-member index tuples.  Works by
-    coordinatizing E over F_p and enumerating subspaces in RREF.
-    """
-    G = E.group
-    n = E.order
-    p = int(G.element_orders()[E.midx[1]]) if n > 1 else 2
-    r, m = 0, n
-    while m > 1:
-        m //= p
-        r += 1
-    if r <= 1:
-        return []
-    # coordinatize: el2vec[element index] = F_p^r coordinates
-    el2vec = {0: (0,) * r}
-    vec2el = {(0,) * r: 0}
-    basis = []
-    for x in E.midx[1:]:
-        x = int(x)
-        if x in el2vec:
-            continue
-        i = len(basis)
-        basis.append(x)
-        items = list(el2vec.items())
-        xe = 0
-        for e in range(1, p):
-            xe = G.compose(x, xe)
-            for el, vec in items:
-                nel = G.compose(xe, el)
-                nvec = vec[:i] + (e,) + vec[i + 1:]
-                el2vec[nel] = nvec
-                vec2el[nvec] = nel
-        if len(el2vec) == n:
-            break
-    if len(basis) != r or len(el2vec) != n:
-        raise InvariantViolated("subgroup is not elementary abelian of rank r")
-    subs = []
-    for rows in _fp_subspaces(p, r):
-        k = len(rows)
-        mem = []
-        for coeffs in iproduct(range(p), repeat=k):
-            if all(c == 0 for c in coeffs):
-                continue
-            vec = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p
-                        for j in range(r))
-            mem.append(vec2el[vec])
-        subs.append(tuple(sorted(mem)))
-    return subs

@@ -22,7 +22,7 @@ Cycle notation in files is 1-based; indices are 0-based internally.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path

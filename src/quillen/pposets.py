@@ -6,6 +6,10 @@ action, posets of purely outer p-subgroups, and, for a conjugation orbit
 of components, the centralizer chain with its join-of-factors target
 space and the projection maps into it.  The checker layer interrogates
 the rational homology of these posets and maps.
+
+Every inclusion poset of a subgroup family is built by one route,
+poset_from_subgroups: bitsets of the members holding each element, ANDed
+per member, with no pairwise subset tests and no subspace enumeration.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,6 @@ from .groups import (
     p_core,
     require_contained,
     subgroup_product,
-    subgroups_of_elementary_abelian,
     sylow_subgroup,
 )
 from .homology import (
@@ -62,38 +65,67 @@ from .posets import (
 def poset_from_subgroups(subs, closed_under_subgroups=False):
     """Inclusion poset of the distinct nontrivial subgroups in subs.
 
-    Elements are ordered by (order, member tuple), a linear extension of
-    inclusion.  With closed_under_subgroups=True the family must consist
-    of elementary abelian subgroups and contain every nontrivial subgroup
-    of each member; relations are then read off subgroup enumerations
-    instead of pairwise subset tests.
+    Elements are ordered by (order, member list), a linear extension of
+    inclusion.  Relations come from one "who contains x" table: for each
+    nontrivial element x of any member, holders[x] is the bitset of
+    members containing x, set in bulk in a packed uint8 matrix and read
+    off one row per element.  The members above S_i are then the AND of
+    holders[x] over the nontrivial x in S_i, less i itself.
+
+    closed_under_subgroups=True only checks that the family consists of
+    elementary abelian p-subgroups and holds every nontrivial subgroup of
+    each member: every nontrivial member element must have order p, and
+    the relation count must equal the number of proper nontrivial
+    subspaces of F_p^r summed over the members of rank r.  Raises
+    IndexOutOfRange if either check fails.
     """
     seen = {}
     for S in subs:
         if S.order > 1 and S.key not in seen:
             seen[S.key] = S
-    elems = sorted(seen.values(),
-                   key=lambda S: (S.order, tuple(int(x) for x in S.midx)))
+    elems = sorted(seen.values(), key=lambda S: (S.order, S.midx.tolist()))
     n = len(elems)
-    up = [0] * n
+    if n == 0:
+        return Poset(elems, [])
+    sizes = [S.order - 1 for S in elems]
+    # slot[k]: row of the k-th listed member element in the holders table
+    xs, slot = np.unique(np.concatenate([S.midx[1:] for S in elems]),
+                         return_inverse=True)
+    owner = np.repeat(np.arange(n), sizes)
+    packed = np.zeros((xs.size, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (slot, owner >> 3),
+                     (1 << (owner & 7)).astype(np.uint8))
+    holders = [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+    slot = slot.tolist()
+    up = []
+    start = 0
+    for i, size in enumerate(sizes):
+        u = holders[slot[start]]
+        for s in slot[start + 1:start + size]:
+            u &= holders[s]
+        up.append(u ^ (1 << i))  # bit i is set: S_i holds its own elements
+        start += size
     if closed_under_subgroups:
-        pos = {tuple(int(x) for x in S.midx[1:]): i for i, S in enumerate(elems)}
-        for i, S in enumerate(elems):
-            for t in subgroups_of_elementary_abelian(S):
-                j = pos.get(t)
-                if j is None:
-                    raise IndexOutOfRange(
-                        "family is not closed under nontrivial subgroups")
-                up[j] |= 1 << i
-    else:
-        orders = [S.order for S in elems]
-        bits = [S.bits for S in elems]
-        for j in range(n):
-            oj, bj = orders[j], bits[j]
-            for i in range(j):
-                if oj > orders[i] and oj % orders[i] == 0 and bits[i] & ~bj == 0:
-                    up[i] |= 1 << j
+        orders = elems[0].group.element_orders()[xs]
+        p = int(orders[0])
+        if (np.any(orders != p) or sum(u.bit_count() for u in up)
+                != sum(_proper_subspace_count(p, S.order) for S in elems)):
+            raise IndexOutOfRange(
+                "family is not closed under nontrivial subgroups")
     return Poset(elems, up)
+
+
+def _proper_subspace_count(p, order):
+    """Number of proper nontrivial subspaces of F_p^r, order = p^r: the sum
+    over 0 < k < r of the Gaussian binomials [r, k]_p."""
+    r = 0
+    while p ** r < order:
+        r += 1
+    total, count = 0, 1
+    for k in range(1, r):
+        count = count * (p ** (r - k + 1) - 1) // (p ** k - 1)
+        total += count
+    return total
 
 
 def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):

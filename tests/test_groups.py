@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from quillen.errors import ComponentsUndetectable, NotHyperelementary
 from quillen.groups import center, centralizer, detect_components, \
     hyperelementary_check, is_simple, normalizer, subgroup_product, \
     sylow_subgroup

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quillen.errors import MatrixCapExceeded, NotACover
-from quillen.homology import RawComplex, betti_of_complex, betti_of_poset, \
-    induced_map, kunneth_check, mv_rank_audit, sparse_rank
+from quillen.homology import RawComplex, betti_of_poset, induced_map, \
+    kunneth_check, mv_rank_audit, sparse_rank
 from quillen.posets import Poset, PosetMap, join_posets, make_map, \
     order_complex
 from quillen.pposets import ap_poset, bouc_poset
@@ -247,12 +247,21 @@ def test_self_checks_survive_python_O():
             pass
         # every member sent to one point: not an embedded copy
         from quillen.gspec import load_group
-        from quillen.pposets import _check_embedded_copy, ap_poset
+        from quillen.pposets import _check_embedded_copy, ap_poset, \\
+            poset_from_subgroups
         P = ap_poset(load_group("sym4").group.full(), 2)
         try:
             _check_embedded_copy(P, P, lambda i: 0)
             sys.exit("_check_embedded_copy accepted a non-injective map")
         except InvariantViolated:
+            pass
+        # every involution of Sym(4) lies in a Klein four-group, so the
+        # family without one of them is not closed under subgroups
+        from quillen.errors import IndexOutOfRange
+        try:
+            poset_from_subgroups(P.elements[1:], closed_under_subgroups=True)
+            sys.exit("the closure check accepted a family missing a member")
+        except IndexOutOfRange:
             pass
         print("ok", sys.flags.optimize)
     """)

@@ -1,14 +1,15 @@
-import numpy as np
 import pytest
 
-from quillen.errors import EmptyFactor, EnumerationCapExceeded
+from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
+    IndexOutOfRange
 from quillen.groups import centralizer, conjugation_action, \
     detect_components, elementary_abelian_subgroups, subgroup_product, \
     sylow_subgroup
 from quillen.gspec import load_group
 from quillen.homology import betti_of_poset
 from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
-    decomposition, image_poset, outers_in_image, p_outer_poset
+    decomposition, image_poset, outers_in_image, p_outer_poset, \
+    poset_from_subgroups
 
 from conftest import bundled
 
@@ -33,6 +34,76 @@ def test_ap_poset_cap_holds_on_cache_hit():
     assert elementary_abelian_subgroups(G, 2, cap=270) is elab
     with pytest.raises(EnumerationCapExceeded):
         elementary_abelian_subgroups(G, 2, cap=269)
+
+
+def naive_inclusion_poset(subs):
+    """(elements, up) by pairwise is_subset_of on the distinct nontrivial
+    members, sorted by (order, member tuple)."""
+    distinct = {S.key: S for S in subs if S.order > 1}
+    elems = sorted(distinct.values(),
+                   key=lambda S: (S.order, tuple(S.midx.tolist())))
+    up = [sum(1 << j for j, T in enumerate(elems)
+              if j != i and S.is_subset_of(T))
+          for i, S in enumerate(elems)]
+    return elems, up
+
+
+ORACLE_CASES = [("ap", name, p) for name, p in [
+    ("sym5", 2), ("sym6", 2), ("aut-alt6", 2), ("alt6", 3), ("sym6", 3),
+    ("a5xa5-e", 3), ("a5xa5-e", 5)]] + [
+    ("bouc", "sym6", 2), ("bouc", "sym5", 3),
+    ("image", "aut-alt6", 2), ("p-outer", "aut-alt6", 2)]
+
+
+def _family(kind, name, p):
+    """(family, closed_under_subgroups) of one oracle case; finished posets
+    are handed back reversed, so the sort has work to do."""
+    G = bundled(name)
+    if kind == "ap":
+        return elementary_abelian_subgroups(G, p), True
+    if kind == "bouc":
+        return bouc_poset(G, p).elements[::-1], False
+    L = detect_components(G)[0][0]
+    P = image_poset(G, L, p).poset if kind == "image" else \
+        p_outer_poset(G, L, p).poset
+    return P.elements[::-1], True
+
+
+@pytest.mark.parametrize("kind,name,p", ORACLE_CASES)
+def test_poset_from_subgroups_matches_pairwise_oracle(kind, name, p):
+    family, closed = _family(kind, name, p)
+    family = list(family)
+    # duplicates and the trivial subgroup are dropped
+    padded = family + family[:3] + [family[0].group.subgroup([])]
+    elems, up = naive_inclusion_poset(family)
+    P = poset_from_subgroups(padded, closed_under_subgroups=closed)
+    assert [S.key for S in P.elements] == [S.key for S in elems]
+    assert P.up == up
+
+
+@pytest.mark.parametrize("name,p", [("sym4", 2), ("alt6", 3)])
+def test_closure_check_rejects_a_missing_rank_one_member(name, p):
+    elab = elementary_abelian_subgroups(bundled(name), p)
+    assert poset_from_subgroups(elab, closed_under_subgroups=True).n == \
+        len(elab)
+    # drop a rank-1 member that lies in some rank-2 member
+    rank2 = next(E for E in elab if E.order == p * p)
+    k = next(k for k, E in enumerate(elab)
+             if E.order == p and E.is_subset_of(rank2))
+    with pytest.raises(IndexOutOfRange):
+        poset_from_subgroups(elab[:k] + elab[k + 1:],
+                             closed_under_subgroups=True)
+    # the pairwise relation of the same family is still fine without the flag
+    assert poset_from_subgroups(elab[:k] + elab[k + 1:]).n == len(elab) - 1
+
+
+def test_closure_check_rejects_a_non_elementary_member(sym4):
+    # a cyclic group of order 4 has an element of order 4
+    elab = elementary_abelian_subgroups(sym4, 2)
+    x = int(sym4.midx[sym4.element_orders() == 4][0])
+    with pytest.raises(IndexOutOfRange):
+        poset_from_subgroups(elab + [sym4.group.subgroup([x])],
+                             closed_under_subgroups=True)
 
 
 def test_ap_rank_profile(sym4):

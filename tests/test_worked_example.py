@@ -5,7 +5,6 @@ a nontrivial decomposition, so it exercises every pipeline stage with
 exact expected values.
 """
 import numpy as np
-import pytest
 
 from quillen.checkers import FAILS, HOLDS, INAPPLICABLE, check_conditions, \
     check_cor51, check_cor52, check_propEM, check_thm41, check_thm410
@@ -14,8 +13,6 @@ from quillen.homology import betti_of_poset, mv_rank_audit
 from quillen.pposets import ap_poset, decomposition, diagonal_poset, \
     off_component_subposet, psi_h0_equivalence_report, \
     verify_phi_factorization, verify_psi_tower
-
-from conftest import bundled
 
 
 def same_betti(a, b, upto=4):
