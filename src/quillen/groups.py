@@ -424,36 +424,44 @@ def normal_closure(ambient, seed_indices):
 # -- conjugacy classes and normal subgroups -----------------------------------
 
 
+def _conjugation_orbits(actor, target):
+    """Orbits of conjugation by actor on target's members, in one sweep.
+
+    Returns label with label[k] the smallest position in target.midx of
+    the orbit of target.midx[k].  Every actor generator gives a position
+    map (a permutation of target.midx); labels are lowered along each map
+    in both directions, then by pointer jumping, until they stop changing.
+    """
+    G = target.group
+    midx = target.midx
+    maps = [np.searchsorted(midx, G.conj_batch(a, midx))
+            for a in actor.generating_set()]
+    label = np.arange(midx.size)
+    while True:
+        before = label
+        label = label.copy()
+        for m in maps:
+            label[m] = np.minimum(label[m], label)
+            label = np.minimum(label, label[m])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
+
+
+def _orbit_arrays(members, label):
+    """Split members into orbits, ordered by label, each ascending."""
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order]))
+    return np.split(members[order], starts + 1)
+
+
 def conjugacy_classes(sub):
     """Conjugacy classes of sub (as arrays of member indices), by smallest member."""
     sub = as_subgroup(sub)
-    if "classes" in sub._cache:
-        return sub._cache["classes"]
-    G = sub.group
-    gens = sub.generating_set()
-    midx = sub.midx
-    pos_of = {int(i): k for k, i in enumerate(midx)}
-    assigned = np.zeros(midx.size, dtype=bool)
-    classes = []
-    for k in range(midx.size):
-        if assigned[k]:
-            continue
-        orbit = [int(midx[k])]
-        assigned[k] = True
-        frontier = [int(midx[k])]
-        while frontier:
-            batch = np.array(frontier, dtype=np.int64)
-            frontier = []
-            for g in gens:
-                for i in G.conj_batch(g, batch):
-                    kk = pos_of[int(i)]
-                    if not assigned[kk]:
-                        assigned[kk] = True
-                        orbit.append(int(i))
-                        frontier.append(int(i))
-        classes.append(np.array(sorted(orbit), dtype=np.int64))
-    sub._cache["classes"] = classes
-    return classes
+    if "classes" not in sub._cache:
+        sub._cache["classes"] = _orbit_arrays(
+            sub.midx, _conjugation_orbits(sub, sub))
+    return sub._cache["classes"]
 
 
 def normal_subgroups(sub):
@@ -600,20 +608,20 @@ def hyperelementary_check(sub, q):
 class ConjugationAction:
     """Conjugation of `actor` on a normalized subgroup `target`.
 
-    The image is materialized as a PermGroup acting faithfully on a
-    tracking set of parent elements (the full member list when target is
-    small, otherwise actor-stable generator orbits chosen smallest-first).
-    The factorization |actor| = |kernel| * |image| is verified, which
-    guards the tracking-set optimization.
+    The image is a PermGroup on a tracking set: actor-classes of target
+    elements, taken by (size, smallest member) and kept when they shrink
+    their common centralizer in the actor, until it is the kernel
+    C_actor(target).  The set depends on the two subgroups, not on the
+    target's generators, and |image| * |kernel| = |actor| is checked.
+    Image element indices depend only on the actor's generators.
     """
 
-    def __init__(self, actor, target, track_cap=3000):
+    def __init__(self, actor, target):
         actor = as_subgroup(actor)
         target = as_subgroup(target)
         G = actor.group
         if target.group is not G:
             raise ParentMismatch("action across different groups")
-        agens = actor.generating_set()
         N = normalizer(actor, target)
         if N.order != actor.order:
             raise ActorDoesNotNormalize(
@@ -622,52 +630,31 @@ class ConjugationAction:
         self.actor = actor
         self.target = target
         self.kernel = centralizer(actor, target)
-        expected = actor.order // self.kernel.order
 
-        track = None
-        if target.order <= track_cap:
-            track = target.midx
-        else:
-            # orbits of target generators under actor, smallest classes first
-            tgens = sorted(
-                target.generating_set(),
-                key=lambda t: actor.order // centralizer(actor, [t]).order)
-            acc = np.empty(0, dtype=np.int64)
-            for t in tgens:
-                orb = _orbit_under_conj(G, agens, t)
-                acc = np.union1d(acc, orb)
-                if acc.size > track_cap * 4:
-                    track = target.midx  # give up, be exact
-                    break
-                img = self._try_build(G, agens, acc, expected)
-                if img is not None:
-                    track = acc
-                    break
-            if track is None:
-                track = target.midx
-        self.tracking = np.asarray(track, dtype=np.int64)
-        img = self._try_build(G, agens, self.tracking, expected)
-        if img is None:
-            raise ActorDoesNotNormalize(
-                "internal: tracking action kernel mismatch")
-        self.image = img
+        classes = _orbit_arrays(target.midx,
+                                _conjugation_orbits(actor, target))
+        chosen = [np.zeros(0, dtype=np.int64)]
+        C = actor
+        for cls in sorted(classes[1:], key=lambda c: (c.size, int(c[0]))):
+            if C.order == self.kernel.order:
+                break
+            D = centralizer(C, cls)
+            if D.order < C.order:
+                chosen.append(cls)
+                C = D
+        self.tracking = np.sort(np.concatenate(chosen))
+        rows = [np.searchsorted(self.tracking,
+                                G.conj_batch(a, self.tracking))
+                for a in actor.generating_set()]
+        self.image = PermGroup.generate(np.array(rows, dtype=np.int16),
+                                        degree=int(self.tracking.size),
+                                        name="conj-image")
+        if self.image.order * self.kernel.order != actor.order:
+            raise InvariantViolated(
+                f"conjugation image of order {self.image.order} times "
+                f"kernel of order {self.kernel.order} is not the actor "
+                f"order {actor.order}")
         self._proj_cache = {}
-
-    @staticmethod
-    def _try_build(G, agens, track, expected_order):
-        rows = []
-        for a in agens:
-            conj = G.conj_batch(a, track)
-            pos = np.searchsorted(track, conj)
-            if np.any(pos >= track.size) or np.any(track[np.clip(pos, 0, track.size - 1)] != conj):
-                return None  # not closed, caller extends
-            rows.append(pos.astype(np.int16))
-        img = PermGroup.generate(np.array(rows, dtype=np.int16) if rows else [],
-                                 degree=int(track.size),
-                                 name="conj-image")
-        if img.order != expected_order:
-            return None
-        return img
 
     def project_index(self, g):
         """Image-group index of the automorphism induced by parent element g."""
@@ -685,23 +672,8 @@ class ConjugationAction:
         return self.image.subgroup(gens)
 
 
-def _orbit_under_conj(G, agens, seed):
-    seen = {int(seed)}
-    frontier = [int(seed)]
-    while frontier:
-        batch = np.array(frontier, dtype=np.int64)
-        frontier = []
-        for g in agens:
-            for i in G.conj_batch(g, batch):
-                i = int(i)
-                if i not in seen:
-                    seen.add(i)
-                    frontier.append(i)
-    return np.array(sorted(seen), dtype=np.int64)
-
-
-def conjugation_action(actor, target, track_cap=3000):
-    return ConjugationAction(actor, target, track_cap=track_cap)
+def conjugation_action(actor, target):
+    return ConjugationAction(actor, target)
 
 
 # -- components ------------------------------------------------------------------

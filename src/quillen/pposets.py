@@ -363,7 +363,7 @@ def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
                       source=source, embedded=embedded)
 
 
-def image_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP, track_cap=3000):
+def image_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
     """Poset of images of elementary abelian p-subgroups of N_ambient(L)
     in the automorphisms of L induced by conjugation.
 
@@ -373,7 +373,7 @@ def image_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP, track_cap=3000):
     L = as_subgroup(L)
     require_contained(ambient, L)
     host = normalizer(ambient, L)
-    act = conjugation_action(host, L, track_cap=track_cap)
+    act = conjugation_action(host, L)
     return image_poset_from_action(act, p, cap=cap)
 
 
@@ -458,8 +458,7 @@ class OrbitContext:
     """
 
     def __init__(self, group, p, components=None, orbit_index=0, order=None,
-                 cap=DEFAULT_ENUM_CAP, track_cap=3000,
-                 work_cap=DEFAULT_WORK_CAP):
+                 cap=DEFAULT_ENUM_CAP, work_cap=DEFAULT_WORK_CAP):
         self.G = as_subgroup(group)
         self.p = _check_prime(p)
         self.cap = cap
@@ -517,7 +516,7 @@ class OrbitContext:
 
         self.actions = [None]
         for i in range(1, self.t + 1):
-            act = conjugation_action(C[i], orb[i - 1], track_cap=track_cap)
+            act = conjugation_action(C[i], orb[i - 1])
             if act.kernel.key != C[i - 1].key:
                 raise ComponentsUndetectable(
                     "kernel of the chain action is not the chain predecessor")

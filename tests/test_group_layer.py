@@ -2,15 +2,23 @@
 
 Each routine is compared with a plain reference kept here: a one-element-
 at-a-time BFS for closures, parent-level closures and conjugates for the
-Sylow class representatives, and np.intersect1d for the decomposition.
+Sylow class representatives, np.intersect1d for the decomposition, and a
+one-element-at-a-time conjugation BFS for conjugacy classes.  Conjugation
+actions are checked against the group theory they must satisfy: a small
+tracking set whatever generators the target carries, faithfulness modulo
+the kernel on every elementary abelian subgroup, and a homomorphic
+projection.
 """
 
 import numpy as np
 import pytest
 
 from quillen.errors import NotAnElement, QuillenError
-from quillen.groups import Subgroup, close_indices, sylow_subgroup
-from quillen.pposets import _p_subgroup_class_reps, decomposition
+from quillen.groups import Subgroup, close_indices, conjugacy_classes, \
+    conjugation_action, elementary_abelian_subgroups, sylow_subgroup
+from quillen.gspec import load_group
+from quillen.pposets import OrbitContext, _p_subgroup_class_reps, \
+    decomposition
 
 from conftest import bundled
 
@@ -123,3 +131,78 @@ def test_decomposition_matches_intersect1d(worked_ctx):
     assert dec.ids_Y0.tolist() == np.intersect1d(inY, inZ).tolist()
     rtab = [dec.AH.index[Subgroup(ctx.G.group, meets[o])] for o in inY]
     assert dec.r.table.tolist() == rtab
+
+
+def _naive_classes(sub):
+    G = sub.group
+    gens = sub.generating_set()
+    seen = set()
+    classes = []
+    for x in sub.midx.tolist():
+        if x in seen:
+            continue
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g in gens:
+                z = G.compose(G.compose(g, y), int(G.inv[g]))
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+@pytest.mark.parametrize("name", ["sym5", "aut-alt6", "l34", "a5xa5-exr"])
+def test_conjugacy_classes_match_naive_bfs(name):
+    sub = bundled(name)
+    assert [c.tolist() for c in conjugacy_classes(sub)] == _naive_classes(sub)
+
+
+def _even_permutations(G):
+    P = G.perms.astype(np.int64)
+    inversions = sum((P[:, i] > P[:, j]).astype(np.int64)
+                     for i in range(G.degree) for j in range(i + 1, G.degree))
+    return Subgroup(G, np.flatnonzero(inversions % 2 == 0))
+
+
+def test_tracking_set_does_not_depend_on_target_generators():
+    # A8 carrying no generators, and A8 as a8-in-s8 declares it
+    S8 = bundled("sym8")
+    bundle = load_group("a8-in-s8")
+    for G, A8 in [(S8, _even_permutations(S8.group)),
+                  (bundle.group.full(), bundle.components[0])]:
+        assert A8.order == 20160
+        act = conjugation_action(G, A8)
+        assert act.tracking.size <= 112
+        assert act.image.order == 40320
+        assert act.kernel.order == 1
+
+
+def _chain_actions():
+    for name in ["sym5", "aut-alt6", "a5xa5-exr"]:
+        ctx = OrbitContext(bundled(name), 2)
+        yield from ((name, i, act) for i, act in enumerate(ctx.actions)
+                    if act is not None)
+
+
+def test_chain_actions_are_faithful_modulo_the_kernel():
+    steps = set()
+    for name, i, act in _chain_actions():
+        steps.add((name, i))
+        for E in elementary_abelian_subgroups(act.actor, 2):
+            assert (act.project_subgroup(E).order
+                    * E.intersection(act.kernel).order == E.order)
+    assert ("a5xa5-exr", 1) in steps and ("a5xa5-exr", 2) in steps
+
+
+def test_projection_is_a_homomorphism():
+    rng = np.random.default_rng(5)
+    for _, _, act in _chain_actions():
+        G = act.actor.group
+        for _ in range(50):
+            a, b = rng.choice(act.actor.midx, size=2).tolist()
+            assert act.project_index(G.compose(a, b)) == act.image.compose(
+                act.project_index(a), act.project_index(b))

@@ -263,6 +263,43 @@ def test_self_checks_survive_python_O():
             sys.exit("the closure check accepted a family missing a member")
         except IndexOutOfRange:
             pass
+        # a rank routine that miscounts must trip the Betti checks
+        import quillen.homology as hom
+        from quillen.posets import SimplicialComplex
+        exact_rank = hom.sparse_rank
+        def low(columns, work_cap=hom.DEFAULT_WORK_CAP):
+            r = exact_rank(columns, work_cap)
+            return r - 3 if len(columns) > 50 else r
+        hom.sparse_rank = low
+        try:
+            hom.betti_of_poset(ap_poset(load_group("alt6").group.full(), 2))
+            sys.exit("betti_of_poset accepted ranks 3 too small")
+        except InvariantViolated:
+            pass
+        def high_on_edges(columns, work_cap=hom.DEFAULT_WORK_CAP):
+            r = exact_rank(columns, work_cap)
+            return r + 1 if columns and len(columns[0]) == 2 else r
+        hom.sparse_rank = high_on_edges
+        path = SimplicialComplex([[(0,), (1,), (2,)], [(0, 1), (1, 2)]])
+        try:
+            hom.betti_of_complex(path)
+            sys.exit("betti_of_complex accepted a boundary rank 1 too big")
+        except InvariantViolated:
+            pass
+        hom.sparse_rank = exact_rank
+        # an image built from too few generators fails |image||kernel| = |actor|
+        from quillen import groups
+        sym5 = load_group("sym5").group.full()
+        A5 = groups.detect_components(sym5)[0][0]
+        build = groups.PermGroup.generate
+        groups.PermGroup.generate = staticmethod(
+            lambda rows, degree, name="": build(rows[:1], degree, name=name))
+        try:
+            groups.conjugation_action(sym5, A5)
+            sys.exit("conjugation_action accepted an image of the wrong order")
+        except InvariantViolated:
+            pass
+        groups.PermGroup.generate = build
         print("ok", sys.flags.optimize)
     """)
     src = Path(__file__).resolve().parents[1] / "src"
