@@ -18,7 +18,8 @@ The hot set work runs in bulk rather than element by element in Python:
     void view of the rows, one list of keys, one map over the dict) and
     raises NotAnElement for a row outside the group;
   * close_indices grows a subgroup a BFS level at a time, one
-    lookup_rows per generator per level;
+    lookup_rows per generator per level, from the identity or from the
+    members already known;
   * Subgroup.contains_indices (binary search in the sorted member array)
     is the one membership test; intersections and meets are member
     arrays filtered by it.
@@ -66,7 +67,8 @@ class PermGroup:
         self.order, self.degree = self.perms.shape
         self.gens = tuple(int(g) for g in gen_indices)
         self.name = name
-        self._index = {self.perms[i].tobytes(): i for i in range(self.order)}
+        keys = self.perms.view(np.dtype((np.void, 2 * self.degree)))
+        self._index = dict(zip(keys.ravel().tolist(), range(self.order)))
         self._inv = None
         self._orders = None
         self._full = None
@@ -75,39 +77,39 @@ class PermGroup:
 
     @classmethod
     def generate(cls, gen_rows, degree, name="", order_cap=DEFAULT_ORDER_CAP):
-        """Enumerate the group generated by the given permutation rows."""
+        """Enumerate the group generated by the given permutation rows.
+
+        BFS by whole levels: a level's products, generator by generator
+        and row by row, are keyed together, and the new ones enter the
+        index in that first-seen order, which fixes the element numbering.
+        """
         rows = _as_perm_rows(gen_rows, degree)
         ident = np.arange(degree, dtype=np.int16)
         index = {ident.tobytes(): 0}
-        elems = [ident]
         # dedupe generators, keep their future indices
         gen_rows_u = []
         for r in rows:
             key = np.ascontiguousarray(r, dtype=np.int16).tobytes()
             if key not in index and all(key != g.tobytes() for g in gen_rows_u):
                 gen_rows_u.append(np.ascontiguousarray(r, dtype=np.int16))
-        frontier = np.array([0], dtype=np.int64)
-        table = [ident]
-        while frontier.size:
-            P = np.stack([table[i] for i in frontier])
-            new = []
-            for g in gen_rows_u + ([] if gen_rows_u else []):
-                prod = P[:, g]  # rows f∘g
-                for r in prod:
-                    key = r.tobytes()
-                    if key not in index:
-                        index[key] = len(table)
-                        table.append(r.copy())
-                        new.append(len(table) - 1)
-                        if len(table) > order_cap:
-                            raise OrderCapExceeded(
-                                f"group order exceeds cap {order_cap}")
-            frontier = np.array(new, dtype=np.int64)
-        perms = np.stack(table)
-        gen_idx = [index[g.tobytes()] for g in gen_rows_u]
-        if not gen_idx:
-            gen_idx = [0]
-        return cls(perms, gen_idx, name=name)
+        gen_cols = np.array(gen_rows_u, dtype=np.int16).reshape(-1, degree)
+        void = np.dtype((np.void, 2 * degree))
+        levels = [ident.reshape(1, -1)]
+        frontier = levels[0]
+        while frontier.size and gen_rows_u:
+            # rows f∘g, generator-major
+            prods = frontier[:, gen_cols].swapaxes(0, 1).reshape(-1, degree)
+            # products not yet indexed, once each, in first-seen order
+            fresh = [k for k in dict.fromkeys(prods.view(void).ravel().tolist())
+                     if k not in index]
+            index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+            if len(index) > order_cap:
+                raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
+            frontier = np.frombuffer(b"".join(fresh), dtype=np.int16).reshape(
+                -1, degree)
+            levels.append(frontier)
+        gen_idx = [index[g.tobytes()] for g in gen_rows_u] or [0]
+        return cls(np.concatenate(levels), gen_idx, name=name)
 
     def __repr__(self):
         nm = self.name or "PermGroup"
@@ -194,25 +196,33 @@ class PermGroup:
 
     def subgroup(self, gen_indices):
         """Subgroup generated by the given element indices."""
-        gens = tuple(sorted({int(g) for g in gen_indices} - {0}))
-        members = close_indices(self, gens)
-        return Subgroup(self, members, gens=gens if gens else (0,))
+        gens = _gens_tuple(gen_indices)
+        return Subgroup(self, close_indices(self, gens), gens=gens)
 
     def subgroup_from_rows(self, gen_rows):
         idx = [self.lookup_row(r) for r in _as_perm_rows(gen_rows, self.degree)]
         return self.subgroup(idx)
 
 
-def close_indices(group, gen_indices):
-    """Member indices of the subgroup generated by gen_indices, ascending.
+def _gens_tuple(gen_indices):
+    """The generator tuple a subgroup carries: sorted, distinct, no identity
+    unless there is nothing else."""
+    return tuple(sorted({int(g) for g in gen_indices} - {0})) or (0,)
 
-    BFS by whole levels: each level is the frontier times every generator,
-    looked up in one batch per generator, less the members already found.
+
+def close_indices(group, gen_indices, start=None):
+    """Member indices of start * <gen_indices>, ascending.
+
+    start is a member array holding the identity (default: the identity
+    alone, which gives the subgroup generated by gen_indices).  BFS by
+    whole levels from start: each level is the frontier times every
+    generator, looked up in one batch per generator, less the members
+    already found.
     """
+    frontier = np.zeros(1, dtype=np.int64) if start is None else start
     member = np.zeros(group.order, dtype=bool)
-    member[0] = True
+    member[frontier] = True
     grows = [group.perms[g] for g in gen_indices if g != 0]
-    frontier = np.zeros(1, dtype=np.int64)
     while frontier.size and grows:
         P = group.perms[frontier]
         new = np.zeros(group.order, dtype=bool)
@@ -356,22 +366,24 @@ def centralizer(ambient, target):
 
 
 def normalizer(ambient, target):
-    """N_ambient(target) as a Subgroup."""
+    """N_ambient(target) as a Subgroup.
+
+    One generator of target at a time, the candidates shrink to those
+    that conjugate it into target, so later generators conjugate and look
+    up only the survivors.
+    """
     ambient = as_subgroup(ambient)
     target = as_subgroup(target)
     G = ambient.group
     if target.group is not G:
         raise ParentMismatch("normalizer across different groups")
     cand = ambient.midx
-    P = G.perms[cand]
-    Pinv = G.perms[G.inv[cand]]
-    mask = np.ones(cand.size, dtype=bool)
     for t in target.generating_set():
-        trow = G.perms[t]
-        conj = np.take_along_axis(P[:, trow], Pinv, axis=1)  # g t g^-1 rowwise
-        idx = G.lookup_rows(conj)
-        mask &= target.contains_indices(idx)
-    return Subgroup(G, cand[mask])
+        P = G.perms[cand]
+        Pinv = G.perms[G.inv[cand]]
+        conj = np.take_along_axis(P[:, G.perms[t]], Pinv, axis=1)  # g t g^-1
+        cand = cand[target.contains_indices(G.lookup_rows(conj))]
+    return Subgroup(G, cand)
 
 
 def subgroup_product(a, b):
@@ -402,11 +414,15 @@ def derived_subgroup(sub):
 
 
 def normal_closure(ambient, seed_indices):
-    """Smallest subgroup of ambient containing the seeds and normal in ambient."""
+    """Smallest subgroup of ambient containing the seeds and normal in ambient.
+
+    While some ambient generator conjugates K outside itself, up to three
+    of those conjugates join the seeds and K grows from its members.
+    """
     ambient = as_subgroup(ambient)
     G = ambient.group
     gens = list(dict.fromkeys(int(s) for s in seed_indices if s != 0))
-    K = G.subgroup(gens)
+    K = Subgroup(G, close_indices(G, gens))
     agens = ambient.generating_set()
     while True:
         grew = False
@@ -415,7 +431,7 @@ def normal_closure(ambient, seed_indices):
             outside = conj[~K.contains_indices(conj)]
             if outside.size:
                 gens.extend(int(x) for x in outside[:3])
-                K = G.subgroup(gens)
+                K = Subgroup(G, close_indices(G, gens, start=K.midx))
                 grew = True
         if not grew:
             return Subgroup(G, K.midx, gens=tuple(gens) if gens else (0,))
@@ -469,7 +485,10 @@ def normal_subgroups(sub):
 
     Every normal subgroup is a join of normal closures of the conjugacy
     classes it contains, so closing the class closures under pairwise
-    product yields the full set.
+    product yields the full set.  A pair where one contains the other
+    joins to a subgroup already found and is skipped.  Otherwise the
+    join of A and B is the set AB, which is a subgroup only because both
+    are normal: A's members are grown under B's generators alone.
     """
     sub = as_subgroup(sub)
     if "normals" in sub._cache:
@@ -488,7 +507,10 @@ def normal_subgroups(sub):
     while worklist:
         A = worklist.pop()
         for B in list(found.values()):
-            J = subgroup_product(A, B)
+            if A.is_subset_of(B) or B.is_subset_of(A):
+                continue
+            J = Subgroup(G, close_indices(G, B.generating_set(), start=A.midx),
+                         gens=_gens_tuple(A.generating_set() + B.generating_set()))
             if J.key not in found:
                 found[J.key] = J
                 worklist.append(J)

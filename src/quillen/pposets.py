@@ -199,10 +199,12 @@ def conj_action_tables(P, S):
 def _p_subgroup_class_reps(P):
     """Subgroups of a p-group P up to P-conjugacy, including 1 and P.
 
-    Extends each known representative by every element outside it; a new
-    subgroup's whole P-class is marked seen at once, so each class is
-    extended exactly once.  Every subgroup T arises from a representative
-    of a maximal subgroup of a conjugate of T, so nothing is missed.
+    Extends each known representative S by the smallest element x of
+    every left coset xS outside S (the rest of the coset gives the same
+    <S, x>); a new subgroup's whole P-class is marked seen at once, so
+    each class is extended exactly once.  Every subgroup T arises from a
+    representative of a maximal subgroup of a conjugate of T, so nothing
+    is missed.
 
     Closures and conjugates are computed in P's own multiplication table,
     on local indices (positions in P.midx).  P.midx is sorted, so local
@@ -243,9 +245,13 @@ def _p_subgroup_class_reps(P):
         for S, sgens in frontier:
             if S.size == k:
                 continue
-            outside = np.ones(k, dtype=bool)
-            outside[S] = False
-            for x in np.flatnonzero(outside).tolist():
+            # done: S and the cosets xS already extended; <S, xs> = <S, x>
+            done = np.zeros(k, dtype=bool)
+            done[S] = True
+            for x in range(k):
+                if done[x]:
+                    continue
+                done[mul[x, S]] = True
                 gens = tuple(sorted(sgens + (x,)))
                 T = close(S, list(gens))
                 if T.tobytes() in seen:

@@ -1,24 +1,28 @@
 """Differential tests for the bulk group-layer routines.
 
 Each routine is compared with a plain reference kept here: a one-element-
-at-a-time BFS for closures, parent-level closures and conjugates for the
-Sylow class representatives, np.intersect1d for the decomposition, and a
-one-element-at-a-time conjugation BFS for conjugacy classes.  Conjugation
-actions are checked against the group theory they must satisfy: a small
-tracking set whatever generators the target carries, faithfulness modulo
-the kernel on every elementary abelian subgroup, and a homomorphic
-projection.
+at-a-time BFS for closures and for enumerating a group, parent-level
+closures and conjugates for the Sylow class representatives, a full scan
+of the ambient for normalizers, from-scratch closures and joins for normal
+subgroups, np.intersect1d for the decomposition, and a one-element-at-a-
+time conjugation BFS for conjugacy classes.  Conjugation actions are
+checked against the group theory they must satisfy: a small tracking set
+whatever generators the target carries, faithfulness modulo the kernel on
+every elementary abelian subgroup, and a homomorphic projection.  The
+radical poset's work is bounded by a count of rows looked up.
 """
 
 import numpy as np
 import pytest
 
 from quillen.errors import NotAnElement, QuillenError
-from quillen.groups import Subgroup, close_indices, conjugacy_classes, \
-    conjugation_action, elementary_abelian_subgroups, sylow_subgroup
+from quillen.groups import PermGroup, Subgroup, close_indices, \
+    conjugacy_classes, conjugation_action, derived_subgroup, \
+    elementary_abelian_subgroups, normal_subgroups, normalizer, \
+    subgroup_product, sylow_subgroup
 from quillen.gspec import load_group
 from quillen.pposets import OrbitContext, _p_subgroup_class_reps, \
-    decomposition
+    bouc_poset, decomposition
 
 from conftest import bundled
 
@@ -46,6 +50,54 @@ def test_close_indices_matches_naive_bfs(name):
         assert got.tolist() == _naive_closure(G, [g for g in gens if g])
     assert close_indices(G, [0]).tolist() == [0]
     assert close_indices(G, []).tolist() == [0]
+
+
+@pytest.mark.parametrize("name", ["sym5", "alt6"])
+def test_close_indices_from_a_start(name):
+    # start * <gens> as a set, for a subgroup start and random generators
+    G = bundled(name).group
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        start = close_indices(G, rng.integers(1, G.order, size=1).tolist())
+        gens = rng.integers(1, G.order, size=2).tolist()
+        want = {G.compose(a, b) for a in start.tolist()
+                for b in _naive_closure(G, gens)}
+        assert close_indices(G, gens, start=start).tolist() == sorted(want)
+
+
+def _reference_generate(gen_rows, degree):
+    # one product at a time, generator by generator within each level
+    ident = np.arange(degree, dtype=np.int16)
+    index = {ident.tobytes(): 0}
+    gens = []
+    for r in np.asarray(gen_rows, dtype=np.int16):
+        if r.tobytes() not in index and all(r.tobytes() != g.tobytes()
+                                            for g in gens):
+            gens.append(r)
+    table, frontier = [ident], [0]
+    while frontier:
+        new = []
+        for g in gens:
+            for i in frontier:
+                r = table[i][g]
+                if r.tobytes() not in index:
+                    index[r.tobytes()] = len(table)
+                    table.append(r)
+                    new.append(len(table) - 1)
+        frontier = new
+    return np.stack(table), tuple(index[g.tobytes()] for g in gens) or (0,)
+
+
+@pytest.mark.parametrize("name", ["sym5", "l34", "alt8", "a5xa5-exr"])
+def test_generate_matches_per_row_loop(name):
+    G = bundled(name).group
+    rows = G.perms[list(G.gens)]
+    # a repeated generator and the identity are dropped, as before
+    rows = np.concatenate([rows, rows[:1], G.perms[:1]])
+    perms, gens = _reference_generate(rows, G.degree)
+    got = PermGroup.generate(rows, G.degree)
+    assert got.perms.tobytes() == perms.tobytes()
+    assert got.gens == gens
 
 
 def test_lookup_rows_batches(sym5):
@@ -105,13 +157,108 @@ def _reference_class_reps(P):
     return reps
 
 
-@pytest.mark.parametrize("name", ["sym4", "sym6", "d10"])
+@pytest.mark.parametrize("name", ["sym4", "sym6", "d10", "l34", "alt8"])
 def test_class_reps_match_parent_level(name):
     P = sylow_subgroup(bundled(name), 2)
     got = _p_subgroup_class_reps(P)
     want = _reference_class_reps(P)
     assert {S.key for S in got} == {S.key for S in want}
     assert [(S.key, S.gens) for S in got] == [(S.key, S.gens) for S in want]
+
+
+def _full_scan_normalizer(ambient, target):
+    # every ambient element conjugates every generator of target
+    G = ambient.group
+    P = G.perms[ambient.midx]
+    Pinv = G.perms[G.inv[ambient.midx]]
+    mask = np.ones(ambient.order, dtype=bool)
+    for t in target.generating_set():
+        conj = np.take_along_axis(P[:, G.perms[t]], Pinv, axis=1)
+        mask &= target.contains_indices(G.lookup_rows(conj))
+    return ambient.midx[mask]
+
+
+@pytest.mark.parametrize("name", ["sym6", "aut-alt6"])
+def test_normalizer_matches_full_scan(name):
+    G = bundled(name)
+    A6 = derived_subgroup(G)
+    assert A6.order == 360
+    P = sylow_subgroup(G, 2)
+    reps = _p_subgroup_class_reps(P)
+    outside = [S for S in reps if not S.is_subset_of(A6)]
+    assert outside  # targets not inside the ambient A6
+    trivial = Subgroup(G.group, np.zeros(1, dtype=np.int64), gens=(0,))
+    cases = [(amb, S) for amb in (G, A6, P) for S in reps]
+    cases += [(amb, T) for amb in (G, A6, P) for T in (trivial, amb)]
+    for amb, T in cases:
+        got = normalizer(amb, T)
+        assert got.gens is None
+        assert got.midx.tolist() == _full_scan_normalizer(amb, T).tolist()
+    assert normalizer(A6, trivial).key == A6.key
+    assert normalizer(P, P).key == P.key
+
+
+def _reference_normal_subgroups(sub):
+    # class closures re-closed from scratch, then every pair joined
+    G = sub.group
+    found = {}
+    for cls in conjugacy_classes(sub):
+        gens = [int(cls[0])] if cls[0] else []
+        K = G.subgroup(gens)
+        grew = True
+        while grew:
+            grew = False
+            for g in sub.generating_set():
+                conj = G.conj_batch(g, K.midx)
+                outside = conj[~K.contains_indices(conj)]
+                if outside.size:
+                    gens.extend(int(x) for x in outside[:3])
+                    K = G.subgroup(gens)
+                    grew = True
+        found.setdefault(K.key, Subgroup(G, K.midx, gens=tuple(gens) or (0,)))
+    worklist = list(found.values())
+    while worklist:
+        A = worklist.pop()
+        for B in list(found.values()):
+            J = subgroup_product(A, B)
+            if J.key not in found:
+                found[J.key] = J
+                worklist.append(J)
+    return sorted(found.values(), key=lambda s: (s.order, s.key))
+
+
+def _s4_s3_c2():
+    # S4 x S3 x C2 on 4 + 3 + 2 points: a lattice of normal subgroups with
+    # many pairs neither of which contains the other
+    rows = [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 0, 4, 5, 6, 7, 8],
+            [0, 1, 2, 3, 5, 4, 6, 7, 8], [0, 1, 2, 3, 5, 6, 4, 7, 8],
+            [0, 1, 2, 3, 4, 5, 6, 8, 7]]
+    return PermGroup.generate(rows, 9).full()
+
+
+@pytest.mark.parametrize("name", ["sym5", "aut-alt6", "a5xa5-exr", "s4xs3xc2"])
+def test_normal_subgroups_match_scratch_joins(name):
+    sub = _s4_s3_c2() if name == "s4xs3xc2" else load_group(name).group.full()
+    got = normal_subgroups(sub)
+    want = _reference_normal_subgroups(sub)
+    assert [(N.key, N.gens) for N in got] == [(N.key, N.gens) for N in want]
+
+
+def test_radical_poset_row_count(monkeypatch):
+    # a count of rows looked up, so it does not depend on the host's load;
+    # a full scan of the ambient per target generator looked up 6 194 659
+    rows = []
+    lookup = PermGroup.lookup_rows
+
+    def counting(self, batch):
+        out = lookup(self, batch)
+        rows.append(out.size)
+        return out
+
+    G = load_group("l34").group.full()
+    monkeypatch.setattr(PermGroup, "lookup_rows", counting)
+    bouc_poset(G, 2)
+    assert sum(rows) <= 3_500_000
 
 
 def test_decomposition_matches_intersect1d(worked_ctx):
