@@ -175,10 +175,9 @@ def c12():
     Y = ap_poset(G, 2)
     S = sylow_subgroup(G, 5)
     tables = conj_action_tables(Y, S)
-    fixed, ids = fixed_subposet(Y, tables, validate=False)
+    fixed, ids = fixed_subposet(Y, tables)
     orders = sorted(Y.elements[int(i)].order for i in ids)
-    cert = checkers.robinson_certificate(Y, S, 5, tables=tables,
-                                         validate_tables=False)
+    cert = checkers.robinson_certificate(Y, S, 5, tables=tables)
     ok = (fixed.n == 2 and fixed.height() == 0 and orders == [16, 16]
           and cert.holds and cert.evidence["residue"] == 1)
     return ok, (f"fixed points {fixed.n} of orders {orders}, "

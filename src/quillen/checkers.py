@@ -25,6 +25,7 @@ from .errors import (
     WrongArity,
 )
 from .groups import (
+    DEFAULT_ENUM_CAP,
     as_subgroup,
     centralizer,
     conjugation_action,
@@ -40,6 +41,7 @@ from .homology import (
     DEFAULT_WORK_CAP,
     RawComplex,
     betti_of_poset,
+    chain_map_from_poset_map,
     induced_map,
     induced_map_from_chain,
 )
@@ -59,6 +61,9 @@ FAILS = "fails"
 INAPPLICABLE = "inapplicable"
 
 CONDITION_TAGS = ("A", "A'", "B", "C", "D", "E")
+
+# check_prop68 recomputes its conclusion for components up to this order
+PROP68_CROSS_CHECK_ORDER = 2000
 
 
 @dataclass
@@ -182,16 +187,6 @@ class ConditionsReport:
         return {t: c.verdict for t, c in self.certificates.items()}
 
 
-def _inclusion_colmaps(KS, KT):
-    """Chain-map columns of a subcomplex inclusion (simplices shared)."""
-    tidx = KT.index_maps()
-    colmaps = {-1: [[(0, 1)]]}
-    for k, simps in enumerate(KS.dims):
-        idx = tidx[k]
-        colmaps[k] = [[(idx[s], 1)] for s in simps]
-    return colmaps
-
-
 def _condition_C(ctx, dec):
     """Does every chain of V0 project into K0, i.e. miss some factor?
 
@@ -249,7 +244,8 @@ def _condition_E(ctx):
     cx = ctx.complexes()
     rawS = RawComplex.from_simplicial(cx.K0)
     rawT = RawComplex.from_simplicial(cx.KX)
-    colmaps = _inclusion_colmaps(cx.K0, cx.KX)
+    # K0 and KX share X's vertex ids, so the inclusion is the identity
+    colmaps = chain_map_from_poset_map(range(ctx.join().X.n), cx.K0, cx.KX)
     report = induced_map_from_chain(rawS, rawT, colmaps,
                                     work_cap=ctx.work_cap)
     holds = report.is_zero()
@@ -262,7 +258,7 @@ def _condition_E(ctx):
     return holds, det
 
 
-def check_conditions(ctx, which=None, goal_betti=None, work_cap=None):
+def check_conditions(ctx, which=None):
     """Certificates for the decomposition conditions (A) through (E).
 
     (A): homology of Y0 does not surject onto Y; (A'): the composite with
@@ -272,7 +268,6 @@ def check_conditions(ctx, which=None, goal_betti=None, work_cap=None):
     zero in the homology of the full join.  All require a trivial p-core
     in the ambient group.
     """
-    work_cap = work_cap or ctx.work_cap
     which = tuple(which) if which else CONDITION_TAGS
     unknown = [t for t in which if t not in CONDITION_TAGS]
     if unknown:
@@ -294,7 +289,7 @@ def check_conditions(ctx, which=None, goal_betti=None, work_cap=None):
     certs = {}
 
     def surj_cert(tag, f, bS, bT, what):
-        ns, det = _surjectivity(f, bS, bT, work_cap)
+        ns, det = _surjectivity(f, bS, bT, ctx.work_cap)
         det["why"] = (f"{what} is not surjective in homology"
                       if ns else f"{what} is surjective in homology")
         certs[tag] = Certificate(tag, HOLDS if ns else FAILS, det, base)
@@ -335,10 +330,6 @@ def check_conditions(ctx, which=None, goal_betti=None, work_cap=None):
     if all(t in certs for t in "BCDE") and \
             all(certs[t].holds for t in "CDE"):
         audits.append(certs["B"].holds)
-    if goal_betti is not None and all(t in certs for t in "CDE") and \
-            all(certs[t].holds for t in "CDE"):
-        audits.append(not goal_betti.is_zero())
-        notes["goal_betti"] = _betti_dict(goal_betti)
     return ConditionsReport(certs, all(audits), dec.trivial, notes)
 
 
@@ -355,12 +346,12 @@ def _restrict_ids(AH, restrict):
     return ids
 
 
-def _goal_cross_check(ctx, ev, work_cap):
+def _goal_cross_check(ctx, ev):
     """When a criterion holds, recompute the conclusion it promises."""
     op = p_core(ctx.G, ctx.p)
     ev["op_order"] = int(op.order)
     if op.order == 1:
-        gb = betti_ap(ctx.G, ctx.p, work_cap)
+        gb = betti_of_poset(ctx.ap_G(), work_cap=ctx.work_cap)
         ev["goal_betti"] = _betti_dict(gb)
         if gb.is_zero():
             raise InvariantViolated(
@@ -369,7 +360,7 @@ def _goal_cross_check(ctx, ev, work_cap):
         ev["goal"] = "conclusion vacuous (nontrivial p-core)"
 
 
-def check_thm41(ctx, restrict=None, check_goal=True, work_cap=None):
+def check_thm41(ctx, restrict=None):
     """Nonzero chain projection criterion.
 
     Verdict on whether the projection from the p-subgroup poset of H to
@@ -379,7 +370,6 @@ def check_thm41(ctx, restrict=None, check_goal=True, work_cap=None):
     holds, the promised conclusion (nonzero homology of the ambient
     poset) is recomputed and asserted.
     """
-    work_cap = work_cap or ctx.work_cap
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t)
     if not ctx.p_divides_component:
         return Certificate("thm41", INAPPLICABLE, {
@@ -395,7 +385,7 @@ def check_thm41(ctx, restrict=None, check_goal=True, work_cap=None):
         ids = _restrict_ids(psi.source, restrict)
         sub, inc = psi.source.induced(ids)
         fmap = PosetMap(sub, psi.target, psi.table[inc], validate=False)
-        report = induced_map(fmap, work_cap=work_cap)
+        report = induced_map(fmap, work_cap=ctx.work_cap)
         size = sub.n
         label = "restricted"
     holds = report.nonzero()
@@ -407,23 +397,22 @@ def check_thm41(ctx, restrict=None, check_goal=True, work_cap=None):
         wd = min(k for k, r in report.ranks.items() if r)
         ev["witness_degree"] = int(wd)
         ev["why"] = f"chain projection nonzero in homology (degree {wd})"
-        if check_goal:
-            _goal_cross_check(ctx, ev, work_cap)
+        _goal_cross_check(ctx, ev)
     else:
         ev["why"] = "chain projection is zero in homology"
     return Certificate("thm41", HOLDS if holds else FAILS, ev, inputs)
 
 
-def check_thm410(ctx, variant="formal", check_goal=True, work_cap=None):
+def check_thm410(ctx, variant="formal"):
     """Diagonal non-surjectivity criterion.
 
     Verdict on whether the inclusion of the diagonal poset into the
     p-subgroup poset of H fails to be surjective in some homology
     degree.  `variant` picks the diagonal model: "formal" keeps the
     members whose meets with two component centralizers coincide,
-    "off-component" the members inside no single component.
+    "off-component" the members inside no single component.  When it
+    holds, the promised conclusion is recomputed and asserted.
     """
-    work_cap = work_cap or ctx.work_cap
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t, variant=variant)
     if not ctx.p_divides_component:
         return Certificate("thm410", INAPPLICABLE, {
@@ -445,13 +434,12 @@ def check_thm410(ctx, variant="formal", check_goal=True, work_cap=None):
         return Certificate("thm410", FAILS, ev, inputs)
     bD = betti_of_poset(D, work_cap=ctx.work_cap)
     bAH = betti_of_poset(AH, work_cap=ctx.work_cap)
-    ns, det = _surjectivity(dmap, bD, bAH, work_cap)
+    ns, det = _surjectivity(dmap, bD, bAH, ctx.work_cap)
     ev.update(det)
     if ns:
         ev["why"] = (f"diagonal inclusion misses homology in degree "
                      f"{ev['witness_degree']}")
-        if check_goal:
-            _goal_cross_check(ctx, ev, work_cap)
+        _goal_cross_check(ctx, ev)
     else:
         ev["why"] = "diagonal inclusion is surjective in homology"
     return Certificate("thm410", HOLDS if ns else FAILS, ev, inputs)
@@ -494,8 +482,7 @@ def _cor51_component_map(ctx, i, variant, aut):
                              f"choose from {COR51_VARIANTS}")
 
 
-def check_cor51(ctx, variant="factor", aut=None, check_goal=False,
-                work_cap=None):
+def check_cor51(ctx, variant="factor", aut=None):
     """Per-component nonzero-map criterion.
 
     For each component, the p-subgroup poset of L_i must map nonzero in
@@ -503,14 +490,13 @@ def check_cor51(ctx, variant="factor", aut=None, check_goal=False,
     The inductive hypotheses on proper subgroups and quotients are
     user-asserted, recorded, and never verified here.
     """
-    work_cap = work_cap or ctx.work_cap
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t, variant=variant)
     per = []
     all_nonzero = True
     for i in range(1, ctx.t + 1):
         f, what = _cor51_component_map(ctx, i, variant, aut)
-        bL = betti_ap(ctx.orbit[i - 1], ctx.p, work_cap)
-        rep = induced_map(f, bettiS=bL, work_cap=work_cap)
+        bL = betti_of_poset(ctx.ap_component(i), work_cap=ctx.work_cap)
+        rep = induced_map(f, bettiS=bL, work_cap=ctx.work_cap)
         nz = rep.nonzero()
         all_nonzero = all_nonzero and nz
         per.append({"component": i,
@@ -523,8 +509,6 @@ def check_cor51(ctx, variant="factor", aut=None, check_goal=False,
           "why": ("every component maps nonzero into its target"
                   if all_nonzero else
                   "some component maps to zero in homology")}
-    if all_nonzero and check_goal:
-        _goal_cross_check(ctx, ev, work_cap)
     return Certificate("cor51", HOLDS if all_nonzero else FAILS, ev, inputs)
 
 
@@ -533,7 +517,7 @@ def _gens_commute(G, a_gens, b_gens):
                for a in a_gens for b in b_gens)
 
 
-def check_cor52(ctx, F, work_cap=None):
+def check_cor52(ctx, F):
     """Separated-overgroup criterion.
 
     F lists one overgroup per component.  Clause (i): L_i lies in F_i,
@@ -577,7 +561,7 @@ def check_cor52(ctx, F, work_cap=None):
     return Certificate("cor52", HOLDS if ok else FAILS, ev, inputs)
 
 
-def check_propEM(ctx, n, check_psi=True, work_cap=None):
+def check_propEM(ctx, n):
     """Epi/mono descent criteria at degree n.
 
     Route M: the poset of H has homology in degree n and every chain
@@ -585,11 +569,10 @@ def check_propEM(ctx, n, check_psi=True, work_cap=None):
     Route E: the join has homology in degree n and every phi_i is
     surjective through n - t + i.  Either route forces the full chain
     projection to be nonzero in degree n, which is recomputed directly
-    when check_psi is set.  Returns {"M": ..., "E": ...}.
+    and asserted.  Returns {"M": ..., "E": ...}.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree {n} must be nonnegative")
-    work_cap = work_cap or ctx.work_cap
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t, n=int(n))
     bAH = betti_of_poset(ctx.ap_H(), work_cap=ctx.work_cap)
     bX = betti_of_poset(ctx.join().X, work_cap=ctx.work_cap)
@@ -618,7 +601,7 @@ def check_propEM(ctx, n, check_psi=True, work_cap=None):
         ev["why"] = (f"every chain step is {kind} through its degree"
                      if good else
                      f"some chain step is not {kind} through its degree")
-        if good and check_psi:
+        if good:
             rep = psi_induced(ctx)
             expect = side if route == "E" else bAH.get(n)
             ev["psi_rank_at_n"] = int(rep.rank(n))
@@ -633,7 +616,7 @@ def check_propEM(ctx, n, check_psi=True, work_cap=None):
 # -- outer-action criterion ------------------------------------------------------------
 
 
-def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
+def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
                  work_cap=DEFAULT_WORK_CAP):
     """Cyclic-outer vanishing criterion for a single component.
 
@@ -642,18 +625,20 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
     fixed-point poset of E on L maps to zero in degree-k homology of the
     poset of L.  Clause 3: the poset of L has homology in degree k.  If
     k is omitted, degrees with nonzero homology are searched in order.
-    When the verdict holds and L is small enough, the promised
-    conclusion (the poset of L injects into the image poset in degree k)
-    is recomputed directly.
+    When the verdict holds and L has order at most
+    PROP68_CROSS_CHECK_ORDER, the promised conclusion (the poset of L
+    injects into the image poset in degree k) is recomputed directly.
+    Every poset enumeration is bounded by cap.
     """
     ambient = as_subgroup(ambient)
     L = as_subgroup(L)
     p = _check_prime(p)
     inputs = _inputs(ambient, p, component_order=int(L.order))
-    op = p_outer_poset(ambient, L, p)
+    op = p_outer_poset(ambient, L, p, cap=cap)
     outers = list(op.poset.elements)
     clause1 = (not outers) or op.cyclic_only
-    bL = betti_ap(L, p, work_cap)
+    apL = ap_poset(L, p, cap=cap)
+    bL = betti_of_poset(apL, work_cap=work_cap)
     top = bL.top_degree()
     if k is not None:
         candidates = [int(k)]
@@ -680,13 +665,12 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
             continue
         good = True
         for c in classes:
-            bCE = betti_ap(c["sub"], p, work_cap)
+            apCE = ap_poset(c["sub"], p, cap=cap)
+            bCE = betti_of_poset(apCE, work_cap=work_cap)
             if bCE.get(kk) == 0:
                 c.setdefault("zero_at", []).append(kk)
                 continue
             if c["rep"] is None:
-                apCE = ap_poset(c["sub"], p)
-                apL = ap_poset(L, p)
                 c["rep"] = induced_map(make_map(apCE, apL, lambda E: E),
                                        bettiS=bCE, bettiT=bL,
                                        work_cap=work_cap)
@@ -709,8 +693,8 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
     ev["k"] = int(chosen)
     ev["why"] = (f"outers are cyclic and every fixed-point poset dies in "
                  f"degree {chosen}")
-    if L.order <= cross_check_cap:
-        ip = image_poset(ambient, L, p)
+    if L.order <= PROP68_CROSS_CHECK_ORDER:
+        ip = image_poset(ambient, L, p, cap=cap)
         rep = induced_map(ip.embedded, bettiS=bL, work_cap=work_cap)
         mono = rep.rank(chosen) == bL.get(chosen)
         ev["embedding_rank_at_k"] = int(rep.rank(chosen))
@@ -726,8 +710,7 @@ def check_prop68(ambient, L, p, k=None, cross_check_cap=2000,
 # -- counting certificates -------------------------------------------------------------
 
 
-def robinson_certificate(Y, S, q, tables=None, validate_tables=True,
-                         work_cap=DEFAULT_WORK_CAP):
+def robinson_certificate(Y, S, q, tables=None):
     """Fixed-point Euler residue certificate.
 
     S must be q-hyperelementary.  If it acts on an acyclic poset, the
@@ -743,7 +726,7 @@ def robinson_certificate(Y, S, q, tables=None, validate_tables=True,
             f"acting group is not {q}-hyperelementary: {hev}")
     if tables is None:
         tables = conj_action_tables(Y, S)
-    fixed, _ = fixed_subposet(Y, tables, validate=validate_tables)
+    fixed, _ = fixed_subposet(Y, tables)
     chi = fixed.reduced_euler()
     residue = chi % q
     holds = residue != 0
@@ -771,7 +754,7 @@ class EulerFormulaReport:
         return f"formula {self.formula_sum} {rel} complex {self.complex_chi}"
 
 
-def euler_formula(sub, p, cap=None):
+def euler_formula(sub, p, cap=DEFAULT_ENUM_CAP):
     """Both sides of the closed-form reduced Euler characteristic.
 
     Each member of rank m contributes (-1)^(m-1) p^(m(m-1)/2), the
@@ -781,7 +764,7 @@ def euler_formula(sub, p, cap=None):
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
-    P = ap_poset(sub, p) if cap is None else ap_poset(sub, p, cap=cap)
+    P = ap_poset(sub, p, cap=cap)
     total = -1
     rank_counts = {}
     for E in P.elements:
@@ -797,18 +780,18 @@ def euler_formula(sub, p, cap=None):
                               match=total == chi, rank_counts=rank_counts)
 
 
-def hqc_witness(sub, p, work_cap=DEFAULT_WORK_CAP):
+def hqc_witness(sub, p, cap=DEFAULT_ENUM_CAP, work_cap=DEFAULT_WORK_CAP):
     """Direct nonzero-homology witness for the p-subgroup poset.
 
     With a nontrivial p-core the nonvanishing statement is void and the
     poset is verified acyclic instead; otherwise the full reduced Betti
-    vector decides the verdict.
+    vector decides the verdict.  The poset enumeration is bounded by cap.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
     inputs = _inputs(sub, p)
     op = p_core(sub, p)
-    b = betti_ap(sub, p, work_cap)
+    b = betti_of_poset(ap_poset(sub, p, cap=cap), work_cap=work_cap)
     if op.order > 1:
         if not b.is_zero():
             raise InvariantViolated(

@@ -56,7 +56,6 @@ class RunConfig:
     k: int = None
     q: int = None
     f_groups: list = field(default_factory=list)
-    cross_check_cap: int = 2000
 
     def __post_init__(self):
         for name in ("order_cap", "enum_cap", "work_cap"):
@@ -75,7 +74,7 @@ def _load(cfg):
     return bundle, G
 
 
-def _declared_components(cfg, bundle, G):
+def _declared_components(cfg, bundle):
     """Component subgroups: --component-gens beats the spec file's list."""
     if cfg.components:
         out = []
@@ -88,14 +87,14 @@ def _declared_components(cfg, bundle, G):
 
 def _context(cfg, bundle, G):
     return OrbitContext(G, cfg.p,
-                        components=_declared_components(cfg, bundle, G),
+                        components=_declared_components(cfg, bundle),
                         orbit_index=cfg.orbit_index,
                         order=cfg.component_order,
                         cap=cfg.enum_cap, work_cap=cfg.work_cap)
 
 
 def _pick_component(cfg, bundle, G):
-    comps = _declared_components(cfg, bundle, G)
+    comps = _declared_components(cfg, bundle)
     if comps is None:
         comps, _ = detect_components(G)
     comps = sorted(comps, key=lambda L: (L.order, L.key))
@@ -275,7 +274,7 @@ def cmd_conditions(cfg):
     which = None
     if cfg.which:
         which = [w.strip() for w in cfg.which.split(",") if w.strip()]
-    rep = checkers.check_conditions(ctx, which=which, work_cap=cfg.work_cap)
+    rep = checkers.check_conditions(ctx, which=which)
     result = {"verdicts": rep.verdicts(), "consistent": rep.consistent,
               "trivial": rep.trivial, "notes": rep.notes,
               "certificates": {t: c.as_dict()
@@ -293,23 +292,21 @@ def cmd_conditions(cfg):
 def cmd_thm41(cfg):
     bundle, G = _load(cfg)
     ctx = _context(cfg, bundle, G)
-    cert = checkers.check_thm41(ctx, work_cap=cfg.work_cap)
+    cert = checkers.check_thm41(ctx)
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
 
 def cmd_thm410(cfg):
     bundle, G = _load(cfg)
     ctx = _context(cfg, bundle, G)
-    cert = checkers.check_thm410(ctx, variant=cfg.variant or "formal",
-                                 work_cap=cfg.work_cap)
+    cert = checkers.check_thm410(ctx, variant=cfg.variant or "formal")
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
 
 def cmd_cor51(cfg):
     bundle, G = _load(cfg)
     ctx = _context(cfg, bundle, G)
-    cert = checkers.check_cor51(ctx, variant=cfg.variant or "factor",
-                                work_cap=cfg.work_cap)
+    cert = checkers.check_cor51(ctx, variant=cfg.variant or "factor")
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
 
@@ -324,7 +321,7 @@ def cmd_cor52(cfg):
         rows = [parse_cycles(w.strip(), bundle.group.degree)
                 for w in spec.split(";") if w.strip()]
         F.append(bundle.group.subgroup_from_rows(rows))
-    cert = checkers.check_cor52(ctx, F, work_cap=cfg.work_cap)
+    cert = checkers.check_cor52(ctx, F)
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
 
@@ -333,7 +330,7 @@ def cmd_prop_em(cfg):
     ctx = _context(cfg, bundle, G)
     if cfg.n is None:
         raise QuillenError("prop-em needs --n (homology degree)")
-    certs = checkers.check_propEM(ctx, cfg.n, work_cap=cfg.work_cap)
+    certs = checkers.check_propEM(ctx, cfg.n)
     result = {route: c.as_dict() for route, c in certs.items()}
     lines = [_group_header(bundle, G, cfg.p)]
     for route in ("M", "E"):
@@ -344,8 +341,7 @@ def cmd_prop_em(cfg):
 def cmd_prop68(cfg):
     bundle, G = _load(cfg)
     L = _pick_component(cfg, bundle, G)
-    cert = checkers.check_prop68(G, L, cfg.p, k=cfg.k,
-                                 cross_check_cap=cfg.cross_check_cap,
+    cert = checkers.check_prop68(G, L, cfg.p, k=cfg.k, cap=cfg.enum_cap,
                                  work_cap=cfg.work_cap)
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
@@ -356,13 +352,14 @@ def cmd_robinson(cfg):
         raise QuillenError("robinson needs --q (the hyperelementary prime)")
     Y = ap_poset(G, cfg.p, cap=cfg.enum_cap)
     S = sylow_subgroup(G, cfg.q)
-    cert = checkers.robinson_certificate(Y, S, cfg.q, work_cap=cfg.work_cap)
+    cert = checkers.robinson_certificate(Y, S, cfg.q)
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
 
 def cmd_hqc(cfg):
     bundle, G = _load(cfg)
-    cert = checkers.hqc_witness(G, cfg.p, work_cap=cfg.work_cap)
+    cert = checkers.hqc_witness(G, cfg.p, cap=cfg.enum_cap,
+                                work_cap=cfg.work_cap)
     return _cert_result(cert), [_group_header(bundle, G, cfg.p)] + _cert_lines(cert)
 
 
@@ -480,9 +477,6 @@ def build_parser():
                          "by ';' (repeatable; overrides the spec file)")
     sp.add_argument("--k", type=int, default=None,
                     help="homology degree to certify (default: search)")
-    sp.add_argument("--cross-check-cap", type=int, default=2000,
-                    help="verify the embedding directly when the component "
-                         "order is at most this")
 
     sp = new("robinson", "hyperelementary fixed-point certificate")
     sp.add_argument("--q", type=int, default=None,
@@ -511,7 +505,7 @@ def config_from_args(args):
         kw["component_order"] = [int(x) for x
                                  in args.component_order.split(",")]
     for name in ("orbit_index", "component", "variant", "which", "n", "k",
-                 "q", "f_groups", "cross_check_cap"):
+                 "q", "f_groups"):
         if getattr(args, name, None) is not None:
             kw[name] = getattr(args, name)
     return RunConfig(**kw)

@@ -60,15 +60,18 @@ def _as_perm_rows(gen_rows, degree):
 
 
 class PermGroup:
-    """A finite permutation group, fully enumerated."""
+    """A finite permutation group, fully enumerated.
 
-    def __init__(self, perms, gen_indices, name=""):
+    Built by generate, which hands over the index it grew: a dict from
+    each row's bytes to its position in perms.
+    """
+
+    def __init__(self, perms, gen_indices, index, name=""):
         self.perms = np.ascontiguousarray(perms, dtype=np.int16)
         self.order, self.degree = self.perms.shape
         self.gens = tuple(int(g) for g in gen_indices)
         self.name = name
-        keys = self.perms.view(np.dtype((np.void, 2 * self.degree)))
-        self._index = dict(zip(keys.ravel().tolist(), range(self.order)))
+        self._index = index
         self._inv = None
         self._orders = None
         self._full = None
@@ -109,7 +112,7 @@ class PermGroup:
                 -1, degree)
             levels.append(frontier)
         gen_idx = [index[g.tobytes()] for g in gen_rows_u] or [0]
-        return cls(np.concatenate(levels), gen_idx, name=name)
+        return cls(np.concatenate(levels), gen_idx, index, name=name)
 
     def __repr__(self):
         nm = self.name or "PermGroup"

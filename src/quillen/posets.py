@@ -296,12 +296,12 @@ def check_action_tables(P, tables):
                     f"table does not preserve order at {i}")
 
 
-def fixed_subposet(P, tables, validate=True):
-    """Induced subposet of points fixed by every table.
+def fixed_subposet(P, tables):
+    """Induced subposet of points fixed by every table, after checking that
+    each table is an order-automorphism of P.
 
     Returns (subposet, inc ids array)."""
-    if validate:
-        check_action_tables(P, tables)
+    check_action_tables(P, tables)
     fixed = np.arange(P.n)
     for t in tables:
         t = np.asarray(t)

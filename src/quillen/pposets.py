@@ -47,9 +47,9 @@ from .homology import (
     betti_of_complex,
     betti_of_poset,
     induced_map,
+    join_betti,
 )
 from .posets import (
-    DEFAULT_SIMPLEX_CAP,
     Poset,
     PosetMap,
     SimplicialComplex,
@@ -594,14 +594,14 @@ class OrbitContext:
                 factor_of=factor_of, blocks=blocks, base_vertex=base_vertex)
         return self._cache["join"]
 
-    def complexes(self, simplex_cap=DEFAULT_SIMPLEX_CAP):
+    def complexes(self):
         """Order complex of X with the K0 and K0hat subcomplexes.
 
         K0hat (union of stars of one vertex per factor) is verified
         acyclic and to contain K0."""
         if "complexes" not in self._cache:
             jd = self.join()
-            KX = order_complex(jd.X, cap=simplex_cap)
+            KX = order_complex(jd.X)
             nactive = len(jd.active)
             cmp_masks = [jd.X.up[jd.base_vertex[j]]
                          | jd.X.down[jd.base_vertex[j]]
@@ -642,13 +642,13 @@ class OrbitContext:
                 return j
         return 0
 
-    def psi(self, i=None, verify=True):
+    def psi(self, i=None):
         """The projection of the p-subgroup poset of C_i onto W[i].
 
-        E goes to its image in the factor named by projection_index; with
-        verify=True the equivalent description (smallest j with E inside
-        C_j) is checked elementwise, and the order-preservation check of
-        the PosetMap constructor is kept on.
+        E goes to its image in the factor named by projection_index.  The
+        equivalent description (smallest j with E inside C_j) is checked
+        elementwise, and the PosetMap constructor checks that the map is
+        order-preserving.
         """
         if i is None:
             i = self.t
@@ -661,20 +661,19 @@ class OrbitContext:
         labels = []
         for E in source.elements:
             k = self.projection_index(E, i)
-            if verify:
-                kk = i
-                for j in range(0, i):
-                    if E.is_subset_of(self.C[j]):
-                        kk = j
-                        break
-                if kk != k:
-                    raise InvariantViolated("the two descriptions of the "
-                                            "projection index disagree")
+            kk = i
+            for j in range(0, i):
+                if E.is_subset_of(self.C[j]):
+                    kk = j
+                    break
+            if kk != k:
+                raise InvariantViolated("the two descriptions of the "
+                                        "projection index disagree")
             labels.append((k, E) if k == 0
                           else (k, self.actions[k].project_subgroup(E)))
         table = np.array([target.index[lab] for lab in labels],
                          dtype=np.int64)
-        self._cache[key] = PosetMap(source, target, table, validate=verify)
+        self._cache[key] = PosetMap(source, target, table)
         return self._cache[key]
 
     # -- transfer maps between mixed joins ---------------------------------------
@@ -883,21 +882,6 @@ def off_component_subposet(ctx):
 # -- the standard equivalence on the inner part ----------------------------------------
 
 
-def _convolve_reduced(bettis):
-    """Degree -> rank of the join of spaces with the given reduced Betti
-    vectors (degree n collects products over i + j = n - 1)."""
-    acc = {-1: 1}
-    for b in bettis:
-        nxt = {}
-        for d1, v1 in acc.items():
-            for d2 in range(-1, len(b.tilde)):
-                v2 = b.get(d2)
-                if v1 and v2:
-                    nxt[d1 + d2 + 1] = nxt.get(d1 + d2 + 1, 0) + v1 * v2
-        acc = nxt
-    return acc
-
-
 @dataclass
 class SubjoinReport:
     """psi restricted to the members inside H0 = C_H(N) L_1 ... L_t, landing
@@ -910,12 +894,12 @@ class SubjoinReport:
     kunneth_ok: bool
 
 
-def psi_h0_equivalence_report(ctx, work_cap=None):
+def psi_h0_equivalence_report(ctx):
     """Restrict the projection to the p-subgroups of H0 = C_H(N) L_1...L_t
     and verify it lands on the join of the embedded copies of the factor
     posets, isomorphically in rational homology, with the join's Betti
     numbers matching the product formula."""
-    wc = work_cap or ctx.work_cap
+    wc = ctx.work_cap
     H0 = ctx.C[0]
     for L in ctx.orbit:
         H0 = subgroup_product(H0, L)
@@ -945,7 +929,7 @@ def psi_h0_equivalence_report(ctx, work_cap=None):
         if 0 in jd.active else []
     factor_bettis += [betti_of_poset(ctx.ap_component(i), work_cap=wc)
                       for i in range(1, ctx.t + 1)]
-    conv = _convolve_reduced(factor_bettis)
+    conv = join_betti(factor_bettis)
     bJ = betti_of_poset(J, work_cap=wc)
     degs = set(conv) | set(bJ.nonzero_degrees())
     kunneth_ok = all(bJ.get(d) == conv.get(d, 0) for d in degs)

@@ -2,12 +2,14 @@ import pytest
 
 from quillen.checkers import FAILS, HOLDS, INAPPLICABLE, betti_ap, \
     check_conditions, check_cor51, check_cor52, check_prop68, check_propEM, \
-    check_thm41, euler_formula, hqc_witness, robinson_certificate
-from quillen.errors import IndexOutOfRange, NotHyperelementary, NotPrime, \
-    VariantUnavailable, WrongArity
+    check_thm41, check_thm410, euler_formula, hqc_witness, \
+    robinson_certificate
+from quillen.errors import IndexOutOfRange, MatrixCapExceeded, \
+    NotHyperelementary, NotPrime, VariantUnavailable, WrongArity
 from quillen.groups import detect_components, sylow_subgroup
-from quillen.gspec import build_group
-from quillen.pposets import OrbitContext, ap_poset
+from quillen import homology
+from quillen.gspec import build_group, load_group
+from quillen.pposets import OrbitContext, ap_poset, psi_h0_equivalence_report
 
 from conftest import bundled
 
@@ -217,3 +219,33 @@ def test_robinson_rejects_non_hyperelementary(sym4):
 def test_betti_ap_cached(alt5):
     assert betti_ap(alt5, 2).tilde == (4,)
     assert betti_ap(alt5, 2) is betti_ap(alt5, 2)
+
+
+@pytest.mark.parametrize("check", [
+    check_conditions,
+    check_thm41,
+    lambda ctx: check_thm410(ctx, variant="formal"),
+    lambda ctx: check_thm410(ctx, variant="off-component"),
+    check_cor51,
+    lambda ctx: check_propEM(ctx, 1),
+    psi_h0_equivalence_report,
+], ids=["conditions", "thm41", "thm410-formal", "thm410-off-component",
+        "cor51", "propEM", "psi-h0"])
+def test_checkers_honour_the_context_work_cap(check, monkeypatch):
+    # the work cap lives on the context alone: every elimination a checker
+    # runs gets it.  A freshly loaded group, so no Betti vector cached on a
+    # shared poset under another cap hides an elimination.
+    cap = 10 ** 9 + 7
+    seen = []
+    rank = homology.sparse_rank
+
+    def spy(columns, work_cap=homology.DEFAULT_WORK_CAP):
+        seen.append(work_cap)
+        return rank(columns, work_cap)
+
+    monkeypatch.setattr(homology, "sparse_rank", spy)
+    check(OrbitContext(load_group("sym6").group.full(), 2, work_cap=cap))
+    assert seen and set(seen) == {cap}
+    # a fresh context per call, so no induced map cached on it is reused
+    with pytest.raises(MatrixCapExceeded):
+        check(OrbitContext(bundled("sym6"), 2, work_cap=1))

@@ -128,3 +128,13 @@ def test_structured_output_is_identical_across_hash_seeds(command):
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["hqc", "prop68"])
+def test_enum_cap_is_honoured(capsys, command):
+    # sym5 has 25 subgroups of order 2, more than the cap allows
+    code, out, err = run_cli(capsys, command, "--group", "sym5",
+                             "--enum-cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "exceeds cap" in err

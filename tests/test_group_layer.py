@@ -98,6 +98,9 @@ def test_generate_matches_per_row_loop(name):
     got = PermGroup.generate(rows, G.degree)
     assert got.perms.tobytes() == perms.tobytes()
     assert got.gens == gens
+    # the index generate hands over numbers every row by its position
+    assert len(got._index) == got.order
+    assert got.lookup_rows(got.perms).tolist() == list(range(got.order))
 
 
 def test_lookup_rows_batches(sym5):
