@@ -5,7 +5,14 @@ matrices with exact arithmetic (no floating point anywhere).  Ranks come
 from a sparse elimination that first runs a coreduction pass (repeatedly
 consuming rows and columns with a single unit entry, which creates no
 fill), then falls back to fraction-free Bareiss elimination with
-Markowitz-style pivoting.
+Markowitz-style pivoting.  The elimination returns its pivot rows too.
+
+Every rank profile, of a complex or of a mapping cone, runs top-down with
+clearing (Chen and Kerber, "Persistent homology computation with a
+twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014):
+the pivot rows R of ∂_{k+1} index a nonsingular minor, so
+C_k = B_k ⊕ span{e_j : j ∉ R}, and since ∂_k kills B_k, ∂_k has the rank
+of its columns outside R.  The cleared columns are never read.
 
 Induced maps on homology are known by their ranks only, read off the
 long exact sequence of the mapping cone of the chain map.  Zero,
@@ -13,11 +20,12 @@ injective and surjective are all decided by those ranks.  The test suite
 checks them against a dense Fraction reference on small maps.
 
 Self-checks raise InvariantViolated, so they also run under
-``python -O``: d∘d = 0, exact division, boundary ranks within their
-matrix shape, nonnegative Betti numbers (b̃_{-1} = 1 exactly for the
-empty complex), the Euler characteristic across the core collapse and
-the cone-rank range.  None of them proves a rank right: an undercount
-that keeps every number in range passes.
+``python -O``: d∘d = 0, exact division, pivot rows distinct, in range and
+one per unit of rank, boundary ranks within their matrix shape,
+nonnegative Betti numbers (b̃_{-1} = 1 exactly for the empty complex),
+the Euler characteristic across the core collapse and the cone-rank
+range.  None of them proves a rank right: an undercount that keeps every
+number in range passes.
 """
 
 import heapq
@@ -113,11 +121,15 @@ class RawComplex:
 
 
 def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
-    """Rank over Q of an integer matrix given as columns of (row, val).
+    """Rank over Q of an integer matrix given as columns of (row, val),
+    with the rows of its pivots: returns (rank, pivot_rows).
 
     Unit coreduction first (no fill), then fraction-free elimination with
-    pivots chosen greedily by fill cost, preferring unit entries.  Raises
-    MatrixCapExceeded when the update count passes work_cap.
+    pivots chosen greedily by fill cost, preferring unit entries.  Each
+    pivot's row leaves the matrix, so the pivot rows are distinct, one per
+    unit of rank, and index a nonsingular minor whatever pivot rule picked
+    them: the rows R of the matrix alone have rank |R|.
+    Raises MatrixCapExceeded when the update count passes work_cap.
     """
     cols = {}
     rows = {}
@@ -131,7 +143,7 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
             cols[j] = d
             for i in d:
                 rows.setdefault(i, set()).add(j)
-    rank = 0
+    pivots = []
     work = 0
 
     col_q = [j for j, d in cols.items() if len(d) == 1]
@@ -168,7 +180,7 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
                 continue
             # pivot (i, j): the column has only this entry, so eliminating
             # clears row i from every other column with no fill
-            rank += 1
+            pivots.append(i)
             rows[i].discard(j)
             del cols[j]
             drop_row(i)
@@ -179,7 +191,7 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
             j = next(iter(rows[i]))
             if cols[j].get(i) not in (1, -1):
                 continue
-            rank += 1
+            pivots.append(i)
             del cols[j][i]
             del rows[i]
             if not cols[j]:
@@ -316,8 +328,8 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
                     raise MatrixCapExceeded(
                         f"elimination work exceeded {work_cap}")
             prev_piv = pval
-        rank += 1
-    return rank
+        pivots.append(pi)
+    return len(pivots), pivots
 
 
 # -- Betti numbers -----------------------------------------------------------------
@@ -357,22 +369,47 @@ class BettiVector:
         return body
 
 
-def _rank_profile(raw, degrees, work_cap):
-    return {k: sparse_rank(raw.columns(k), work_cap) for k in degrees}
+def _rank_profile(raw, lo, hi, work_cap):
+    """Rank of every boundary ∂_k, lo <= k <= hi, with clearing: top-down,
+    ∂_k loses the columns that ∂_{k+1}'s pivot rows index.
+
+    Those rows R index a nonsingular minor of ∂_{k+1}, so
+    C_k = B_k ⊕ span{e_j : j ∉ R}, and ∂_k kills B_k: the columns outside R
+    have the rank of all of them.  The pivot rows are checked (distinct, in
+    range, as many as the rank) before they are trusted.
+    """
+    ranks = {}
+    cleared = set()
+    for k in range(hi, lo - 1, -1):
+        cols = raw.columns(k)
+        if cleared:
+            cols = [c for j, c in enumerate(cols) if j not in cleared]
+        rank, pivots = sparse_rank(cols, work_cap)
+        cleared = set(pivots)
+        below = raw.count(k - 1)
+        if len(cleared) != len(pivots) or len(pivots) != rank or (
+                cleared and not 0 <= min(cleared) <= max(cleared) < below):
+            raise InvariantViolated(
+                f"degree-{k} pivot rows are not {rank} distinct rows of "
+                f"the {below} cells below")
+        ranks[k] = rank
+    return ranks
 
 
 def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector b̃_k = n_k - r_k - r_{k+1} of a raw complex.
 
-    Euler-Poincaré holds for that formula whatever the ranks r_k are, so
-    the checks are that every r_k lies in 0..min(n_k, n_{k-1}) and every
-    b̃_k, degree -1 included, is nonnegative (InvariantViolated if not).
+    The ranks r_k come from one top-down pass with clearing
+    (_rank_profile), so ∂_k is eliminated on the columns ∂_{k+1}'s pivots
+    left.  Euler-Poincaré holds for the formula whatever the ranks r_k
+    are, so the checks are that every r_k lies in 0..min(n_k, n_{k-1}) and
+    every b̃_k, degree -1 included, is nonnegative (InvariantViolated if
+    not).
     """
     top = raw.top
     if top < -1:
         return BettiVector(tilde=(), minus1=1, chi=-1)
-    degrees = [k for k in range(0, top + 1)]
-    ranks = _rank_profile(raw, degrees, work_cap)
+    ranks = _rank_profile(raw, 0, top, work_cap)
     for k, r in ranks.items():
         if not 0 <= r <= min(raw.count(k), raw.count(k - 1)):
             raise InvariantViolated(f"degree-{k} boundary rank {r} is "
@@ -494,17 +531,18 @@ def cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
 
     Reads them off the long exact sequence of the mapping cone:
         dim H_k(Cone) = (b̃_k T - r_k) + (b̃_{k-1} S - r_{k-1}).
-    Returns dict degree -> rank.  Recovered ranks are checked against
-    0 <= r_k <= min(b̃_k S, b̃_k T); the sampled boundary check on the
-    cone catches malformed chain maps with a clearer message first.
+    The cone's boundary ranks come from the same top-down pass with
+    clearing as a complex's (_rank_profile).  Returns dict degree -> rank.
+    Recovered ranks are checked against 0 <= r_k <= min(b̃_k S, b̃_k T);
+    the sampled boundary check on the cone catches malformed chain maps
+    with a clearer message first.
     """
     cone = mapping_cone(rawS, rawT, colmaps)
     cone.verify_dd_zero(sample=500)
     top = cone.top
     if top < -1:
         return {}
-    degrees = list(range(cone.bottom + 1, top + 2))
-    ranks_d = _rank_profile(cone, degrees, work_cap)
+    ranks_d = _rank_profile(cone, cone.bottom + 1, top + 1, work_cap)
     out = {}
     r_prev = 0
     for k in range(cone.bottom, max(rawS.top, rawT.top) + 1):

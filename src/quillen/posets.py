@@ -117,23 +117,22 @@ class Poset:
         return sub, ids
 
     def chain_counts(self):
-        """Number of chains per dimension (dim d = chains with d+1 elements)."""
+        """Number of chains per dimension (dim d = chains with d+1 elements).
+
+        Counts chains by their least element: the chains of d+2 elements
+        starting at z number the sum, over the w above z, of the chains of
+        d+1 elements starting at w.  Each element's ids above are read off
+        its bitset once, and every level sums over those lists.
+        """
         if "chain_counts" in self._cache:
             return self._cache["chain_counts"]
-        down = self.down
+        above = [list(iter_bits(m)) for m in self.up]
         counts = []
         level = [1] * self.n
         while any(level):
             counts.append(sum(level))
-            nxt = [0] * self.n
-            for z in range(self.n):
-                if not down[z]:
-                    continue
-                s = 0
-                for w in iter_bits(down[z]):
-                    s += level[w]
-                nxt[z] = s
-            level = nxt
+            get = level.__getitem__
+            level = [sum(map(get, ids)) for ids in above]
         self._cache["chain_counts"] = counts
         return counts
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quillen.errors import MatrixCapExceeded, NotACover
-from quillen.homology import RawComplex, betti_of_poset, induced_map, \
-    kunneth_check, mv_rank_audit, sparse_rank
-from quillen.posets import Poset, PosetMap, join_posets, make_map, \
-    order_complex
+from quillen.homology import RawComplex, _rank_profile, betti_of_poset, \
+    chain_map_from_poset_map, induced_map, kunneth_check, mapping_cone, \
+    mv_rank_audit, sparse_rank
+from quillen.posets import Poset, PosetMap, SimplicialComplex, join_posets, \
+    make_map, order_complex
 from quillen.pposets import ap_poset, bouc_poset
 
 from conftest import bundled
@@ -154,9 +156,10 @@ def test_dd_zero_and_euler(ap2_sym5):
 def test_sparse_rank_small():
     # rank of [[1,2],[2,4]] is 1, exactly
     cols = [[(0, 1), (1, 2)], [(0, 2), (1, 4)]]
-    assert sparse_rank(cols) == 1
+    assert sparse_rank(cols)[0] == 1
     cols = [[(0, 1)], [(1, 1)]]
-    assert sparse_rank(cols) == 2
+    rank, rows = sparse_rank(cols)
+    assert rank == 2 and sorted(rows) == [0, 1]
 
 
 def dense_columns(m):
@@ -172,7 +175,7 @@ def dense_columns(m):
 def test_sparse_rank_without_unit_pivots(m, rank):
     # no entry is a unit, so coreduction cannot pivot and every step runs
     # in fraction-free Bareiss mode
-    assert sparse_rank(dense_columns(m)) == rank
+    assert sparse_rank(dense_columns(m))[0] == rank
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,7 +184,70 @@ def test_sparse_rank_without_unit_pivots(m, rank):
     min_size=1, max_size=8)), st.sampled_from((1, 2, 3, 6)))
 def test_sparse_rank_matches_dense_fractions(rows, scale):
     m = [[scale * v for v in row] for row in rows]
-    assert sparse_rank(dense_columns(m)) == dense_rank(list(zip(*m)), len(m))
+    rank, pivots = sparse_rank(dense_columns(m))
+    assert rank == dense_rank(list(zip(*m)), len(m))
+    # the pivot rows R of any elimination index a nonsingular minor: the
+    # rows R alone have rank |R| = rank, which is what clearing relies on
+    assert len(set(pivots)) == len(pivots) == rank
+    minor = [m[i] for i in pivots]
+    assert dense_rank(list(zip(*minor)), len(minor)) == rank
+
+
+def dense_boundary(raw, k):
+    """The columns of ∂_k of a raw complex as dense vectors."""
+    out = []
+    for col in raw.columns(k):
+        v = [0] * raw.count(k - 1)
+        for i, x in col:
+            v[i] += x
+        out.append(v)
+    return out
+
+
+def oracle_profile(raw, lo, hi):
+    """Per-degree boundary ranks of a raw complex, from dense Fractions."""
+    return {k: dense_rank(dense_boundary(raw, k), raw.count(k - 1))
+            for k in range(lo, hi + 1)}
+
+
+@st.composite
+def small_complexes(draw):
+    """The simplicial complex generated by a few random facets."""
+    n = draw(st.integers(0, 7))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=4), max_size=8)) if n else []
+    faces = set()
+    for f in facets:
+        f = tuple(sorted(f))
+        for r in range(1, len(f) + 1):
+            faces.update(itertools.combinations(f, r))
+    top = max(map(len, faces), default=0)
+    return SimplicialComplex([sorted(s for s in faces if len(s) == d + 1)
+                              for d in range(top)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_cleared_profile_matches_oracle_on_complexes(K):
+    raw = RawComplex.from_simplicial(K)
+    for k in range(raw.top + 1):
+        rank, pivots = sparse_rank(raw.columns(k))
+        assert len(set(pivots)) == len(pivots) == rank
+        minor = [[col[i] for i in pivots] for col in dense_boundary(raw, k)]
+        assert dense_rank(minor, rank) == rank
+    assert _rank_profile(raw, 0, raw.top, 10 ** 6) == oracle_profile(
+        raw, 0, raw.top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subposet_inclusions())
+def test_cleared_profile_matches_oracle_on_cones(f):
+    KS, KT = order_complex(f.source), order_complex(f.target)
+    cone = mapping_cone(RawComplex.from_simplicial(KS),
+                        RawComplex.from_simplicial(KT),
+                        chain_map_from_poset_map(f.table, KS, KT))
+    lo, hi = cone.bottom + 1, cone.top + 1
+    assert _rank_profile(cone, lo, hi, 10 ** 6) == oracle_profile(cone, lo, hi)
 
 
 def test_work_cap():
@@ -263,27 +329,42 @@ def test_self_checks_survive_python_O():
             sys.exit("the closure check accepted a family missing a member")
         except IndexOutOfRange:
             pass
-        # a rank routine that miscounts must trip the Betti checks
+        # a rank routine that miscounts must trip a check: here its pivot
+        # rows outnumber the rank it claims
         import quillen.homology as hom
         from quillen.posets import SimplicialComplex
         exact_rank = hom.sparse_rank
         def low(columns, work_cap=hom.DEFAULT_WORK_CAP):
-            r = exact_rank(columns, work_cap)
-            return r - 3 if len(columns) > 50 else r
+            r, rows = exact_rank(columns, work_cap)
+            return (r - 3, rows) if len(columns) > 50 else (r, rows)
         hom.sparse_rank = low
         try:
             hom.betti_of_poset(ap_poset(load_group("alt6").group.full(), 2))
             sys.exit("betti_of_poset accepted ranks 3 too small")
         except InvariantViolated:
             pass
+        # and here its pivot rows agree with a count above the shape
         def high_on_edges(columns, work_cap=hom.DEFAULT_WORK_CAP):
-            r = exact_rank(columns, work_cap)
-            return r + 1 if columns and len(columns[0]) == 2 else r
+            r, rows = exact_rank(columns, work_cap)
+            if not (columns and len(columns[0]) == 2):
+                return r, rows
+            spare = next(i for i in range(len(rows) + 1) if i not in rows)
+            return r + 1, rows + [spare]
         hom.sparse_rank = high_on_edges
         path = SimplicialComplex([[(0,), (1,), (2,)], [(0, 1), (1, 2)]])
         try:
             hom.betti_of_complex(path)
             sys.exit("betti_of_complex accepted a boundary rank 1 too big")
+        except InvariantViolated:
+            pass
+        # clearing trusts the pivot rows: a repeated one must raise
+        def repeated_row(columns, work_cap=hom.DEFAULT_WORK_CAP):
+            r, rows = exact_rank(columns, work_cap)
+            return (r, rows[:-1] + rows[:1]) if r > 1 else (r, rows)
+        hom.sparse_rank = repeated_row
+        try:
+            hom.betti_of_complex(path)
+            sys.exit("betti_of_complex accepted a repeated pivot row")
         except InvariantViolated:
             pass
         hom.sparse_rank = exact_rank
