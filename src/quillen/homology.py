@@ -2,10 +2,12 @@
 
 All homology here is reduced and over Q, computed from integer boundary
 matrices with exact arithmetic (no floating point anywhere).  Ranks come
-from a sparse elimination that first runs a coreduction pass (repeatedly
-consuming rows and columns with a single unit entry, which creates no
-fill), then falls back to fraction-free Bareiss elimination with
-Markowitz-style pivoting.  The elimination returns its pivot rows too.
+from one sparse integer elimination: a coreduction pass pivots every row
+whose only entry is ±1 (no fill), then Markowitz pivoting takes the
+shortest column, pivots on its first unit in row-length order (its
+smallest entry if it has none) and updates only the columns meeting the
+pivot row, each by an invertible integer column operation.  The
+elimination returns its pivot rows too.
 
 Every rank profile, of a complex or of a mapping cone, runs top-down with
 clearing (Chen and Kerber, "Persistent homology computation with a
@@ -20,21 +22,22 @@ injective and surjective are all decided by those ranks.  The test suite
 checks them against a dense Fraction reference on small maps.
 
 Self-checks raise InvariantViolated, so they also run under
-``python -O``: d∘d = 0, exact division, pivot rows distinct, in range and
-one per unit of rank, boundary ranks within their matrix shape,
-nonnegative Betti numbers (b̃_{-1} = 1 exactly for the empty complex),
-the Euler characteristic across the core collapse and the cone-rank
-range.  None of them proves a rank right: an undercount that keeps every
-number in range passes.
+``python -O``: d∘d = 0, pivot rows distinct, in range and one per unit
+of rank, boundary ranks within their matrix shape, nonnegative Betti
+numbers (b̃_{-1} = 1 exactly for the empty complex), the Euler
+characteristic across the core collapse and the cone-rank range.  None
+of them proves a rank right: an undercount that keeps every number in
+range passes.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolated, MatrixCapExceeded, NotACover
-from .posets import order_complex
+from .posets import beat_point_core, join_posets, order_complex
 
 DEFAULT_WORK_CAP = 400_000_000
 
@@ -124,12 +127,19 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
     """Rank over Q of an integer matrix given as columns of (row, val),
     with the rows of its pivots: returns (rank, pivot_rows).
 
-    Unit coreduction first (no fill), then fraction-free elimination with
-    pivots chosen greedily by fill cost, preferring unit entries.  Each
-    pivot's row leaves the matrix, so the pivot rows are distinct, one per
-    unit of rank, and index a nonsingular minor whatever pivot rule picked
-    them: the rows R of the matrix alone have rank |R|.
-    Raises MatrixCapExceeded when the update count passes work_cap.
+    One elimination.  Coreduction first: a row whose only entry is ±1 is
+    a pivot, and its column leaves the matrix with no fill.  Then
+    Markowitz pivoting: take the shortest live column and pivot on its
+    entry minimising (|v|, row length, row), so on the first unit in
+    row-length order when it has one.  Only the columns meeting the
+    pivot row change, each by col <- a*col - b*pcol with g = gcd(pval, f),
+    a = |pval|/g > 0 and b = ±f/g, which clears the pivot row; a column
+    scaled by a > 1 is divided by the gcd of its entries.  Every update
+    is an invertible column operation over Q, so the rank is exact.
+    Each pivot's row leaves the matrix, so the pivot rows are distinct,
+    one per unit of rank, and index a nonsingular minor: the rows R of
+    the matrix alone have rank |R|.  Raises MatrixCapExceeded when the
+    entry updates, scalings included, pass work_cap.
     """
     cols = {}
     rows = {}
@@ -146,188 +156,79 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
     pivots = []
     work = 0
 
-    col_q = [j for j, d in cols.items() if len(d) == 1]
-    row_q = [i for i, s in rows.items() if len(s) == 1]
-
-    def drop_row(i):
-        # delete row i outright (used when its unit entry was the pivot)
-        for j in rows[i]:
-            d = cols[j]
-            del d[i]
-            if not d:
-                del cols[j]
-            elif len(d) == 1:
-                col_q.append(j)
-        del rows[i]
-
-    def drop_col(j):
-        for i in cols[j]:
-            s = rows[i]
-            s.discard(j)
-            if not s:
-                del rows[i]
-            elif len(s) == 1:
-                row_q.append(i)
-        del cols[j]
-
-    while col_q or row_q:
-        while col_q:
-            j = col_q.pop()
-            if j not in cols or len(cols[j]) != 1:
-                continue
-            i, v = next(iter(cols[j].items()))
-            if v not in (1, -1):
-                continue
-            # pivot (i, j): the column has only this entry, so eliminating
-            # clears row i from every other column with no fill
-            pivots.append(i)
-            rows[i].discard(j)
-            del cols[j]
-            drop_row(i)
-        while row_q:
-            i = row_q.pop()
-            if i not in rows or len(rows[i]) != 1:
-                continue
-            j = next(iter(rows[i]))
-            if cols[j].get(i) not in (1, -1):
-                continue
-            pivots.append(i)
-            del cols[j][i]
+    def unlink(i, j):
+        # drop column j from row i's set, and row i once it is empty
+        s = rows[i]
+        s.discard(j)
+        if not s:
             del rows[i]
-            if not cols[j]:
-                del cols[j]
-            else:
-                drop_col(j)
+        return s
 
-    # phase B: elimination on what remains.  While every pivot is a unit,
-    # plain integer row reduction suffices (no divisions, no global
-    # scaling).  The first non-unit pivot switches to fraction-free
-    # Bareiss mode, which must update every column each step.
-    prev_piv = 1
-    bareiss = False
+    # coreduction: pivot on a row singleton ±1 and drop its column
+    row_q = [i for i, s in rows.items() if len(s) == 1]
+    while row_q:
+        i = row_q.pop()
+        if i not in rows or len(rows[i]) != 1:
+            continue
+        j = next(iter(rows[i]))
+        if cols[j].get(i) not in (1, -1):
+            continue
+        pivots.append(i)
+        for r in cols.pop(j):
+            if len(unlink(r, j)) == 1:
+                row_q.append(r)
+
+    # elimination: shortest live column first.  Every live column has a
+    # heap entry; stale ones (column gone, length changed) are skipped or
+    # re-pushed
     heap = [(len(d), j) for j, d in cols.items()]
     heapq.heapify(heap)
-
-    def pick_pivot():
-        stash = []
-        found = None
-        while heap:
-            ln, j = heapq.heappop(heap)
-            d = cols.get(j)
-            if d is None:
-                continue
-            if len(d) != ln:
-                heapq.heappush(heap, (len(d), j))
-                continue
-            best = None
-            for i in sorted(d, key=lambda i: (len(rows[i]), i)):
-                if abs(d[i]) == 1:
-                    best = i
-                    break
-            if best is None:
-                stash.append((ln, j))
-                continue
-            found = (best, j)
-            break
-        for item in stash:
-            heapq.heappush(heap, item)
-        if found:
-            return found
-        # no unit entry anywhere: take the smallest entry by magnitude
-        best = None
-        for j in sorted(cols):
-            for i in sorted(cols[j]):
-                v = abs(cols[j][i])
-                key = (v, len(cols[j]), len(rows[i]), j, i)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        return (best[1], best[2]) if best else None
-
     while cols:
-        picked = pick_pivot()
-        if picked is None:
-            break
-        pi, pj = picked
-        pcol = cols.pop(pj)
-        pval = pcol[pi]
+        ln, pj = heapq.heappop(heap)
+        pcol = cols.get(pj)
+        if pcol is None:
+            continue
+        if len(pcol) != ln:
+            heapq.heappush(heap, (len(pcol), pj))
+            continue
+        pi = min(pcol, key=lambda i: (abs(pcol[i]), len(rows[i]), i))
+        del cols[pj]
         for i in pcol:
-            s = rows.get(i)
-            if s is not None:
-                s.discard(pj)
-                if not s:
-                    del rows[i]
-        piv_row_cols = rows.pop(pi, set())
-        if not bareiss and pval not in (1, -1):
-            bareiss = True
-            prev_piv = 1
-        if not bareiss:
-            # unit pivot, plain mode: col_j -= (factor / pval) * pcol
-            for j in sorted(piv_row_cols):
-                d = cols.get(j)
-                if d is None:
-                    continue
-                factor = d.pop(pi, 0) * pval
-                for i in pcol:
-                    if i == pi:
-                        continue
-                    old = d.get(i, 0)
-                    nv = old - factor * pcol[i]
-                    work += 1
-                    if nv:
-                        if not old:
-                            rows.setdefault(i, set()).add(j)
-                        d[i] = nv
-                    elif old:
-                        del d[i]
-                        s = rows.get(i)
-                        if s is not None:
-                            s.discard(j)
-                            if not s:
-                                del rows[i]
-                if not d:
-                    del cols[j]
-                else:
-                    heapq.heappush(heap, (len(d), j))
-                if work > work_cap:
-                    raise MatrixCapExceeded(
-                        f"elimination work exceeded {work_cap}")
-        else:
-            # fraction-free mode: every column is updated each step
-            for j in sorted(cols):
-                d = cols[j]
-                factor = d.pop(pi, 0)
-                support = set(d) | set(pcol) if factor else set(d)
-                support.discard(pi)
-                for i in support:
-                    old = d.get(i, 0)
-                    nv = pval * old - factor * pcol.get(i, 0)
-                    if prev_piv == -1:
-                        nv = -nv
-                    elif prev_piv != 1:
-                        nv, r = divmod(nv, prev_piv)
-                        if r:
-                            raise InvariantViolated(
-                                "fraction-free division failed")
-                    work += 1
-                    if nv:
-                        if not old:
-                            rows.setdefault(i, set()).add(j)
-                        d[i] = nv
-                    elif old:
-                        del d[i]
-                        s = rows.get(i)
-                        if s is not None:
-                            s.discard(j)
-                            if not s:
-                                del rows[i]
-                if not d:
-                    del cols[j]
-                else:
-                    heapq.heappush(heap, (len(d), j))
-                if work > work_cap:
-                    raise MatrixCapExceeded(
-                        f"elimination work exceeded {work_cap}")
-            prev_piv = pval
+            unlink(i, pj)
+        pval = pcol.pop(pi)
+        sign, apv = (1, pval) if pval > 0 else (-1, -pval)
+        for j in rows.pop(pi, ()):
+            d = cols[j]
+            f = d.pop(pi)
+            g = math.gcd(apv, f)
+            a = apv // g
+            b = sign * f // g
+            if a != 1:
+                for i in d:
+                    d[i] *= a
+                work += len(d)
+            for i, pv in pcol.items():
+                old = d.get(i, 0)
+                nv = old - b * pv
+                work += 1
+                if nv:
+                    if not old:
+                        rows.setdefault(i, set()).add(j)
+                    d[i] = nv
+                elif old:
+                    del d[i]
+                    unlink(i, j)
+            if not d:
+                del cols[j]
+            else:
+                if a != 1:
+                    c = math.gcd(*d.values())
+                    for i in d:
+                        d[i] //= c
+                heapq.heappush(heap, (len(d), j))
+            if work > work_cap:
+                raise MatrixCapExceeded(
+                    f"elimination work exceeded {work_cap}")
         pivots.append(pi)
     return len(pivots), pivots
 
@@ -454,7 +355,6 @@ def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP, reduce_first=True):
     if key in P._cache:
         return P._cache[key]
     if reduce_first:
-        from .posets import beat_point_core
         core, _, _ = beat_point_core(P)
         K = order_complex(core)
     else:
@@ -641,7 +541,6 @@ def kunneth_check(P, Q, work_cap=DEFAULT_WORK_CAP):
     """b̃_n(join) = sum_{i+j=n-1} b̃_i(P) b̃_j(Q), checked exactly.
 
     The degree -1 convention makes this cover empty factors too."""
-    from .posets import join_posets
     bP = betti_of_poset(P, work_cap=work_cap)
     bQ = betti_of_poset(Q, work_cap=work_cap)
     bJ = betti_of_poset(join_posets([P, Q]), work_cap=work_cap)

@@ -173,9 +173,36 @@ def dense_columns(m):
     ([[3, 6, 9], [6, 3, 0], [9, 0, 3]], 3),
 ])
 def test_sparse_rank_without_unit_pivots(m, rank):
-    # no entry is a unit, so coreduction cannot pivot and every step runs
-    # in fraction-free Bareiss mode
+    # no entry is a unit, so coreduction cannot pivot and the elimination
+    # starts on a non-unit pivot: col <- a*col - b*pcol with a = |pval|/g
     assert sparse_rank(dense_columns(m))[0] == rank
+
+
+def test_sparse_rank_block_diagonal_updates_only_its_block():
+    # 200 copies of [[2, 4], [6, 8]] on the diagonal: each pivot updates
+    # the one other column of its block, so the work is linear in blocks
+    cols = []
+    for b in range(200):
+        cols += [[(2 * b, 2), (2 * b + 1, 6)], [(2 * b, 4), (2 * b + 1, 8)]]
+    rank, pivots = sparse_rank(cols, work_cap=2_000)
+    assert rank == 400 and sorted(pivots) == list(range(400))
+    with pytest.raises(MatrixCapExceeded):
+        sparse_rank(cols, work_cap=10)
+
+
+def test_sparse_rank_dense_without_units_matches_oracle():
+    # hundreds of scaled updates and content divisions on one seeded matrix;
+    # the hypothesis cases below stop at 8 x 8.  The last five columns are
+    # 2a + 4b of earlier columns a, b, so the rank is 35, not 40
+    rng = np.random.default_rng(10)
+    m = rng.choice([2, -2, 3, -3, 4, -4, 5, -7], size=(40, 40))
+    m[:, 35:] = 2 * m[:, :5] + 4 * m[:, 5:10]
+    m = m.tolist()
+    rank, pivots = sparse_rank(dense_columns(m))
+    assert rank == dense_rank(list(zip(*m)), len(m)) == 35
+    assert len(set(pivots)) == len(pivots) == rank
+    minor = [m[i] for i in pivots]
+    assert dense_rank(list(zip(*minor)), len(minor)) == rank
 
 
 @settings(max_examples=300, deadline=None)
