@@ -365,9 +365,8 @@ def cmd_hqc(cfg):
 
 def cmd_reproduce_paper(cfg):
     from .acceptance import run_all
-    ok, lines = run_all()
-    result = {"all_pass": ok, "lines": lines}
-    return result, lines
+    ok, lines, timed_lines = run_all()
+    return {"all_pass": ok, "lines": lines}, timed_lines
 
 
 HANDLERS = {

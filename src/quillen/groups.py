@@ -18,14 +18,24 @@ The hot set work runs in bulk rather than element by element in Python:
     void view of the rows, one list of keys, one map over the dict) and
     raises NotAnElement for a row outside the group;
   * close_indices grows a subgroup a BFS level at a time, one
-    lookup_rows per generator per level, from the identity or from the
-    members already known;
+    lookup_rows per generator per level, from the identity or from a
+    subgroup already known, whose right cosets it then adds whole;
   * Subgroup.contains_indices (binary search in the sorted member array)
     is the one membership test; intersections and meets are member
-    arrays filtered by it.
+    arrays filtered by it;
+  * normalizer and centralizer test one element of the target at a time
+    against the survivors of the last, and normalizes answers "is it
+    normal" from generators alone.
+
+Components come from normal closures of class representatives: the
+minimal normal subgroups are the minimal closures of the prime-order
+classes, and simplicity and quasisimplicity are read off the closures
+of the prime-order and the noncentral classes.  No production route
+builds the lattice of normal subgroups; normal_subgroups is a library
+function.
 
 The cache rule: data derived from a subgroup (Sylow subgroups, p-cores,
-classes, normal subgroups, components, a generating set, elementary
+classes, class closures, components, a generating set, elementary
 abelian subgroups and the posets built from them) lives in one table on
 the parent group, keyed by Subgroup.key, so equal subgroups reached by
 different routes share it.  Subgroup._cache is that table's entry,
@@ -216,24 +226,35 @@ def _gens_tuple(gen_indices):
 def close_indices(group, gen_indices, start=None):
     """Member indices of start * <gen_indices>, ascending.
 
-    start is a member array holding the identity (default: the identity
-    alone, which gives the subgroup generated by gen_indices).  BFS by
-    whole levels from start: each level is the frontier times every
-    generator, looked up in one batch per generator, less the members
-    already found.
+    start is the member array of a subgroup K (default: the identity
+    alone, which gives the subgroup generated by gen_indices).  The result
+    is a union of right cosets K y, so the BFS runs over cosets a level at
+    a time: one representative of each new coset times every generator,
+    looked up in one batch per generator.  The products outside the
+    members found so far bring in their cosets K y whole, in one more
+    batch, and one product per new coset represents it at the next level.
     """
-    frontier = np.zeros(1, dtype=np.int64) if start is None else start
+    K = np.zeros(1, dtype=np.int64) if start is None else start
     member = np.zeros(group.order, dtype=bool)
-    member[frontier] = True
+    member[K] = True
     grows = [group.perms[g] for g in gen_indices if g != 0]
+    frontier = np.zeros(1, dtype=np.int64)
     while frontier.size and grows:
         P = group.perms[frontier]
         new = np.zeros(group.order, dtype=bool)
         for g in grows:
             new[group.lookup_rows(P[:, g])] = True
-        new &= ~member
-        member |= new
-        frontier = np.flatnonzero(new)
+        frontier = np.flatnonzero(new & ~member)
+        if K.size > 1 and frontier.size:
+            # cosets[i, j] is the index of K[i] * frontier[j]
+            cosets = group.lookup_rows(
+                group.perms[K][:, group.perms[frontier]].reshape(
+                    -1, group.degree)).reshape(K.size, -1)
+            _, first = np.unique(cosets.min(axis=0), return_index=True)
+            frontier = frontier[first]
+            member[cosets.ravel()] = True
+        else:
+            member[frontier] = True
     return np.flatnonzero(member)
 
 
@@ -350,7 +371,12 @@ def require_contained(ambient, sub):
 
 
 def centralizer(ambient, target):
-    """C_ambient(target) as a Subgroup.  target: Subgroup or element indices."""
+    """C_ambient(target) as a Subgroup.  target: Subgroup or element indices.
+
+    One element of target (a generator, or an index) at a time, the
+    candidates shrink to those that commute with it, so later elements
+    are tested against the survivors only.
+    """
     ambient = as_subgroup(ambient)
     G = ambient.group
     if isinstance(target, Subgroup):
@@ -360,12 +386,11 @@ def centralizer(ambient, target):
     else:
         tgens = [int(t) for t in np.atleast_1d(np.asarray(target, dtype=np.int64))]
     cand = ambient.midx
-    P = G.perms[cand]
-    mask = np.ones(cand.size, dtype=bool)
     for t in tgens:
         trow = G.perms[t]
-        mask &= np.all(P[:, trow] == trow[P], axis=1)
-    return Subgroup(G, cand[mask])
+        P = G.perms[cand]
+        cand = cand[np.all(P[:, trow] == trow[P], axis=1)]
+    return Subgroup(G, cand)
 
 
 def normalizer(ambient, target):
@@ -387,6 +412,15 @@ def normalizer(ambient, target):
         conj = np.take_along_axis(P[:, G.perms[t]], Pinv, axis=1)  # g t g^-1
         cand = cand[target.contains_indices(G.lookup_rows(conj))]
     return Subgroup(G, cand)
+
+
+def normalizes(actor, target):
+    """Whether actor normalizes target: each generator of actor conjugates
+    each generator of target into target."""
+    G = target.group
+    tgens = target.generating_set()
+    return all(np.all(target.contains_indices(G.conj_batch(a, tgens)))
+               for a in actor.generating_set())
 
 
 def subgroup_product(a, b):
@@ -416,28 +450,48 @@ def derived_subgroup(sub):
     return normal_closure(sub, sorted(comms))
 
 
+def _adjoin(K, bfs, elements):
+    """<K, elements> for K = <bfs>: each element outside the current K
+    joins bfs, and K grows from its members under bfs."""
+    G = K.group
+    for x in elements:
+        if not K.contains_indices([x])[0]:
+            bfs.append(x)
+            K = Subgroup(G, close_indices(G, bfs, start=K.midx))
+    return K
+
+
 def normal_closure(ambient, seed_indices):
     """Smallest subgroup of ambient containing the seeds and normal in ambient.
 
-    While some ambient generator conjugates K outside itself, up to three
-    of those conjugates join the seeds and K grows from its members.
+    While some ambient generator conjugates K outside itself, the first
+    three conjugates of K's members that fall outside join the returned
+    generators.  K itself grows under a BFS generating set kept apart
+    from those: an element joins it only if it lies outside K.  A
+    generator g moves K = <bfs> iff it moves some element of bfs out of
+    K, so only then are all of K's members conjugated.  Once |K| =
+    |ambient|, K is the ambient (Lagrange) and the loop stops.
     """
     ambient = as_subgroup(ambient)
     G = ambient.group
     gens = list(dict.fromkeys(int(s) for s in seed_indices if s != 0))
-    K = Subgroup(G, close_indices(G, gens))
+    bfs = []
+    K = _adjoin(Subgroup(G, np.zeros(1, dtype=np.int64)), bfs, gens)
     agens = ambient.generating_set()
-    while True:
+    grew = True
+    while grew and K.order < ambient.order:
         grew = False
         for g in agens:
+            if K.contains_indices(G.conj_batch(g, bfs)).all():
+                continue
             conj = G.conj_batch(g, K.midx)
-            outside = conj[~K.contains_indices(conj)]
-            if outside.size:
-                gens.extend(int(x) for x in outside[:3])
-                K = Subgroup(G, close_indices(G, gens, start=K.midx))
-                grew = True
-        if not grew:
-            return Subgroup(G, K.midx, gens=tuple(gens) if gens else (0,))
+            new = conj[~K.contains_indices(conj)][:3].tolist()
+            gens.extend(new)
+            K = _adjoin(K, bfs, new)
+            grew = True
+            if K.order == ambient.order:
+                break
+    return Subgroup(G, K.midx, gens=tuple(gens) if gens else (0,))
 
 
 # -- conjugacy classes and normal subgroups -----------------------------------
@@ -483,13 +537,35 @@ def conjugacy_classes(sub):
     return sub._cache["classes"]
 
 
+def _class_closure(sub, x):
+    """normal_closure(sub, [x]), cached on sub (so keyed by its identity).
+
+    The one closure that minimal_normal_subgroups, is_simple and
+    is_quasisimple share, for x a class representative of sub.
+    """
+    sub = as_subgroup(sub)
+    key = ("closure", int(x))
+    if key not in sub._cache:
+        sub._cache[key] = normal_closure(sub, [int(x)])
+    return sub._cache[key]
+
+
+def _prime_order_reps(sub):
+    """Representatives (smallest members) of sub's classes of prime order."""
+    orders = sub.group.element_orders()
+    return [int(c[0]) for c in conjugacy_classes(sub)
+            if _prime_divisors(int(orders[c[0]])) == [int(orders[c[0]])]]
+
+
 def normal_subgroups(sub):
     """All normal subgroups, as the lattice generated by class closures.
 
-    Every normal subgroup is a join of normal closures of the conjugacy
-    classes it contains, so closing the class closures under pairwise
-    product yields the full set.  A pair where one contains the other
-    joins to a subgroup already found and is skipped.  Otherwise the
+    A library function: the component layer reads minimal normal
+    subgroups and simplicity off class closures alone and never builds
+    this lattice.  Every normal subgroup is a join of normal closures of
+    the conjugacy classes it contains, so closing the class closures under
+    pairwise product yields the full set.  A pair where one contains the
+    other joins to a subgroup already found and is skipped.  Otherwise the
     join of A and B is the set AB, which is a subgroup only because both
     are normal: A's members are grown under B's generators alone.
     """
@@ -500,10 +576,8 @@ def normal_subgroups(sub):
     found = {}
     triv = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
     found[triv.key] = triv
-    for cls in conjugacy_classes(sub):
-        if cls.size == 1 and cls[0] == 0:
-            continue
-        N = normal_closure(sub, [int(cls[0])])
+    for cls in conjugacy_classes(sub)[1:]:
+        N = _class_closure(sub, cls[0])
         found.setdefault(N.key, N)
     # close under join
     worklist = list(found.values())
@@ -523,17 +597,35 @@ def normal_subgroups(sub):
 
 
 def minimal_normal_subgroups(sub):
-    normals = [N for N in normal_subgroups(sub) if N.order > 1]
-    out = []
-    for N in normals:
-        if not any(M.order < N.order and M.is_subset_of(N) for M in normals):
-            out.append(N)
-    return out
+    """The minimal normal subgroups of sub, sorted by (order, key).
+
+    A minimal normal subgroup is the normal closure of any of its
+    nontrivial elements, and every normal closure of a prime-order element
+    contains one, so they are the minimal members among the closures of
+    the prime-order class representatives.  Each M is returned as the
+    closure of its smallest nontrivial member M.midx[1], the first class
+    inside M, so its generators are those the lattice reaches it by.
+    """
+    sub = as_subgroup(sub)
+    closures = {}
+    for x in _prime_order_reps(sub):
+        N = _class_closure(sub, x)
+        closures.setdefault(N.key, N)
+    normals = sorted(closures.values(), key=lambda s: (s.order, s.key))
+    return [_class_closure(sub, N.midx[1]) for N in normals
+            if not any(M.order < N.order and M.is_subset_of(N)
+                       for M in normals)]
 
 
 def is_simple(sub):
+    """Every prime-order class closes to sub; stops at the first that does not.
+
+    A proper nontrivial normal subgroup would hold an element of prime
+    order whose closure stays inside it.
+    """
     sub = as_subgroup(sub)
-    return sub.order > 1 and len(normal_subgroups(sub)) == 2
+    return sub.order > 1 and all(_class_closure(sub, x).order == sub.order
+                                 for x in _prime_order_reps(sub))
 
 
 # -- Sylow subgroups and p-cores ------------------------------------------------
@@ -647,11 +739,10 @@ class ConjugationAction:
         G = actor.group
         if target.group is not G:
             raise ParentMismatch("action across different groups")
-        N = normalizer(actor, target)
-        if N.order != actor.order:
+        if not normalizes(actor, target):
             raise ActorDoesNotNormalize(
                 f"actor (order {actor.order}) does not normalize target "
-                f"(normalizer has order {N.order})")
+                f"(normalizer has order {normalizer(actor, target).order})")
         self.actor = actor
         self.target = target
         self.kernel = centralizer(actor, target)
@@ -705,20 +796,16 @@ def conjugation_action(actor, target):
 
 
 def is_quasisimple(sub):
-    """Perfect and simple modulo center."""
+    """Perfect, and every noncentral class closes to sub.
+
+    That is simple modulo the center: a normal subgroup not inside Z(sub)
+    holds a noncentral class.  Stops at the first proper closure.
+    """
     sub = as_subgroup(sub)
-    if sub.order == 1:
+    if sub.order == 1 or derived_subgroup(sub).order != sub.order:
         return False
-    if derived_subgroup(sub).order != sub.order:
-        return False
-    Z = center(sub)
-    if Z.order == 1:
-        return is_simple(sub)
-    # simple mod center: every normal subgroup is central or everything
-    for N in normal_subgroups(sub):
-        if N.order != sub.order and not N.is_subset_of(Z):
-            return False
-    return True
+    return all(_class_closure(sub, c[0]).order == sub.order
+               for c in conjugacy_classes(sub) if c.size > 1)
 
 
 def detect_components(group, declared=None):
@@ -750,9 +837,10 @@ def detect_components(group, declared=None):
     if "components" in sub._cache:
         return sub._cache["components"], "detected"
 
-    comps = []
+    comps, primes = [], set()
     for M in minimal_normal_subgroups(sub):
         if M.is_abelian():
+            primes.update(_prime_divisors(M.order))
             continue
         if is_simple(M):
             comps.append(M)
@@ -764,9 +852,11 @@ def detect_components(group, declared=None):
                         "into nonabelian simple factors")
                 comps.append(F)
 
-    # verify: F*(G) = F(G) * (product of components) is self-centralizing
+    # verify: F*(G) = F(G) * (product of components) is self-centralizing.
+    # F(G) is the product of the O_p(G), and O_p(G) > 1 only for the primes
+    # above: a minimal normal subgroup inside O_p(G) is an abelian p-group.
     fit_gens = []
-    for p in _prime_divisors(sub.order):
+    for p in sorted(primes):
         Op = p_core(sub, p)
         fit_gens.extend(Op.generating_set())
     for c in comps:

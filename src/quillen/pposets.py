@@ -37,6 +37,7 @@ from .groups import (
     detect_components,
     elementary_abelian_subgroups,
     normalizer,
+    normalizes,
     p_core,
     require_contained,
     subgroup_product,
@@ -516,7 +517,7 @@ class OrbitContext:
                 raise ComponentsUndetectable(
                     "a component does not centralize the later components")
         for S in (self.H, self.N, C[0]):
-            if normalizer(self.G, S).order != self.G.order:
+            if not normalizes(self.G, S):
                 raise ComponentsUndetectable(
                     "H, N or C_G(N) is not normal; orbit is incomplete")
 

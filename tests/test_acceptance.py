@@ -10,7 +10,7 @@ from quillen.acceptance import CRITERIA, run_all
 
 @pytest.mark.parametrize("num", [c[0] for c in CRITERIA])
 def test_criterion(num, capsys):
-    ok, lines = run_all(selected=[num])
+    ok, _, timed_lines = run_all(selected=[num])
     with capsys.disabled():
-        print(lines[0])
-    assert ok, lines[0]
+        print(timed_lines[0])
+    assert ok, timed_lines[0]

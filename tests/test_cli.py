@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from quillen import acceptance
 from quillen.cli import main
 
 
@@ -138,3 +140,36 @@ def test_enum_cap_is_honoured(capsys, command):
     assert code == 2
     assert out == ""
     assert "exceeds cap" in err
+
+
+def test_reproduce_paper_structured_is_byte_reproducible(capsys, monkeypatch):
+    # criterion 1 alone, timed by a clock that differs from run to run
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] == 1])
+
+    def reproduce(*ticks, fmt="structured"):
+        clock = iter(ticks)
+        monkeypatch.setattr(acceptance, "time",
+                            SimpleNamespace(time=lambda: next(clock)))
+        return run_cli(capsys, "reproduce-paper", "--format", fmt)
+
+    code1, out1, _ = reproduce(0.0, 0.3)
+    code2, out2, _ = reproduce(50.0, 50.9)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["result"]["lines"][0].startswith(
+        "criterion  1 PASS 5 components")
+    # the text format keeps the seconds
+    _, text1, _ = reproduce(0.0, 0.3, fmt="text")
+    _, text2, _ = reproduce(50.0, 50.9, fmt="text")
+    assert "(    0.3s)" in text1 and "(    0.9s)" in text2
+    # a criterion over its budget (1 s) still fails, in both formats
+    code, out, _ = reproduce(0.0, 2.5)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["result"]["all_pass"] is False
+    assert doc["result"]["lines"][0].startswith("criterion  1 FAIL")
+    assert doc["result"]["lines"][0].endswith("[over budget of 1s]")
+    code, text, _ = reproduce(0.0, 2.5, fmt="text")
+    assert code == 1
+    assert "FAIL (    2.5s)" in text and "[over budget: 2.5s > 1s]" in text

@@ -408,6 +408,17 @@ def test_self_checks_survive_python_O():
         except InvariantViolated:
             pass
         groups.PermGroup.generate = build
+        # declared components that are not quasisimple: one not perfect,
+        # and one perfect but with a proper noncentral normal subgroup
+        from quillen.errors import ComponentsUndetectable
+        a5a5 = load_group("a5xa5-e").group.full()
+        base = groups.subgroup_product(*groups.detect_components(a5a5)[0])
+        for G, declared in [(sym5, sym5), (a5a5, base)]:
+            try:
+                groups.detect_components(G, declared=[declared])
+                sys.exit(f"declared order {declared.order} passed as quasisimple")
+            except ComponentsUndetectable:
+                pass
         print("ok", sys.flags.optimize)
     """)
     src = Path(__file__).resolve().parents[1] / "src"
