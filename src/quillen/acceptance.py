@@ -15,12 +15,11 @@ from .errors import ComponentsUndetectable
 from .groups import centralizer, detect_components, subgroup_product, \
     sylow_subgroup
 from .gspec import BUNDLED, bundled_group, load_group
-from .homology import RawComplex, betti_of_poset, kunneth_check
-from .posets import beat_point_core, order_complex
+from .homology import RawComplex, _core, betti_of_poset, induced_map, \
+    kunneth_check
+from .posets import fixed_subposet, make_map, order_complex
 from .pposets import OrbitContext, ap_poset, bouc_poset, conj_action_tables, \
     decomposition, diagonal_poset, off_component_subposet
-from .posets import fixed_subposet, make_map
-from .homology import induced_map
 from . import checkers
 
 CRITERIA = []
@@ -49,7 +48,7 @@ def _tilde(bv, upto):
 def c01():
     P = ap_poset(bundled_group("alt5"), 2)
     bv = betti_of_poset(P)
-    core, _, _ = beat_point_core(P)
+    core = _core(P)[0]
     ok = (_tilde(bv, 1) == (4, 0) and bv.nonzero_degrees() == [0]
           and core.n == 5 and core.height() == 0)
     return ok, (f"betti {_tilde(bv, 1)}, core {core.n} points, "

@@ -41,9 +41,10 @@ from .homology import (
     DEFAULT_WORK_CAP,
     RawComplex,
     betti_of_poset,
+    betti_of_raw,
     chain_map_from_poset_map,
+    cone_rank_profile,
     induced_map,
-    induced_map_from_chain,
 )
 from .pposets import (
     ap_poset,
@@ -112,8 +113,8 @@ def _betti_dict(bv):
     return out
 
 
-def _ranks_dict(report):
-    return {int(k): int(v) for k, v in sorted(report.ranks.items())}
+def _ranks_dict(ranks):
+    return {int(k): int(v) for k, v in sorted(ranks.items())}
 
 
 def betti_ap(sub, p, work_cap=DEFAULT_WORK_CAP):
@@ -124,10 +125,7 @@ def betti_ap(sub, p, work_cap=DEFAULT_WORK_CAP):
 def psi_induced(ctx):
     """Induced map in homology of the full chain projection, cached."""
     if "psi-induced" not in ctx._cache:
-        bAH = betti_of_poset(ctx.ap_H(), work_cap=ctx.work_cap)
-        bX = betti_of_poset(ctx.join().X, work_cap=ctx.work_cap)
-        ctx._cache["psi-induced"] = induced_map(ctx.psi(), bAH, bX,
-                                                work_cap=ctx.work_cap)
+        ctx._cache["psi-induced"] = induced_map(ctx.psi(), ctx.work_cap)
     return ctx._cache["psi-induced"]
 
 
@@ -139,13 +137,15 @@ def phi_induced(ctx, i):
     return ctx._cache[key]
 
 
-def _surjectivity(f, bettiS, bettiT, work_cap):
+def _surjectivity(f, work_cap):
     """(not_surjective, details) for f in homology.
 
     A degree where the source dimension is already below the target
     dimension settles the question without chain-level work; otherwise
     the induced ranks are computed.
     """
+    bettiS = betti_of_poset(f.source, work_cap=work_cap)
+    bettiT = betti_of_poset(f.target, work_cap=work_cap)
     tops = [t for t in (bettiS.top_degree(), bettiT.top_degree())
             if t is not None]
     top = max(tops) if tops else -1
@@ -156,9 +156,9 @@ def _surjectivity(f, bettiS, bettiT, work_cap):
             details["method"] = "dimension count"
             details["witness_degree"] = k
             return True, details
-    report = induced_map(f, bettiS, bettiT, work_cap=work_cap)
+    report = induced_map(f, work_cap=work_cap)
     details["method"] = "induced ranks (cone)"
-    details["ranks"] = _ranks_dict(report)
+    details["ranks"] = _ranks_dict(report.ranks)
     missed = [k for k in range(-1, top + 1)
               if report.rank(k) < bettiT.get(k)]
     if missed:
@@ -242,14 +242,15 @@ def _condition_C(ctx, dec):
 
 def _condition_E(ctx):
     cx = ctx.complexes()
+    X, wc = ctx.join().X, ctx.work_cap
     rawS = RawComplex.from_simplicial(cx.K0)
     rawT = RawComplex.from_simplicial(cx.KX)
     # K0 and KX share X's vertex ids, so the inclusion is the identity
-    colmaps = chain_map_from_poset_map(range(ctx.join().X.n), cx.K0, cx.KX)
-    report = induced_map_from_chain(rawS, rawT, colmaps,
-                                    work_cap=ctx.work_cap)
-    holds = report.is_zero()
-    det = {"ranks": _ranks_dict(report),
+    colmaps = chain_map_from_poset_map(range(X.n), cx.K0, cx.KX)
+    ranks = cone_rank_profile(rawS, rawT, colmaps, betti_of_raw(rawS, wc),
+                              betti_of_poset(X, wc), wc)
+    holds = not any(ranks.values())
+    det = {"ranks": _ranks_dict(ranks),
            "K0_simplices": cx.K0.simplex_counts,
            "KX_simplices": cx.KX.simplex_counts,
            "why": ("inclusion of the chains missing a factor is zero in "
@@ -288,31 +289,26 @@ def check_conditions(ctx, which=None):
                        "Y0": dec.Y0.n, "V0": dec.V0.n}}
     certs = {}
 
-    def surj_cert(tag, f, bS, bT, what):
-        ns, det = _surjectivity(f, bS, bT, ctx.work_cap)
+    def surj_cert(tag, f, what):
+        ns, det = _surjectivity(f, ctx.work_cap)
         det["why"] = (f"{what} is not surjective in homology"
                       if ns else f"{what} is surjective in homology")
         certs[tag] = Certificate(tag, HOLDS if ns else FAILS, det, base)
 
-    if "A" in which or "A'" in which or "B" in which:
-        bAH = betti_of_poset(dec.AH, work_cap=ctx.work_cap)
-        bY0 = betti_of_poset(dec.Y0, work_cap=ctx.work_cap)
     if "A" in which:
-        bY = betti_of_poset(dec.Y, work_cap=ctx.work_cap)
-        surj_cert("A", dec.a, bY0, bY, "inclusion of Y0 into Y")
+        surj_cert("A", dec.a, "inclusion of Y0 into Y")
     if "A'" in which:
-        surj_cert("A'", dec.r0, bY0, bAH,
+        surj_cert("A'", dec.b.compose(dec.r0),
                   "Y0 followed by the meet retraction")
     if "B" in which:
-        bV0 = betti_of_poset(dec.V0, work_cap=ctx.work_cap)
-        surj_cert("B", dec.b, bV0, bAH, "inclusion of V0")
+        surj_cert("B", dec.b, "inclusion of V0")
     if "C" in which:
         ok, det = _condition_C(ctx, dec)
         certs["C"] = Certificate("C", HOLDS if ok else FAILS, det, base)
     if "D" in which:
         rep = psi_induced(ctx)
         nz = rep.nonzero()
-        det = {"ranks": _ranks_dict(rep),
+        det = {"ranks": _ranks_dict(rep.ranks),
                "source_betti": _betti_dict(rep.source_betti),
                "target_betti": _betti_dict(rep.target_betti),
                "why": ("chain projection nonzero in homology" if nz
@@ -389,7 +385,7 @@ def check_thm41(ctx, restrict=None):
         size = sub.n
         label = "restricted"
     holds = report.nonzero()
-    ev = {"ranks": _ranks_dict(report),
+    ev = {"ranks": _ranks_dict(report.ranks),
           "source_betti": _betti_dict(report.source_betti),
           "target_betti": _betti_dict(report.target_betti),
           "subposet": label, "subposet_size": int(size)}
@@ -432,9 +428,7 @@ def check_thm410(ctx, variant="formal"):
         ev["target_betti"] = _betti_dict(bAH)
         ev["why"] = "diagonal poset is the whole poset; inclusion is the identity"
         return Certificate("thm410", FAILS, ev, inputs)
-    bD = betti_of_poset(D, work_cap=ctx.work_cap)
-    bAH = betti_of_poset(AH, work_cap=ctx.work_cap)
-    ns, det = _surjectivity(dmap, bD, bAH, ctx.work_cap)
+    ns, det = _surjectivity(dmap, ctx.work_cap)
     ev.update(det)
     if ns:
         ev["why"] = (f"diagonal inclusion misses homology in degree "
@@ -495,14 +489,13 @@ def check_cor51(ctx, variant="factor", aut=None):
     all_nonzero = True
     for i in range(1, ctx.t + 1):
         f, what = _cor51_component_map(ctx, i, variant, aut)
-        bL = betti_of_poset(ctx.ap_component(i), work_cap=ctx.work_cap)
-        rep = induced_map(f, bettiS=bL, work_cap=ctx.work_cap)
+        rep = induced_map(f, work_cap=ctx.work_cap)
         nz = rep.nonzero()
         all_nonzero = all_nonzero and nz
         per.append({"component": i,
                     "component_order": int(ctx.orbit[i - 1].order),
                     "target": what, "target_size": int(f.target.n),
-                    "ranks": _ranks_dict(rep), "nonzero": nz})
+                    "ranks": _ranks_dict(rep.ranks), "nonzero": nz})
     ev = {"components": per,
           "assumed": "inductive hypotheses on proper subgroups and "
                      "quotients are user-asserted, not verified",
@@ -581,7 +574,7 @@ def check_propEM(ctx, n):
         rep = phi_induced(ctx, i)
         th = n - ctx.t + i
         steps.append({"i": i, "through_degree": th,
-                      "ranks": _ranks_dict(rep),
+                      "ranks": _ranks_dict(rep.ranks),
                       "mono": rep.mono_through(th),
                       "epi": rep.epi_through(th)})
     out = {}
@@ -672,7 +665,6 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
                 continue
             if c["rep"] is None:
                 c["rep"] = induced_map(make_map(apCE, apL, lambda E: E),
-                                       bettiS=bCE, bettiT=bL,
                                        work_cap=work_cap)
             if c["rep"].rank(kk) != 0:
                 good = False
@@ -682,7 +674,7 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
             break
     ev["classes"] = [{kk: vv for kk, vv in c.items()
                       if kk in ("outer_order", "size", "centralizer_order")}
-                     | {"map_ranks": _ranks_dict(c["rep"]) if c["rep"]
+                     | {"map_ranks": _ranks_dict(c["rep"].ranks) if c["rep"]
                         else "zero by dimension"}
                      for c in classes]
     if chosen is None:
@@ -695,7 +687,7 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
                  f"degree {chosen}")
     if L.order <= PROP68_CROSS_CHECK_ORDER:
         ip = image_poset(ambient, L, p, cap=cap)
-        rep = induced_map(ip.embedded, bettiS=bL, work_cap=work_cap)
+        rep = induced_map(ip.embedded, work_cap=work_cap)
         mono = rep.rank(chosen) == bL.get(chosen)
         ev["embedding_rank_at_k"] = int(rep.rank(chosen))
         if not mono:

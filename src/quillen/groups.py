@@ -661,12 +661,11 @@ def sylow_subgroup(sub, p):
     while sub.order // P.order % p == 0 and P.order < sub.order // target:
         N = normalizer(sub, P) if P.order > 1 else sub
         n_orders = G.element_orders()[N.midx]
-        is_ppower = np.ones(N.midx.size, dtype=bool)
-        for k, o in enumerate(n_orders):
-            o = int(o)
-            while o % p == 0:
-                o //= p
-            is_ppower[k] = (o == 1)
+        # an order is a power of p exactly when it divides a large one
+        big = p
+        while big < n_orders.max():
+            big *= p
+        is_ppower = big % n_orders == 0
         cands = N.midx[is_ppower & ~P.contains_indices(N.midx)]
         y = int(cands[0])
         gens.append(y)

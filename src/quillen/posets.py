@@ -317,7 +317,8 @@ def beat_point_core(P):
     Returns (core, inc, ret): core the reduced Poset, inc[k] = original id
     of core element k, ret[i] = core id that original element i retracts
     to.  Removal order is deterministic (smallest eligible id first), and
-    K(core) is homotopy equivalent to K(P) with ret the induced retraction.
+    the core is a strong deformation retract of P by ret, which is how
+    induced maps reach the cores.  Uncached; homology._core keeps one.
     """
     n = P.n
     upc = [set(c) for c in P.covers()]

@@ -71,7 +71,8 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     nontrivial element x of any member, holders[x] is the bitset of
     members containing x, set in bulk in a packed uint8 matrix and read
     off one row per element.  The members above S_i are then the AND of
-    holders[x] over the nontrivial x in S_i, less i itself.
+    holders[x] over S_i's nontrivial generators, less i itself, since a
+    subgroup holding the generators holds S_i.
 
     closed_under_subgroups=True only checks that the family consists of
     elementary abelian p-subgroups and holds every nontrivial subgroup of
@@ -96,16 +97,15 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     packed = np.zeros((xs.size, (n + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(packed, (slot, owner >> 3),
                      (1 << (owner & 7)).astype(np.uint8))
-    holders = [int.from_bytes(bits.tobytes(), "little") for bits in packed]
-    slot = slot.tolist()
+    holders = dict(zip(xs.tolist(), (int.from_bytes(bits.tobytes(), "little")
+                                     for bits in packed)))
     up = []
-    start = 0
-    for i, size in enumerate(sizes):
-        u = holders[slot[start]]
-        for s in slot[start + 1:start + size]:
-            u &= holders[s]
-        up.append(u ^ (1 << i))  # bit i is set: S_i holds its own elements
-        start += size
+    for i, S in enumerate(elems):
+        u = -1  # all members
+        for x in S.generating_set():
+            if x:
+                u &= holders[x]
+        up.append(u ^ (1 << i))  # bit i is set: S_i holds its own generators
     if closed_under_subgroups:
         orders = elems[0].group.element_orders()[xs]
         p = int(orders[0])

@@ -177,6 +177,35 @@ def test_class_reps_match_parent_level(name):
     assert [(S.key, S.gens) for S in got] == [(S.key, S.gens) for S in want]
 
 
+def _reference_sylow(sub, p):
+    """sylow_subgroup's growth with the p-power test one element at a time."""
+    G = sub.group
+    P = G.subgroup([])
+    gens = []
+    while (sub.order // P.order) % p == 0:
+        N = normalizer(sub, P) if P.order > 1 else sub
+        for x in N.midx:
+            o = int(G.element_orders()[x])
+            while o % p == 0:
+                o //= p
+            if o == 1 and not P.contains_indices(np.array([x]))[0]:
+                gens.append(int(x))
+                break
+        P = G.subgroup(gens)
+    return P
+
+
+@pytest.mark.parametrize("name", ["sym5", "sym6", "aut-alt6", "l34", "alt8",
+                                  "a5xa5-e"])
+def test_sylow_matches_loop_reference(name):
+    G = bundled(name)
+    ref = load_group(name).group.full()
+    for p in (2, 3, 5, 7):
+        if G.order % p == 0:
+            got, want = sylow_subgroup(G, p), _reference_sylow(ref, p)
+            assert (got.key, got.gens) == (want.key, want.gens), p
+
+
 def _full_scan_centralizer(ambient, target):
     # every ambient element against every generator of target
     G = ambient.group

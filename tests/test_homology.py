@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quillen import homology
+from quillen.checkers import _cor51_component_map
 from quillen.errors import MatrixCapExceeded, NotACover
-from quillen.homology import RawComplex, _rank_profile, betti_of_poset, \
-    chain_map_from_poset_map, induced_map, kunneth_check, mapping_cone, \
+from quillen.homology import RawComplex, _core, _rank_profile, \
+    betti_of_poset, betti_of_raw, chain_map_from_poset_map, \
+    cone_rank_profile, induced_map, kunneth_check, mapping_cone, \
     mv_rank_audit, sparse_rank
-from quillen.posets import Poset, PosetMap, SimplicialComplex, join_posets, \
-    make_map, order_complex
-from quillen.pposets import ap_poset, bouc_poset
+from quillen.posets import Poset, PosetMap, SimplicialComplex, \
+    beat_point_core, join_posets, make_map, order_complex
+from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
+    diagonal_poset, off_component_subposet
 
 from conftest import bundled
 from rank_oracle import dense_rank, induced_ranks
@@ -144,6 +148,96 @@ def subposet_inclusions(draw):
 @given(subposet_inclusions())
 def test_induced_matches_oracle_on_inclusions(f):
     assert induced_map(f).ranks == induced_ranks(f)
+
+
+@st.composite
+def non_injective_maps(draw):
+    """(kind, f) on a random induced subposet S of a host: "retract" is
+    i∘r : S -> S, the retraction onto S's beat-point core followed by the
+    inclusion; "constant" sends S to a one-point poset."""
+    P = host_poset(draw(st.sampled_from(("sym4", "sym5", "d10", "join"))))
+    ids = draw(st.lists(st.integers(0, P.n - 1), unique=True,
+                        max_size=min(P.n, 24)))
+    S, _ = P.induced(ids)
+    if draw(st.booleans()):
+        _, inc, ret = beat_point_core(S)
+        return "retract", PosetMap(S, S, inc[ret])
+    return "constant", PosetMap(S, antichain(1), np.zeros(S.n, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_injective_maps())
+def test_induced_matches_oracle_on_non_injective_maps(case):
+    kind, f = case
+    rep = induced_map(f)
+    assert rep.ranks == induced_ranks(f)
+    if kind == "retract":
+        # i∘r is homotopic to the identity: an isomorphism in every degree
+        assert all(r == rep.source_betti.get(k) == rep.target_betti.get(k)
+                   for k, r in rep.ranks.items())
+    else:
+        assert rep.is_zero()
+
+
+def full_complex_map(f):
+    """(ranks, source Betti, target Betti) of f on the full order
+    complexes, with no beat-point core: the reference for induced_map."""
+    KS, KT = order_complex(f.source), order_complex(f.target)
+    rawS = RawComplex.from_simplicial(KS)
+    rawT = RawComplex.from_simplicial(KT)
+    bS, bT = betti_of_raw(rawS), betti_of_raw(rawT)
+    ranks = cone_rank_profile(rawS, rawT,
+                              chain_map_from_poset_map(f.table, KS, KT),
+                              bS, bT)
+    return ranks, bS, bT
+
+
+def checker_maps(ctx):
+    """The maps the criteria take homology of: psi_i, phi_i, the two
+    diagonal inclusions and cor51's aut-H maps."""
+    maps = {f"psi{i}": ctx.psi(i) for i in range(ctx.t + 1)}
+    maps.update({f"phi{i}": ctx.phi_step(i) for i in range(1, ctx.t + 1)})
+    maps["thm410-formal"] = diagonal_poset(ctx)[1]
+    maps["thm410-off-component"] = off_component_subposet(ctx)[1]
+    maps.update({f"aut-H{i}": _cor51_component_map(ctx, i, "aut-H", None)[0]
+                 for i in range(1, ctx.t + 1)})
+    return maps
+
+
+@pytest.mark.parametrize("name", ["sym6", "aut-alt6", "a5xa5-e"])
+def test_core_route_matches_full_complexes(name):
+    for label, f in checker_maps(OrbitContext(bundled(name), 2)).items():
+        rep = induced_map(f)
+        ranks, bS, bT = full_complex_map(f)
+        assert rep.ranks == ranks, label
+        top = max(len(bS.tilde), len(bT.tilde))
+        for b, ref in ((rep.source_betti, bS), (rep.target_betti, bT)):
+            assert [b.get(k) for k in range(-1, top)] == \
+                [ref.get(k) for k in range(-1, top)], label
+
+
+def test_ranks_padded_to_the_poset_height(sym4):
+    # the degree-4 symmetric group's poset has height 1 and a point as core
+    P = ap_poset(sym4, 2)
+    assert _core(P)[0].n == 1 and P.height() == 1
+    rep = induced_map(PosetMap(P, P, np.arange(P.n)))
+    assert rep.ranks == {-1: 0, 0: 0, 1: 0}
+
+
+def test_induced_map_builds_core_complexes_only(monkeypatch):
+    ctx = OrbitContext(bundled("sym6"), 2)
+    psi = ctx.psi()
+    cores = {_core(psi.source)[0].n, _core(psi.target)[0].n}
+    assert psi.source.n not in cores
+    built = []
+
+    def spy(P, *args, **kwargs):
+        built.append(P.n)
+        return order_complex(P, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "order_complex", spy)
+    induced_map(psi)
+    assert built and set(built) <= cores
 
 
 def test_dd_zero_and_euler(ap2_sym5):
