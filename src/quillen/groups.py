@@ -770,6 +770,7 @@ class ConjugationAction:
                 f"kernel of order {self.kernel.order} is not the actor "
                 f"order {actor.order}")
         self._proj_cache = {}
+        self._images = {}
 
     def project_index(self, g):
         """Image-group index of the automorphism induced by parent element g."""
@@ -782,9 +783,12 @@ class ConjugationAction:
         return self._proj_cache[g]
 
     def project_subgroup(self, E):
-        """Image of a subgroup of the actor, as a Subgroup of self.image."""
-        gens = [self.project_index(g) for g in E.generating_set()]
-        return self.image.subgroup(gens)
+        """Image of a subgroup of the actor, as a Subgroup of self.image,
+        closed once per subgroup (keyed by E.key)."""
+        if E.key not in self._images:
+            gens = [self.project_index(g) for g in E.generating_set()]
+            self._images[E.key] = self.image.subgroup(gens)
+        return self._images[E.key]
 
 
 def conjugation_action(actor, target):

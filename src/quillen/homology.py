@@ -1,17 +1,32 @@
 """Exact rational homology of simplicial complexes, and induced maps.
 
 All homology here is reduced and over Q, computed from integer boundary
-matrices with exact arithmetic (no floating point anywhere).  Ranks come
-from one sparse integer elimination: a coreduction pass pivots every row
-whose only entry is ±1 (no fill), then Markowitz pivoting takes the
-shortest column, pivots on its first unit in row-length order (its
-smallest entry if it has none) and updates only the columns meeting the
-pivot row, each by an invertible integer column operation.  The
-elimination returns its pivot rows too.
+matrices with exact arithmetic (no floating point anywhere).
 
-Every rank profile, of a complex or of a mapping cone, runs top-down with
+Every rank profile, of a complex or of a mapping cone, runs in one
+function, _rank_profile, in two stages.  First reduction pairs, over all
+degrees at once (Kaczyński, Mrozek and Ślusarek, "Homology computation
+by reduction of chain complexes", 1998; Mrozek and Batko, "Coreduction
+homology algorithm", 2009): a coreduction pairs b with its only live
+face a, a collapse pairs a with its only live coface b.  Such a pair has
+no fill, so what is left, the residue, is raw's boundary restricted to
+the live cells, with raw's homology, and
+    rank ∂_k(raw) = rank ∂_k(residue) + #pairs in degrees (k-1, k).
+The matching is an exact certificate: a replay that shares no code with
+the search checks every pair was elementary when it was removed.  On
+most cores' order complexes the residue is the Betti numbers alone, with
+a zero boundary.  The search stops where every live cell has at least
+two live faces and two live cofaces, as on a component with cycles that
+the one seed, a vertex with the empty cell, never reaches.
+
+Then the residue's ranks, by one sparse integer elimination with
 clearing (Chen and Kerber, "Persistent homology computation with a
-twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014):
+twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress",
+2014).  The elimination pivots every row whose only entry is ±1 (no
+fill), then takes the shortest column, pivots on its first unit in
+row-length order (its smallest entry if it has none) and updates only
+the columns meeting the pivot row, each by an invertible integer column
+operation.  It returns its pivot rows too.  The profile runs top-down:
 the pivot rows R of ∂_{k+1} index a nonsingular minor, so
 C_k = B_k ⊕ span{e_j : j ∉ R}, and since ∂_k kills B_k, ∂_k has the rank
 of its columns outside R.  The cleared columns are never read.
@@ -24,17 +39,21 @@ ranks.  The test suite checks them against a dense Fraction reference
 on small maps and against the full order complexes.
 
 Self-checks raise InvariantViolated, so they also run under
-``python -O``: d∘d = 0, pivot rows distinct, in range and one per unit
-of rank, boundary ranks within their matrix shape, nonnegative Betti
-numbers (b̃_{-1} = 1 exactly for the empty complex), the Euler
-characteristic across the core collapse and the cone-rank range.  None
-of them proves a rank right: an undercount that keeps every number in
-range passes.
+``python -O``: d∘d = 0, the replayed matching, pivot rows distinct, in
+range and one per unit of rank, boundary ranks within their matrix
+shape, nonnegative Betti numbers (b̃_{-1} = 1 exactly for the empty
+complex), the Euler characteristic across the core collapse and the
+cone-rank range.  The replay proves the ranks the pairs account for;
+the residue's own ranks are proved only when its boundary is zero.  An
+undercount there that keeps every number in range passes.
 """
 
 import heapq
 import math
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -272,42 +291,258 @@ class BettiVector:
         return body
 
 
-def _rank_profile(raw, lo, hi, work_cap):
-    """Rank of every boundary ∂_k, lo <= k <= hi, with clearing: top-down,
-    ∂_k loses the columns that ∂_{k+1}'s pivot rows index.
+def _morse_pairs(raw, work_cap):
+    """Reduction pairs of a raw complex, over all degrees at once.
 
-    Those rows R index a nonsingular minor of ∂_{k+1}, so
-    C_k = B_k ⊕ span{e_j : j ∉ R}, and ∂_k kills B_k: the columns outside R
-    have the rank of all of them.  The pivot rows are checked (distinct, in
-    range, as many as the rank) before they are trusted.
+    Returns (pairs, live): pairs is an int64 array of rows (k, a, b) in
+    removal order, cell a of degree k with cell b of degree k + 1, and
+    live[k] is a bytearray with 1 for each degree-k cell left, the
+    residue.  A pair is a
+    coreduction (b has one live face entry, a) or a collapse (a has one
+    live coface entry, b), with a nonzero coefficient.  Both queues are
+    FIFO.  The coreduction queue starts from the cells with one face
+    entry, in order, so the first pair is a vertex with the empty cell,
+    and it is drained before any collapse is taken; live cofaces are
+    counted from then on, and the collapse queue starts from the live
+    cells with one.  The order is fixed by raw alone.  Faces are read
+    from raw.cols; cofaces are one CSR pair (offsets, indices).  Every
+    entry visited counts against work_cap (MatrixCapExceeded past it).
     """
+    degrees = range(raw.bottom, raw.top + 1)
+    # cell j of degree k is start[k] + j; its faces are raw.cols[k][j],
+    # whose rows count from shift = start[k - 1]
+    start = {}
+    n = 0
+    for k in degrees:
+        start[k] = n
+        n += raw.count(k)
+    faces = []
+    shift = []
+    for k in degrees:
+        cols = raw.columns(k)[:raw.count(k)] if k > raw.bottom else []
+        faces += cols
+        faces += [()] * (raw.count(k) - len(cols))
+        shift += [start.get(k - 1, 0)] * raw.count(k)
+    nf = list(map(len, faces))
+    rows = np.fromiter((i for col in faces for i, _ in col), dtype=np.int64,
+                       count=sum(nf))
+    rows += np.repeat(np.asarray(shift, dtype=np.int64), nf)
+    owner = np.repeat(np.arange(n, dtype=np.int64), nf)
+    counts = np.bincount(rows, minlength=n)
+    ptr = array("q", np.concatenate(([0], np.cumsum(counts))).tobytes())
+    cof = array("q", owner[np.argsort(rows, kind="stable")].tobytes())
+    live = bytearray(b"\x01") * n
+    core_q = deque(np.flatnonzero(np.array(nf) == 1).tolist())
+    coll_q = None
+    push_core = core_q.append
+    pairs = array("q")
+    work = 0
+    while True:
+        if core_q:
+            b = core_q.popleft()
+            if not live[b] or nf[b] != 1:
+                continue
+            fo = shift[b]
+            for i, v in faces[b]:
+                if live[fo + i]:
+                    break
+            if not v:
+                continue
+            a = fo + i
+            # b's other faces are gone already
+            drop = (faces[a],) if coll_q is not None else ()
+            lift = cof[ptr[a]:ptr[a + 1]] + cof[ptr[b]:ptr[b + 1]]
+            work += len(faces[b])
+        elif coll_q is None:
+            # the coreductions are drained: count live cofaces from here on
+            alive = np.frombuffer(live, dtype=np.uint8)[owner] != 0
+            nc = np.bincount(rows[alive], minlength=n)
+            coll_q = deque(np.flatnonzero((nc == 1) & (
+                np.frombuffer(live, dtype=np.uint8) != 0)).tolist())
+            nc = nc.tolist()
+            push_coll = coll_q.append
+            work += len(rows)
+            continue
+        elif coll_q:
+            a = coll_q.popleft()
+            if not live[a] or nc[a] != 1:
+                continue
+            ids = cof[ptr[a]:ptr[a + 1]]
+            for b in ids:
+                if live[b]:
+                    break
+            fo = shift[b]
+            v = next(v for i, v in faces[b] if fo + i == a)
+            if not v:
+                continue
+            # a's other cofaces are gone already
+            drop = (faces[a], faces[b])
+            lift = cof[ptr[b]:ptr[b + 1]]
+            work += len(ids)
+        else:
+            break
+        live[a] = live[b] = 0
+        pairs.extend((a, b))
+        # faces of a removed cell lose a live coface, cofaces a live face
+        for x, col in zip((a, b), drop):
+            fo = shift[x]
+            for i, _ in col:
+                i += fo
+                nc[i] -= 1
+                if nc[i] == 1 and live[i]:
+                    push_coll(i)
+            work += len(col)
+        for y in lift:
+            nf[y] -= 1
+            if nf[y] == 1 and live[y]:
+                push_core(y)
+        work += len(lift)
+        if work > work_cap:
+            raise MatrixCapExceeded(f"reduction work exceeded {work_cap}")
+    first = np.array([start[k] for k in degrees], dtype=np.int64)
+    a = np.frombuffer(pairs, dtype=np.int64)[0::2]
+    b = np.frombuffer(pairs, dtype=np.int64)[1::2]
+    deg = np.searchsorted(first, a, side="right") - 1
+    pairs = np.stack((deg + raw.bottom, a - first[deg], b - first[deg + 1]),
+                     axis=1)
+    return pairs, {k: live[start[k]:start[k] + raw.count(k)]
+                   for k in degrees}
+
+
+def _replay_pairs(raw, pairs, live):
+    """Check a matching against the face lists alone.
+
+    Pair p = (k, a, b) removes cell a of degree k and cell b of degree
+    k + 1 at time p; a cell never removed has time len(pairs).  A cell is
+    live at time p when its time is p or later, so pair p was elementary
+    when removed iff b's face entries include a exactly once, with a
+    nonzero coefficient, and either b has one face entry live at time p
+    (a coreduction) or a has one coface entry live at time p (a
+    collapse).  No cell may be removed twice, and the cells never
+    removed must be exactly live.  Linear in the nonzeros; shares no code
+    with _morse_pairs.  Raises InvariantViolated, naming the first pair
+    at fault.
+    """
+    degrees = range(raw.bottom, raw.top + 1)
+    first = {}
+    n = 0
+    for k in degrees:
+        first[k] = n
+        n += raw.count(k)
+    owner, face, value = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    for k in degrees[1:]:
+        cols = raw.columns(k)
+        if len(cols) > raw.count(k):
+            raise InvariantViolated(f"degree {k} has more columns than cells")
+        lens = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(cols)),
+                           dtype=np.int64, count=2 * int(lens.sum()))
+        owner.append(first[k] + np.repeat(np.arange(len(cols)), lens))
+        face.append(first[k - 1] + flat[0::2])
+        value.append(flat[1::2])
+    owner, face, value = map(np.concatenate, (owner, face, value))
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
+    npairs = len(pairs)
+    k, a, b = pairs.T
+    size = np.array([raw.count(d) for d in range(raw.bottom, raw.top + 2)])
+    if npairs and not (np.all((k >= raw.bottom) & (k < raw.top))
+                       and np.all((0 <= a) & (a < size[k - raw.bottom]))
+                       and np.all((0 <= b) & (b < size[k + 1 - raw.bottom]))):
+        raise InvariantViolated("a pair names no cell of the complex")
+    starts = np.array([first[d] for d in degrees] + [n], dtype=np.int64)
+    ga = starts[k - raw.bottom] + a
+    gb = starts[k + 1 - raw.bottom] + b
+    turn = np.arange(npairs)
+    when = np.full(n, npairs, dtype=np.int64)
+    np.minimum.at(when, ga, turn)
+    np.minimum.at(when, gb, turn)
+    twice = (when[ga] < turn) | (when[gb] < turn)
+    t_face, t_owner = when[face], when[owner]
+    # entries of b on a: face and owner removed together, by one pair
+    own = (t_face == t_owner) & (t_owner < npairs)
+    hits = np.bincount(t_owner[own], minlength=npairs)
+    units = np.bincount(t_owner[own & (value != 0)], minlength=npairs)
+    live_faces = np.bincount(owner[t_face >= t_owner], minlength=n)
+    live_cofaces = np.bincount(face[t_owner >= t_face], minlength=n)
+    elementary = (hits == 1) & (units == 1) & (
+        (live_faces[gb] == 1) | (live_cofaces[ga] == 1))
+    bad = twice | ~elementary
+    if bad.any():
+        p = int(np.argmax(bad))
+        why = ("removes a cell twice" if twice[p]
+               else "is not elementary when removed")
+        raise InvariantViolated(f"pair {p}, {tuple(pairs[p].tolist())}, "
+                                f"{why}")
+    if sorted(live) != list(degrees):
+        raise InvariantViolated("the residue's degrees are not the complex's")
+    for d in degrees:
+        kept = when[first[d]:first[d] + raw.count(d)] == npairs
+        if not np.array_equal(np.frombuffer(live[d], dtype=np.uint8) != 0,
+                              kept):
+            raise InvariantViolated(
+                f"replayed degree-{d} residue differs from the search's")
+
+
+def _rank_profile(raw, lo, hi, work_cap):
+    """Rank of every boundary ∂_k, lo <= k <= hi: reduction pairs first,
+    then elimination with clearing on the residue only.
+
+    The residue keeps raw's boundary restricted to the cells left (a
+    coreduction or collapse has no fill) and raw's homology over Q, so
+    rank ∂_k(raw) = rank ∂_k(residue) + #pairs in degrees (k-1, k).  The
+    matching is replayed (_replay_pairs) before it is trusted.  On the
+    residue the profile runs top-down, and ∂_k loses the columns that
+    ∂_{k+1}'s pivot rows index: those rows R index a nonsingular minor
+    of ∂_{k+1}, so C_k = B_k ⊕ span{e_j : j ∉ R}, and ∂_k kills B_k.  The
+    pivot rows are checked (distinct, in range, as many as the rank and
+    no more than the columns) before they are trusted.
+    """
+    pairs, live = _morse_pairs(raw, work_cap)
+    _replay_pairs(raw, pairs, live)
+    paired = Counter((pairs[:, 0] + 1).tolist())
+    residue = _residue(raw, live)
     ranks = {}
     cleared = set()
     for k in range(hi, lo - 1, -1):
-        cols = raw.columns(k)
+        cols = residue.columns(k)
         if cleared:
             cols = [c for j, c in enumerate(cols) if j not in cleared]
         rank, pivots = sparse_rank(cols, work_cap)
         cleared = set(pivots)
-        below = raw.count(k - 1)
+        below = residue.count(k - 1)
         if len(cleared) != len(pivots) or len(pivots) != rank or (
+                rank > len(cols)) or (
                 cleared and not 0 <= min(cleared) <= max(cleared) < below):
             raise InvariantViolated(
                 f"degree-{k} pivot rows are not {rank} distinct rows of "
-                f"the {below} cells below")
-        ranks[k] = rank
+                f"the {below} residue cells below, one per column at most")
+        ranks[k] = rank + paired[k]
     return ranks
+
+
+def _residue(raw, live):
+    """The subcomplex of raw on the live cells, renumbered in order."""
+    keep = {k: np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
+            for k, flags in live.items()}
+    new = {k: {j: n for n, j in enumerate(ids)} for k, ids in keep.items()}
+    cols = {}
+    for k, ids in keep.items():
+        if k - 1 in new and k in raw.cols:
+            rows = new[k - 1]
+            faces = raw.cols[k]
+            cols[k] = [[(rows[i], v) for i, v in faces[j] if i in rows]
+                       if j < len(faces) else [] for j in ids]
+    return RawComplex({k: len(ids) for k, ids in keep.items()}, cols)
 
 
 def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector b̃_k = n_k - r_k - r_{k+1} of a raw complex.
 
-    The ranks r_k come from one top-down pass with clearing
-    (_rank_profile), so ∂_k is eliminated on the columns ∂_{k+1}'s pivots
-    left.  Euler-Poincaré holds for the formula whatever the ranks r_k
-    are, so the checks are that every r_k lies in 0..min(n_k, n_{k-1}) and
-    every b̃_k, degree -1 included, is nonnegative (InvariantViolated if
-    not).
+    The ranks r_k come from _rank_profile: reduction pairs, then one
+    top-down pass with clearing on the residue.  Euler-Poincaré holds for
+    the formula whatever the ranks r_k are, so the checks are that every
+    r_k lies in 0..min(n_k, n_{k-1}) and every b̃_k, degree -1 included,
+    is nonnegative (InvariantViolated if not).
     """
     top = raw.top
     if top < -1:
@@ -438,8 +673,9 @@ def cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
 
     Reads them off the long exact sequence of the mapping cone:
         dim H_k(Cone) = (b̃_k T - r_k) + (b̃_{k-1} S - r_{k-1}).
-    The cone's boundary ranks come from the same top-down pass with
-    clearing as a complex's (_rank_profile).  Returns dict degree -> rank.
+    The cone's boundary ranks come from the same reduction pairs and
+    top-down pass with clearing as a complex's (_rank_profile).  Returns
+    dict degree -> rank.
     Recovered ranks are checked against 0 <= r_k <= min(b̃_k S, b̃_k T);
     the sampled boundary check on the cone catches malformed chain maps
     with a clearer message first.

@@ -13,6 +13,7 @@ maps can be transported to the core.
 """
 
 import heapq
+from array import array
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class Poset:
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != self.n:
             raise NotAntisymmetric("duplicate element labels")
+        self._above = None
         self._down = None
         self._covers = None
         self._cache = {}
@@ -70,12 +72,21 @@ class Poset:
         return bool((self.up[i] >> j) & 1)
 
     @property
+    def above(self):
+        """above[i] = ids above i, ascending, as an int64 array: each
+        bitset is read once, for chain_counts, down and order_complex."""
+        if self._above is None:
+            self._above = [array("q", iter_bits(m)) for m in self.up]
+        return self._above
+
+    @property
     def down(self):
         if self._down is None:
             down = [0] * self.n
-            for i in range(self.n):
-                for j in iter_bits(self.up[i]):
-                    down[j] |= 1 << i
+            for i, ids in enumerate(self.above):
+                bit = 1 << i
+                for j in ids:
+                    down[j] |= bit
             self._down = down
         return self._down
 
@@ -121,12 +132,12 @@ class Poset:
 
         Counts chains by their least element: the chains of d+2 elements
         starting at z number the sum, over the w above z, of the chains of
-        d+1 elements starting at w.  Each element's ids above are read off
-        its bitset once, and every level sums over those lists.
+        d+1 elements starting at w.  Every level sums over the lists of
+        ids above (self.above).
         """
         if "chain_counts" in self._cache:
             return self._cache["chain_counts"]
-        above = [list(iter_bits(m)) for m in self.up]
+        above = self.above
         counts = []
         level = [1] * self.n
         while any(level):
@@ -211,7 +222,7 @@ class SimplicialComplex:
 
 def order_complex(P, cap=DEFAULT_SIMPLEX_CAP):
     """All nonempty chains of P, as a SimplicialComplex over P's ids."""
-    up = P.up
+    above = P.above
     dims = []
     total = 0
     level = [(i,) for i in range(P.n)]
@@ -223,7 +234,7 @@ def order_complex(P, cap=DEFAULT_SIMPLEX_CAP):
         dims.append(sorted(level))
         nxt = []
         for ch in level:
-            for j in iter_bits(up[ch[-1]]):
+            for j in above[ch[-1]]:
                 nxt.append(ch + (j,))
         level = nxt
     return SimplicialComplex(dims)

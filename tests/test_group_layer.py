@@ -19,6 +19,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from quillen import groups
 from quillen.errors import ActorDoesNotNormalize, ComponentsUndetectable, \
     NotAnElement, QuillenError
 from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
@@ -28,7 +29,7 @@ from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
     normalizer, normalizes, subgroup_product, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
 from quillen.pposets import OrbitContext, _p_subgroup_class_reps, \
-    bouc_poset, decomposition
+    bouc_poset, decomposition, image_poset_from_action
 
 from conftest import bundled
 
@@ -580,6 +581,35 @@ def test_chain_actions_are_faithful_modulo_the_kernel():
             assert (act.project_subgroup(E).order
                     * E.intersection(act.kernel).order == E.order)
     assert ("a5xa5-exr", 1) in steps and ("a5xa5-exr", 2) in steps
+
+
+def test_projected_images_are_closed_once(monkeypatch):
+    # psi, phi_step and image_poset_from_action project the same members;
+    # each image is closed once per action and subgroup, and is the image
+    # a fresh closure of the projected generators gives
+    calls = []
+    project = groups.ConjugationAction.project_subgroup
+
+    def spy(act, E):
+        calls.append((act, E, project(act, E)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(groups.ConjugationAction, "project_subgroup", spy)
+    ctx = OrbitContext(bundled("a5xa5-exr"), 2)
+    for i in range(ctx.t + 1):
+        ctx.psi(i)
+    for i in range(1, ctx.t + 1):
+        ctx.phi_step(i)
+    for act in ctx.actions:
+        if act is not None:
+            image_poset_from_action(act, 2)
+    keys = {(id(act), E.key) for act, E, _ in calls}
+    assert len(keys) < len(calls)
+    for act, E, S in calls:
+        fresh = act.image.subgroup(
+            [act.project_index(g) for g in E.generating_set()])
+        assert (S.key, S.gens) == (fresh.key, fresh.gens)
+        assert project(act, E) is S
 
 
 def test_projection_is_a_homomorphism():

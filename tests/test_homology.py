@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from quillen import homology
 from quillen.checkers import _cor51_component_map
-from quillen.errors import MatrixCapExceeded, NotACover
-from quillen.homology import RawComplex, _core, _rank_profile, \
-    betti_of_poset, betti_of_raw, chain_map_from_poset_map, \
-    cone_rank_profile, induced_map, kunneth_check, mapping_cone, \
-    mv_rank_audit, sparse_rank
+from quillen.errors import InvariantViolated, MatrixCapExceeded, NotACover
+from quillen.homology import RawComplex, _core, _morse_pairs, \
+    _rank_profile, _replay_pairs, _residue, betti_of_poset, betti_of_raw, \
+    chain_map_from_poset_map, cone_rank_profile, induced_map, \
+    kunneth_check, mapping_cone, mv_rank_audit, sparse_rank
 from quillen.posets import Poset, PosetMap, SimplicialComplex, \
     beat_point_core, join_posets, make_map, order_complex
 from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
@@ -371,6 +372,109 @@ def test_cleared_profile_matches_oracle_on_cones(f):
     assert _rank_profile(cone, lo, hi, 10 ** 6) == oracle_profile(cone, lo, hi)
 
 
+def matched(raw):
+    """(pairs, residue, pairs per degree of b) of raw, replay-checked."""
+    pairs, live = _morse_pairs(raw, 10 ** 6)
+    _replay_pairs(raw, pairs, live)
+    return pairs, _residue(raw, live), Counter((pairs[:, 0] + 1).tolist())
+
+
+def check_rank_identity(raw):
+    """rank ∂_k(raw) = rank ∂_k(residue) + #pairs in degrees (k-1, k),
+    against dense Fractions; and a residue with zero boundary is the
+    homology, cell for cell."""
+    _, residue, per = matched(raw)
+    lo, hi = raw.bottom + 1, raw.top + 1
+    ranks = oracle_profile(raw, lo, hi)
+    assert ranks == {k: r + per[k] for k, r in
+                     oracle_profile(residue, lo, hi).items()}
+    if not any(any(c) for c in residue.cols.values()):
+        for k in range(raw.bottom, raw.top + 1):
+            assert raw.count(k) - ranks.get(k, 0) - ranks.get(k + 1, 0) \
+                == residue.count(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_pairs_keep_the_ranks_of_complexes(K):
+    check_rank_identity(RawComplex.from_simplicial(K))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subposet_inclusions())
+def test_pairs_keep_the_ranks_of_cones(f):
+    KS, KT = order_complex(f.source), order_complex(f.target)
+    check_rank_identity(mapping_cone(RawComplex.from_simplicial(KS),
+                                     RawComplex.from_simplicial(KT),
+                                     chain_map_from_poset_map(f.table, KS, KT)))
+
+
+@pytest.mark.parametrize("name", ["alt6", "sym6", "aut-alt6", "a5xa5-e"])
+def test_core_residues_are_the_betti_numbers(name):
+    P = ap_poset(bundled(name), 2)
+    _, residue, _ = matched(RawComplex.from_simplicial(
+        order_complex(_core(P)[0])))
+    assert not any(any(c) for c in residue.cols.values())
+    bv = betti_of_poset(P)
+    assert [residue.count(k) for k in range(-1, len(bv.tilde))] == \
+        [bv.get(k) for k in range(-1, len(bv.tilde))]
+
+
+def test_pair_order_is_fixed_by_the_complex():
+    P = ap_poset(bundled("sym5"), 2)
+    runs = [_morse_pairs(RawComplex.from_simplicial(
+        order_complex(Poset(P.elements, P.up))), 10 ** 6) for _ in range(2)]
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][0][0, :2].tolist() == [-1, 0]  # a vertex, the empty cell
+
+
+def test_replay_rejects_corrupted_matchings():
+    raw = RawComplex.from_simplicial(order_complex(ap_poset(bundled("sym5"),
+                                                            2)))
+    pairs, live = _morse_pairs(raw, 10 ** 6)
+    _replay_pairs(raw, pairs, live)
+    # the first pair swapped for an edge and one of its vertices, which
+    # lies in more edges: at time 0 neither is the other's only partner
+    edge = raw.columns(1)[0]
+    v = edge[0][0]
+    assert sum(any(i == v for i, _ in c) for c in raw.columns(1)) > 1
+    swapped = pairs.copy()
+    swapped[0] = (0, v, 0)
+    with pytest.raises(InvariantViolated, match="pair 0, .* not elementary"):
+        _replay_pairs(raw, swapped, live)
+    # a pair repeated
+    with pytest.raises(InvariantViolated, match="pair 6, .* twice"):
+        _replay_pairs(raw, np.insert(pairs, 6, pairs[2], axis=0), live)
+    # a pair whose b, a cell the search leaves, does not have a as a face
+    p = max(p for p, k in enumerate(pairs[:, 0].tolist()) if any(live[k + 1]))
+    k, a, _ = pairs[p].tolist()
+    b = next(j for j, x in enumerate(live[k + 1])
+             if x and all(i != a for i, _ in raw.columns(k + 1)[j]))
+    swapped = pairs.copy()
+    swapped[p] = (k, a, b)
+    with pytest.raises(InvariantViolated, match=f"pair {p}, .* not elem"):
+        _replay_pairs(raw, swapped, live)
+    # a residue that is not what the pairs leave
+    wrong = dict(live)
+    wrong[0] = bytearray(live[0])
+    wrong[0][0] ^= 1
+    with pytest.raises(InvariantViolated, match="residue differs"):
+        _replay_pairs(raw, pairs, wrong)
+
+
+def test_pair_search_honours_the_work_cap():
+    # alt6's core leaves nothing for the elimination, so the cap is met in
+    # the pair search
+    raw = RawComplex.from_simplicial(order_complex(_core(ap_poset(
+        bundled("alt6"), 2))[0]))
+    assert not any(any(c) for c in matched(raw)[1].cols.values())
+    with pytest.raises(MatrixCapExceeded):
+        _morse_pairs(raw, 10)
+    with pytest.raises(MatrixCapExceeded):
+        betti_of_raw(raw, work_cap=10)
+
+
 def test_work_cap():
     P = ap_poset(bundled("sym5"), 2)
     with pytest.raises(MatrixCapExceeded):
@@ -450,21 +554,35 @@ def test_self_checks_survive_python_O():
             sys.exit("the closure check accepted a family missing a member")
         except IndexOutOfRange:
             pass
-        # a rank routine that miscounts must trip a check: here its pivot
-        # rows outnumber the rank it claims
+        # a rank routine that miscounts must trip a check.  Reduction pairs
+        # leave the cores' order complexes a zero boundary, so the stand-ins
+        # run where a residue keeps one: the worked example's condition (E)
+        # complex K0, the chains missing a factor (60 edges of rank 44 are
+        # left), and its cone into K(X)
         import quillen.homology as hom
-        from quillen.posets import SimplicialComplex
+        from quillen.pposets import OrbitContext
+        ctx = OrbitContext(load_group("a5xa5-exr").group.full(), 2)
+        cx = ctx.complexes()
+        rawS = hom.RawComplex.from_simplicial(cx.K0)
+        rawT = hom.RawComplex.from_simplicial(cx.KX)
+        inc = hom.chain_map_from_poset_map(range(ctx.join().X.n), cx.K0,
+                                           cx.KX)
+        bS, bT = hom.betti_of_raw(rawS), hom.betti_of_raw(rawT)
+        # here its pivot rows outnumber the rank it claims
         exact_rank = hom.sparse_rank
         def low(columns, work_cap=hom.DEFAULT_WORK_CAP):
             r, rows = exact_rank(columns, work_cap)
             return (r - 3, rows) if len(columns) > 50 else (r, rows)
         hom.sparse_rank = low
         try:
-            hom.betti_of_poset(ap_poset(load_group("alt6").group.full(), 2))
-            sys.exit("betti_of_poset accepted ranks 3 too small")
+            hom.betti_of_raw(rawS)
+            sys.exit("betti_of_raw accepted ranks 3 too small")
         except InvariantViolated:
             pass
-        # and here its pivot rows agree with a count above the shape
+        # and here its pivot rows agree with a count above the shape.  An
+        # isolated point takes the pair with the empty cell, so the
+        # octahedron beside it keeps every cell, and the columns of its
+        # boundary ∂_1 that clearing leaves have full rank
         def high_on_edges(columns, work_cap=hom.DEFAULT_WORK_CAP):
             r, rows = exact_rank(columns, work_cap)
             if not (columns and len(columns[0]) == 2):
@@ -472,10 +590,13 @@ def test_self_checks_survive_python_O():
             spare = next(i for i in range(len(rows) + 1) if i not in rows)
             return r + 1, rows + [spare]
         hom.sparse_rank = high_on_edges
-        path = SimplicialComplex([[(0,), (1,), (2,)], [(0, 1), (1, 2)]])
+        from quillen.posets import Poset, join_posets
+        octahedron = join_posets([Poset([0, 1], [0, 0])] * 3)
+        beside = Poset(["point"] + list(octahedron.elements),
+                       [0] + [m << 1 for m in octahedron.up])
         try:
-            hom.betti_of_complex(path)
-            sys.exit("betti_of_complex accepted a boundary rank 1 too big")
+            hom.betti_of_poset(beside)
+            sys.exit("betti_of_poset accepted a boundary rank 1 too big")
         except InvariantViolated:
             pass
         # clearing trusts the pivot rows: a repeated one must raise
@@ -484,11 +605,31 @@ def test_self_checks_survive_python_O():
             return (r, rows[:-1] + rows[:1]) if r > 1 else (r, rows)
         hom.sparse_rank = repeated_row
         try:
-            hom.betti_of_complex(path)
-            sys.exit("betti_of_complex accepted a repeated pivot row")
+            hom.cone_rank_profile(rawS, rawT, inc, bS, bT)
+            sys.exit("cone_rank_profile accepted a repeated pivot row")
         except InvariantViolated:
             pass
         hom.sparse_rank = exact_rank
+        # the pair search is trusted only through its replay: a repeated
+        # pair, and a first pair swapped for an edge and one of its
+        # vertices, which lies in other edges, must raise
+        exact_pairs = hom._morse_pairs
+        v = rawT.columns(1)[0][0][0]
+        if sum(any(i == v for i, _ in c) for c in rawT.columns(1)) < 2:
+            sys.exit("the swapped pair would be a collapse")
+        import numpy as np
+        for corrupt in (lambda pairs: np.concatenate((pairs, pairs[-1:])),
+                        lambda pairs: np.concatenate(([(0, v, 0)], pairs[1:]))):
+            def corrupted(raw, work_cap, corrupt=corrupt):
+                pairs, live = exact_pairs(raw, work_cap)
+                return corrupt(pairs), live
+            hom._morse_pairs = corrupted
+            try:
+                hom.betti_of_raw(rawT)
+                sys.exit("betti_of_raw accepted a corrupted matching")
+            except InvariantViolated:
+                pass
+        hom._morse_pairs = exact_pairs
         # an image built from too few generators fails |image||kernel| = |actor|
         from quillen import groups
         sym5 = load_group("sym5").group.full()
