@@ -23,9 +23,13 @@ The hot set work runs in bulk rather than element by element in Python:
   * Subgroup.contains_indices (binary search in the sorted member array)
     is the one membership test; intersections and meets are member
     arrays filtered by it;
-  * normalizer and centralizer test one element of the target at a time
-    against the survivors of the last, and normalizes answers "is it
-    normal" from generators alone.
+  * normalizer takes the candidates for the target's first generator t
+    from t's class in the ambient, one coset of C(t) per conjugate of t
+    inside the target, with no scan of the ambient; the class, its
+    transversal and C(t) are cached on the ambient, keyed by t.  Later
+    generators, and every element in centralizer, are tested against the
+    survivors of the last; normalizes answers "is it normal" from
+    generators alone.
 
 Components come from normal closures of class representatives: the
 minimal normal subgroups are the minimal closures of the prime-order
@@ -35,7 +39,8 @@ builds the lattice of normal subgroups; normal_subgroups is a library
 function.
 
 The cache rule: data derived from a subgroup (Sylow subgroups, p-cores,
-classes, class closures, components, a generating set, elementary
+classes, class closures, the class of an element under it with a
+transversal and centralizer, components, a generating set, elementary
 abelian subgroups and the posets built from them) lives in one table on
 the parent group, keyed by Subgroup.key, so equal subgroups reached by
 different routes share it.  Subgroup._cache is that table's entry,
@@ -393,20 +398,72 @@ def centralizer(ambient, target):
     return Subgroup(G, cand)
 
 
+def _element_class(ambient, t):
+    """t's class under conjugation by ambient, cached on ambient.
+
+    Returns (orbit, transversal, cent): orbit the indices of the class,
+    found by a BFS under ambient's generators; transversal[k] the row of
+    an x with x t x^-1 = orbit[k], composed along the BFS with no lookup;
+    cent the member array of C_ambient(t).  Orbit-stabilizer is checked:
+    |orbit| * |cent| = |ambient|.
+    """
+    key = ("class", int(t))
+    if key in ambient._cache:
+        return ambient._cache[key]
+    G = ambient.group
+    seen = np.zeros(G.order, dtype=bool)
+    seen[t] = True
+    orbit = [np.array([t], dtype=np.int64)]
+    trans = [np.arange(G.degree, dtype=np.int16).reshape(1, -1)]
+    frontier, X = orbit[0], trans[0]
+    agens = [(G.perms[a], G.perms[G.inv[a]]) for a in ambient.generating_set()]
+    while frontier.size:
+        new, newX = [], []
+        for a, ainv in agens:
+            img = G.lookup_rows(a[G.perms[frontier][:, ainv]])  # a s a^-1
+            fresh, first = np.unique(img, return_index=True)
+            keep = ~seen[fresh]
+            seen[fresh[keep]] = True
+            new.append(fresh[keep])
+            newX.append(a[X[first[keep]]])  # a x_s
+        frontier, X = np.concatenate(new), np.concatenate(newX)
+        orbit.append(frontier)
+        trans.append(X)
+    orbit, trans = np.concatenate(orbit), np.concatenate(trans)
+    cent = centralizer(ambient, [t]).midx
+    if orbit.size * cent.size != ambient.order:
+        raise InvariantViolated(
+            f"class of size {orbit.size} times centralizer of order "
+            f"{cent.size} is not the ambient order {ambient.order}")
+    ambient._cache[key] = orbit, trans, cent
+    return ambient._cache[key]
+
+
 def normalizer(ambient, target):
     """N_ambient(target) as a Subgroup.
 
-    One generator of target at a time, the candidates shrink to those
-    that conjugate it into target, so later generators conjugate and look
-    up only the survivors.
+    For target's first generator t, the ambient elements conjugating t
+    into target are the cosets x_s C(t), over the s of t's class that
+    lie in target, with x_s t x_s^-1 = s (_element_class); only those
+    are looked up.  Each later generator shrinks the candidates to those
+    that conjugate it into target, so it conjugates and looks up only
+    the survivors.
     """
     ambient = as_subgroup(ambient)
     target = as_subgroup(target)
     G = ambient.group
     if target.group is not G:
         raise ParentMismatch("normalizer across different groups")
-    cand = ambient.midx
-    for t in target.generating_set():
+    if target.order == 1:
+        return Subgroup(G, ambient.midx)
+    t, *rest = target.generating_set()
+    orbit, trans, cent = _element_class(ambient, t)
+    X = trans[target.contains_indices(orbit)]
+    cand = np.sort(G.lookup_rows(X[:, G.perms[cent]].reshape(-1, G.degree)))
+    if np.any(cand[1:] == cand[:-1]):
+        raise InvariantViolated(
+            "cosets of the centralizer repeat a normalizer candidate")
+    for t in rest:
         P = G.perms[cand]
         Pinv = G.perms[G.inv[cand]]
         conj = np.take_along_axis(P[:, G.perms[t]], Pinv, axis=1)  # g t g^-1

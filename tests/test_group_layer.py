@@ -11,7 +11,8 @@ checked against the group theory they must satisfy: a small tracking set
 whatever generators the target carries, faithfulness modulo the kernel on
 every elementary abelian subgroup, and a homomorphic projection.  The
 work of the radical poset and of component detection is bounded by a
-count of rows looked up.
+count of rows looked up, and a normalizer's class entry is shared by
+equal ambients and looks up no class row when reused.
 """
 
 from functools import cache
@@ -242,6 +243,18 @@ def test_normalizer_matches_full_scan(name):
     trivial = Subgroup(G.group, np.zeros(1, dtype=np.int64), gens=(0,))
     cases = [(amb, S) for amb in (G, A6, P) for S in reps]
     cases += [(amb, T) for amb in (G, A6, P) for T in (trivial, amb)]
+    # a first generator central in the ambient: its class is itself
+    Z = center(P)
+    assert groups._element_class(P, Z.generating_set()[0])[0].size == 1
+    cases.append((P, Z))
+    # a target meeting its first generator's class in that generator
+    # alone: an involution of order 2
+    t = next(int(x) for x in P.midx if G.group.element_orders()[x] == 2)
+    two = G.group.subgroup([t])
+    orbit = groups._element_class(G, t)[0]
+    assert orbit.size > 1
+    assert orbit[two.contains_indices(orbit)].tolist() == [t]
+    cases.append((G, two))
     for amb, T in cases:
         got = normalizer(amb, T)
         assert got.gens is None
@@ -251,6 +264,52 @@ def test_normalizer_matches_full_scan(name):
         assert normalizes(amb, T) == (got.order == amb.order)
     assert normalizer(A6, trivial).key == A6.key
     assert normalizer(P, P).key == P.key
+
+
+def test_normalizer_matches_full_scan_on_alt8():
+    G = bundled("alt8")
+    reps = _p_subgroup_class_reps(sylow_subgroup(G, 2))
+    for S in reps[1::5]:
+        got = normalizer(G, S)
+        assert got.midx.tolist() == _full_scan_normalizer(G, S).tolist()
+
+
+def _counting_lookups(monkeypatch):
+    """Wrap PermGroup.lookup_rows; the list it returns collects each
+    batch's row count."""
+    rows = []
+    lookup = PermGroup.lookup_rows
+
+    def counting(self, batch):
+        out = lookup(self, batch)
+        rows.append(out.size)
+        return out
+
+    monkeypatch.setattr(PermGroup, "lookup_rows", counting)
+    return rows
+
+
+def test_class_entry_is_shared_and_reused(monkeypatch):
+    G = load_group("sym6").group.full()
+    A6 = derived_subgroup(G)
+    # the same subgroup reached by a second route: a fresh Subgroup
+    # closed from a generating set
+    again = G.group.subgroup(A6.generating_set())
+    assert again is not A6 and again.key == A6.key
+    P = sylow_subgroup(G, 2)
+    t = next(int(x) for x in P.midx
+             if G.group.element_orders()[x] == 4
+             and A6.contains_indices([x])[0])
+    T = G.group.subgroup([t])
+    first = normalizer(A6, T)
+    assert again._cache[("class", t)] is A6._cache[("class", t)]
+    # a second call with the same first generator looks up its candidates
+    # only, |T ∩ t^A6| * |C_A6(t)| of them, which for a cyclic target
+    # are the normalizer's members; no class row is looked up again
+    rows = _counting_lookups(monkeypatch)
+    second = normalizer(again, T)
+    assert second.key == first.key
+    assert rows == [first.order]
 
 
 def test_action_needs_a_normalizing_actor(sym5):
@@ -468,16 +527,8 @@ def test_component_detection_row_count(monkeypatch):
     # a count of rows looked up, so it does not depend on the host's load;
     # closing every class and joining the closures looked up 5 580 000,
     # the class closures of the component layer look up 310 000
-    rows = []
-    lookup = PermGroup.lookup_rows
-
-    def counting(self, batch):
-        out = lookup(self, batch)
-        rows.append(out.size)
-        return out
-
     G = load_group("a5xa5-exr").group.full()
-    monkeypatch.setattr(PermGroup, "lookup_rows", counting)
+    rows = _counting_lookups(monkeypatch)
     detect_components(G)
     assert sum(rows) < 1_000_000
 
@@ -485,18 +536,20 @@ def test_component_detection_row_count(monkeypatch):
 def test_radical_poset_row_count(monkeypatch):
     # a count of rows looked up, so it does not depend on the host's load;
     # a full scan of the ambient per target generator looked up 6 194 659
-    rows = []
-    lookup = PermGroup.lookup_rows
-
-    def counting(self, batch):
-        out = lookup(self, batch)
-        rows.append(out.size)
-        return out
-
     G = load_group("l34").group.full()
-    monkeypatch.setattr(PermGroup, "lookup_rows", counting)
+    rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
     assert sum(rows) <= 3_500_000
+
+
+def test_radical_poset_row_count_alt8(monkeypatch):
+    # a scan of the whole ambient for each normalizer's first target
+    # generator looked up 2 487 911 rows; cosets of that generator's
+    # centralizer, one per conjugate in the target, look up 485 233
+    G = load_group("alt8").group.full()
+    rows = _counting_lookups(monkeypatch)
+    bouc_poset(G, 2)
+    assert sum(rows) < 1_000_000
 
 
 def test_decomposition_matches_intersect1d(worked_ctx):

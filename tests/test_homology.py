@@ -643,6 +643,28 @@ def test_self_checks_survive_python_O():
         except InvariantViolated:
             pass
         groups.PermGroup.generate = build
+        # a class entry for the normalizer's first target generator: one
+        # built from a centralizer too small for orbit-stabilizer, and one
+        # whose transversal repeats a coset.  Sym(4)'s double
+        # transpositions all lie in its Klein four-group
+        sym4 = load_group("sym4").group.full()
+        V = groups.p_core(sym4, 2)
+        t = V.generating_set()[0]
+        exact_centralizer = groups.centralizer
+        groups.centralizer = lambda ambient, target: ambient.intersection(V)
+        try:
+            groups.normalizer(sym4, V)
+            sys.exit("_element_class accepted |class| |centralizer| != |ambient|")
+        except InvariantViolated:
+            pass
+        groups.centralizer = exact_centralizer
+        orbit, trans, cent = groups._element_class(sym4, t)
+        sym4._cache[("class", t)] = orbit, trans[[0] * orbit.size], cent
+        try:
+            groups.normalizer(sym4, V)
+            sys.exit("normalizer accepted a repeated candidate")
+        except InvariantViolated:
+            pass
         # declared components that are not quasisimple: one not perfect,
         # and one perfect but with a proper noncentral normal subgroup
         from quillen.errors import ComponentsUndetectable
