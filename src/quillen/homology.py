@@ -22,8 +22,10 @@ the one seed, a vertex with the empty cell, never reaches.
 Then the residue's ranks, by one sparse integer elimination with
 clearing (Chen and Kerber, "Persistent homology computation with a
 twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress",
-2014).  The elimination pivots every row whose only entry is ±1 (no
-fill), then takes the shortest column, pivots on its first unit in
+2014).  The pair search drains its collapses, so no residue cell keeps
+exactly one live coface; only clearing, which drops columns, leaves a
+row with one entry.  So the elimination has no coreduction of its own:
+it takes the shortest column, pivots on its first unit in
 row-length order (its smallest entry if it has none) and updates only
 the columns meeting the pivot row, each by an invertible integer column
 operation.  It returns its pivot rows too.  The profile runs top-down:
@@ -148,15 +150,15 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
     """Rank over Q of an integer matrix given as columns of (row, val),
     with the rows of its pivots: returns (rank, pivot_rows).
 
-    One elimination.  Coreduction first: a row whose only entry is ±1 is
-    a pivot, and its column leaves the matrix with no fill.  Then
-    Markowitz pivoting: take the shortest live column and pivot on its
-    entry minimising (|v|, row length, row), so on the first unit in
-    row-length order when it has one.  Only the columns meeting the
-    pivot row change, each by col <- a*col - b*pcol with g = gcd(pval, f),
-    a = |pval|/g > 0 and b = ±f/g, which clears the pivot row; a column
-    scaled by a > 1 is divided by the gcd of its entries.  Every update
-    is an invertible column operation over Q, so the rank is exact.
+    One elimination, Markowitz pivoting: take the shortest live column
+    and pivot on its entry minimising (|v|, row length, row), so on the
+    first unit in row-length order when it has one.  Only the columns
+    meeting the pivot row change, each by col <- a*col - b*pcol with
+    g = gcd(pval, f), a = |pval|/g > 0 and b = ±f/g, which clears the
+    pivot row; a column scaled by a > 1 is divided by the gcd of its
+    entries.  Every update is an invertible column operation over Q, so
+    the rank is exact.  No coreduction runs first: the pair search has
+    already taken every collapse, and a unit is pivoted on first anyway.
     Each pivot's row leaves the matrix, so the pivot rows are distinct,
     one per unit of rank, and index a nonsingular minor: the rows R of
     the matrix alone have rank |R|.  Raises MatrixCapExceeded when the
@@ -185,23 +187,8 @@ def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
             del rows[i]
         return s
 
-    # coreduction: pivot on a row singleton ±1 and drop its column
-    row_q = [i for i, s in rows.items() if len(s) == 1]
-    while row_q:
-        i = row_q.pop()
-        if i not in rows or len(rows[i]) != 1:
-            continue
-        j = next(iter(rows[i]))
-        if cols[j].get(i) not in (1, -1):
-            continue
-        pivots.append(i)
-        for r in cols.pop(j):
-            if len(unlink(r, j)) == 1:
-                row_q.append(r)
-
-    # elimination: shortest live column first.  Every live column has a
-    # heap entry; stale ones (column gone, length changed) are skipped or
-    # re-pushed
+    # shortest live column first.  Every live column has a heap entry;
+    # stale ones (column gone, length changed) are skipped or re-pushed
     heap = [(len(d), j) for j, d in cols.items()]
     heapq.heapify(heap)
     while cols:
@@ -587,27 +574,22 @@ def _core(P):
     return P._cache["core"]
 
 
-def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP, reduce_first=True):
+def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector of the order complex of P.
 
-    By default runs on P's beat-point core (same homotopy type, usually
-    far smaller).  Cached on the poset per work_cap, so a call with
-    another cap computes afresh and raises if the cap is too small.
+    Runs on P's beat-point core (same homotopy type, usually far
+    smaller).  Cached on the poset per work_cap, so a call with another
+    cap computes afresh and raises if the cap is too small.
     """
-    key = ("betti", reduce_first, work_cap)
+    key = ("betti", work_cap)
     if key in P._cache:
         return P._cache[key]
-    if reduce_first:
-        K = order_complex(_core(P)[0])
-    else:
-        K = order_complex(P)
-    bv = betti_of_complex(K, work_cap=work_cap)
-    if reduce_first:
-        # the collapse preserves the homotopy type, so the reduced Euler
-        # characteristic from chain counts on P itself must agree
-        if bv.chi != P.reduced_euler():
-            raise InvariantViolated(
-                "core collapse changed the Euler characteristic")
+    bv = betti_of_complex(order_complex(_core(P)[0]), work_cap=work_cap)
+    # the collapse preserves the homotopy type, so the reduced Euler
+    # characteristic from chain counts on P itself must agree
+    if bv.chi != P.reduced_euler():
+        raise InvariantViolated(
+            "core collapse changed the Euler characteristic")
     P._cache[key] = bv
     return bv
 

@@ -9,10 +9,10 @@ The order complex K(P) has the nonempty chains of P as simplices.  Beat
 points (elements with a unique upper or unique lower cover) can be
 removed one at a time without changing the homotopy type of K(P); the
 composite retraction is returned alongside the reduced poset so induced
-maps can be transported to the core.
+maps can be transported to the core.  The beat-point test reads the up
+and down bitsets directly, so no cover lists are kept.
 """
 
-import heapq
 from array import array
 
 import numpy as np
@@ -43,7 +43,6 @@ class Poset:
             raise NotAntisymmetric("duplicate element labels")
         self._above = None
         self._down = None
-        self._covers = None
         self._cache = {}
         if validate:
             self._validate()
@@ -89,21 +88,6 @@ class Poset:
                     down[j] |= bit
             self._down = down
         return self._down
-
-    def covers(self):
-        """covers()[i] = sorted list of upper covers of i."""
-        if self._covers is None:
-            out = []
-            for i in range(self.n):
-                cov = []
-                m = self.up[i]
-                while m:
-                    j = (m & -m).bit_length() - 1  # smallest id = minimal
-                    cov.append(j)
-                    m &= ~((1 << j) | self.up[j])
-                out.append(cov)
-            self._covers = out
-        return self._covers
 
     def induced(self, ids):
         """Induced subposet on the given ids (any order; sorted internally).
@@ -327,69 +311,47 @@ def beat_point_core(P):
 
     Returns (core, inc, ret): core the reduced Poset, inc[k] = original id
     of core element k, ret[i] = core id that original element i retracts
-    to.  Removal order is deterministic (smallest eligible id first), and
-    the core is a strong deformation retract of P by ret, which is how
-    induced maps reach the cores.  Uncached; homology._core keeps one.
+    to.  The test reads the bitsets: with U the live ids above x and u the
+    least of them, x is an up beat point when U less u lies inside up[u];
+    with D the live ids below x and d the largest, a down beat point when
+    D less d lies inside down[d].  Ids are a linear extension, so u is
+    minimal in U and d maximal in D, and U less u inside up[u] says u is
+    x's only upper cover.  Sweeps run over the live ids in ascending
+    order, removing each beat point as it is met (x retracts to u, else
+    d), until a sweep removes nothing; so the kept set is fixed by P
+    alone.  The core is a strong deformation retract of P by ret, which
+    is how induced maps reach the cores.  Uncached; homology._core keeps
+    one.
     """
     n = P.n
-    upc = [set(c) for c in P.covers()]
-    downc = [set() for _ in range(n)]
-    for i in range(n):
-        for j in upc[i]:
-            downc[j].add(i)
-    alive_bits = (1 << n) - 1
-    alive = [True] * n
+    up, down = P.up, P.down
+    alive = (1 << n) - 1
     ret_ptr = list(range(n))
-    heap = list(range(n))
-    heapq.heapify(heap)
+    removed = True
+    while removed:
+        removed = False
+        for x in iter_bits(alive):
+            U = up[x] & alive
+            u = (U & -U).bit_length() - 1
+            D = down[x] & alive
+            d = D.bit_length() - 1
+            if U and U & ~up[u] == 1 << u:
+                ret_ptr[x] = u
+            elif D and D & ~down[d] == 1 << d:
+                ret_ptr[x] = d
+            else:
+                continue
+            alive ^= 1 << x
+            removed = True
 
-    def test_and_remove(x):
-        nonlocal alive_bits
-        if len(upc[x]) == 1:
-            u = next(iter(upc[x]))
-            partners = downc[x]
-            other = u
-        elif len(downc[x]) == 1:
-            d = next(iter(downc[x]))
-            partners = upc[x]
-            other = d
-        else:
-            return []
-        ret_ptr[x] = other
-        alive[x] = False
-        alive_bits &= ~(1 << x)
-        up_beat = len(upc[x]) == 1
-        for q in list(upc[x]):
-            downc[q].discard(x)
-        for q in list(downc[x]):
-            upc[q].discard(x)
-        touched = set(partners)
-        touched.add(other)
-        # new covers: between each partner and `other`
-        for q in partners:
-            a, b = (q, other) if up_beat else (other, q)
-            if (P.up[a] & P.down[b] & alive_bits) == 0:
-                upc[a].add(b)
-                downc[b].add(a)
-        return touched
-
-    while heap:
-        x = heapq.heappop(heap)
-        if not alive[x]:
-            continue
-        touched = test_and_remove(x)
-        for q in touched:
-            if alive[q]:
-                heapq.heappush(heap, q)
-
-    kept = np.array([i for i in range(n) if alive[i]], dtype=np.int64)
+    kept = np.fromiter(iter_bits(alive), dtype=np.int64)
     core, inc = P.induced(kept)
     coreid = {int(o): k for k, o in enumerate(kept)}
     ret = np.empty(n, dtype=np.int64)
     for i in range(n):
         j = i
         seen = []
-        while not alive[j]:
+        while j not in coreid:
             seen.append(j)
             j = ret_ptr[j]
         for s in seen:

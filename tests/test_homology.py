@@ -14,9 +14,10 @@ from quillen import homology
 from quillen.checkers import _cor51_component_map
 from quillen.errors import InvariantViolated, MatrixCapExceeded, NotACover
 from quillen.homology import RawComplex, _core, _morse_pairs, \
-    _rank_profile, _replay_pairs, _residue, betti_of_poset, betti_of_raw, \
-    chain_map_from_poset_map, cone_rank_profile, induced_map, \
-    kunneth_check, mapping_cone, mv_rank_audit, sparse_rank
+    _rank_profile, _replay_pairs, _residue, betti_of_complex, \
+    betti_of_poset, betti_of_raw, chain_map_from_poset_map, \
+    cone_rank_profile, induced_map, kunneth_check, mapping_cone, \
+    mv_rank_audit, sparse_rank
 from quillen.posets import Poset, PosetMap, SimplicialComplex, \
     beat_point_core, join_posets, make_map, order_complex
 from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
@@ -268,8 +269,8 @@ def dense_columns(m):
     ([[3, 6, 9], [6, 3, 0], [9, 0, 3]], 3),
 ])
 def test_sparse_rank_without_unit_pivots(m, rank):
-    # no entry is a unit, so coreduction cannot pivot and the elimination
-    # starts on a non-unit pivot: col <- a*col - b*pcol with a = |pval|/g
+    # no entry is a unit, so the elimination starts on a non-unit pivot:
+    # col <- a*col - b*pcol with a = |pval|/g
     assert sparse_rank(dense_columns(m))[0] == rank
 
 
@@ -478,7 +479,7 @@ def test_pair_search_honours_the_work_cap():
 def test_work_cap():
     P = ap_poset(bundled("sym5"), 2)
     with pytest.raises(MatrixCapExceeded):
-        betti_of_poset(Poset(P.elements, P.up), work_cap=1, reduce_first=False)
+        betti_of_complex(order_complex(P), work_cap=1)
 
 
 def test_mv_rank_audit(sym4):

@@ -44,6 +44,37 @@ def poset_from_pairs(n, pairs):
     return Poset(list(range(n)), up, validate=True)
 
 
+def pair_cases(lo, hi, max_pairs):
+    """(n, pairs) with lo <= n <= hi and no pair of the form (a, a)."""
+    return st.integers(lo, hi).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1)),
+                             max_size=max_pairs).map(
+            lambda pairs: [(a, b) for a, b in pairs if a != b])))
+
+
+def naive_covers(P, ids):
+    """{x: (upper covers, lower covers)} of the subposet of P on ids."""
+    out = {}
+    for x in ids:
+        above = [y for y in ids if P.lt(x, y)]
+        below = [y for y in ids if P.lt(y, x)]
+        out[x] = ([y for y in above if not any(P.lt(z, y) for z in above)],
+                  [y for y in below if not any(P.lt(y, z) for z in below)])
+    return out
+
+
+def naive_core_size(P):
+    """Size of a core reached by removing the largest beat point left."""
+    live = set(range(P.n))
+    while True:
+        cov = naive_covers(P, live)
+        beat = [x for x in live if 1 in (len(cov[x][0]), len(cov[x][1]))]
+        if not beat:
+            return len(live)
+        live.remove(max(beat))
+
+
 def brute_chain_counts(P):
     counts = []
     for size in range(1, P.n + 1):
@@ -79,34 +110,38 @@ def test_chain_counts_match_complex():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 6).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        max_size=8))))
+@given(pair_cases(2, 6, 8))
 def test_random_poset_chain_counts(case):
-    n, pairs = case
-    pairs = [(a, b) for a, b in pairs if a != b]
-    P = poset_from_pairs(n, pairs)
+    P = poset_from_pairs(*case)
     if P is None:       # the pairs closed into a cycle
         return
     assert P.chain_counts() == brute_chain_counts(P)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 6).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-        max_size=8))))
+@given(pair_cases(2, 6, 8))
 def test_random_poset_core_euler(case):
-    n, pairs = case
-    pairs = [(a, b) for a, b in pairs if a != b]
-    P = poset_from_pairs(n, pairs)
+    P = poset_from_pairs(*case)
     if P is None:
         return
     core, inc, ret = beat_point_core(P)
     assert core.reduced_euler() == P.reduced_euler()
     assert len(inc) == core.n
     assert len(ret) == P.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_cases(1, 8, 14))
+def test_random_poset_core_is_a_retract_without_beat_points(case):
+    P = poset_from_pairs(*case)
+    if P is None:
+        return
+    core, inc, ret = beat_point_core(P)
+    for upper, lower in naive_covers(core, range(core.n)).values():
+        assert len(upper) != 1 and len(lower) != 1
+    PosetMap(P, core, ret)              # validates: ret is order-preserving
+    assert list(ret[inc]) == list(range(core.n))
+    assert core.n == naive_core_size(P)
 
 
 def test_join_chain_convolution():
@@ -173,6 +208,12 @@ def test_beat_core_alt5_antichain():
     core, _, _ = beat_point_core(P)
     assert core.n == 5
     assert core.height() == 0
+
+
+@pytest.mark.parametrize("name, size", [
+    ("sym6", 105), ("aut-alt6", 276), ("l34", 147), ("alt8", 1010)])
+def test_beat_core_sizes(name, size):
+    assert beat_point_core(ap_poset(bundled(name), 2))[0].n == size
 
 
 def test_order_complex_counts():
