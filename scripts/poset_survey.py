@@ -2,7 +2,7 @@
 """Survey the bundled groups: poset sizes, Euler characteristics, Betti
 numbers, and the direct nonvanishing witness, in one table per prime.
 
-Usage: python scripts/poset_survey.py [--p 2] [--skip-above 25000]
+Usage: python scripts/poset_survey.py [--p 2] [--skip-above 50000]
 """
 import argparse
 import time

@@ -19,19 +19,14 @@ a zero boundary.  The search stops where every live cell has at least
 two live faces and two live cofaces, as on a component with cycles that
 the one seed, a vertex with the empty cell, never reaches.
 
-Then the residue's ranks, by one sparse integer elimination with
-clearing (Chen and Kerber, "Persistent homology computation with a
-twist", 2011; Bauer, Kerber and Reininghaus, "Clear and compress",
-2014).  The pair search drains its collapses, so no residue cell keeps
-exactly one live coface; only clearing, which drops columns, leaves a
-row with one entry.  So the elimination has no coreduction of its own:
-it takes the shortest column, pivots on its first unit in
-row-length order (its smallest entry if it has none) and updates only
-the columns meeting the pivot row, each by an invertible integer column
-operation.  It returns its pivot rows too.  The profile runs top-down:
-the pivot rows R of ∂_{k+1} index a nonsingular minor, so
-C_k = B_k ⊕ span{e_j : j ∉ R}, and since ∂_k kills B_k, ∂_k has the rank
-of its columns outside R.  The cleared columns are never read.
+Then the residue's ranks: each residue boundary ∂_k, on all its
+columns, goes once to one sparse integer elimination.  The pair search
+drains its collapses, so no residue cell keeps exactly one live coface,
+and the elimination has no coreduction of its own: it takes the
+shortest column, pivots on its first unit in row-length order (its
+smallest entry if it has none) and updates only the columns meeting the
+pivot row, each by an invertible integer column operation.  It returns
+its pivot rows too, and they are checked.
 
 A poset's homology, Betti vector and induced maps alike, runs on its
 beat-point core, one per poset (_core).  Induced maps are known by their
@@ -42,12 +37,13 @@ on small maps and against the full order complexes.
 
 Self-checks raise InvariantViolated, so they also run under
 ``python -O``: d∘d = 0, the replayed matching, pivot rows distinct, in
-range and one per unit of rank, boundary ranks within their matrix
-shape, nonnegative Betti numbers (b̃_{-1} = 1 exactly for the empty
-complex), the Euler characteristic across the core collapse and the
-cone-rank range.  The replay proves the ranks the pairs account for;
-the residue's own ranks are proved only when its boundary is zero.  An
-undercount there that keeps every number in range passes.
+range and one per unit of rank, ranks no more than the columns,
+boundary ranks within their matrix shape, nonnegative Betti numbers
+(b̃_{-1} = 1 exactly for the empty complex), the Euler characteristic
+across the core collapse and the cone-rank range.  The replay proves
+the ranks the pairs account for; the residue's own ranks are proved
+only when its boundary is zero.  An undercount there that keeps every
+number in range passes.
 """
 
 import heapq
@@ -470,39 +466,36 @@ def _replay_pairs(raw, pairs, live):
                 f"replayed degree-{d} residue differs from the search's")
 
 
-def _rank_profile(raw, lo, hi, work_cap):
-    """Rank of every boundary ∂_k, lo <= k <= hi: reduction pairs first,
-    then elimination with clearing on the residue only.
+def _rank_profile(raw, work_cap):
+    """Rank of every boundary ∂_k of raw, bottom < k <= top: reduction
+    pairs first, then one elimination per residue boundary.
 
     The residue keeps raw's boundary restricted to the cells left (a
     coreduction or collapse has no fill) and raw's homology over Q, so
     rank ∂_k(raw) = rank ∂_k(residue) + #pairs in degrees (k-1, k).  The
-    matching is replayed (_replay_pairs) before it is trusted.  On the
-    residue the profile runs top-down, and ∂_k loses the columns that
-    ∂_{k+1}'s pivot rows index: those rows R index a nonsingular minor
-    of ∂_{k+1}, so C_k = B_k ⊕ span{e_j : j ∉ R}, and ∂_k kills B_k.  The
-    pivot rows are checked (distinct, in range, as many as the rank and
-    no more than the columns) before they are trusted.
+    matching is replayed (_replay_pairs) before it is trusted.  Each
+    residue ∂_k goes to sparse_rank once, on all its columns.  Its pivot
+    rows are checked (distinct, in range, as many as the rank) and so is
+    the rank (no more than the columns).  A degree with no boundary is
+    absent: callers read it as rank 0.
     """
     pairs, live = _morse_pairs(raw, work_cap)
     _replay_pairs(raw, pairs, live)
     paired = Counter((pairs[:, 0] + 1).tolist())
     residue = _residue(raw, live)
     ranks = {}
-    cleared = set()
-    for k in range(hi, lo - 1, -1):
+    for k in range(raw.bottom + 1, raw.top + 1):
         cols = residue.columns(k)
-        if cleared:
-            cols = [c for j, c in enumerate(cols) if j not in cleared]
         rank, pivots = sparse_rank(cols, work_cap)
-        cleared = set(pivots)
         below = residue.count(k - 1)
-        if len(cleared) != len(pivots) or len(pivots) != rank or (
-                rank > len(cols)) or (
-                cleared and not 0 <= min(cleared) <= max(cleared) < below):
+        if len(set(pivots)) != len(pivots) or len(pivots) != rank or (
+                pivots and not 0 <= min(pivots) <= max(pivots) < below):
             raise InvariantViolated(
                 f"degree-{k} pivot rows are not {rank} distinct rows of "
-                f"the {below} residue cells below, one per column at most")
+                f"the {below} residue cells below")
+        if rank > len(cols):
+            raise InvariantViolated(
+                f"degree-{k} rank {rank} exceeds its {len(cols)} columns")
         ranks[k] = rank + paired[k]
     return ranks
 
@@ -525,22 +518,22 @@ def _residue(raw, live):
 def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector b̃_k = n_k - r_k - r_{k+1} of a raw complex.
 
-    The ranks r_k come from _rank_profile: reduction pairs, then one
-    top-down pass with clearing on the residue.  Euler-Poincaré holds for
-    the formula whatever the ranks r_k are, so the checks are that every
-    r_k lies in 0..min(n_k, n_{k-1}) and every b̃_k, degree -1 included,
-    is nonnegative (InvariantViolated if not).
+    The ranks r_k come from _rank_profile: reduction pairs, then each
+    residue boundary ranked once, whole; a degree it leaves out has
+    r_k = 0.  Euler-Poincaré holds for the formula whatever the ranks r_k
+    are, so the checks are that every r_k lies in 0..min(n_k, n_{k-1})
+    and every b̃_k, degree -1 included, is nonnegative (InvariantViolated
+    if not).
     """
     top = raw.top
     if top < -1:
         return BettiVector(tilde=(), minus1=1, chi=-1)
-    ranks = _rank_profile(raw, 0, top, work_cap)
+    ranks = _rank_profile(raw, work_cap)
     for k, r in ranks.items():
         if not 0 <= r <= min(raw.count(k), raw.count(k - 1)):
             raise InvariantViolated(f"degree-{k} boundary rank {r} is "
                                     f"out of range for its shape")
-    ranks[top + 1] = 0
-    tilde = tuple(raw.count(k) - ranks[k] - ranks[k + 1]
+    tilde = tuple(raw.count(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
                   for k in range(0, top + 1))
     minus1 = raw.count(-1) - ranks.get(0, 0)
     if minus1 < 0 or any(b < 0 for b in tilde):
@@ -656,8 +649,8 @@ def cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
     Reads them off the long exact sequence of the mapping cone:
         dim H_k(Cone) = (b̃_k T - r_k) + (b̃_{k-1} S - r_{k-1}).
     The cone's boundary ranks come from the same reduction pairs and
-    top-down pass with clearing as a complex's (_rank_profile).  Returns
-    dict degree -> rank.
+    one elimination per residue boundary as a complex's (_rank_profile),
+    a degree with no boundary read as rank 0.  Returns dict degree -> rank.
     Recovered ranks are checked against 0 <= r_k <= min(b̃_k S, b̃_k T);
     the sampled boundary check on the cone catches malformed chain maps
     with a clearer message first.
@@ -667,7 +660,7 @@ def cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
     top = cone.top
     if top < -1:
         return {}
-    ranks_d = _rank_profile(cone, cone.bottom + 1, top + 1, work_cap)
+    ranks_d = _rank_profile(cone, work_cap)
     out = {}
     r_prev = 0
     for k in range(cone.bottom, max(rawS.top, rawT.top) + 1):

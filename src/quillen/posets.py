@@ -28,7 +28,7 @@ from .errors import (
     SimplexCapExceeded,
 )
 
-DEFAULT_SIMPLEX_CAP = 50_000_000
+SIMPLEX_CAP = 50_000_000
 
 
 class Poset:
@@ -204,17 +204,20 @@ class SimplicialComplex:
         return True
 
 
-def order_complex(P, cap=DEFAULT_SIMPLEX_CAP):
-    """All nonempty chains of P, as a SimplicialComplex over P's ids."""
+def order_complex(P):
+    """All nonempty chains of P, as a SimplicialComplex over P's ids.
+
+    Raises SimplexCapExceeded past SIMPLEX_CAP simplices.
+    """
     above = P.above
     dims = []
     total = 0
     level = [(i,) for i in range(P.n)]
     while level:
         total += len(level)
-        if total > cap:
+        if total > SIMPLEX_CAP:
             raise SimplexCapExceeded(
-                f"order complex exceeds {cap} simplices")
+                f"order complex exceeds {SIMPLEX_CAP} simplices")
         dims.append(sorted(level))
         nxt = []
         for ch in level:

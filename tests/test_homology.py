@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quillen import homology
 from quillen.checkers import _cor51_component_map
@@ -310,7 +310,7 @@ def test_sparse_rank_matches_dense_fractions(rows, scale):
     rank, pivots = sparse_rank(dense_columns(m))
     assert rank == dense_rank(list(zip(*m)), len(m))
     # the pivot rows R of any elimination index a nonsingular minor: the
-    # rows R alone have rank |R| = rank, which is what clearing relies on
+    # rows R alone have rank |R| = rank
     assert len(set(pivots)) == len(pivots) == rank
     minor = [m[i] for i in pivots]
     assert dense_rank(list(zip(*minor)), len(minor)) == rank
@@ -349,28 +349,46 @@ def small_complexes(draw):
                               for d in range(top)])
 
 
+# a hollow tetrahedron beside a point: the point takes the pair with the
+# empty cell, so the sphere keeps every cell, ∂_2 of rank 3 above ∂_1's
+# six edges
+SPHERE_BESIDE_A_POINT = SimplicialComplex(
+    [[(v,) for v in range(5)]] + [list(itertools.combinations(range(1, 5), r))
+                                  for r in (2, 3)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_complexes())
-def test_cleared_profile_matches_oracle_on_complexes(K):
+@example(SPHERE_BESIDE_A_POINT)
+def test_rank_profile_matches_oracle_on_complexes(K):
     raw = RawComplex.from_simplicial(K)
     for k in range(raw.top + 1):
         rank, pivots = sparse_rank(raw.columns(k))
         assert len(set(pivots)) == len(pivots) == rank
         minor = [[col[i] for i in pivots] for col in dense_boundary(raw, k)]
         assert dense_rank(minor, rank) == rank
-    assert _rank_profile(raw, 0, raw.top, 10 ** 6) == oracle_profile(
-        raw, 0, raw.top)
+    with pytest.MonkeyPatch.context() as mp:
+        ranks, calls, whole = ranked_matrices(
+            mp, raw, lambda: _rank_profile(raw, 10 ** 6))
+    assert ranks == oracle_profile(raw, raw.bottom + 1, raw.top)
+    # each residue boundary is ranked once, on all its columns
+    assert sorted(calls) == sorted(whole)
+
+
+def cone_of(f):
+    """The mapping cone of f's chain map on the full order complexes."""
+    KS, KT = order_complex(f.source), order_complex(f.target)
+    return mapping_cone(RawComplex.from_simplicial(KS),
+                        RawComplex.from_simplicial(KT),
+                        chain_map_from_poset_map(f.table, KS, KT))
 
 
 @settings(max_examples=60, deadline=None)
 @given(subposet_inclusions())
-def test_cleared_profile_matches_oracle_on_cones(f):
-    KS, KT = order_complex(f.source), order_complex(f.target)
-    cone = mapping_cone(RawComplex.from_simplicial(KS),
-                        RawComplex.from_simplicial(KT),
-                        chain_map_from_poset_map(f.table, KS, KT))
-    lo, hi = cone.bottom + 1, cone.top + 1
-    assert _rank_profile(cone, lo, hi, 10 ** 6) == oracle_profile(cone, lo, hi)
+def test_rank_profile_matches_oracle_on_cones(f):
+    cone = cone_of(f)
+    assert _rank_profile(cone, 10 ** 6) == oracle_profile(
+        cone, cone.bottom + 1, cone.top)
 
 
 def matched(raw):
@@ -378,6 +396,25 @@ def matched(raw):
     pairs, live = _morse_pairs(raw, 10 ** 6)
     _replay_pairs(raw, pairs, live)
     return pairs, _residue(raw, live), Counter((pairs[:, 0] + 1).tolist())
+
+
+def ranked_matrices(monkeypatch, raw, profile):
+    """(profile(), the columns handed to each sparse_rank call while it
+    runs, the columns of every residue boundary of raw)."""
+    calls = []
+    exact = homology.sparse_rank
+
+    def spy(columns, work_cap=homology.DEFAULT_WORK_CAP):
+        calls.append(columns)
+        return exact(columns, work_cap)
+
+    monkeypatch.setattr(homology, "sparse_rank", spy)
+    out = profile()
+    monkeypatch.setattr(homology, "sparse_rank", exact)
+    _, residue, _ = matched(raw)
+    degrees = range(raw.bottom + 1, raw.top + 1)
+    assert all(len(residue.columns(k)) == residue.count(k) for k in degrees)
+    return out, calls, [residue.columns(k) for k in degrees]
 
 
 def check_rank_identity(raw):
@@ -404,10 +441,24 @@ def test_pairs_keep_the_ranks_of_complexes(K):
 @settings(max_examples=60, deadline=None)
 @given(subposet_inclusions())
 def test_pairs_keep_the_ranks_of_cones(f):
-    KS, KT = order_complex(f.source), order_complex(f.target)
-    check_rank_identity(mapping_cone(RawComplex.from_simplicial(KS),
-                                     RawComplex.from_simplicial(KT),
-                                     chain_map_from_poset_map(f.table, KS, KT)))
+    check_rank_identity(cone_of(f))
+
+
+def test_each_residue_boundary_is_ranked_whole(worked_ctx, monkeypatch):
+    # K0's residue keeps ∂_1 of rank 44 above 49 vertices, and its cone
+    # into K(X) ∂_2 of rank 44 above 49 edges: every call gets all the
+    # residue columns of its degree, the 44 the pivot rows index included
+    cx = worked_ctx.complexes()
+    rawS = RawComplex.from_simplicial(cx.K0)
+    rawT = RawComplex.from_simplicial(cx.KX)
+    inc = chain_map_from_poset_map(range(worked_ctx.join().X.n), cx.K0, cx.KX)
+    bS, bT = betti_of_raw(rawS), betti_of_raw(rawT)
+    cone = mapping_cone(rawS, rawT, inc)
+    for raw, profile in (
+            (rawS, lambda: betti_of_raw(rawS)),
+            (cone, lambda: cone_rank_profile(rawS, rawT, inc, bS, bT))):
+        _, calls, whole = ranked_matrices(monkeypatch, raw, profile)
+        assert sorted(calls) == sorted(whole)
 
 
 @pytest.mark.parametrize("name", ["alt6", "sym6", "aut-alt6", "a5xa5-e"])
@@ -513,48 +564,55 @@ def test_mv_not_a_cover(sym4):
 
 def test_self_checks_survive_python_O():
     code = textwrap.dedent("""
+        import re
         import sys
         from quillen.errors import InvariantViolated
         from quillen.homology import (BettiVector, RawComplex,
                                       cone_rank_profile)
         assert False, "asserts must be stripped"
+        def expect(error, message, accepted, fn, *args):
+            # fn(*args) must raise error from the check whose message
+            # matches, not pass and not trip another check
+            try:
+                fn(*args)
+            except error as e:
+                if not re.search(message, str(e)):
+                    sys.exit(f"{accepted}: {e} is another check")
+            else:
+                sys.exit(accepted)
         # one edge with boundary 2v, so d0 d1 = 2, not 0
         bad = RawComplex({-1: 1, 0: 1, 1: 1},
                          {0: [[(0, 1)]], 1: [[(0, 1), (0, 1)]]})
-        try:
-            bad.verify_dd_zero()
-            sys.exit("verify_dd_zero missed d o d != 0")
-        except InvariantViolated:
-            pass
+        expect(InvariantViolated, "boundary composite nonzero",
+               "verify_dd_zero missed d o d != 0", bad.verify_dd_zero)
         # identity on two points with a source Betti vector that is too small
         two = RawComplex({-1: 1, 0: 2}, {0: [[(0, 1)], [(0, 1)]]})
         ident = {-1: [[(0, 1)]], 0: [[(0, 1)], [(1, 1)]]}
         right = BettiVector(tilde=(1,), minus1=0, chi=1)
         small = BettiVector(tilde=(0,), minus1=0, chi=1)
         cone_rank_profile(two, two, ident, right, right)
-        try:
-            cone_rank_profile(two, two, ident, small, right)
-            sys.exit("cone_rank_profile accepted a rank above the source")
-        except InvariantViolated:
-            pass
-        # every member sent to one point: not an embedded copy
+        expect(InvariantViolated, "cone rank recursion out of range",
+               "cone_rank_profile accepted a rank above the source",
+               cone_rank_profile, two, two, ident, small, right)
+        # every member sent to the first member of its order: orders are
+        # kept, so the copy fails as not injective
         from quillen.gspec import load_group
         from quillen.pposets import _check_embedded_copy, ap_poset, \\
             poset_from_subgroups
         P = ap_poset(load_group("sym4").group.full(), 2)
-        try:
-            _check_embedded_copy(P, P, lambda i: 0)
-            sys.exit("_check_embedded_copy accepted a non-injective map")
-        except InvariantViolated:
-            pass
+        first = {}
+        for j, E in enumerate(P.elements):
+            first.setdefault(E.order, j)
+        expect(InvariantViolated, "embedded copy is not injective",
+               "_check_embedded_copy accepted a non-injective map",
+               _check_embedded_copy, P, P,
+               lambda i: first[P.elements[i].order])
         # every involution of Sym(4) lies in a Klein four-group, so the
         # family without one of them is not closed under subgroups
         from quillen.errors import IndexOutOfRange
-        try:
-            poset_from_subgroups(P.elements[1:], closed_under_subgroups=True)
-            sys.exit("the closure check accepted a family missing a member")
-        except IndexOutOfRange:
-            pass
+        expect(IndexOutOfRange, "not closed under nontrivial subgroups",
+               "the closure check accepted a family missing a member",
+               poset_from_subgroups, P.elements[1:], True)
         # a rank routine that miscounts must trip a check.  Reduction pairs
         # leave the cores' order complexes a zero boundary, so the stand-ins
         # run where a residue keeps one: the worked example's condition (E)
@@ -569,47 +627,40 @@ def test_self_checks_survive_python_O():
         inc = hom.chain_map_from_poset_map(range(ctx.join().X.n), cx.K0,
                                            cx.KX)
         bS, bT = hom.betti_of_raw(rawS), hom.betti_of_raw(rawT)
+        pivot_check = "pivot rows are not"
         # here its pivot rows outnumber the rank it claims
         exact_rank = hom.sparse_rank
         def low(columns, work_cap=hom.DEFAULT_WORK_CAP):
             r, rows = exact_rank(columns, work_cap)
             return (r - 3, rows) if len(columns) > 50 else (r, rows)
         hom.sparse_rank = low
-        try:
-            hom.betti_of_raw(rawS)
-            sys.exit("betti_of_raw accepted ranks 3 too small")
-        except InvariantViolated:
-            pass
-        # and here its pivot rows agree with a count above the shape.  An
-        # isolated point takes the pair with the empty cell, so the
-        # octahedron beside it keeps every cell, and the columns of its
-        # boundary ∂_1 that clearing leaves have full rank
-        def high_on_edges(columns, work_cap=hom.DEFAULT_WORK_CAP):
+        expect(InvariantViolated, pivot_check,
+               "betti_of_raw accepted ranks 3 too small", hom.betti_of_raw,
+               rawS)
+        # and here its pivot rows agree with a rank above the columns.  Two
+        # 1-cells, each with all three 0-cells as faces, have independent
+        # boundaries; no cell has one face or one coface, so no pair forms
+        # and the residue ∂_1 keeps more rows than columns, at full rank
+        def above_columns(columns, work_cap=hom.DEFAULT_WORK_CAP):
             r, rows = exact_rank(columns, work_cap)
-            if not (columns and len(columns[0]) == 2):
+            if not columns or r < len(columns):
                 return r, rows
             spare = next(i for i in range(len(rows) + 1) if i not in rows)
             return r + 1, rows + [spare]
-        hom.sparse_rank = high_on_edges
-        from quillen.posets import Poset, join_posets
-        octahedron = join_posets([Poset([0, 1], [0, 0])] * 3)
-        beside = Poset(["point"] + list(octahedron.elements),
-                       [0] + [m << 1 for m in octahedron.up])
-        try:
-            hom.betti_of_poset(beside)
-            sys.exit("betti_of_poset accepted a boundary rank 1 too big")
-        except InvariantViolated:
-            pass
-        # clearing trusts the pivot rows: a repeated one must raise
+        hom.sparse_rank = above_columns
+        injective = RawComplex({0: 3, 1: 2}, {1: [[(0, 1), (1, 1), (2, 1)],
+                                                  [(0, 1), (1, -1), (2, 2)]]})
+        expect(InvariantViolated, "degree-1 rank 3 exceeds its 2 columns",
+               "betti_of_raw accepted a rank above the columns",
+               hom.betti_of_raw, injective)
+        # a repeated pivot row must raise
         def repeated_row(columns, work_cap=hom.DEFAULT_WORK_CAP):
             r, rows = exact_rank(columns, work_cap)
             return (r, rows[:-1] + rows[:1]) if r > 1 else (r, rows)
         hom.sparse_rank = repeated_row
-        try:
-            hom.cone_rank_profile(rawS, rawT, inc, bS, bT)
-            sys.exit("cone_rank_profile accepted a repeated pivot row")
-        except InvariantViolated:
-            pass
+        expect(InvariantViolated, pivot_check,
+               "cone_rank_profile accepted a repeated pivot row",
+               hom.cone_rank_profile, rawS, rawT, inc, bS, bT)
         hom.sparse_rank = exact_rank
         # the pair search is trusted only through its replay: a repeated
         # pair, and a first pair swapped for an edge and one of its
@@ -619,17 +670,18 @@ def test_self_checks_survive_python_O():
         if sum(any(i == v for i, _ in c) for c in rawT.columns(1)) < 2:
             sys.exit("the swapped pair would be a collapse")
         import numpy as np
-        for corrupt in (lambda pairs: np.concatenate((pairs, pairs[-1:])),
-                        lambda pairs: np.concatenate(([(0, v, 0)], pairs[1:]))):
+        for corrupt, message in (
+                (lambda pairs: np.concatenate((pairs, pairs[-1:])),
+                 "removes a cell twice"),
+                (lambda pairs: np.concatenate(([(0, v, 0)], pairs[1:])),
+                 "pair 0, .* is not elementary")):
             def corrupted(raw, work_cap, corrupt=corrupt):
                 pairs, live = exact_pairs(raw, work_cap)
                 return corrupt(pairs), live
             hom._morse_pairs = corrupted
-            try:
-                hom.betti_of_raw(rawT)
-                sys.exit("betti_of_raw accepted a corrupted matching")
-            except InvariantViolated:
-                pass
+            expect(InvariantViolated, message,
+                   "betti_of_raw accepted a corrupted matching",
+                   hom.betti_of_raw, rawT)
         hom._morse_pairs = exact_pairs
         # an image built from too few generators fails |image||kernel| = |actor|
         from quillen import groups
@@ -638,11 +690,9 @@ def test_self_checks_survive_python_O():
         build = groups.PermGroup.generate
         groups.PermGroup.generate = staticmethod(
             lambda rows, degree, name="": build(rows[:1], degree, name=name))
-        try:
-            groups.conjugation_action(sym5, A5)
-            sys.exit("conjugation_action accepted an image of the wrong order")
-        except InvariantViolated:
-            pass
+        expect(InvariantViolated, "is not the actor",
+               "conjugation_action accepted an image of the wrong order",
+               groups.conjugation_action, sym5, A5)
         groups.PermGroup.generate = build
         # a class entry for the normalizer's first target generator: one
         # built from a centralizer too small for orbit-stabilizer, and one
@@ -653,30 +703,24 @@ def test_self_checks_survive_python_O():
         t = V.generating_set()[0]
         exact_centralizer = groups.centralizer
         groups.centralizer = lambda ambient, target: ambient.intersection(V)
-        try:
-            groups.normalizer(sym4, V)
-            sys.exit("_element_class accepted |class| |centralizer| != |ambient|")
-        except InvariantViolated:
-            pass
+        expect(InvariantViolated, "is not the ambient order",
+               "_element_class accepted |class| |centralizer| != |ambient|",
+               groups.normalizer, sym4, V)
         groups.centralizer = exact_centralizer
         orbit, trans, cent = groups._element_class(sym4, t)
         sym4._cache[("class", t)] = orbit, trans[[0] * orbit.size], cent
-        try:
-            groups.normalizer(sym4, V)
-            sys.exit("normalizer accepted a repeated candidate")
-        except InvariantViolated:
-            pass
+        expect(InvariantViolated, "repeat a normalizer candidate",
+               "normalizer accepted a repeated candidate",
+               groups.normalizer, sym4, V)
         # declared components that are not quasisimple: one not perfect,
         # and one perfect but with a proper noncentral normal subgroup
         from quillen.errors import ComponentsUndetectable
         a5a5 = load_group("a5xa5-e").group.full()
         base = groups.subgroup_product(*groups.detect_components(a5a5)[0])
         for G, declared in [(sym5, sym5), (a5a5, base)]:
-            try:
-                groups.detect_components(G, declared=[declared])
-                sys.exit(f"declared order {declared.order} passed as quasisimple")
-            except ComponentsUndetectable:
-                pass
+            expect(ComponentsUndetectable, "is not quasisimple",
+                   f"declared order {declared.order} passed as quasisimple",
+                   groups.detect_components, G, [declared])
         print("ok", sys.flags.optimize)
     """)
     src = Path(__file__).resolve().parents[1] / "src"

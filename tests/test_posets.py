@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quillen.errors import NotAnActionByAutomorphisms, NotOrderPreserving
+from quillen import posets
+from quillen.errors import NotAnActionByAutomorphisms, NotOrderPreserving, \
+    SimplexCapExceeded
+from quillen.homology import betti_of_poset
 from quillen.posets import Poset, PosetMap, beat_point_core, fixed_subposet, \
     join_posets, make_map, order_complex
 from quillen.pposets import ap_poset
@@ -222,3 +225,17 @@ def test_order_complex_counts():
     assert K.simplex_counts == [3, 2]
     assert K.dimension() == 1
     assert K.reduced_euler() == 0
+
+
+def test_simplex_cap(monkeypatch):
+    # the octahedron has no beat point: its core's complex has all 26
+    # simplices, 6 vertices, 12 edges and 8 triangles
+    octahedron = join_posets([Poset([0, 1], [0, 0])] * 3)
+    assert order_complex(octahedron).simplex_counts == [6, 12, 8]
+    monkeypatch.setattr(posets, "SIMPLEX_CAP", 25)
+    with pytest.raises(SimplexCapExceeded):
+        order_complex(octahedron)
+    with pytest.raises(SimplexCapExceeded):
+        betti_of_poset(octahedron)
+    monkeypatch.setattr(posets, "SIMPLEX_CAP", 26)
+    assert betti_of_poset(octahedron).tilde == (0, 0, 1)
