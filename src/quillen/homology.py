@@ -1,7 +1,8 @@
 """Exact rational homology of simplicial complexes, and induced maps.
 
-All homology here is reduced and over Q, computed from integer boundary
-matrices with exact arithmetic (no floating point anywhere).
+All homology here is reduced and over Q, computed with exact arithmetic
+(no floating point anywhere) from integer boundary matrices, read off the
+simplex arrays by one SimplicialComplex.index call per degree.
 
 Every rank profile, of a complex or of a mapping cone, runs in one
 function, _rank_profile, in two stages.  First reduction pairs, over all
@@ -36,14 +37,14 @@ ranks.  The test suite checks them against a dense Fraction reference
 on small maps and against the full order complexes.
 
 Self-checks raise InvariantViolated, so they also run under
-``python -O``: d∘d = 0, the replayed matching, pivot rows distinct, in
-range and one per unit of rank, ranks no more than the columns,
-boundary ranks within their matrix shape, nonnegative Betti numbers
-(b̃_{-1} = 1 exactly for the empty complex), the Euler characteristic
-across the core collapse and the cone-rank range.  The replay proves
-the ranks the pairs account for; the residue's own ranks are proved
-only when its boundary is zero.  An undercount there that keeps every
-number in range passes.
+``python -O``: faces and images present, d∘d = 0, the replayed matching,
+pivot rows distinct, in range and one per unit of rank, ranks no more
+than the columns, boundary ranks within their matrix shape, nonnegative
+Betti numbers (b̃_{-1} = 1 exactly for the empty complex), the Euler
+characteristic across the core collapse and the cone-rank range.  The
+replay proves the ranks the pairs account for; the residue's own ranks
+are proved only when its boundary is zero.  An undercount there that
+keeps every number in range passes.
 """
 
 import heapq
@@ -51,7 +52,7 @@ import math
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, product, repeat
 
 import numpy as np
 
@@ -79,25 +80,22 @@ class RawComplex:
 
     @classmethod
     def from_simplicial(cls, K):
+        """Boundary of K: face t, the row less entry t, has sign (-1)^t.
+        One K.index call per degree; missing faces raise InvariantViolated."""
         counts = {-1: 1}
         cols = {}
-        for d, simps in enumerate(K.dims):
-            counts[d] = len(simps)
-        if K.dims:
-            cols[0] = [[(0, 1)] for _ in K.dims[0]]
-        idx_maps = K.index_maps()
-        for k in range(1, len(K.dims)):
-            idx = idx_maps[k - 1]
-            level = []
-            for s in K.dims[k]:
-                col = []
-                sign = 1
-                for t in range(len(s)):
-                    face = s[:t] + s[t + 1:]
-                    col.append((idx[face], sign))
-                    sign = -sign
-                level.append(col)
-            cols[k] = level
+        for k, simps in enumerate(K.dims):
+            counts[k] = len(simps)
+            faces = [np.delete(simps, t, axis=1) for t in range(k + 1)]
+            rows = (K.index(k - 1, np.concatenate(faces)) if k
+                    else np.zeros(len(simps), dtype=np.int64))
+            if (rows < 0).any():
+                raise InvariantViolated(f"a degree-{k} face is missing")
+            # entry (i, (-1)^t) is pool[2i + t % 2]: one tuple per row, sign
+            pool = list(product(range(counts[k - 1]), (1, -1)))
+            codes = 2 * rows.reshape(k + 1, -1).T + np.arange(k + 1) % 2
+            cols[k] = _columns(map(pool.__getitem__, codes.ravel().tolist()),
+                               [k + 1] * len(simps))
         return cls(counts, cols)
 
     def count(self, k):
@@ -137,6 +135,11 @@ class RawComplex:
                 if any(acc.values()):
                     raise InvariantViolated(
                         f"boundary composite nonzero at degree {k}, column {j}")
+
+
+def _columns(entries, lengths):
+    """Ragged columns: column j holds the next lengths[j] entries."""
+    return list(map(list, map(islice, repeat(iter(entries)), lengths)))
 
 
 # -- sparse exact rank ------------------------------------------------------------
@@ -550,7 +553,7 @@ def betti_of_complex(K, work_cap=DEFAULT_WORK_CAP):
     else InvariantViolated.
     """
     raw = RawComplex.from_simplicial(K)
-    if K.size() < 200_000:
+    if sum(K.simplex_counts) < 200_000:
         raw.verify_dd_zero()
     bv = betti_of_raw(raw, work_cap=work_cap)
     if bv.minus1 != (0 if raw.count(0) else 1):
@@ -595,26 +598,20 @@ def chain_map_from_poset_map(table, KS, KT):
 
     table[v] is the target vertex of source vertex v: a PosetMap's table,
     or the identity for a subcomplex inclusion.  Poset ids sit in linear
-    extensions, so the image of a chain is a nondecreasing id tuple;
+    extensions, so the image of a chain is a nondecreasing id row;
     degenerate images (repeats) map to 0, and all surviving coefficients
-    are +1.
+    are +1.  One KT.index call per degree finds the images; a
+    nondegenerate image missing from KT raises InvariantViolated.
     """
-    table = [int(v) for v in table]
-    tidx = KT.index_maps()
+    table = np.asarray(table, dtype=np.int64)
     colmaps = {-1: [[(0, 1)]]}
     for k, simps in enumerate(KS.dims):
-        cols = []
-        if k < len(KT.dims):
-            idx = tidx[k]
-            for s in simps:
-                img = tuple(table[v] for v in s)
-                if all(img[t] < img[t + 1] for t in range(len(img) - 1)):
-                    cols.append([(idx[img], 1)])
-                else:
-                    cols.append([])
-        else:
-            cols = [[] for _ in simps]
-        colmaps[k] = cols
+        img = table[simps]
+        nondeg = (img[:, 1:] > img[:, :-1]).all(axis=1)
+        rows = KT.index(k, img[nondeg])
+        if (rows < 0).any():
+            raise InvariantViolated(f"a degree-{k} image is not in the target")
+        colmaps[k] = _columns(zip(rows.tolist(), repeat(1)), nondeg.tolist())
     return colmaps
 
 

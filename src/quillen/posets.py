@@ -5,7 +5,10 @@ Ids are always assigned along a linear extension (i < j whenever
 element i is below element j), which makes chains id-increasing and
 keeps joins and induced subposets cheap.
 
-The order complex K(P) has the nonempty chains of P as simplices.  Beat
+The order complex K(P) has the nonempty chains of P as simplices, kept
+per degree d as one (m_d, d+1) int64 array of increasing rows.  One
+lookup, SimplicialComplex.index, finds rows (faces, images, simplices of
+a subcomplex) in any complex.  Beat
 points (elements with a unique upper or unique lower cover) can be
 removed one at a time without changing the homotopy type of K(P); the
 composite retraction is returned alongside the reduced poset so induced
@@ -163,29 +166,33 @@ def join_posets(posets, tag_elements=True):
 
 
 class SimplicialComplex:
-    """Simplices per dimension, each a strictly increasing tuple of vertex ids."""
+    """Simplices per dimension: dims[d] is an (m_d, d+1) int64 array."""
 
     def __init__(self, dims):
-        self.dims = [list(d) for d in dims]
-        while self.dims and not self.dims[-1]:
+        self.dims = [np.asarray(d, dtype=np.int64).reshape(len(d), k + 1)
+                     for k, d in enumerate(dims)]
+        while self.dims and not len(self.dims[-1]):
             self.dims.pop()
-        self._index = None
 
     @property
     def simplex_counts(self):
         return [len(d) for d in self.dims]
 
-    def dimension(self):
-        return len(self.dims) - 1
-
-    def size(self):
-        return sum(len(d) for d in self.dims)
-
-    def index_maps(self):
-        if self._index is None:
-            self._index = [
-                {s: k for k, s in enumerate(d)} for d in self.dims]
-        return self._index
+    def index(self, d, rows):
+        """Position of each row of rows in dims[d], or -1 where it is
+        absent.  One stable lexsort ranks the table and then the rows, so
+        a run of equal rows starts with its table row, if it has one."""
+        table = (self.dims[d] if d < len(self.dims)
+                 else np.empty((0, d + 1), dtype=np.int64))
+        both = np.concatenate((table, rows))
+        order = np.lexsort(both.T[::-1])
+        ranked = both[order]
+        head = np.ones(len(both), dtype=bool)
+        head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        first = order[head][np.cumsum(head) - 1]
+        pos = np.empty(len(both), dtype=np.int64)
+        pos[order] = np.where(first < len(table), first, -1)
+        return pos[len(table):]
 
     def reduced_euler(self):
         chi = -1
@@ -194,36 +201,35 @@ class SimplicialComplex:
         return chi
 
     def is_subcomplex_of(self, other):
-        oi = other.index_maps()
-        for d, simps in enumerate(self.dims):
-            if d >= len(other.dims):
-                return len(simps) == 0
-            idx = oi[d]
-            if any(s not in idx for s in simps):
-                return False
-        return True
+        return all((other.index(d, simps) >= 0).all()
+                   for d, simps in enumerate(self.dims))
 
 
 def order_complex(P):
     """All nonempty chains of P, as a SimplicialComplex over P's ids.
 
-    Raises SimplexCapExceeded past SIMPLEX_CAP simplices.
+    Each degree repeats every chain of the one below once per id above its
+    last element (the CSR of P.above), so the rows stay lexicographic.
+    Raises SimplexCapExceeded before allocating a degree past SIMPLEX_CAP.
     """
     above = P.above
+    deg = np.fromiter(map(len, above), dtype=np.int64, count=P.n)
+    start = np.cumsum(deg) - deg
+    ids = np.frombuffer(b"".join(above), dtype=np.int64)
     dims = []
-    total = 0
-    level = [(i,) for i in range(P.n)]
-    while level:
-        total += len(level)
+    level = np.arange(P.n, dtype=np.int64)[:, None]
+    total = P.n
+    while len(level):
+        dims.append(level)
+        reps = deg[level[:, -1]]
+        total += int(reps.sum())
         if total > SIMPLEX_CAP:
             raise SimplexCapExceeded(
                 f"order complex exceeds {SIMPLEX_CAP} simplices")
-        dims.append(sorted(level))
-        nxt = []
-        for ch in level:
-            for j in above[ch[-1]]:
-                nxt.append(ch + (j,))
-        level = nxt
+        # new row r extends chain c by ids[start[c's last] + r - first[c]]
+        shift = np.repeat(start[level[:, -1]] - np.cumsum(reps) + reps, reps)
+        level = np.column_stack((np.repeat(level, reps, axis=0),
+                                 ids[np.arange(len(shift)) + shift]))
     return SimplicialComplex(dims)
 
 

@@ -603,24 +603,18 @@ class OrbitContext:
         if "complexes" not in self._cache:
             jd = self.join()
             KX = order_complex(jd.X)
-            nactive = len(jd.active)
-            cmp_masks = [jd.X.up[jd.base_vertex[j]]
-                         | jd.X.down[jd.base_vertex[j]]
-                         | (1 << jd.base_vertex[j]) for j in jd.active]
+            X = jd.X
+            # stars[r, v]: v lies in the star of the r-th factor's base vertex
+            stars = np.zeros((len(jd.active), X.n), dtype=bool)
+            for r, j in enumerate(jd.active):
+                b = jd.base_vertex[j]
+                stars[r, list(iter_bits(X.up[b] | X.down[b] | 1 << b))] = True
             k0_dims, hat_dims = [], []
             for simps in KX.dims:
-                keep0, keephat = [], []
-                for s in simps:
-                    touched = len(set(int(jd.factor_of[v]) for v in s))
-                    if touched < nactive:
-                        keep0.append(s)
-                    sbits = 0
-                    for v in s:
-                        sbits |= 1 << v
-                    if any(sbits & ~m == 0 for m in cmp_masks):
-                        keephat.append(s)
-                k0_dims.append(keep0)
-                hat_dims.append(keephat)
+                f = jd.factor_of[simps]
+                touched = np.array([(f == j).any(axis=1) for j in jd.active])
+                k0_dims.append(simps[~touched.all(axis=0)])
+                hat_dims.append(simps[stars[:, simps].all(axis=2).any(axis=0)])
             K0 = SimplicialComplex(k0_dims)
             K0hat = SimplicialComplex(hat_dims)
             if not K0.is_subcomplex_of(K0hat):

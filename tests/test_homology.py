@@ -25,6 +25,8 @@ from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
 
 from conftest import bundled
 from rank_oracle import dense_rank, induced_ranks
+from simplex_oracle import dict_boundary, dict_chain_map, \
+    tuple_chains, tuple_dims
 
 
 def antichain(n):
@@ -335,10 +337,17 @@ def oracle_profile(raw, lo, hi):
 
 @st.composite
 def small_complexes(draw):
-    """The simplicial complex generated by a few random facets."""
+    """The simplicial complex generated by a few random facets, beside up
+    to two hollow simplices on fresh vertices (every proper face of 3, 4
+    or 5 vertices).  Every cell of a hollow simplex has two cofaces or
+    none, so unless it holds the seed vertex the pair search leaves it
+    whole, with residue boundaries in adjacent degrees."""
     n = draw(st.integers(0, 7))
     facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
                                    max_size=4), max_size=8)) if n else []
+    for size in draw(st.lists(st.integers(3, 5), max_size=2)):
+        facets += itertools.combinations(range(n, n + size), size - 1)
+        n += size
     faces = set()
     for f in facets:
         f = tuple(sorted(f))
@@ -347,6 +356,45 @@ def small_complexes(draw):
     top = max(map(len, faces), default=0)
     return SimplicialComplex([sorted(s for s in faces if len(s) == d + 1)
                               for d in range(top)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_boundary_matches_dict_lookup(K):
+    assert RawComplex.from_simplicial(K).cols == dict_boundary(tuple_dims(K))
+
+
+def test_missing_face_raises():
+    # the edge (0, 2) has no vertex 2
+    K = SimplicialComplex([[(0,), (1,)], [(0, 2)]])
+    with pytest.raises(InvariantViolated, match="face is missing"):
+        RawComplex.from_simplicial(K)
+
+
+EDGE = SimplicialComplex([[(0,), (1,)], [(0, 1)]])
+
+
+def test_image_missing_from_the_target_raises():
+    # the target has an edge, but not the image (0, 1)
+    KT = SimplicialComplex([[(0,), (1,), (2,)], [(0, 2)]])
+    with pytest.raises(InvariantViolated, match="not in the target"):
+        chain_map_from_poset_map([0, 1], EDGE, KT)
+
+
+def test_image_above_the_target_dimension_raises():
+    # the target has no edges at all; a degenerate image still maps to 0
+    KT = SimplicialComplex([[(0,), (1,)]])
+    with pytest.raises(InvariantViolated, match="not in the target"):
+        chain_map_from_poset_map([0, 1], EDGE, KT)
+    assert chain_map_from_poset_map([1, 1], EDGE, KT)[1] == [[]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(subposet_inclusions())
+def test_chain_map_matches_dict_lookup(f):
+    KS, KT = order_complex(f.source), order_complex(f.target)
+    assert chain_map_from_poset_map(f.table, KS, KT) == dict_chain_map(
+        f.table, tuple_chains(f.source), tuple_chains(f.target))
 
 
 # a hollow tetrahedron beside a point: the point takes the pair with the

@@ -13,6 +13,7 @@ from quillen.posets import Poset, PosetMap, beat_point_core, fixed_subposet, \
 from quillen.pposets import ap_poset
 
 from conftest import bundled
+from simplex_oracle import tuple_chains, tuple_dims
 
 
 def poset_from_pairs(n, pairs):
@@ -223,8 +224,23 @@ def test_order_complex_counts():
     P = poset_from_pairs(3, [(0, 1), (0, 2)])
     K = order_complex(P)
     assert K.simplex_counts == [3, 2]
-    assert K.dimension() == 1
+    assert len(K.dims) == 2
     assert K.reduced_euler() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_cases(1, 7, 12))
+def test_order_complex_matches_tuple_chains(case):
+    P = poset_from_pairs(*case)
+    if P is None:
+        return
+    assert tuple_dims(order_complex(P)) == tuple_chains(P)
+
+
+def test_order_complex_matches_tuple_chains_on_sym5(ap2_sym5):
+    K = order_complex(ap2_sym5)
+    assert K.simplex_counts == [45, 60]
+    assert tuple_dims(K) == tuple_chains(ap2_sym5)
 
 
 def test_simplex_cap(monkeypatch):

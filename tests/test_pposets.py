@@ -12,6 +12,7 @@ from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
     poset_from_subgroups
 
 from conftest import bundled
+from simplex_oracle import k0_and_k0hat, tuple_dims
 
 
 def test_ap_sizes():
@@ -211,8 +212,16 @@ def test_orbit_context_sym5(sym5):
 def test_orbit_context_single_orbit_k0_empty(sym5):
     ctx = OrbitContext(sym5, 2)
     cx = ctx.complexes()
-    assert cx.K0.size() == 0
+    assert cx.K0.simplex_counts == []
     assert cx.k0hat_betti.is_zero()
+
+
+def test_k0_and_k0hat_match_the_simplexwise_rule(worked_ctx):
+    cx = worked_ctx.complexes()
+    k0, hat = k0_and_k0hat(worked_ctx.join(), tuple_dims(cx.KX))
+    assert cx.K0.simplex_counts == [65, 75]
+    assert tuple_dims(cx.K0) == [d for d in k0 if d]
+    assert tuple_dims(cx.K0hat) == [d for d in hat if d]
 
 
 def test_trivial_decomposition_when_h_is_g(sym5):
