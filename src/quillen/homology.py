@@ -1,8 +1,9 @@
 """Exact rational homology of simplicial complexes, and induced maps.
 
 All homology here is reduced and over Q, computed with exact arithmetic
-(no floating point anywhere) from integer boundary matrices, read off the
-simplex arrays by one SimplicialComplex.index call per degree.
+(no floating point anywhere) from integer boundary and chain-map
+matrices, each one Boundary in CSR form, read off the simplex arrays by
+one SimplicialComplex.index call per degree.
 
 Every rank profile, of a complex or of a mapping cone, runs in one
 function, _rank_profile, in two stages.  First reduction pairs, over all
@@ -37,14 +38,15 @@ ranks.  The test suite checks them against a dense Fraction reference
 on small maps and against the full order complexes.
 
 Self-checks raise InvariantViolated, so they also run under
-``python -O``: faces and images present, d∘d = 0, the replayed matching,
-pivot rows distinct, in range and one per unit of rank, ranks no more
-than the columns, boundary ranks within their matrix shape, nonnegative
-Betti numbers (b̃_{-1} = 1 exactly for the empty complex), the Euler
-characteristic across the core collapse and the cone-rank range.  The
-replay proves the ranks the pairs account for; the residue's own ranks
-are proved only when its boundary is zero.  An undercount there that
-keeps every number in range passes.
+``python -O``: faces and images present, boundary shapes, d∘d = 0 on
+every column, the replayed matching, pivot rows distinct, in range and
+one per unit of rank, ranks no more than the columns, boundary ranks
+within their matrix shape, nonnegative Betti numbers (b̃_{-1} = 1
+exactly for the empty complex), the Euler characteristic across the
+core collapse and the cone-rank range.  The replay proves the ranks the
+pairs account for; the residue's own ranks are proved only when its
+boundary is zero.  An undercount there that keeps every number in range
+passes.
 """
 
 import heapq
@@ -52,7 +54,6 @@ import math
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
 
 import numpy as np
 
@@ -65,18 +66,70 @@ DEFAULT_WORK_CAP = 400_000_000
 # -- raw chain complexes ---------------------------------------------------------
 
 
-class RawComplex:
-    """Integer chain complex given by cell counts and boundary columns.
+class Boundary:
+    """An integer matrix in CSR form by columns: column j holds rows
+    rows[ptr[j]:ptr[j+1]] with values vals[ptr[j]:ptr[j+1]], all int64.
+    As a sequence, len is the column count and B[j], like each item of
+    iter(B), is column j as a list of (row, value)."""
 
-    counts maps degree -> number of cells, cols maps degree k -> list of
-    columns of the boundary C_k -> C_{k-1}, each column a list of
-    (row, value).  Augmented simplicial complexes store the empty simplex
-    in degree -1.
+    def __init__(self, ptr, rows, vals):
+        self.ptr, self.rows, self.vals = (np.asarray(x, dtype=np.int64)
+                                          for x in (ptr, rows, vals))
+
+    def __len__(self):
+        return len(self.ptr) - 1
+
+    def __getitem__(self, j):
+        lo, hi = self.ptr[j], self.ptr[j + 1]
+        return list(zip(self.rows[lo:hi].tolist(), self.vals[lo:hi].tolist()))
+
+    def __iter__(self):
+        entries = list(zip(self.rows.tolist(), self.vals.tolist()))
+        ptr = self.ptr.tolist()
+        return (entries[lo:hi] for lo, hi in zip(ptr, ptr[1:]))
+
+    def owners(self):
+        """The column of each entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.ptr))
+
+
+def _stack(ncols, parts):
+    """One Boundary of ncols columns from parts (B, col_shift, row_shift,
+    sign): entry (i, v) of B's column j lands in column col_shift + j as
+    (row_shift + i, sign * v).  One stable argsort by column keeps each
+    column's entries in part order, and in B's order within a part."""
+    col, rows, vals = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    for B, cs, rs, sign in parts:
+        col.append(B.owners() + cs)
+        rows.append(B.rows + rs)
+        vals.append(B.vals * sign)
+    col = np.concatenate(col)
+    order = np.argsort(col, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=ncols))))
+    return Boundary(ptr, np.concatenate(rows)[order],
+                    np.concatenate(vals)[order])
+
+
+class RawComplex:
+    """Integer chain complex given by cell counts and boundary matrices.
+
+    counts maps degree -> number of cells, cols maps degree k -> the
+    Boundary of C_k -> C_{k-1}, one column per cell of degree k with rows
+    among the cells of degree k - 1 (InvariantViolated otherwise); a
+    degree left out of cols has a zero boundary.  Augmented simplicial
+    complexes store the empty simplex in degree -1.
     """
 
     def __init__(self, counts, cols):
         self.counts = dict(counts)
         self.cols = dict(cols)
+        for k, B in self.cols.items():
+            if len(B) != self.count(k):
+                raise InvariantViolated(f"degree {k} has {len(B)} columns "
+                                        f"for {self.count(k)} cells")
+            if not np.all((0 <= B.rows) & (B.rows < self.count(k - 1))):
+                raise InvariantViolated(f"a degree-{k} row falls outside "
+                                        f"the {self.count(k - 1)} cells below")
 
     @classmethod
     def from_simplicial(cls, K):
@@ -85,69 +138,66 @@ class RawComplex:
         counts = {-1: 1}
         cols = {}
         for k, simps in enumerate(K.dims):
-            counts[k] = len(simps)
+            m = counts[k] = len(simps)
             faces = [np.delete(simps, t, axis=1) for t in range(k + 1)]
             rows = (K.index(k - 1, np.concatenate(faces)) if k
-                    else np.zeros(len(simps), dtype=np.int64))
+                    else np.zeros(m, dtype=np.int64))
             if (rows < 0).any():
                 raise InvariantViolated(f"a degree-{k} face is missing")
-            # entry (i, (-1)^t) is pool[2i + t % 2]: one tuple per row, sign
-            pool = list(product(range(counts[k - 1]), (1, -1)))
-            codes = 2 * rows.reshape(k + 1, -1).T + np.arange(k + 1) % 2
-            cols[k] = _columns(map(pool.__getitem__, codes.ravel().tolist()),
-                               [k + 1] * len(simps))
+            cols[k] = Boundary(np.arange(m + 1) * (k + 1),
+                               rows.reshape(k + 1, -1).T.ravel(),
+                               np.tile(1 - 2 * (np.arange(k + 1) % 2), m))
         return cls(counts, cols)
 
     def count(self, k):
         return self.counts.get(k, 0)
 
     def columns(self, k):
-        return self.cols.get(k, [])
+        return self.cols[k] if k in self.cols else Boundary(
+            np.zeros(self.count(k) + 1), (), ())
 
     @property
     def top(self):
-        live = [k for k, c in self.counts.items() if c]
-        return max(live) if live else -2
+        return max((k for k, c in self.counts.items() if c), default=-2)
 
     @property
     def bottom(self):
-        live = [k for k, c in self.counts.items() if c]
-        return min(live) if live else -1
+        return min((k for k, c in self.counts.items() if c), default=-1)
 
     def euler(self):
         """Alternating sum of cell counts over every stored degree."""
         return sum(c if k % 2 == 0 else -c for k, c in self.counts.items())
 
-    def verify_dd_zero(self, sample=2000):
-        """Check composite boundaries vanish, on a deterministic sample."""
+    def verify_dd_zero(self):
+        """Check d∘d = 0 on every column: entry (i, v) of column j of ∂_k
+        meets each entry (r, w) of column i of ∂_{k-1}, and the int64 sums
+        of v * w per (j, r), exact for ±1 entries, must all be 0."""
         for k in sorted(self.cols):
             if k - 1 not in self.cols:
                 continue
-            cols_k = self.cols[k]
-            cols_km1 = self.cols[k - 1]
-            n = len(cols_k)
-            step = max(1, n // max(1, sample))
-            for j in range(0, n, step):
-                acc = {}
-                for i, v in cols_k[j]:
-                    for i2, v2 in cols_km1[i]:
-                        acc[i2] = acc.get(i2, 0) + v * v2
-                if any(acc.values()):
-                    raise InvariantViolated(
-                        f"boundary composite nonzero at degree {k}, column {j}")
-
-
-def _columns(entries, lengths):
-    """Ragged columns: column j holds the next lengths[j] entries."""
-    return list(map(list, map(islice, repeat(iter(entries)), lengths)))
+            B, A = self.cols[k], self.cols[k - 1]
+            lens = np.diff(A.ptr)[B.rows]
+            at = np.repeat(A.ptr[B.rows] - np.cumsum(lens) + lens, lens) \
+                + np.arange(lens.sum())
+            n = max(1, self.count(k - 2))
+            key = np.repeat(B.owners() * n, lens) + A.rows[at]
+            prod = np.repeat(B.vals, lens) * A.vals[at]
+            order = np.argsort(key, kind="stable")
+            key, prod = key[order], prod[order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            bad = first[np.add.reduceat(prod, first) != 0]
+            if len(bad):
+                raise InvariantViolated(
+                    f"boundary composite nonzero at degree {k}, column "
+                    f"{key[bad[0]] // n}")
 
 
 # -- sparse exact rank ------------------------------------------------------------
 
 
 def sparse_rank(columns, work_cap=DEFAULT_WORK_CAP):
-    """Rank over Q of an integer matrix given as columns of (row, val),
-    with the rows of its pivots: returns (rank, pivot_rows).
+    """Rank over Q of an integer matrix given as a Boundary, with the
+    rows of its pivots: returns (rank, pivot_rows).
 
     One elimination, Markowitz pivoting: take the shortest live column
     and pivot on its entry minimising (|v|, row length, row), so on the
@@ -290,35 +340,27 @@ def _morse_pairs(raw, work_cap):
     entry, in order, so the first pair is a vertex with the empty cell,
     and it is drained before any collapse is taken; live cofaces are
     counted from then on, and the collapse queue starts from the live
-    cells with one.  The order is fixed by raw alone.  Faces are read
-    from raw.cols; cofaces are one CSR pair (offsets, indices).  Every
-    entry visited counts against work_cap (MatrixCapExceeded past it).
+    cells with one.  The order is fixed by raw alone.  Faces are one CSR
+    stacked from raw's boundaries, read through flat arrays; cofaces are
+    its transpose (offsets, indices).  Every entry visited counts against
+    work_cap (MatrixCapExceeded past it).
     """
     degrees = range(raw.bottom, raw.top + 1)
-    # cell j of degree k is start[k] + j; its faces are raw.cols[k][j],
-    # whose rows count from shift = start[k - 1]
-    start = {}
-    n = 0
-    for k in degrees:
-        start[k] = n
-        n += raw.count(k)
-    faces = []
-    shift = []
-    for k in degrees:
-        cols = raw.columns(k)[:raw.count(k)] if k > raw.bottom else []
-        faces += cols
-        faces += [()] * (raw.count(k) - len(cols))
-        shift += [start.get(k - 1, 0)] * raw.count(k)
-    nf = list(map(len, faces))
-    rows = np.fromiter((i for col in faces for i, _ in col), dtype=np.int64,
-                       count=sum(nf))
-    rows += np.repeat(np.asarray(shift, dtype=np.int64), nf)
-    owner = np.repeat(np.arange(n, dtype=np.int64), nf)
-    counts = np.bincount(rows, minlength=n)
+    # cell j of degree k is first[k - raw.bottom] + j: each boundary is
+    # one block of the n x n face matrix
+    first = np.cumsum([0] + [raw.count(k) for k in degrees])
+    n = int(first[-1])
+    faces = _stack(n, [(raw.columns(k), first[d], first[d - 1] if d else 0, 1)
+                       for d, k in enumerate(degrees)])
+    fp, fr, fv = (array("q", x.tobytes())
+                  for x in (faces.ptr, faces.rows, faces.vals))
+    nf = np.diff(faces.ptr).tolist()
+    owner = faces.owners()
+    counts = np.bincount(faces.rows, minlength=n)
     ptr = array("q", np.concatenate(([0], np.cumsum(counts))).tobytes())
-    cof = array("q", owner[np.argsort(rows, kind="stable")].tobytes())
+    cof = array("q", owner[np.argsort(faces.rows, kind="stable")].tobytes())
     live = bytearray(b"\x01") * n
-    core_q = deque(np.flatnonzero(np.array(nf) == 1).tolist())
+    core_q = deque(np.flatnonzero(np.diff(faces.ptr) == 1).tolist())
     coll_q = None
     push_core = core_q.append
     pairs = array("q")
@@ -328,26 +370,25 @@ def _morse_pairs(raw, work_cap):
             b = core_q.popleft()
             if not live[b] or nf[b] != 1:
                 continue
-            fo = shift[b]
-            for i, v in faces[b]:
-                if live[fo + i]:
+            for e in range(fp[b], fp[b + 1]):
+                if live[fr[e]]:
                     break
-            if not v:
+            if not fv[e]:
                 continue
-            a = fo + i
+            a = fr[e]
             # b's other faces are gone already
-            drop = (faces[a],) if coll_q is not None else ()
+            drop = (a,) if coll_q is not None else ()
             lift = cof[ptr[a]:ptr[a + 1]] + cof[ptr[b]:ptr[b + 1]]
-            work += len(faces[b])
+            work += fp[b + 1] - fp[b]
         elif coll_q is None:
             # the coreductions are drained: count live cofaces from here on
             alive = np.frombuffer(live, dtype=np.uint8)[owner] != 0
-            nc = np.bincount(rows[alive], minlength=n)
+            nc = np.bincount(faces.rows[alive], minlength=n)
             coll_q = deque(np.flatnonzero((nc == 1) & (
                 np.frombuffer(live, dtype=np.uint8) != 0)).tolist())
             nc = nc.tolist()
             push_coll = coll_q.append
-            work += len(rows)
+            work += len(fr)
             continue
         elif coll_q:
             a = coll_q.popleft()
@@ -357,12 +398,11 @@ def _morse_pairs(raw, work_cap):
             for b in ids:
                 if live[b]:
                     break
-            fo = shift[b]
-            v = next(v for i, v in faces[b] if fo + i == a)
+            v = next(fv[e] for e in range(fp[b], fp[b + 1]) if fr[e] == a)
             if not v:
                 continue
             # a's other cofaces are gone already
-            drop = (faces[a], faces[b])
+            drop = (a, b)
             lift = cof[ptr[b]:ptr[b + 1]]
             work += len(ids)
         else:
@@ -370,14 +410,12 @@ def _morse_pairs(raw, work_cap):
         live[a] = live[b] = 0
         pairs.extend((a, b))
         # faces of a removed cell lose a live coface, cofaces a live face
-        for x, col in zip((a, b), drop):
-            fo = shift[x]
-            for i, _ in col:
-                i += fo
+        for x in drop:
+            for i in fr[fp[x]:fp[x + 1]]:
                 nc[i] -= 1
                 if nc[i] == 1 and live[i]:
                     push_coll(i)
-            work += len(col)
+            work += fp[x + 1] - fp[x]
         for y in lift:
             nf[y] -= 1
             if nf[y] == 1 and live[y]:
@@ -385,18 +423,17 @@ def _morse_pairs(raw, work_cap):
         work += len(lift)
         if work > work_cap:
             raise MatrixCapExceeded(f"reduction work exceeded {work_cap}")
-    first = np.array([start[k] for k in degrees], dtype=np.int64)
     a = np.frombuffer(pairs, dtype=np.int64)[0::2]
     b = np.frombuffer(pairs, dtype=np.int64)[1::2]
     deg = np.searchsorted(first, a, side="right") - 1
     pairs = np.stack((deg + raw.bottom, a - first[deg], b - first[deg + 1]),
                      axis=1)
-    return pairs, {k: live[start[k]:start[k] + raw.count(k)]
-                   for k in degrees}
+    return pairs, {k: live[first[d]:first[d + 1]]
+                   for d, k in enumerate(degrees)}
 
 
 def _replay_pairs(raw, pairs, live):
-    """Check a matching against the face lists alone.
+    """Check a matching against the boundary entries alone.
 
     Pair p = (k, a, b) removes cell a of degree k and cell b of degree
     k + 1 at time p; a cell never removed has time len(pairs).  A cell is
@@ -410,32 +447,24 @@ def _replay_pairs(raw, pairs, live):
     at fault.
     """
     degrees = range(raw.bottom, raw.top + 1)
-    first = {}
-    n = 0
-    for k in degrees:
-        first[k] = n
-        n += raw.count(k)
+    size = np.array([raw.count(d) for d in range(raw.bottom, raw.top + 2)])
+    # cell j of degree k is starts[k - raw.bottom] + j
+    starts = np.concatenate(([0], np.cumsum(size)))
+    n = int(starts[-1])
     owner, face, value = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-    for k in degrees[1:]:
-        cols = raw.columns(k)
-        if len(cols) > raw.count(k):
-            raise InvariantViolated(f"degree {k} has more columns than cells")
-        lens = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(cols)),
-                           dtype=np.int64, count=2 * int(lens.sum()))
-        owner.append(first[k] + np.repeat(np.arange(len(cols)), lens))
-        face.append(first[k - 1] + flat[0::2])
-        value.append(flat[1::2])
+    for d, k in enumerate(degrees[1:], 1):
+        B = raw.columns(k)
+        owner.append(starts[d] + np.repeat(np.arange(len(B)), np.diff(B.ptr)))
+        face.append(starts[d - 1] + B.rows)
+        value.append(B.vals)
     owner, face, value = map(np.concatenate, (owner, face, value))
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
     npairs = len(pairs)
     k, a, b = pairs.T
-    size = np.array([raw.count(d) for d in range(raw.bottom, raw.top + 2)])
     if npairs and not (np.all((k >= raw.bottom) & (k < raw.top))
                        and np.all((0 <= a) & (a < size[k - raw.bottom]))
                        and np.all((0 <= b) & (b < size[k + 1 - raw.bottom]))):
         raise InvariantViolated("a pair names no cell of the complex")
-    starts = np.array([first[d] for d in degrees] + [n], dtype=np.int64)
     ga = starts[k - raw.bottom] + a
     gb = starts[k + 1 - raw.bottom] + b
     turn = np.arange(npairs)
@@ -461,12 +490,12 @@ def _replay_pairs(raw, pairs, live):
                                 f"{why}")
     if sorted(live) != list(degrees):
         raise InvariantViolated("the residue's degrees are not the complex's")
-    for d in degrees:
-        kept = when[first[d]:first[d] + raw.count(d)] == npairs
-        if not np.array_equal(np.frombuffer(live[d], dtype=np.uint8) != 0,
+    for d, k in enumerate(degrees):
+        kept = when[starts[d]:starts[d + 1]] == npairs
+        if not np.array_equal(np.frombuffer(live[k], dtype=np.uint8) != 0,
                               kept):
             raise InvariantViolated(
-                f"replayed degree-{d} residue differs from the search's")
+                f"replayed degree-{k} residue differs from the search's")
 
 
 def _rank_profile(raw, work_cap):
@@ -504,18 +533,21 @@ def _rank_profile(raw, work_cap):
 
 
 def _residue(raw, live):
-    """The subcomplex of raw on the live cells, renumbered in order."""
-    keep = {k: np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
+    """The subcomplex of raw on the live cells: each boundary masked to
+    the live columns and rows, renumbered in order."""
+    keep = {k: np.frombuffer(flags, dtype=np.uint8) != 0
             for k, flags in live.items()}
-    new = {k: {j: n for n, j in enumerate(ids)} for k, ids in keep.items()}
     cols = {}
-    for k, ids in keep.items():
-        if k - 1 in new and k in raw.cols:
-            rows = new[k - 1]
-            faces = raw.cols[k]
-            cols[k] = [[(rows[i], v) for i, v in faces[j] if i in rows]
-                       if j < len(faces) else [] for j in ids]
-    return RawComplex({k: len(ids) for k, ids in keep.items()}, cols)
+    for k, mask in keep.items():
+        if k - 1 in keep:
+            B = raw.columns(k)
+            j = B.owners()
+            ok = mask[j] & keep[k - 1][B.rows]
+            lens = np.bincount(j[ok], minlength=len(B))[mask]
+            cols[k] = Boundary(np.concatenate(([0], np.cumsum(lens))),
+                               np.cumsum(keep[k - 1])[B.rows[ok]] - 1,
+                               B.vals[ok])
+    return RawComplex({k: int(mask.sum()) for k, mask in keep.items()}, cols)
 
 
 def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
@@ -548,13 +580,11 @@ def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
 def betti_of_complex(K, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector of a SimplicialComplex (exact, over Q).
 
-    d∘d = 0 is checked on a sample of columns when K has fewer than
-    200 000 simplices.  b̃_{-1} must be 1 exactly when K has no vertex,
-    else InvariantViolated.
+    d∘d = 0 is checked on every column.  b̃_{-1} must be 1 exactly when
+    K has no vertex, else InvariantViolated.
     """
     raw = RawComplex.from_simplicial(K)
-    if sum(K.simplex_counts) < 200_000:
-        raw.verify_dd_zero()
+    raw.verify_dd_zero()
     bv = betti_of_raw(raw, work_cap=work_cap)
     if bv.minus1 != (0 if raw.count(0) else 1):
         raise InvariantViolated(
@@ -594,7 +624,7 @@ def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP):
 
 
 def chain_map_from_poset_map(table, KS, KT):
-    """Per-degree columns of the chain map induced by a vertex table.
+    """Per-degree Boundary of the chain map induced by a vertex table.
 
     table[v] is the target vertex of source vertex v: a PosetMap's table,
     or the identity for a subcomplex inclusion.  Poset ids sit in linear
@@ -604,19 +634,22 @@ def chain_map_from_poset_map(table, KS, KT):
     nondegenerate image missing from KT raises InvariantViolated.
     """
     table = np.asarray(table, dtype=np.int64)
-    colmaps = {-1: [[(0, 1)]]}
+    colmaps = {-1: Boundary([0, 1], [0], [1])}
     for k, simps in enumerate(KS.dims):
         img = table[simps]
         nondeg = (img[:, 1:] > img[:, :-1]).all(axis=1)
         rows = KT.index(k, img[nondeg])
         if (rows < 0).any():
             raise InvariantViolated(f"a degree-{k} image is not in the target")
-        colmaps[k] = _columns(zip(rows.tolist(), repeat(1)), nondeg.tolist())
+        colmaps[k] = Boundary(np.concatenate(([0], np.cumsum(nondeg))), rows,
+                              np.ones(len(rows)))
     return colmaps
 
 
 def mapping_cone(rawS, rawT, colmaps):
-    """Algebraic mapping cone of a chain map: Cone_k = T_k ⊕ S_{k-1}."""
+    """Algebraic mapping cone of a chain map: Cone_k = T_k ⊕ S_{k-1}, a
+    column of S_{k-1} holding its image under colmaps, then minus its
+    boundary."""
     counts = {}
     cols = {}
     bottom = min(rawT.bottom, rawS.bottom + 1, -1)
@@ -624,18 +657,11 @@ def mapping_cone(rawS, rawT, colmaps):
     for k in range(bottom, top + 1):
         counts[k] = rawT.count(k) + rawS.count(k - 1)
     for k in range(bottom + 1, top + 1):
-        level = [list(c) for c in rawT.columns(k)]
-        if len(level) < rawT.count(k):
-            level += [[] for _ in range(rawT.count(k) - len(level))]
-        offs = rawT.count(k - 1)
-        fmap = colmaps.get(k - 1, [])
-        scols = rawS.columns(k - 1)
-        for j in range(rawS.count(k - 1)):
-            col = list(fmap[j]) if j < len(fmap) else []
-            if j < len(scols):
-                col = col + [(offs + i, -v) for i, v in scols[j]]
-            level.append(col)
-        cols[k] = level
+        nT = rawT.count(k)
+        f = colmaps.get(k - 1, Boundary([0], (), ()))
+        cols[k] = _stack(counts[k], [
+            (rawT.columns(k), 0, 0, 1), (f, nT, 0, 1),
+            (rawS.columns(k - 1), nT, rawT.count(k - 1), -1)])
     return RawComplex(counts, cols)
 
 
@@ -649,11 +675,11 @@ def cone_rank_profile(rawS, rawT, colmaps, bettiS, bettiT,
     one elimination per residue boundary as a complex's (_rank_profile),
     a degree with no boundary read as rank 0.  Returns dict degree -> rank.
     Recovered ranks are checked against 0 <= r_k <= min(b̃_k S, b̃_k T);
-    the sampled boundary check on the cone catches malformed chain maps
-    with a clearer message first.
+    the boundary check on the cone, on every column, catches malformed
+    chain maps with a clearer message first.
     """
     cone = mapping_cone(rawS, rawT, colmaps)
-    cone.verify_dd_zero(sample=500)
+    cone.verify_dd_zero()
     top = cone.top
     if top < -1:
         return {}
@@ -774,13 +800,8 @@ def direct_sum_raw(rawA, rawB):
     for k in range(lo, hi + 1):
         counts[k] = rawA.count(k) + rawB.count(k)
     for k in range(lo + 1, hi + 1):
-        offs = rawA.count(k - 1)
-        level = [list(c) for c in rawA.columns(k)]
-        if len(level) < rawA.count(k):
-            level += [[] for _ in range(rawA.count(k) - len(level))]
-        for col in rawB.columns(k):
-            level.append([(offs + i, v) for i, v in col])
-        cols[k] = level
+        cols[k] = _stack(counts[k], [(rawA.columns(k), 0, 0, 1), (
+            rawB.columns(k), rawA.count(k), rawA.count(k - 1), 1)])
     return RawComplex(counts, cols)
 
 
@@ -836,8 +857,8 @@ def mv_rank_audit(U, ids_Y, ids_Z, work_cap=DEFAULT_WORK_CAP):
     # α = (inclusion into Y, inclusion into Z), the Z half offset by Y's cells
     toY = chain_map_from_poset_map(np.searchsorted(incY, ids_I), KI, KY)
     toZ = chain_map_from_poset_map(np.searchsorted(incZ, ids_I), KI, KZ)
-    colmaps = {k: [cy + [(rawY.count(k) + i, v) for i, v in cz]
-                   for cy, cz in zip(toY[k], toZ[k])]
+    colmaps = {k: _stack(len(toY[k]), [(toY[k], 0, 0, 1),
+                                       (toZ[k], 0, rawY.count(k), 1)])
                for k in toY}
     ranks = cone_rank_profile(rawI, rawYZ, colmaps, bI, bYZ, work_cap)
     degrees = {}

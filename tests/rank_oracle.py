@@ -3,10 +3,24 @@
 Deliberately naive and independent of quillen.homology: chains are
 enumerated by brute force, boundaries and chain maps are built here, and
 ranks come from plain Gaussian elimination over Q on dense matrices.
-Tests compare the sparse kernels against it on small inputs only.
+Tests compare the sparse kernels against it on small inputs only.  csr
+only packs hand-written columns into quillen's Boundary format.
 """
 
 from fractions import Fraction
+
+from quillen.homology import Boundary
+
+
+def csr(columns):
+    """The Boundary of columns given as lists of (row, value)."""
+    ptr, rows, vals = [0], [], []
+    for col in columns:
+        for i, v in col:
+            rows.append(i)
+            vals.append(v)
+        ptr.append(len(rows))
+    return Boundary(ptr, rows, vals)
 
 
 def _rref(rows):
