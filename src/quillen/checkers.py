@@ -200,20 +200,19 @@ def _condition_C(ctx, dec):
     full = (1 << len(jd.active)) - 1
     V0, ids = dec.V0, dec.ids_V0
     vmask = [1 << pos_of[int(jd.factor_of[psi.table[int(g)]])] for g in ids]
-    up = V0.up
+    dptr, dids = V0.below()
     ach = [None] * V0.n
     parent = {}
     hit = None
     for v in range(V0.n):
         masks = {vmask[v]}
         parent[(v, vmask[v])] = None
-        for u in range(v):
-            if (up[u] >> v) & 1:
-                for m in ach[u]:
-                    nm = m | vmask[v]
-                    if nm not in masks:
-                        masks.add(nm)
-                        parent[(v, nm)] = (u, m)
+        for u in dids[dptr[v]:dptr[v + 1]].tolist():  # ascending
+            for m in ach[u]:
+                nm = m | vmask[v]
+                if nm not in masks:
+                    masks.add(nm)
+                    parent[(v, nm)] = (u, m)
         ach[v] = masks
         if hit is None and full in masks:
             hit = v
@@ -380,7 +379,7 @@ def check_thm41(ctx, restrict=None):
     else:
         ids = _restrict_ids(psi.source, restrict)
         sub, inc = psi.source.induced(ids)
-        fmap = PosetMap(sub, psi.target, psi.table[inc], validate=False)
+        fmap = PosetMap(sub, psi.target, psi.table[inc])
         report = induced_map(fmap, work_cap=ctx.work_cap)
         size = sub.n
         label = "restricted"

@@ -830,14 +830,11 @@ def mv_rank_audit(U, ids_Y, ids_Z, work_cap=DEFAULT_WORK_CAP):
     inZ[ids_Z] = True
     if not np.all(inY | inZ):
         raise NotACover("subposets do not cover the target")
-    mask_z_only = 0
-    for i in np.nonzero(inZ & ~inY)[0]:
-        mask_z_only |= 1 << int(i)
-    for i in np.nonzero(inY & ~inZ)[0]:
-        i = int(i)
-        if (U.up[i] & mask_z_only) or (U.down[i] & mask_z_only):
-            raise NotACover(
-                "a chain of the target mixes elements private to each part")
+    y_only, z_only = inY & ~inZ, inZ & ~inY
+    lo, hi = U.pairs()
+    if np.any((y_only[lo] & z_only[hi]) | (z_only[lo] & y_only[hi])):
+        raise NotACover(
+            "a chain of the target mixes elements private to each part")
     PY, incY = U.induced(ids_Y)
     PZ, incZ = U.induced(ids_Z)
     ids_I = np.intersect1d(ids_Y, ids_Z)

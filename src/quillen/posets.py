@@ -1,9 +1,11 @@
 """Finite posets, order complexes, beat-point reduction.
 
-A Poset stores, for each element id, the bitset of strictly larger ids.
-Ids are always assigned along a linear extension (i < j whenever
-element i is below element j), which makes chains id-increasing and
-keeps joins and induced subposets cheap.
+A Poset keeps its strict order once, as a CSR of up-sets: row i of the
+int64 arrays ptr and ids, ids[ptr[i]:ptr[i+1]], holds the ids above i in
+ascending order.  Ids are assigned along a linear extension (i < j
+whenever element i is below element j), so chains are id-increasing and
+the relation pairs (row, id) are sorted by the key row·n + id, which the
+bulk tests search.
 
 The order complex K(P) has the nonempty chains of P as simplices, kept
 per degree d as one (m_d, d+1) int64 array of increasing rows.  One
@@ -12,15 +14,13 @@ a subcomplex) in any complex.  Beat
 points (elements with a unique upper or unique lower cover) can be
 removed one at a time without changing the homotopy type of K(P); the
 composite retraction is returned alongside the reduced poset so induced
-maps can be transported to the core.  The beat-point test reads the up
-and down bitsets directly, so no cover lists are kept.
+maps can be transported to the core.  The beat-point test alone works on
+bitsets, built from the CSR on entry and dropped on return.
 """
-
-from array import array
 
 import numpy as np
 
-from .bits import iter_bits
+from .bits import csr_bitsets
 from .errors import (
     IndexOutOfRange,
     NotAnActionByAutomorphisms,
@@ -34,84 +34,85 @@ from .errors import (
 SIMPLEX_CAP = 50_000_000
 
 
-class Poset:
-    """Finite poset with ids in a linear extension."""
+def row_ptr(rows, n):
+    """ptr of an n-row CSR whose entries, in row order, lie in rows."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
-    def __init__(self, elements, up, validate=False):
+
+class Poset:
+    """Finite poset with ids in a linear extension and a CSR of up-sets."""
+
+    def __init__(self, elements, ptr, ids, validate=False):
         self.elements = tuple(elements)
-        self.up = list(up)
         self.n = len(self.elements)
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != self.n:
             raise NotAntisymmetric("duplicate element labels")
-        self._above = None
-        self._down = None
         self._cache = {}
         if validate:
             self._validate()
 
     def _validate(self):
-        for i in range(self.n):
-            if self.up[i] >> self.n:
-                raise IndexOutOfRange(f"relation bit beyond n at {i}")
-            if (self.up[i] >> i) & 1:
-                raise NotAntisymmetric(f"element {i} above itself")
-            if self.up[i] & ((1 << i) - 1):
-                raise NotAntisymmetric(f"ids not a linear extension at {i}")
-            acc = 0
-            for j in iter_bits(self.up[i]):
-                acc |= self.up[j]
-            if acc & ~self.up[i]:
-                raise NotTransitiveAfterClosure(f"transitivity fails at {i}")
+        n, ptr = self.n, self.ptr
+        if ptr.shape != (n + 1,) or ptr[0] != 0 or ptr[-1] != len(self.ids) \
+                or np.any(np.diff(ptr) < 0):
+            raise IndexOutOfRange("ptr does not delimit one row per element")
+        lo, hi = self.pairs()
+        for bad, error, what in (
+                ((hi < 0) | (hi >= n), IndexOutOfRange, "id outside [0, n)"),
+                (hi == lo, NotAntisymmetric, "element above itself"),
+                (hi < lo, NotAntisymmetric, "ids not a linear extension"),
+                (np.diff(lo * n + hi, prepend=-1) <= 0, IndexOutOfRange,
+                 "row not strictly ascending")):
+            if bad.any():
+                raise error(f"{what} at {lo[bad][0]}")
+        # i < j < k must give i < k
+        chains = _grow(self, np.column_stack((lo, hi)))
+        missing = ~self.related(chains[:, 0], chains[:, 2])
+        if missing.any():
+            raise NotTransitiveAfterClosure(
+                f"transitivity fails at {chains[missing, 0][0]}")
 
     def __repr__(self):
         return f"<Poset n={self.n}>"
 
-    def leq(self, i, j):
-        return i == j or bool((self.up[i] >> j) & 1)
+    def pairs(self):
+        """The strict order as aligned id arrays (lo, hi), one entry per
+        relation lo < hi, sorted by lo and then hi."""
+        return np.repeat(np.arange(self.n), np.diff(self.ptr)), self.ids
+
+    def related(self, a, b):
+        """Elementwise a < b over id arrays, searched in the sorted keys."""
+        lo, hi = self.pairs()
+        keys = lo * self.n + hi
+        q = np.asarray(a, dtype=np.int64) * self.n + b
+        return np.append(keys, -1)[np.searchsorted(keys, q)] == q
+
+    def below(self):
+        """CSR (ptr, ids) of down-sets: row v, the ids below v, ascending."""
+        lo, hi = self.pairs()
+        return row_ptr(hi, self.n), lo[np.argsort(hi, kind="stable")]
 
     def lt(self, i, j):
-        return bool((self.up[i] >> j) & 1)
-
-    @property
-    def above(self):
-        """above[i] = ids above i, ascending, as an int64 array: each
-        bitset is read once, for chain_counts, down and order_complex."""
-        if self._above is None:
-            self._above = [array("q", iter_bits(m)) for m in self.up]
-        return self._above
-
-    @property
-    def down(self):
-        if self._down is None:
-            down = [0] * self.n
-            for i, ids in enumerate(self.above):
-                bit = 1 << i
-                for j in ids:
-                    down[j] |= bit
-            self._down = down
-        return self._down
+        return j in self.ids[self.ptr[i]:self.ptr[i + 1]]
 
     def induced(self, ids):
         """Induced subposet on the given ids (any order; sorted internally).
 
         Returns (subposet, inc) where inc[k] = original id of element k.
+        The kept pairs are a mask on the CSR, renumbered in order.
         """
         ids = np.unique(np.asarray(ids, dtype=np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
             raise IndexOutOfRange("induced ids out of range")
-        newid = {int(o): k for k, o in enumerate(ids)}
-        mask = 0
-        for o in ids:
-            mask |= 1 << int(o)
-        up = []
-        for o in ids:
-            m = self.up[int(o)] & mask
-            acc = 0
-            for j in iter_bits(m):
-                acc |= 1 << newid[j]
-            up.append(acc)
-        sub = Poset([self.elements[int(o)] for o in ids], up)
+        newid = np.full(self.n, -1, dtype=np.int64)
+        newid[ids] = np.arange(ids.size)
+        lo, hi = self.pairs()
+        keep = (newid[lo] >= 0) & (newid[hi] >= 0)
+        sub = Poset([self.elements[o] for o in ids.tolist()],
+                    row_ptr(newid[lo[keep]], ids.size), newid[hi[keep]])
         return sub, ids
 
     def chain_counts(self):
@@ -119,18 +120,21 @@ class Poset:
 
         Counts chains by their least element: the chains of d+2 elements
         starting at z number the sum, over the w above z, of the chains of
-        d+1 elements starting at w.  Every level sums over the lists of
-        ids above (self.above).
+        d+1 elements starting at w, one prefix sum over the CSR per level.
+        A level whose sums could pass 2^62 moves to Python ints, so the
+        counts stay exact.
         """
         if "chain_counts" in self._cache:
             return self._cache["chain_counts"]
-        above = self.above
+        bound = (1 << 62) // max(1, self.n, len(self.ids))
         counts = []
-        level = [1] * self.n
-        while any(level):
-            counts.append(sum(level))
-            get = level.__getitem__
-            level = [sum(map(get, ids)) for ids in above]
+        level = np.ones(self.n, dtype=np.int64)
+        while level.any():
+            if level.dtype != object and level.max() > bound:
+                level = level.astype(object)
+            counts.append(int(level.sum()))
+            sums = np.concatenate(([0], np.cumsum(level[self.ids])))
+            level = sums[self.ptr[1:]] - sums[self.ptr[:-1]]
         self._cache["chain_counts"] = counts
         return counts
 
@@ -148,21 +152,19 @@ def join_posets(posets, tag_elements=True):
     """Join: disjoint union with everything in an earlier factor below
     everything in a later factor.  Elements become (factor_index, label)
     unless tag_elements is False and labels are already unique."""
-    offsets = []
-    total = 0
-    for P in posets:
-        offsets.append(total)
-        total += P.n
-    full = (1 << total) - 1
+    total = sum(P.n for P in posets)
     elements = []
-    up = []
+    lo, hi = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    off = 0
     for k, P in enumerate(posets):
-        off = offsets[k]
-        later = full & ~((1 << (off + P.n)) - 1)
-        for i in range(P.n):
-            elements.append((k, P.elements[i]) if tag_elements else P.elements[i])
-            up.append((P.up[i] << off) | later)
-    return Poset(elements, up)
+        elements.extend((k, e) if tag_elements else e for e in P.elements)
+        plo, phi = P.pairs()
+        later = np.arange(off + P.n, total)
+        lo += [plo + off, np.repeat(np.arange(off, off + P.n), later.size)]
+        hi += [phi + off, np.tile(later, P.n)]
+        off += P.n
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    return Poset(elements, row_ptr(lo, total), hi[np.lexsort((hi, lo))])
 
 
 class SimplicialComplex:
@@ -209,37 +211,38 @@ def order_complex(P):
     """All nonempty chains of P, as a SimplicialComplex over P's ids.
 
     Each degree repeats every chain of the one below once per id above its
-    last element (the CSR of P.above), so the rows stay lexicographic.
+    last element (row of P's CSR), so the rows stay lexicographic.
     Raises SimplexCapExceeded before allocating a degree past SIMPLEX_CAP.
     """
-    above = P.above
-    deg = np.fromiter(map(len, above), dtype=np.int64, count=P.n)
-    start = np.cumsum(deg) - deg
-    ids = np.frombuffer(b"".join(above), dtype=np.int64)
     dims = []
     level = np.arange(P.n, dtype=np.int64)[:, None]
     total = P.n
     while len(level):
         dims.append(level)
-        reps = deg[level[:, -1]]
-        total += int(reps.sum())
+        total += int(np.diff(P.ptr)[level[:, -1]].sum())
         if total > SIMPLEX_CAP:
             raise SimplexCapExceeded(
                 f"order complex exceeds {SIMPLEX_CAP} simplices")
-        # new row r extends chain c by ids[start[c's last] + r - first[c]]
-        shift = np.repeat(start[level[:, -1]] - np.cumsum(reps) + reps, reps)
-        level = np.column_stack((np.repeat(level, reps, axis=0),
-                                 ids[np.arange(len(shift)) + shift]))
+        level = _grow(P, level)
     return SimplicialComplex(dims)
+
+
+def _grow(P, level):
+    """Each row of level once per id above its last entry, that id appended."""
+    reps = np.diff(P.ptr)[level[:, -1]]
+    # new row r extends chain c by ids[ptr[c's last] + r - first[c]]
+    shift = np.repeat(P.ptr[level[:, -1]] - np.cumsum(reps) + reps, reps)
+    return np.column_stack((np.repeat(level, reps, axis=0),
+                            P.ids[np.arange(len(shift)) + shift]))
 
 
 # -- poset maps -----------------------------------------------------------------
 
 
 class PosetMap:
-    """Order-preserving map between posets, stored as an id table."""
+    """Order-preserving map between posets, as an id table, checked."""
 
-    def __init__(self, source, target, table, validate=True):
+    def __init__(self, source, target, table):
         self.source = source
         self.target = target
         self.table = np.asarray(table, dtype=np.int64)
@@ -247,16 +250,13 @@ class PosetMap:
             raise NotOrderPreserving("table length does not match source")
         if self.table.size and (self.table.min() < 0 or self.table.max() >= target.n):
             raise IndexOutOfRange("map table value out of range")
-        if validate:
-            up_s, up_t = source.up, target.up
-            t = [int(v) for v in self.table]
-            for i in range(source.n):
-                fi = t[i]
-                for j in iter_bits(up_s[i]):
-                    fj = t[j]
-                    if fi != fj and not ((up_t[fi] >> fj) & 1):
-                        raise NotOrderPreserving(
-                            f"{i} < {j} maps to incomparable {fi}, {fj}")
+        lo, hi = source.pairs()
+        fi, fj = self.table[lo], self.table[hi]
+        bad = np.flatnonzero((fi != fj) & ~target.related(fi, fj))
+        if bad.size:
+            k = bad[0]
+            raise NotOrderPreserving(f"{lo[k]} < {hi[k]} maps to "
+                                     f"incomparable {fi[k]}, {fj[k]}")
 
     def __call__(self, i):
         return int(self.table[i])
@@ -265,8 +265,7 @@ class PosetMap:
         """self ∘ inner."""
         if inner.target is not self.source:
             raise ParentMismatch("composition type mismatch")
-        return PosetMap(inner.source, self.target,
-                        self.table[inner.table], validate=False)
+        return PosetMap(inner.source, self.target, self.table[inner.table])
 
 
 def make_map(source, target, fn):
@@ -284,19 +283,18 @@ def make_map(source, target, fn):
 
 
 def check_action_tables(P, tables):
-    """Validate that each table is an order-automorphism of P."""
+    """Validate that each table is an order-automorphism of P: a bijection
+    on ids mapping the finite relation set into, hence onto, itself."""
     ident = np.arange(P.n)
+    lo, hi = P.pairs()
     for t in tables:
         t = np.asarray(t)
         if t.shape != (P.n,) or not np.array_equal(np.sort(t), ident):
             raise NotAnActionByAutomorphisms("table is not a bijection on ids")
-        for i in range(P.n):
-            img = 0
-            for j in iter_bits(P.up[i]):
-                img |= 1 << int(t[j])
-            if img != P.up[int(t[i])]:
-                raise NotAnActionByAutomorphisms(
-                    f"table does not preserve order at {i}")
+        bad = np.flatnonzero(~P.related(t[lo], t[hi]))
+        if bad.size:
+            raise NotAnActionByAutomorphisms(
+                f"table does not preserve order at {lo[bad[0]]}")
 
 
 def fixed_subposet(P, tables):
@@ -320,26 +318,28 @@ def beat_point_core(P):
 
     Returns (core, inc, ret): core the reduced Poset, inc[k] = original id
     of core element k, ret[i] = core id that original element i retracts
-    to.  The test reads the bitsets: with U the live ids above x and u the
-    least of them, x is an up beat point when U less u lies inside up[u];
-    with D the live ids below x and d the largest, a down beat point when
-    D less d lies inside down[d].  Ids are a linear extension, so u is
+    to.  The test works on up and down bitsets built from P's CSR, which
+    live only for this call: with U the live ids above x and u the least
+    of them, x is an up beat point when U less u lies inside up[u]; with
+    D the live ids below x and d the largest, a down beat point when D
+    less d lies inside down[d].  Ids are a linear extension, so u is
     minimal in U and d maximal in D, and U less u inside up[u] says u is
-    x's only upper cover.  Sweeps run over the live ids in ascending
-    order, removing each beat point as it is met (x retracts to u, else
-    d), until a sweep removes nothing; so the kept set is fixed by P
-    alone.  The core is a strong deformation retract of P by ret, which
+    x's only upper cover.  Sweeps run over the list of live ids in
+    ascending order, removing each beat point as it is met (x retracts to
+    u, else d), until a sweep removes nothing; so the kept set is fixed by
+    P alone.  The core is a strong deformation retract of P by ret, which
     is how induced maps reach the cores.  Uncached; homology._core keeps
     one.
     """
     n = P.n
-    up, down = P.up, P.down
+    up = csr_bitsets(P.ptr, P.ids, n)
+    down = csr_bitsets(*P.below(), n)
     alive = (1 << n) - 1
-    ret_ptr = list(range(n))
-    removed = True
-    while removed:
-        removed = False
-        for x in iter_bits(alive):
+    ret_ptr = np.arange(n)
+    live, kept = None, list(range(n))
+    while kept != live:
+        live, kept = kept, []
+        for x in live:
             U = up[x] & alive
             u = (U & -U).bit_length() - 1
             D = down[x] & alive
@@ -349,21 +349,14 @@ def beat_point_core(P):
             elif D and D & ~down[d] == 1 << d:
                 ret_ptr[x] = d
             else:
+                kept.append(x)
                 continue
             alive ^= 1 << x
-            removed = True
 
-    kept = np.fromiter(iter_bits(alive), dtype=np.int64)
-    core, inc = P.induced(kept)
-    coreid = {int(o): k for k, o in enumerate(kept)}
-    ret = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        j = i
-        seen = []
-        while j not in coreid:
-            seen.append(j)
-            j = ret_ptr[j]
-        for s in seen:
-            ret_ptr[s] = j
-        ret[i] = coreid[j]
-    return core, inc, ret
+    core, inc = P.induced(live)
+    # each removed id points at an id removed after it or kept: jump the
+    # pointers until every id points into the core
+    nxt = ret_ptr[ret_ptr]
+    while not np.array_equal(nxt, ret_ptr):
+        ret_ptr, nxt = nxt, nxt[nxt]
+    return core, inc, np.searchsorted(inc, ret_ptr)

@@ -12,11 +12,12 @@ poset_from_subgroups: bitsets of the members holding each element, ANDed
 per member, with no pairwise subset tests and no subspace enumeration.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import iter_bits
+from .bits import csr_bitsets, iter_bits
 from .errors import (
     CenterHasPTorsion,
     ComponentsUndetectable,
@@ -57,6 +58,7 @@ from .posets import (
     join_posets,
     make_map,
     order_complex,
+    row_ptr,
 )
 
 
@@ -69,10 +71,10 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     Elements are ordered by (order, member list), a linear extension of
     inclusion.  Relations come from one "who contains x" table: for each
     nontrivial element x of any member, holders[x] is the bitset of
-    members containing x, set in bulk in a packed uint8 matrix and read
-    off one row per element.  The members above S_i are then the AND of
-    holders[x] over S_i's nontrivial generators, less i itself, since a
-    subgroup holding the generators holds S_i.
+    members containing x, packed in bulk from the (element, member)
+    pairs.  The members above S_i are then the AND of holders[x] over
+    S_i's nontrivial generators, less i itself, since a subgroup holding
+    the generators holds S_i; its bits are read into the poset's CSR.
 
     closed_under_subgroups=True only checks that the family consists of
     elementary abelian p-subgroups and holds every nontrivial subgroup of
@@ -88,32 +90,30 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     elems = sorted(seen.values(), key=lambda S: (S.order, S.midx.tolist()))
     n = len(elems)
     if n == 0:
-        return Poset(elems, [])
+        return Poset(elems, [0], [])
     sizes = [S.order - 1 for S in elems]
     # slot[k]: row of the k-th listed member element in the holders table
     xs, slot = np.unique(np.concatenate([S.midx[1:] for S in elems]),
                          return_inverse=True)
     owner = np.repeat(np.arange(n), sizes)
-    packed = np.zeros((xs.size, (n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(packed, (slot, owner >> 3),
-                     (1 << (owner & 7)).astype(np.uint8))
-    holders = dict(zip(xs.tolist(), (int.from_bytes(bits.tobytes(), "little")
-                                     for bits in packed)))
-    up = []
+    holders = dict(zip(xs.tolist(), csr_bitsets(
+        row_ptr(slot, xs.size), owner[np.argsort(slot, kind="stable")], n)))
+    ptr, ids = [0], array("q")
     for i, S in enumerate(elems):
         u = -1  # all members
         for x in S.generating_set():
             if x:
                 u &= holders[x]
-        up.append(u ^ (1 << i))  # bit i is set: S_i holds its own generators
+        ids.extend(iter_bits(u ^ (1 << i)))  # clear i: S_i holds its gens
+        ptr.append(len(ids))
     if closed_under_subgroups:
         orders = elems[0].group.element_orders()[xs]
         p = int(orders[0])
-        if (np.any(orders != p) or sum(u.bit_count() for u in up)
+        if (np.any(orders != p) or len(ids)
                 != sum(_proper_subspace_count(p, S.order) for S in elems)):
             raise IndexOutOfRange(
                 "family is not closed under nontrivial subgroups")
-    return Poset(elems, up)
+    return Poset(elems, ptr, ids)
 
 
 def _proper_subspace_count(p, order):
@@ -329,24 +329,17 @@ class ImagePoset:
 
 
 def _check_embedded_copy(source, poset, f):
-    imgs = set()
+    """f, order-preserving from source into poset, keeps orders, is
+    injective, and its images carry no more relations than the source."""
+    t = np.array([f(i) for i in range(source.n)], dtype=np.int64)
     for i, E in enumerate(source.elements):
-        j = f(i)
-        if poset.elements[j].order != E.order:
+        if poset.elements[t[i]].order != E.order:
             raise InvariantViolated(
                 "projection is not faithful on p-subgroups of L")
-        imgs.add(j)
-    if len(imgs) != source.n:
+    if np.unique(t).size != source.n:
         raise InvariantViolated("embedded copy is not injective")
-    mask = 0
-    for j in imgs:
-        mask |= 1 << j
-    for i in range(source.n):
-        expect = 0
-        for k in iter_bits(source.up[i]):
-            expect |= 1 << f(k)
-        if poset.up[f(i)] & mask != expect:
-            raise InvariantViolated("embedded copy is not an induced subposet")
+    if poset.induced(t)[0].ids.size != source.ids.size:
+        raise InvariantViolated("embedded copy is not an induced subposet")
 
 
 def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
@@ -424,7 +417,7 @@ def p_outer_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
 
 
 def _tag_poset(P, tag):
-    return Poset([(tag, e) for e in P.elements], P.up)
+    return Poset([(tag, e) for e in P.elements], P.ptr, P.ids)
 
 
 @dataclass
@@ -580,7 +573,7 @@ class OrbitContext:
             for i in range(self.t + 1):
                 blocks = [tagged[j] for j in active if j <= i]
                 W.append(join_posets(blocks, tag_elements=False)
-                         if blocks else Poset([], []))
+                         if blocks else Poset([], [0], []))
             X = W[self.t]
             factor_of = np.empty(X.n, dtype=np.int64)
             blocks = {}
@@ -604,11 +597,12 @@ class OrbitContext:
             jd = self.join()
             KX = order_complex(jd.X)
             X = jd.X
-            # stars[r, v]: v lies in the star of the r-th factor's base vertex
+            # stars[r, v]: v is, or is comparable to, the r-th base vertex
             stars = np.zeros((len(jd.active), X.n), dtype=bool)
+            lo, hi = X.pairs()
             for r, j in enumerate(jd.active):
                 b = jd.base_vertex[j]
-                stars[r, list(iter_bits(X.up[b] | X.down[b] | 1 << b))] = True
+                stars[r, np.concatenate(([b], hi[lo == b], lo[hi == b]))] = True
             k0_dims, hat_dims = [], []
             for simps in KX.dims:
                 f = jd.factor_of[simps]
@@ -805,18 +799,16 @@ def decomposition(ctx):
     ids_Y0 = np.intersect1d(ids_Y, ids_Z)
     Y0, _ = B.induced(ids_Y0)
     AH = ctx.ap_H()
-    # the maps below are intersections and inclusions, all order-preserving
     rtab = np.array([AH.index[Subgroup(G, meets[int(o)])] for o in ids_Y],
                     dtype=np.int64)
-    r = PosetMap(Y, AH, rtab, validate=False)
+    r = PosetMap(Y, AH, rtab)
     posY = {int(o): k for k, o in enumerate(ids_Y)}
     y0_in_Y = np.array([posY[int(o)] for o in ids_Y0], dtype=np.int64)
     ids_V0 = np.unique(rtab[y0_in_Y])
     V0, _ = AH.induced(ids_V0)
-    a = PosetMap(Y0, Y, y0_in_Y, validate=False)
-    r0 = PosetMap(Y0, V0, np.searchsorted(ids_V0, rtab[y0_in_Y]),
-                  validate=False)
-    b = PosetMap(V0, AH, ids_V0, validate=False)
+    a = PosetMap(Y0, Y, y0_in_Y)
+    r0 = PosetMap(Y0, V0, np.searchsorted(ids_V0, rtab[y0_in_Y]))
+    b = PosetMap(V0, AH, ids_V0)
     trivial = len(inZ) == 0
     if ctx.t >= 2:
         D, _, dids = diagonal_poset(ctx)
@@ -851,7 +843,7 @@ def diagonal_poset(ctx):
             if dup:
                 ids.append(idx)
         D, inc = AH.induced(np.array(ids, dtype=np.int64))
-        dmap = PosetMap(D, AH, inc, validate=False)
+        dmap = PosetMap(D, AH, inc)
         ctx._cache["diagonal"] = (D, dmap, inc)
     return ctx._cache["diagonal"]
 
@@ -869,7 +861,7 @@ def off_component_subposet(ctx):
         ids = [i for i, A in enumerate(AH.elements)
                if not any(A.is_subset_of(L) for L in ctx.orbit)]
         Dc, inc = AH.induced(np.array(ids, dtype=np.int64))
-        cmap = PosetMap(Dc, AH, inc, validate=False)
+        cmap = PosetMap(Dc, AH, inc)
         ctx._cache["off-component"] = (Dc, cmap, inc)
     return ctx._cache["off-component"]
 
@@ -914,8 +906,7 @@ def psi_h0_equivalence_report(ctx):
     matches = image_ids == expected
     Jids = np.array(sorted(expected), dtype=np.int64)
     J, _ = jd.X.induced(Jids)
-    restricted = PosetMap(B0, J, np.searchsorted(Jids, psi.table[b0ids]),
-                          validate=False)
+    restricted = PosetMap(B0, J, np.searchsorted(Jids, psi.table[b0ids]))
     rep = induced_map(restricted, work_cap=wc)
     top = max(len(rep.source_betti.tilde), len(rep.target_betti.tilde))
     iso = all(rep.rank(k) == rep.source_betti.get(k) == rep.target_betti.get(k)

@@ -4,13 +4,18 @@ quillen stores the simplices of each degree as one int64 array and finds
 faces and images with one row lookup.  These are the loops it replaced:
 chains grown as Python tuples, and faces and images found through one
 tuple -> index dict per degree.  Tests require the arrays to agree with
-them row for row, in order, and column for column.
+them row for row, in order, and column for column.  Relations are read
+through the set-of-pairs reference in relation_oracle.
 """
+
+from relation_oracle import relation, star
 
 
 def tuple_chains(P):
     """The nonempty chains of P, per dimension, as sorted id tuples."""
-    above = P.above
+    above = [[] for _ in range(P.n)]
+    for a, b in sorted(relation(P)):
+        above[a].append(b)
     dims = []
     level = [(i,) for i in range(P.n)]
     while level:
@@ -61,14 +66,13 @@ def k0_and_k0hat(jd, dims):
     """OrbitContext.complexes()'s K0 and K0hat from the tuple simplices
     of K(X), one simplex at a time: K0 keeps the chains that miss an
     active factor, K0hat those inside the star of some factor's base
-    vertex, tested on vertex bitsets."""
-    X = jd.X
-    masks = [X.up[b] | X.down[b] | 1 << b
-             for b in (jd.base_vertex[j] for j in jd.active)]
+    vertex, tested on vertex sets."""
+    rel = relation(jd.X)
+    stars = [star(rel, jd.base_vertex[j]) for j in jd.active]
     k0, hat = [], []
     for simps in dims:
         k0.append([s for s in simps if len({int(jd.factor_of[v]) for v in s})
                    < len(jd.active)])
         hat.append([s for s in simps
-                    if any(sum(1 << v for v in s) & ~m == 0 for m in masks)])
+                    if any(set(s) <= st for st in stars)])
     return k0, hat

@@ -1,7 +1,7 @@
 import pytest
 
-from quillen.checkers import FAILS, HOLDS, INAPPLICABLE, betti_ap, \
-    check_conditions, check_cor51, check_cor52, check_prop68, check_propEM, \
+from quillen.checkers import FAILS, HOLDS, INAPPLICABLE, _condition_C, \
+    betti_ap, check_conditions, check_cor51, check_cor52, check_prop68, check_propEM, \
     check_thm41, check_thm410, euler_formula, hqc_witness, \
     robinson_certificate
 from quillen.errors import IndexOutOfRange, MatrixCapExceeded, \
@@ -9,7 +9,8 @@ from quillen.errors import IndexOutOfRange, MatrixCapExceeded, \
 from quillen.groups import detect_components, sylow_subgroup
 from quillen import homology
 from quillen.gspec import build_group, load_group
-from quillen.pposets import OrbitContext, ap_poset, psi_h0_equivalence_report
+from quillen.pposets import OrbitContext, ap_poset, decomposition, \
+    psi_h0_equivalence_report
 
 from conftest import bundled
 
@@ -249,3 +250,21 @@ def test_checkers_honour_the_context_work_cap(check, monkeypatch):
     # a fresh context per call, so no induced map cached on it is reused
     with pytest.raises(MatrixCapExceeded):
         check(OrbitContext(bundled("sym6"), 2, work_cap=1))
+
+
+def test_condition_C_fails_with_a_witness_chain(worked_ctx, monkeypatch):
+    # every member of V0 projects into factor 2; send the rank-1 members'
+    # projections to factor 1 and a chain from rank 1 to rank 2 touches both
+    ctx = worked_ctx
+    dec = decomposition(ctx)
+    jd, psi, AH = ctx.join(), ctx.psi(), ctx.ap_H()
+    rank1 = [int(g) for g in dec.ids_V0 if AH.elements[int(g)].order == 2]
+    factor_of = jd.factor_of.copy()
+    factor_of[psi.table[rank1]] = 1
+    monkeypatch.setattr(jd, "factor_of", factor_of)
+    holds, det = _condition_C(ctx, dec)
+    assert not holds
+    chain = [w["id"] for w in det["witness_chain"]]
+    assert all(AH.lt(a, b) for a, b in zip(chain, chain[1:]))
+    assert chain == [0, 361]    # the u below each v are taken ascending
+    assert {w["factor"] for w in det["witness_chain"]} == {1, 2}

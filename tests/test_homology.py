@@ -31,7 +31,7 @@ from simplex_oracle import dict_boundary, dict_chain_map, \
 
 
 def antichain(n):
-    return Poset(list(range(n)), [0] * n)
+    return Poset(list(range(n)), [0] * (n + 1), [])
 
 
 def test_betti_ap_small():
@@ -549,7 +549,8 @@ def test_core_residues_are_the_betti_numbers(name):
 def test_pair_order_is_fixed_by_the_complex():
     P = ap_poset(bundled("sym5"), 2)
     runs = [_morse_pairs(RawComplex.from_simplicial(
-        order_complex(Poset(P.elements, P.up))), 10 ** 6) for _ in range(2)]
+        order_complex(Poset(P.elements, P.ptr, P.ids))), 10 ** 6)
+        for _ in range(2)]
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
     assert runs[0][0][0, :2].tolist() == [-1, 0]  # a vertex, the empty cell
@@ -651,6 +652,15 @@ def test_mv_not_a_cover(sym4):
     U = ap_poset(sym4, 2)
     with pytest.raises(NotACover):
         mv_rank_audit(U, np.arange(3), np.arange(2, 5))
+
+
+def test_mv_cover_rejects_a_mixed_chain(sym4):
+    # ids 0-8 are the involutions, 9-12 the Klein four-groups: Y keeps the
+    # involutions and one four-group, Z the four-groups, and an involution
+    # private to Y lies below a four-group private to Z
+    U = ap_poset(sym4, 2)
+    with pytest.raises(NotACover, match="mixes elements private to each"):
+        mv_rank_audit(U, np.arange(10), np.arange(9, 13))
 
 
 def test_self_checks_survive_python_O():

@@ -1,51 +1,30 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import relation_oracle as oracle
 from quillen import posets
-from quillen.errors import NotAnActionByAutomorphisms, NotOrderPreserving, \
+from quillen.errors import IndexOutOfRange, NotAnActionByAutomorphisms, \
+    NotAntisymmetric, NotOrderPreserving, NotTransitiveAfterClosure, \
     SimplexCapExceeded
 from quillen.homology import betti_of_poset
-from quillen.posets import Poset, PosetMap, beat_point_core, fixed_subposet, \
-    join_posets, make_map, order_complex
+from quillen.posets import Poset, PosetMap, beat_point_core, \
+    check_action_tables, fixed_subposet, join_posets, make_map, order_complex
 from quillen.pposets import ap_poset
 
 from conftest import bundled
+from relation_oracle import closed_order, make_poset, poset_of, relation
 from simplex_oracle import tuple_chains, tuple_dims
 
 
 def poset_from_pairs(n, pairs):
-    """Strict order from generating pairs (a < b), transitively closed.
-
-    Relabels along a topological order, since poset ids must form a
-    linear extension.  Returns None if the pairs close into a cycle.
-    """
-    lt = [set() for _ in range(n)]
-    for a, b in pairs:
-        lt[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            new = set()
-            for b in lt[a]:
-                new |= lt[b]
-            if not new <= lt[a]:
-                lt[a] |= new
-                changed = True
-    for a in range(n):
-        if a in lt[a]:
-            return None
-    order = sorted(range(n), key=lambda a: len({b for b in range(n)
-                                                if a in lt[b]}))
-    pos = {orig: k for k, orig in enumerate(order)}
-    up = [0] * n
-    for a in range(n):
-        for b in lt[a]:
-            up[pos[a]] |= 1 << pos[b]
-    return Poset(list(range(n)), up, validate=True)
+    """Strict order from generating pairs (a < b), transitively closed and
+    relabelled along a linear extension, validated.  Returns None if the
+    pairs close into a cycle."""
+    rel = closed_order(n, pairs)
+    return None if rel is None else poset_of(n, rel)
 
 
 def pair_cases(lo, hi, max_pairs):
@@ -79,18 +58,87 @@ def naive_core_size(P):
         live.remove(max(beat))
 
 
-def brute_chain_counts(P):
-    counts = []
-    for size in range(1, P.n + 1):
-        c = 0
-        for combo in itertools.combinations(range(P.n), size):
-            if all(P.lt(a, b) for a, b in zip(combo, combo[1:])):
-                c += 1
-        if c:
-            counts.append(c)
-        else:
-            break
-    return counts
+# (n, strict order as a set of pairs) for posets on at most 7 points
+orders = pair_cases(1, 7, 12).map(
+    lambda case: (case[0], closed_order(*case))).filter(
+    lambda case: case[1] is not None)
+# joins of antichains, whose level-preserving permutations are automorphisms
+layered = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda sizes: (sum(sizes), oracle.join([(k, set()) for k in sizes])))
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[2], []], IndexOutOfRange),                 # an id beyond n
+    ([[0], []], NotAntisymmetric),                # an element above itself
+    ([[], [0]], NotAntisymmetric),                # ids not a linear extension
+    ([[1], [2], []], NotTransitiveAfterClosure),  # 0 < 1 < 2 without 0 < 2
+])
+def test_validate_rejects(rows, error):
+    with pytest.raises(error):
+        make_poset(range(len(rows)), rows, validate=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders, st.lists(st.integers(0, 6), max_size=9))
+@example((4, {(0, 3), (1, 2)}), [0, 1, 2, 3])   # row 0 holds a larger id
+def test_induced_matches_the_relation_oracle(case, ids):
+    n, rel = case
+    P = poset_of(n, rel)
+    assert relation(P) == rel
+    ids = [i % n for i in ids]
+    sub, inc = P.induced(ids)
+    assert inc.tolist() == list(sub.elements) == sorted(set(ids))
+    assert relation(sub) == oracle.induced(rel, ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(orders, layered), min_size=1, max_size=3),
+       st.booleans())
+def test_join_matches_the_relation_oracle(parts, tag):
+    # untagged labels must already be distinct across the factors
+    factors = [poset_of(n, rel) if tag else
+               make_poset([(k, i) for i in range(n)], oracle.up_rows(n, rel))
+               for k, (n, rel) in enumerate(parts)]
+    J = join_posets(factors, tag_elements=tag)
+    assert relation(J) == oracle.join(parts)
+    assert list(J.elements) == [(k, i) for k, (n, _) in enumerate(parts)
+                                for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders, st.one_of(orders, layered), st.data())
+def test_posetmap_accepts_exactly_the_order_preserving_tables(src, tgt, data):
+    (n, rel_s), (m, rel_t) = src, tgt
+    table = data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                               max_size=n))
+    S, T = poset_of(n, rel_s), poset_of(m, rel_t)
+    if oracle.order_preserving(rel_s, rel_t, table):
+        PosetMap(S, T, table)
+    else:
+        with pytest.raises(NotOrderPreserving):
+            PosetMap(S, T, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(orders, layered), st.data())
+def test_action_check_accepts_exactly_the_automorphisms(case, data):
+    n, rel = case
+    table = data.draw(st.one_of(
+        st.permutations(range(n)),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    P = poset_of(n, rel)
+    if oracle.automorphism(n, rel, table):
+        check_action_tables(P, [table])
+    else:
+        with pytest.raises(NotAnActionByAutomorphisms):
+            check_action_tables(P, [table])
+
+
+def test_chain_counts_stay_exact_past_int64():
+    # the join of 64 two-point antichains has 2^64 maximal chains
+    J = join_posets([poset_of(2, set())] * 64)
+    assert J.chain_counts() == [math.comb(64, k) * 2 ** k
+                                for k in range(1, 65)]
 
 
 def test_chain_poset():
@@ -119,7 +167,7 @@ def test_random_poset_chain_counts(case):
     P = poset_from_pairs(*case)
     if P is None:       # the pairs closed into a cycle
         return
-    assert P.chain_counts() == brute_chain_counts(P)
+    assert P.chain_counts() == oracle.chain_counts(P.n, relation(P))
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,15 +219,15 @@ def test_join_order():
     # every element of the first factor lies below every element of the second
     for a in range(2):
         for b in range(2, 4):
-            assert J.leq(a, b)
-            assert not J.leq(b, a)
+            assert J.lt(a, b)
+            assert not J.lt(b, a)
 
 
 def test_induced():
     P = poset_from_pairs(4, [(0, 1), (1, 2), (0, 3)])
     sub, ids = P.induced(np.array([0, 2], dtype=np.int64))
     assert sub.n == 2
-    assert sub.leq(0, 1)
+    assert sub.lt(0, 1)
 
 
 def test_make_map_validates():
@@ -246,7 +294,7 @@ def test_order_complex_matches_tuple_chains_on_sym5(ap2_sym5):
 def test_simplex_cap(monkeypatch):
     # the octahedron has no beat point: its core's complex has all 26
     # simplices, 6 vertices, 12 edges and 8 triangles
-    octahedron = join_posets([Poset([0, 1], [0, 0])] * 3)
+    octahedron = join_posets([Poset([0, 1], [0, 0, 0], [])] * 3)
     assert order_complex(octahedron).simplex_counts == [6, 12, 8]
     monkeypatch.setattr(posets, "SIMPLEX_CAP", 25)
     with pytest.raises(SimplexCapExceeded):

@@ -1,17 +1,18 @@
 import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
-    IndexOutOfRange
+    IndexOutOfRange, InvariantViolated
 from quillen.groups import centralizer, conjugation_action, \
     detect_components, elementary_abelian_subgroups, subgroup_product, \
     sylow_subgroup
 from quillen.gspec import load_group
 from quillen.homology import betti_of_poset
-from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
-    decomposition, image_poset, outers_in_image, p_outer_poset, \
+from quillen.pposets import OrbitContext, _check_embedded_copy, ap_poset, \
+    bouc_poset, decomposition, image_poset, outers_in_image, p_outer_poset, \
     poset_from_subgroups
 
 from conftest import bundled
+from relation_oracle import make_poset, relation
 from simplex_oracle import k0_and_k0hat, tuple_dims
 
 
@@ -38,15 +39,14 @@ def test_ap_poset_cap_holds_on_cache_hit():
 
 
 def naive_inclusion_poset(subs):
-    """(elements, up) by pairwise is_subset_of on the distinct nontrivial
-    members, sorted by (order, member tuple)."""
+    """(elements, strict order as a set of pairs) by pairwise is_subset_of
+    on the distinct nontrivial members, sorted by (order, member tuple)."""
     distinct = {S.key: S for S in subs if S.order > 1}
     elems = sorted(distinct.values(),
                    key=lambda S: (S.order, tuple(S.midx.tolist())))
-    up = [sum(1 << j for j, T in enumerate(elems)
-              if j != i and S.is_subset_of(T))
-          for i, S in enumerate(elems)]
-    return elems, up
+    rel = {(i, j) for i, S in enumerate(elems) for j, T in enumerate(elems)
+           if j != i and S.is_subset_of(T)}
+    return elems, rel
 
 
 ORACLE_CASES = [("ap", name, p) for name, p in [
@@ -76,10 +76,10 @@ def test_poset_from_subgroups_matches_pairwise_oracle(kind, name, p):
     family = list(family)
     # duplicates and the trivial subgroup are dropped
     padded = family + family[:3] + [family[0].group.subgroup([])]
-    elems, up = naive_inclusion_poset(family)
+    elems, rel = naive_inclusion_poset(family)
     P = poset_from_subgroups(padded, closed_under_subgroups=closed)
     assert [S.key for S in P.elements] == [S.key for S in elems]
-    assert P.up == up
+    assert relation(P) == rel
 
 
 @pytest.mark.parametrize("name,p", [("sym4", 2), ("alt6", 3)])
@@ -105,6 +105,15 @@ def test_closure_check_rejects_a_non_elementary_member(sym4):
     with pytest.raises(IndexOutOfRange):
         poset_from_subgroups(elab + [sym4.group.subgroup([x])],
                              closed_under_subgroups=True)
+
+
+def test_embedded_copy_must_be_an_induced_subposet(sym4):
+    # the identity from A_2(Sym(4)) with its relations dropped keeps orders
+    # and is injective, but the target relates the images
+    P = ap_poset(sym4, 2)
+    flat = make_poset(P.elements, [[] for _ in range(P.n)])
+    with pytest.raises(InvariantViolated, match="not an induced subposet"):
+        _check_embedded_copy(flat, P, lambda i: i)
 
 
 def test_ap_rank_profile(sym4):
