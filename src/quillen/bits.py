@@ -2,8 +2,11 @@
 
 A bitset is an arbitrary-size Python int with bit k set for member k;
 CPython's big-int AND/OR run a machine word at a time.  Posets keep their
-order as a CSR (posets.py); only poset_from_subgroups' holders table and
-the beat-point test build bitsets, from a CSR, and drop them when done.
+order as a CSR (posets.py); only the beat-point test and the holders
+table of poset_from_subgroups build bitsets, from a CSR, and drop them
+when done.  The holders table serves only families not closed under
+subgroups (the radical poset); a closed family's relations are read off
+its subspaces with no bitsets.
 """
 
 import numpy as np

@@ -29,7 +29,10 @@ The hot set work runs in bulk rather than element by element in Python:
     transversal and C(t) are cached on the ambient, keyed by t.  Later
     generators, and every element in centralizer, are tested against the
     survivors of the last; normalizes answers "is it normal" from
-    generators alone.
+    generators alone;
+  * elementary_abelian_subgroups steps a whole rank at a time, from the
+    p-elements of one power test (PermGroup.p_element_mask) and one
+    commuting row per cyclic subgroup.
 
 Components come from normal closures of class representatives: the
 minimal normal subgroups are the minimal closures of the prime-order
@@ -61,6 +64,7 @@ from .errors import (
     ParentMismatch,
     SubgroupNotContained,
 )
+from .posets import row_runs
 
 DEFAULT_ORDER_CAP = 500_000
 
@@ -89,6 +93,7 @@ class PermGroup:
         self._index = index
         self._inv = None
         self._orders = None
+        self._pmask = {}
         self._full = None
         # Subgroup.key -> derived data of that subgroup (Subgroup._cache)
         self._derived = {}
@@ -191,6 +196,18 @@ class PermGroup:
                     k += 1
             self._orders = orders
         return self._orders
+
+    def p_element_mask(self, p):
+        """Mask of the elements x != 1 with x^p = 1, the elements of order
+        p for p prime: p - 1 compositions per element, with no orders."""
+        if p not in self._pmask:
+            cur = self.perms
+            for _ in range(p - 1):
+                cur = np.take_along_axis(self.perms, cur, axis=1)
+            mask = np.all(cur == np.arange(self.degree, dtype=np.int16), axis=1)
+            mask[0] = False
+            self._pmask[p] = mask
+        return self._pmask[p]
 
     # -- conjugation ----------------------------------------------------------
 
@@ -951,13 +968,24 @@ def _prime_divisors(n):
 DEFAULT_ENUM_CAP = 1_000_000
 
 
-def _commuting_matrix(G, pel):
-    """comm[i, j] = does pel[i] commute with pel[j]."""
+def _commuting_rows(G, xs, pel):
+    """comm[i, j] = does xs[i] commute with pel[j].
+
+    x∘y and y∘x are compared at points 0 and 1 (a group with p-elements
+    has degree >= 2) for a block of xs against all of pel at once, and in
+    full only on the pairs that agree there."""
     P = G.perms[pel]
-    comm = np.zeros((pel.size, pel.size), dtype=bool)
-    for k in range(pel.size):
-        xrow = G.perms[pel[k]]
-        comm[k] = np.all(P[:, xrow] == xrow[P], axis=1)
+    comm = np.zeros((xs.size, pel.size), dtype=bool)
+    step = max(1, (1 << 22) // pel.size)
+    for lo in range(0, xs.size, step):
+        X = G.perms[xs[lo:lo + step]]
+        # y(x(a)) == x(y(a))
+        agree = P[:, X[:, 0]].T == X[:, P[:, 0]]
+        agree &= P[:, X[:, 1]].T == X[:, P[:, 1]]
+        i, j = np.nonzero(agree)
+        Xi, Pj = X[i], P[j]
+        comm[lo + i, j] = np.all(np.take_along_axis(Pj, Xi, axis=1)
+                                 == np.take_along_axis(Xi, Pj, axis=1), axis=1)
     return comm
 
 
@@ -969,6 +997,14 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
     as <A, z> where z is B's largest nontrivial member and A a hyperplane
     avoiding z, so extending every A by commuting p-elements larger than
     all of A's members and deduplicating member tuples finds everything.
+
+    Each step works on a whole rank.  The p-elements are those passing
+    one power test (PermGroup.p_element_mask); rank 1 is one row per
+    cyclic subgroup, its powers found by bulk lookups; a rank's candidate
+    pairs (A, z) are one nonzero over its commuting masks, in row-major
+    order, so the first pair reaching each B, whose generators B keeps,
+    is the same as in a row-by-row scan.  Commuting is tested once per
+    cyclic subgroup, since y commutes with x iff it commutes with <x>.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -980,92 +1016,68 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
                 f"{len(out)} elementary abelian subgroups exceeds cap {cap}")
         return out
     G = sub.group
-    orders = G.element_orders()
-    pel = sub.midx[orders[sub.midx] == p]
+    pel = sub.midx[G.p_element_mask(p)[sub.midx]]
     out = []
     if pel.size == 0:
         sub._cache[ckey] = out
         return out
-    comm = _commuting_matrix(G, pel)
-    pos_of = {int(x): k for k, x in enumerate(pel)}
 
-    # rank 1: one subgroup per <x>, keyed by its sorted nontrivial members
-    if p == 2:
-        members = pel.reshape(-1, 1)
-        gens = [(int(x),) for x in pel]
-        masks = comm.copy()
-    else:
-        seen = set()
-        rows, gens = [], []
-        for x in pel:
-            powers = [int(x)]
-            cur = int(x)
-            for _ in range(p - 2):
-                cur = G.compose(cur, int(x))
-                powers.append(cur)
-            row = tuple(sorted(powers))
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-                gens.append((int(x),))
-        order_key = sorted(range(len(rows)), key=lambda i: rows[i])
-        rows = [rows[i] for i in order_key]
-        gens = [gens[i] for i in order_key]
-        members = np.array(rows, dtype=np.int64)
-        masks = np.stack([
-            np.all(comm[[pos_of[m] for m in row]], axis=0) for row in rows])
-
+    # rank 1: one row per <x>, keyed by its sorted nontrivial members;
+    # powers[k, e - 1] = pel[k]^e
+    powers = [pel]
+    for _ in range(p - 2):
+        powers.append(G.lookup_rows(np.take_along_axis(
+            G.perms[pel], G.perms[powers[-1]], axis=1)))
+    powers = np.column_stack(powers)
+    rows = np.sort(powers, axis=1)
+    order, head = row_runs(rows)
+    first = order[head]
+    members = rows[first]
+    cyclic = np.empty(pel.size, dtype=np.int64)  # pel[k] lies in row cyclic[k]
+    cyclic[order] = np.cumsum(head) - 1
+    gens = pel[first].reshape(-1, 1)
+    if members.shape[0] > cap:
+        raise EnumerationCapExceeded(
+            f"{members.shape[0]} rank-1 subgroups exceeds cap {cap}")
+    masks = comm = _commuting_rows(G, pel[first], pel)
+    levels = [(members, gens)]
     total = members.shape[0]
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} rank-1 subgroups exceeds cap {cap}")
-    levels = [(members, gens, masks)]
 
     while True:
-        members, gens, masks = levels[-1]
-        maxes = members.max(axis=1)
-        pair_sub, pair_z = [], []
-        for k in range(members.shape[0]):
-            cand = np.nonzero(masks[k] & (pel > maxes[k]))[0]
-            if cand.size:
-                pair_sub.append(np.full(cand.size, k, dtype=np.int64))
-                pair_z.append(cand)
-        if not pair_sub:
+        pair_sub, pair_z = np.nonzero(masks & (pel > members[:, -1:]))
+        if pair_sub.size == 0:
             break
-        pair_sub = np.concatenate(pair_sub)
-        pair_z = np.concatenate(pair_z)
         width = members.shape[1]
-        new_width = width + (width + 1) * (p - 1)
-        blocks = [members[pair_sub]]
-        zidx = pel[pair_z]
+        A = members[pair_sub]
+        blocks = [A]
+        Arows = G.perms[A.reshape(-1)]
         # powers of z and products a * z^e for a in A
-        zpow = zidx.copy()
         for e in range(1, p):
-            if e > 1:
-                zpow = G.lookup_rows(
-                    np.take_along_axis(G.perms[zidx], G.perms[zpow], axis=1))
+            zpow = powers[pair_z, e - 1]
             blocks.append(zpow.reshape(-1, 1))
-            Arows = G.perms[members[pair_sub].reshape(-1)]
             zrows = G.perms[np.repeat(zpow, width)]
             prod = G.lookup_rows(np.take_along_axis(Arows, zrows, axis=1))
             blocks.append(prod.reshape(-1, width))
         new_members = np.sort(np.concatenate(blocks, axis=1), axis=1)
-        if new_members.shape[1] != new_width:
+        if new_members.shape[1] != width + (width + 1) * (p - 1):
             raise InvariantViolated(
                 "a rank step did not multiply the order by p")
-        new_members, first = np.unique(new_members, axis=0, return_index=True)
-        new_gens = [gens[pair_sub[i]] + (int(pel[pair_z[i]]),) for i in first]
-        new_masks = masks[pair_sub[first]] & comm[pair_z[first]]
-        total += new_members.shape[0]
+        order, head = row_runs(new_members)
+        first = order[head]
+        members = new_members[first]
+        gens = np.column_stack((gens[pair_sub[first]], pel[pair_z[first]]))
+        masks = masks[pair_sub[first]] & comm[cyclic[pair_z[first]]]
+        total += members.shape[0]
         if total > cap:
             raise EnumerationCapExceeded(
                 f"elementary abelian count exceeds cap {cap}")
-        levels.append((new_members, new_gens, new_masks))
+        levels.append((members, gens))
 
-    for members, gens, _ in levels:
-        for k in range(members.shape[0]):
-            midx = np.empty(members.shape[1] + 1, dtype=np.int64)
-            midx[0] = 0
-            midx[1:] = members[k]
-            out.append(Subgroup(G, midx, gens=gens[k]))
+    for members, gens in levels:
+        full = np.zeros((members.shape[0], members.shape[1] + 1),
+                        dtype=np.int64)
+        full[:, 1:] = members
+        out.extend(Subgroup(G, row, gens=g)
+                   for row, g in zip(full, gens.tolist()))
     sub._cache[ckey] = out
     return out

@@ -9,9 +9,11 @@ bulk tests search.
 
 The order complex K(P) has the nonempty chains of P as simplices, kept
 per degree d as one (m_d, d+1) int64 array of increasing rows.  One
-lookup, SimplicialComplex.index, finds rows (faces, images, simplices of
-a subcomplex) in any complex.  Beat
-points (elements with a unique upper or unique lower cover) can be
+lookup, row_lookup (SimplicialComplex.index in a complex), finds rows:
+faces, images, simplices of a subcomplex, and the subspaces of a closed
+subgroup family (pposets.poset_from_subgroups).
+
+Beat points (elements with a unique upper or unique lower cover) can be
 removed one at a time without changing the homotopy type of K(P); the
 composite retraction is returned alongside the reduced poset so induced
 maps can be transported to the core.  The beat-point test alone works on
@@ -37,6 +39,30 @@ SIMPLEX_CAP = 50_000_000
 def row_ptr(rows, n):
     """ptr of an n-row CSR whose entries, in row order, lie in rows."""
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def row_runs(rows):
+    """(order, head) for a 2-d int array: order, the stable lexicographic
+    order of its rows by one lexsort; head, a mask over order that is
+    True where a run of equal rows starts, at its first occurrence."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, head
+
+
+def row_lookup(table, rows):
+    """Position of each row of rows in table, a 2-d array of distinct rows
+    of the same width, or -1 where it is absent.  The table and then the
+    rows are ranked together (row_runs), so a run of equal rows starts
+    with its table row, if it has one."""
+    both = np.concatenate((table, rows))
+    order, head = row_runs(both)
+    first = order[head][np.cumsum(head) - 1]
+    pos = np.empty(len(both), dtype=np.int64)
+    pos[order] = np.where(first < len(table), first, -1)
+    return pos[len(table):]
 
 
 class Poset:
@@ -182,19 +208,10 @@ class SimplicialComplex:
 
     def index(self, d, rows):
         """Position of each row of rows in dims[d], or -1 where it is
-        absent.  One stable lexsort ranks the table and then the rows, so
-        a run of equal rows starts with its table row, if it has one."""
+        absent (row_lookup)."""
         table = (self.dims[d] if d < len(self.dims)
                  else np.empty((0, d + 1), dtype=np.int64))
-        both = np.concatenate((table, rows))
-        order = np.lexsort(both.T[::-1])
-        ranked = both[order]
-        head = np.ones(len(both), dtype=bool)
-        head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        first = order[head][np.cumsum(head) - 1]
-        pos = np.empty(len(both), dtype=np.int64)
-        pos[order] = np.where(first < len(table), first, -1)
-        return pos[len(table):]
+        return row_lookup(table, rows)
 
     def reduced_euler(self):
         chi = -1

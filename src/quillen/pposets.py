@@ -7,13 +7,18 @@ of components, the centralizer chain with its join-of-factors target
 space and the projection maps into it.  The checker layer interrogates
 the rational homology of these posets and maps.
 
-Every inclusion poset of a subgroup family is built by one route,
-poset_from_subgroups: bitsets of the members holding each element, ANDed
-per member, with no pairwise subset tests and no subspace enumeration.
+Every inclusion poset of a subgroup family is built by
+poset_from_subgroups, with no pairwise subset tests.  A family closed
+under nontrivial subgroups (A_p(G), the image and p-outer posets) has
+its relations read off the subspaces of its members, through fixed
+tables of the subspaces of F_p^r and one row lookup per dimension; the
+radical poset ANDs bitsets of the members holding each element.
 """
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations, product
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .groups import (
     ConjugationAction,
     Subgroup,
     _check_prime,
+    _prime_divisors,
     as_subgroup,
     center,
     centralizer,
@@ -58,6 +64,7 @@ from .posets import (
     join_posets,
     make_map,
     order_complex,
+    row_lookup,
     row_ptr,
 )
 
@@ -69,24 +76,27 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     """Inclusion poset of the distinct nontrivial subgroups in subs.
 
     Elements are ordered by (order, member list), a linear extension of
-    inclusion.  Relations come from one "who contains x" table: for each
-    nontrivial element x of any member, holders[x] is the bitset of
-    members containing x, packed in bulk from the (element, member)
-    pairs.  The members above S_i are then the AND of holders[x] over
-    S_i's nontrivial generators, less i itself, since a subgroup holding
-    the generators holds S_i; its bits are read into the poset's CSR.
+    inclusion.
 
-    closed_under_subgroups=True only checks that the family consists of
-    elementary abelian p-subgroups and holds every nontrivial subgroup of
-    each member: every nontrivial member element must have order p, and
-    the relation count must equal the number of proper nontrivial
-    subspaces of F_p^r summed over the members of rank r.  Raises
-    IndexOutOfRange if either check fails.
+    closed_under_subgroups=True declares a family of elementary abelian
+    p-subgroups holding every nontrivial subgroup of each member: A_p(G),
+    and the image and p-outer posets.  Its relations are read off the
+    members' subspaces (_closed_family_poset), and the declaration is
+    checked there; IndexOutOfRange if it fails.
+
+    Any other family (the radical poset) goes through one "who contains
+    x" table: for each nontrivial element x of any member, holders[x] is
+    the bitset of members containing x, packed in bulk from the (element,
+    member) pairs.  The members above S_i are then the AND of holders[x]
+    over S_i's nontrivial generators, less i itself, since a subgroup
+    holding the generators holds S_i; its bits are read into the CSR.
     """
     seen = {}
     for S in subs:
         if S.order > 1 and S.key not in seen:
             seen[S.key] = S
+    if closed_under_subgroups:
+        return _closed_family_poset(list(seen.values()))
     elems = sorted(seen.values(), key=lambda S: (S.order, S.midx.tolist()))
     n = len(elems)
     if n == 0:
@@ -106,27 +116,129 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
                 u &= holders[x]
         ids.extend(iter_bits(u ^ (1 << i)))  # clear i: S_i holds its gens
         ptr.append(len(ids))
-    if closed_under_subgroups:
-        orders = elems[0].group.element_orders()[xs]
-        p = int(orders[0])
-        if (np.any(orders != p) or len(ids)
-                != sum(_proper_subspace_count(p, S.order) for S in elems)):
-            raise IndexOutOfRange(
-                "family is not closed under nontrivial subgroups")
     return Poset(elems, ptr, ids)
 
 
-def _proper_subspace_count(p, order):
-    """Number of proper nontrivial subspaces of F_p^r, order = p^r: the sum
-    over 0 < k < r of the Gaussian binomials [r, k]_p."""
-    r = 0
-    while p ** r < order:
-        r += 1
-    total, count = 0, 1
-    for k in range(1, r):
-        count = count * (p ** (r - k + 1) - 1) // (p ** k - 1)
-        total += count
-    return total
+_NOT_CLOSED = "family is not closed under nontrivial subgroups"
+
+
+def _closed_family_poset(members):
+    """Inclusion poset of a family declared closed under nontrivial
+    subgroups, every member elementary abelian of order p^r.
+
+    The members of each order are stacked as sorted member rows, which
+    sort the order's block of the poset.  Each row of rank r > 1 is
+    rewritten in coordinates (_coordinates); one gather through the
+    table of k-dimensional subspaces of F_p^r (subspace_table) lists all
+    its proper nontrivial subgroups, and one row_lookup per k finds them
+    among the rank-k rows.  The pairs (subgroup, member) are the whole
+    strict order, sorted into the CSR by one lexsort.
+
+    Raises IndexOutOfRange if a member's order is not a power of p, a
+    nontrivial member element fails the power test x^p = 1, a row is not
+    a permutation of its coordinates, or a subspace is not a member.  The
+    last proves closure, and also that each member is abelian: two basis
+    elements that do not commute span a coordinate plane that is not a
+    subgroup.
+    """
+    if not members:
+        return Poset([], [0], [])
+    G = members[0].group
+    by_order = {}
+    for S in members:
+        by_order.setdefault(S.order, []).append(S)
+    p = _prime_divisors(min(by_order))[0]
+    pmask = G.p_element_mask(p)
+    elems, blocks = [], {}  # rank -> (first id, sorted member rows)
+    for order in sorted(by_order):
+        r = 0
+        while p ** r < order:
+            r += 1
+        if p ** r != order:
+            raise IndexOutOfRange(_NOT_CLOSED)
+        family = by_order[order]
+        rows = np.array([S.midx for S in family])
+        sort = np.lexsort(rows.T[::-1])
+        rows = rows[sort]
+        if not pmask[rows[:, 1:]].all():
+            raise IndexOutOfRange(_NOT_CLOSED)
+        blocks[r] = (len(elems), rows)
+        elems.extend(family[i] for i in sort.tolist())
+    coords = {r: _coordinates(G, rows, p)
+              for r, (_, rows) in blocks.items() if r > 1}
+    lo, hi = [], []
+    for k in range(1, max(blocks)):
+        first, table = blocks.get(k, (0, np.empty((0, p ** k), np.int64)))
+        above, subs = [], []
+        for r, C in coords.items():
+            if r > k:
+                spaces = subspace_table(p, r, k)
+                above.append(blocks[r][0] + np.repeat(
+                    np.arange(C.shape[0]), spaces.shape[0]))
+                subs.append(np.sort(C[:, spaces], axis=2).reshape(-1, p ** k))
+        pos = row_lookup(table, np.concatenate(subs))
+        if (pos < 0).any():
+            raise IndexOutOfRange(_NOT_CLOSED)
+        lo.append(first + pos)
+        hi.extend(above)
+    lo = np.concatenate(lo) if lo else np.empty(0, np.int64)
+    hi = np.concatenate(hi) if hi else np.empty(0, np.int64)
+    return Poset(elems, row_ptr(lo, len(elems)), hi[np.lexsort((hi, lo))])
+
+
+def _coordinates(G, rows, p):
+    """Member rows (sorted, identity first, p^r entries) rewritten in the
+    coordinates of a greedy basis: b_1 is a row's least nontrivial
+    element and b_(j+1) its least element outside <b_1, ..., b_j>.
+    Column c_1 + c_2 p + ... + c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r.
+
+    One step per basis element, over all rows at once: the span so far is
+    marked in the rows by one search of their offset keys, and its
+    products with the powers of the next basis element are p - 1 bulk
+    lookups.  Raises IndexOutOfRange unless every result is a permutation
+    of its row.
+    """
+    n, width = rows.shape
+    offset = (np.arange(n) * G.order)[:, None]
+    keys = (rows + offset).ravel()
+    span = np.zeros((n, 1), dtype=np.int64)
+    while span.shape[1] < width:
+        q = (span + offset).ravel()
+        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        taken = np.zeros(keys.size, dtype=bool)
+        taken[pos[keys[pos] == q]] = True
+        b = rows[np.arange(n), np.argmax(~taken.reshape(n, width), axis=1)]
+        brows = G.perms[np.repeat(b, span.shape[1])]
+        parts = [span]
+        for _ in range(p - 1):
+            parts.append(G.lookup_rows(np.take_along_axis(
+                G.perms[parts[-1].ravel()], brows, axis=1)).reshape(n, -1))
+        span = np.concatenate(parts, axis=1)
+    if not np.array_equal(np.sort(span, axis=1), rows):
+        raise IndexOutOfRange(_NOT_CLOSED)
+    return span
+
+
+@cache
+def subspace_table(p, r, k):
+    """The k-dimensional subspaces of F_p^r, one row each, as the sorted
+    coordinate positions c_1 + c_2 p + ... + c_r p^(r-1) of their p^k
+    vectors: one row per reduced echelon basis, [r, k]_p rows."""
+    weights = p ** np.arange(r)
+    combos = np.array(list(product(range(p), repeat=k)), dtype=np.int64)
+    out = []
+    for pivots in combinations(range(r), k):
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, r)
+                if j not in pivots]
+        for values in product(range(p), repeat=len(free)):
+            basis = np.zeros((k, r), dtype=np.int64)
+            basis[np.arange(k), pivots] = 1
+            for (i, j), v in zip(free, values):
+                basis[i, j] = v
+            out.append(np.sort(combos @ basis % p @ weights))
+    table = np.array(out, dtype=np.int64).reshape(-1, p ** k)
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):

@@ -2,9 +2,9 @@ import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
     IndexOutOfRange, InvariantViolated
-from quillen.groups import centralizer, conjugation_action, \
-    detect_components, elementary_abelian_subgroups, subgroup_product, \
-    sylow_subgroup
+from quillen.groups import PermGroup, centralizer, conjugation_action, \
+    Subgroup, detect_components, elementary_abelian_subgroups, \
+    subgroup_product, sylow_subgroup
 from quillen.gspec import load_group
 from quillen.homology import betti_of_poset
 from quillen.pposets import OrbitContext, _check_embedded_copy, ap_poset, \
@@ -105,6 +105,50 @@ def test_closure_check_rejects_a_non_elementary_member(sym4):
     with pytest.raises(IndexOutOfRange):
         poset_from_subgroups(elab + [sym4.group.subgroup([x])],
                              closed_under_subgroups=True)
+
+
+@pytest.mark.parametrize("central_first", [False, True])
+def test_closure_check_rejects_a_nonabelian_exponent_p_member(central_first):
+    # the Heisenberg group of order 27 on F_3^2, point (a, b) at a + 3b,
+    # generated by (a, b) -> (a + 1, b) and (a, b) -> (a, b + a): exponent
+    # 3, so every element passes the power test, but it is not abelian.
+    # Listing the central (a, b) -> (a, b + 1) first makes it element 1,
+    # the first basis element, so the coordinates are a bijection and a
+    # plane of two noncommuting basis elements is what is not found;
+    # otherwise the greedy basis does not span bijectively.
+    pts = [(a, b) for b in range(3) for a in range(3)]
+    rows = [[(a + 1) % 3 + 3 * b for a, b in pts],
+            [a + 3 * ((b + a) % 3) for a, b in pts]]
+    if central_first:
+        rows.insert(0, [a + 3 * ((b + 1) % 3) for a, b in pts])
+    H = PermGroup.generate(rows, 9).full()
+    assert H.order == 27 and not H.is_abelian()
+    elab = elementary_abelian_subgroups(H, 3)
+    assert [E.order for E in elab] == [3] * 13 + [9] * 4
+    assert poset_from_subgroups(elab, closed_under_subgroups=True).ids.size \
+        == 16
+    with pytest.raises(IndexOutOfRange):
+        poset_from_subgroups(elab + [H], closed_under_subgroups=True)
+
+
+def test_closure_check_rejects_members_that_are_not_subgroups(sym4):
+    # {1, a, b, c} with a < b < c involutions and ab commuting but not c:
+    # its greedy basis a, b spans the four-group {1, a, b, ab}, whose
+    # subgroups are all members, so only the coordinate check sees it
+    G = sym4.group
+    inv = [int(x) for x in sym4.midx if G.element_orders()[x] == 2]
+    a, b, c = next((a, b, c) for a in inv for b in inv for c in inv
+                   if a < b < c and G.compose(a, b) == G.compose(b, a)
+                   and c != G.compose(a, b))
+    fake = Subgroup(G, [0, a, b, c])
+    elab = elementary_abelian_subgroups(sym4, 2)
+    with pytest.raises(IndexOutOfRange):
+        poset_from_subgroups(elab + [fake], closed_under_subgroups=True)
+    # {1, (123)}: of order 2 with no proper subgroup to look up, so only
+    # the power test sees the 3-cycle
+    fake = Subgroup(G, [0, G.lookup_row([1, 2, 0, 3])])
+    with pytest.raises(IndexOutOfRange):
+        poset_from_subgroups(elab + [fake], closed_under_subgroups=True)
 
 
 def test_embedded_copy_must_be_an_induced_subposet(sym4):
