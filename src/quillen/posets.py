@@ -14,15 +14,15 @@ faces, images, simplices of a subcomplex, and the subspaces of a closed
 subgroup family (pposets.poset_from_subgroups).
 
 Beat points (elements with a unique upper or unique lower cover) can be
-removed one at a time without changing the homotopy type of K(P); the
-composite retraction is returned alongside the reduced poset so induced
-maps can be transported to the core.  The beat-point test alone works on
-bitsets, built from the CSR on entry and dropped on return.
+removed without changing the homotopy type of K(P); the composite
+retraction is returned alongside the reduced poset so induced maps can
+be transported to the core.  They are found by degree counts over the
+live relation pairs and removed in bulk rounds, so every job reads the
+order through the CSR alone.
 """
 
 import numpy as np
 
-from .bits import csr_bitsets
 from .errors import (
     IndexOutOfRange,
     NotAnActionByAutomorphisms,
@@ -120,9 +120,6 @@ class Poset:
         """CSR (ptr, ids) of down-sets: row v, the ids below v, ascending."""
         lo, hi = self.pairs()
         return row_ptr(hi, self.n), lo[np.argsort(hi, kind="stable")]
-
-    def lt(self, i, j):
-        return j in self.ids[self.ptr[i]:self.ptr[i + 1]]
 
     def induced(self, ids):
         """Induced subposet on the given ids (any order; sorted internally).
@@ -335,45 +332,60 @@ def beat_point_core(P):
 
     Returns (core, inc, ret): core the reduced Poset, inc[k] = original id
     of core element k, ret[i] = core id that original element i retracts
-    to.  The test works on up and down bitsets built from P's CSR, which
-    live only for this call: with U the live ids above x and u the least
-    of them, x is an up beat point when U less u lies inside up[u]; with
-    D the live ids below x and d the largest, a down beat point when D
-    less d lies inside down[d].  Ids are a linear extension, so u is
-    minimal in U and d maximal in D, and U less u inside up[u] says u is
-    x's only upper cover.  Sweeps run over the list of live ids in
-    ascending order, removing each beat point as it is met (x retracts to
-    u, else d), until a sweep removes nothing; so the kept set is fixed by
-    P alone.  The core is a strong deformation retract of P by ret, which
-    is how induced maps reach the cores.  Uncached; homology._core keeps
-    one.
+    to.  Each round reads the beat points off two bincounts over the live
+    relation pairs.  Ids are a linear extension, so the least live id u
+    above x is minimal above x, and every live id above u is above x: u is
+    x's unique upper cover exactly when x's live up-degree is one more
+    than u's.  Dually with d, the largest live id below x.  x retracts to
+    u, else d.  Beat points whose targets stay can go at once, since
+    removing other points leaves each one's cover unique; a round removes
+    those at odd depth in the forest x -> target (_odd_depth), whose only
+    cycles (u covers only x, and x only u) are broken at their larger id.
+    So the kept set is fixed by P alone.  A chain halves in each round; a
+    fence loses only its two ends.  The core is a strong deformation
+    retract of P by ret, which is how induced maps reach the cores.
+    Uncached; homology._core keeps one.
     """
     n = P.n
-    up = csr_bitsets(P.ptr, P.ids, n)
-    down = csr_bitsets(*P.below(), n)
-    alive = (1 << n) - 1
-    ret_ptr = np.arange(n)
-    live, kept = None, list(range(n))
-    while kept != live:
-        live, kept = kept, []
-        for x in live:
-            U = up[x] & alive
-            u = (U & -U).bit_length() - 1
-            D = down[x] & alive
-            d = D.bit_length() - 1
-            if U and U & ~up[u] == 1 << u:
-                ret_ptr[x] = u
-            elif D and D & ~down[d] == 1 << d:
-                ret_ptr[x] = d
-            else:
-                kept.append(x)
-                continue
-            alive ^= 1 << x
+    ids = np.arange(n)
+    lo, hi = P.pairs()
+    alive = np.ones(n, dtype=bool)
+    ret_ptr = ids.copy()
+    while len(lo):
+        up, down = np.bincount(lo, minlength=n), np.bincount(hi, minlength=n)
+        u = hi[np.minimum(np.cumsum(up) - up, len(hi) - 1)]
+        d = np.zeros(n, dtype=np.int64)
+        np.maximum.at(d, hi, lo)
+        target = np.where(up == up[u] + 1, u,
+                          np.where(down == down[d] + 1, d, ids))
+        beat = target != ids
+        if not beat.any():
+            break
+        # each 2-cycle x -> y -> x becomes a tree rooted at its larger id
+        parent = np.where(beat & ((target[target] != ids) | (target > ids)),
+                          target, ids)
+        drop = _odd_depth(parent)
+        ret_ptr[drop] = target[drop]
+        alive[drop] = False
+        live = alive[lo] & alive[hi]
+        lo, hi = lo[live], hi[live]
 
-    core, inc = P.induced(live)
+    core, inc = P.induced(np.flatnonzero(alive))
     # each removed id points at an id removed after it or kept: jump the
     # pointers until every id points into the core
     nxt = ret_ptr[ret_ptr]
     while not np.array_equal(nxt, ret_ptr):
         ret_ptr, nxt = nxt, nxt[nxt]
     return core, inc, np.searchsorted(inc, ret_ptr)
+
+
+def _odd_depth(parent):
+    """Mask of the nodes at odd depth in the forest parent, whose roots
+    point at themselves, by pointer doubling: odd[x] is the parity of the
+    distance from x to parent[x], which jumps to its grandparent."""
+    odd = parent != np.arange(len(parent))
+    nxt = parent[parent]
+    while not np.array_equal(nxt, parent):
+        odd ^= odd[parent]
+        parent, nxt = nxt, nxt[nxt]
+    return odd

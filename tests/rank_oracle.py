@@ -58,8 +58,8 @@ def chains(P):
     level = [(i,) for i in range(P.n)]
     while level:
         cells.append(level)
-        level = [c + (j,) for c in level for j in range(c[-1] + 1, P.n)
-                 if P.lt(c[-1], j)]
+        level = [c + (j,) for c in level
+                 for j in P.ids[P.ptr[c[-1]]:P.ptr[c[-1] + 1]].tolist()]
     return cells
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
@@ -53,7 +55,8 @@ ORACLE_CASES = [("ap", name, p) for name, p in [
     ("sym5", 2), ("sym6", 2), ("aut-alt6", 2), ("alt6", 3), ("sym6", 3),
     ("a5xa5-e", 3), ("a5xa5-e", 5)]] + [
     ("bouc", "sym6", 2), ("bouc", "sym5", 3),
-    ("image", "aut-alt6", 2), ("p-outer", "aut-alt6", 2)]
+    ("image", "aut-alt6", 2), ("p-outer", "aut-alt6", 2),
+    ("2-subgroups", "sym4", 2)]
 
 
 def _family(kind, name, p):
@@ -64,10 +67,29 @@ def _family(kind, name, p):
         return elementary_abelian_subgroups(G, p), True
     if kind == "bouc":
         return bouc_poset(G, p).elements[::-1], False
+    if kind == "2-subgroups":
+        return two_subgroups(G.group), False
     L = detect_components(G)[0][0]
     P = image_poset(G, L, p).poset if kind == "image" else \
         p_outer_poset(G, L, p).poset
     return P.elements[::-1], True
+
+
+def two_subgroups(G):
+    """Every nontrivial 2-subgroup of G that two 2-elements generate, each
+    carrying the generators it was first reached by: the cyclic ones of
+    order 4 carry one, and their squares lie in four-groups that do not
+    hold them."""
+    orders = G.element_orders()
+    two = [x for x in range(len(orders)) if orders[x] in (2, 4)]
+    family = {}
+    for x in two:
+        family.setdefault(G.subgroup([x]).key, G.subgroup([x]))
+    for x, y in combinations(two, 2):
+        S = G.subgroup([x, y])
+        if S.order & (S.order - 1) == 0:
+            family.setdefault(S.key, S)
+    return list(family.values())
 
 
 @pytest.mark.parametrize("kind,name,p", ORACLE_CASES)

@@ -93,8 +93,8 @@ def test_inflation_fibers(worked_ctx):
     outside = [i for i in range(dec.B.n) if not inY[i]]
     assert len(outside) == 120
     for j in (outside[0], outside[len(outside) // 2], outside[-1]):
-        over = np.array([i for i in dec.ids_Y if dec.B.lt(j, int(i))],
-                        dtype=np.int64)
+        over = dec.ids_Y[dec.B.related(np.full(len(dec.ids_Y), j),
+                                       dec.ids_Y)]
         sub, _ = dec.B.induced(over)
         CE = centralizer(ctx.H, dec.B.elements[j])
         got = betti_of_poset(sub)
