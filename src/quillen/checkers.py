@@ -30,6 +30,7 @@ from .groups import (
     centralizer,
     conjugation_action,
     hyperelementary_check,
+    membership,
     normalizer,
     p_core,
     require_contained,
@@ -333,8 +334,7 @@ def check_conditions(ctx, which=None):
 
 def _restrict_ids(AH, restrict):
     if hasattr(restrict, "midx"):
-        return np.array([i for i, E in enumerate(AH.elements)
-                         if E.is_subset_of(restrict)], dtype=np.int64)
+        return np.flatnonzero(membership(AH, restrict).inside())
     ids = np.asarray(sorted(int(i) for i in restrict), dtype=np.int64)
     if ids.size and (ids[0] < 0 or ids[-1] >= AH.n):
         raise IndexOutOfRange("restriction ids outside the poset of H")
@@ -460,8 +460,9 @@ def _cor51_component_map(ctx, i, variant, aut):
         actor = ctx.H if variant == "aut-H" else normalizer(ctx.G, L)
         act = conjugation_action(actor, L)
         target = ap_poset(act.image.full(), p, cap=ctx.cap)
-        f = make_map(ap_poset(L, p, cap=ctx.cap), target,
-                     act.project_subgroup)
+        source = ap_poset(L, p, cap=ctx.cap)
+        image_of = dict(zip(source.elements, act.project_family(source)))
+        f = make_map(source, target, image_of.get)
         return f, "p-subgroup poset of the induced automorphisms"
     if variant == "aut":
         if aut is None or len(aut) != ctx.t:

@@ -13,6 +13,7 @@ JSON schema (qg/1).
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import QuillenError
@@ -180,14 +181,7 @@ def cmd_euler_formula(cfg):
 def cmd_ap(cfg):
     bundle, G = _load(cfg)
     P = ap_poset(G, cfg.p, cap=cfg.enum_cap)
-    counts = {}
-    for E in P.elements:
-        m = 0
-        o = E.order
-        while o % cfg.p == 0:
-            o //= cfg.p
-            m += 1
-        counts[m] = counts.get(m, 0) + 1
+    counts = checkers.euler_formula(G, cfg.p, cap=cfg.enum_cap).rank_counts
     result = {"size": P.n, "height": P.height(),
               "rank_counts": {str(m): c for m, c in sorted(counts.items())},
               "chi": P.reduced_euler()}
@@ -232,9 +226,7 @@ def cmd_outers(cfg):
     bundle, G = _load(cfg)
     L = _pick_component(cfg, bundle, G)
     op = p_outer_poset(G, L, cfg.p, cap=cfg.enum_cap)
-    orders = {}
-    for E in op.poset.elements:
-        orders[E.order] = orders.get(E.order, 0) + 1
+    orders = Counter(E.order for E in op.poset.elements)
     result = {"component_order": L.order, "size": op.poset.n,
               "cyclic_only": op.cyclic_only,
               "orders": {str(o): c for o, c in sorted(orders.items())}}

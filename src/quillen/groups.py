@@ -21,8 +21,9 @@ The hot set work runs in bulk rather than element by element in Python:
     lookup_rows per generator per level, from the identity or from a
     subgroup already known, whose right cosets it then adds whole;
   * Subgroup.contains_indices (binary search in the sorted member array)
-    is the one membership test; intersections and meets are member
-    arrays filtered by it;
+    is the one membership test; membership asks it once for a whole
+    family, over the member CSR a poset keeps, and intersections filter
+    the smaller member array;
   * normalizer takes the candidates for the target's first generator t
     from t's class in the ambient, one coset of C(t) per conjugate of t
     inside the target, with no scan of the ambient; the class, its
@@ -51,6 +52,8 @@ created on first use.  Betti vectors are cached on the poset they
 describe, not here.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -64,7 +67,7 @@ from .errors import (
     ParentMismatch,
     SubgroupNotContained,
 )
-from .posets import row_runs
+from .posets import Poset, row_runs
 
 DEFAULT_ORDER_CAP = 500_000
 
@@ -375,6 +378,49 @@ class Subgroup:
         return self._cache["abelian"]
 
 
+def member_csr(family):
+    """(subs, ptr, entries): the members of a family of subgroups of one
+    group, and their member arrays as one CSR, member k of subs being
+    entries[ptr[k]:ptr[k + 1]].  family is a list of Subgroups, or a
+    Poset of them, which keeps the result in its _cache.  ParentMismatch
+    if the members' groups differ."""
+    if isinstance(family, Poset):
+        if "members" not in family._cache:
+            family._cache["members"] = member_csr(family.elements)
+        return family._cache["members"]
+    if any(S.group is not family[0].group for S in family):
+        raise ParentMismatch("family of subgroups of different groups")
+    ptr = np.cumsum([0] + [S.order for S in family], dtype=np.int64)
+    return family, ptr, np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [S.midx for S in family])
+
+
+class Membership(NamedTuple):
+    """The members of a family as one CSR (ptr, entries) and mask, the
+    membership of every entry in one subgroup K."""
+    ptr: np.ndarray
+    entries: np.ndarray
+    mask: np.ndarray
+
+    def inside(self):
+        """E <= K, per member."""
+        return np.logical_and.reduceat(self.mask, self.ptr[:-1])
+
+    def meet_orders(self):
+        """|E n K|, per member; 1 where E meets K trivially."""
+        return np.add.reduceat(self.mask, self.ptr[:-1])
+
+
+def membership(family, K):
+    """Every member of a family of subgroups (member_csr) tested against
+    the subgroup K in one contains_indices call.  ParentMismatch unless
+    the family and K share their group."""
+    subs, ptr, entries = member_csr(family)
+    if subs and subs[0].group is not K.group:
+        raise ParentMismatch("family and subgroup of different groups")
+    return Membership(ptr, entries, K.contains_indices(entries))
+
+
 def as_subgroup(g):
     if isinstance(g, PermGroup):
         return g.full()
@@ -575,15 +621,20 @@ def _conjugation_orbits(actor, target):
     """Orbits of conjugation by actor on target's members, in one sweep.
 
     Returns label with label[k] the smallest position in target.midx of
-    the orbit of target.midx[k].  Every actor generator gives a position
-    map (a permutation of target.midx); labels are lowered along each map
-    in both directions, then by pointer jumping, until they stop changing.
+    the orbit of target.midx[k] (_orbit_labels): every actor generator
+    gives a position map, a permutation of target.midx.
     """
     G = target.group
     midx = target.midx
-    maps = [np.searchsorted(midx, G.conj_batch(a, midx))
-            for a in actor.generating_set()]
-    label = np.arange(midx.size)
+    return _orbit_labels([np.searchsorted(midx, G.conj_batch(a, midx))
+                          for a in actor.generating_set()], midx.size)
+
+
+def _orbit_labels(maps, n):
+    """label[k], the least point in the orbit of k under the permutations
+    maps of range(n): labels are lowered along each map in both
+    directions, then by pointer jumping, until they stop changing."""
+    label = np.arange(n)
     while True:
         before = label
         label = label.copy()
@@ -832,37 +883,48 @@ class ConjugationAction:
                 chosen.append(cls)
                 C = D
         self.tracking = np.sort(np.concatenate(chosen))
-        rows = [np.searchsorted(self.tracking,
-                                G.conj_batch(a, self.tracking))
-                for a in actor.generating_set()]
-        self.image = PermGroup.generate(np.array(rows, dtype=np.int16),
-                                        degree=int(self.tracking.size),
-                                        name="conj-image")
+        self.image = PermGroup.generate(
+            self._positions(actor.generating_set()),
+            degree=int(self.tracking.size), name="conj-image")
         if self.image.order * self.kernel.order != actor.order:
             raise InvariantViolated(
                 f"conjugation image of order {self.image.order} times "
                 f"kernel of order {self.kernel.order} is not the actor "
                 f"order {actor.order}")
-        self._proj_cache = {}
-        self._images = {}
 
-    def project_index(self, g):
-        """Image-group index of the automorphism induced by parent element g."""
-        g = int(g)
-        if g not in self._proj_cache:
-            G = self.actor.group
-            conj = G.conj_batch(g, self.tracking)
-            pos = np.searchsorted(self.tracking, conj).astype(np.int16)
-            self._proj_cache[g] = self.image.lookup_row(pos)
-        return self._proj_cache[g]
+    def _positions(self, idx):
+        """Row k: the permutation of the tracking set, by position, that
+        conjugation by the actor element idx[k] induces, from one lookup
+        of every conjugated tracking row."""
+        G = self.actor.group
+        idx = np.asarray(idx, dtype=np.int64)
+        # rows g t g^-1 for t in the tracking set, one block per g in idx
+        conj = np.take_along_axis(
+            G.perms[idx][:, None, :],
+            G.perms[self.tracking][:, G.perms[G.inv[idx]]].swapaxes(0, 1),
+            axis=2)
+        return np.searchsorted(self.tracking, G.lookup_rows(
+            conj.reshape(-1, G.degree))).reshape(conj.shape[:2])
 
-    def project_subgroup(self, E):
-        """Image of a subgroup of the actor, as a Subgroup of self.image,
-        closed once per subgroup (keyed by E.key)."""
-        if E.key not in self._images:
-            gens = [self.project_index(g) for g in E.generating_set()]
-            self._images[E.key] = self.image.subgroup(gens)
-        return self._images[E.key]
+    def project(self, idx):
+        """Image-group indices of the automorphisms the actor elements idx
+        induce: their tracking permutations, looked up in one batch."""
+        return self.image.lookup_rows(self._positions(idx))
+
+    def project_family(self, family):
+        """Images of a family of subgroups of the actor (member_csr), as
+        Subgroups of self.image.  Each image is the set of its members'
+        images and carries the projected generators, so none is closed:
+        the members are projected once, in one batch."""
+        subs, ptr, entries = member_csr(family)
+        elems, inv = np.unique(entries, return_inverse=True)
+        img = self.project(elems)
+        n, N = len(subs), self.image.order
+        keys = np.unique(np.repeat(np.arange(n), np.diff(ptr)) * N + img[inv])
+        images = np.split(keys % N, np.searchsorted(keys, np.arange(1, n) * N))
+        return [Subgroup(self.image, m, gens=_gens_tuple(
+                    img[np.searchsorted(elems, S.generating_set())]))
+                for S, m in zip(subs, images)]
 
 
 def conjugation_action(actor, target):

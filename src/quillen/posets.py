@@ -272,9 +272,6 @@ class PosetMap:
             raise NotOrderPreserving(f"{lo[k]} < {hi[k]} maps to "
                                      f"incomparable {fi[k]}, {fj[k]}")
 
-    def __call__(self, i):
-        return int(self.table[i])
-
     def compose(self, inner):
         """self ∘ inner."""
         if inner.target is not self.source:
@@ -283,16 +280,14 @@ class PosetMap:
 
 
 def make_map(source, target, fn):
-    """PosetMap from a label function; fn may also return a target id."""
+    """PosetMap from a label function: fn maps each source label to a
+    target label; IndexOutOfRange if the target has no such label."""
     table = np.empty(source.n, dtype=np.int64)
     for i, e in enumerate(source.elements):
         v = fn(e)
-        if v in target.index:
-            table[i] = target.index[v]
-        elif isinstance(v, (int, np.integer)):
-            table[i] = int(v)
-        else:
+        if v not in target.index:
             raise IndexOutOfRange(f"image {v!r} not in target poset")
+        table[i] = target.index[v]
     return PosetMap(source, target, table)
 
 

@@ -14,6 +14,10 @@ its relations read off the subspaces of its members, through fixed
 tables of the subspaces of F_p^r and one row lookup per dimension; the
 radical poset's are read off one sorted array of membership keys, member
 by element, searched once per generator.
+
+The orbit maps ask whole families at once: groups.membership tests every
+member against a subgroup in one call, and project_family projects them
+in one batch, so no member is tested, projected or closed on its own.
 """
 
 from dataclasses import dataclass
@@ -35,6 +39,8 @@ from .groups import (
     ConjugationAction,
     Subgroup,
     _check_prime,
+    _orbit_arrays,
+    _orbit_labels,
     _prime_divisors,
     as_subgroup,
     center,
@@ -42,6 +48,8 @@ from .groups import (
     conjugation_action,
     detect_components,
     elementary_abelian_subgroups,
+    member_csr,
+    membership,
     normalizer,
     normalizes,
     p_core,
@@ -267,51 +275,34 @@ def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):
 
 
 def subgroup_orbits(ambient, subs):
-    """Orbits of a conjugation-stable list of subgroups under ambient.
-
-    Returns a list of orbits, each a sorted list of indices into subs.
-    """
-    ambient = as_subgroup(ambient)
-    bykey = {S.key: k for k, S in enumerate(subs)}
-    gens = ambient.generating_set()
-    orbits = []
-    placed = [False] * len(subs)
-    for k in range(len(subs)):
-        if placed[k]:
-            continue
-        orb = [k]
-        placed[k] = True
-        queue = [subs[k]]
-        while queue:
-            S = queue.pop()
-            for g in gens:
-                T = S.conjugate(g)
-                j = bykey.get(T.key)
-                if j is None:
-                    raise IndexOutOfRange(
-                        "subgroup family is not stable under conjugation")
-                if not placed[j]:
-                    placed[j] = True
-                    orb.append(j)
-                    queue.append(subs[j])
-        orbits.append(sorted(orb))
-    return orbits
+    """Orbits of a conjugation-stable list of subgroups under ambient, read
+    off its conjugation tables: each a sorted list of indices into subs,
+    ordered by their least."""
+    label = _orbit_labels(conj_action_tables(subs, ambient), len(subs))
+    return [orb.tolist() for orb in _orbit_arrays(np.arange(len(subs)), label)
+            if orb.size]
 
 
-def conj_action_tables(P, S):
-    """Permutation tables (one per generator of S) of S conjugating a poset
-    of subgroups.  Raises if some conjugate leaves the poset."""
+def conj_action_tables(family, S):
+    """Permutation tables, one per generator g of S, of S conjugating a
+    family of subgroups (member_csr): tab[k] is the position of g E_k g^-1.
+    Each g conjugates every member entry in one batch; each conjugate,
+    sorted within its member, is found by its key.  Raises if some
+    conjugate leaves the family."""
     S = as_subgroup(S)
+    subs, ptr, entries = member_csr(family)
+    position = {E.key: k for k, E in enumerate(subs)}
+    row = np.repeat(np.arange(len(subs)), np.diff(ptr))
     tables = []
     for g in S.generating_set():
-        tab = np.empty(P.n, dtype=np.int64)
-        for i, lbl in enumerate(P.elements):
-            j = P.index.get(lbl.conjugate(g))
-            if j is None:
-                raise IndexOutOfRange(
-                    "conjugation does not preserve the poset")
-            tab[i] = j
-        tables.append(tab)
+        conj = S.group.conj_batch(g, entries)
+        conj = conj[np.lexsort((conj, row))]
+        tab = [position.get(conj[a:b].tobytes())
+               for a, b in zip(ptr[:-1], ptr[1:])]
+        if None in tab:
+            raise IndexOutOfRange(
+                "conjugation does not preserve the subgroup family")
+        tables.append(np.array(tab, dtype=np.int64))
     return tables
 
 
@@ -449,14 +440,14 @@ class ImagePoset:
     embedded: PosetMap
 
 
-def _check_embedded_copy(source, poset, f):
-    """f, order-preserving from source into poset, keeps orders, is
-    injective, and its images carry no more relations than the source."""
-    t = np.array([f(i) for i in range(source.n)], dtype=np.int64)
-    for i, E in enumerate(source.elements):
-        if poset.elements[t[i]].order != E.order:
-            raise InvariantViolated(
-                "projection is not faithful on p-subgroups of L")
+def _check_embedded_copy(source, poset, t):
+    """The id table t, order-preserving from source into poset, keeps
+    orders, is injective, and its images carry no more relations than the
+    source."""
+    orders = [np.diff(member_csr(P)[1]) for P in (source, poset)]
+    if (orders[1][t] != orders[0]).any():
+        raise InvariantViolated(
+            "projection is not faithful on p-subgroups of L")
     if np.unique(t).size != source.n:
         raise InvariantViolated("embedded copy is not injective")
     if poset.induced(t)[0].ids.size != source.ids.size:
@@ -466,20 +457,17 @@ def _check_embedded_copy(source, poset, f):
 def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
     """Image poset of an existing conjugation action (actor normalizes L)."""
     p = _check_prime(p)
-    zorders = np.asarray(center(act.target).element_orders())
-    if np.any(zorders % p == 0):
+    Z = center(act.target)
+    if np.any(Z.element_orders() % p == 0):
         raise CenterHasPTorsion(
-            f"center of the target (order {center(act.target).order}) "
-            f"has {p}-torsion")
-    images = {}
-    for E in elementary_abelian_subgroups(act.actor, p, cap=cap):
-        S = act.project_subgroup(E)
-        if S.order > 1 and S.key not in images:
-            images[S.key] = S
-    poset = poset_from_subgroups(images.values(), closed_under_subgroups=True)
+            f"center of the target (order {Z.order}) has {p}-torsion")
+    images = act.project_family(
+        elementary_abelian_subgroups(act.actor, p, cap=cap))
+    poset = poset_from_subgroups(images, closed_under_subgroups=True)
     source = ap_poset(act.target, p, cap=cap)
-    embedded = make_map(source, poset, act.project_subgroup)
-    _check_embedded_copy(source, poset, embedded)
+    image_of = dict(zip(source.elements, act.project_family(source)))
+    embedded = make_map(source, poset, image_of.get)
+    _check_embedded_copy(source, poset, embedded.table)
     return ImagePoset(poset=poset, action=act, host=act.actor,
                       source=source, embedded=embedded)
 
@@ -500,11 +488,12 @@ def image_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
 
 def outers_in_image(ip):
     """Ids of members of an image poset meeting the inner automorphisms
-    trivially, plus the inner-automorphism subgroup itself."""
-    inn = ip.action.project_subgroup(ip.action.target)
-    ids = [i for i, S in enumerate(ip.poset.elements)
-           if np.count_nonzero(inn.contains_indices(S.midx)) == 1]
-    return ids, inn
+    trivially, plus the inner-automorphism subgroup itself, closed from
+    the target's projected generators."""
+    act = ip.action
+    inn = act.image.subgroup(act.project(act.target.generating_set()))
+    ids = np.flatnonzero(membership(ip.poset, inn).meet_orders() == 1)
+    return ids.tolist(), inn
 
 
 # -- purely outer p-subgroups -------------------------------------------------------
@@ -526,8 +515,9 @@ def p_outer_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
     require_contained(ambient, L)
     host = normalizer(ambient, L)
     LC = subgroup_product(L, centralizer(ambient, L))
-    members = [A for A in elementary_abelian_subgroups(host, p, cap=cap)
-               if np.count_nonzero(LC.contains_indices(A.midx)) == 1]
+    elab = elementary_abelian_subgroups(host, p, cap=cap)
+    outer = membership(elab, LC).meet_orders() == 1
+    members = [elab[k] for k in np.flatnonzero(outer)]
     poset = poset_from_subgroups(members, closed_under_subgroups=True)
     cyclic_only = bool(members) and all(A.order == p for A in members)
     return OuterPoset(poset=poset, host=host, product=LC,
@@ -543,14 +533,14 @@ def _tag_poset(P, tag):
 
 @dataclass
 class JoinData:
-    """The join X of the chain factors, with its prefix joins W[i]."""
+    """The join X of the chain factors, with its prefix joins W[i]; factor
+    j fills the ids blocks[j] = (start, end) of X, from its base vertex."""
     X: Poset
     W: list
     active: list
     factor_posets: dict
     factor_of: np.ndarray
     blocks: dict
-    base_vertex: dict
 
 
 @dataclass
@@ -695,18 +685,12 @@ class OrbitContext:
                 blocks = [tagged[j] for j in active if j <= i]
                 W.append(join_posets(blocks, tag_elements=False)
                          if blocks else Poset([], [0], []))
-            X = W[self.t]
-            factor_of = np.empty(X.n, dtype=np.int64)
-            blocks = {}
-            pos = 0
-            for j in active:
-                blocks[j] = (pos, pos + tagged[j].n)
-                factor_of[pos:pos + tagged[j].n] = j
-                pos += tagged[j].n
-            base_vertex = {j: blocks[j][0] for j in active}
+            sizes = [tagged[j].n for j in active]
+            ends = np.cumsum(sizes).tolist()
             self._cache["join"] = JoinData(
-                X=X, W=W, active=active, factor_posets=tagged,
-                factor_of=factor_of, blocks=blocks, base_vertex=base_vertex)
+                X=W[self.t], W=W, active=active, factor_posets=tagged,
+                factor_of=np.repeat(np.array(active, dtype=np.int64), sizes),
+                blocks={j: (e - n, e) for j, n, e in zip(active, sizes, ends)})
         return self._cache["join"]
 
     def complexes(self):
@@ -722,7 +706,7 @@ class OrbitContext:
             stars = np.zeros((len(jd.active), X.n), dtype=bool)
             lo, hi = X.pairs()
             for r, j in enumerate(jd.active):
-                b = jd.base_vertex[j]
+                b = jd.blocks[j][0]
                 stars[r, np.concatenate(([b], hi[lo == b], lo[hi == b]))] = True
             k0_dims, hat_dims = [], []
             for simps in KX.dims:
@@ -743,21 +727,13 @@ class OrbitContext:
 
     # -- projections -----------------------------------------------------------
 
-    def projection_index(self, E, i=None):
-        """Largest j <= i with E not centralizing L_j, or 0."""
-        if i is None:
-            i = self.t
-        for j in range(i, 0, -1):
-            if not E.is_subset_of(self.cent[j]):
-                return j
-        return 0
-
     def psi(self, i=None):
         """The projection of the p-subgroup poset of C_i onto W[i].
 
-        E goes to its image in the factor named by projection_index.  The
-        equivalent description (smallest j with E inside C_j) is checked
-        elementwise, and the PosetMap constructor checks that the map is
+        E goes to its image in factor k, the largest k <= i with E not
+        centralizing L_k, or stays as itself when k = 0.  The equivalent
+        description (smallest k with E inside C_k) is checked as an
+        array, and the PosetMap constructor checks that the map is
         order-preserving.
         """
         if i is None:
@@ -765,24 +741,24 @@ class OrbitContext:
         key = ("psi", i)
         if key in self._cache:
             return self._cache[key]
-        jd = self.join()
         source = self.ap_C(i)
-        target = jd.W[i]
-        labels = []
-        for E in source.elements:
-            k = self.projection_index(E, i)
-            kk = i
-            for j in range(0, i):
-                if E.is_subset_of(self.C[j]):
-                    kk = j
-                    break
-            if kk != k:
-                raise InvariantViolated("the two descriptions of the "
-                                        "projection index disagree")
-            labels.append((k, E) if k == 0
-                          else (k, self.actions[k].project_subgroup(E)))
-        table = np.array([target.index[lab] for lab in labels],
-                         dtype=np.int64)
+        target = self.join().W[i]
+        k = np.zeros(source.n, dtype=np.int64)
+        kk = np.full(source.n, i, dtype=np.int64)
+        for j in range(1, i + 1):
+            k[~membership(source, self.cent[j]).inside()] = j
+        for j in range(i - 1, -1, -1):
+            kk[membership(source, self.C[j]).inside()] = j
+        if not np.array_equal(k, kk):
+            raise InvariantViolated("the two descriptions of the "
+                                    "projection index disagree")
+        table = np.empty(source.n, dtype=np.int64)
+        for j in range(i + 1):
+            ids = np.flatnonzero(k == j)
+            subs = [source.elements[a] for a in ids]
+            if j:
+                subs = self.actions[j].project_family(subs)
+            table[ids] = [target.index[(j, S)] for S in subs]
         self._cache[key] = PosetMap(source, target, table)
         return self._cache[key]
 
@@ -816,18 +792,12 @@ class OrbitContext:
             return self._cache[key]
         source = self.mixed_join(i, j)
         target = self.mixed_join(i - 1, j)
-        act = self.actions[i]
-        Cprev = self.C[i - 1]
-        amb_out = "amb" if i >= 2 else 0
-        labels = []
-        for tag, S in source.elements:
-            if tag == "amb":
-                if S.is_subset_of(Cprev):
-                    labels.append((amb_out, S))
-                else:
-                    labels.append((i, act.project_subgroup(S)))
-            else:
-                labels.append((tag, S))
+        amb = self.ap_C(i)  # the first block of source, in its order
+        stays = membership(amb, self.C[i - 1]).inside()
+        out = "amb" if i >= 2 else 0
+        labels = [(out, E) if s else (i, S) for E, S, s in zip(
+            amb.elements, self.actions[i].project_family(amb), stays)]
+        labels += source.elements[amb.n:]
         table = np.array([target.index[lab] for lab in labels],
                          dtype=np.int64)
         self._cache[key] = PosetMap(source, target, table)
@@ -841,14 +811,12 @@ def verify_psi_tower(ctx):
     for i in range(1, ctx.t + 1):
         lo, hi = ctx.psi(i - 1), ctx.psi(i)
         src_lo, src_hi = ctx.ap_C(i - 1), ctx.ap_C(i)
-        for a, E in enumerate(src_lo.elements):
-            b = src_hi.index[E]
-            la = lo.target.elements[lo.table[a]]
-            lb = hi.target.elements[hi.table[b]]
-            if la != lb:
-                raise InvariantViolated(
-                    "projection does not commute with inclusion")
-            checked += 1
+        b = [src_hi.index[E] for E in src_lo.elements]
+        if any(lo.target.elements[x] != hi.target.elements[y]
+               for x, y in zip(lo.table, hi.table[b])):
+            raise InvariantViolated(
+                "projection does not commute with inclusion")
+        checked += src_lo.n
     return checked
 
 
@@ -867,11 +835,10 @@ def verify_phi_factorization(ctx, i=None):
         raise InvariantViolated("transfer maps end outside the join")
     src = ctx.ap_C(i)
     Tii = ctx.mixed_join(i, i)
-    for a in range(src.n):
-        b = Tii.index[("amb", src.elements[a])]
-        if int(comp.table[b]) != int(psi.table[a]):
-            raise InvariantViolated(
-                "transfer maps do not compose to the projection")
+    b = [Tii.index[("amb", E)] for E in src.elements]
+    if (comp.table[b] != psi.table).any():
+        raise InvariantViolated(
+            "transfer maps do not compose to the projection")
     return src.n
 
 
@@ -905,35 +872,28 @@ def decomposition(ctx):
     if "decomp" in ctx._cache:
         return ctx._cache["decomp"]
     B = ctx.ap_G()
-    H = ctx.H
     G = ctx.G.group
-    inY, inZ, meets = [], [], {}
-    for idx, E in enumerate(B.elements):
-        m = E.midx[H.contains_indices(E.midx)]
-        if m.size > 1:
-            inY.append(idx)
-            meets[idx] = m
-        if m.size < E.midx.size:
-            inZ.append(idx)
-    Y, ids_Y = B.induced(np.array(inY, dtype=np.int64))
-    Z, ids_Z = B.induced(np.array(inZ, dtype=np.int64))
+    m = membership(B, ctx.H)
+    sizes = m.meet_orders()
+    Y, ids_Y = B.induced(np.flatnonzero(sizes > 1))
+    Z, ids_Z = B.induced(np.flatnonzero(~m.inside()))
     ids_Y0 = np.intersect1d(ids_Y, ids_Z)
     Y0, _ = B.induced(ids_Y0)
     AH = ctx.ap_H()
-    rtab = np.array([AH.index[Subgroup(G, meets[int(o)])] for o in ids_Y],
+    # E n H, member by member, are the masked entries
+    meets = np.split(m.entries[m.mask], np.cumsum(sizes)[:-1])
+    rtab = np.array([AH.index[Subgroup(G, meets[o])] for o in ids_Y],
                     dtype=np.int64)
     r = PosetMap(Y, AH, rtab)
-    posY = {int(o): k for k, o in enumerate(ids_Y)}
-    y0_in_Y = np.array([posY[int(o)] for o in ids_Y0], dtype=np.int64)
+    y0_in_Y = np.searchsorted(ids_Y, ids_Y0)
     ids_V0 = np.unique(rtab[y0_in_Y])
     V0, _ = AH.induced(ids_V0)
     a = PosetMap(Y0, Y, y0_in_Y)
     r0 = PosetMap(Y0, V0, np.searchsorted(ids_V0, rtab[y0_in_Y]))
     b = PosetMap(V0, AH, ids_V0)
-    trivial = len(inZ) == 0
+    trivial = ids_Z.size == 0
     if ctx.t >= 2:
-        D, _, dids = diagonal_poset(ctx)
-        v0_in_diagonal = set(int(x) for x in ids_V0) <= set(int(x) for x in dids)
+        v0_in_diagonal = bool(np.isin(ids_V0, diagonal_poset(ctx)[2]).all())
     else:
         v0_in_diagonal = ids_V0.size == 0
     ctx._cache["decomp"] = Decomposition(
@@ -951,19 +911,12 @@ def diagonal_poset(ctx):
     Returns (poset, inclusion map into the poset of H, ids)."""
     if "diagonal" not in ctx._cache:
         AH = ctx.ap_H()
-        ids = []
-        for idx, A in enumerate(AH.elements):
-            cuts = set()
-            dup = False
-            for j in range(1, ctx.t + 1):
-                c = A.midx[ctx.cent[j].contains_indices(A.midx)].tobytes()
-                if c in cuts:
-                    dup = True
-                    break
-                cuts.add(c)
-            if dup:
-                ids.append(idx)
-        D, inc = AH.induced(np.array(ids, dtype=np.int64))
+        masks = [membership(AH, ctx.cent[j]) for j in range(1, ctx.t + 1)]
+        # two meets A n C_H(L_j) agree where their masks agree on A
+        dup = np.zeros(AH.n, dtype=bool)
+        for a, b in combinations(masks, 2):
+            dup |= np.logical_and.reduceat(a.mask == b.mask, a.ptr[:-1])
+        D, inc = AH.induced(np.flatnonzero(dup))
         dmap = PosetMap(D, AH, inc)
         ctx._cache["diagonal"] = (D, dmap, inc)
     return ctx._cache["diagonal"]
@@ -979,9 +932,9 @@ def off_component_subposet(ctx):
     which satisfy the equal-centralizer condition through the other two."""
     if "off-component" not in ctx._cache:
         AH = ctx.ap_H()
-        ids = [i for i, A in enumerate(AH.elements)
-               if not any(A.is_subset_of(L) for L in ctx.orbit)]
-        Dc, inc = AH.induced(np.array(ids, dtype=np.int64))
+        inside = np.any([membership(AH, L).inside() for L in ctx.orbit],
+                        axis=0)
+        Dc, inc = AH.induced(np.flatnonzero(~inside))
         cmap = PosetMap(Dc, AH, inc)
         ctx._cache["off-component"] = (Dc, cmap, inc)
     return ctx._cache["off-component"]
@@ -1014,18 +967,14 @@ def psi_h0_equivalence_report(ctx):
     AH = ctx.ap_H()
     psi = ctx.psi()
     jd = ctx.join()
-    b0ids = np.array([i for i, E in enumerate(AH.elements)
-                      if E.is_subset_of(H0)], dtype=np.int64)
+    b0ids = np.flatnonzero(membership(AH, H0).inside())
     B0, _ = AH.induced(b0ids)
-    expected = set()
-    if 0 in jd.active:
-        expected.update(range(*jd.blocks[0]))
-    for i in range(1, ctx.t + 1):
-        off = jd.blocks[i][0]
-        expected.update(int(off + v) for v in ctx.factor(i).embedded.table)
-    image_ids = set(int(psi.table[i]) for i in b0ids)
-    matches = image_ids == expected
-    Jids = np.array(sorted(expected), dtype=np.int64)
+    # the block of C_0 whole, and each factor's copy of L_i's poset
+    Jids = np.unique(np.concatenate(
+        [np.arange(*jd.blocks.get(0, (0, 0)))]
+        + [jd.blocks[i][0] + ctx.factor(i).embedded.table
+           for i in range(1, ctx.t + 1)]))
+    matches = np.array_equal(np.unique(psi.table[b0ids]), Jids)
     J, _ = jd.X.induced(Jids)
     restricted = PosetMap(B0, J, np.searchsorted(Jids, psi.table[b0ids]))
     rep = induced_map(restricted, work_cap=wc)

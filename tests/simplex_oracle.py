@@ -68,7 +68,7 @@ def k0_and_k0hat(jd, dims):
     active factor, K0hat those inside the star of some factor's base
     vertex, tested on vertex sets."""
     rel = relation(jd.X)
-    stars = [star(rel, jd.base_vertex[j]) for j in jd.active]
+    stars = [star(rel, jd.blocks[j][0]) for j in jd.active]
     k0, hat = [], []
     for simps in dims:
         k0.append([s for s in simps if len({int(jd.factor_of[v]) for v in s})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -173,3 +174,60 @@ def test_reproduce_paper_structured_is_byte_reproducible(capsys, monkeypatch):
     code, text, _ = reproduce(0.0, 2.5, fmt="text")
     assert code == 1
     assert "FAIL (    2.5s)" in text and "[over budget: 2.5s > 1s]" in text
+
+
+# sha256 of `--format structured` output, pinned when the orbit layer
+# moved to bulk membership and projection passes, which must not change
+# a byte of it
+PINNED_STRUCTURED = [
+    ("sym5", "conditions",
+     "cd0c91d38919e9fc66cba29f3c6a6a193fb84d4f8cf0e10f1e0116f19bd40a65"),
+    ("sym5", "thm41",
+     "57d83baf64e2580192f7971abf5f7cb1ef0831e661da0117353563708a1df18d"),
+    ("sym5", "thm410 --variant off-component",
+     "f561b9994ff4227b77a52a1037eece87eb0f21eb06564d391afaae1f77ca016e"),
+    ("sym5", "cor51 --variant aut-H",
+     "d93634a963e87a8e8b6e0d08c87407fc77611d62eed33fd10b5948c1402e3688"),
+    ("sym5", "cor51 --variant image-G",
+     "2e1f8c923b8fb73d818508c8a9fa205af39db38a058f36835323cd9da9531a0f"),
+    ("sym5", "prop-em --n 1",
+     "650cc683d3bc64a77290ed94ef21fe5e5ab94523f2a13bce4d9554f134f1b0f2"),
+    ("sym5", "image-poset",
+     "6556416cc73293cfb4e86a4ae05cccbe44f1a761357126a7d2db57f92553c049"),
+    ("sym5", "outers",
+     "fd9c477caf97b932844ce66962701a97fe6cedebf60c7dff16f7f6dba2bc4d87"),
+    ("sym5", "diagonal",
+     "ea4ade575b0667846eae03be927902bd888479126a04711ecbd4588e8ac065eb"),
+    ("aut-alt6", "conditions",
+     "abb565ac81fd5a6763724a3fa2c67f61a013323e4d10e40904cbd5d2f283d67c"),
+    ("aut-alt6", "thm41",
+     "94279af13ac9f3094bfe0729ec988112dbf8d2f12d069b4bf90bccfe12456703"),
+    ("aut-alt6", "thm410 --variant off-component",
+     "6d259962862dcbfa105867422b4e1e2de9bd2b251c9038a2ec984ff08c19c471"),
+    ("aut-alt6", "cor51 --variant aut-H",
+     "ee107b670718f3d43c5da4d59697d040007901c7ed89cd21f71424c1ed1b719e"),
+    ("aut-alt6", "cor51 --variant image-G",
+     "4f5ef1a4dc71ab65db600eedbe428dc5d7e811fe451be5c15e4ff1a42e88cb36"),
+    ("aut-alt6", "prop-em --n 1",
+     "40d7c64f0cc29d9904e1adb409a3fb65b81cea2da4c3fed4b5824df11e30798c"),
+    ("aut-alt6", "image-poset",
+     "b256a63c5a23174074eb3a3e5dce76191713c5b359e09eb3206ca9ff695e1e05"),
+    ("aut-alt6", "outers",
+     "0c0bd4ff7de7fe56ed98b232e2ba4c6f6e71e2546616e197b8873b0359016c47"),
+    ("aut-alt6", "diagonal",
+     "8131da481e49b9a168400907151bb8edab372466e694754bb9d03d28dcd9218b"),
+    ("a5xa5-exr", "conditions",
+     "2907fd680c01b438ec0b862b5fa6cb122bcd7497dd90a0b1c19532e7bd297807"),
+    ("a5xa5-exr", "prop-em --n 2",
+     "7fd4820d8a7237b88a5c9293f115fc23aede92a6be069bb725e0575cc0d25fac"),
+]
+
+
+@pytest.mark.parametrize("group,command,digest", PINNED_STRUCTURED,
+                         ids=["-".join([g] + c.replace("--", "").split())
+                              for g, c, _ in PINNED_STRUCTURED])
+def test_structured_output_is_pinned(capsys, group, command, digest):
+    code, out, _ = run_cli(capsys, *command.split(), "--group", group,
+                           "--format", "structured")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

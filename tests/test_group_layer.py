@@ -6,13 +6,16 @@ closures and conjugates for the Sylow class representatives, a full scan
 of the ambient for normalizers and centralizers, from-scratch closures and joins for normal
 subgroups, the lattice of normal subgroups for the component layer,
 np.intersect1d for the decomposition, and a one-element-at-a-time
-conjugation BFS for conjugacy classes.  Conjugation actions are
-checked against the group theory they must satisfy: a small tracking set
-whatever generators the target carries, faithfulness modulo the kernel on
-every elementary abelian subgroup, and a homomorphic projection.  The
-work of the radical poset and of component detection is bounded by a
-count of rows looked up, and a normalizer's class entry is shared by
-equal ambients and looks up no class row when reused.
+conjugation BFS for conjugacy classes, and is_subset_of and intersection
+member by member for the membership of a whole family.  Conjugation
+actions are checked against the group theory they must satisfy: a small
+tracking set whatever generators the target carries, faithfulness modulo
+the kernel on every elementary abelian subgroup, a homomorphic
+projection, and projected images equal to fresh closures of the
+projected generators.  The work of the radical poset and of component
+detection is bounded by a count of rows looked up, and a normalizer's
+class entry is shared by equal ambients and looks up no class row when
+reused.
 """
 
 from functools import cache
@@ -22,7 +25,7 @@ import pytest
 
 from quillen import groups
 from quillen.errors import ActorDoesNotNormalize, ComponentsUndetectable, \
-    NotAnElement, QuillenError
+    NotAnElement, ParentMismatch, QuillenError
 from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
     centralizer, close_indices, conjugacy_classes, conjugation_action, \
     derived_subgroup, detect_components, elementary_abelian_subgroups, \
@@ -30,7 +33,7 @@ from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
     normalizer, normalizes, subgroup_product, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
 from quillen.pposets import OrbitContext, _p_subgroup_class_reps, \
-    bouc_poset, decomposition, image_poset_from_action
+    ap_poset, bouc_poset, decomposition, image_poset_from_action
 
 from conftest import bundled
 
@@ -630,24 +633,25 @@ def test_chain_actions_are_faithful_modulo_the_kernel():
     steps = set()
     for name, i, act in _chain_actions():
         steps.add((name, i))
-        for E in elementary_abelian_subgroups(act.actor, 2):
-            assert (act.project_subgroup(E).order
-                    * E.intersection(act.kernel).order == E.order)
+        elab = elementary_abelian_subgroups(act.actor, 2)
+        for E, S in zip(elab, act.project_family(elab)):
+            assert S.order * E.intersection(act.kernel).order == E.order
     assert ("a5xa5-exr", 1) in steps and ("a5xa5-exr", 2) in steps
 
 
-def test_projected_images_are_closed_once(monkeypatch):
-    # psi, phi_step and image_poset_from_action project the same members;
-    # each image is closed once per action and subgroup, and is the image
-    # a fresh closure of the projected generators gives
+def test_projected_images_match_a_fresh_closure(monkeypatch):
+    # psi, phi_step and image_poset_from_action project their members in
+    # batches; each image, the set of its members' images, is the one a
+    # fresh closure of the projected generators gives, gens included
     calls = []
-    project = groups.ConjugationAction.project_subgroup
+    project_family = groups.ConjugationAction.project_family
 
-    def spy(act, E):
-        calls.append((act, E, project(act, E)))
+    def spy(act, family):
+        subs = groups.member_csr(family)[0]
+        calls.append((act, subs, project_family(act, family)))
         return calls[-1][2]
 
-    monkeypatch.setattr(groups.ConjugationAction, "project_subgroup", spy)
+    monkeypatch.setattr(groups.ConjugationAction, "project_family", spy)
     ctx = OrbitContext(bundled("a5xa5-exr"), 2)
     for i in range(ctx.t + 1):
         ctx.psi(i)
@@ -656,20 +660,59 @@ def test_projected_images_are_closed_once(monkeypatch):
     for act in ctx.actions:
         if act is not None:
             image_poset_from_action(act, 2)
-    keys = {(id(act), E.key) for act, E, _ in calls}
-    assert len(keys) < len(calls)
-    for act, E, S in calls:
-        fresh = act.image.subgroup(
-            [act.project_index(g) for g in E.generating_set()])
-        assert (S.key, S.gens) == (fresh.key, fresh.gens)
-        assert project(act, E) is S
+    assert {id(act) for act, _, _ in calls} == {id(a) for a in ctx.actions[1:]}
+    checked = set()
+    for act, family, images in calls:
+        assert len(images) == len(family)
+        for E, S in zip(family, images):
+            if (id(act), E.key) in checked:
+                continue
+            checked.add((id(act), E.key))
+            fresh = act.image.subgroup(act.project(E.generating_set()))
+            assert (S.key, S.gens) == (fresh.key, fresh.gens)
+    assert len(checked) > 2000
 
 
 def test_projection_is_a_homomorphism():
     rng = np.random.default_rng(5)
     for _, _, act in _chain_actions():
-        G = act.actor.group
-        for _ in range(50):
-            a, b = rng.choice(act.actor.midx, size=2).tolist()
-            assert act.project_index(G.compose(a, b)) == act.image.compose(
-                act.project_index(a), act.project_index(b))
+        G, img = act.actor.group, act.image
+        a, b = rng.choice(act.actor.midx, size=(2, 50))
+        ab = G.lookup_rows(np.take_along_axis(G.perms[a], G.perms[b], axis=1))
+        pa, pb = act.project(a), act.project(b)
+        assert act.project(ab).tolist() == img.lookup_rows(np.take_along_axis(
+            img.perms[pa], img.perms[pb], axis=1)).tolist()
+
+
+@pytest.mark.parametrize("name,p,poset", [
+    ("sym5", 2, ap_poset), ("alt6", 2, ap_poset), ("alt6", 3, ap_poset),
+    ("a5xa5-exr", 2, ap_poset), ("sym6", 2, bouc_poset)],
+    ids=["A2-sym5", "A2-alt6", "A3-alt6", "A2-a5xa5-exr", "radical2-sym6"])
+def test_membership_matches_subset_and_intersection(name, p, poset):
+    G = bundled(name)
+    P = poset(G, p)
+    ctx = OrbitContext(G, p)
+    rng = np.random.default_rng(22)
+    Ks = [ctx.H, *ctx.C, *ctx.orbit]
+    Ks += [G.group.subgroup(rng.choice(G.midx, size=k).tolist())
+           for k in (1, 1, 2, 2)]
+    for K in Ks:
+        m = groups.membership(P, K)
+        inside, orders = m.inside(), m.meet_orders()
+        meets = np.split(m.entries[m.mask], np.cumsum(orders)[:-1])
+        for i, E in enumerate(P.elements):
+            meet = E.intersection(K)
+            assert bool(inside[i]) == E.is_subset_of(K)
+            assert orders[i] == meet.order
+            assert meets[i].tolist() == meet.midx.tolist()
+    # the member CSR is built once per poset
+    assert groups.membership(P, Ks[0]).ptr is m.ptr
+
+
+def test_membership_rejects_another_group(sym5, alt6):
+    P = ap_poset(sym5, 2)
+    with pytest.raises(ParentMismatch):
+        groups.membership(P, alt6)
+    with pytest.raises(ParentMismatch):
+        groups.membership([P.elements[0], ap_poset(alt6, 2).elements[0]],
+                          sym5)

@@ -667,6 +667,7 @@ def test_self_checks_survive_python_O():
     code = textwrap.dedent("""
         import re
         import sys
+        import numpy as np
         from quillen.errors import InvariantViolated
         from quillen.homology import (BettiVector, RawComplex,
                                       cone_rank_profile)
@@ -712,7 +713,7 @@ def test_self_checks_survive_python_O():
         expect(InvariantViolated, "embedded copy is not injective",
                "_check_embedded_copy accepted a non-injective map",
                _check_embedded_copy, P, P,
-               lambda i: first[P.elements[i].order])
+               np.array([first[E.order] for E in P.elements]))
         # every involution of Sym(4) lies in a Klein four-group, so the
         # family without one of them is not closed under subgroups
         from quillen.errors import IndexOutOfRange
@@ -775,7 +776,6 @@ def test_self_checks_survive_python_O():
         v = rawT.columns(1)[0][0][0]
         if sum(any(i == v for i, _ in c) for c in rawT.columns(1)) < 2:
             sys.exit("the swapped pair would be a collapse")
-        import numpy as np
         for corrupt, message in (
                 (lambda pairs: np.concatenate((pairs, pairs[-1:])),
                  "removes a cell twice"),
@@ -789,6 +789,31 @@ def test_self_checks_survive_python_O():
                    "betti_of_raw accepted a corrupted matching",
                    hom.betti_of_raw, rawT)
         hom._morse_pairs = exact_pairs
+        # the orbit maps: psi with a component centralizer taken as all of
+        # H, so its two descriptions of the projection index differ; a
+        # constant map in place of psi_1, and then of Phi_{1,2}; and a
+        # copy that sends a member to one of another order
+        from quillen.posets import PosetMap
+        from quillen.pposets import verify_phi_factorization, \\
+            verify_psi_tower
+        cent, ctx.cent[2] = ctx.cent[2], ctx.H
+        expect(InvariantViolated, "two descriptions of the projection "
+               "index disagree", "psi accepted a wrong projection index",
+               ctx.psi, 2)
+        ctx.cent[2] = cent
+        for key, source, target, check, message in (
+                (("psi", 1), ctx.ap_C(1), ctx.join().W[1], verify_psi_tower,
+                 "does not commute with inclusion"),
+                (("phi", 1, 2), ctx.mixed_join(1, 2), ctx.mixed_join(0, 2),
+                 verify_phi_factorization,
+                 "do not compose to the projection")):
+            ctx._cache[key] = PosetMap(source, target, [0] * source.n)
+            expect(InvariantViolated, message,
+                   f"{check.__name__} accepted a constant map", check, ctx)
+            del ctx._cache[key]
+        expect(InvariantViolated, "not faithful on p-subgroups",
+               "_check_embedded_copy accepted a change of order",
+               _check_embedded_copy, P, P, np.arange(P.n)[::-1])
         # an image built from too few generators fails |image||kernel| = |actor|
         from quillen import groups
         sym5 = load_group("sym5").group.full()

@@ -245,6 +245,17 @@ def test_make_map_validates():
         PosetMap(P, Q, np.array([1, 0, 0]))
 
 
+def test_make_map_rejects_an_image_missing_from_the_target():
+    P = poset_from_pairs(2, [(0, 1)])
+    Q = make_poset(["a", "b"], [[1], []])
+    assert make_map(P, Q, lambda e: "ab"[e]).table.tolist() == [0, 1]
+    # a label outside the target, and an int that is an id of Q but not
+    # one of its labels
+    for fn in (lambda e: "c", lambda e: e):
+        with pytest.raises(IndexOutOfRange, match="not in target poset"):
+            make_map(P, Q, fn)
+
+
 def test_posetmap_compose():
     P = poset_from_pairs(2, [(0, 1)])
     f = PosetMap(P, P, np.array([0, 1]))
