@@ -800,17 +800,24 @@ def sylow_subgroup(sub, p):
 
 
 def p_core(sub, p):
-    """O_p(sub): the largest normal p-subgroup.
-
-    Intersects a Sylow with conjugates until normal (the result is a
-    normal p-subgroup containing every normal p-subgroup).
-    """
+    """O_p(sub): the largest normal p-subgroup, the core of a Sylow
+    p-subgroup (it lies in every Sylow and contains every normal
+    p-subgroup)."""
     sub = as_subgroup(sub)
     p = _check_prime(p)
     key = ("pcore", p)
-    if key in sub._cache:
-        return sub._cache[key]
-    K = sylow_subgroup(sub, p)
+    if key not in sub._cache:
+        sub._cache[key] = normal_core(sub, sylow_subgroup(sub, p))
+    return sub._cache[key]
+
+
+def normal_core(sub, K):
+    """The core of K in sub: the largest subgroup of K normal in sub.
+
+    Intersects K with its conjugates under sub's generators until every
+    generator normalizes it; each conjugate, and so each intersection,
+    contains every subgroup of K normal in sub.
+    """
     agens = sub.generating_set()
     while True:
         for g in agens:
@@ -819,7 +826,6 @@ def p_core(sub, p):
                 K = K.intersection(Kg)
                 break
         else:
-            sub._cache[key] = K
             return K
 
 

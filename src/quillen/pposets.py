@@ -50,9 +50,9 @@ from .groups import (
     elementary_abelian_subgroups,
     member_csr,
     membership,
+    normal_core,
     normalizer,
     normalizes,
-    p_core,
     require_contained,
     subgroup_product,
     sylow_subgroup,
@@ -309,24 +309,48 @@ def conj_action_tables(family, S):
 # -- radical p-subgroups ----------------------------------------------------------
 
 
+def _index_p_extension(mul, S, x, p):
+    """T = S ∪ xS ∪ ... ∪ x^(p-1)S, sorted, for x normalizing S outside
+    it with x^p in S, read off a local multiplication table.  Raises
+    unless T has exactly p·|S| distinct members."""
+    cosets, y = [S], x
+    for _ in range(p - 1):
+        cosets.append(mul[y, S])
+        y = mul[y, x]
+    # sorted, not np.unique, which imports numpy.ma on first use
+    T = np.sort(np.concatenate(cosets))
+    distinct = 1 + np.count_nonzero(T[1:] != T[:-1])
+    if distinct != p * S.size:
+        raise InvariantViolated(
+            f"index-{p} extension of a subgroup of order {S.size} has "
+            f"{distinct} members, not {p * S.size}")
+    return T
+
+
 def _p_subgroup_class_reps(P):
-    """Subgroups of a p-group P up to P-conjugacy, including 1 and P.
+    """Subgroups of a p-group P up to P-conjugacy, including 1 and P, in
+    ascending order.
 
-    Extends each known representative S by the smallest element x of
-    every left coset xS outside S (the rest of the coset gives the same
-    <S, x>); a new subgroup's whole P-class is marked seen at once, so
-    each class is extended exactly once.  Every subgroup T arises from a
-    representative of a maximal subgroup of a conjugate of T, so nothing
-    is missed.
+    Every nontrivial subgroup T of a p-group has a normal subgroup S of
+    index p, and T = S ∪ xS ∪ ... ∪ x^(p-1)S for any x in T outside S.
+    So each representative S is extended only by the x in N_P(S)
+    outside S with x^p in S, one x per extension (every element of T
+    outside S gives the same T), with no closure (_index_p_extension).
+    A new subgroup's whole P-class is marked seen at once, so each class
+    is extended once, and each class is reached from the class of one
+    of its members' normal subgroups of index p.
 
-    Closures and conjugates are computed in P's own multiplication table,
-    on local indices (positions in P.midx).  P.midx is sorted, so local
-    order is global order and the representatives, their member arrays
-    and their generator tuples are those the parent-level computation
-    gives.
+    Extensions and conjugates are read off P's own multiplication table,
+    built with one lookup of |P|^2 rows, on local indices (positions in
+    P.midx).  P.midx is sorted, so local order is global order.  Each
+    representative carries as gens its parent's plus the x it was
+    extended by.
     """
     G = P.group
     k = P.order
+    if k == 1:
+        return [P]
+    p = _prime_divisors(k)[0]
     rows = G.perms[P.midx]
     # mul[a, b]: local index of rows[a] o rows[b]; rows[:, rows][a, b] is
     # rows[a] indexed by rows[b]
@@ -335,19 +359,9 @@ def _p_subgroup_class_reps(P):
     inv = np.argmax(mul == 0, axis=1)
     conj = [mul[mul[g], inv[g]]
             for g in np.searchsorted(P.midx, P.generating_set())]
-
-    def close(S, gens):
-        # <S, gens> for a subgroup S of <gens>: BFS from S's members
-        member = np.zeros(k, dtype=bool)
-        member[S] = True
-        frontier = S
-        while frontier.size:
-            new = np.zeros(k, dtype=bool)
-            new[mul[frontier][:, gens]] = True
-            new &= ~member
-            member |= new
-            frontier = new.nonzero()[0]
-        return member.nonzero()[0]
+    power = np.arange(k)  # power[x]: local index of x^p
+    for _ in range(p - 1):
+        power = mul[power, np.arange(k)]
 
     trivial = (np.zeros(1, dtype=np.int64), ())
     reps = [trivial]
@@ -356,17 +370,16 @@ def _p_subgroup_class_reps(P):
     while frontier:
         fresh = []
         for S, sgens in frontier:
-            if S.size == k:
-                continue
-            # done: S and the cosets xS already extended; <S, xs> = <S, x>
-            done = np.zeros(k, dtype=bool)
-            done[S] = True
-            for x in range(k):
+            inS = np.zeros(k, dtype=bool)
+            inS[S] = True
+            # x S x^-1 for every x, one row per x
+            normal = inS[mul[mul[:, S], inv[:, None]]].all(axis=1)
+            done = inS.copy()
+            for x in np.flatnonzero(normal & ~inS & inS[power]).tolist():
                 if done[x]:
                     continue
-                done[mul[x, S]] = True
-                gens = tuple(sorted(sgens + (x,)))
-                T = close(S, list(gens))
+                T = _index_p_extension(mul, S, x, p)
+                done[T] = True
                 if T.tobytes() in seen:
                     continue
                 seen.add(T.tobytes())
@@ -378,7 +391,7 @@ def _p_subgroup_class_reps(P):
                         if V.tobytes() not in seen:
                             seen.add(V.tobytes())
                             queue.append(V)
-                fresh.append((T, gens))
+                fresh.append((T, tuple(sorted(sgens + (x,)))))
         reps.extend(fresh)
         frontier = fresh
     return [Subgroup(G, P.midx[T],
@@ -386,12 +399,70 @@ def _p_subgroup_class_reps(P):
             for T, gens in reps]
 
 
+def _is_radical(sub, S, P, p):
+    """Whether S <= P is radical in sub, for S fully normalized in P;
+    None when it is not.
+
+    S is fully normalized when T = N ∩ P is a Sylow p-subgroup of N =
+    N_sub(S), that is when |N : T| is prime to p.  Then O_p(N) is the
+    core of T in N, and S is radical when that core is S, at once when
+    T = S.  S is normal in N, so the core contains S; this is checked.
+    """
+    N = normalizer(sub, S)
+    T = N.intersection(P)
+    if N.order // T.order % p == 0:
+        return None
+    if T.key == S.key:
+        return True
+    core = normal_core(N, T)
+    if not S.is_subset_of(core):
+        raise InvariantViolated(
+            f"the core of N ∩ P, of order {core.order}, does not contain "
+            f"the subgroup of order {S.order} it normalizes")
+    return core.key == S.key
+
+
+def _conjugacy_class(sub, S):
+    """The class of S under sub, grown by levels: each generator of sub
+    conjugates the whole level's member rows, and their gens, in one
+    conj_batch; the sorted rows are deduped by key.  {key: Subgroup}."""
+    G = S.group
+    agens = sub.generating_set()
+    found = {S.key: S}
+    members = S.midx[None, :]
+    gens = np.array(S.generating_set(), dtype=np.int64)[None, :]
+    width = members.shape[1]
+    while members.shape[0]:
+        cut = members.size
+        images = np.stack([G.conj_batch(g, np.concatenate(
+            (members.ravel(), gens.ravel()))) for g in agens])
+        members = np.sort(images[:, :cut].reshape(-1, width), axis=1)
+        gens = images[:, cut:].reshape(-1, gens.shape[1])
+        keys = members.view(np.dtype((np.void, 8 * width))).ravel().tolist()
+        first = {}
+        for i, key in enumerate(keys):
+            if key not in found:
+                first.setdefault(key, i)
+        # the kept rows are copied out, so each member's array holds no
+        # duplicate rows of its level
+        members, gens = members[list(first.values())], gens[list(first.values())]
+        for m, g in zip(members, gens):
+            T = Subgroup(G, m, gens=g)
+            found[T.key] = T
+    return found
+
+
 def bouc_poset(sub, p):
     """Poset of nontrivial p-radical subgroups of sub.
 
     A p-subgroup R is radical when R is the p-core of its normalizer.
-    Candidates are taken up to Sylow conjugacy, tested, and the radical
-    classes expanded to full conjugacy classes under sub.
+    Candidates are the representatives of the P-classes of subgroups of
+    a Sylow p-subgroup P (_p_subgroup_class_reps).  Every class of
+    p-subgroups under sub has a member fully normalized in P, and
+    P-conjugates of a fully normalized subgroup are fully normalized, so
+    only fully normalized candidates are tested, by _is_radical, which
+    reads O_p(N_sub(S)) off N_sub(S) ∩ P with no Sylow subgroup grown.
+    Each radical class is expanded by levels (_conjugacy_class).
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -400,23 +471,9 @@ def bouc_poset(sub, p):
         return sub._cache[key]
     radicals = {}
     P = sylow_subgroup(sub, p)
-    if P.order > 1:
-        gens = sub.generating_set()
-        for S in _p_subgroup_class_reps(P):
-            if S.order == 1 or S.key in radicals:
-                continue
-            N = normalizer(sub, S)
-            if p_core(N, p).key != S.key:
-                continue
-            radicals[S.key] = S
-            queue = [S]
-            while queue:
-                U = queue.pop()
-                for g in gens:
-                    V = U.conjugate(g)
-                    if V.key not in radicals:
-                        radicals[V.key] = V
-                        queue.append(V)
+    for S in _p_subgroup_class_reps(P)[1:]:
+        if S.key not in radicals and _is_radical(sub, S, P, p):
+            radicals.update(_conjugacy_class(sub, S))
     poset = poset_from_subgroups(radicals.values())
     sub._cache[key] = poset
     return poset

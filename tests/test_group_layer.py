@@ -1,21 +1,23 @@
 """Differential tests for the bulk group-layer routines.
 
 Each routine is compared with a plain reference kept here: a one-element-
-at-a-time BFS for closures and for enumerating a group, parent-level
-closures and conjugates for the Sylow class representatives, a full scan
-of the ambient for normalizers and centralizers, from-scratch closures and joins for normal
-subgroups, the lattice of normal subgroups for the component layer,
-np.intersect1d for the decomposition, and a one-element-at-a-time
-conjugation BFS for conjugacy classes, and is_subset_of and intersection
-member by member for the membership of a whole family.  Conjugation
-actions are checked against the group theory they must satisfy: a small
-tracking set whatever generators the target carries, faithfulness modulo
-the kernel on every elementary abelian subgroup, a homomorphic
-projection, and projected images equal to fresh closures of the
-projected generators.  The work of the radical poset and of component
-detection is bounded by a count of rows looked up, and a normalizer's
-class entry is shared by equal ambients and looks up no class row when
-reused.
+at-a-time BFS for closures and for enumerating a group, the P-classes
+that parent-level closures and conjugates reach for the Sylow class
+representatives, the definition O_p(N_G(S)) = S for the radical poset,
+a full scan of the ambient for normalizers and centralizers,
+from-scratch closures and joins for normal subgroups, the lattice of
+normal subgroups for the component layer, np.intersect1d for the
+decomposition, and a one-element-at-a-time conjugation BFS for
+conjugacy classes, and is_subset_of and intersection member by member
+for the membership of a whole family.  Conjugation actions are checked
+against the group theory they must satisfy: a small tracking set
+whatever generators the target carries, faithfulness modulo the kernel
+on every elementary abelian subgroup, a homomorphic projection, and
+projected images equal to fresh closures of the projected generators.
+The work of the radical poset and of component detection is bounded by
+a count of rows looked up (and of lookup calls for sym8's radical
+poset), and a normalizer's class entry is shared by equal ambients and
+looks up no class row when reused.
 """
 
 from functools import cache
@@ -30,10 +32,11 @@ from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
     centralizer, close_indices, conjugacy_classes, conjugation_action, \
     derived_subgroup, detect_components, elementary_abelian_subgroups, \
     is_quasisimple, is_simple, minimal_normal_subgroups, normal_subgroups, \
-    normalizer, normalizes, subgroup_product, sylow_subgroup
+    normalizer, normalizes, p_core, subgroup_product, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
-from quillen.pposets import OrbitContext, _p_subgroup_class_reps, \
-    ap_poset, bouc_poset, decomposition, image_poset_from_action
+from quillen.pposets import OrbitContext, _conjugacy_class, _is_radical, \
+    _p_subgroup_class_reps, ap_poset, bouc_poset, decomposition, \
+    image_poset_from_action, poset_from_subgroups
 
 from conftest import bundled
 
@@ -173,13 +176,84 @@ def _reference_class_reps(P):
     return reps
 
 
-@pytest.mark.parametrize("name", ["sym4", "sym6", "d10", "l34", "alt8"])
-def test_class_reps_match_parent_level(name):
-    P = sylow_subgroup(bundled(name), 2)
+def _p_class(P, S):
+    """Keys of the P-class of S, by a parent-level conjugation BFS."""
+    seen, queue = {S.key}, [S]
+    while queue:
+        U = queue.pop()
+        for g in P.generating_set():
+            V = U.conjugate(g)
+            if V.key not in seen:
+                seen.add(V.key)
+                queue.append(V)
+    return seen
+
+
+@pytest.mark.parametrize("name, p", [
+    pytest.param(name, 2, id=name)
+    for name in ("sym4", "sym6", "d10", "l34", "alt8")] + [
+    pytest.param(name, 3, id=f"{name}-p3") for name in ("sym6", "l34")])
+def test_class_reps_match_parent_level(name, p):
+    # index-p extension picks other representatives than the reference's
+    # closures, so the P-classes are compared, not the representatives
+    P = sylow_subgroup(bundled(name), p)
     got = _p_subgroup_class_reps(P)
     want = _reference_class_reps(P)
-    assert {S.key for S in got} == {S.key for S in want}
-    assert [(S.key, S.gens) for S in got] == [(S.key, S.gens) for S in want]
+    classes = [_p_class(P, S) for S in got]
+    assert sum(map(len, classes)) == len(set().union(*classes))
+    assert set().union(*classes) == set().union(
+        *(_p_class(P, S) for S in want))
+    assert len(got) == len(want)
+    for S in got:
+        assert P.group.subgroup(S.gens).key == S.key
+    assert [S.order for S in got] == sorted(S.order for S in got)
+
+
+def _oracle_bouc(G, p):
+    """The radical poset by its definition: every P-class representative
+    S with O_p(N_G(S)) = S, expanded one conjugate at a time."""
+    radicals = {}
+    for S in _reference_class_reps(sylow_subgroup(G, p)):
+        if S.order == 1 or S.key in radicals or \
+                p_core(normalizer(G, S), p).key != S.key:
+            continue
+        radicals[S.key] = S
+        queue = [S]
+        while queue:
+            U = queue.pop()
+            for g in G.generating_set():
+                V = U.conjugate(g)
+                if V.key not in radicals:
+                    radicals[V.key] = V
+                    queue.append(V)
+    return poset_from_subgroups(radicals.values())
+
+
+@pytest.mark.parametrize("name, p", [
+    (name, p) for name in ("sym4", "sym5", "sym6", "alt6", "l34", "a5xa5-e")
+    for p in (2, 3)] + [("aut-alt6", 2), ("d10", 5)])
+def test_bouc_matches_definition(name, p):
+    G = load_group(name).group.full()
+    want = _oracle_bouc(G, p)
+    got = bouc_poset(G, p)
+    assert [S.key for S in got.elements] == [S.key for S in want.elements]
+    assert got.ptr.tolist() == want.ptr.tolist()
+    assert got.ids.tolist() == want.ids.tolist()
+    # the test read off N ∩ P agrees with the p-core of the normalizer on
+    # every fully normalized candidate; each candidate it skips is
+    # G-conjugate to one it tests
+    P = sylow_subgroup(G, p)
+    tested, skipped = set(), []
+    for S in _p_subgroup_class_reps(P)[1:]:
+        radical = _is_radical(G, S, P, p)
+        if radical is None:
+            skipped.append(S)
+        else:
+            tested.add(S.key)
+            assert radical == (p_core(normalizer(G, S), p).key == S.key)
+    assert tested
+    for S in skipped:
+        assert tested & _conjugacy_class(G, S).keys()
 
 
 def _reference_sylow(sub, p):
@@ -538,21 +612,35 @@ def test_component_detection_row_count(monkeypatch):
 
 def test_radical_poset_row_count(monkeypatch):
     # a count of rows looked up, so it does not depend on the host's load;
-    # a full scan of the ambient per target generator looked up 6 194 659
+    # a full scan of the ambient per target generator looked up 6 194 659,
+    # a Sylow subgroup regrown for each candidate's p-core 279 527, and
+    # the p-cores read off N ∩ P of fully normalized candidates 247 851
     G = load_group("l34").group.full()
     rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
-    assert sum(rows) <= 3_500_000
+    assert sum(rows) <= 297_421
 
 
 def test_radical_poset_row_count_alt8(monkeypatch):
     # a scan of the whole ambient for each normalizer's first target
     # generator looked up 2 487 911 rows; cosets of that generator's
-    # centralizer, one per conjugate in the target, look up 485 233
+    # centralizer, one per conjugate in the target, look up 485 233, and
+    # the p-cores read off N ∩ P of fully normalized candidates 371 854
     G = load_group("alt8").group.full()
     rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
-    assert sum(rows) < 1_000_000
+    assert sum(rows) <= 446_224
+
+
+def test_radical_poset_lookup_calls_sym8(monkeypatch):
+    # closing each class representative, regrowing a Sylow subgroup per
+    # candidate and conjugating each radical member on its own made
+    # 16 281 calls; index-p extensions, p-cores read off N ∩ P and one
+    # batch per level of each radical class make 3 558
+    G = load_group("sym8").group.full()
+    rows = _counting_lookups(monkeypatch)
+    bouc_poset(G, 2)
+    assert len(rows) <= 4_269
 
 
 def test_decomposition_matches_intersect1d(worked_ctx):

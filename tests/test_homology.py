@@ -852,6 +852,21 @@ def test_self_checks_survive_python_O():
             expect(ComponentsUndetectable, "is not quasisimple",
                    f"declared order {declared.order} passed as quasisimple",
                    groups.detect_components, G, [declared])
+        # an index-p extension by an element of S itself repeats S's
+        # members: Z/4 as its own table, S = {0, 2} and x = 2
+        import quillen.pposets as pp
+        z4 = np.add.outer(np.arange(4), np.arange(4)) % 4
+        expect(InvariantViolated, "extension .* has 2 members, not 4",
+               "_index_p_extension accepted an element of S",
+               pp._index_p_extension, z4, np.array([0, 2]), 2, 2)
+        # every normalizer taken as all of Sym(4): the core of N ∩ P is
+        # then O_2(Sym(4)), which holds no transposition
+        exact_normalizer = pp.normalizer
+        pp.normalizer = lambda ambient, target: ambient
+        expect(InvariantViolated, "does not contain the subgroup",
+               "bouc_poset accepted a core without its candidate",
+               pp.bouc_poset, load_group("sym4").group.full(), 2)
+        pp.normalizer = exact_normalizer
         print("ok", sys.flags.optimize)
     """)
     root = Path(__file__).resolve().parents[1]
