@@ -33,7 +33,9 @@ The hot set work runs in bulk rather than element by element in Python:
     generators alone;
   * elementary_abelian_subgroups steps a whole rank at a time, from the
     p-elements of one power test (PermGroup.p_element_mask) and one
-    commuting row per cyclic subgroup.
+    table of their commuting pairs with products, searched, not looked
+    up, by the rank steps.  It returns a SubgroupFamily, arrays per
+    order that build each Subgroup only when asked for it.
 
 Components come from normal closures of class representatives: the
 minimal normal subgroups are the minimal closures of the prime-order
@@ -52,6 +54,8 @@ created on first use.  Betti vectors are cached on the poset they
 describe, not here.
 """
 
+import operator
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -335,7 +339,9 @@ class Subgroup:
         return bool(np.all(other.contains_indices(self.midx)))
 
     def generating_set(self):
-        """Small generating set (greedy over members), cached."""
+        """Small generating set (greedy over members), cached: each pick
+        is the least member outside the closure of the picks before it,
+        and each closure grows from the last."""
         if self.gens is not None:
             return self.gens
         if "gens" not in self._cache:
@@ -344,7 +350,9 @@ class Subgroup:
             while known.order < self.order:
                 outside = self.midx[~known.contains_indices(self.midx)]
                 gens.append(int(outside[0]))
-                known = Subgroup(self.group, close_indices(self.group, gens))
+                # the last closure lies in the next: grow from it
+                known = Subgroup(self.group, close_indices(
+                    self.group, gens, start=known.midx))
             self._cache["gens"] = tuple(gens) if gens else (0,)
         return self._cache["gens"]
 
@@ -381,13 +389,20 @@ class Subgroup:
 def member_csr(family):
     """(subs, ptr, entries): the members of a family of subgroups of one
     group, and their member arrays as one CSR, member k of subs being
-    entries[ptr[k]:ptr[k + 1]].  family is a list of Subgroups, or a
-    Poset of them, which keeps the result in its _cache.  ParentMismatch
-    if the members' groups differ."""
+    entries[ptr[k]:ptr[k + 1]].  family is a list of Subgroups, a
+    SubgroupFamily, read off its arrays with no Subgroup built, or a
+    Poset of either, which keeps the result in its _cache.
+    ParentMismatch if the members' groups differ."""
     if isinstance(family, Poset):
         if "members" not in family._cache:
             family._cache["members"] = member_csr(family.elements)
         return family._cache["members"]
+    if isinstance(family, SubgroupFamily):
+        blocks = [members for members, _, _ in family.blocks]
+        ptr = np.concatenate(([0], np.cumsum(np.repeat(
+            [M.shape[1] for M in blocks], [len(M) for M in blocks]))))
+        return family, ptr.astype(np.int64), np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [M.ravel() for M in blocks])
     if any(S.group is not family[0].group for S in family):
         raise ParentMismatch("family of subgroups of different groups")
     ptr = np.cumsum([0] + [S.order for S in family], dtype=np.int64)
@@ -1036,43 +1051,171 @@ def _prime_divisors(n):
 DEFAULT_ENUM_CAP = 1_000_000
 
 
-def _commuting_rows(G, xs, pel):
-    """comm[i, j] = does xs[i] commute with pel[j].
+_MISSING_PRODUCT = ("a product of commuting p-elements is missing from the "
+                    "commuting table")
 
+
+def _commuting_products(G, ext, powers, gens):
+    """Every commuting pair of p-elements from two different cyclic
+    subgroups, with its product, as one table (keys, prods).
+
+    Elements are named by position in ext, the identity and then the
+    p-elements ascending; m = ext.size, powers[q, e] is the position of
+    the e-th power of q, and gens holds one generator of each cyclic
+    subgroup.  keys holds i·m + j ascending, and prods[k] the position
+    of the product of the pair keys[k], a p-element.
+
+    Commuting is tested once per cyclic subgroup, on its generator x:
     x∘y and y∘x are compared at points 0 and 1 (a group with p-elements
-    has degree >= 2) for a block of xs against all of pel at once, and in
-    full only on the pairs that agree there."""
-    P = G.perms[pel]
-    comm = np.zeros((xs.size, pel.size), dtype=bool)
-    step = max(1, (1 << 22) // pel.size)
-    for lo in range(0, xs.size, step):
-        X = G.perms[xs[lo:lo + step]]
-        # y(x(a)) == x(y(a))
-        agree = P[:, X[:, 0]].T == X[:, P[:, 0]]
-        agree &= P[:, X[:, 1]].T == X[:, P[:, 1]]
+    has degree >= 2) for a block of generators against every p-element
+    at once, and in full only on the pairs that agree there.  The
+    composed rows of a commuting pair are its product, looked up once; a
+    pair of two generators is composed one way round only.  The rows of
+    the other powers of x follow from x's by x^e y = x (x^(e-1) y), read
+    off x's row (InvariantViolated if missing)."""
+    m, p = powers.shape
+    P = G.perms[ext]
+    is_gen = np.zeros(m, dtype=bool)
+    is_gen[gens] = True
+    found, prods = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    step = max(1, (1 << 22) // m)
+    for lo in range(0, gens.size, step):
+        X = P[gens[lo:lo + step]]
+        # y(x(a)) == x(y(a)), y over the p-elements
+        agree = P[1:, X[:, 0]].T == X[:, P[1:, 0]]
+        agree &= P[1:, X[:, 1]].T == X[:, P[1:, 1]]
         i, j = np.nonzero(agree)
-        Xi, Pj = X[i], P[j]
-        comm[lo + i, j] = np.all(np.take_along_axis(Pj, Xi, axis=1)
-                                 == np.take_along_axis(Xi, Pj, axis=1), axis=1)
-    return comm
+        i, j = gens[lo + i], j + 1
+        pick = ((j > i) | ~is_gen[j]) & ~(powers[i] == j[:, None]).any(axis=1)
+        i, j = i[pick], j[pick]
+        xy = np.take_along_axis(P[i], P[j], axis=1)
+        ok = np.all(np.take_along_axis(P[j], P[i], axis=1) == xy, axis=1)
+        found.append(i[ok] * m + j[ok])
+        prods.append(np.searchsorted(ext, G.lookup_rows(xy[ok])))
+    found, prods = np.concatenate(found), np.concatenate(prods)
+    both = is_gen[found % m]
+    keys = np.concatenate((found, found[both] % m * m + found[both] // m))
+    prods = np.concatenate((prods, prods[both]))
+    order = np.argsort(keys)
+    keys, prods = keys[order], prods[order]
+    x, y, xy = keys // m, keys % m, prods
+    rows, cols, out = [x], [y], [xy]
+    for e in range(2, p):
+        hit, pos = _in_table(keys, x * m + xy)
+        if not hit.all():
+            raise InvariantViolated(_MISSING_PRODUCT)
+        xy = prods[pos]
+        rows.append(powers[x, e])
+        cols.append(y)
+        out.append(xy)
+    keys = np.concatenate(rows) * m + np.concatenate(cols)
+    order = np.argsort(keys)
+    return keys[order], np.concatenate(out)[order]
+
+
+def _in_table(keys, q):
+    """Where each query q is one of the sorted keys, and its position
+    there (meaningless where it is not)."""
+    pos = np.searchsorted(keys, q)
+    return np.append(keys, -1)[pos] == q, pos
+
+
+class SubgroupFamily(Sequence):
+    """Subgroups of one group in (order, member row) order, kept per order
+    as arrays and built as Subgroups on first access.
+
+    blocks holds one (members, gens, coords) per order, ascending: the
+    sorted member rows, ascending; each subgroup's generators, a row per
+    subgroup; and its coordinate rows, where column c_1 + c_2 p + ... +
+    c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for the generators b_j,
+    or None.  A Subgroup once built is kept, so every access returns the
+    same object, and take gives a sub-family sharing the built objects.
+    As a sequence the family is the list of its Subgroups: a slice or a
+    sum with a list is a list.  distinct checks the arrays, not objects.
+    """
+
+    def __init__(self, group, blocks, built=None, slots=None):
+        self.group = group
+        self.blocks = [b for b in blocks if len(b[0])]
+        self._starts = np.cumsum([0] + [len(b[0]) for b in self.blocks])
+        n = int(self._starts[-1])
+        self._built = [None] * n if built is None else built
+        self._slots = np.arange(n) if slots is None else slots
+
+    def __len__(self):
+        return len(self._slots)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        k += len(self) if k < 0 else 0
+        if not 0 <= k < len(self):
+            raise IndexError("family index out of range")
+        slot = self._slots[k]
+        S = self._built[slot]
+        if S is None:
+            b = int(np.searchsorted(self._starts, k, side="right")) - 1
+            members, gens, _ = self.blocks[b]
+            j = k - self._starts[b]
+            S = self._built[slot] = Subgroup(self.group, members[j],
+                                             gens=gens[j].tolist())
+        return S
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def take(self, ids):
+        """The sub-family at the ascending, distinct positions ids."""
+        ids = np.asarray(ids, dtype=np.int64)
+        cut = np.searchsorted(ids, self._starts)
+        blocks = [tuple(x if x is None else x[ids[lo:hi] - s] for x in b)
+                  for b, s, lo, hi in zip(self.blocks, self._starts, cut,
+                                          cut[1:])]
+        return SubgroupFamily(self.group, blocks, self._built,
+                              self._slots[ids])
+
+    def distinct(self):
+        """Whether the orders rise from block to block and the member rows
+        rise strictly within each, so no subgroup is listed twice."""
+        orders = [members.shape[1] for members, _, _ in self.blocks]
+        if any(a >= b for a, b in zip(orders, orders[1:])):
+            return False
+        for members, _, _ in self.blocks:
+            step = np.diff(members, axis=0)
+            lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+            if (lead <= 0).any():
+                return False
+        return True
 
 
 def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
     """All nontrivial elementary abelian p-subgroups, ascending rank.
 
-    Returns a list of Subgroups, deterministically ordered by (order,
-    member tuple).  BFS by rank: a rank r+1 subgroup B arises uniquely
-    as <A, z> where z is B's largest nontrivial member and A a hyperplane
-    avoiding z, so extending every A by commuting p-elements larger than
-    all of A's members and deduplicating member tuples finds everything.
+    Returns a SubgroupFamily, ordered by (order, member tuple), with the
+    coordinate rows of each subgroup in its generators.  BFS by rank: a
+    rank r+1 subgroup B arises as <A, z> where A is a hyperplane and z a
+    commuting p-element larger than all of A's members, so extending
+    every A by every such z and deduplicating member tuples finds
+    everything.
 
-    Each step works on a whole rank.  The p-elements are those passing
-    one power test (PermGroup.p_element_mask); rank 1 is one row per
-    cyclic subgroup, its powers found by bulk lookups; a rank's candidate
-    pairs (A, z) are one nonzero over its commuting masks, in row-major
-    order, so the first pair reaching each B, whose generators B keeps,
-    is the same as in a row-by-row scan.  Commuting is tested once per
-    cyclic subgroup, since y commutes with x iff it commutes with <x>.
+    Each step works on a whole rank, in positions of the p-elements,
+    which those of one power test (PermGroup.p_element_mask) list in
+    ascending order, so positions order rows as element indices do.  Rank
+    1 is one row per cyclic subgroup, its powers found by bulk lookups.
+    One table holds every commuting pair of p-elements of different
+    cyclic subgroups with its product (_commuting_products).  A rank's
+    candidate pairs (A, z) are read off the table's row of A's first
+    generator, past A's largest member, and kept where each further
+    generator's row has z too: row-major order, so the first pair
+    reaching each B, whose generators B keeps, is the same as in a
+    row-by-row scan.  B's coordinate row is A's followed by A's times z,
+    z^2, ..., z^(p-1), each product read off the table by one
+    searchsorted; InvariantViolated if one is missing, or if B's members
+    are not p·|A| distinct elements.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -1085,67 +1228,71 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
         return out
     G = sub.group
     pel = sub.midx[G.p_element_mask(p)[sub.midx]]
-    out = []
     if pel.size == 0:
-        sub._cache[ckey] = out
-        return out
+        sub._cache[ckey] = SubgroupFamily(G, [])
+        return sub._cache[ckey]
 
-    # rank 1: one row per <x>, keyed by its sorted nontrivial members;
-    # powers[k, e - 1] = pel[k]^e
-    powers = [pel]
-    for _ in range(p - 2):
-        powers.append(G.lookup_rows(np.take_along_axis(
-            G.perms[pel], G.perms[powers[-1]], axis=1)))
-    powers = np.column_stack(powers)
-    rows = np.sort(powers, axis=1)
-    order, head = row_runs(rows)
-    first = order[head]
-    members = rows[first]
-    cyclic = np.empty(pel.size, dtype=np.int64)  # pel[k] lies in row cyclic[k]
-    cyclic[order] = np.cumsum(head) - 1
-    gens = pel[first].reshape(-1, 1)
+    # positions: 0 is the identity, j + 1 is pel[j]; powers[q, e] is the
+    # position of the e-th power of position q
+    ext = np.concatenate(([0], pel))
+    m = ext.size
+    powers = np.zeros((m, p), dtype=np.int64)
+    cur = pel
+    for e in range(1, p):
+        powers[1:, e] = np.searchsorted(ext, cur)
+        if e < p - 1:
+            cur = G.lookup_rows(np.take_along_axis(
+                G.perms[pel], G.perms[cur], axis=1))
+    # rank 1: one row per <x>, keyed by its sorted nontrivial members
+    order, head = row_runs(np.sort(powers[1:, 1:], axis=1))
+    gens = order[head].reshape(-1, 1) + 1
+    coords = powers[gens[:, 0]]
+    members = np.sort(coords, axis=1)
     if members.shape[0] > cap:
         raise EnumerationCapExceeded(
             f"{members.shape[0]} rank-1 subgroups exceeds cap {cap}")
-    masks = comm = _commuting_rows(G, pel[first], pel)
-    levels = [(members, gens)]
+    keys, prods = _commuting_products(G, ext, powers, gens[:, 0])
+    ptr = np.searchsorted(keys, np.arange(m + 1) * m)
+    levels = [(members, gens, coords)]
     total = members.shape[0]
 
     while True:
-        pair_sub, pair_z = np.nonzero(masks & (pel > members[:, -1:]))
+        # z past A's largest member in its first generator's row, kept
+        # where every further generator commutes with it
+        start = np.searchsorted(keys, gens[:, 0] * m + members[:, -1],
+                                side="right")
+        count = ptr[gens[:, 0] + 1] - start
+        pair_sub = np.repeat(np.arange(len(gens)), count)
+        z = keys[np.repeat(start - np.cumsum(count) + count, count)
+                 + np.arange(count.sum())] % m
+        for g in gens[:, 1:].T:
+            hit = _in_table(keys, g[pair_sub] * m + z)[0]
+            pair_sub, z = pair_sub[hit], z[hit]
         if pair_sub.size == 0:
             break
-        width = members.shape[1]
-        A = members[pair_sub]
-        blocks = [A]
-        Arows = G.perms[A.reshape(-1)]
-        # powers of z and products a * z^e for a in A
+        C = coords[pair_sub]
+        blocks = [C]
         for e in range(1, p):
-            zpow = powers[pair_z, e - 1]
-            blocks.append(zpow.reshape(-1, 1))
-            zrows = G.perms[np.repeat(zpow, width)]
-            prod = G.lookup_rows(np.take_along_axis(Arows, zrows, axis=1))
-            blocks.append(prod.reshape(-1, width))
-        new_members = np.sort(np.concatenate(blocks, axis=1), axis=1)
-        if new_members.shape[1] != width + (width + 1) * (p - 1):
+            ze = powers[z, e]
+            hit, pos = _in_table(keys, C[:, 1:] * m + ze[:, None])
+            if not hit.all():
+                raise InvariantViolated(_MISSING_PRODUCT)
+            blocks += [ze[:, None], prods[pos]]
+        new_coords = np.concatenate(blocks, axis=1)
+        new_members = np.sort(new_coords, axis=1)
+        if (new_members[:, 1:] == new_members[:, :-1]).any():
             raise InvariantViolated(
                 "a rank step did not multiply the order by p")
         order, head = row_runs(new_members)
         first = order[head]
-        members = new_members[first]
-        gens = np.column_stack((gens[pair_sub[first]], pel[pair_z[first]]))
-        masks = masks[pair_sub[first]] & comm[cyclic[pair_z[first]]]
+        members, coords = new_members[first], new_coords[first]
+        gens = np.column_stack((gens[pair_sub[first]], z[first]))
         total += members.shape[0]
         if total > cap:
             raise EnumerationCapExceeded(
                 f"elementary abelian count exceeds cap {cap}")
-        levels.append((members, gens))
+        levels.append((members, gens, coords))
 
-    for members, gens in levels:
-        full = np.zeros((members.shape[0], members.shape[1] + 1),
-                        dtype=np.int64)
-        full[:, 1:] = members
-        out.extend(Subgroup(G, row, gens=g)
-                   for row, g in zip(full, gens.tolist()))
-    sub._cache[ckey] = out
-    return out
+    sub._cache[ckey] = SubgroupFamily(
+        G, [(ext[M], ext[g], ext[C]) for M, g, C in levels])
+    return sub._cache[ckey]

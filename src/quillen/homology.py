@@ -14,12 +14,17 @@ face a, a collapse pairs a with its only live coface b.  Such a pair has
 no fill, so what is left, the residue, is raw's boundary restricted to
 the live cells, with raw's homology, and
     rank ∂_k(raw) = rank ∂_k(residue) + #pairs in degrees (k-1, k).
-The matching is an exact certificate: a replay that shares no code with
-the search checks every pair was elementary when it was removed.  On
-most cores' order complexes the residue is the Betti numbers alone, with
-a zero boundary.  The search stops where every live cell has at least
-two live faces and two live cofaces, as on a component with cycles that
-the one seed, a vertex with the empty cell, never reaches.
+The search goes in frontier rounds (_morse_rounds): each round takes a
+batch of pairs with no cell in common, read off the cells the last round
+touched, and defers the candidates it cannot take, so it costs a few
+numpy calls and work linear in the entries it reads.  A long path, which
+frees one pair per round, is its worst case.  The matching is an exact
+certificate: a replay that shares no code with the search checks every
+pair was elementary when it was removed.  On most cores' order
+complexes the residue is the Betti numbers alone, with a zero boundary.
+The search stops where every live cell has at least two live faces and
+two live cofaces, as on a component with cycles that the first pair, a
+vertex with the empty cell, never reaches.
 
 Then the residue's ranks: each residue boundary ∂_k, on all its
 columns, goes once to one sparse integer elimination.  The pair search
@@ -51,8 +56,7 @@ passes.
 
 import heapq
 import math
-from array import array
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,108 +331,141 @@ class BettiVector:
         return body
 
 
+def _entries(ptr, cells):
+    """Positions of the entries of CSR rows cells, row after row."""
+    lens = ptr[cells + 1] - ptr[cells]
+    return np.repeat(ptr[cells] - np.cumsum(lens) + lens, lens) \
+        + np.arange(lens.sum())
+
+
+def _cell_offsets(raw):
+    """(degrees, first): cell j of degree k is cell first[k - raw.bottom]
+    + j of the whole complex, so each boundary is one block of its n x n
+    face matrix."""
+    degrees = range(raw.bottom, raw.top + 1)
+    return degrees, np.cumsum([0] + [raw.count(k) for k in degrees])
+
+
+def _morse_rounds(raw, work_cap):
+    """The reduction pair search, one round at a time: yields each
+    round's pairs as two arrays (a, b) of cells of the whole complex
+    (_cell_offsets), cell a of degree k with cell b of degree k + 1.
+
+    A round reads only its frontier.  It takes the frontier's
+    coreduction candidates: b with one live face entry a, with a nonzero
+    coefficient.  If there are none, it takes the collapse candidates: a
+    with one live coface entry b, with a nonzero coefficient.  It keeps
+    the first pair of each a and of each b, in candidate order, and drops
+    a pair whose a is another kept pair's b.  The kept pairs then have
+    pairwise distinct cells, each pair elementary, and removing the other
+    pairs only lowers the live counts of cells it does not use, so any
+    order of them is a valid matching; they come in candidate order.  The
+    next frontier is the candidates left over (the collapse candidates too
+    in a coreduction round), plus the cofaces and, once live cofaces are
+    counted, the faces of the cells just removed: only their counts
+    changed.  The first frontier is the cells with one face entry, so the
+    first pair is a vertex with the empty cell.  Live cofaces are counted
+    from the first round with no coreduction on, when the frontier is
+    every live cell with one.  The search ends at a round with no
+    candidate of either kind.  Every entry read counts against work_cap
+    (MatrixCapExceeded past it).
+    """
+    degrees, first = _cell_offsets(raw)
+    n = int(first[-1])
+    faces = _stack(n, [(raw.columns(k), first[d], first[d - 1] if d else 0, 1)
+                       for d, k in enumerate(degrees)])
+    fp, fr, fv = faces.ptr, faces.rows, faces.vals
+    owner = faces.owners()
+    # cofaces: the transpose, each row's entries in owner order
+    by_row = np.argsort(fr, kind="stable")
+    cp = np.concatenate(([0], np.cumsum(np.bincount(fr, minlength=n))))
+    cof, cv = owner[by_row], fv[by_row]
+    live = np.ones(n, dtype=bool)
+    nf = np.diff(fp)
+    nc = None
+    mark = np.zeros(n, dtype=bool)
+    frontier = np.flatnonzero(nf == 1)
+    work = 0
+    while True:
+        cells = frontier[live[frontier]]
+        lead = cells[nf[cells] == 1]
+        e = _entries(fp, lead)
+        work += len(cells) + len(e)
+        e = e[live[fr[e]]]
+        a, v = fr[e], fv[e]
+        b = lead
+        coreduction = bool(v.any())
+        if not coreduction:
+            if nc is None:
+                nc = np.bincount(fr[live[owner]], minlength=n)
+                cells = np.flatnonzero(live & (nc == 1))
+                work += len(fr)
+            lead = a = cells[nc[cells] == 1]
+            e = _entries(cp, lead)
+            work += len(e)
+            e = e[live[cof[e]]]
+            b, v = cof[e], cv[e]
+            if not v.any():
+                return
+        ok = v != 0
+        a, b, lead = a[ok], b[ok], lead[ok]
+        # the first pair of each partner, then none whose a is a kept b
+        keep = np.zeros(len(lead), dtype=bool)
+        keep[np.unique(a if coreduction else b, return_index=True)[1]] = True
+        mark[b[keep]] = True
+        keep &= ~mark[a]
+        mark[b] = False
+        rest = [lead[~keep]]
+        if coreduction and nc is not None:
+            rest.append(cells[nc[cells] == 1])
+        a, b = a[keep], b[keep]
+        live[a] = live[b] = False
+        gone = np.concatenate((a, b))
+        e = _entries(cp, gone)
+        np.subtract.at(nf, cof[e], 1)
+        rest.append(cof[e])
+        work += len(e)
+        if nc is not None:
+            e = _entries(fp, gone)
+            np.subtract.at(nc, fr[e], 1)
+            rest.append(fr[e])
+            work += len(e)
+        if work > work_cap:
+            raise MatrixCapExceeded(f"reduction work exceeded {work_cap}")
+        # sorted and deduplicated by a sort: numpy's hash-based unique is
+        # several times slower here
+        frontier = np.sort(np.concatenate(rest))
+        frontier = frontier[np.diff(frontier, prepend=-1) != 0]
+        yield a, b
+
+
 def _morse_pairs(raw, work_cap):
     """Reduction pairs of a raw complex, over all degrees at once.
 
     Returns (pairs, live): pairs is an int64 array of rows (k, a, b) in
-    removal order, cell a of degree k with cell b of degree k + 1, and
-    live[k] is a bytearray with 1 for each degree-k cell left, the
-    residue.  A pair is a
-    coreduction (b has one live face entry, a) or a collapse (a has one
-    live coface entry, b), with a nonzero coefficient.  Both queues are
-    FIFO.  The coreduction queue starts from the cells with one face
-    entry, in order, so the first pair is a vertex with the empty cell,
-    and it is drained before any collapse is taken; live cofaces are
-    counted from then on, and the collapse queue starts from the live
-    cells with one.  The order is fixed by raw alone.  Faces are one CSR
-    stacked from raw's boundaries, read through flat arrays; cofaces are
-    its transpose (offsets, indices).  Every entry visited counts against
-    work_cap (MatrixCapExceeded past it).
+    removal order, cell a of degree k with cell b of degree k + 1, round
+    after round of _morse_rounds, and live[k] is a bytearray with 1 for
+    each degree-k cell left, the residue.  A pair is a coreduction (b has
+    one live face entry, a) or a collapse (a has one live coface entry,
+    b), with a nonzero coefficient.  The order is fixed by raw alone.
+
+    Rounds take whole batches of pairs, so on an order complex's core the
+    search ends in a few dozen numpy rounds.  Its worst case is a long
+    thin complex: a path frees one pair per round, so its rounds number
+    its edges, each a few numpy calls on a handful of cells.  Each round
+    reads only the cells whose counts the last one changed, so the work
+    stays linear in the entries.
     """
-    degrees = range(raw.bottom, raw.top + 1)
-    # cell j of degree k is first[k - raw.bottom] + j: each boundary is
-    # one block of the n x n face matrix
-    first = np.cumsum([0] + [raw.count(k) for k in degrees])
-    n = int(first[-1])
-    faces = _stack(n, [(raw.columns(k), first[d], first[d - 1] if d else 0, 1)
-                       for d, k in enumerate(degrees)])
-    fp, fr, fv = (array("q", x.tobytes())
-                  for x in (faces.ptr, faces.rows, faces.vals))
-    nf = np.diff(faces.ptr).tolist()
-    owner = faces.owners()
-    counts = np.bincount(faces.rows, minlength=n)
-    ptr = array("q", np.concatenate(([0], np.cumsum(counts))).tobytes())
-    cof = array("q", owner[np.argsort(faces.rows, kind="stable")].tobytes())
-    live = bytearray(b"\x01") * n
-    core_q = deque(np.flatnonzero(np.diff(faces.ptr) == 1).tolist())
-    coll_q = None
-    push_core = core_q.append
-    pairs = array("q")
-    work = 0
-    while True:
-        if core_q:
-            b = core_q.popleft()
-            if not live[b] or nf[b] != 1:
-                continue
-            for e in range(fp[b], fp[b + 1]):
-                if live[fr[e]]:
-                    break
-            if not fv[e]:
-                continue
-            a = fr[e]
-            # b's other faces are gone already
-            drop = (a,) if coll_q is not None else ()
-            lift = cof[ptr[a]:ptr[a + 1]] + cof[ptr[b]:ptr[b + 1]]
-            work += fp[b + 1] - fp[b]
-        elif coll_q is None:
-            # the coreductions are drained: count live cofaces from here on
-            alive = np.frombuffer(live, dtype=np.uint8)[owner] != 0
-            nc = np.bincount(faces.rows[alive], minlength=n)
-            coll_q = deque(np.flatnonzero((nc == 1) & (
-                np.frombuffer(live, dtype=np.uint8) != 0)).tolist())
-            nc = nc.tolist()
-            push_coll = coll_q.append
-            work += len(fr)
-            continue
-        elif coll_q:
-            a = coll_q.popleft()
-            if not live[a] or nc[a] != 1:
-                continue
-            ids = cof[ptr[a]:ptr[a + 1]]
-            for b in ids:
-                if live[b]:
-                    break
-            v = next(fv[e] for e in range(fp[b], fp[b + 1]) if fr[e] == a)
-            if not v:
-                continue
-            # a's other cofaces are gone already
-            drop = (a, b)
-            lift = cof[ptr[b]:ptr[b + 1]]
-            work += len(ids)
-        else:
-            break
-        live[a] = live[b] = 0
-        pairs.extend((a, b))
-        # faces of a removed cell lose a live coface, cofaces a live face
-        for x in drop:
-            for i in fr[fp[x]:fp[x + 1]]:
-                nc[i] -= 1
-                if nc[i] == 1 and live[i]:
-                    push_coll(i)
-            work += fp[x + 1] - fp[x]
-        for y in lift:
-            nf[y] -= 1
-            if nf[y] == 1 and live[y]:
-                push_core(y)
-        work += len(lift)
-        if work > work_cap:
-            raise MatrixCapExceeded(f"reduction work exceeded {work_cap}")
-    a = np.frombuffer(pairs, dtype=np.int64)[0::2]
-    b = np.frombuffer(pairs, dtype=np.int64)[1::2]
+    degrees, first = _cell_offsets(raw)
+    ab = [np.zeros((2, 0), dtype=np.int64)]
+    ab += [np.stack(r) for r in _morse_rounds(raw, work_cap)]
+    a, b = np.concatenate(ab, axis=1)
+    left = np.ones(int(first[-1]), dtype=np.uint8)
+    left[a] = left[b] = 0
     deg = np.searchsorted(first, a, side="right") - 1
     pairs = np.stack((deg + raw.bottom, a - first[deg], b - first[deg + 1]),
                      axis=1)
-    return pairs, {k: live[first[d]:first[d + 1]]
+    return pairs, {k: bytearray(left[first[d]:first[d + 1]])
                    for d, k in enumerate(degrees)}
 
 

@@ -66,19 +66,36 @@ def row_lookup(table, rows):
 
 
 class Poset:
-    """Finite poset with ids in a linear extension and a CSR of up-sets."""
+    """Finite poset with ids in a linear extension and a CSR of up-sets.
+
+    The labels are a tuple, or a lazy family (groups.SubgroupFamily: it
+    has take and distinct), kept as it is: induced then takes a
+    sub-family, and the duplicate check runs on its arrays.  index, the
+    dict from label to id, is built on first use."""
 
     def __init__(self, elements, ptr, ids, validate=False):
-        self.elements = tuple(elements)
+        if hasattr(elements, "distinct"):
+            if not elements.distinct():
+                raise NotAntisymmetric(
+                    "family rows do not rise strictly: a label repeats")
+            self.elements, self._index = elements, None
+        else:
+            self.elements = tuple(elements)
+            self._index = {e: i for i, e in enumerate(self.elements)}
+            if len(self._index) != len(self.elements):
+                raise NotAntisymmetric("duplicate element labels")
         self.n = len(self.elements)
         self.ptr = np.asarray(ptr, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != self.n:
-            raise NotAntisymmetric("duplicate element labels")
         self._cache = {}
         if validate:
             self._validate()
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        return self._index
 
     def _validate(self):
         n, ptr = self.n, self.ptr
@@ -134,8 +151,11 @@ class Poset:
         newid[ids] = np.arange(ids.size)
         lo, hi = self.pairs()
         keep = (newid[lo] >= 0) & (newid[hi] >= 0)
-        sub = Poset([self.elements[o] for o in ids.tolist()],
-                    row_ptr(newid[lo[keep]], ids.size), newid[hi[keep]])
+        elements = ([self.elements[o] for o in ids.tolist()]
+                    if isinstance(self.elements, tuple)
+                    else self.elements.take(ids))
+        sub = Poset(elements, row_ptr(newid[lo[keep]], ids.size),
+                    newid[hi[keep]])
         return sub, ids
 
     def chain_counts(self):

@@ -11,7 +11,9 @@ Every inclusion poset of a subgroup family is built by
 poset_from_subgroups, with no pairwise subset tests.  A family closed
 under nontrivial subgroups (A_p(G), the image and p-outer posets) has
 its relations read off the subspaces of its members, through fixed
-tables of the subspaces of F_p^r and one row lookup per dimension; the
+tables of the subspaces of F_p^r and one row lookup per dimension.
+A_p(G)'s members come as the enumeration's SubgroupFamily, coordinates
+and all, which the poset keeps as its elements.  The
 radical poset's are read off one sorted array of membership keys, member
 by element, searched once per generator.
 
@@ -38,6 +40,7 @@ from .groups import (
     DEFAULT_ENUM_CAP,
     ConjugationAction,
     Subgroup,
+    SubgroupFamily,
     _check_prime,
     _orbit_arrays,
     _orbit_labels,
@@ -88,8 +91,11 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     closed_under_subgroups=True declares a family of elementary abelian
     p-subgroups holding every nontrivial subgroup of each member: A_p(G),
     and the image and p-outer posets.  Its relations are read off the
-    members' subspaces (_closed_family_poset), and the declaration is
-    checked there; IndexOutOfRange if it fails.
+    members' subspaces (_closed_family_order), and the declaration is
+    checked there; IndexOutOfRange if it fails.  A SubgroupFamily, as
+    elementary_abelian_subgroups returns, is already in that order and
+    holds its coordinates: it becomes the poset's elements as it is, and
+    no Subgroup is built.
 
     Any other family (the radical poset) goes through one sorted array of
     membership keys m·|G| + x, one per nontrivial element x of member m.
@@ -99,6 +105,9 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     kept where one searchsorted of the keys finds each further generator,
     less i itself.
     """
+    if closed_under_subgroups and isinstance(subs, SubgroupFamily):
+        return Poset(subs, *_closed_family_order(
+            subs.group, [(M, C) for M, _, C in subs.blocks]))
     seen = {}
     for S in subs:
         if S.order > 1 and S.key not in seen:
@@ -140,58 +149,73 @@ _NOT_CLOSED = "family is not closed under nontrivial subgroups"
 
 
 def _closed_family_poset(members):
-    """Inclusion poset of a family declared closed under nontrivial
-    subgroups, every member elementary abelian of order p^r.
+    """Inclusion poset of a list of distinct subgroups declared closed
+    under nontrivial subgroups: the members of each order stacked as
+    sorted member rows, which sort the order's block of the poset, with
+    no coordinates, so _closed_family_order finds them."""
+    if not members:
+        return Poset([], [0], [])
+    by_order = {}
+    for S in members:
+        by_order.setdefault(S.order, []).append(S)
+    elems, blocks = [], []
+    for order in sorted(by_order):
+        family = by_order[order]
+        rows = np.array([S.midx for S in family])
+        sort = np.lexsort(rows.T[::-1])
+        blocks.append((rows[sort], None))
+        elems.extend(family[i] for i in sort.tolist())
+    return Poset(elems, *_closed_family_order(members[0].group, blocks))
 
-    The members of each order are stacked as sorted member rows, which
-    sort the order's block of the poset.  Each row of rank r > 1 is
-    rewritten in coordinates (_coordinates); one gather through the
-    table of k-dimensional subspaces of F_p^r (subspace_table) lists all
-    its proper nontrivial subgroups, and one row_lookup per k finds them
+
+def _closed_family_order(G, blocks):
+    """(ptr, ids) of the inclusion order of a family declared closed under
+    nontrivial subgroups, every member elementary abelian of order p^r.
+
+    blocks holds, per order ascending, the member rows, sorted, and their
+    coordinate rows, or None to find them (_coordinates).  Each row of
+    rank r > 1 in coordinates is gathered through the table of
+    k-dimensional subspaces of F_p^r (subspace_table), listing all its
+    proper nontrivial subgroups, and one row_lookup per k finds them
     among the rank-k rows.  The pairs (subgroup, member) are the whole
     strict order, sorted into the CSR by one lexsort.
 
     Raises IndexOutOfRange if a member's order is not a power of p, a
-    nontrivial member element fails the power test x^p = 1, a row is not
-    a permutation of its coordinates, or a subspace is not a member.  The
-    last proves closure, and also that each member is abelian: two basis
-    elements that do not commute span a coordinate plane that is not a
-    subgroup.
+    nontrivial member element fails the power test x^p = 1, a row's
+    sorted coordinates are not the row, or a subspace is not a member.
+    The last proves closure, and also that each member is abelian: two
+    basis elements that do not commute span a coordinate plane that is
+    not a subgroup.
     """
-    if not members:
-        return Poset([], [0], [])
-    G = members[0].group
-    by_order = {}
-    for S in members:
-        by_order.setdefault(S.order, []).append(S)
-    p = _prime_divisors(min(by_order))[0]
+    if not blocks:
+        return [0], []
+    p = _prime_divisors(blocks[0][0].shape[1])[0]
     pmask = G.p_element_mask(p)
-    elems, blocks = [], {}  # rank -> (first id, sorted member rows)
-    for order in sorted(by_order):
+    ranks = {}  # rank -> (first id, sorted member rows, coordinate rows)
+    n = 0
+    for rows, coords in blocks:
         r = 0
-        while p ** r < order:
+        while p ** r < rows.shape[1]:
             r += 1
-        if p ** r != order:
+        if p ** r != rows.shape[1] or not pmask[rows[:, 1:]].all():
             raise IndexOutOfRange(_NOT_CLOSED)
-        family = by_order[order]
-        rows = np.array([S.midx for S in family])
-        sort = np.lexsort(rows.T[::-1])
-        rows = rows[sort]
-        if not pmask[rows[:, 1:]].all():
-            raise IndexOutOfRange(_NOT_CLOSED)
-        blocks[r] = (len(elems), rows)
-        elems.extend(family[i] for i in sort.tolist())
-    coords = {r: _coordinates(G, rows, p)
-              for r, (_, rows) in blocks.items() if r > 1}
+        if r > 1:
+            if coords is None:
+                coords = _coordinates(G, rows, p)
+            if not np.array_equal(np.sort(coords, axis=1), rows):
+                raise IndexOutOfRange(_NOT_CLOSED)
+        ranks[r] = (n, rows, coords)
+        n += len(rows)
     lo, hi = [], []
-    for k in range(1, max(blocks)):
-        first, table = blocks.get(k, (0, np.empty((0, p ** k), np.int64)))
+    for k in range(1, max(ranks)):
+        first, table, _ = ranks.get(k, (0, np.empty((0, p ** k), np.int64),
+                                        None))
         above, subs = [], []
-        for r, C in coords.items():
+        for r, (start, _, C) in ranks.items():
             if r > k:
                 spaces = subspace_table(p, r, k)
-                above.append(blocks[r][0] + np.repeat(
-                    np.arange(C.shape[0]), spaces.shape[0]))
+                above.append(start + np.repeat(np.arange(C.shape[0]),
+                                               spaces.shape[0]))
                 subs.append(np.sort(C[:, spaces], axis=2).reshape(-1, p ** k))
         pos = row_lookup(table, np.concatenate(subs))
         if (pos < 0).any():
@@ -200,7 +224,7 @@ def _closed_family_poset(members):
         hi.extend(above)
     lo = np.concatenate(lo) if lo else np.empty(0, np.int64)
     hi = np.concatenate(hi) if hi else np.empty(0, np.int64)
-    return Poset(elems, row_ptr(lo, len(elems)), hi[np.lexsort((hi, lo))])
+    return row_ptr(lo, n), hi[np.lexsort((hi, lo))]
 
 
 def _coordinates(G, rows, p):
@@ -212,8 +236,8 @@ def _coordinates(G, rows, p):
     One step per basis element, over all rows at once: the span so far is
     marked in the rows by one search of their offset keys, and its
     products with the powers of the next basis element are p - 1 bulk
-    lookups.  Raises IndexOutOfRange unless every result is a permutation
-    of its row.
+    lookups.  The caller checks that each result is a permutation of its
+    row.
     """
     n, width = rows.shape
     offset = (np.arange(n) * G.order)[:, None]
@@ -231,8 +255,6 @@ def _coordinates(G, rows, p):
             parts.append(G.lookup_rows(np.take_along_axis(
                 G.perms[parts[-1].ravel()], brows, axis=1)).reshape(n, -1))
         span = np.concatenate(parts, axis=1)
-    if not np.array_equal(np.sort(span, axis=1), rows):
-        raise IndexOutOfRange(_NOT_CLOSED)
     return span
 
 

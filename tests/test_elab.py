@@ -5,7 +5,10 @@ each Subgroup's generators, to a row-by-row BFS that shares no code with
 it: p-elements from element orders, powers and products one element at
 a time, commuting tested per candidate, and first occurrences taken from
 np.unique.  The subspace tables behind the closed-family poset route are
-checked against Gaussian binomials and by brute force over F_p^r.
+checked against Gaussian binomials and by brute force over F_p^r.  The
+layers in between are checked against G.compose and tuple-built posets:
+the commuting-product table, the coordinate rows the enumeration hands
+to the poset, and the SubgroupFamily that is the poset's elements.
 """
 
 from itertools import product
@@ -13,9 +16,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quillen.groups import elementary_abelian_subgroups
-from quillen.gspec import BUNDLED
-from quillen.pposets import subspace_table
+from quillen.errors import NotAntisymmetric
+from quillen.groups import SubgroupFamily, _commuting_products, \
+    elementary_abelian_subgroups
+from quillen.gspec import BUNDLED, load_group
+from quillen.homology import _core
+from quillen.posets import Poset
+from quillen.pposets import ap_poset, subspace_table
 
 from conftest import bundled
 
@@ -107,3 +114,104 @@ def test_subspace_tables_are_the_subspaces(p):
             vecs = digits[table]
             sums = (vecs[:, :, None] + vecs[:, None, :]) % p @ weights
             assert all(np.isin(s, row).all() for s, row in zip(sums, table))
+
+
+LAYER_CASES = [(name, p) for name in ("sym5", "sym6", "aut-alt6", "l34",
+                                      "a5xa5-e") for p in (2, 3, 5)
+               if bundled(name).order % p == 0]
+
+
+@pytest.mark.parametrize("name,p", LAYER_CASES)
+def test_coordinate_rows_sort_to_the_member_rows(name, p):
+    # column c_1 + c_2 p + ... holds b_1^c_1 b_2^c_2 ..., so column p^j
+    # holds generator j and the identity sits in column 0
+    for members, gens, coords in elementary_abelian_subgroups(
+            bundled(name), p).blocks:
+        assert np.array_equal(np.sort(coords, axis=1), members)
+        assert np.array_equal(coords[:, p ** np.arange(gens.shape[1])],
+                              gens)
+        assert not coords[:, 0].any()
+
+
+@pytest.mark.parametrize("name,p", LAYER_CASES)
+def test_commuting_table_is_every_commuting_pair_with_its_product(name, p):
+    sub = bundled(name)
+    G = sub.group
+    ext = np.concatenate(([0], sub.midx[G.p_element_mask(p)[sub.midx]]))
+    m = ext.size
+    # powers one composition at a time; each cyclic subgroup generated by
+    # its least member
+    powers = np.zeros((m, p), dtype=np.int64)
+    for q in range(1, m):
+        x = 0
+        for e in range(1, p):
+            x = G.compose(x, int(ext[q]))
+            powers[q, e] = np.searchsorted(ext, x)
+    gens = np.flatnonzero(powers[:, 1:].min(axis=1) == np.arange(m))[1:]
+    keys, prods = _commuting_products(G, ext, powers, gens)
+    i, j = keys // m, keys % m
+    assert (np.diff(keys) > 0).all() and (i > 0).all() and (j > 0).all()
+    assert not (powers[i] == j[:, None]).any()
+    for a, b, c in zip(ext[i].tolist(), ext[j].tolist(), ext[prods].tolist()):
+        assert G.compose(a, b) == G.compose(b, a) == c
+    # and no commuting pair of two cyclic subgroups is left out: the
+    # pairs agreeing at points 0 and 1 are composed in full
+    P = G.perms[ext[1:]]
+    pairs = 0
+    for k, x in enumerate(P):
+        y = P[(P[:, x[0]] == x[P[:, 0]]) & (P[:, x[1]] == x[P[:, 1]])]
+        pairs += int((y[:, x] == x[y]).all(axis=1).sum())
+        pairs -= p - 1  # x commutes with its own p - 1 powers
+    assert len(keys) == pairs
+
+
+@pytest.mark.parametrize("name,p", LAYER_CASES)
+def test_family_builds_each_subgroup_once(name, p):
+    # a freshly loaded group, so no Subgroup of its family is built yet:
+    # built back to front, the members are the shared family's in key and
+    # gens, and every later access returns the same objects
+    want = [(S.key, S.gens)
+            for S in elementary_abelian_subgroups(bundled(name), p)]
+    family = elementary_abelian_subgroups(load_group(name).group.full(), p)
+    n = len(family)
+    back = [family[-k] for k in range(1, n + 1)][::-1]
+    assert [(S.key, S.gens) for S in back] == want
+    assert all(a is b for a, b in zip(family, back))
+    assert all(a is b for a, b in zip(family[1::2], back[1::2]))
+    every_third = family.take(np.arange(0, n, 3))
+    assert len(every_third) == len(back[::3])
+    assert all(a is b for a, b in zip(every_third, back[::3]))
+    more = family + [back[0]]
+    assert isinstance(more, list) and more == back + [back[0]]
+    with pytest.raises(IndexError):
+        family[n]
+
+
+@pytest.mark.parametrize("name,p", LAYER_CASES)
+def test_family_poset_agrees_with_a_tuple_poset(name, p):
+    P = ap_poset(load_group(name).group.full(), p)
+    assert isinstance(P.elements, SubgroupFamily)
+    T = Poset(tuple(P.elements), P.ptr, P.ids)
+    assert P.index == T.index
+    for ids in (_core(P)[1], np.arange(0, P.n, 2), np.arange(P.n)[-3:]):
+        (A, a), (B, b) = P.induced(ids), T.induced(ids)
+        assert isinstance(A.elements, SubgroupFamily)
+        assert np.array_equal(a, b)
+        assert np.array_equal(A.ptr, B.ptr) and np.array_equal(A.ids, B.ids)
+        assert all(x is y for x, y in zip(A.elements, B.elements))
+        assert A.index == B.index
+
+
+def test_family_with_a_repeated_row_is_rejected():
+    family = elementary_abelian_subgroups(bundled("sym4"), 2)
+    G = family.group
+    M, g, C = family.blocks[1]
+    assert family.distinct()
+    for rows in ([0, 0], [1, 0]):
+        bad = SubgroupFamily(G, family.blocks[:1] + [(M[rows], g[rows],
+                                                      C[rows])])
+        assert not bad.distinct()
+        with pytest.raises(NotAntisymmetric, match="a label repeats"):
+            Poset(bad, np.zeros(len(bad) + 1), [])
+    # blocks out of order
+    assert not SubgroupFamily(G, family.blocks[::-1]).distinct()

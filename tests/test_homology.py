@@ -558,19 +558,60 @@ def test_pair_order_is_fixed_by_the_complex():
 
 @pytest.mark.parametrize("name, count, digest", [
     ("sym6", 285,
-     "52844bd258c2247eb0a1edacffe13cd8c4c7d3f4a237feb3cf3b8a95da9e788b"),
+     "3ae676466ba92e93dedc629c0daaa8a46c5664b92cc2df563ffee79f451045fa"),
     ("aut-alt6", 546,
-     "42e32337789b56e52995d7a5280d2d3fc6561dfc269ef3cbd6317b84338678e3"),
+     "53e29424257dc18c5132a960098b738c74b59a7332bad7407f159d12c8ce7bfc"),
 ], ids=["sym6", "aut-alt6"])
 def test_pair_order_is_pinned(name, count, digest):
-    # the pairs of the cores' order complexes, as computed on ragged
-    # (row, value) columns: stacking the boundaries must keep every
-    # column's entries in order
+    # the pairs of the cores' order complexes, round after round, with
+    # each round's pairs in candidate order: stacking the boundaries must
+    # keep every column's entries in order
     raw = RawComplex.from_simplicial(order_complex(_core(ap_poset(
         bundled(name), 2))[0]))
     pairs = _morse_pairs(raw, 10 ** 6)[0]
     assert len(pairs) == count
     assert hashlib.sha256(pairs.tobytes()).hexdigest() == digest
+
+
+def path_complex(n):
+    """A path of n edges, vertex i joined to vertex i + 1."""
+    return SimplicialComplex([np.arange(n + 1)[:, None], np.column_stack(
+        (np.arange(n), np.arange(1, n + 1)))])
+
+
+def cylinder_complex(m, n):
+    """A circle of m vertices times a path of n edges, triangulated: ring
+    i holds the vertices i*m .. i*m + m - 1, each square of the strip
+    between rings i and i + 1 cut into two triangles."""
+    v = lambda i, j: i * m + j % m  # noqa: E731
+    tris = np.sort([t for i in range(n) for j in range(m) for t in (
+        (v(i, j), v(i, j + 1), v(i + 1, j)),
+        (v(i, j + 1), v(i + 1, j), v(i + 1, j + 1)))], axis=1)
+    tris = np.unique(tris, axis=0)
+    edges = np.unique(np.concatenate(
+        [tris[:, [0, 1]], tris[:, [0, 2]], tris[:, [1, 2]]]), axis=0)
+    return SimplicialComplex([np.arange(m * (n + 1))[:, None], edges, tris])
+
+
+@pytest.mark.parametrize("K, rounds, residue", [
+    (path_complex(2000), 2001, {-1: 0, 0: 0, 1: 0}),
+    (cylinder_complex(6, 300), 3 * 300 + 1, {-1: 0, 0: 0, 1: 1, 2: 0}),
+], ids=["path", "cylinder"])
+def test_round_search_on_long_thin_complexes(K, rounds, residue):
+    # a path frees one pair per round, the worst case of the round
+    # search, and a cylinder one ring in three rounds.  Each round reads
+    # only the cells the last one touched, so a cap linear in the
+    # entries holds; a cap below the entries read in the first round
+    # does not
+    raw = RawComplex.from_simplicial(K)
+    entries = sum(len(B.rows) for B in raw.cols.values())
+    found = list(homology._morse_rounds(raw, 12 * entries))
+    assert len(found) <= rounds
+    pairs, residue_raw, _ = matched(raw)
+    assert len(pairs) == sum(len(a) for a, _ in found)
+    assert residue_raw.counts == residue
+    with pytest.raises(MatrixCapExceeded):
+        _morse_pairs(raw, raw.count(0))
 
 
 def test_replay_rejects_corrupted_matchings():
@@ -720,6 +761,28 @@ def test_self_checks_survive_python_O():
         expect(IndexOutOfRange, "not closed under nontrivial subgroups",
                "the closure check accepted a family missing a member",
                poset_from_subgroups, P.elements[1:], True)
+        # A_2(Sym(4))'s family with its first four-group listed twice
+        from quillen import groups
+        from quillen.errors import NotAntisymmetric
+        M, g, C = P.elements.blocks[1]
+        twice = groups.SubgroupFamily(P.elements.group, P.elements.blocks[:1]
+                                      + [(M[[0, 0]], g[[0, 0]], C[[0, 0]])])
+        expect(NotAntisymmetric, "family rows do not rise strictly",
+               "poset_from_subgroups accepted a family with a repeated row",
+               poset_from_subgroups, twice, True)
+        # the commuting table kept one way round only, i < j: Alt(6)'s
+        # rank-2 step at p = 3 asks for x * z^2 with x above z^2
+        exact_table = groups._commuting_products
+        def one_way(G, ext, powers, gens):
+            keys, prods = exact_table(G, ext, powers, gens)
+            kept = keys // ext.size < keys % ext.size
+            return keys[kept], prods[kept]
+        groups._commuting_products = one_way
+        expect(InvariantViolated, "missing from the commuting table",
+               "elementary_abelian_subgroups accepted a product outside "
+               "the commuting table", groups.elementary_abelian_subgroups,
+               load_group("alt6").group.full(), 3)
+        groups._commuting_products = exact_table
         # a rank routine that miscounts must trip a check.  Reduction pairs
         # leave the cores' order complexes a zero boundary, so the stand-ins
         # run where a residue keeps one: the worked example's condition (E)
@@ -815,7 +878,6 @@ def test_self_checks_survive_python_O():
                "_check_embedded_copy accepted a change of order",
                _check_embedded_copy, P, P, np.arange(P.n)[::-1])
         # an image built from too few generators fails |image||kernel| = |actor|
-        from quillen import groups
         sym5 = load_group("sym5").group.full()
         A5 = groups.detect_components(sym5)[0][0]
         build = groups.PermGroup.generate
