@@ -1162,9 +1162,6 @@ class SubgroupFamily(Sequence):
                                              gens=gens[j].tolist())
         return S
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def __add__(self, other):
         return list(self) + list(other)
 

@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, MatrixCapExceeded, NotACover
-from .posets import PosetMap, beat_point_core, join_posets, order_complex
+from .posets import (PosetMap, beat_point_core, join_posets, order_complex,
+                     row_ptr)
 
 DEFAULT_WORK_CAP = 400_000_000
 
@@ -356,19 +357,18 @@ def _morse_rounds(raw, work_cap):
     coefficient.  If there are none, it takes the collapse candidates: a
     with one live coface entry b, with a nonzero coefficient.  It keeps
     the first pair of each a and of each b, in candidate order, and drops
-    a pair whose a is another kept pair's b.  The kept pairs then have
-    pairwise distinct cells, each pair elementary, and removing the other
-    pairs only lowers the live counts of cells it does not use, so any
-    order of them is a valid matching; they come in candidate order.  The
-    next frontier is the candidates left over (the collapse candidates too
-    in a coreduction round), plus the cofaces and, once live cofaces are
-    counted, the faces of the cells just removed: only their counts
-    changed.  The first frontier is the cells with one face entry, so the
-    first pair is a vertex with the empty cell.  Live cofaces are counted
-    from the first round with no coreduction on, when the frontier is
-    every live cell with one.  The search ends at a round with no
-    candidate of either kind.  Every entry read counts against work_cap
-    (MatrixCapExceeded past it).
+    a pair whose a is another kept pair's b.  The kept pairs then share
+    no cell, and removing the others only lowers live counts, so each
+    stays elementary: any order of them is a valid matching, and they
+    come in candidate order.  The next frontier is the candidates left
+    over (the collapse candidates too in a coreduction round), plus the
+    cofaces and, once live cofaces are counted, the faces of the cells
+    just removed: only their counts changed.  The first frontier is the
+    cells with one face entry, so the first pair is a vertex with the
+    empty cell.  Live cofaces are counted from the first round with no
+    coreduction on, when the frontier is every live cell with one.  The
+    search ends at a round with no candidate of either kind.  Every entry
+    read counts against work_cap (MatrixCapExceeded past it).
     """
     degrees, first = _cell_offsets(raw)
     n = int(first[-1])
@@ -378,7 +378,7 @@ def _morse_rounds(raw, work_cap):
     owner = faces.owners()
     # cofaces: the transpose, each row's entries in owner order
     by_row = np.argsort(fr, kind="stable")
-    cp = np.concatenate(([0], np.cumsum(np.bincount(fr, minlength=n))))
+    cp = row_ptr(fr, n)
     cof, cv = owner[by_row], fv[by_row]
     live = np.ones(n, dtype=bool)
     nf = np.diff(fp)
