@@ -583,10 +583,10 @@ def cylinder_complex(m, n):
     """A circle of m vertices times a path of n edges, triangulated: ring
     i holds the vertices i*m .. i*m + m - 1, each square of the strip
     between rings i and i + 1 cut into two triangles."""
-    v = lambda i, j: i * m + j % m  # noqa: E731
     tris = np.sort([t for i in range(n) for j in range(m) for t in (
-        (v(i, j), v(i, j + 1), v(i + 1, j)),
-        (v(i, j + 1), v(i + 1, j), v(i + 1, j + 1)))], axis=1)
+        (i * m + j, i * m + (j + 1) % m, (i + 1) * m + j),
+        (i * m + (j + 1) % m, (i + 1) * m + j, (i + 1) * m + (j + 1) % m))],
+        axis=1)
     tris = np.unique(tris, axis=0)
     edges = np.unique(np.concatenate(
         [tris[:, [0, 1]], tris[:, [0, 2]], tris[:, [1, 2]]]), axis=0)
