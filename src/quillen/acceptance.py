@@ -12,14 +12,14 @@ from functools import cache
 import numpy as np
 
 from .errors import ComponentsUndetectable
-from .groups import centralizer, detect_components, subgroup_product, \
-    sylow_subgroup
+from .groups import centralizer, detect_components, member_csr, \
+    subgroup_product, sylow_subgroup
 from .gspec import BUNDLED, bundled_group, load_group
 from .homology import RawComplex, _core, betti_of_complex, betti_of_poset, \
     induced_map, kunneth_check
-from .posets import make_map, order_complex
+from .posets import PosetMap, order_complex
 from .pposets import OrbitContext, ap_poset, bouc_poset, conj_action_tables, \
-    decomposition, diagonal_poset, off_component_subposet
+    decomposition, diagonal_poset, off_component_subposet, subgroup_ids
 from . import checkers
 
 CRITERIA = []
@@ -127,7 +127,7 @@ def c09():
     comps, _ = detect_components(G)
     apA = ap_poset(comps[0], 2)
     apG = ap_poset(bundled_group("sym5"), 2)
-    f = make_map(apA, apG, lambda E: E)
+    f = PosetMap(apA, apG, subgroup_ids(apG, *member_csr(apA)[1:]))
     rep = induced_map(f)
     return rep.is_zero(), f"ranks {dict(sorted(rep.ranks.items()))}"
 

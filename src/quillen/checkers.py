@@ -30,6 +30,7 @@ from .groups import (
     centralizer,
     conjugation_action,
     hyperelementary_check,
+    member_csr,
     membership,
     normalizer,
     p_core,
@@ -37,7 +38,7 @@ from .groups import (
     subgroup_product,
     _check_prime,
 )
-from .posets import PosetMap, fixed_subposet, make_map
+from .posets import PosetMap, fixed_subposet
 from .homology import (
     DEFAULT_WORK_CAP,
     RawComplex,
@@ -55,6 +56,7 @@ from .pposets import (
     image_poset,
     off_component_subposet,
     p_outer_poset,
+    subgroup_ids,
     subgroup_orbits,
 )
 
@@ -461,8 +463,8 @@ def _cor51_component_map(ctx, i, variant, aut):
         act = conjugation_action(actor, L)
         target = ap_poset(act.image.full(), p, cap=ctx.cap)
         source = ap_poset(L, p, cap=ctx.cap)
-        image_of = dict(zip(source.elements, act.project_family(source)))
-        f = make_map(source, target, image_of.get)
+        f = PosetMap(source, target,
+                     subgroup_ids(target, *act.project_family(source)))
         return f, "p-subgroup poset of the induced automorphisms"
     if variant == "aut":
         if aut is None or len(aut) != ctx.t:
@@ -664,7 +666,8 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
                 c.setdefault("zero_at", []).append(kk)
                 continue
             if c["rep"] is None:
-                c["rep"] = induced_map(make_map(apCE, apL, lambda E: E),
+                inc = subgroup_ids(apL, *member_csr(apCE)[1:])
+                c["rep"] = induced_map(PosetMap(apCE, apL, inc),
                                        work_cap=work_cap)
             if c["rep"].rank(kk) != 0:
                 good = False

@@ -13,7 +13,6 @@ JSON schema (qg/1).
 import argparse
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import QuillenError
@@ -226,7 +225,7 @@ def cmd_outers(cfg):
     bundle, G = _load(cfg)
     L = _pick_component(cfg, bundle, G)
     op = p_outer_poset(G, L, cfg.p, cap=cfg.enum_cap)
-    orders = Counter(E.order for E in op.poset.elements)
+    orders = {M.shape[1]: len(M) for M, _, _ in op.poset.elements.blocks}
     result = {"component_order": L.order, "size": op.poset.n,
               "cyclic_only": op.cyclic_only,
               "orders": {str(o): c for o, c in sorted(orders.items())}}

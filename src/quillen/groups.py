@@ -71,7 +71,7 @@ from .errors import (
     ParentMismatch,
     SubgroupNotContained,
 )
-from .posets import Poset, row_runs
+from .posets import Poset, row_lookup, row_ptr, row_runs
 
 DEFAULT_ORDER_CAP = 500_000
 
@@ -933,19 +933,16 @@ class ConjugationAction:
         return self.image.lookup_rows(self._positions(idx))
 
     def project_family(self, family):
-        """Images of a family of subgroups of the actor (member_csr), as
-        Subgroups of self.image.  Each image is the set of its members'
-        images and carries the projected generators, so none is closed:
-        the members are projected once, in one batch."""
-        subs, ptr, entries = member_csr(family)
+        """Images of a family of subgroups of the actor (member_csr), in
+        its order, as a member CSR (ptr, entries) of self.image.  Each is
+        the set of its members' images, so none is closed or built: the
+        distinct elements are projected once, in one batch."""
+        _, ptr, entries = member_csr(family)
         elems, inv = np.unique(entries, return_inverse=True)
-        img = self.project(elems)
-        n, N = len(subs), self.image.order
-        keys = np.unique(np.repeat(np.arange(n), np.diff(ptr)) * N + img[inv])
-        images = np.split(keys % N, np.searchsorted(keys, np.arange(1, n) * N))
-        return [Subgroup(self.image, m, gens=_gens_tuple(
-                    img[np.searchsorted(elems, S.generating_set())]))
-                for S, m in zip(subs, images)]
+        n, N = len(ptr) - 1, self.image.order
+        keys = np.unique(np.repeat(np.arange(n), np.diff(ptr)) * N
+                         + self.project(elems)[inv])
+        return row_ptr(keys // N, n), keys % N
 
 
 def conjugation_action(actor, target):
@@ -1127,11 +1124,12 @@ class SubgroupFamily(Sequence):
     blocks holds one (members, gens, coords) per order, ascending: the
     sorted member rows, ascending; each subgroup's generators, a row per
     subgroup; and its coordinate rows, where column c_1 + c_2 p + ... +
-    c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for the generators b_j,
-    or None.  A Subgroup once built is kept, so every access returns the
-    same object, and take gives a sub-family sharing the built objects.
-    As a sequence the family is the list of its Subgroups: a slice or a
-    sum with a list is a list.  distinct checks the arrays, not objects.
+    c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for a basis b_1, ..., b_r
+    of the subgroup (the generators, in some order).  A Subgroup once
+    built is kept, so every access returns the same object, and take
+    gives a sub-family sharing the built objects.  As a sequence the
+    family is the list of its Subgroups: a slice or a sum with a list is
+    a list.  distinct and positions read the arrays, not objects.
     """
 
     def __init__(self, group, blocks, built=None, slots=None):
@@ -1169,11 +1167,24 @@ class SubgroupFamily(Sequence):
         """The sub-family at the ascending, distinct positions ids."""
         ids = np.asarray(ids, dtype=np.int64)
         cut = np.searchsorted(ids, self._starts)
-        blocks = [tuple(x if x is None else x[ids[lo:hi] - s] for x in b)
+        blocks = [tuple(x[ids[lo:hi] - s] for x in b)
                   for b, s, lo, hi in zip(self.blocks, self._starts, cut,
                                           cut[1:])]
         return SubgroupFamily(self.group, blocks, self._built,
                               self._slots[ids])
+
+    def positions(self, ptr, entries):
+        """Position in the family of each subgroup of a member CSR (ptr,
+        entries; sorted member arrays), or -1 where it is not a member:
+        one row_lookup per order block, of the subgroups of its order."""
+        sizes = np.diff(ptr)
+        out = np.full(sizes.size, -1, dtype=np.int64)
+        for (members, _, _), start in zip(self.blocks, self._starts):
+            q = np.flatnonzero(sizes == members.shape[1])
+            pos = row_lookup(members, entries[ptr[q, None]
+                                              + np.arange(members.shape[1])])
+            out[q] = np.where(pos < 0, -1, start + pos)
+        return out
 
     def distinct(self):
         """Whether the orders rise from block to block and the member rows

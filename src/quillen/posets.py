@@ -10,8 +10,9 @@ bulk tests search.
 The order complex K(P) has the nonempty chains of P as simplices, kept
 per degree d as one (m_d, d+1) int64 array of increasing rows.  One
 lookup, row_lookup (SimplicialComplex.index in a complex), finds rows:
-faces, images, simplices of a subcomplex, and the subspaces of a closed
-subgroup family (pposets.poset_from_subgroups).
+faces, images, simplices of a subcomplex, the subspaces of a closed
+subgroup family (pposets.poset_from_subgroups), and the members of a
+subgroup family (groups.SubgroupFamily.positions).
 
 Beat points (elements with a unique upper or unique lower cover) can be
 removed without changing the homotopy type of K(P); the composite
@@ -70,19 +71,19 @@ class Poset:
 
     The labels are a tuple, or a lazy family (groups.SubgroupFamily: it
     has take and distinct), kept as it is: induced then takes a
-    sub-family, and the duplicate check runs on its arrays.  index, the
-    dict from label to id, is built on first use."""
+    sub-family, and the duplicate check runs on its arrays.  No dict
+    from label to id is kept: a family finds its members by their rows
+    (SubgroupFamily.positions), and make_map builds its own."""
 
     def __init__(self, elements, ptr, ids, validate=False):
         if hasattr(elements, "distinct"):
             if not elements.distinct():
                 raise NotAntisymmetric(
                     "family rows do not rise strictly: a label repeats")
-            self.elements, self._index = elements, None
+            self.elements = elements
         else:
             self.elements = tuple(elements)
-            self._index = {e: i for i, e in enumerate(self.elements)}
-            if len(self._index) != len(self.elements):
+            if len(set(self.elements)) != len(self.elements):
                 raise NotAntisymmetric("duplicate element labels")
         self.n = len(self.elements)
         self.ptr = np.asarray(ptr, dtype=np.int64)
@@ -90,12 +91,6 @@ class Poset:
         self._cache = {}
         if validate:
             self._validate()
-
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-        return self._index
 
     def _validate(self):
         n, ptr = self.n, self.ptr
@@ -191,16 +186,16 @@ class Poset:
         return len(self.chain_counts()) - 1
 
 
-def join_posets(posets, tag_elements=True):
+def join_posets(posets):
     """Join: disjoint union with everything in an earlier factor below
-    everything in a later factor.  Elements become (factor_index, label)
-    unless tag_elements is False and labels are already unique."""
+    everything in a later factor.  Elements become (factor position,
+    label)."""
     total = sum(P.n for P in posets)
     elements = []
     lo, hi = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     off = 0
     for k, P in enumerate(posets):
-        elements.extend((k, e) if tag_elements else e for e in P.elements)
+        elements.extend((k, e) for e in P.elements)
         plo, phi = P.pairs()
         later = np.arange(off + P.n, total)
         lo += [plo + off, np.repeat(np.arange(off, off + P.n), later.size)]
@@ -302,12 +297,13 @@ class PosetMap:
 def make_map(source, target, fn):
     """PosetMap from a label function: fn maps each source label to a
     target label; IndexOutOfRange if the target has no such label."""
+    index = {e: i for i, e in enumerate(target.elements)}
     table = np.empty(source.n, dtype=np.int64)
     for i, e in enumerate(source.elements):
         v = fn(e)
-        if v not in target.index:
+        if v not in index:
             raise IndexOutOfRange(f"image {v!r} not in target poset")
-        table[i] = target.index[v]
+        table[i] = index[v]
     return PosetMap(source, target, table)
 
 

@@ -9,17 +9,18 @@ the rational homology of these posets and maps.
 
 Every inclusion poset of a subgroup family is built by
 poset_from_subgroups, with no pairwise subset tests.  A family closed
-under nontrivial subgroups (A_p(G), the image and p-outer posets) has
-its relations read off the subspaces of its members, through fixed
-tables of the subspaces of F_p^r and one row lookup per dimension.
-A_p(G)'s members come as the enumeration's SubgroupFamily, coordinates
-and all, which the poset keeps as its elements.  The
-radical poset's are read off one sorted array of membership keys, member
-by element, searched once per generator.
+under nontrivial subgroups is a SubgroupFamily with coordinate rows,
+kept as the poset's elements: A_p(G), the p-outer poset (a sub-family)
+and the image poset (_image_family).  Its relations are read off the
+subspaces of its members, through fixed tables of the subspaces of
+F_p^r and one row lookup per dimension.  The radical poset's are read
+off one sorted array of membership keys, member by element, searched
+once per generator.
 
 The orbit maps ask whole families at once: groups.membership tests every
-member against a subgroup in one call, and project_family projects them
-in one batch, so no member is tested, projected or closed on its own.
+member against a subgroup in one call, project_family projects them in
+one batch, and subgroup_ids finds targets by member row, one row lookup
+per order, so no member is tested, projected or looked up on its own.
 """
 
 from dataclasses import dataclass
@@ -72,10 +73,10 @@ from .posets import (
     PosetMap,
     SimplicialComplex,
     join_posets,
-    make_map,
     order_complex,
     row_lookup,
     row_ptr,
+    row_runs,
 )
 
 
@@ -88,14 +89,13 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     Elements are ordered by (order, member list), a linear extension of
     inclusion.
 
-    closed_under_subgroups=True declares a family of elementary abelian
-    p-subgroups holding every nontrivial subgroup of each member: A_p(G),
-    and the image and p-outer posets.  Its relations are read off the
-    members' subspaces (_closed_family_order), and the declaration is
-    checked there; IndexOutOfRange if it fails.  A SubgroupFamily, as
-    elementary_abelian_subgroups returns, is already in that order and
-    holds its coordinates: it becomes the poset's elements as it is, and
-    no Subgroup is built.
+    closed_under_subgroups=True declares subs a SubgroupFamily of
+    elementary abelian p-subgroups holding every nontrivial subgroup of
+    each member: A_p(G), and the image and p-outer posets.  The family is
+    already in that order and holds its coordinates: it becomes the
+    poset's elements as it is, and no Subgroup is built.  Its relations
+    are read off the members' subspaces (_closed_family_order), and the
+    declaration is checked there; IndexOutOfRange if it fails.
 
     Any other family (the radical poset) goes through one sorted array of
     membership keys m·|G| + x, one per nontrivial element x of member m.
@@ -105,15 +105,12 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     kept where one searchsorted of the keys finds each further generator,
     less i itself.
     """
-    if closed_under_subgroups and isinstance(subs, SubgroupFamily):
-        return Poset(subs, *_closed_family_order(
-            subs.group, [(M, C) for M, _, C in subs.blocks]))
+    if closed_under_subgroups:
+        return Poset(subs, *_closed_family_order(subs))
     seen = {}
     for S in subs:
         if S.order > 1 and S.key not in seen:
             seen[S.key] = S
-    if closed_under_subgroups:
-        return _closed_family_poset(list(seen.values()))
     elems = sorted(seen.values(), key=lambda S: (S.order, S.midx.tolist()))
     n = len(elems)
     if n == 0:
@@ -148,37 +145,16 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
 _NOT_CLOSED = "family is not closed under nontrivial subgroups"
 
 
-def _closed_family_poset(members):
-    """Inclusion poset of a list of distinct subgroups declared closed
-    under nontrivial subgroups: the members of each order stacked as
-    sorted member rows, which sort the order's block of the poset, with
-    no coordinates, so _closed_family_order finds them."""
-    if not members:
-        return Poset([], [0], [])
-    by_order = {}
-    for S in members:
-        by_order.setdefault(S.order, []).append(S)
-    elems, blocks = [], []
-    for order in sorted(by_order):
-        family = by_order[order]
-        rows = np.array([S.midx for S in family])
-        sort = np.lexsort(rows.T[::-1])
-        blocks.append((rows[sort], None))
-        elems.extend(family[i] for i in sort.tolist())
-    return Poset(elems, *_closed_family_order(members[0].group, blocks))
+def _closed_family_order(family):
+    """(ptr, ids) of the inclusion order of a SubgroupFamily declared
+    closed under nontrivial subgroups, every member elementary abelian of
+    order p^r.
 
-
-def _closed_family_order(G, blocks):
-    """(ptr, ids) of the inclusion order of a family declared closed under
-    nontrivial subgroups, every member elementary abelian of order p^r.
-
-    blocks holds, per order ascending, the member rows, sorted, and their
-    coordinate rows, or None to find them (_coordinates).  Each row of
-    rank r > 1 in coordinates is gathered through the table of
+    Each coordinate row of rank r > 1 is gathered through the table of
     k-dimensional subspaces of F_p^r (subspace_table), listing all its
     proper nontrivial subgroups, and one row_lookup per k finds them
-    among the rank-k rows.  The pairs (subgroup, member) are the whole
-    strict order, sorted into the CSR by one lexsort.
+    among the rank-k member rows.  The pairs (subgroup, member) are the
+    whole strict order, sorted into the CSR by one lexsort.
 
     Raises IndexOutOfRange if a member's order is not a power of p, a
     nontrivial member element fails the power test x^p = 1, a row's
@@ -187,23 +163,19 @@ def _closed_family_order(G, blocks):
     basis elements that do not commute span a coordinate plane that is
     not a subgroup.
     """
-    if not blocks:
+    if not family.blocks:
         return [0], []
-    p = _prime_divisors(blocks[0][0].shape[1])[0]
-    pmask = G.p_element_mask(p)
+    p = _prime_divisors(family.blocks[0][0].shape[1])[0]
+    pmask = family.group.p_element_mask(p)
     ranks = {}  # rank -> (first id, sorted member rows, coordinate rows)
     n = 0
-    for rows, coords in blocks:
+    for rows, _, coords in family.blocks:
         r = 0
         while p ** r < rows.shape[1]:
             r += 1
-        if p ** r != rows.shape[1] or not pmask[rows[:, 1:]].all():
+        if p ** r != rows.shape[1] or not pmask[rows[:, 1:]].all() \
+                or not np.array_equal(np.sort(coords, axis=1), rows):
             raise IndexOutOfRange(_NOT_CLOSED)
-        if r > 1:
-            if coords is None:
-                coords = _coordinates(G, rows, p)
-            if not np.array_equal(np.sort(coords, axis=1), rows):
-                raise IndexOutOfRange(_NOT_CLOSED)
         ranks[r] = (n, rows, coords)
         n += len(rows)
     lo, hi = [], []
@@ -225,37 +197,6 @@ def _closed_family_order(G, blocks):
     lo = np.concatenate(lo) if lo else np.empty(0, np.int64)
     hi = np.concatenate(hi) if hi else np.empty(0, np.int64)
     return row_ptr(lo, n), hi[np.lexsort((hi, lo))]
-
-
-def _coordinates(G, rows, p):
-    """Member rows (sorted, identity first, p^r entries) rewritten in the
-    coordinates of a greedy basis: b_1 is a row's least nontrivial
-    element and b_(j+1) its least element outside <b_1, ..., b_j>.
-    Column c_1 + c_2 p + ... + c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r.
-
-    One step per basis element, over all rows at once: the span so far is
-    marked in the rows by one search of their offset keys, and its
-    products with the powers of the next basis element are p - 1 bulk
-    lookups.  The caller checks that each result is a permutation of its
-    row.
-    """
-    n, width = rows.shape
-    offset = (np.arange(n) * G.order)[:, None]
-    keys = (rows + offset).ravel()
-    span = np.zeros((n, 1), dtype=np.int64)
-    while span.shape[1] < width:
-        q = (span + offset).ravel()
-        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-        taken = np.zeros(keys.size, dtype=bool)
-        taken[pos[keys[pos] == q]] = True
-        b = rows[np.arange(n), np.argmax(~taken.reshape(n, width), axis=1)]
-        brows = G.perms[np.repeat(b, span.shape[1])]
-        parts = [span]
-        for _ in range(p - 1):
-            parts.append(G.lookup_rows(np.take_along_axis(
-                G.perms[parts[-1].ravel()], brows, axis=1)).reshape(n, -1))
-        span = np.concatenate(parts, axis=1)
-    return span
 
 
 @cache
@@ -294,6 +235,16 @@ def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):
     if key not in sub._cache:
         sub._cache[key] = poset_from_subgroups(elab, closed_under_subgroups=True)
     return sub._cache[key]
+
+
+def subgroup_ids(P, ptr, entries):
+    """Ids in P, a poset of a SubgroupFamily, of the subgroups given as a
+    member CSR (ptr, entries), found by their member rows
+    (SubgroupFamily.positions).  IndexOutOfRange if one is not in P."""
+    ids = P.elements.positions(ptr, entries)
+    if (ids < 0).any():
+        raise IndexOutOfRange("a target subgroup is not in the target poset")
+    return ids
 
 
 def subgroup_orbits(ambient, subs):
@@ -533,6 +484,36 @@ def _check_embedded_copy(source, poset, t):
         raise InvariantViolated("embedded copy is not an induced subposet")
 
 
+def _image_family(act, elab):
+    """The distinct nontrivial images of the members of elab, a
+    SubgroupFamily of the actor, as a SubgroupFamily of act.image.
+
+    The image of E is that of a complement of E ∩ kernel in E, a member
+    of the image's order, so before E in (order, row) order, on which
+    the projection is injective.  So only the members meeting the kernel
+    trivially are projected, gens and coordinate rows, in one act.project
+    of their distinct elements.  Sorted, a projected coordinate row is
+    its image's member row; row_runs keeps each block's first member
+    reaching a row, with its projected gens, sorted, and coordinates.
+    """
+    elab = elab.take(np.flatnonzero(
+        membership(elab, act.kernel).meet_orders() == 1))
+    rows = [x for _, g, C in elab.blocks for x in (g, C)]
+    elems, inv = np.unique(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [x.ravel() for x in rows]),
+        return_inverse=True)
+    img = iter(np.split(act.project(elems)[inv],
+                        np.cumsum([x.size for x in rows])[:-1]))
+    blocks = []
+    for _, g, C in elab.blocks:
+        g, C = next(img).reshape(g.shape), next(img).reshape(C.shape)
+        order, head = row_runs(np.sort(C, axis=1))
+        first = order[head]
+        blocks.append((np.sort(C[first], axis=1), np.sort(g[first], axis=1),
+                       C[first]))
+    return SubgroupFamily(act.image, blocks)
+
+
 def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
     """Image poset of an existing conjugation action (actor normalizes L)."""
     p = _check_prime(p)
@@ -540,12 +521,12 @@ def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
     if np.any(Z.element_orders() % p == 0):
         raise CenterHasPTorsion(
             f"center of the target (order {Z.order}) has {p}-torsion")
-    images = act.project_family(
-        elementary_abelian_subgroups(act.actor, p, cap=cap))
+    images = _image_family(act, elementary_abelian_subgroups(act.actor, p,
+                                                             cap=cap))
     poset = poset_from_subgroups(images, closed_under_subgroups=True)
     source = ap_poset(act.target, p, cap=cap)
-    image_of = dict(zip(source.elements, act.project_family(source)))
-    embedded = make_map(source, poset, image_of.get)
+    embedded = PosetMap(source, poset,
+                        subgroup_ids(poset, *act.project_family(source)))
     _check_embedded_copy(source, poset, embedded.table)
     return ImagePoset(poset=poset, action=act, host=act.actor,
                       source=source, embedded=embedded)
@@ -595,10 +576,9 @@ def p_outer_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
     host = normalizer(ambient, L)
     LC = subgroup_product(L, centralizer(ambient, L))
     elab = elementary_abelian_subgroups(host, p, cap=cap)
-    outer = membership(elab, LC).meet_orders() == 1
-    members = [elab[k] for k in np.flatnonzero(outer)]
-    poset = poset_from_subgroups(members, closed_under_subgroups=True)
-    cyclic_only = bool(members) and all(A.order == p for A in members)
+    outer = elab.take(np.flatnonzero(membership(elab, LC).meet_orders() == 1))
+    poset = poset_from_subgroups(outer, closed_under_subgroups=True)
+    cyclic_only = [M.shape[1] for M, _, _ in outer.blocks] == [p]
     return OuterPoset(poset=poset, host=host, product=LC,
                       cyclic_only=cyclic_only)
 
@@ -606,14 +586,11 @@ def p_outer_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
 # -- orbit contexts -----------------------------------------------------------------
 
 
-def _tag_poset(P, tag):
-    return Poset([(tag, e) for e in P.elements], P.ptr, P.ids)
-
-
 @dataclass
 class JoinData:
     """The join X of the chain factors, with its prefix joins W[i]; factor
-    j fills the ids blocks[j] = (start, end) of X, from its base vertex."""
+    j fills the ids blocks[j] = (start, end) of X, from its base vertex,
+    and of every W[i] with i >= j, a prefix of X."""
     X: Poset
     W: list
     active: list
@@ -747,27 +724,24 @@ class OrbitContext:
 
     def join(self):
         if "join" not in self._cache:
-            tagged = {}
+            factors = {}
             apc0 = self.ap_C(0)
             if apc0.n:
-                tagged[0] = _tag_poset(apc0, 0)
+                factors[0] = apc0
             for i in range(1, self.t + 1):
                 fp = self.factor(i).poset
                 if fp.n == 0:
                     raise EmptyFactor(
                         f"factor {i} is empty; p does not divide the "
                         f"component order")
-                tagged[i] = _tag_poset(fp, i)
-            active = sorted(tagged)
-            W = []
-            for i in range(self.t + 1):
-                blocks = [tagged[j] for j in active if j <= i]
-                W.append(join_posets(blocks, tag_elements=False)
-                         if blocks else Poset([], [0], []))
-            sizes = [tagged[j].n for j in active]
+                factors[i] = fp
+            active = sorted(factors)
+            W = [join_posets([factors[j] for j in active if j <= i])
+                 for i in range(self.t + 1)]
+            sizes = [factors[j].n for j in active]
             ends = np.cumsum(sizes).tolist()
             self._cache["join"] = JoinData(
-                X=W[self.t], W=W, active=active, factor_posets=tagged,
+                X=W[self.t], W=W, active=active, factor_posets=factors,
                 factor_of=np.repeat(np.array(active, dtype=np.int64), sizes),
                 blocks={j: (e - n, e) for j, n, e in zip(active, sizes, ends)})
         return self._cache["join"]
@@ -832,12 +806,18 @@ class OrbitContext:
             raise InvariantViolated("the two descriptions of the "
                                     "projection index disagree")
         table = np.empty(source.n, dtype=np.int64)
+        blocks = self.join().blocks
         for j in range(i + 1):
             ids = np.flatnonzero(k == j)
-            subs = [source.elements[a] for a in ids]
+            if not ids.size:
+                continue
+            members = source.elements.take(ids)
             if j:
-                subs = self.actions[j].project_family(subs)
-            table[ids] = [target.index[(j, S)] for S in subs]
+                pos = subgroup_ids(self.factor(j).poset,
+                                   *self.actions[j].project_family(members))
+            else:
+                pos = subgroup_ids(self.ap_C(0), *member_csr(members)[1:])
+            table[ids] = blocks[j][0] + pos
         self._cache[key] = PosetMap(source, target, table)
         return self._cache[key]
 
@@ -846,7 +826,7 @@ class OrbitContext:
     def mixed_join(self, i, j):
         """T(i, j): the p-subgroup poset of C_i joined with factors i+1..j.
 
-        The ambient block is tagged 'amb'; T(0, j) is W[j] itself."""
+        T(0, j) is W[j] itself."""
         if i == 0:
             return self.join().W[j]
         if not 1 <= i <= j <= self.t:
@@ -854,14 +834,16 @@ class OrbitContext:
         key = ("T", i, j)
         if key not in self._cache:
             jd = self.join()
-            blocks = [_tag_poset(self.ap_C(i), "amb")]
-            blocks += [jd.factor_posets[k] for k in range(i + 1, j + 1)]
-            self._cache[key] = join_posets(blocks, tag_elements=False)
+            self._cache[key] = join_posets(
+                [self.ap_C(i)]
+                + [jd.factor_posets[k] for k in range(i + 1, j + 1)])
         return self._cache[key]
 
     def phi_step(self, i, j=None):
         """Transfer map T(i, j) -> T(i-1, j): the ambient part either stays
-        (inside C_{i-1}) or projects into factor i; factor blocks are kept."""
+        (inside C_{i-1}, the target's first block) or projects into factor
+        i; factor blocks are kept.  Factors i+1..j are the tail of both
+        joins, and factor i sits just before the target's tail."""
         if j is None:
             j = i
         if not 1 <= i <= j <= self.t:
@@ -872,27 +854,30 @@ class OrbitContext:
         source = self.mixed_join(i, j)
         target = self.mixed_join(i - 1, j)
         amb = self.ap_C(i)  # the first block of source, in its order
+        factor = self.factor(i).poset
+        tail = source.n - amb.n
         stays = membership(amb, self.C[i - 1]).inside()
-        out = "amb" if i >= 2 else 0
-        labels = [(out, E) if s else (i, S) for E, S, s in zip(
-            amb.elements, self.actions[i].project_family(amb), stays)]
-        labels += source.elements[amb.n:]
-        table = np.array([target.index[lab] for lab in labels],
-                         dtype=np.int64)
+        up, out = np.flatnonzero(stays), np.flatnonzero(~stays)
+        table = np.empty(source.n, dtype=np.int64)
+        table[up] = subgroup_ids(self.ap_C(i - 1),
+                                 *member_csr(amb.elements.take(up))[1:])
+        table[out] = target.n - tail - factor.n + subgroup_ids(
+            factor, *self.actions[i].project_family(amb.elements.take(out)))
+        table[amb.n:] = target.n - tail + np.arange(tail)
         self._cache[key] = PosetMap(source, target, table)
         return self._cache[key]
 
 
 def verify_psi_tower(ctx):
     """The projections commute with the inclusions up the chain; checks
-    every element of every chain poset, returns the number checked."""
+    every element of every chain poset, returns the number checked.
+    W[i-1] is a prefix of W[i], so the images compare by id."""
     checked = 0
     for i in range(1, ctx.t + 1):
         lo, hi = ctx.psi(i - 1), ctx.psi(i)
-        src_lo, src_hi = ctx.ap_C(i - 1), ctx.ap_C(i)
-        b = [src_hi.index[E] for E in src_lo.elements]
-        if any(lo.target.elements[x] != hi.target.elements[y]
-               for x, y in zip(lo.table, hi.table[b])):
+        src_lo = ctx.ap_C(i - 1)
+        b = subgroup_ids(ctx.ap_C(i), *member_csr(src_lo)[1:])
+        if (lo.table != hi.table[b]).any():
             raise InvariantViolated(
                 "projection does not commute with inclusion")
         checked += src_lo.n
@@ -901,7 +886,9 @@ def verify_psi_tower(ctx):
 
 def verify_phi_factorization(ctx, i=None):
     """psi_i agrees elementwise with the composite of the transfer maps
-    Phi_{1,i} o ... o Phi_{i,i}; returns the number of elements checked."""
+    Phi_{1,i} o ... o Phi_{i,i}, on the first block of T(i, i), which is
+    the p-subgroup poset of C_i in its own order; returns the number of
+    elements checked."""
     if i is None:
         i = ctx.t
     if i == 0:
@@ -913,9 +900,7 @@ def verify_phi_factorization(ctx, i=None):
     if comp.target is not psi.target:
         raise InvariantViolated("transfer maps end outside the join")
     src = ctx.ap_C(i)
-    Tii = ctx.mixed_join(i, i)
-    b = [Tii.index[("amb", E)] for E in src.elements]
-    if (comp.table[b] != psi.table).any():
+    if (comp.table[:src.n] != psi.table).any():
         raise InvariantViolated(
             "transfer maps do not compose to the projection")
     return src.n
@@ -951,7 +936,6 @@ def decomposition(ctx):
     if "decomp" in ctx._cache:
         return ctx._cache["decomp"]
     B = ctx.ap_G()
-    G = ctx.G.group
     m = membership(B, ctx.H)
     sizes = m.meet_orders()
     Y, ids_Y = B.induced(np.flatnonzero(sizes > 1))
@@ -959,10 +943,10 @@ def decomposition(ctx):
     ids_Y0 = np.intersect1d(ids_Y, ids_Z)
     Y0, _ = B.induced(ids_Y0)
     AH = ctx.ap_H()
-    # E n H, member by member, are the masked entries
-    meets = np.split(m.entries[m.mask], np.cumsum(sizes)[:-1])
-    rtab = np.array([AH.index[Subgroup(G, meets[o])] for o in ids_Y],
-                    dtype=np.int64)
+    # E n H, member by member over Y, are the masked entries
+    inY = np.repeat(sizes > 1, np.diff(m.ptr))
+    rtab = subgroup_ids(AH, np.concatenate(([0], np.cumsum(sizes[ids_Y]))),
+                        m.entries[m.mask & inY])
     r = PosetMap(Y, AH, rtab)
     y0_in_Y = np.searchsorted(ids_Y, ids_Y0)
     ids_V0 = np.unique(rtab[y0_in_Y])

@@ -8,7 +8,8 @@ np.unique.  The subspace tables behind the closed-family poset route are
 checked against Gaussian binomials and by brute force over F_p^r.  The
 layers in between are checked against G.compose and tuple-built posets:
 the commuting-product table, the coordinate rows the enumeration hands
-to the poset, and the SubgroupFamily that is the poset's elements.
+to the poset, and the SubgroupFamily that is the poset's elements, with
+its lookup of members by row.
 """
 
 from itertools import product
@@ -16,13 +17,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quillen.errors import NotAntisymmetric
+from quillen.errors import IndexOutOfRange, NotAntisymmetric
 from quillen.groups import SubgroupFamily, _commuting_products, \
-    elementary_abelian_subgroups
+    elementary_abelian_subgroups, member_csr, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
 from quillen.homology import _core
 from quillen.posets import Poset
-from quillen.pposets import ap_poset, subspace_table
+from quillen.pposets import ap_poset, subgroup_ids, subspace_table
 
 from conftest import bundled
 
@@ -192,14 +193,14 @@ def test_family_poset_agrees_with_a_tuple_poset(name, p):
     P = ap_poset(load_group(name).group.full(), p)
     assert isinstance(P.elements, SubgroupFamily)
     T = Poset(tuple(P.elements), P.ptr, P.ids)
-    assert P.index == T.index
+    assert list(P.elements) == list(T.elements)
     for ids in (_core(P)[1], np.arange(0, P.n, 2), np.arange(P.n)[-3:]):
         (A, a), (B, b) = P.induced(ids), T.induced(ids)
         assert isinstance(A.elements, SubgroupFamily)
         assert np.array_equal(a, b)
         assert np.array_equal(A.ptr, B.ptr) and np.array_equal(A.ids, B.ids)
+        assert list(A.elements) == list(B.elements)
         assert all(x is y for x, y in zip(A.elements, B.elements))
-        assert A.index == B.index
 
 
 def test_family_with_a_repeated_row_is_rejected():
@@ -215,3 +216,28 @@ def test_family_with_a_repeated_row_is_rejected():
             Poset(bad, np.zeros(len(bad) + 1), [])
     # blocks out of order
     assert not SubgroupFamily(G, family.blocks[::-1]).distinct()
+
+
+def test_positions_find_members_by_row():
+    sym4 = bundled("sym4")
+    G = sym4.group
+    family = elementary_abelian_subgroups(sym4, 2)
+    n = len(family)
+    _, ptr, entries = member_csr(family)
+    assert family.positions(ptr, entries).tolist() == list(range(n))
+    # a sub-family numbers its own members; the others are absent
+    odd = family.take(np.arange(1, n, 2))
+    assert odd.positions(ptr, entries).tolist() == [
+        k // 2 if k % 2 else -1 for k in range(n)]
+    # absent: a cyclic group of order 4, a row of the four-groups' order;
+    # a Sylow 2-subgroup and a group of order 3, orders with no block
+    x = int(sym4.midx[sym4.element_orders() == 4][0])
+    queries = [G.subgroup([x]), sylow_subgroup(sym4, 2),
+               sylow_subgroup(sym4, 3), family[n - 1], family[0]]
+    _, ptr, entries = member_csr(queries)
+    assert family.positions(ptr, entries).tolist() == [-1, -1, -1, n - 1, 0]
+    P = ap_poset(sym4, 2)
+    assert subgroup_ids(P, ptr[3:] - ptr[3], entries[ptr[3]:]).tolist() == \
+        [n - 1, 0]
+    with pytest.raises(IndexOutOfRange, match="not in the target poset"):
+        subgroup_ids(P, ptr, entries)

@@ -760,7 +760,7 @@ def test_self_checks_survive_python_O():
         from quillen.errors import IndexOutOfRange
         expect(IndexOutOfRange, "not closed under nontrivial subgroups",
                "the closure check accepted a family missing a member",
-               poset_from_subgroups, P.elements[1:], True)
+               poset_from_subgroups, P.elements.take(np.arange(1, P.n)), True)
         # A_2(Sym(4))'s family with its first four-group listed twice
         from quillen import groups
         from quillen.errors import NotAntisymmetric
@@ -874,6 +874,19 @@ def test_self_checks_survive_python_O():
             expect(InvariantViolated, message,
                    f"{check.__name__} accepted a constant map", check, ctx)
             del ctx._cache[key]
+        # a target dropped from factor 1's family: psi_1 finds its images
+        # by row lookup, and one of them is gone
+        from dataclasses import replace
+        factor = ctx.factor(1)
+        hit = ctx.psi(1).table.max() - ctx.join().blocks[1][0]
+        if hit < 0:
+            sys.exit("psi_1 sends nothing into factor 1")
+        ctx._cache[("factor", 1)] = replace(factor, poset=factor.poset.induced(
+            np.delete(np.arange(factor.poset.n), hit))[0])
+        del ctx._cache[("psi", 1)]
+        expect(IndexOutOfRange, "not in the target poset",
+               "psi accepted a target missing from its factor", ctx.psi, 1)
+        ctx._cache[("factor", 1)] = factor
         expect(InvariantViolated, "not faithful on p-subgroups",
                "_check_embedded_copy accepted a change of order",
                _check_embedded_copy, P, P, np.arange(P.n)[::-1])

@@ -94,14 +94,10 @@ def test_induced_matches_the_relation_oracle(case, ids):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(orders, layered), min_size=1, max_size=3),
-       st.booleans())
-def test_join_matches_the_relation_oracle(parts, tag):
-    # untagged labels must already be distinct across the factors
-    factors = [poset_of(n, rel) if tag else
-               make_poset([(k, i) for i in range(n)], oracle.up_rows(n, rel))
-               for k, (n, rel) in enumerate(parts)]
-    J = join_posets(factors, tag_elements=tag)
+@given(st.lists(st.one_of(orders, layered), min_size=1, max_size=3))
+def test_join_matches_the_relation_oracle(parts):
+    factors = [poset_of(n, rel) for n, rel in parts]
+    J = join_posets(factors)
     assert relation(J) == oracle.join(parts)
     assert list(J.elements) == [(k, i) for k, (n, _) in enumerate(parts)
                                 for i in range(n)]
@@ -221,7 +217,7 @@ def test_join_chain_convolution():
 def test_join_order():
     A = poset_from_pairs(2, [])
     B = poset_from_pairs(2, [])
-    J = join_posets([A, B], tag_elements=True)
+    J = join_posets([A, B])
     # every element of the first factor lies below every element of the second
     a, b = np.repeat([0, 1], 2), np.tile([2, 3], 2)
     assert J.related(a, b).all()

@@ -5,8 +5,8 @@ import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
     IndexOutOfRange, InvariantViolated
-from quillen.groups import PermGroup, centralizer, conjugation_action, \
-    Subgroup, detect_components, elementary_abelian_subgroups, \
+from quillen.groups import PermGroup, SubgroupFamily, centralizer, \
+    conjugation_action, detect_components, elementary_abelian_subgroups, \
     subgroup_product, sylow_subgroup
 from quillen.gspec import load_group
 from quillen.homology import betti_of_poset
@@ -61,8 +61,9 @@ ORACLE_CASES = [("ap", name, p) for name, p in [
 
 
 def _family(kind, name, p):
-    """(family, closed_under_subgroups) of one oracle case; finished posets
-    are handed back reversed, so the sort has work to do."""
+    """(family, closed_under_subgroups) of one oracle case: a closed family
+    is a SubgroupFamily; a finished radical poset is handed back reversed,
+    so the sort has work to do."""
     G = bundled(name)
     if kind == "ap":
         return elementary_abelian_subgroups(G, p), True
@@ -73,7 +74,7 @@ def _family(kind, name, p):
     L = detect_components(G)[0][0]
     P = image_poset(G, L, p).poset if kind == "image" else \
         p_outer_poset(G, L, p).poset
-    return P.elements[::-1], True
+    return P.elements, True
 
 
 def two_subgroups(G):
@@ -96,13 +97,64 @@ def two_subgroups(G):
 @pytest.mark.parametrize("kind,name,p", ORACLE_CASES)
 def test_poset_from_subgroups_matches_pairwise_oracle(kind, name, p):
     family, closed = _family(kind, name, p)
-    family = list(family)
-    # duplicates and the trivial subgroup are dropped
-    padded = family + family[:3] + [family[0].group.subgroup([])]
-    elems, rel = naive_inclusion_poset(family)
-    P = poset_from_subgroups(padded, closed_under_subgroups=closed)
+    elems, rel = naive_inclusion_poset(list(family))
+    if not closed:
+        # duplicates and the trivial subgroup are dropped; a closed family
+        # lists each row once (SubgroupFamily.distinct)
+        family = list(family)
+        family += family[:3] + [family[0].group.subgroup([])]
+    P = poset_from_subgroups(family, closed_under_subgroups=closed)
     assert [S.key for S in P.elements] == [S.key for S in elems]
     assert relation(P) == rel
+
+
+@pytest.mark.parametrize("name,p", [
+    ("sym5", 2), ("aut-alt6", 2), ("aut-alt6", 3), ("a5xa5-exr", 2),
+    ("a5xa5-exr", 3), ("a5xa5-exr", 5)])
+def test_image_family_matches_fresh_closures(name, p):
+    # every member of A_p(N_G(L)), not only those meeting the kernel
+    # trivially, projected by a fresh closure of its projected gens; the
+    # first member reaching each image gives its gens
+    G = bundled(name)
+    ip = image_poset(G, detect_components(G)[0][0], p)
+    act = ip.action
+    first = {}
+    for E in elementary_abelian_subgroups(act.actor, p):
+        S = act.image.subgroup(act.project(E.generating_set()))
+        first.setdefault(S.key, S)
+    elems, rel = naive_inclusion_poset(first.values())
+    assert [S.key for S in ip.poset.elements] == [S.key for S in elems]
+    assert [S.gens for S in ip.poset.elements] == [S.gens for S in elems]
+    assert relation(ip.poset) == rel
+
+
+def _coordinates(G, basis, p):
+    """Coordinate row of a basis: column c_1 + c_2 p + ... holds
+    b_1^c_1 b_2^c_2 ⋯, each new basis element the next digit up."""
+    row = [0]
+    for b in basis:
+        powers = [0]
+        for _ in range(p - 1):
+            powers.append(G.compose(powers[-1], b))
+        row = [G.compose(x, y) for y in powers for x in row]
+    return row
+
+
+def _with_member(family, members, gens, coords):
+    """family with one more member, given by its member row, gens and
+    coordinate row, kept in (order, row) order."""
+    new = [np.array([x], dtype=np.int64) for x in (sorted(members), gens,
+                                                   coords)]
+    blocks = []
+    for b in family.blocks:
+        if b[0].shape[1] == len(members):
+            new = [np.concatenate(pair) for pair in zip(b, new)]
+        else:
+            blocks.append(b)
+    order = np.lexsort(new[0].T[::-1])
+    blocks.append(tuple(x[order] for x in new))
+    blocks.sort(key=lambda b: b[0].shape[1])
+    return SubgroupFamily(family.group, blocks)
 
 
 @pytest.mark.parametrize("name,p", [("sym4", 2), ("alt6", 3)])
@@ -114,64 +166,76 @@ def test_closure_check_rejects_a_missing_rank_one_member(name, p):
     rank2 = next(E for E in elab if E.order == p * p)
     k = next(k for k, E in enumerate(elab)
              if E.order == p and E.is_subset_of(rank2))
+    missing = elab.take(np.delete(np.arange(len(elab)), k))
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(elab[:k] + elab[k + 1:],
-                             closed_under_subgroups=True)
+        poset_from_subgroups(missing, closed_under_subgroups=True)
     # the pairwise relation of the same family is still fine without the flag
-    assert poset_from_subgroups(elab[:k] + elab[k + 1:]).n == len(elab) - 1
+    assert poset_from_subgroups(list(missing)).n == len(elab) - 1
 
 
 def test_closure_check_rejects_a_non_elementary_member(sym4):
-    # a cyclic group of order 4 has an element of order 4
+    # a cyclic group of order 4 has an element of order 4, which fails
+    # the power test, though its coordinates in the basis x, x^2 are its
+    # members
+    G = sym4.group
     elab = elementary_abelian_subgroups(sym4, 2)
     x = int(sym4.midx[sym4.element_orders() == 4][0])
+    coords = _coordinates(G, [x, G.compose(x, x)], 2)
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(elab + [sym4.group.subgroup([x])],
+        poset_from_subgroups(_with_member(elab, coords, [x, coords[2]],
+                                          coords),
                              closed_under_subgroups=True)
 
 
 @pytest.mark.parametrize("central_first", [False, True])
 def test_closure_check_rejects_a_nonabelian_exponent_p_member(central_first):
     # the Heisenberg group of order 27 on F_3^2, point (a, b) at a + 3b,
-    # generated by (a, b) -> (a + 1, b) and (a, b) -> (a, b + a): exponent
-    # 3, so every element passes the power test, but it is not abelian.
-    # Listing the central (a, b) -> (a, b + 1) first makes it element 1,
-    # the first basis element, so the coordinates are a bijection and a
-    # plane of two noncommuting basis elements is what is not found;
-    # otherwise the greedy basis does not span bijectively.
+    # generated by x: (a, b) -> (a + 1, b) and y: (a, b) -> (a, b + a),
+    # with z: (a, b) -> (a, b + 1) central: exponent 3, so every element
+    # passes the power test, and x^i y^j z^k is a bijection onto it, so
+    # its coordinates in the basis x, y, z, or z, x, y, are its members.
+    # It is not abelian: the plane of x and y is not a subgroup, so not
+    # a member, whichever place the central z takes.
     pts = [(a, b) for b in range(3) for a in range(3)]
     rows = [[(a + 1) % 3 + 3 * b for a, b in pts],
             [a + 3 * ((b + a) % 3) for a, b in pts]]
-    if central_first:
-        rows.insert(0, [a + 3 * ((b + 1) % 3) for a, b in pts])
     H = PermGroup.generate(rows, 9).full()
+    G = H.group
     assert H.order == 27 and not H.is_abelian()
+    x, y = (G.lookup_row(r) for r in rows)
+    z = G.lookup_row([a + 3 * ((b + 1) % 3) for a, b in pts])
     elab = elementary_abelian_subgroups(H, 3)
     assert [E.order for E in elab] == [3] * 13 + [9] * 4
     assert poset_from_subgroups(elab, closed_under_subgroups=True).ids.size \
         == 16
+    basis = [z, x, y] if central_first else [x, y, z]
+    coords = _coordinates(G, basis, 3)
+    assert sorted(coords) == H.midx.tolist()
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(elab + [H], closed_under_subgroups=True)
+        poset_from_subgroups(_with_member(elab, coords, basis, coords),
+                             closed_under_subgroups=True)
 
 
 def test_closure_check_rejects_members_that_are_not_subgroups(sym4):
     # {1, a, b, c} with a < b < c involutions and ab commuting but not c:
-    # its greedy basis a, b spans the four-group {1, a, b, ab}, whose
-    # subgroups are all members, so only the coordinate check sees it
+    # its coordinates in the basis a, b are the four-group {1, a, b, ab},
+    # whose subgroups are all members, so only the coordinate check sees
+    # it
     G = sym4.group
     inv = [int(x) for x in sym4.midx if G.element_orders()[x] == 2]
     a, b, c = next((a, b, c) for a in inv for b in inv for c in inv
                    if a < b < c and G.compose(a, b) == G.compose(b, a)
                    and c != G.compose(a, b))
-    fake = Subgroup(G, [0, a, b, c])
     elab = elementary_abelian_subgroups(sym4, 2)
+    fake = _with_member(elab, [0, a, b, c], [a, b], _coordinates(G, [a, b], 2))
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(elab + [fake], closed_under_subgroups=True)
+        poset_from_subgroups(fake, closed_under_subgroups=True)
     # {1, (123)}: of order 2 with no proper subgroup to look up, so only
     # the power test sees the 3-cycle
-    fake = Subgroup(G, [0, G.lookup_row([1, 2, 0, 3])])
+    t = G.lookup_row([1, 2, 0, 3])
+    fake = _with_member(elab, [0, t], [t], [0, t])
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(elab + [fake], closed_under_subgroups=True)
+        poset_from_subgroups(fake, closed_under_subgroups=True)
 
 
 def test_embedded_copy_must_be_an_induced_subposet(sym4):
@@ -245,7 +309,8 @@ def test_conjugation_action_faithful(sym5):
     comps, _ = detect_components(sym5)
     act = conjugation_action(sym5, comps[0])
     assert act.kernel.order == 1
-    assert act.project_family([act.target])[0].order == 60
+    ptr, entries = act.project_family([act.target])
+    assert ptr.tolist() == [0, 60]
     assert act.actor.order // act.kernel.order == 120
 
 
