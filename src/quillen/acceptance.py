@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ComponentsUndetectable
 from .groups import centralizer, detect_components, member_csr, \
-    subgroup_product, sylow_subgroup
+    same_members, subgroup_product, sylow_subgroup
 from .gspec import BUNDLED, bundled_group, load_group
 from .homology import RawComplex, _core, betti_of_complex, betti_of_poset, \
     induced_map, kunneth_check
@@ -179,7 +179,7 @@ def c12():
     cert = checkers.robinson_certificate(Y, S, 5, tables=tables)
     fixed, ids = Y.induced(np.flatnonzero(
         np.all(np.equal(tables, np.arange(Y.n)), axis=0)))
-    orders = sorted(Y.elements[int(i)].order for i in ids)
+    orders = sorted(np.diff(member_csr(Y)[1])[ids].tolist())
     ok = (fixed.n == 2 and fixed.height() == 0 and orders == [16, 16]
           and cert.evidence["fixed_points"] == fixed.n
           and cert.holds and cert.evidence["residue"] == 1)
@@ -257,9 +257,7 @@ def _prop_d():
             skipped.append(name)
             continue
         dec = decomposition(ctx)
-        if dec.Y.n == dec.AH.n and \
-                all(a.key == b.key for a, b in zip(dec.Y.elements,
-                                                   dec.AH.elements)):
+        if same_members(dec.Y, dec.AH):
             structural.append(name)
             continue
         bY = betti_of_poset(dec.Y)

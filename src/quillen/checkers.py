@@ -29,12 +29,14 @@ from .groups import (
     as_subgroup,
     centralizer,
     conjugation_action,
+    gens_commute,
     hyperelementary_check,
     member_csr,
     membership,
     normalizer,
     p_core,
     require_contained,
+    same_members,
     subgroup_product,
     _check_prime,
 )
@@ -123,21 +125,6 @@ def _ranks_dict(ranks):
 def betti_ap(sub, p, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti numbers of the p-subgroup poset (cached on the poset)."""
     return betti_of_poset(ap_poset(sub, p), work_cap=work_cap)
-
-
-def psi_induced(ctx):
-    """Induced map in homology of the full chain projection, cached."""
-    if "psi-induced" not in ctx._cache:
-        ctx._cache["psi-induced"] = induced_map(ctx.psi(), ctx.work_cap)
-    return ctx._cache["psi-induced"]
-
-
-def phi_induced(ctx, i):
-    """Induced map in homology of the single chain step phi_i, cached."""
-    key = ("phi-induced", int(i))
-    if key not in ctx._cache:
-        ctx._cache[key] = induced_map(ctx.phi_step(i), work_cap=ctx.work_cap)
-    return ctx._cache[key]
 
 
 def _surjectivity(f, work_cap):
@@ -236,7 +223,8 @@ def _condition_C(ctx, dec):
         cur = parent[(v, m)]
     chain.reverse()
     AH = ctx.ap_H()
-    witness = [{"id": g, "order": int(AH.elements[g].order),
+    orders = np.diff(member_csr(AH)[1])
+    witness = [{"id": g, "order": int(orders[g]),
                 "factor": int(jd.factor_of[psi.table[g]])} for g in chain]
     return False, {"active_factors": active, "witness_chain": witness,
                    "why": "a chain of V0 projects onto every factor"}
@@ -308,7 +296,7 @@ def check_conditions(ctx, which=None):
         ok, det = _condition_C(ctx, dec)
         certs["C"] = Certificate("C", HOLDS if ok else FAILS, det, base)
     if "D" in which:
-        rep = psi_induced(ctx)
+        rep = induced_map(ctx.psi(), ctx.work_cap)
         nz = rep.nonzero()
         det = {"ranks": _ranks_dict(rep.ranks),
                "source_betti": _betti_dict(rep.source_betti),
@@ -375,7 +363,7 @@ def check_thm41(ctx, restrict=None):
             "why": "component order is coprime to p"}, inputs)
     psi = ctx.psi()
     if restrict is None:
-        report = psi_induced(ctx)
+        report = induced_map(psi, ctx.work_cap)
         size = psi.source.n
         label = "full"
     else:
@@ -507,11 +495,6 @@ def check_cor51(ctx, variant="factor", aut=None):
     return Certificate("cor51", HOLDS if all_nonzero else FAILS, ev, inputs)
 
 
-def _gens_commute(G, a_gens, b_gens):
-    return all(G.compose(a, b) == G.compose(b, a)
-               for a in a_gens for b in b_gens)
-
-
 def check_cor52(ctx, F):
     """Separated-overgroup criterion.
 
@@ -533,12 +516,12 @@ def check_cor52(ctx, F):
         NL = normalizer(ctx.G, L)
         CL = centralizer(ctx.G, L)
         contained = L.is_subset_of(Fi) and Fi.is_subset_of(NL)
-        commutes = _gens_commute(G, Fi.generating_set(), CL.generating_set())
+        commutes = gens_commute(G, Fi.generating_set(), CL.generating_set())
         inter = Fi.intersection(CL)
         pprime = inter.order % p != 0
         prod = subgroup_product(Fi, CL)
-        same = ({E.key for E in ap_poset(NL, p, cap=ctx.cap).elements} ==
-                {E.key for E in ap_poset(prod, p, cap=ctx.cap).elements})
+        same = same_members(ap_poset(NL, p, cap=ctx.cap),
+                            ap_poset(prod, p, cap=ctx.cap))
         clause_i = contained and commutes and pprime
         ok = ok and clause_i and same
         per.append({"component": i, "F_order": int(Fi.order),
@@ -546,8 +529,8 @@ def check_cor52(ctx, F):
                     "centralizer_order": int(CL.order),
                     "intersection_order": int(inter.order),
                     "clause_i": clause_i, "clause_ii": same})
-    pairwise = all(_gens_commute(G, F[i].generating_set(),
-                                 F[j].generating_set())
+    pairwise = all(gens_commute(G, F[i].generating_set(),
+                                F[j].generating_set())
                    for i in range(ctx.t) for j in range(i + 1, ctx.t))
     ok = ok and pairwise
     ev = {"components": per, "clause_iii_pairwise_commuting": pairwise,
@@ -573,7 +556,7 @@ def check_propEM(ctx, n):
     bX = betti_of_poset(ctx.join().X, work_cap=ctx.work_cap)
     steps = []
     for i in range(1, ctx.t + 1):
-        rep = phi_induced(ctx, i)
+        rep = induced_map(ctx.phi_step(i), ctx.work_cap)
         th = n - ctx.t + i
         steps.append({"i": i, "through_degree": th,
                       "ranks": _ranks_dict(rep.ranks),
@@ -597,7 +580,7 @@ def check_propEM(ctx, n):
                      if good else
                      f"some chain step is not {kind} through its degree")
         if good:
-            rep = psi_induced(ctx)
+            rep = induced_map(ctx.psi(), ctx.work_cap)
             expect = side if route == "E" else bAH.get(n)
             ev["psi_rank_at_n"] = int(rep.rank(n))
             if rep.rank(n) != expect:
@@ -630,8 +613,8 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
     p = _check_prime(p)
     inputs = _inputs(ambient, p, component_order=int(L.order))
     op = p_outer_poset(ambient, L, p, cap=cap)
-    outers = list(op.poset.elements)
-    clause1 = (not outers) or op.cyclic_only
+    n_outers = op.poset.n
+    clause1 = (not n_outers) or op.cyclic_only
     apL = ap_poset(L, p, cap=cap)
     bL = betti_of_poset(apL, work_cap=work_cap)
     top = bL.top_degree()
@@ -641,15 +624,15 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
         candidates = [d for d in range(0, (top if top is not None else -1) + 1)
                       if bL.get(d)]
     classes = []
-    if outers:
-        for orb in subgroup_orbits(op.host, outers):
-            E = outers[orb[0]]
+    if n_outers:
+        for orb in subgroup_orbits(op.host, op.poset):
+            E = op.poset.elements[orb[0]]
             CE = centralizer(L, E)
             classes.append({"outer_order": int(E.order), "size": len(orb),
                             "centralizer_order": int(CE.order),
                             "sub": CE, "rep": None})
-    ev = {"outer_count": len(outers), "outer_classes": len(classes),
-          "cyclic_only": bool(op.cyclic_only) if outers else None,
+    ev = {"outer_count": n_outers, "outer_classes": len(classes),
+          "cyclic_only": bool(op.cyclic_only) if n_outers else None,
           "poset_betti": _betti_dict(bL), "searched_degrees": candidates}
     if not clause1:
         ev["why"] = "an outer p-subgroup has order above p"
@@ -755,21 +738,20 @@ def euler_formula(sub, p, cap=DEFAULT_ENUM_CAP):
     Each member of rank m contributes (-1)^(m-1) p^(m(m-1)/2), the
     identity contributes -1; the total must equal the reduced Euler
     characteristic of the order complex, which is counted independently
-    from the chain numbers.
+    from the chain numbers.  The members of each rank are counted off the
+    family's block of that order, with no Subgroup built.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
     P = ap_poset(sub, p, cap=cap)
     total = -1
     rank_counts = {}
-    for E in P.elements:
+    for members, _, _ in P.elements.blocks:
         m = 0
-        o = E.order
-        while o > 1:
-            o //= p
+        while p ** m < members.shape[1]:
             m += 1
-        rank_counts[m] = rank_counts.get(m, 0) + 1
-        total += (-1) ** (m - 1) * p ** (m * (m - 1) // 2)
+        rank_counts[m] = len(members)
+        total += len(members) * (-1) ** (m - 1) * p ** (m * (m - 1) // 2)
     chi = P.reduced_euler()
     return EulerFormulaReport(formula_sum=int(total), complex_chi=int(chi),
                               match=total == chi, rank_counts=rank_counts)

@@ -35,7 +35,7 @@ The hot set work runs in bulk rather than element by element in Python:
     p-elements of one power test (PermGroup.p_element_mask) and one
     table of their commuting pairs with products, searched, not looked
     up, by the rank steps.  It returns a SubgroupFamily, arrays per
-    order that build each Subgroup only when asked for it.
+    order whose readers take its member rows, with no Subgroup built.
 
 Components come from normal closures of class representatives: the
 minimal normal subgroups are the minimal closures of the prime-order
@@ -54,7 +54,6 @@ created on first use.  Betti vectors are cached on the poset they
 describe, not here.
 """
 
-import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -380,34 +379,48 @@ class Subgroup:
     def is_abelian(self):
         if "abelian" not in self._cache:
             gens = self.generating_set()
-            ok = all(self.group.compose(a, b) == self.group.compose(b, a)
-                     for i, a in enumerate(gens) for b in gens[i + 1:])
-            self._cache["abelian"] = ok
+            self._cache["abelian"] = gens_commute(self.group, gens, gens)
         return self._cache["abelian"]
 
 
+def gens_commute(G, a_gens, b_gens):
+    """Whether every element index in a_gens commutes with every one in
+    b_gens, composed both ways."""
+    return all(G.compose(a, b) == G.compose(b, a)
+               for a in a_gens for b in b_gens)
+
+
 def member_csr(family):
-    """(subs, ptr, entries): the members of a family of subgroups of one
-    group, and their member arrays as one CSR, member k of subs being
-    entries[ptr[k]:ptr[k + 1]].  family is a list of Subgroups, a
-    SubgroupFamily, read off its arrays with no Subgroup built, or a
-    Poset of either, which keeps the result in its _cache.
+    """(group, ptr, entries): the members of a family of subgroups of one
+    group as one CSR, member k being entries[ptr[k]:ptr[k + 1]], its
+    sorted member array, and group their group, None for an empty family.
+    family is a list of Subgroups, a SubgroupFamily, read off its arrays,
+    or a Poset of either, which keeps the result in its _cache.
     ParentMismatch if the members' groups differ."""
     if isinstance(family, Poset):
         if "members" not in family._cache:
             family._cache["members"] = member_csr(family.elements)
         return family._cache["members"]
+    empty = np.empty(0, dtype=np.int64)
     if isinstance(family, SubgroupFamily):
         blocks = [members for members, _, _ in family.blocks]
         ptr = np.concatenate(([0], np.cumsum(np.repeat(
             [M.shape[1] for M in blocks], [len(M) for M in blocks]))))
-        return family, ptr.astype(np.int64), np.concatenate(
-            [np.empty(0, dtype=np.int64)] + [M.ravel() for M in blocks])
-    if any(S.group is not family[0].group for S in family):
+        return (family.group if blocks else None, ptr.astype(np.int64),
+                np.concatenate([empty] + [M.ravel() for M in blocks]))
+    group = family[0].group if len(family) else None
+    if any(S.group is not group for S in family):
         raise ParentMismatch("family of subgroups of different groups")
     ptr = np.cumsum([0] + [S.order for S in family], dtype=np.int64)
-    return family, ptr, np.concatenate(
-        [np.empty(0, dtype=np.int64)] + [S.midx for S in family])
+    return group, ptr, np.concatenate([empty] + [S.midx for S in family])
+
+
+def same_members(a, b):
+    """Whether two families (member_csr) list the same subgroups in the
+    same order.  For families in (order, member row) order, such as two
+    A_p posets, that is equality as sets."""
+    return all(np.array_equal(x, y)
+               for x, y in zip(member_csr(a)[1:], member_csr(b)[1:]))
 
 
 class Membership(NamedTuple):
@@ -429,9 +442,10 @@ class Membership(NamedTuple):
 def membership(family, K):
     """Every member of a family of subgroups (member_csr) tested against
     the subgroup K in one contains_indices call.  ParentMismatch unless
-    the family and K share their group."""
-    subs, ptr, entries = member_csr(family)
-    if subs and subs[0].group is not K.group:
+    K is of the family's group (member_csr's group; an empty family has
+    none and fits any K)."""
+    group, ptr, entries = member_csr(family)
+    if group is not None and group is not K.group:
         raise ParentMismatch("family and subgroup of different groups")
     return Membership(ptr, entries, K.contains_indices(entries))
 
@@ -1119,49 +1133,35 @@ def _in_table(keys, q):
 
 class SubgroupFamily(Sequence):
     """Subgroups of one group in (order, member row) order, kept per order
-    as arrays and built as Subgroups on first access.
+    as arrays.
 
     blocks holds one (members, gens, coords) per order, ascending: the
     sorted member rows, ascending; each subgroup's generators, a row per
     subgroup; and its coordinate rows, where column c_1 + c_2 p + ... +
     c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for a basis b_1, ..., b_r
-    of the subgroup (the generators, in some order).  A Subgroup once
-    built is kept, so every access returns the same object, and take
-    gives a sub-family sharing the built objects.  As a sequence the
-    family is the list of its Subgroups: a slice or a sum with a list is
-    a list.  distinct and positions read the arrays, not objects.
+    of the subgroup (the generators, in some order).  Readers take the
+    rows: member_csr, positions, distinct and take read the arrays, and
+    take gives the sub-family at given positions.  family[k], for
+    0 <= k < len(family), builds a fresh Subgroup of member k, for a
+    caller that needs one object; derived data is cached by key on the
+    group, so every build of a member shares it.
     """
 
-    def __init__(self, group, blocks, built=None, slots=None):
+    def __init__(self, group, blocks):
         self.group = group
         self.blocks = [b for b in blocks if len(b[0])]
         self._starts = np.cumsum([0] + [len(b[0]) for b in self.blocks])
-        n = int(self._starts[-1])
-        self._built = [None] * n if built is None else built
-        self._slots = np.arange(n) if slots is None else slots
 
     def __len__(self):
-        return len(self._slots)
+        return int(self._starts[-1])
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        k = operator.index(k)
-        k += len(self) if k < 0 else 0
         if not 0 <= k < len(self):
             raise IndexError("family index out of range")
-        slot = self._slots[k]
-        S = self._built[slot]
-        if S is None:
-            b = int(np.searchsorted(self._starts, k, side="right")) - 1
-            members, gens, _ = self.blocks[b]
-            j = k - self._starts[b]
-            S = self._built[slot] = Subgroup(self.group, members[j],
-                                             gens=gens[j].tolist())
-        return S
-
-    def __add__(self, other):
-        return list(self) + list(other)
+        b = int(np.searchsorted(self._starts, k, side="right")) - 1
+        members, gens, _ = self.blocks[b]
+        j = k - self._starts[b]
+        return Subgroup(self.group, members[j], gens=gens[j].tolist())
 
     def take(self, ids):
         """The sub-family at the ascending, distinct positions ids."""
@@ -1170,8 +1170,7 @@ class SubgroupFamily(Sequence):
         blocks = [tuple(x[ids[lo:hi] - s] for x in b)
                   for b, s, lo, hi in zip(self.blocks, self._starts, cut,
                                           cut[1:])]
-        return SubgroupFamily(self.group, blocks, self._built,
-                              self._slots[ids])
+        return SubgroupFamily(self.group, blocks)
 
     def positions(self, ptr, entries):
         """Position in the family of each subgroup of a member CSR (ptr,

@@ -768,7 +768,12 @@ def induced_map(f, work_cap=DEFAULT_WORK_CAP):
     and Minian 2008), so f has the ranks of g = ret_T ∘ f ∘ inc_S between
     the cached cores; g is checked order-preserving.  ranks has every
     degree from -1 to the larger poset height, as on the full complexes.
+    Cached on the map per work_cap, as Betti vectors are on the poset, so
+    a call with another cap computes afresh and raises if it is too small.
     """
+    key = ("induced", work_cap)
+    if key in f._cache:
+        return f._cache[key]
     coreS, incS, _ = _core(f.source)
     coreT, _, retT = _core(f.target)
     g = PosetMap(coreS, coreT, retT[f.table[incS]])
@@ -782,7 +787,8 @@ def induced_map(f, work_cap=DEFAULT_WORK_CAP):
                               bettiS, bettiT, work_cap)
     top = max(f.source.height(), f.target.height())
     ranks = {k: ranks.get(k, 0) for k in range(-1, top + 1)}
-    return HomologyMapReport(bettiS, bettiT, ranks)
+    f._cache[key] = HomologyMapReport(bettiS, bettiT, ranks)
+    return f._cache[key]
 
 
 # -- Kunneth and Mayer-Vietoris --------------------------------------------------------

@@ -69,8 +69,8 @@ def row_lookup(table, rows):
 class Poset:
     """Finite poset with ids in a linear extension and a CSR of up-sets.
 
-    The labels are a tuple, or a lazy family (groups.SubgroupFamily: it
-    has take and distinct), kept as it is: induced then takes a
+    The labels are a tuple, or a subgroup family (groups.SubgroupFamily:
+    it has take and distinct), kept as it is: induced then takes a
     sub-family, and the duplicate check runs on its arrays.  No dict
     from label to id is kept: a family finds its members by their rows
     (SubgroupFamily.positions), and make_map builds its own."""
@@ -188,14 +188,14 @@ class Poset:
 
 def join_posets(posets):
     """Join: disjoint union with everything in an earlier factor below
-    everything in a later factor.  Elements become (factor position,
-    label)."""
+    everything in a later factor.  Elements are labelled (factor position,
+    id in the factor), so no factor's labels are read."""
     total = sum(P.n for P in posets)
     elements = []
     lo, hi = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     off = 0
     for k, P in enumerate(posets):
-        elements.extend((k, e) for e in P.elements)
+        elements.extend((k, i) for i in range(P.n))
         plo, phi = P.pairs()
         later = np.arange(off + P.n, total)
         lo += [plo + off, np.repeat(np.arange(off, off + P.n), later.size)]
@@ -269,12 +269,15 @@ def _grow(P, level):
 
 
 class PosetMap:
-    """Order-preserving map between posets, as an id table, checked."""
+    """Order-preserving map between posets, as an id table, checked.
+    Data derived from the map (its induced map in homology) is kept in
+    its _cache, as a poset keeps its own."""
 
     def __init__(self, source, target, table):
         self.source = source
         self.target = target
         self.table = np.asarray(table, dtype=np.int64)
+        self._cache = {}
         if self.table.shape != (source.n,):
             raise NotOrderPreserving("table length does not match source")
         if self.table.size and (self.table.min() < 0 or self.table.max() >= target.n):

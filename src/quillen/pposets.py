@@ -247,12 +247,13 @@ def subgroup_ids(P, ptr, entries):
     return ids
 
 
-def subgroup_orbits(ambient, subs):
-    """Orbits of a conjugation-stable list of subgroups under ambient, read
-    off its conjugation tables: each a sorted list of indices into subs,
-    ordered by their least."""
-    label = _orbit_labels(conj_action_tables(subs, ambient), len(subs))
-    return [orb.tolist() for orb in _orbit_arrays(np.arange(len(subs)), label)
+def subgroup_orbits(ambient, family):
+    """Orbits of a conjugation-stable family of subgroups (member_csr)
+    under ambient, read off its conjugation tables: each a sorted list of
+    positions in the family, ordered by their least."""
+    n = len(member_csr(family)[1]) - 1
+    label = _orbit_labels(conj_action_tables(family, ambient), n)
+    return [orb.tolist() for orb in _orbit_arrays(np.arange(n), label)
             if orb.size]
 
 
@@ -260,18 +261,19 @@ def conj_action_tables(family, S):
     """Permutation tables, one per generator g of S, of S conjugating a
     family of subgroups (member_csr): tab[k] is the position of g E_k g^-1.
     Each g conjugates every member entry in one batch; each conjugate,
-    sorted within its member, is found by its key.  Raises if some
-    conjugate leaves the family."""
+    sorted within its member, is found by the bytes of its member array.
+    Raises if some conjugate leaves the family."""
     S = as_subgroup(S)
-    subs, ptr, entries = member_csr(family)
-    position = {E.key: k for k, E in enumerate(subs)}
-    row = np.repeat(np.arange(len(subs)), np.diff(ptr))
+    _, ptr, entries = member_csr(family)
+    spans = list(zip(ptr[:-1], ptr[1:]))
+    # a member's sorted int64 entries, as bytes, are its Subgroup.key
+    position = {entries[a:b].tobytes(): k for k, (a, b) in enumerate(spans)}
+    row = np.repeat(np.arange(len(spans)), np.diff(ptr))
     tables = []
     for g in S.generating_set():
         conj = S.group.conj_batch(g, entries)
         conj = conj[np.lexsort((conj, row))]
-        tab = [position.get(conj[a:b].tobytes())
-               for a, b in zip(ptr[:-1], ptr[1:])]
+        tab = [position.get(conj[a:b].tobytes()) for a, b in spans]
         if None in tab:
             raise IndexOutOfRange(
                 "conjugation does not preserve the subgroup family")

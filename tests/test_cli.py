@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from quillen import acceptance, cli
+from quillen import acceptance, cli, groups
 from quillen.cli import main
 from quillen.gspec import load_group
+from quillen.pposets import OrbitContext
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs.py"
 spec = importlib.util.spec_from_file_location("perfbench_specs", SPECS)
@@ -125,6 +126,36 @@ def test_robinson_cli_structured(capsys):
     doc = json.loads(out)
     assert doc["result"]["verdict"] == "holds"
     assert doc["result"]["evidence"]["residue"] == 4
+
+
+def test_readers_take_member_rows(capsys, monkeypatch):
+    # readers of a subgroup family take its member rows: a command builds
+    # a Subgroup only where it needs one object, and a join reads no
+    # factor's labels.  Freshly loaded groups, so nothing is cached.
+    built = []
+    init = groups.Subgroup.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Subgroup, "__init__", spy)
+    for command in ("ap --group alt8", "euler-formula --group alt8",
+                    "robinson --group l34 --q 5"):
+        built.clear()
+        code, _, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        assert len(built) <= 10, (command, len(built))
+    ctx = OrbitContext(load_group("a5xa5-exr").group.full(), 2)
+    for i in range(ctx.t + 1):
+        ctx.ap_C(i)
+    for i in range(1, ctx.t + 1):
+        ctx.factor(i)
+    built.clear()
+    ctx.join()
+    ctx.mixed_join(1, 2)
+    ctx.mixed_join(2, 2)
+    assert not built
 
 
 @pytest.mark.parametrize("command", ["betti", "conditions"])
@@ -241,6 +272,20 @@ PINNED_STRUCTURED = [
      "d53275132b02f8a3058c63613e3e19b215b845c14f60161518d28125433088ed"),
     ("aut-alt6", "cor51 --variant aut-G",
      "935d25ebfa724e5447a11949b237830b47b629f2c7a0f372cfa57abda704c84d"),
+    # pinned before subgroup families stopped building a Subgroup per
+    # member for their readers
+    ("l34", "robinson --q 5",
+     "fc7c54ee8219f615bf7538955e900d9676fd04309f6c6fdd50c16e1241111db7"),
+    ("alt8", "ap",
+     "a8a61b85d3490bdde636edb939a5836f246d3456f8f30c730b9b1d8120f6181b"),
+    ("alt8", "euler-formula",
+     "232d799f59cb0571f7961bfcb022640f89755c8470d5f2be3d22fb5c65b816cf"),
+    ("sym6", "bouc",
+     "3104167f88c94fd05b4f2b868ab4e1606ff60beb3aa32c81df2a01f6c2591aae"),
+    ("sym6", "cor52 --f (1,2);(1,2,3,4,5,6)",
+     "b1fd7cc30d5921c7d5b6f0b9b33356bc2f02286149627be3989952ed1d814493"),
+    ("sym6", "cor52 --f (1,2,3);(2,3,4,5,6)",
+     "add9b301a431235b0912d3343fc91571146d95d38f583a05bd9aaac4a017fc07"),
 ]
 
 

@@ -737,8 +737,7 @@ def test_projected_images_match_a_fresh_closure(monkeypatch):
     project_family = groups.ConjugationAction.project_family
 
     def spy(act, family):
-        subs = groups.member_csr(family)[0]
-        calls.append((act, subs, project_family(act, family)))
+        calls.append((act, family, project_family(act, family)))
         return calls[-1][2]
 
     monkeypatch.setattr(groups.ConjugationAction, "project_family", spy)
@@ -753,8 +752,9 @@ def test_projected_images_match_a_fresh_closure(monkeypatch):
     assert {id(act) for act, _, _ in calls} == {id(a) for a in ctx.actions[1:]}
     checked = set()
     for act, family, (ptr, entries) in calls:
-        assert len(ptr) == len(family) + 1
-        for E, a, b in zip(family, ptr[:-1], ptr[1:]):
+        assert len(ptr) == len(groups.member_csr(family)[1])
+        members = getattr(family, "elements", family)
+        for E, a, b in zip(members, ptr[:-1], ptr[1:]):
             if (id(act), E.key) in checked:
                 continue
             checked.add((id(act), E.key))

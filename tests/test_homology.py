@@ -689,6 +689,14 @@ def test_betti_cache_honours_work_cap(sym5):
         betti_of_poset(P, work_cap=1)
 
 
+def test_induced_map_cache_honours_work_cap(ap2_sym5):
+    f = PosetMap(ap2_sym5, ap2_sym5, np.arange(ap2_sym5.n))
+    rep = induced_map(f)
+    assert induced_map(f) is rep
+    with pytest.raises(MatrixCapExceeded):
+        induced_map(f, work_cap=1)
+
+
 def test_mv_not_a_cover(sym4):
     U = ap_poset(sym4, 2)
     with pytest.raises(NotACover):
