@@ -35,6 +35,7 @@ from .groups import (
     membership,
     normalizer,
     p_core,
+    rank_of_order,
     require_contained,
     same_members,
     subgroup_product,
@@ -747,9 +748,7 @@ def euler_formula(sub, p, cap=DEFAULT_ENUM_CAP):
     total = -1
     rank_counts = {}
     for members, _, _ in P.elements.blocks:
-        m = 0
-        while p ** m < members.shape[1]:
-            m += 1
+        m = rank_of_order(members.shape[1], p)
         rank_counts[m] = len(members)
         total += len(members) * (-1) ** (m - 1) * p ** (m * (m - 1) // 2)
     chi = P.reduced_euler()

@@ -70,7 +70,7 @@ from .errors import (
     ParentMismatch,
     SubgroupNotContained,
 )
-from .posets import Poset, row_lookup, row_ptr, row_runs
+from .posets import Poset, row_lookup, row_ptr, row_runs, sorted_find
 
 DEFAULT_ORDER_CAP = 500_000
 
@@ -326,9 +326,7 @@ class Subgroup:
 
     def contains_indices(self, idx):
         """Boolean membership of each parent index in idx."""
-        idx = np.asarray(idx, dtype=np.int64)
-        pos = np.searchsorted(self.midx, idx)
-        return self.midx.take(pos, mode="clip") == idx
+        return sorted_find(self.midx, np.asarray(idx, dtype=np.int64))[0]
 
     def is_subset_of(self, other):
         if other.group is not self.group:
@@ -1043,6 +1041,16 @@ def detect_components(group, declared=None):
     return comps, "detected"
 
 
+def rank_of_order(order, p):
+    """The least r with p^r >= order: the rank of an elementary abelian
+    p-group of that order.  A caller that may hold another order checks
+    that p^r is the order."""
+    r = 0
+    while p ** r < order:
+        r += 1
+    return r
+
+
 def _prime_divisors(n):
     out = []
     d = 2
@@ -1112,7 +1120,7 @@ def _commuting_products(G, ext, powers, gens):
     x, y, xy = keys // m, keys % m, prods
     rows, cols, out = [x], [y], [xy]
     for e in range(2, p):
-        hit, pos = _in_table(keys, x * m + xy)
+        hit, pos = sorted_find(keys, x * m + xy)
         if not hit.all():
             raise InvariantViolated(_MISSING_PRODUCT)
         xy = prods[pos]
@@ -1122,13 +1130,6 @@ def _commuting_products(G, ext, powers, gens):
     keys = np.concatenate(rows) * m + np.concatenate(cols)
     order = np.argsort(keys)
     return keys[order], np.concatenate(out)[order]
-
-
-def _in_table(keys, q):
-    """Where each query q is one of the sorted keys, and its position
-    there (meaningless where it is not)."""
-    pos = np.searchsorted(keys, q)
-    return np.append(keys, -1)[pos] == q, pos
 
 
 class SubgroupFamily(Sequence):
@@ -1273,7 +1274,7 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
         z = keys[np.repeat(start - np.cumsum(count) + count, count)
                  + np.arange(count.sum())] % m
         for g in gens[:, 1:].T:
-            hit = _in_table(keys, g[pair_sub] * m + z)[0]
+            hit = sorted_find(keys, g[pair_sub] * m + z)[0]
             pair_sub, z = pair_sub[hit], z[hit]
         if pair_sub.size == 0:
             break
@@ -1281,7 +1282,7 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
         blocks = [C]
         for e in range(1, p):
             ze = powers[z, e]
-            hit, pos = _in_table(keys, C[:, 1:] * m + ze[:, None])
+            hit, pos = sorted_find(keys, C[:, 1:] * m + ze[:, None])
             if not hit.all():
                 raise InvariantViolated(_MISSING_PRODUCT)
             blocks += [ze[:, None], prods[pos]]

@@ -8,11 +8,16 @@ the relation pairs (row, id) are sorted by the key row·n + id, which the
 bulk tests search.
 
 The order complex K(P) has the nonempty chains of P as simplices, kept
-per degree d as one (m_d, d+1) int64 array of increasing rows.  One
-lookup, row_lookup (SimplicialComplex.index in a complex), finds rows:
-faces, images, simplices of a subcomplex, the subspaces of a closed
-subgroup family (pposets.poset_from_subgroups), and the members of a
-subgroup family (groups.SubgroupFamily.positions).
+per degree d as one (m_d, d+1) int64 array of increasing rows, in
+lexicographic order.  One lookup, row_lookup (SimplicialComplex.index in
+a complex), finds rows: faces, images, simplices of a subcomplex, the
+subspaces of a closed subgroup family (pposets.poset_from_subgroups),
+and the members of a subgroup family (groups.SubgroupFamily.positions).
+It searches a table in the order the table was built, which it checks,
+and sorts nothing.  Every search of sorted keys that asks whether a
+query is there (row_lookup's columns, Poset.related, subgroup membership,
+the commuting products of groups.elementary_abelian_subgroups and the
+radical poset's relations) goes through one helper, sorted_find.
 
 Beat points (elements with a unique upper or unique lower cover) can be
 removed without changing the homotopy type of K(P); the composite
@@ -26,6 +31,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    InvariantViolated,
     NotAnActionByAutomorphisms,
     NotAntisymmetric,
     NotOrderPreserving,
@@ -53,17 +59,52 @@ def row_runs(rows):
     return order, head
 
 
+def sorted_find(keys, q):
+    """(hit, pos) for queries q in the ascending array keys: pos, where one
+    searchsorted puts each query; hit, whether the key at pos is the
+    query.  Empty keys hold no query."""
+    pos = np.searchsorted(keys, q)
+    if not len(keys):
+        return np.zeros(pos.shape, dtype=bool), pos
+    return keys.take(pos, mode="clip") == q, pos
+
+
 def row_lookup(table, rows):
-    """Position of each row of rows in table, a 2-d array of distinct rows
-    of the same width, or -1 where it is absent.  The table and then the
-    rows are ranked together (row_runs), so a run of equal rows starts
-    with its table row, if it has one."""
-    both = np.concatenate((table, rows))
-    order, head = row_runs(both)
-    first = order[head][np.cumsum(head) - 1]
-    pos = np.empty(len(both), dtype=np.int64)
-    pos[order] = np.where(first < len(table), first, -1)
-    return pos[len(table):]
+    """Position of each row of rows in table, or -1 where it is absent.
+
+    table is a 2-d array of nonnegative indices whose rows rise strictly
+    (lexicographic, none repeated), as order_complex builds a degree and
+    elementary_abelian_subgroups an order block of a family.  It is
+    searched in that order, with no sort; InvariantViolated if its rows
+    do not rise.  The walk goes column by column.  With base one more
+    than every entry of table and rows, the first k + 1 entries of a
+    table row are keyed pid·base + its k-th entry, pid being the rank of
+    its first k entries among the distinct such prefixes.  The keys
+    ascend, and each step up starts a new prefix, so the keys at the
+    steps are the level's distinct prefixes; one sorted_find per column
+    places each query's prefix among them.  A query with a negative
+    entry, or missing in any column, gets -1.  Keys stay below
+    (len(table) + 1)·base, and entries index arrays in memory, so the
+    keys fit int64 for any table that fits in memory.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    base = 1 + max(table.max(initial=0), rows.max(initial=0))
+    live = (rows >= 0).all(axis=1)
+    pid = np.zeros(len(table), dtype=np.int64)
+    pos = np.zeros(len(rows), dtype=np.int64)
+    last = table.shape[1] - 1
+    for k in range(last + 1):
+        key = pid * base + table[:, k]
+        step = np.diff(key, prepend=-1)
+        if (step < 0).any() or (k == last and (step == 0).any()):
+            raise InvariantViolated("lookup table rows do not rise strictly")
+        new = step > 0
+        hit, pos = sorted_find(key[new], pos * base + rows[:, k])
+        live &= hit
+        pid = np.cumsum(new) - 1
+    pos[~live] = -1
+    return pos
 
 
 class Poset:
@@ -124,9 +165,8 @@ class Poset:
     def related(self, a, b):
         """Elementwise a < b over id arrays, searched in the sorted keys."""
         lo, hi = self.pairs()
-        keys = lo * self.n + hi
         q = np.asarray(a, dtype=np.int64) * self.n + b
-        return np.append(keys, -1)[np.searchsorted(keys, q)] == q
+        return sorted_find(lo * self.n + hi, q)[0]
 
     def below(self):
         """CSR (ptr, ids) of down-sets: row v, the ids below v, ascending."""
@@ -220,7 +260,8 @@ class SimplicialComplex:
 
     def index(self, d, rows):
         """Position of each row of rows in dims[d], or -1 where it is
-        absent (row_lookup)."""
+        absent: one row_lookup of the degree's rows as they were built,
+        lexicographic (InvariantViolated if they are not)."""
         table = (self.dims[d] if d < len(self.dims)
                  else np.empty((0, d + 1), dtype=np.int64))
         return row_lookup(table, rows)

@@ -8,14 +8,14 @@ space and the projection maps into it.  The checker layer interrogates
 the rational homology of these posets and maps.
 
 Every inclusion poset of a subgroup family is built by
-poset_from_subgroups, with no pairwise subset tests.  A family closed
-under nontrivial subgroups is a SubgroupFamily with coordinate rows,
-kept as the poset's elements: A_p(G), the p-outer poset (a sub-family)
-and the image poset (_image_family).  Its relations are read off the
-subspaces of its members, through fixed tables of the subspaces of
-F_p^r and one row lookup per dimension.  The radical poset's are read
-off one sorted array of membership keys, member by element, searched
-once per generator.
+poset_from_subgroups, with no pairwise subset tests.  A SubgroupFamily,
+with its coordinate rows, is declared closed under nontrivial subgroups
+and kept as the poset's elements: A_p(G), the p-outer poset (a
+sub-family) and the image poset (_image_family).  Its relations are
+read off the subspaces of its members, through fixed tables of the
+subspaces of F_p^r and one row lookup per dimension.  The radical
+poset, a list of Subgroups, has its relations read off one sorted array
+of membership keys, member by element, searched once per generator.
 
 The orbit maps ask whole families at once: groups.membership tests every
 member against a subgroup in one call, project_family projects them in
@@ -57,6 +57,7 @@ from .groups import (
     normal_core,
     normalizer,
     normalizes,
+    rank_of_order,
     require_contained,
     subgroup_product,
     sylow_subgroup,
@@ -77,35 +78,36 @@ from .posets import (
     row_lookup,
     row_ptr,
     row_runs,
+    sorted_find,
 )
 
 
 # -- inclusion posets of subgroup families ---------------------------------------
 
 
-def poset_from_subgroups(subs, closed_under_subgroups=False):
+def poset_from_subgroups(subs):
     """Inclusion poset of the distinct nontrivial subgroups in subs.
 
     Elements are ordered by (order, member list), a linear extension of
     inclusion.
 
-    closed_under_subgroups=True declares subs a SubgroupFamily of
-    elementary abelian p-subgroups holding every nontrivial subgroup of
-    each member: A_p(G), and the image and p-outer posets.  The family is
-    already in that order and holds its coordinates: it becomes the
-    poset's elements as it is, and no Subgroup is built.  Its relations
-    are read off the members' subspaces (_closed_family_order), and the
-    declaration is checked there; IndexOutOfRange if it fails.
+    A SubgroupFamily is declared to consist of elementary abelian
+    p-subgroups and to hold every nontrivial subgroup of each member:
+    A_p(G), and the image and p-outer posets.  The family is already in
+    that order and holds its coordinates: it becomes the poset's elements
+    as it is, and no Subgroup is built.  Its relations are read off the
+    members' subspaces (_closed_family_order), and the declaration is
+    checked there; IndexOutOfRange if it fails.
 
-    Any other family (the radical poset) goes through one sorted array of
-    membership keys m·|G| + x, one per nontrivial element x of member m.
-    A subgroup holding S_i's nontrivial generators holds S_i, so the
-    members above S_i are the holders of its first generator, read off
-    one stable argsort of the keys' elements in ascending member order,
-    kept where one searchsorted of the keys finds each further generator,
-    less i itself.
+    Any other iterable of Subgroups (the radical poset) goes through one
+    sorted array of membership keys m·|G| + x, one per nontrivial element
+    x of member m.  A subgroup holding S_i's nontrivial generators holds
+    S_i, so the members above S_i are the holders of its first generator,
+    read off one stable argsort of the keys' elements in ascending member
+    order, kept where sorted_find finds each further generator in the
+    keys, less i itself.
     """
-    if closed_under_subgroups:
+    if hasattr(subs, "distinct"):
         return Poset(subs, *_closed_family_order(subs))
     seen = {}
     for S in subs:
@@ -134,9 +136,8 @@ def poset_from_subgroups(subs, closed_under_subgroups=False):
     del by_elem, pos
     for j in range(1, max(map(len, gens))):
         g = np.array([s[j] if j < len(s) else -1 for s in gens])[row]
-        q = above * N + g
-        hit = (g < 0) | (keys[np.searchsorted(keys, q).clip(max=len(keys) - 1)]
-                         == q)
+        hit = sorted_find(keys, above * N + g)[0]
+        hit |= g < 0
         row, above = row[hit], above[hit]
     keep = above != row
     return Poset(elems, row_ptr(row[keep], n), above[keep])
@@ -146,7 +147,7 @@ _NOT_CLOSED = "family is not closed under nontrivial subgroups"
 
 
 def _closed_family_order(family):
-    """(ptr, ids) of the inclusion order of a SubgroupFamily declared
+    """(ptr, ids) of the inclusion order of a SubgroupFamily, declared
     closed under nontrivial subgroups, every member elementary abelian of
     order p^r.
 
@@ -170,9 +171,7 @@ def _closed_family_order(family):
     ranks = {}  # rank -> (first id, sorted member rows, coordinate rows)
     n = 0
     for rows, _, coords in family.blocks:
-        r = 0
-        while p ** r < rows.shape[1]:
-            r += 1
+        r = rank_of_order(rows.shape[1], p)
         if p ** r != rows.shape[1] or not pmask[rows[:, 1:]].all() \
                 or not np.array_equal(np.sort(coords, axis=1), rows):
             raise IndexOutOfRange(_NOT_CLOSED)
@@ -233,7 +232,7 @@ def ap_poset(sub, p, cap=DEFAULT_ENUM_CAP):
     elab = elementary_abelian_subgroups(sub, p, cap=cap)
     key = ("ap-poset", p)
     if key not in sub._cache:
-        sub._cache[key] = poset_from_subgroups(elab, closed_under_subgroups=True)
+        sub._cache[key] = poset_from_subgroups(elab)
     return sub._cache[key]
 
 
@@ -525,7 +524,7 @@ def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
             f"center of the target (order {Z.order}) has {p}-torsion")
     images = _image_family(act, elementary_abelian_subgroups(act.actor, p,
                                                              cap=cap))
-    poset = poset_from_subgroups(images, closed_under_subgroups=True)
+    poset = poset_from_subgroups(images)
     source = ap_poset(act.target, p, cap=cap)
     embedded = PosetMap(source, poset,
                         subgroup_ids(poset, *act.project_family(source)))
@@ -579,7 +578,7 @@ def p_outer_poset(ambient, L, p, cap=DEFAULT_ENUM_CAP):
     LC = subgroup_product(L, centralizer(ambient, L))
     elab = elementary_abelian_subgroups(host, p, cap=cap)
     outer = elab.take(np.flatnonzero(membership(elab, LC).meet_orders() == 1))
-    poset = poset_from_subgroups(outer, closed_under_subgroups=True)
+    poset = poset_from_subgroups(outer)
     cyclic_only = [M.shape[1] for M, _, _ in outer.blocks] == [p]
     return OuterPoset(poset=poset, host=host, product=LC,
                       cyclic_only=cyclic_only)

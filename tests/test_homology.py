@@ -768,7 +768,7 @@ def test_self_checks_survive_python_O():
         from quillen.errors import IndexOutOfRange
         expect(IndexOutOfRange, "not closed under nontrivial subgroups",
                "the closure check accepted a family missing a member",
-               poset_from_subgroups, P.elements.take(np.arange(1, P.n)), True)
+               poset_from_subgroups, P.elements.take(np.arange(1, P.n)))
         # A_2(Sym(4))'s family with its first four-group listed twice
         from quillen import groups
         from quillen.errors import NotAntisymmetric
@@ -777,7 +777,13 @@ def test_self_checks_survive_python_O():
                                       + [(M[[0, 0]], g[[0, 0]], C[[0, 0]])])
         expect(NotAntisymmetric, "family rows do not rise strictly",
                "poset_from_subgroups accepted a family with a repeated row",
-               poset_from_subgroups, twice, True)
+               poset_from_subgroups, twice)
+        # a lookup table out of order: row_lookup searches a table as it
+        # was built, so it must refuse one whose rows do not rise
+        from quillen.posets import row_lookup
+        expect(InvariantViolated, "rows do not rise strictly",
+               "row_lookup accepted a table out of order",
+               row_lookup, np.array([[0, 2], [0, 1]]), np.array([[0, 1]]))
         # the commuting table kept one way round only, i < j: Alt(6)'s
         # rank-2 step at p = 3 asks for x * z^2 with x above z^2
         exact_table = groups._commuting_products

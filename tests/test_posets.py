@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import relation_oracle as oracle
 from quillen import posets
-from quillen.errors import IndexOutOfRange, NotAnActionByAutomorphisms, \
-    NotAntisymmetric, NotOrderPreserving, NotTransitiveAfterClosure, \
-    SimplexCapExceeded
+from quillen.errors import IndexOutOfRange, InvariantViolated, \
+    NotAnActionByAutomorphisms, NotAntisymmetric, NotOrderPreserving, \
+    NotTransitiveAfterClosure, SimplexCapExceeded
 from quillen.homology import betti_of_poset
 from quillen.posets import Poset, PosetMap, beat_point_core, \
     check_action_tables, fixed_subposet, join_posets, make_map, order_complex
@@ -151,6 +151,7 @@ def test_antichain():
     P = poset_from_pairs(4, [])
     assert P.height() == 0
     assert P.reduced_euler() == 3
+    assert not P.related([0, 1, 3], [1, 0, 3]).any()
 
 
 def test_chain_counts_match_complex():
@@ -400,3 +401,57 @@ def test_simplex_cap(monkeypatch):
         betti_of_poset(octahedron)
     monkeypatch.setattr(posets, "SIMPLEX_CAP", 26)
     assert betti_of_poset(octahedron).tilde == (0, 0, 1)
+
+
+@st.composite
+def lookup_cases(draw):
+    """(width, table, rows): the distinct rows of a table of width 1 to 5,
+    ascending, maybe none, and queries mixing its rows with rows it
+    lacks, entries past its largest and negative entries."""
+    width = draw(st.integers(1, 5))
+    table = sorted(set(draw(st.lists(
+        st.tuples(*[st.integers(0, 4)] * width), max_size=30))))
+    query = st.tuples(*[st.one_of(st.integers(-2, 6), st.just(1 << 40))]
+                      * width)
+    rows = draw(st.lists(st.one_of(st.sampled_from(table), query)
+                         if table else query, max_size=30))
+    return width, table, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(lookup_cases())
+@example((2, [], [(0, 1), (-1, 0)]))
+@example((3, [(0, 1, 2), (0, 2, 1)], []))
+@example((2, [(0, 4), (1, 0)], [(1, -1)]))   # 1·base − 1 is (0, 4)'s key
+def test_row_lookup_matches_a_dict_of_rows(case):
+    width, table, rows = case
+    found = posets.row_lookup(
+        np.array(table, dtype=np.int64).reshape(-1, width),
+        np.array(rows, dtype=np.int64).reshape(-1, width))
+    index = {row: i for i, row in enumerate(table)}
+    assert found.tolist() == [index.get(row, -1) for row in rows]
+
+
+@pytest.mark.parametrize("table", [
+    [(1,), (0,)],
+    [(0, 2), (0, 1)],
+    [(0, 1), (1, 0), (0, 2)],
+    [(0, 1), (0, 1)],
+    [(0, 1, 2), (0, 1, 3), (0, 1, 3)],
+], ids=["unsorted-1", "unsorted-2", "unsorted-later", "repeated",
+        "repeated-last"])
+def test_row_lookup_rejects_a_table_whose_rows_do_not_rise(table):
+    table = np.array(table, dtype=np.int64)
+    for rows in (table[:1], table[:0]):
+        with pytest.raises(InvariantViolated, match="do not rise strictly"):
+            posets.row_lookup(table, rows)
+
+
+def test_sorted_find_on_empty_keys_and_past_both_ends():
+    hit, pos = posets.sorted_find(np.empty(0, dtype=np.int64),
+                                  np.array([-1, 0, 5]))
+    assert hit.tolist() == [False] * 3 and pos.tolist() == [0] * 3
+    hit, pos = posets.sorted_find(np.array([2, 4, 6]),
+                                  np.array([1, 2, 5, 6, 7]))
+    assert hit.tolist() == [False, True, False, True, False]
+    assert pos.tolist() == [0, 0, 2, 2, 3]

@@ -61,20 +61,20 @@ ORACLE_CASES = [("ap", name, p) for name, p in [
 
 
 def _family(kind, name, p):
-    """(family, closed_under_subgroups) of one oracle case: a closed family
-    is a SubgroupFamily; a finished radical poset is handed back reversed,
-    so the sort has work to do."""
+    """The family of one oracle case: a closed family is a SubgroupFamily,
+    any other a sequence of Subgroups; a finished radical poset is handed
+    back reversed, so the sort has work to do."""
     G = bundled(name)
     if kind == "ap":
-        return elementary_abelian_subgroups(G, p), True
+        return elementary_abelian_subgroups(G, p)
     if kind == "bouc":
-        return bouc_poset(G, p).elements[::-1], False
+        return bouc_poset(G, p).elements[::-1]
     if kind == "2-subgroups":
-        return two_subgroups(G.group), False
+        return two_subgroups(G.group)
     L = detect_components(G)[0][0]
     P = image_poset(G, L, p).poset if kind == "image" else \
         p_outer_poset(G, L, p).poset
-    return P.elements, True
+    return P.elements
 
 
 def two_subgroups(G):
@@ -96,14 +96,14 @@ def two_subgroups(G):
 
 @pytest.mark.parametrize("kind,name,p", ORACLE_CASES)
 def test_poset_from_subgroups_matches_pairwise_oracle(kind, name, p):
-    family, closed = _family(kind, name, p)
+    family = _family(kind, name, p)
     elems, rel = naive_inclusion_poset(list(family))
-    if not closed:
+    if not isinstance(family, SubgroupFamily):
         # duplicates and the trivial subgroup are dropped; a closed family
         # lists each row once (SubgroupFamily.distinct)
         family = list(family)
         family += family[:3] + [family[0].group.subgroup([])]
-    P = poset_from_subgroups(family, closed_under_subgroups=closed)
+    P = poset_from_subgroups(family)
     assert [S.key for S in P.elements] == [S.key for S in elems]
     assert relation(P) == rel
 
@@ -160,16 +160,16 @@ def _with_member(family, members, gens, coords):
 @pytest.mark.parametrize("name,p", [("sym4", 2), ("alt6", 3)])
 def test_closure_check_rejects_a_missing_rank_one_member(name, p):
     elab = elementary_abelian_subgroups(bundled(name), p)
-    assert poset_from_subgroups(elab, closed_under_subgroups=True).n == \
-        len(elab)
+    assert poset_from_subgroups(elab).n == len(elab)
     # drop a rank-1 member that lies in some rank-2 member
     rank2 = next(E for E in elab if E.order == p * p)
     k = next(k for k, E in enumerate(elab)
              if E.order == p and E.is_subset_of(rank2))
     missing = elab.take(np.delete(np.arange(len(elab)), k))
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(missing, closed_under_subgroups=True)
-    # the pairwise relation of the same family is still fine without the flag
+        poset_from_subgroups(missing)
+    # the same members as a list go through the membership keys, which
+    # need no closure
     assert poset_from_subgroups(list(missing)).n == len(elab) - 1
 
 
@@ -183,8 +183,7 @@ def test_closure_check_rejects_a_non_elementary_member(sym4):
     coords = _coordinates(G, [x, G.compose(x, x)], 2)
     with pytest.raises(IndexOutOfRange):
         poset_from_subgroups(_with_member(elab, coords, [x, coords[2]],
-                                          coords),
-                             closed_under_subgroups=True)
+                                          coords))
 
 
 @pytest.mark.parametrize("central_first", [False, True])
@@ -206,14 +205,12 @@ def test_closure_check_rejects_a_nonabelian_exponent_p_member(central_first):
     z = G.lookup_row([a + 3 * ((b + 1) % 3) for a, b in pts])
     elab = elementary_abelian_subgroups(H, 3)
     assert [E.order for E in elab] == [3] * 13 + [9] * 4
-    assert poset_from_subgroups(elab, closed_under_subgroups=True).ids.size \
-        == 16
+    assert poset_from_subgroups(elab).ids.size == 16
     basis = [z, x, y] if central_first else [x, y, z]
     coords = _coordinates(G, basis, 3)
     assert sorted(coords) == H.midx.tolist()
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(_with_member(elab, coords, basis, coords),
-                             closed_under_subgroups=True)
+        poset_from_subgroups(_with_member(elab, coords, basis, coords))
 
 
 def test_closure_check_rejects_members_that_are_not_subgroups(sym4):
@@ -229,13 +226,13 @@ def test_closure_check_rejects_members_that_are_not_subgroups(sym4):
     elab = elementary_abelian_subgroups(sym4, 2)
     fake = _with_member(elab, [0, a, b, c], [a, b], _coordinates(G, [a, b], 2))
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(fake, closed_under_subgroups=True)
+        poset_from_subgroups(fake)
     # {1, (123)}: of order 2 with no proper subgroup to look up, so only
     # the power test sees the 3-cycle
     t = G.lookup_row([1, 2, 0, 3])
     fake = _with_member(elab, [0, t], [t], [0, t])
     with pytest.raises(IndexOutOfRange):
-        poset_from_subgroups(fake, closed_under_subgroups=True)
+        poset_from_subgroups(fake)
 
 
 def test_embedded_copy_must_be_an_induced_subposet(sym4):
