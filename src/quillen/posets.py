@@ -13,11 +13,9 @@ lexicographic order.  One lookup, row_lookup (SimplicialComplex.index in
 a complex), finds rows: faces, images, simplices of a subcomplex, the
 subspaces of a closed subgroup family (pposets.poset_from_subgroups),
 and the members of a subgroup family (groups.SubgroupFamily.positions).
-It searches a table in the order the table was built, which it checks,
-and sorts nothing.  Every search of sorted keys that asks whether a
-query is there (row_lookup's columns, Poset.related, subgroup membership,
-the commuting products of groups.elementary_abelian_subgroups and the
-radical poset's relations) goes through one helper, sorted_find.
+It searches each table in the order it was built and sorts nothing.
+Every hit-checked search of sorted keys, here and in the group layer,
+goes through one helper, sorted_find.
 
 Beat points (elements with a unique upper or unique lower cover) can be
 removed without changing the homotopy type of K(P); the composite
