@@ -232,10 +232,10 @@ def _prop_c():
     while checked < 50:
         G = bundled_group(names[int(rng.integers(0, len(names)))])
         k = G.midx.size
-        A = G.group.subgroup(np.unique(rng.integers(0, k, size=2)))
+        A = G.group.subgroup(rng.integers(0, k, size=2))
         CA = centralizer(G, A)
         pick = CA.midx[rng.integers(0, CA.midx.size, size=2)]
-        B = G.group.subgroup(np.unique(pick))
+        B = G.group.subgroup(pick)
         CB = centralizer(G, B)
         AB = subgroup_product(A, B)
         lhs = subgroup_product(A, CA).intersection(

@@ -26,11 +26,14 @@ The hot set work runs in bulk rather than element by element in Python:
     the smaller member array;
   * normalizer takes the candidates for the target's first generator t
     from t's class in the ambient, one coset of C(t) per conjugate of t
-    inside the target, with no scan of the ambient; the class, its
-    transversal and C(t) are cached on the ambient, keyed by t.  Later
-    generators, and every element in centralizer, are tested against the
-    survivors of the last; normalizes answers "is it normal" from
-    generators alone;
+    inside the target, with no scan of the ambient.  They stay
+    permutation rows while later generators filter them, and only the
+    conjugates the filter tests and the final members are looked up.
+    The class, its transversal and C(t) come from one BFS per class,
+    cached on the ambient; a conjugate of a cached element reads its
+    class off that entry.  Every element in centralizer is tested
+    against the survivors of the last; normalizes answers "is it normal"
+    from generators alone;
   * elementary_abelian_subgroups steps a whole rank at a time, from the
     p-elements of one power test (PermGroup.p_element_mask) and one
     table of their commuting pairs with products, searched, not looked
@@ -45,8 +48,8 @@ builds the lattice of normal subgroups; normal_subgroups is a library
 function.
 
 The cache rule: data derived from a subgroup (Sylow subgroups, p-cores,
-classes, class closures, the class of an element under it with a
-transversal and centralizer, components, a generating set, elementary
+classes, class closures, the classes of elements under it with a
+transversal and centralizer each, components, a generating set, elementary
 abelian subgroups and the posets built from them) lives in one table on
 the parent group, keyed by Subgroup.key, so equal subgroups reached by
 different routes share it.  Subgroup._cache is that table's entry,
@@ -70,9 +73,19 @@ from .errors import (
     ParentMismatch,
     SubgroupNotContained,
 )
-from .posets import Poset, row_lookup, row_ptr, row_runs, sorted_find
+from .posets import Poset, row_lookup, row_ptr, row_runs, sorted_find, \
+    sorted_unique
 
 DEFAULT_ORDER_CAP = 500_000
+
+
+def _times_inverse(rows, by):
+    """m b^-1 for each permutation row m of rows, b being by, one row, or
+    by's row at m's position: m b^-1 sends b(a) to m(a), so it is one
+    scatter, with no inverse."""
+    out = np.empty_like(rows)
+    np.put_along_axis(out, np.broadcast_to(by, rows.shape), rows, axis=-1)
+    return out
 
 
 def _as_perm_rows(gen_rows, degree):
@@ -295,7 +308,7 @@ class Subgroup:
         self.group = group
         self.midx = np.asarray(member_indices, dtype=np.int64)
         if self.midx.size == 0 or self.midx[0] != 0:
-            self.midx = np.unique(np.append(self.midx, 0))
+            self.midx = sorted_unique(np.append(self.midx, 0))
         self.gens = tuple(int(g) for g in gens) if gens is not None else None
         self._key = None
 
@@ -489,18 +502,42 @@ def centralizer(ambient, target):
 
 
 def _element_class(ambient, t):
-    """t's class under conjugation by ambient, cached on ambient.
+    """t's class under conjugation by ambient, (orbit, transversal, cent).
 
-    Returns (orbit, transversal, cent): orbit the indices of the class,
-    found by a BFS under ambient's generators; transversal[k] the row of
-    an x with x t x^-1 = orbit[k], composed along the BFS with no lookup;
-    cent the member array of C_ambient(t).  Orbit-stabilizer is checked:
-    |orbit| * |cent| = |ambient|.
+    orbit holds the indices of the class; transversal[k] is the row of
+    an x with x t x^-1 = orbit[k]; cent is the member array of
+    C_ambient(t).  The BFS runs once per class: the classes it finds are
+    cached on ambient, keyed by the element each was grown from.
+
+    If t lies in the cached class of t0, as orbit[k] = y t0 y^-1 for y
+    the transversal row k, t's class is read off t0's: the same orbit,
+    the transversal x y^-1 (t0's rows composed with y^-1), and C(t) =
+    y C(t0) y^-1, from one lookup of |C(t0)| rows.  The rows are checked
+    to give y t0 y^-1 = t (InvariantViolated).  The result is not
+    cached, so no table is kept per element.
+
+    Otherwise a BFS under ambient's generators finds the orbit,
+    composing the transversal along it with no lookup, and cent is
+    centralizer(ambient, [t]).  Orbit-stabilizer is checked: |orbit| *
+    |cent| = |ambient|.
     """
-    key = ("class", int(t))
-    if key in ambient._cache:
-        return ambient._cache[key]
+    t = int(t)
+    classes = ambient._cache.setdefault("element classes", {})
+    if t in classes:
+        return classes[t]
     G = ambient.group
+    for t0, (orbit, trans, cent) in classes.items():
+        k = np.flatnonzero(orbit == t)
+        if k.size:
+            y = trans[k[0]]
+            if not np.array_equal(_times_inverse(y[G.perms[t0]], y),
+                                  G.perms[t]):
+                raise InvariantViolated(
+                    f"a cached transversal row does not conjugate {t0} "
+                    f"to {t}")
+            conj = _times_inverse(y[G.perms[cent]], y)  # y c y^-1
+            return (orbit, _times_inverse(trans, y),
+                    np.sort(G.lookup_rows(conj)))
     seen = np.zeros(G.order, dtype=bool)
     seen[t] = True
     orbit = [np.array([t], dtype=np.int64)]
@@ -525,8 +562,11 @@ def _element_class(ambient, t):
         raise InvariantViolated(
             f"class of size {orbit.size} times centralizer of order "
             f"{cent.size} is not the ambient order {ambient.order}")
-    ambient._cache[key] = orbit, trans, cent
-    return ambient._cache[key]
+    classes[t] = orbit, trans, cent
+    return classes[t]
+
+
+_REPEATED_CANDIDATE = "cosets of the centralizer repeat a normalizer candidate"
 
 
 def normalizer(ambient, target):
@@ -534,10 +574,16 @@ def normalizer(ambient, target):
 
     For target's first generator t, the ambient elements conjugating t
     into target are the cosets x_s C(t), over the s of t's class that
-    lie in target, with x_s t x_s^-1 = s (_element_class); only those
-    are looked up.  Each later generator shrinks the candidates to those
-    that conjugate it into target, so it conjugates and looks up only
-    the survivors.
+    lie in target, with x_s t x_s^-1 = s (_element_class).  They are
+    kept as permutation rows x_s c, with no lookup.  Each later
+    generator u shrinks them to the rows g with g u g^-1 in target: the
+    conjugates come from one scatter (_times_inverse), and only they,
+    which mostly land on target's few elements, are looked up.  The
+    survivors, N's members, are looked up once.
+
+    x_s t x_s^-1 = s is checked on the rows for every kept s, so
+    distinct s give disjoint cosets; the members are checked for
+    repeats as well (InvariantViolated either way).
     """
     ambient = as_subgroup(ambient)
     target = as_subgroup(target)
@@ -548,17 +594,21 @@ def normalizer(ambient, target):
         return Subgroup(G, ambient.midx)
     t, *rest = target.generating_set()
     orbit, trans, cent = _element_class(ambient, t)
-    X = trans[target.contains_indices(orbit)]
-    cand = np.sort(G.lookup_rows(X[:, G.perms[cent]].reshape(-1, G.degree)))
-    if np.any(cand[1:] == cand[:-1]):
+    inside = target.contains_indices(orbit)
+    X = trans[inside]
+    if not np.array_equal(_times_inverse(X[:, G.perms[t]], X),
+                          G.perms[orbit[inside]]):
         raise InvariantViolated(
-            "cosets of the centralizer repeat a normalizer candidate")
-    for t in rest:
-        P = G.perms[cand]
-        Pinv = G.perms[G.inv[cand]]
-        conj = np.take_along_axis(P[:, G.perms[t]], Pinv, axis=1)  # g t g^-1
-        cand = cand[target.contains_indices(G.lookup_rows(conj))]
-    return Subgroup(G, cand)
+            f"{_REPEATED_CANDIDATE}: a transversal row does not conjugate "
+            f"{t} to its class member")
+    rows = X[:, G.perms[cent]].reshape(-1, G.degree)  # x_s c
+    for u in rest:
+        conj = _times_inverse(rows[:, G.perms[u]], rows)  # g u g^-1
+        rows = rows[target.contains_indices(G.lookup_rows(conj))]
+    members = np.sort(G.lookup_rows(rows))
+    if np.any(members[1:] == members[:-1]):
+        raise InvariantViolated(_REPEATED_CANDIDATE)
+    return Subgroup(G, members)
 
 
 def normalizes(actor, target):
@@ -795,7 +845,10 @@ def sylow_subgroup(sub, p):
 
     While the current p-subgroup P is not Sylow, its normalizer contains a
     p-element outside P (the image of P's normalizer mod P has order
-    divisible by p), and adjoining one multiplies |P| by p.
+    divisible by p), and adjoining one multiplies |P| by p.  The
+    p-elements of sub are those with x^(p^a) = 1, p^a the p-part of
+    |sub|: one mask over sub's rows, from a rounds of p-th powers, with
+    no element orders.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -803,22 +856,22 @@ def sylow_subgroup(sub, p):
     if key in sub._cache:
         return sub._cache[key]
     G = sub.group
-    orders = G.element_orders()[sub.midx]
     target = sub.order
     while target % p == 0:
         target //= p
     # p-part of |sub| is sub.order // target
+    cur = G.perms[sub.midx]
+    for _ in range(rank_of_order(sub.order // target, p)):
+        base = cur
+        for _ in range(p - 1):
+            cur = np.take_along_axis(base, cur, axis=1)
+    is_pelement = np.all(cur == np.arange(G.degree, dtype=np.int16), axis=1)
     P = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
     gens = []
     while sub.order // P.order % p == 0 and P.order < sub.order // target:
         N = normalizer(sub, P) if P.order > 1 else sub
-        n_orders = G.element_orders()[N.midx]
-        # an order is a power of p exactly when it divides a large one
-        big = p
-        while big < n_orders.max():
-            big *= p
-        is_ppower = big % n_orders == 0
-        cands = N.midx[is_ppower & ~P.contains_indices(N.midx)]
+        cands = N.midx[is_pelement[np.searchsorted(sub.midx, N.midx)]
+                       & ~P.contains_indices(N.midx)]
         y = int(cands[0])
         gens.append(y)
         P = G.subgroup(gens)
@@ -952,8 +1005,8 @@ class ConjugationAction:
         _, ptr, entries = member_csr(family)
         elems, inv = np.unique(entries, return_inverse=True)
         n, N = len(ptr) - 1, self.image.order
-        keys = np.unique(np.repeat(np.arange(n), np.diff(ptr)) * N
-                         + self.project(elems)[inv])
+        keys = sorted_unique(np.repeat(np.arange(n), np.diff(ptr)) * N
+                             + self.project(elems)[inv])
         return row_ptr(keys // N, n), keys % N
 
 

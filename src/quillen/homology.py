@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import InvariantViolated, MatrixCapExceeded, NotACover
 from .posets import (PosetMap, beat_point_core, join_posets, order_complex,
-                     row_ptr)
+                     row_ptr, sorted_find, sorted_unique)
 
 DEFAULT_WORK_CAP = 400_000_000
 
@@ -865,8 +865,8 @@ def mv_rank_audit(U, ids_Y, ids_Z, work_cap=DEFAULT_WORK_CAP):
     where α is induced by the two inclusions H̃(Y ∩ Z) -> H̃(Y) ⊕ H̃(Z),
     plus additivity of the reduced Euler characteristic.
     """
-    ids_Y = np.unique(np.asarray(ids_Y, dtype=np.int64))
-    ids_Z = np.unique(np.asarray(ids_Z, dtype=np.int64))
+    ids_Y = sorted_unique(np.asarray(ids_Y, dtype=np.int64))
+    ids_Z = sorted_unique(np.asarray(ids_Z, dtype=np.int64))
     inY = np.zeros(U.n, dtype=bool)
     inY[ids_Y] = True
     inZ = np.zeros(U.n, dtype=bool)
@@ -880,7 +880,7 @@ def mv_rank_audit(U, ids_Y, ids_Z, work_cap=DEFAULT_WORK_CAP):
             "a chain of the target mixes elements private to each part")
     PY, incY = U.induced(ids_Y)
     PZ, incZ = U.induced(ids_Z)
-    ids_I = np.intersect1d(ids_Y, ids_Z)
+    ids_I = ids_Y[sorted_find(ids_Z, ids_Y)[0]]
     PI, _ = U.induced(ids_I)
     KY = order_complex(PY)
     KZ = order_complex(PZ)

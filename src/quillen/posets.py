@@ -15,7 +15,8 @@ subspaces of a closed subgroup family (pposets.poset_from_subgroups),
 and the members of a subgroup family (groups.SubgroupFamily.positions).
 It searches each table in the order it was built and sorts nothing.
 Every hit-checked search of sorted keys, here and in the group layer,
-goes through one helper, sorted_find.
+goes through one helper, sorted_find, and every plain dedup through
+sorted_unique.
 
 Beat points (elements with a unique upper or unique lower cover) can be
 removed without changing the homotopy type of K(P); the composite
@@ -55,6 +56,15 @@ def row_runs(rows):
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     return order, head
+
+
+def sorted_unique(a):
+    """The distinct entries of a, ascending: one sort and a step mask.
+    A plain np.unique would import numpy.ma on first use."""
+    a = np.sort(a, axis=None)
+    step = np.ones(a.size, dtype=bool)
+    step[1:] = a[1:] != a[:-1]
+    return a[step]
 
 
 def sorted_find(keys, q):
@@ -177,7 +187,7 @@ class Poset:
         Returns (subposet, inc) where inc[k] = original id of element k.
         The kept pairs are a mask on the CSR, renumbered in order.
         """
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = sorted_unique(np.asarray(ids, dtype=np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
             raise IndexOutOfRange("induced ids out of range")
         newid = np.full(self.n, -1, dtype=np.int64)

@@ -79,6 +79,7 @@ from .posets import (
     row_ptr,
     row_runs,
     sorted_find,
+    sorted_unique,
 )
 
 
@@ -291,13 +292,11 @@ def _index_p_extension(mul, S, x, p):
     for _ in range(p - 1):
         cosets.append(mul[y, S])
         y = mul[y, x]
-    # sorted, not np.unique, which imports numpy.ma on first use
-    T = np.sort(np.concatenate(cosets))
-    distinct = 1 + np.count_nonzero(T[1:] != T[:-1])
-    if distinct != p * S.size:
+    T = sorted_unique(np.concatenate(cosets))
+    if T.size != p * S.size:
         raise InvariantViolated(
             f"index-{p} extension of a subgroup of order {S.size} has "
-            f"{distinct} members, not {p * S.size}")
+            f"{T.size} members, not {p * S.size}")
     return T
 
 
@@ -479,7 +478,7 @@ def _check_embedded_copy(source, poset, t):
     if (orders[1][t] != orders[0]).any():
         raise InvariantViolated(
             "projection is not faithful on p-subgroups of L")
-    if np.unique(t).size != source.n:
+    if sorted_unique(t).size != source.n:
         raise InvariantViolated("embedded copy is not injective")
     if poset.induced(t)[0].ids.size != source.ids.size:
         raise InvariantViolated("embedded copy is not an induced subposet")
@@ -941,7 +940,7 @@ def decomposition(ctx):
     sizes = m.meet_orders()
     Y, ids_Y = B.induced(np.flatnonzero(sizes > 1))
     Z, ids_Z = B.induced(np.flatnonzero(~m.inside()))
-    ids_Y0 = np.intersect1d(ids_Y, ids_Z)
+    ids_Y0 = ids_Y[sorted_find(ids_Z, ids_Y)[0]]
     Y0, _ = B.induced(ids_Y0)
     AH = ctx.ap_H()
     # E n H, member by member over Y, are the masked entries
@@ -950,7 +949,7 @@ def decomposition(ctx):
                         m.entries[m.mask & inY])
     r = PosetMap(Y, AH, rtab)
     y0_in_Y = np.searchsorted(ids_Y, ids_Y0)
-    ids_V0 = np.unique(rtab[y0_in_Y])
+    ids_V0 = sorted_unique(rtab[y0_in_Y])
     V0, _ = AH.induced(ids_V0)
     a = PosetMap(Y0, Y, y0_in_Y)
     r0 = PosetMap(Y0, V0, np.searchsorted(ids_V0, rtab[y0_in_Y]))
@@ -1034,11 +1033,11 @@ def psi_h0_equivalence_report(ctx):
     b0ids = np.flatnonzero(membership(AH, H0).inside())
     B0, _ = AH.induced(b0ids)
     # the block of C_0 whole, and each factor's copy of L_i's poset
-    Jids = np.unique(np.concatenate(
+    Jids = sorted_unique(np.concatenate(
         [np.arange(*jd.blocks.get(0, (0, 0)))]
         + [jd.blocks[i][0] + ctx.factor(i).embedded.table
            for i in range(1, ctx.t + 1)]))
-    matches = np.array_equal(np.unique(psi.table[b0ids]), Jids)
+    matches = np.array_equal(sorted_unique(psi.table[b0ids]), Jids)
     J, _ = jd.X.induced(Jids)
     restricted = PosetMap(B0, J, np.searchsorted(Jids, psi.table[b0ids]))
     rep = induced_map(restricted, work_cap=wc)

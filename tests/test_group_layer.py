@@ -17,7 +17,9 @@ projected images equal to fresh closures of the projected generators.
 The work of the radical poset and of component detection is bounded by
 a count of rows looked up (and of lookup calls for sym8's radical
 poset), and a normalizer's class entry is shared by equal ambients and
-looks up no class row when reused.
+looks up no class row when reused.  A class read off a cached conjugate's
+entry is compared with a BFS grown from the element itself, and the
+normalizers are checked again on a class cache warmed in another order.
 """
 
 from functools import cache
@@ -308,9 +310,8 @@ def _full_scan_normalizer(ambient, target):
     return ambient.midx[mask]
 
 
-@pytest.mark.parametrize("name", ["sym6", "aut-alt6"])
-def test_normalizer_matches_full_scan(name):
-    G = bundled(name)
+def _check_normalizers_by_full_scan(name, warm):
+    G = load_group(name).group.full()
     A6 = derived_subgroup(G)
     assert A6.order == 360
     P = sylow_subgroup(G, 2)
@@ -332,6 +333,16 @@ def test_normalizer_matches_full_scan(name):
     assert orbit.size > 1
     assert orbit[two.contains_indices(orbit)].tolist() == [t]
     cases.append((G, two))
+    # every conjugate of two targets: their first generators' classes are
+    # derived from the class entry of the first one reached
+    four = next(S for S in reps if S.order == 4 and not S.is_cyclic())
+    cases += [(G, T) for S in (two, four)
+              for T in _conjugacy_class(G, S).values()]
+    if warm:
+        # every class entry the cases need is cached before the first
+        # check, reached in the opposite order
+        for amb, T in cases[::-1]:
+            normalizer(amb, T)
     for amb, T in cases:
         got = normalizer(amb, T)
         assert got.gens is None
@@ -341,6 +352,44 @@ def test_normalizer_matches_full_scan(name):
         assert normalizes(amb, T) == (got.order == amb.order)
     assert normalizer(A6, trivial).key == A6.key
     assert normalizer(P, P).key == P.key
+
+
+@pytest.mark.parametrize("name", ["sym6", "aut-alt6"])
+def test_normalizer_matches_full_scan(name):
+    _check_normalizers_by_full_scan(name, warm=False)
+
+
+@pytest.mark.parametrize("name", ["sym6", "aut-alt6"])
+def test_normalizer_matches_full_scan_on_a_warm_class_cache(name):
+    _check_normalizers_by_full_scan(name, warm=True)
+
+
+@pytest.mark.parametrize("name", ["sym6", "aut-alt6", "l34"])
+def test_derived_element_class_matches_a_fresh_bfs(name):
+    # each class is grown once from its first member and once from its
+    # last; every other member's class is derived from those entries and
+    # compared with a BFS grown from the member itself, whose centralizer
+    # is centralizer(ambient, [t])
+    fresh = load_group(name).group.full()
+    G = fresh.group
+    for cls in [c for c in conjugacy_classes(fresh)[1:] if c.size <= 400][:3]:
+        roots = (int(cls[0]), int(cls[-1]))
+        ambients = [load_group(name).group.full() for _ in roots]
+        for amb, root in zip(ambients, roots):
+            groups._element_class(amb, root)
+        for t in cls.tolist():
+            fresh._cache.pop("element classes", None)
+            want_orbit, _, want_cent = groups._element_class(fresh, t)
+            for amb in ambients:
+                orbit, trans, cent = groups._element_class(amb, t)
+                assert np.sort(orbit).tolist() == np.sort(want_orbit).tolist()
+                # x t x^-1 = orbit[k] for the transversal row x of k
+                conj = np.take_along_axis(
+                    trans, G.perms[t][np.argsort(trans, axis=1)], axis=1)
+                assert np.array_equal(conj, G.perms[orbit])
+                assert cent.tolist() == want_cent.tolist()
+        for amb, root in zip(ambients, roots):
+            assert list(amb._cache["element classes"]) == [root]
 
 
 def test_normalizer_matches_full_scan_on_alt8():
@@ -379,7 +428,8 @@ def test_class_entry_is_shared_and_reused(monkeypatch):
              and A6.contains_indices([x])[0])
     T = G.group.subgroup([t])
     first = normalizer(A6, T)
-    assert again._cache[("class", t)] is A6._cache[("class", t)]
+    assert again._cache["element classes"][t] is \
+        A6._cache["element classes"][t]
     # a second call with the same first generator looks up its candidates
     # only, |T ∩ t^A6| * |C_A6(t)| of them, which for a cyclic target
     # are the normalizer's members; no class row is looked up again

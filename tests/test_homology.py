@@ -928,10 +928,27 @@ def test_self_checks_survive_python_O():
                groups.normalizer, sym4, V)
         groups.centralizer = exact_centralizer
         orbit, trans, cent = groups._element_class(sym4, t)
-        sym4._cache[("class", t)] = orbit, trans[[0] * orbit.size], cent
+        classes = sym4._cache["element classes"]
+        classes[t] = orbit, trans[[0] * orbit.size], cent
         expect(InvariantViolated, "repeat a normalizer candidate",
                "normalizer accepted a repeated candidate",
                groups.normalizer, sym4, V)
+        # a class derived from a cached one whose transversal row for y
+        # is t's own: y t y^-1 is t, not the conjugate asked for
+        wrong = trans.copy()
+        wrong[1] = trans[0]
+        classes[t] = orbit, wrong, cent
+        expect(InvariantViolated, "does not conjugate",
+               "_element_class derived a class from a wrong transversal row",
+               groups.normalizer, sym4, sym4.group.subgroup([orbit[1]]))
+        # t's own row sending t to another class member: for <t> the one
+        # coset taken is wrong, and no candidate repeats
+        wrong = trans.copy()
+        wrong[0] = trans[1]
+        classes[t] = orbit, wrong, cent
+        expect(InvariantViolated, "candidate: a transversal row",
+               "normalizer accepted a transversal row for another member",
+               groups.normalizer, sym4, sym4.group.subgroup([t]))
         # declared components that are not quasisimple: one not perfect,
         # and one perfect but with a proper noncentral normal subgroup
         from quillen.errors import ComponentsUndetectable

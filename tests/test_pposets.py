@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +388,25 @@ def test_two_orbits_selected_by_index():
     assert ctx0.t == ctx1.t == 1
     assert ctx0.orbit[0].midx[1] != ctx1.orbit[0].midx[1]
     assert ctx0.H.order == ctx1.H.order == 7200
+
+
+def test_answers_do_not_import_numpy_ma():
+    # a plain np.unique or np.intersect1d imports numpy.ma on first use,
+    # 11-17 ms and over 1 MiB of resident memory that no answer needs
+    code = textwrap.dedent("""
+        import sys
+        from quillen import (OrbitContext, ap_poset, betti_of_poset,
+                             bouc_poset, check_conditions, load_group)
+        sym8 = load_group("sym8").group.full()
+        print(betti_of_poset(bouc_poset(sym8, 2)).tilde)
+        print(betti_of_poset(ap_poset(load_group("alt6").group.full(), 2)).tilde)
+        ctx = OrbitContext(load_group("a5xa5-exr").group.full(), 2)
+        print(check_conditions(ctx).verdicts())
+        print("numpy.ma" in sys.modules)
+    """)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.split()[-1] == "False", out.stdout
