@@ -392,7 +392,7 @@ def test_two_orbits_selected_by_index():
 
 def test_answers_do_not_import_numpy_ma():
     # a plain np.unique or np.intersect1d imports numpy.ma on first use,
-    # 11-17 ms and over 1 MiB of resident memory that no answer needs
+    # import time and resident memory that no answer needs
     code = textwrap.dedent("""
         import sys
         from quillen import (OrbitContext, ap_poset, betti_of_poset,
