@@ -665,7 +665,8 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
                         else "zero by dimension"}
                      for c in classes]
     if chosen is None:
-        ev["why"] = ("no degree carries homology" if not candidates else
+        ev["why"] = ("the poset of L has no homology in a searched degree"
+                     if not any(bL.get(kk) for kk in candidates) else
                      "some fixed-point poset maps nonzero in every "
                      "searched degree")
         return Certificate("prop68", FAILS, ev, inputs)

@@ -12,6 +12,13 @@ Conventions:
   * a Subgroup is a sorted array of member indices into its parent group,
     always containing 0.
 
+Element arithmetic is on permutation rows, with no table beside the
+element index: an inverse is the argsort of its row, and x^e = 1 is one
+square-and-multiply power test (_power_is_identity), which finds the
+p-elements, a Sylow subgroup's, the q'-elements of the hyperelementary
+check, cyclic subgroups and prime-order classes.  No element orders are
+computed.
+
 The hot set work runs in bulk rather than element by element in Python:
   * the one element index is a dict from a row's int16 bytes to its
     index; PermGroup.lookup_rows resolves a whole batch in one pass (a
@@ -88,6 +95,29 @@ def _times_inverse(rows, by):
     return out
 
 
+def _power_is_identity(rows, e):
+    """Mask of the permutation rows x with x^e = 1, for e >= 1: x^e by
+    square and multiply, about 2 log2(e) compositions per row."""
+    ident = np.arange(rows.shape[-1], dtype=rows.dtype)
+    power, square = None, rows
+    while True:
+        if e & 1:
+            power = square if power is None else np.take_along_axis(
+                square, power, axis=-1)
+        e >>= 1
+        if not e:
+            return np.all(power == ident, axis=-1)
+        square = np.take_along_axis(square, square, axis=-1)
+
+
+def _p_part(n, p):
+    """The largest power of p dividing n."""
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
+
+
 def _as_perm_rows(gen_rows, degree):
     rows = np.asarray(gen_rows, dtype=np.int16)
     if rows.ndim == 1:
@@ -104,14 +134,15 @@ class PermGroup:
     each row's bytes to its position in perms.
     """
 
+    __slots__ = ("perms", "order", "degree", "gens", "name", "_index",
+                 "_pmask", "_full", "_derived")
+
     def __init__(self, perms, gen_indices, index, name=""):
         self.perms = np.ascontiguousarray(perms, dtype=np.int16)
         self.order, self.degree = self.perms.shape
         self.gens = tuple(int(g) for g in gen_indices)
         self.name = name
         self._index = index
-        self._inv = None
-        self._orders = None
         self._pmask = {}
         self._full = None
         # Subgroup.key -> derived data of that subgroup (Subgroup._cache)
@@ -186,44 +217,11 @@ class PermGroup:
         except KeyError as e:
             raise self._not_an_element(e.args[0]) from None
 
-    def compose(self, i, j):
-        """Index of perms[i] ∘ perms[j]."""
-        return self.lookup_row(self.perms[i][self.perms[j]])
-
-    @property
-    def inv(self):
-        if self._inv is None:
-            arg = np.argsort(self.perms, axis=1).astype(np.int16)
-            self._inv = self.lookup_rows(arg)
-        return self._inv
-
-    def element_orders(self):
-        if self._orders is None:
-            ident = np.arange(self.degree, dtype=np.int16)
-            orders = np.zeros(self.order, dtype=np.int64)
-            orders[0] = 1
-            cur = self.perms.copy()
-            unresolved = np.nonzero(orders == 0)[0]
-            k = 1
-            while unresolved.size:
-                done = np.all(cur[unresolved] == ident, axis=1)
-                orders[unresolved[done]] = k
-                unresolved = unresolved[~done]
-                if unresolved.size:
-                    cur[unresolved] = np.take_along_axis(
-                        self.perms[unresolved], cur[unresolved], axis=1)
-                    k += 1
-            self._orders = orders
-        return self._orders
-
     def p_element_mask(self, p):
         """Mask of the elements x != 1 with x^p = 1, the elements of order
-        p for p prime: p - 1 compositions per element, with no orders."""
+        p for p prime, from one power test (_power_is_identity)."""
         if p not in self._pmask:
-            cur = self.perms
-            for _ in range(p - 1):
-                cur = np.take_along_axis(self.perms, cur, axis=1)
-            mask = np.all(cur == np.arange(self.degree, dtype=np.int16), axis=1)
+            mask = _power_is_identity(self.perms, p)
             mask[0] = False
             self._pmask[p] = mask
         return self._pmask[p]
@@ -236,9 +234,7 @@ class PermGroup:
         if idx.size == 0:
             return idx
         grow = self.perms[g]
-        ginv = self.perms[self.inv[g]]
-        rows = grow[self.perms[idx][:, ginv]]
-        return self.lookup_rows(rows)
+        return self.lookup_rows(grow[self.perms[idx][:, np.argsort(grow)]])
 
     # -- subgroup constructors -------------------------------------------------
 
@@ -254,8 +250,8 @@ class PermGroup:
         return Subgroup(self, close_indices(self, gens), gens=gens)
 
     def subgroup_from_rows(self, gen_rows):
-        idx = [self.lookup_row(r) for r in _as_perm_rows(gen_rows, self.degree)]
-        return self.subgroup(idx)
+        return self.subgroup(
+            self.lookup_rows(_as_perm_rows(gen_rows, self.degree)))
 
 
 def _gens_tuple(gen_indices):
@@ -367,12 +363,13 @@ class Subgroup:
         return self._cache["gens"]
 
     def conjugate(self, g):
-        """The subgroup g S g^-1."""
-        new_idx = np.sort(self.group.conj_batch(g, self.midx))
-        gens = None
-        if self.gens is not None:
-            gens = tuple(int(x) for x in self.group.conj_batch(g, np.array(self.gens)))
-        return Subgroup(self.group, new_idx, gens=gens)
+        """The subgroup g S g^-1: members and generators conjugated in one
+        conj_batch."""
+        n = self.order
+        conj = self.group.conj_batch(g, np.concatenate(
+            (self.midx, self.gens or ())).astype(np.int64))
+        return Subgroup(self.group, np.sort(conj[:n]),
+                        gens=None if self.gens is None else conj[n:])
 
     def intersection(self, other):
         if other.group is not self.group:
@@ -381,11 +378,13 @@ class Subgroup:
         return Subgroup(self.group,
                         small.midx[big.contains_indices(small.midx)])
 
-    def element_orders(self):
-        return self.group.element_orders()[self.midx]
-
     def is_cyclic(self):
-        return bool(np.max(self.element_orders()) == self.order)
+        """Some member has order n = |self|: x^(n/r) != 1 for every prime
+        r dividing n."""
+        rows = self.group.perms[self.midx]
+        for r in _prime_divisors(self.order):
+            rows = rows[~_power_is_identity(rows, self.order // r)]
+        return rows.size > 0
 
     def is_abelian(self):
         if "abelian" not in self._cache:
@@ -396,9 +395,11 @@ class Subgroup:
 
 def gens_commute(G, a_gens, b_gens):
     """Whether every element index in a_gens commutes with every one in
-    b_gens, composed both ways."""
-    return all(G.compose(a, b) == G.compose(b, a)
-               for a in a_gens for b in b_gens)
+    b_gens: the rows a∘b and b∘a compared, with no lookup."""
+    A = G.perms[np.asarray(a_gens, dtype=np.int64)]
+    B = G.perms[np.asarray(b_gens, dtype=np.int64)]
+    # A[:, B][i, j] is the row a_i∘b_j
+    return np.array_equal(A[:, B], B[:, A].swapaxes(0, 1))
 
 
 def member_csr(family):
@@ -543,7 +544,8 @@ def _element_class(ambient, t):
     orbit = [np.array([t], dtype=np.int64)]
     trans = [np.arange(G.degree, dtype=np.int16).reshape(1, -1)]
     frontier, X = orbit[0], trans[0]
-    agens = [(G.perms[a], G.perms[G.inv[a]]) for a in ambient.generating_set()]
+    agens = [(G.perms[a], np.argsort(G.perms[a]))
+             for a in ambient.generating_set()]
     while frontier.size:
         new, newX = [], []
         for a, ainv in agens:
@@ -633,18 +635,16 @@ def center(sub):
 
 
 def derived_subgroup(sub):
-    """Commutator subgroup: normal closure in sub of generator commutators."""
+    """Commutator subgroup: normal closure in sub of generator commutators
+    (ba)^-1 (ab), built as rows and looked up in one call."""
     sub = as_subgroup(sub)
     G = sub.group
-    gens = sub.generating_set()
-    comms = set()
-    for a in gens:
-        for b in gens:
-            ab = G.compose(a, b)
-            ba = G.compose(b, a)
-            comms.add(G.compose(G.inv[ba], ab))  # (ba)^-1 (ab) = [a,b] up to convention
-    comms.discard(0)
-    return normal_closure(sub, sorted(comms))
+    P = G.perms[np.asarray(sub.generating_set(), dtype=np.int64)]
+    ab = P[:, P]  # ab[i, j] is the row a_i∘a_j
+    comms = np.take_along_axis(np.argsort(ab.swapaxes(0, 1), axis=-1), ab,
+                               axis=-1)
+    seeds = set(G.lookup_rows(comms.reshape(-1, G.degree)).tolist()) - {0}
+    return normal_closure(sub, sorted(seeds))
 
 
 def _adjoin(K, bfs, elements):
@@ -753,10 +753,15 @@ def _class_closure(sub, x):
 
 
 def _prime_order_reps(sub):
-    """Representatives (smallest members) of sub's classes of prime order."""
-    orders = sub.group.element_orders()
-    return [int(c[0]) for c in conjugacy_classes(sub)
-            if _prime_divisors(int(orders[c[0]])) == [int(orders[c[0]])]]
+    """Representatives (smallest members) of sub's classes of prime order:
+    x != 1 with x^r = 1 for some prime r dividing |sub|, tested on the
+    representatives' rows.  The first class is the identity's."""
+    reps = np.array([c[0] for c in conjugacy_classes(sub)[1:]], dtype=np.int64)
+    rows = sub.group.perms[reps]
+    prime = np.zeros(reps.size, dtype=bool)
+    for r in _prime_divisors(sub.order):
+        prime |= _power_is_identity(rows, r)
+    return reps[prime].tolist()
 
 
 def normal_subgroups(sub):
@@ -847,8 +852,7 @@ def sylow_subgroup(sub, p):
     p-element outside P (the image of P's normalizer mod P has order
     divisible by p), and adjoining one multiplies |P| by p.  The
     p-elements of sub are those with x^(p^a) = 1, p^a the p-part of
-    |sub|: one mask over sub's rows, from a rounds of p-th powers, with
-    no element orders.
+    |sub|: one power test over sub's rows, with no element orders.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -856,19 +860,11 @@ def sylow_subgroup(sub, p):
     if key in sub._cache:
         return sub._cache[key]
     G = sub.group
-    target = sub.order
-    while target % p == 0:
-        target //= p
-    # p-part of |sub| is sub.order // target
-    cur = G.perms[sub.midx]
-    for _ in range(rank_of_order(sub.order // target, p)):
-        base = cur
-        for _ in range(p - 1):
-            cur = np.take_along_axis(base, cur, axis=1)
-    is_pelement = np.all(cur == np.arange(G.degree, dtype=np.int16), axis=1)
+    p_part = _p_part(sub.order, p)
+    is_pelement = _power_is_identity(G.perms[sub.midx], p_part)
     P = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
     gens = []
-    while sub.order // P.order % p == 0 and P.order < sub.order // target:
+    while P.order < p_part:
         N = normalizer(sub, P) if P.order > 1 else sub
         cands = N.midx[is_pelement[np.searchsorted(sub.midx, N.midx)]
                        & ~P.contains_indices(N.midx)]
@@ -916,10 +912,10 @@ def hyperelementary_check(sub, q):
     """
     sub = as_subgroup(sub)
     q = _check_prime(q)
-    orders = sub.element_orders()
-    qprime = sub.midx[np.asarray(orders) % q != 0]
-    K = sub.group.subgroup(
-        [int(i) for i in qprime]) if qprime.size else sub.group.subgroup([])
+    # the q'-elements: x^m = 1 for m the q'-part of |sub|
+    qprime = sub.midx[_power_is_identity(sub.group.perms[sub.midx],
+                                         sub.order // _p_part(sub.order, q))]
+    K = sub.group.subgroup(qprime)
     cyclic = K.is_cyclic()
     return cyclic, {
         "q": q,
@@ -987,7 +983,8 @@ class ConjugationAction:
         # rows g t g^-1 for t in the tracking set, one block per g in idx
         conj = np.take_along_axis(
             G.perms[idx][:, None, :],
-            G.perms[self.tracking][:, G.perms[G.inv[idx]]].swapaxes(0, 1),
+            G.perms[self.tracking][:, np.argsort(G.perms[idx], axis=1)]
+            .swapaxes(0, 1),
             axis=2)
         return np.searchsorted(self.tracking, G.lookup_rows(
             conj.reshape(-1, G.degree))).reshape(conj.shape[:2])

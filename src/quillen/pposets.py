@@ -518,7 +518,7 @@ def image_poset_from_action(act, p, cap=DEFAULT_ENUM_CAP):
     """Image poset of an existing conjugation action (actor normalizes L)."""
     p = _check_prime(p)
     Z = center(act.target)
-    if np.any(Z.element_orders() % p == 0):
+    if Z.order % p == 0:  # Cauchy: Z has an element of order p
         raise CenterHasPTorsion(
             f"center of the target (order {Z.order}) has {p}-torsion")
     images = _image_family(act, elementary_abelian_subgroups(act.actor, p,
@@ -630,17 +630,15 @@ class OrbitContext:
         self.p = _check_prime(p)
         self.cap = cap
         self.work_cap = work_cap
-        comps, how = detect_components(self.G, declared=components)
+        comps, _ = detect_components(self.G, declared=components)
         if not comps:
             raise ComponentsUndetectable("group has no components")
         self.components = comps
-        self.components_how = how
         orbit_ids = subgroup_orbits(self.G, comps)
         orbits = [[comps[k] for k in orb] for orb in orbit_ids]
         for orb in orbits:
             orb.sort(key=lambda L: int(L.midx[1]))
         orbits.sort(key=lambda orb: int(orb[0].midx[1]))
-        self.orbits = orbits
         if not 0 <= orbit_index < len(orbits):
             raise IndexOutOfRange(
                 f"orbit index {orbit_index} out of range ({len(orbits)} orbits)")
@@ -690,8 +688,6 @@ class OrbitContext:
             self.actions.append(act)
         self.cent = [None] + [centralizer(H, L) for L in orb]
 
-        zorders = np.asarray(center(orb[0]).element_orders())
-        self.center_p_prime = not bool(np.any(zorders % self.p == 0))
         self.p_divides_component = orb[0].order % self.p == 0
         self._cache = {}
 

@@ -188,6 +188,19 @@ def test_prop68_holds_for_full_automorphism_host():
     assert cert.evidence["outer_count"] == 66
 
 
+def test_prop68_names_clause_3_when_L_has_no_homology_at_k(sym5):
+    # A_2(A5) has homology in degree 0 alone, so at k = 5 no fixed-point
+    # map is tested: the poset of L, not a map, fails the criterion
+    comps, _ = detect_components(sym5)
+    cert = check_prop68(sym5, comps[0], 2, k=5)
+    assert cert.verdict == FAILS
+    assert cert.evidence["searched_degrees"] == [5]
+    assert cert.evidence["why"] == \
+        "the poset of L has no homology in a searched degree"
+    assert [c["map_ranks"] for c in cert.evidence["classes"]] == \
+        ["zero by dimension"]
+
+
 def test_prop68_rejects_composite_p(sym5):
     comps, _ = detect_components(sym5)
     with pytest.raises(NotPrime):

@@ -6,7 +6,7 @@ it: p-elements from element orders, powers and products one element at
 a time, commuting tested per candidate, and first occurrences taken from
 np.unique.  The subspace tables behind the closed-family poset route are
 checked against Gaussian binomials and by brute force over F_p^r.  The
-layers in between are checked against G.compose and tuple-built posets:
+layers in between are checked against compose and tuple-built posets:
 the commuting-product table, the coordinate rows the enumeration hands
 to the poset, and the SubgroupFamily that is the poset's elements, with
 its lookup of members by row.
@@ -25,18 +25,18 @@ from quillen.homology import _core
 from quillen.posets import Poset
 from quillen.pposets import ap_poset, subgroup_ids, subspace_table
 
-from conftest import bundled
+from conftest import bundled, compose, element_orders
 
 def reference_elab(sub, p):
     """[(member bytes, gens)] of the nontrivial elementary abelian
     p-subgroups of sub, by rank and then member tuple."""
     G = sub.group
-    pel = sub.midx[G.element_orders()[sub.midx] == p]
+    pel = sub.midx[element_orders(G)[sub.midx] == p]
     powers = {}  # x -> [x, x^2, ..., x^(p-1)]
     for x in pel.tolist():
         powers[x] = [x]
         while len(powers[x]) < p - 1:
-            powers[x].append(G.compose(powers[x][-1], x))
+            powers[x].append(compose(G, powers[x][-1], x))
 
     rank1 = {}
     for x in pel.tolist():
@@ -86,7 +86,7 @@ def test_elab_matches_row_by_row_reference(name, p):
 def test_p_element_mask_is_order_p():
     for name in BUNDLED:
         G = bundled(name).group
-        orders = G.element_orders()
+        orders = element_orders(G)
         for p in (2, 3, 5, 7):
             assert np.array_equal(G.p_element_mask(p), orders == p)
 
@@ -146,7 +146,7 @@ def test_commuting_table_is_every_commuting_pair_with_its_product(name, p):
     for q in range(1, m):
         x = 0
         for e in range(1, p):
-            x = G.compose(x, int(ext[q]))
+            x = compose(G, x, int(ext[q]))
             powers[q, e] = np.searchsorted(ext, x)
     gens = np.flatnonzero(powers[:, 1:].min(axis=1) == np.arange(m))[1:]
     keys, prods = _commuting_products(G, ext, powers, gens)
@@ -154,7 +154,7 @@ def test_commuting_table_is_every_commuting_pair_with_its_product(name, p):
     assert (np.diff(keys) > 0).all() and (i > 0).all() and (j > 0).all()
     assert not (powers[i] == j[:, None]).any()
     for a, b, c in zip(ext[i].tolist(), ext[j].tolist(), ext[prods].tolist()):
-        assert G.compose(a, b) == G.compose(b, a) == c
+        assert compose(G, a, b) == compose(G, b, a) == c
     # and no commuting pair of two cyclic subgroups is left out: the
     # pairs agreeing at points 0 and 1 are composed in full
     P = G.perms[ext[1:]]
@@ -227,7 +227,7 @@ def test_positions_find_members_by_row():
         k // 2 if k % 2 else -1 for k in range(n)]
     # absent: a cyclic group of order 4, a row of the four-groups' order;
     # a Sylow 2-subgroup and a group of order 3, orders with no block
-    x = int(sym4.midx[sym4.element_orders() == 4][0])
+    x = int(sym4.midx[element_orders(G)[sym4.midx] == 4][0])
     queries = [G.subgroup([x]), sylow_subgroup(sym4, 2),
                sylow_subgroup(sym4, 3), family[n - 1], family[0]]
     _, ptr, entries = member_csr(queries)

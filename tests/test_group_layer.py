@@ -20,6 +20,10 @@ poset), and a normalizer's class entry is shared by equal ambients and
 looks up no class row when reused.  A class read off a cached conjugate's
 entry is compared with a BFS grown from the element itself, and the
 normalizers are checked again on a class cache warmed in another order.
+The power test x^e = 1, the prime-order class representatives and
+is_cyclic are checked against element orders from perms.perm_order, and
+the references take inverses as the argsort of a row, so they share no
+table with the group layer.
 """
 
 from functools import cache
@@ -28,19 +32,20 @@ import numpy as np
 import pytest
 
 from quillen import groups
-from quillen.errors import ActorDoesNotNormalize, ComponentsUndetectable, \
-    NotAnElement, ParentMismatch, QuillenError
+from quillen.errors import ActorDoesNotNormalize, CenterHasPTorsion, \
+    ComponentsUndetectable, NotAnElement, ParentMismatch, QuillenError
 from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
     centralizer, close_indices, conjugacy_classes, conjugation_action, \
     derived_subgroup, detect_components, elementary_abelian_subgroups, \
     is_quasisimple, is_simple, minimal_normal_subgroups, normal_subgroups, \
     normalizer, normalizes, p_core, subgroup_product, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
+from quillen.perms import parse_cycles
 from quillen.pposets import OrbitContext, _conjugacy_class, _is_radical, \
     _p_subgroup_class_reps, ap_poset, bouc_poset, decomposition, \
-    image_poset_from_action, poset_from_subgroups
+    image_poset, image_poset_from_action, poset_from_subgroups
 
-from conftest import bundled
+from conftest import bundled, element_orders
 
 
 def _naive_closure(G, gens):
@@ -266,7 +271,7 @@ def _reference_sylow(sub, p):
     while (sub.order // P.order) % p == 0:
         N = normalizer(sub, P) if P.order > 1 else sub
         for x in N.midx:
-            o = int(G.element_orders()[x])
+            o = int(element_orders(G)[x])
             while o % p == 0:
                 o //= p
             if o == 1 and not P.contains_indices(np.array([x]))[0]:
@@ -287,6 +292,61 @@ def test_sylow_matches_loop_reference(name):
             assert (got.key, got.gens) == (want.key, want.gens), p
 
 
+def _q_prime_parts(n):
+    """n with every power of one prime q dividing it removed, per q."""
+    parts = []
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            m = n
+            while m % q == 0:
+                m //= q
+            parts.append(m)
+    return parts
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+@pytest.mark.parametrize("name", ["sym5", "aut-alt6", "l34", "a5xa5-exr"])
+def test_power_test_matches_element_orders(name):
+    # x^e = 1 exactly when the order of x divides e
+    G = bundled(name).group
+    orders = element_orders(G)
+    for e in [1, 2, 3, 4, 5, 8, 9, G.order] + _q_prime_parts(G.order):
+        assert np.array_equal(groups._power_is_identity(G.perms, e),
+                              e % orders == 0), e
+
+
+@pytest.mark.parametrize("name", ["sym5", "aut-alt6", "l34", "a5xa5-exr"])
+def test_prime_order_reps_match_element_orders(name):
+    G = bundled(name)
+    orders = element_orders(G.group)
+    assert groups._prime_order_reps(G) == [
+        int(c[0]) for c in conjugacy_classes(G) if _is_prime(orders[c[0]])]
+
+
+def test_is_cyclic():
+    def generated(cycles, degree):
+        return PermGroup.generate([parse_cycles(c, degree) for c in cycles],
+                                  degree).full()
+
+    assert generated(["(1 2)(3 4 5)"], 5).is_cyclic()  # C6
+    assert generated([], 3).is_cyclic()
+    assert not generated(["(1 2)", "(3 4)"], 4).is_cyclic()  # C2 x C2
+    # S3 has exponent 6, its order, and no element of order 6
+    S3 = generated(["(1 2)", "(1 2 3)"], 3)
+    assert S3.order == 6 and not S3.is_cyclic()
+    # Sylow subgroups and centers, against their largest element order
+    for name in ("sym5", "aut-alt6", "l34"):
+        G = bundled(name)
+        orders = element_orders(G.group)
+        subs = [center(G)] + [sylow_subgroup(G, p) for p in (2, 3, 5, 7)
+                              if G.order % p == 0]
+        for S in subs:
+            assert S.is_cyclic() == (orders[S.midx].max() == S.order)
+
+
 def _full_scan_centralizer(ambient, target):
     # every ambient element against every generator of target
     G = ambient.group
@@ -302,7 +362,7 @@ def _full_scan_normalizer(ambient, target):
     # every ambient element conjugates every generator of target
     G = ambient.group
     P = G.perms[ambient.midx]
-    Pinv = G.perms[G.inv[ambient.midx]]
+    Pinv = np.argsort(P, axis=1)
     mask = np.ones(ambient.order, dtype=bool)
     for t in target.generating_set():
         conj = np.take_along_axis(P[:, G.perms[t]], Pinv, axis=1)
@@ -327,7 +387,7 @@ def _check_normalizers_by_full_scan(name, warm):
     cases.append((P, Z))
     # a target meeting its first generator's class in that generator
     # alone: an involution of order 2
-    t = next(int(x) for x in P.midx if G.group.element_orders()[x] == 2)
+    t = next(int(x) for x in P.midx if element_orders(G.group)[x] == 2)
     two = G.group.subgroup([t])
     orbit = groups._element_class(G, t)[0]
     assert orbit.size > 1
@@ -424,7 +484,7 @@ def test_class_entry_is_shared_and_reused(monkeypatch):
     assert again is not A6 and again.key == A6.key
     P = sylow_subgroup(G, 2)
     t = next(int(x) for x in P.midx
-             if G.group.element_orders()[x] == 4
+             if element_orders(G.group)[x] == 4
              and A6.contains_indices([x])[0])
     T = G.group.subgroup([t])
     first = normalizer(A6, T)
@@ -634,9 +694,21 @@ def test_component_layer_cases():
                         "a5xa5": (False, False), "a5xc2": (False, False),
                         "sym3": (False, False), "a6": (True, True)}
     assert groups["a6"].order == 360
-    assert groups["a6"].group.element_orders()[1] == 4
+    assert element_orders(groups["a6"].group)[1] == 4
     assert derived_subgroup(groups["a5xa5"]).order == 3600
     assert derived_subgroup(groups["a5xc2"]).order == 60
+
+
+def test_image_poset_refuses_a_center_with_p_torsion():
+    # Z(SL(2,5)) = {1, -1}: images in Aut(L) describe L's p-subgroups only
+    # when p does not divide |Z(L)|
+    L = _reference("sl25")
+    assert center(L).order == 2
+    with pytest.raises(CenterHasPTorsion, match="2-torsion"):
+        image_poset(L, L, 2)
+    # its six Sylow 5-subgroups map to the six of Inn(L) = A5
+    ip = image_poset(L, L, 5)
+    assert (ip.source.n, ip.poset.n) == (6, 6)
 
 
 # a8-in-s8 has the permutation group of sym8 (see _reference)
@@ -717,7 +789,9 @@ def test_decomposition_matches_intersect1d(worked_ctx):
 
 def _naive_classes(sub):
     G = sub.group
-    gens = sub.generating_set()
+    # each generator's row with its inverse, the row's argsort
+    gens = [(G.perms[g], np.argsort(G.perms[g]))
+            for g in sub.generating_set()]
     seen = set()
     classes = []
     for x in sub.midx.tolist():
@@ -727,8 +801,8 @@ def _naive_classes(sub):
         queue = [x]
         while queue:
             y = queue.pop()
-            for g in gens:
-                z = G.compose(G.compose(g, y), int(G.inv[g]))
+            for g, ginv in gens:
+                z = G.lookup_row(g[G.perms[y]][ginv])  # g y g^-1
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)

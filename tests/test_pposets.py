@@ -19,7 +19,7 @@ from quillen.pposets import OrbitContext, _check_embedded_copy, ap_poset, \
     bouc_poset, decomposition, image_poset, outers_in_image, p_outer_poset, \
     poset_from_subgroups
 
-from conftest import bundled
+from conftest import bundled, compose, element_orders
 from relation_oracle import make_poset, relation
 from simplex_oracle import k0_and_k0hat, tuple_dims
 
@@ -87,7 +87,7 @@ def two_subgroups(G):
     carrying the generators it was first reached by: the cyclic ones of
     order 4 carry one, and their squares lie in four-groups that do not
     hold them."""
-    orders = G.element_orders()
+    orders = element_orders(G)
     two = [x for x in range(len(orders)) if orders[x] in (2, 4)]
     family = {}
     for x in two:
@@ -140,8 +140,8 @@ def _coordinates(G, basis, p):
     for b in basis:
         powers = [0]
         for _ in range(p - 1):
-            powers.append(G.compose(powers[-1], b))
-        row = [G.compose(x, y) for y in powers for x in row]
+            powers.append(compose(G, powers[-1], b))
+        row = [compose(G, x, y) for y in powers for x in row]
     return row
 
 
@@ -184,8 +184,8 @@ def test_closure_check_rejects_a_non_elementary_member(sym4):
     # members
     G = sym4.group
     elab = elementary_abelian_subgroups(sym4, 2)
-    x = int(sym4.midx[sym4.element_orders() == 4][0])
-    coords = _coordinates(G, [x, G.compose(x, x)], 2)
+    x = int(sym4.midx[element_orders(G)[sym4.midx] == 4][0])
+    coords = _coordinates(G, [x, compose(G, x, x)], 2)
     with pytest.raises(IndexOutOfRange):
         poset_from_subgroups(_with_member(elab, coords, [x, coords[2]],
                                           coords))
@@ -224,10 +224,10 @@ def test_closure_check_rejects_members_that_are_not_subgroups(sym4):
     # whose subgroups are all members, so only the coordinate check sees
     # it
     G = sym4.group
-    inv = [int(x) for x in sym4.midx if G.element_orders()[x] == 2]
+    inv = [int(x) for x in sym4.midx if element_orders(G)[x] == 2]
     a, b, c = next((a, b, c) for a in inv for b in inv for c in inv
-                   if a < b < c and G.compose(a, b) == G.compose(b, a)
-                   and c != G.compose(a, b))
+                   if a < b < c and compose(G, a, b) == compose(G, b, a)
+                   and c != compose(G, a, b))
     elab = elementary_abelian_subgroups(sym4, 2)
     fake = _with_member(elab, [0, a, b, c], [a, b], _coordinates(G, [a, b], 2))
     with pytest.raises(IndexOutOfRange):
