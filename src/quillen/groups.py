@@ -623,10 +623,11 @@ def normalizes(actor, target):
 
 
 def subgroup_product(a, b):
-    """Subgroup generated by a ∪ b (equals the set product when one normalizes)."""
+    """<a, b>, grown from a's members: the set product when one normalizes."""
     if a.group is not b.group:
         raise ParentMismatch("product across different groups")
-    return a.group.subgroup(tuple(a.generating_set()) + tuple(b.generating_set()))
+    gens = _gens_tuple(a.generating_set() + b.generating_set())
+    return Subgroup(a.group, close_indices(a.group, gens, a.midx), gens=gens)
 
 
 def center(sub):
@@ -1074,13 +1075,10 @@ def detect_components(group, declared=None):
     # verify: F*(G) = F(G) * (product of components) is self-centralizing.
     # F(G) is the product of the O_p(G), and O_p(G) > 1 only for the primes
     # above: a minimal normal subgroup inside O_p(G) is an abelian p-group.
-    fit_gens = []
-    for p in sorted(primes):
-        Op = p_core(sub, p)
-        fit_gens.extend(Op.generating_set())
-    for c in comps:
-        fit_gens.extend(c.generating_set())
-    fstar = G.subgroup([g for g in fit_gens if g != 0]) if fit_gens else G.subgroup([])
+    factors = [p_core(sub, p) for p in sorted(primes)] + comps
+    gens = _gens_tuple(x for S in factors for x in S.generating_set())
+    fstar = Subgroup(G, close_indices(
+        G, gens, start=comps[0].midx if comps else None), gens=gens)
     C = centralizer(sub, fstar)
     if not C.is_subset_of(fstar):
         raise ComponentsUndetectable(
@@ -1188,14 +1186,14 @@ class SubgroupFamily(Sequence):
 
     blocks holds one (members, gens, coords) per order, ascending: the
     sorted member rows, ascending; each subgroup's generators, a row per
-    subgroup; and its coordinate rows, where column c_1 + c_2 p + ... +
-    c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for a basis b_1, ..., b_r
-    of the subgroup (the generators, in some order).  Readers take the
-    rows: member_csr, positions, distinct and take read the arrays, and
-    take gives the sub-family at given positions.  family[k], for
-    0 <= k < len(family), builds a fresh Subgroup of member k, for a
-    caller that needs one object; derived data is cached by key on the
-    group, so every build of a member shares it.
+    subgroup, padded by -1; and its coordinate rows or None, where column
+    c_1 + c_2 p + ... + c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for a
+    basis b_1, ..., b_r of the subgroup (the generators, in some order).
+    Readers take the rows: member_csr, positions, distinct and take read
+    the arrays, and take gives the sub-family at given positions.
+    family[k], for 0 <= k < len(family), builds a fresh Subgroup of
+    member k, gens unpadded, for a caller that needs one object; derived
+    data is cached by key on the group and shared by every build of it.
     """
 
     def __init__(self, group, blocks):
@@ -1212,13 +1210,14 @@ class SubgroupFamily(Sequence):
         b = int(np.searchsorted(self._starts, k, side="right")) - 1
         members, gens, _ = self.blocks[b]
         j = k - self._starts[b]
-        return Subgroup(self.group, members[j], gens=gens[j].tolist())
+        return Subgroup(self.group, members[j],
+                        gens=gens[j][gens[j] >= 0].tolist())
 
     def take(self, ids):
         """The sub-family at the ascending, distinct positions ids."""
         ids = np.asarray(ids, dtype=np.int64)
         cut = np.searchsorted(ids, self._starts)
-        blocks = [tuple(x[ids[lo:hi] - s] for x in b)
+        blocks = [tuple(None if x is None else x[ids[lo:hi] - s] for x in b)
                   for b, s, lo, hi in zip(self.blocks, self._starts, cut,
                                           cut[1:])]
         return SubgroupFamily(self.group, blocks)

@@ -9,13 +9,13 @@ the rational homology of these posets and maps.
 
 Every inclusion poset of a subgroup family is built by
 poset_from_subgroups, with no pairwise subset tests.  A SubgroupFamily,
-with its coordinate rows, is declared closed under nontrivial subgroups
-and kept as the poset's elements: A_p(G), the p-outer poset (a
-sub-family) and the image poset (_image_family).  Its relations are
-read off the subspaces of its members, through fixed tables of the
-subspaces of F_p^r and one row lookup per dimension.  The radical
-poset, a list of Subgroups, has its relations read off one sorted array
-of membership keys, member by element, searched once per generator.
+with its coordinate rows, is declared closed under nontrivial subgroups:
+A_p(G), the p-outer poset (a sub-family) and the image poset
+(_image_family).  Its relations are read off the subspaces of its
+members, through fixed tables of the subspaces of F_p^r and one row
+lookup per dimension.  The radical poset, a family with no coordinates,
+has its relations read off one sorted array of membership keys, member
+by element, searched once per generator.
 
 The orbit maps ask whole families at once: groups.membership tests every
 member against a subgroup in one call, project_family projects them in
@@ -86,62 +86,55 @@ from .posets import (
 # -- inclusion posets of subgroup families ---------------------------------------
 
 
-def poset_from_subgroups(subs):
-    """Inclusion poset of the distinct nontrivial subgroups in subs.
+def poset_from_subgroups(family):
+    """Inclusion poset of a SubgroupFamily of nontrivial subgroups, which
+    are its elements as they are, in (order, member row) order, a linear
+    extension of inclusion.  No Subgroup is built.
 
-    Elements are ordered by (order, member list), a linear extension of
-    inclusion.
+    A family with coordinates in every block is declared to consist of
+    elementary abelian p-subgroups and to hold every nontrivial subgroup
+    of each member: A_p(G), and the image and p-outer posets.  Its
+    relations are read off the members' subspaces (_closed_family_order),
+    and the declaration is checked there; IndexOutOfRange if it fails.
 
-    A SubgroupFamily is declared to consist of elementary abelian
-    p-subgroups and to hold every nontrivial subgroup of each member:
-    A_p(G), and the image and p-outer posets.  The family is already in
-    that order and holds its coordinates: it becomes the poset's elements
-    as it is, and no Subgroup is built.  Its relations are read off the
-    members' subspaces (_closed_family_order), and the declaration is
-    checked there; IndexOutOfRange if it fails.
-
-    Any other iterable of Subgroups (the radical poset) goes through one
-    sorted array of membership keys m·|G| + x, one per nontrivial element
-    x of member m.  A subgroup holding S_i's nontrivial generators holds
-    S_i, so the members above S_i are the holders of its first generator,
-    read off one stable argsort of the keys' elements in ascending member
-    order, kept where sorted_find finds each further generator in the
-    keys, less i itself.
+    Any other family (the radical poset) goes through one sorted array
+    of membership keys m·|G| + x, one per nontrivial element x of member
+    m.  A subgroup holding S_i's generators holds S_i, so the members
+    above S_i are the holders of its first generator, read off one
+    stable argsort of the keys' elements in ascending member order, kept
+    where sorted_find finds each further generator in the keys, less i.
     """
-    if hasattr(subs, "distinct"):
-        return Poset(subs, *_closed_family_order(subs))
-    seen = {}
-    for S in subs:
-        if S.order > 1 and S.key not in seen:
-            seen[S.key] = S
-    elems = sorted(seen.values(), key=lambda S: (S.order, S.midx.tolist()))
-    n = len(elems)
-    if n == 0:
-        return Poset(elems, [0], [])
-    N = elems[0].group.order
-    # intermediates are dropped once read: without the dels, sym8's
-    # 2-radical poset peaks at 4.8 MiB, not 3.4, under tracemalloc
-    keys = np.concatenate([S.midx[1:] + m * N for m, S in enumerate(elems)])
-    gens = [[x for x in S.generating_set() if x] for S in elems]
+    if all(coords is not None for _, _, coords in family.blocks):
+        return Poset(family, *_closed_family_order(family))
+    n = len(family)
+    N = family.group.order
+    _, ptr, entries = member_csr(family)
+    keys = (entries + np.repeat(np.arange(n) * N, np.diff(ptr)))[entries != 0]
+    wide = max(g.shape[1] for _, g, _ in family.blocks)
+    gens = np.concatenate([np.pad(g, ((0, 0), (0, wide - g.shape[1])),
+                                  constant_values=-1)
+                           for _, g, _ in family.blocks])
+    # intermediates are dropped once read: without the dels, the order of
+    # sym8's 2-radical poset peaks 5.2 MiB above its start, not 3.3
+    del ptr, entries
     # holders of each first generator: a run of the keys ranked by element
     by_elem = np.argsort(keys % N, kind="stable")
     ranked = keys[by_elem] % N
-    first = np.array([g[0] for g in gens])
-    start = np.searchsorted(ranked, first)
-    count = np.searchsorted(ranked, first, side="right") - start
+    start = np.searchsorted(ranked, gens[:, 0])
+    count = np.searchsorted(ranked, gens[:, 0], side="right") - start
     del ranked
     row = np.repeat(np.arange(n), count)
     pos = np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count,
                                           count)
     above = keys[by_elem[pos]] // N
     del by_elem, pos
-    for j in range(1, max(map(len, gens))):
-        g = np.array([s[j] if j < len(s) else -1 for s in gens])[row]
+    for g in gens[:, 1:].T:
+        g = g[row]
         hit = sorted_find(keys, above * N + g)[0]
         hit |= g < 0
         row, above = row[hit], above[hit]
     keep = above != row
-    return Poset(elems, row_ptr(row[keep], n), above[keep])
+    return Poset(family, row_ptr(row[keep], n), above[keep])
 
 
 _NOT_CLOSED = "family is not closed under nontrivial subgroups"
@@ -395,16 +388,17 @@ def _is_radical(sub, S, P, p):
     return core.key == S.key
 
 
-def _conjugacy_class(sub, S):
-    """The class of S under sub, grown by levels: each generator of sub
-    conjugates the whole level's member rows, and their gens, in one
-    conj_batch; the sorted rows are deduped by key.  {key: Subgroup}."""
+def _conjugacy_class(sub, S, found):
+    """The class of S under sub as (members, gens) rows, S first, grown by
+    levels: each generator of sub conjugates a level's rows in one
+    conj_batch; a sorted row joins when its key is new to the set found."""
     G = S.group
     agens = sub.generating_set()
-    found = {S.key: S}
+    found.add(S.key)
     members = S.midx[None, :]
     gens = np.array(S.generating_set(), dtype=np.int64)[None, :]
     width = members.shape[1]
+    levels = [(members, gens)]
     while members.shape[0]:
         cut = members.size
         images = np.stack([G.conj_batch(g, np.concatenate(
@@ -412,17 +406,14 @@ def _conjugacy_class(sub, S):
         members = np.sort(images[:, :cut].reshape(-1, width), axis=1)
         gens = images[:, cut:].reshape(-1, gens.shape[1])
         keys = members.view(np.dtype((np.void, 8 * width))).ravel().tolist()
-        first = {}
+        keep = []
         for i, key in enumerate(keys):
             if key not in found:
-                first.setdefault(key, i)
-        # the kept rows are copied out, so each member's array holds no
-        # duplicate rows of its level
-        members, gens = members[list(first.values())], gens[list(first.values())]
-        for m, g in zip(members, gens):
-            T = Subgroup(G, m, gens=g)
-            found[T.key] = T
-    return found
+                found.add(key)
+                keep.append(i)
+        members, gens = members[keep], gens[keep]
+        levels.append((members, gens))
+    return tuple(np.concatenate(x) for x in zip(*levels))
 
 
 def bouc_poset(sub, p):
@@ -435,21 +426,30 @@ def bouc_poset(sub, p):
     P-conjugates of a fully normalized subgroup are fully normalized, so
     only fully normalized candidates are tested, by _is_radical, which
     reads O_p(N_sub(S)) off N_sub(S) ∩ P with no Sylow subgroup grown.
-    Each radical class is expanded by levels (_conjugacy_class).
+    Its classes, grown as rows, make one family with no coordinates, and
+    those of order p^k carry k gens each (_p_subgroup_class_reps).
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
     key = ("bouc", p)
     if key in sub._cache:
         return sub._cache[key]
-    radicals = {}
+    found, classes = set(), {}
     P = sylow_subgroup(sub, p)
     for S in _p_subgroup_class_reps(P)[1:]:
-        if S.key not in radicals and _is_radical(sub, S, P, p):
-            radicals.update(_conjugacy_class(sub, S))
-    poset = poset_from_subgroups(radicals.values())
-    sub._cache[key] = poset
-    return poset
+        if S.key not in found and _is_radical(sub, S, P, p):
+            members, gens = _conjugacy_class(sub, S, found)
+            classes.setdefault(S.order, []).append((members, gens))
+    blocks = []
+    for order in sorted(classes):
+        members, gens = (np.concatenate(x) for x in zip(*classes[order]))
+        rank = np.lexsort(members.T[::-1])
+        members, gens = members[rank], gens[rank]
+        blocks.append((members, gens, None))
+    # the blocks hold every row: the classes go before the relations
+    del found, classes
+    sub._cache[key] = poset_from_subgroups(SubgroupFamily(sub.group, blocks))
+    return sub._cache[key]
 
 
 # -- image posets under a conjugation action ---------------------------------------

@@ -3,8 +3,9 @@
 Each routine is compared with a plain reference kept here: a one-element-
 at-a-time BFS for closures and for enumerating a group, the P-classes
 that parent-level closures and conjugates reach for the Sylow class
-representatives, the definition O_p(N_G(S)) = S for the radical poset,
-a full scan of the ambient for normalizers and centralizers,
+representatives, the definition O_p(N_G(S)) = S with pairwise subset
+tests for the radical poset (pinned digests where that is too slow), a
+full scan of the ambient for normalizers and centralizers,
 from-scratch closures and joins for normal subgroups, the lattice of
 normal subgroups for the component layer, np.intersect1d for the
 decomposition, and a one-element-at-a-time conjugation BFS for
@@ -15,9 +16,9 @@ whatever generators the target carries, faithfulness modulo the kernel
 on every elementary abelian subgroup, a homomorphic projection, and
 projected images equal to fresh closures of the projected generators.
 The work of the radical poset and of component detection is bounded by
-a count of rows looked up (and of lookup calls for sym8's radical
-poset), and a normalizer's class entry is shared by equal ambients and
-looks up no class row when reused.  A class read off a cached conjugate's
+a count of rows looked up (and of lookup calls and Subgroup builds for
+sym8's radical poset), and a normalizer's class entry is shared by
+equal ambients and looks up no class row when reused.  A class read off a cached conjugate's
 entry is compared with a BFS grown from the element itself, and the
 normalizers are checked again on a class cache warmed in another order.
 The power test x^e = 1, the prime-order class representatives and
@@ -26,6 +27,8 @@ the references take inverses as the argsort of a row, so they share no
 table with the group layer.
 """
 
+import hashlib
+import sys
 from functools import cache
 
 import numpy as np
@@ -37,15 +40,17 @@ from quillen.errors import ActorDoesNotNormalize, CenterHasPTorsion, \
 from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
     centralizer, close_indices, conjugacy_classes, conjugation_action, \
     derived_subgroup, detect_components, elementary_abelian_subgroups, \
-    is_quasisimple, is_simple, minimal_normal_subgroups, normal_subgroups, \
-    normalizer, normalizes, p_core, subgroup_product, sylow_subgroup
+    is_quasisimple, is_simple, member_csr, minimal_normal_subgroups, \
+    normal_subgroups, normalizer, normalizes, p_core, subgroup_product, \
+    sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
 from quillen.perms import parse_cycles
 from quillen.pposets import OrbitContext, _conjugacy_class, _is_radical, \
     _p_subgroup_class_reps, ap_poset, bouc_poset, decomposition, \
-    image_poset, image_poset_from_action, poset_from_subgroups
+    image_poset, image_poset_from_action
 
 from conftest import bundled, element_orders
+from relation_oracle import make_poset
 
 
 def _naive_closure(G, gens):
@@ -218,7 +223,9 @@ def test_class_reps_match_parent_level(name, p):
 
 def _oracle_bouc(G, p):
     """The radical poset by its definition: every P-class representative
-    S with O_p(N_G(S)) = S, expanded one conjugate at a time."""
+    S with O_p(N_G(S)) = S, expanded one conjugate at a time, sorted by
+    (order, member list), with each member's up-set by pairwise subset
+    tests of member sets (relation_oracle.make_poset)."""
     radicals = {}
     for S in _reference_class_reps(sylow_subgroup(G, p)):
         if S.order == 1 or S.key in radicals or \
@@ -233,7 +240,10 @@ def _oracle_bouc(G, p):
                 if V.key not in radicals:
                     radicals[V.key] = V
                     queue.append(V)
-    return poset_from_subgroups(radicals.values())
+    elems = sorted(radicals.values(), key=lambda S: (S.order, S.midx.tolist()))
+    sets = [set(S.midx.tolist()) for S in elems]
+    return make_poset(elems, [[j for j, B in enumerate(sets) if A < B]
+                              for A in sets])
 
 
 @pytest.mark.parametrize("name, p", [
@@ -260,7 +270,8 @@ def test_bouc_matches_definition(name, p):
             assert radical == (p_core(normalizer(G, S), p).key == S.key)
     assert tested
     for S in skipped:
-        assert tested & _conjugacy_class(G, S).keys()
+        members, _ = _conjugacy_class(G, S, set())
+        assert tested & {M.tobytes() for M in members}
 
 
 def _reference_sylow(sub, p):
@@ -396,8 +407,8 @@ def _check_normalizers_by_full_scan(name, warm):
     # every conjugate of two targets: their first generators' classes are
     # derived from the class entry of the first one reached
     four = next(S for S in reps if S.order == 4 and not S.is_cyclic())
-    cases += [(G, T) for S in (two, four)
-              for T in _conjugacy_class(G, S).values()]
+    cases += [(G, Subgroup(G.group, M, gens=g)) for S in (two, four)
+              for M, g in zip(*_conjugacy_class(G, S, set()))]
     if warm:
         # every class entry the cases need is cached before the first
         # check, reached in the opposite order
@@ -765,6 +776,44 @@ def test_radical_poset_lookup_calls_sym8(monkeypatch):
     rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
     assert len(rows) <= 4_269
+
+
+def test_radical_poset_subgroup_builds_sym8(monkeypatch):
+    # a count of Subgroup builds, by the function that builds each; with
+    # one Subgroup per radical member, 2 153 in all, 926 of them in the
+    # class growth; the classes grown as rows build none there
+    G = load_group("sym8").group.full()
+    callers = []
+    init = Subgroup.__init__
+
+    def spy(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subgroup, "__init__", spy)
+    bouc_poset(G, 2)
+    assert callers.count("_conjugacy_class") == 0
+    assert len(callers) <= 1_300
+
+
+# sha256 of the member CSR (ptr, entries) and the order's (ptr, ids), as
+# int64 bytes, of the bundled radical posets _oracle_bouc does not reach,
+# computed when the radical poset was still a list of Subgroups
+RADICAL_DIGESTS = {
+    "sym8": "1f60b592fd56cf2ad9c3eb266a14f49513677132b022950b9634a93eca9bba74",
+    "alt8": "a15ed3181611225208008a5b0579aa348d53fd3eb94c3f40612a9bf2887538f2",
+    "a5xa5-exr":
+        "3665a01009bccc2180d048f408e1fdbddfdb8c0f47900cd03583f820e1ffaf30",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RADICAL_DIGESTS))
+def test_radical_poset_digest(name):
+    P = bouc_poset(bundled(name), 2)
+    digest = hashlib.sha256()
+    for a in (*member_csr(P)[1:], P.ptr, P.ids):
+        digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == RADICAL_DIGESTS[name]
 
 
 def test_decomposition_matches_intersect1d(worked_ctx):

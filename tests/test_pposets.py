@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
-    IndexOutOfRange, InvariantViolated
+    IndexOutOfRange, InvariantViolated, NotAntisymmetric
 from quillen.groups import PermGroup, SubgroupFamily, centralizer, \
     conjugation_action, detect_components, elementary_abelian_subgroups, \
     subgroup_product, sylow_subgroup
@@ -66,20 +66,34 @@ ORACLE_CASES = [("ap", name, p) for name, p in [
 
 
 def _family(kind, name, p):
-    """The family of one oracle case: a closed family is a SubgroupFamily,
-    any other a sequence of Subgroups; a finished radical poset is handed
-    back reversed, so the sort has work to do."""
+    """The family of one oracle case: a closed family has coordinates,
+    any other none (_rows_family)."""
     G = bundled(name)
     if kind == "ap":
         return elementary_abelian_subgroups(G, p)
     if kind == "bouc":
-        return bouc_poset(G, p).elements[::-1]
+        return _rows_family(list(bouc_poset(G, p).elements))
     if kind == "2-subgroups":
-        return two_subgroups(G.group)
+        return _rows_family(two_subgroups(G.group))
     L = detect_components(G)[0][0]
     P = image_poset(G, L, p).poset if kind == "image" else \
         p_outer_poset(G, L, p).poset
     return P.elements
+
+
+def _rows_family(subs):
+    """The distinct nontrivial subgroups subs as a family with no
+    coordinates: per order, member rows sorted, gens padded by -1."""
+    blocks = []
+    for order in sorted({S.order for S in subs}):
+        same = sorted((S for S in subs if S.order == order),
+                      key=lambda S: S.midx.tolist())
+        wide = max(len(S.generating_set()) for S in same)
+        gens = [list(S.generating_set()) for S in same]
+        blocks.append((np.array([S.midx for S in same]),
+                       np.array([g + [-1] * (wide - len(g)) for g in gens]),
+                       None))
+    return SubgroupFamily(subs[0].group, blocks)
 
 
 def two_subgroups(G):
@@ -103,14 +117,16 @@ def two_subgroups(G):
 def test_poset_from_subgroups_matches_pairwise_oracle(kind, name, p):
     family = _family(kind, name, p)
     elems, rel = naive_inclusion_poset(list(family))
-    if not isinstance(family, SubgroupFamily):
-        # duplicates and the trivial subgroup are dropped; a closed family
-        # lists each row once (SubgroupFamily.distinct)
-        family = list(family)
-        family += family[:3] + [family[0].group.subgroup([])]
     P = poset_from_subgroups(family)
     assert [S.key for S in P.elements] == [S.key for S in elems]
+    assert [S.gens for S in P.elements] == [S.gens for S in elems]
     assert relation(P) == rel
+    # a family lists each row once (SubgroupFamily.distinct)
+    M, g, C = family.blocks[-1]
+    twice = SubgroupFamily(family.group, family.blocks[:-1] + [
+        tuple(None if x is None else x[[0, 0]] for x in (M, g, C))])
+    with pytest.raises(NotAntisymmetric):
+        poset_from_subgroups(twice)
 
 
 @pytest.mark.parametrize("name,p", [
@@ -173,9 +189,15 @@ def test_closure_check_rejects_a_missing_rank_one_member(name, p):
     missing = elab.take(np.delete(np.arange(len(elab)), k))
     with pytest.raises(IndexOutOfRange):
         poset_from_subgroups(missing)
-    # the same members as a list go through the membership keys, which
-    # need no closure
-    assert poset_from_subgroups(list(missing)).n == len(elab) - 1
+    # the same members with no coordinates go through the membership
+    # keys, which need no closure
+    bare = SubgroupFamily(missing.group,
+                          [(M, g, None) for M, g, _ in missing.blocks])
+    assert poset_from_subgroups(bare).n == len(elab) - 1
+    # so does a family with coordinates in some blocks only
+    mixed = SubgroupFamily(missing.group, missing.blocks[:1] + bare.blocks[1:])
+    assert relation(poset_from_subgroups(mixed)) == \
+        relation(poset_from_subgroups(bare))
 
 
 def test_closure_check_rejects_a_non_elementary_member(sym4):
@@ -260,6 +282,8 @@ def test_bouc_sizes(sym4, sym5):
     assert bouc_poset(sym4, 2).n == 4
     assert bouc_poset(sym5, 2).n == 30
     assert bouc_poset(sym5, 3).n == 10
+    # no p-subgroup: an empty family
+    assert bouc_poset(sym4, 5).n == 0
 
 
 def test_bouc_of_p_group(sym4):
