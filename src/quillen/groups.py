@@ -47,12 +47,17 @@ The hot set work runs in bulk rather than element by element in Python:
     up, by the rank steps.  It returns a SubgroupFamily, arrays per
     order whose readers take its member rows, with no Subgroup built.
 
-Components come from normal closures of class representatives: the
-minimal normal subgroups are the minimal closures of the prime-order
-classes, and simplicity and quasisimplicity are read off the closures
-of the prime-order and the noncentral classes.  No production route
-builds the lattice of normal subgroups; normal_subgroups is a library
-function.
+Components come from normal closures of class representatives.  The
+prime-order classes are labelled over the prime-order elements alone,
+found by one power test per prime and conjugated once per generator
+(_prime_order_classes).  The minimal normal subgroups are the minimal
+closures of those classes.  A nonabelian minimal normal subgroup M is
+split from one factor (_simple_factors): the closure in M of its
+smallest prime-order class, checked simple, and that factor's
+conjugates under the group, with |T|^k = |M| checked.  Simplicity and
+quasisimplicity are read off the closures of the prime-order and the
+noncentral classes.  No production route builds the lattice of normal
+subgroups; normal_subgroups is a library function.
 
 The cache rule: data derived from a subgroup (Sylow subgroups, p-cores,
 classes, class closures, the classes of elements under it with a
@@ -60,8 +65,11 @@ transversal and centralizer each, components, a generating set, elementary
 abelian subgroups and the posets built from them) lives in one table on
 the parent group, keyed by Subgroup.key, so equal subgroups reached by
 different routes share it.  Subgroup._cache is that table's entry,
-created on first use.  Betti vectors are cached on the poset they
-describe, not here.
+created on first use.  Homology results are not derived data of a
+subgroup: PermGroup.results is the load's store of Betti vectors, keyed
+by what they are computed from (homology.betti_of_poset), which every
+poset of the group's families shares, and so do the posets of a
+conjugation action's image, which is part of the same load.
 """
 
 from collections.abc import Sequence
@@ -135,7 +143,7 @@ class PermGroup:
     """
 
     __slots__ = ("perms", "order", "degree", "gens", "name", "_index",
-                 "_pmask", "_full", "_derived")
+                 "_pmask", "_full", "_derived", "results")
 
     def __init__(self, perms, gen_indices, index, name=""):
         self.perms = np.ascontiguousarray(perms, dtype=np.int16)
@@ -147,6 +155,8 @@ class PermGroup:
         self._full = None
         # Subgroup.key -> derived data of that subgroup (Subgroup._cache)
         self._derived = {}
+        # the load's homology results, shared by its posets (Poset.results)
+        self.results = {}
 
     @classmethod
     def generate(cls, gen_rows, degree, name="", order_cap=DEFAULT_ORDER_CAP):
@@ -753,16 +763,31 @@ def _class_closure(sub, x):
     return sub._cache[key]
 
 
+def _prime_order_classes(sub):
+    """sub's conjugacy classes of prime order, as arrays by smallest
+    member, cached: the x != 1 with x^r = 1 for some prime r dividing
+    |sub|, one power test per r over sub's rows, and their orbits under
+    sub's generators, one conj_batch of those elements per generator
+    (_orbit_labels).  No other element is conjugated."""
+    sub = as_subgroup(sub)
+    if "prime classes" not in sub._cache:
+        G = sub.group
+        rows = G.perms[sub.midx]
+        prime = np.zeros(sub.order, dtype=bool)
+        for r in _prime_divisors(sub.order):
+            prime |= _power_is_identity(rows, r)
+        pel = sub.midx[1:][prime[1:]]
+        label = _orbit_labels([np.searchsorted(pel, G.conj_batch(a, pel))
+                               for a in sub.generating_set()], pel.size)
+        sub._cache["prime classes"] = (_orbit_arrays(pel, label)
+                                       if pel.size else [])
+    return sub._cache["prime classes"]
+
+
 def _prime_order_reps(sub):
-    """Representatives (smallest members) of sub's classes of prime order:
-    x != 1 with x^r = 1 for some prime r dividing |sub|, tested on the
-    representatives' rows.  The first class is the identity's."""
-    reps = np.array([c[0] for c in conjugacy_classes(sub)[1:]], dtype=np.int64)
-    rows = sub.group.perms[reps]
-    prime = np.zeros(reps.size, dtype=bool)
-    for r in _prime_divisors(sub.order):
-        prime |= _power_is_identity(rows, r)
-    return reps[prime].tolist()
+    """Representatives (smallest members) of sub's classes of prime
+    order, ascending."""
+    return [int(c[0]) for c in _prime_order_classes(sub)]
 
 
 def normal_subgroups(sub):
@@ -969,6 +994,8 @@ class ConjugationAction:
         self.image = PermGroup.generate(
             self._positions(actor.generating_set()),
             degree=int(self.tracking.size), name="conj-image")
+        # the image is part of the actor's load: its posets share results
+        self.image.results = G.results
         if self.image.order * self.kernel.order != actor.order:
             raise InvariantViolated(
                 f"conjugation image of order {self.image.order} times "
@@ -1028,6 +1055,46 @@ def is_quasisimple(sub):
                for c in conjugacy_classes(sub) if c.size > 1)
 
 
+def _simple_factors(sub, M):
+    """The simple factors of M, a nonabelian minimal normal subgroup of sub.
+
+    M is T_1 x ... x T_k for a nonabelian simple T_1 whose conjugates
+    under sub are the T_i.  A prime-order element with two nontrivial
+    coordinates has an M-class of at least the square of the smallest
+    prime-order class size of T_1, so M's smallest prime-order class lies
+    in one factor, and T = <x^M> for its representative x is that
+    factor.  T is checked simple and nonabelian, its conjugates are grown
+    under sub's generators, and |T|^k = |M| is checked for the k found
+    (ComponentsUndetectable if either fails): distinct conjugates of a
+    simple normal subgroup of M multiply directly, so then M is their
+    product.  A factor F is returned as the closure of F.midx[1] in M,
+    and M itself when k = 1.
+    """
+    x = min(_prime_order_classes(M), key=len)[0]
+    T = _class_closure(M, x)
+    if T.is_abelian() or not is_simple(T):
+        raise ComponentsUndetectable(
+            "nonabelian minimal normal subgroup does not split into "
+            "nonabelian simple factors")
+    factors, frontier = {T.key: T}, [T]
+    while frontier:
+        grown = [F.conjugate(g) for F in frontier
+                 for g in sub.generating_set()]
+        frontier = []
+        for F in grown:
+            if F.key not in factors:
+                factors[F.key] = F
+                frontier.append(F)
+    if T.order ** len(factors) != M.order:
+        raise ComponentsUndetectable(
+            f"{len(factors)} conjugates of a simple factor of order "
+            f"{T.order} do not make up the minimal normal subgroup of "
+            f"order {M.order}")
+    if len(factors) == 1:
+        return [M]
+    return [_class_closure(M, F.midx[1]) for F in factors.values()]
+
+
 def detect_components(group, declared=None):
     """The components (subnormal quasisimple subgroups) of a group.
 
@@ -1062,15 +1129,7 @@ def detect_components(group, declared=None):
         if M.is_abelian():
             primes.update(_prime_divisors(M.order))
             continue
-        if is_simple(M):
-            comps.append(M)
-        else:
-            for F in minimal_normal_subgroups(M):
-                if not (is_simple(F) and not F.is_abelian()):
-                    raise ComponentsUndetectable(
-                        "nonabelian minimal normal subgroup does not split "
-                        "into nonabelian simple factors")
-                comps.append(F)
+        comps.extend(_simple_factors(sub, M))
 
     # verify: F*(G) = F(G) * (product of components) is self-centralizing.
     # F(G) is the product of the O_p(G), and O_p(G) > 1 only for the primes

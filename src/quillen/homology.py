@@ -42,6 +42,15 @@ chain map.  Zero, injective and surjective are all decided by those
 ranks.  The test suite checks them against a dense Fraction reference
 on small maps and against the full order complexes.
 
+Results are kept by what they are computed from, so equal posets and
+maps built apart are ranked once: a Betti vector under its core's order
+in Poset.results, the store of the poset's load, and an induced-map
+report under the two cores' orders and the map between them in
+PosetMap.results, the store of the OrbitContext that built the map.
+A key holds the work_cap and a crc32 of each array, and a hit is
+checked against the arrays kept beside the result, so only equal
+contents share one (_kept).  The stores keep no complex.
+
 Self-checks raise InvariantViolated, so they also run under
 ``python -O``: faces and images present, boundary shapes, d∘d = 0 on
 every column, the replayed matching, pivot rows distinct, in range and
@@ -56,6 +65,7 @@ passes.
 
 import heapq
 import math
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -637,23 +647,45 @@ def _core(P):
     return P._cache["core"]
 
 
+def _fingerprint(*arrays):
+    """A dict key for int64 arrays by content: each one's size and crc32.
+    Equal arrays give equal keys; _kept checks a hit against the arrays
+    themselves, so two contents that share a key never share a result."""
+    return tuple((a.size, zlib.crc32(np.ascontiguousarray(a, dtype=np.int64)))
+                 for a in arrays)
+
+
+def _kept(store, key, arrays, compute):
+    """The result store keeps under key for these arrays, else compute()'s,
+    kept there with the arrays.  A hit counts only when the kept arrays
+    equal these; otherwise the new content takes the key."""
+    entry = store.get(key)
+    if entry is None or not all(np.array_equal(a, b)
+                                for a, b in zip(entry[0], arrays)):
+        entry = store[key] = arrays, compute()
+    return entry[1]
+
+
 def betti_of_poset(P, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector of the order complex of P.
 
     Runs on P's beat-point core (same homotopy type, usually far
-    smaller).  Cached on the poset per work_cap, so a call with another
-    cap computes afresh and raises if the cap is too small.
+    smaller).  The vector is kept in P.results, the load's store, under
+    the core's order (ptr and ids) and the work_cap: every poset of the
+    load with an equal core shares it, and a call with another cap
+    computes afresh and raises if the cap is too small.  P's own reduced
+    Euler characteristic is checked against it on every call.
     """
-    key = ("betti", work_cap)
-    if key in P._cache:
-        return P._cache[key]
-    bv = betti_of_complex(order_complex(_core(P)[0]), work_cap=work_cap)
+    core = _core(P)[0]
+    order = (core.ptr, core.ids)
+    bv = _kept(P.results, ("betti", work_cap, _fingerprint(*order)), order,
+               lambda: betti_of_complex(order_complex(core),
+                                        work_cap=work_cap))
     # the collapse preserves the homotopy type, so the reduced Euler
     # characteristic from chain counts on P itself must agree
     if bv.chi != P.reduced_euler():
         raise InvariantViolated(
             "core collapse changed the Euler characteristic")
-    P._cache[key] = bv
     return bv
 
 
@@ -768,27 +800,32 @@ def induced_map(f, work_cap=DEFAULT_WORK_CAP):
     and Minian 2008), so f has the ranks of g = ret_T ∘ f ∘ inc_S between
     the cached cores; g is checked order-preserving.  ranks has every
     degree from -1 to the larger poset height, as on the full complexes.
-    Cached on the map per work_cap, as Betti vectors are on the poset, so
-    a call with another cap computes afresh and raises if it is too small.
+    The report is kept in f.results (PosetMap) under the two cores'
+    orders, g's table, that height and the work_cap, so maps that share
+    a store share one report when they are equal, and the cores'
+    complexes are built once; a call with another cap computes afresh
+    and raises if it is too small.
     """
-    key = ("induced", work_cap)
-    if key in f._cache:
-        return f._cache[key]
     coreS, incS, _ = _core(f.source)
     coreT, _, retT = _core(f.target)
     g = PosetMap(coreS, coreT, retT[f.table[incS]])
     bettiS = betti_of_poset(f.source, work_cap=work_cap)
     bettiT = betti_of_poset(f.target, work_cap=work_cap)
-    KS = order_complex(coreS)
-    KT = order_complex(coreT)
-    ranks = cone_rank_profile(RawComplex.from_simplicial(KS),
-                              RawComplex.from_simplicial(KT),
-                              chain_map_from_poset_map(g.table, KS, KT),
-                              bettiS, bettiT, work_cap)
     top = max(f.source.height(), f.target.height())
-    ranks = {k: ranks.get(k, 0) for k in range(-1, top + 1)}
-    f._cache[key] = HomologyMapReport(bettiS, bettiT, ranks)
-    return f._cache[key]
+
+    def report():
+        KS = order_complex(coreS)
+        KT = order_complex(coreT)
+        ranks = cone_rank_profile(RawComplex.from_simplicial(KS),
+                                  RawComplex.from_simplicial(KT),
+                                  chain_map_from_poset_map(g.table, KS, KT),
+                                  bettiS, bettiT, work_cap)
+        return HomologyMapReport(
+            bettiS, bettiT, {k: ranks.get(k, 0) for k in range(-1, top + 1)})
+
+    arrays = (coreS.ptr, coreS.ids, coreT.ptr, coreT.ids, g.table)
+    return _kept(f.results, ("induced", work_cap, top, _fingerprint(*arrays)),
+                 arrays, report)
 
 
 # -- Kunneth and Mayer-Vietoris --------------------------------------------------------

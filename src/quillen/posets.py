@@ -122,7 +122,13 @@ class Poset:
     it has take and distinct), kept as it is: induced then takes a
     sub-family, and the duplicate check runs on its arrays.  No dict
     from label to id is kept: a family finds its members by their rows
-    (SubgroupFamily.positions), and make_map builds its own."""
+    (SubgroupFamily.positions), and make_map builds its own.
+
+    results is the store of Betti vectors (homology.betti_of_poset) of
+    the load the poset belongs to: a family's group's
+    (PermGroup.results), the parent's for an induced subposet, the first
+    factor's for a join, and a store of its own for a poset built from
+    labels."""
 
     def __init__(self, elements, ptr, ids, validate=False):
         if hasattr(elements, "distinct"):
@@ -130,10 +136,12 @@ class Poset:
                 raise NotAntisymmetric(
                     "family rows do not rise strictly: a label repeats")
             self.elements = elements
+            self.results = elements.group.results
         else:
             self.elements = tuple(elements)
             if len(set(self.elements)) != len(self.elements):
                 raise NotAntisymmetric("duplicate element labels")
+            self.results = {}
         self.n = len(self.elements)
         self.ptr = np.asarray(ptr, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=np.int64)
@@ -199,6 +207,7 @@ class Poset:
                     else self.elements.take(ids))
         sub = Poset(elements, row_ptr(newid[lo[keep]], ids.size),
                     newid[hi[keep]])
+        sub.results = self.results
         return sub, ids
 
     def chain_counts(self):
@@ -250,7 +259,10 @@ def join_posets(posets):
         hi += [phi + off, np.tile(later, P.n)]
         off += P.n
     lo, hi = np.concatenate(lo), np.concatenate(hi)
-    return Poset(elements, row_ptr(lo, total), hi[np.lexsort((hi, lo))])
+    J = Poset(elements, row_ptr(lo, total), hi[np.lexsort((hi, lo))])
+    if posets:
+        J.results = posets[0].results
+    return J
 
 
 class SimplicialComplex:
@@ -319,14 +331,16 @@ def _grow(P, level):
 
 class PosetMap:
     """Order-preserving map between posets, as an id table, checked.
-    Data derived from the map (its induced map in homology) is kept in
-    its _cache, as a poset keeps its own."""
+
+    results is the store of its induced-map reports (homology.induced_map):
+    its own, or the one it shares with the other maps an OrbitContext
+    built."""
 
     def __init__(self, source, target, table):
         self.source = source
         self.target = target
         self.table = np.asarray(table, dtype=np.int64)
-        self._cache = {}
+        self.results = {}
         if self.table.shape != (source.n,):
             raise NotOrderPreserving("table length does not match source")
         if self.table.size and (self.table.min() < 0 or self.table.max() >= target.n):

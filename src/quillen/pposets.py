@@ -621,7 +621,10 @@ class OrbitContext:
     the chain, the image-poset factors, their join, and the projection
     maps between them.  Chain identities (components sit inside their
     chain member, action kernels march down the chain, H and N and C_G(N)
-    are normal) are verified at construction time.
+    are normal) are verified at construction time.  The maps it builds
+    (_map) keep their induced-map reports in its results, so equal maps
+    built here, such as psi and a transfer map between equal posets,
+    share one.
     """
 
     def __init__(self, group, p, components=None, orbit_index=0, order=None,
@@ -690,6 +693,15 @@ class OrbitContext:
 
         self.p_divides_component = orb[0].order % self.p == 0
         self._cache = {}
+        # induced-map reports of the maps built here (_map)
+        self.results = {}
+
+    def _map(self, source, target, table):
+        """A PosetMap built by this context: its induced-map reports go
+        in the context's results, so equal maps built here share one."""
+        f = PosetMap(source, target, table)
+        f.results = self.results
+        return f
 
     # -- posets --------------------------------------------------------------
 
@@ -814,7 +826,7 @@ class OrbitContext:
             else:
                 pos = subgroup_ids(self.ap_C(0), *member_csr(members)[1:])
             table[ids] = blocks[j][0] + pos
-        self._cache[key] = PosetMap(source, target, table)
+        self._cache[key] = self._map(source, target, table)
         return self._cache[key]
 
     # -- transfer maps between mixed joins ---------------------------------------
@@ -860,7 +872,7 @@ class OrbitContext:
         table[out] = target.n - tail - factor.n + subgroup_ids(
             factor, *self.actions[i].project_family(amb.elements.take(out)))
         table[amb.n:] = target.n - tail + np.arange(tail)
-        self._cache[key] = PosetMap(source, target, table)
+        self._cache[key] = self._map(source, target, table)
         return self._cache[key]
 
 
@@ -943,13 +955,13 @@ def decomposition(ctx):
     inY = np.repeat(sizes > 1, np.diff(m.ptr))
     rtab = subgroup_ids(AH, np.concatenate(([0], np.cumsum(sizes[ids_Y]))),
                         m.entries[m.mask & inY])
-    r = PosetMap(Y, AH, rtab)
+    r = ctx._map(Y, AH, rtab)
     y0_in_Y = np.searchsorted(ids_Y, ids_Y0)
     ids_V0 = sorted_unique(rtab[y0_in_Y])
     V0, _ = AH.induced(ids_V0)
-    a = PosetMap(Y0, Y, y0_in_Y)
-    r0 = PosetMap(Y0, V0, np.searchsorted(ids_V0, rtab[y0_in_Y]))
-    b = PosetMap(V0, AH, ids_V0)
+    a = ctx._map(Y0, Y, y0_in_Y)
+    r0 = ctx._map(Y0, V0, np.searchsorted(ids_V0, rtab[y0_in_Y]))
+    b = ctx._map(V0, AH, ids_V0)
     trivial = ids_Z.size == 0
     if ctx.t >= 2:
         v0_in_diagonal = bool(np.isin(ids_V0, diagonal_poset(ctx)[2]).all())
@@ -976,7 +988,7 @@ def diagonal_poset(ctx):
         for a, b in combinations(masks, 2):
             dup |= np.logical_and.reduceat(a.mask == b.mask, a.ptr[:-1])
         D, inc = AH.induced(np.flatnonzero(dup))
-        dmap = PosetMap(D, AH, inc)
+        dmap = ctx._map(D, AH, inc)
         ctx._cache["diagonal"] = (D, dmap, inc)
     return ctx._cache["diagonal"]
 
@@ -994,7 +1006,7 @@ def off_component_subposet(ctx):
         inside = np.any([membership(AH, L).inside() for L in ctx.orbit],
                         axis=0)
         Dc, inc = AH.induced(np.flatnonzero(~inside))
-        cmap = PosetMap(Dc, AH, inc)
+        cmap = ctx._map(Dc, AH, inc)
         ctx._cache["off-component"] = (Dc, cmap, inc)
     return ctx._cache["off-component"]
 
@@ -1035,7 +1047,7 @@ def psi_h0_equivalence_report(ctx):
            for i in range(1, ctx.t + 1)]))
     matches = np.array_equal(sorted_unique(psi.table[b0ids]), Jids)
     J, _ = jd.X.induced(Jids)
-    restricted = PosetMap(B0, J, np.searchsorted(Jids, psi.table[b0ids]))
+    restricted = ctx._map(B0, J, np.searchsorted(Jids, psi.table[b0ids]))
     rep = induced_map(restricted, work_cap=wc)
     top = max(len(rep.source_betti.tilde), len(rep.target_betti.tilde))
     iso = all(rep.rank(k) == rep.source_betti.get(k) == rep.target_betti.get(k)

@@ -299,6 +299,31 @@ def test_structured_output_is_pinned(capsys, group, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the questions of the benchmark's worked-certificates workload
+WORKED = ["conditions", "thm41", "thm410 --variant formal",
+          "thm410 --variant off-component", "prop-em --n 2"]
+
+
+def test_worked_certificates_are_the_same_cold_and_warm(capsys,
+                                                        monkeypatch):
+    # cold, each command loads the group afresh; warm, the commands share
+    # one load, and with it its posets' Betti vectors, in either order,
+    # and then once more on a load that has answered them all
+    def answers(commands):
+        out = {}
+        for command in commands:
+            code, text, _ = run_cli(capsys, *command.split(), "--group",
+                                    "a5xa5-exr", "--format", "structured")
+            assert code == 0
+            out[command] = text
+        return out
+
+    cold = answers(WORKED)
+    for order in (WORKED, WORKED[::-1]):
+        monkeypatch.setattr(cli, "load_group", cache(load_group))
+        assert answers(order) == cold
+        assert answers(order) == cold
+
 def _label_free(doc):
     """A qg/1 document less the fields that name labels: the group
     argument, here a spec file's path, and poset ids ("id", in condition

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from quillen import homology
 from quillen.checkers import _cor51_component_map
 from quillen.errors import InvariantViolated, MatrixCapExceeded, NotACover
+from quillen.gspec import load_group
 from quillen.homology import RawComplex, _core, _morse_pairs, \
     _rank_profile, _replay_pairs, _residue, betti_of_complex, \
     betti_of_poset, betti_of_raw, chain_map_from_poset_map, \
@@ -689,13 +690,41 @@ def test_betti_cache_honours_work_cap(sym5):
         betti_of_poset(P, work_cap=1)
 
 
-def test_induced_map_cache_honours_work_cap(ap2_sym5):
+def test_induced_map_cache_honours_work_cap(ap2_sym5, monkeypatch):
     f = PosetMap(ap2_sym5, ap2_sym5, np.arange(ap2_sym5.n))
     rep = induced_map(f)
     assert induced_map(f) is rep
+    # an equal map shares the report; another cap ranks the cone afresh,
+    # though the Betti vectors at that cap are already known
+    caps = []
+    cone = homology.cone_rank_profile
+
+    def spy(*args):
+        caps.append(args[-1])
+        return cone(*args)
+
+    monkeypatch.setattr(homology, "cone_rank_profile", spy)
+    g = PosetMap(ap2_sym5, ap2_sym5, np.arange(ap2_sym5.n))
+    g.results = f.results
+    assert induced_map(g) is rep
+    cap = homology.DEFAULT_WORK_CAP + 1
+    betti_of_poset(ap2_sym5, work_cap=cap)
+    assert induced_map(f, work_cap=cap).ranks == rep.ranks
+    assert caps == [cap]
     with pytest.raises(MatrixCapExceeded):
         induced_map(f, work_cap=1)
 
+
+def test_results_are_shared_by_equal_contents_only(monkeypatch):
+    # every key made the same: the arrays kept with a result, not the
+    # crc32 in its key, decide whether another poset shares it
+    monkeypatch.setattr(homology, "_fingerprint", lambda *arrays: ())
+    P = ap_poset(load_group("sym4").group.full(), 2)
+    Q = ap_poset(load_group("alt5").group.full(), 2)
+    Q.results = P.results
+    assert betti_of_poset(P).is_zero()
+    assert betti_of_poset(Q).tilde == (4,)
+    assert betti_of_poset(P).is_zero()
 
 def test_mv_not_a_cover(sym4):
     U = ap_poset(sym4, 2)
@@ -958,6 +987,16 @@ def test_self_checks_survive_python_O():
             expect(ComponentsUndetectable, "is not quasisimple",
                    f"declared order {declared.order} passed as quasisimple",
                    groups.detect_components, G, [declared])
+        # a simple factor's conjugates with one dropped: A5 x A5 split
+        # from one factor, which conjugation leaves where it is, fails
+        # |T|^k = |M|
+        conjugate = groups.Subgroup.conjugate
+        groups.Subgroup.conjugate = lambda S, g: S
+        expect(ComponentsUndetectable, "1 conjugates of a simple factor of "
+               "order 60 do not make up .* of order 3600",
+               "detect_components accepted a dropped conjugate factor",
+               groups.detect_components, load_group("a5xa5-exr").group.full())
+        groups.Subgroup.conjugate = conjugate
         # an index-p extension by an element of S itself repeats S's
         # members: Z/4 as its own table, S = {0, 2} and x = 2
         import quillen.pposets as pp

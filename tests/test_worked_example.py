@@ -2,16 +2,21 @@
 
 This degree-10 group of order 14400 has one orbit of two components and
 a nontrivial decomposition, so it exercises every pipeline stage with
-exact expected values.
+exact expected values.  The benchmark's chain of certificates on it
+ranks no complex twice and computes no induced map twice.
 """
+import hashlib
+
 import numpy as np
 
+from quillen import homology
 from quillen.checkers import FAILS, HOLDS, INAPPLICABLE, check_conditions, \
     check_cor51, check_cor52, check_propEM, check_thm41, check_thm410
 from quillen.groups import centralizer, subgroup_product
+from quillen.gspec import load_group
 from quillen.homology import betti_of_poset, mv_rank_audit
-from quillen.pposets import ap_poset, decomposition, diagonal_poset, \
-    off_component_subposet, psi_h0_equivalence_report, \
+from quillen.pposets import OrbitContext, ap_poset, decomposition, \
+    diagonal_poset, off_component_subposet, psi_h0_equivalence_report, \
     verify_phi_factorization, verify_psi_tower
 
 
@@ -205,3 +210,46 @@ def test_restricted_projection_equivalence(worked_ctx):
     assert rep.iso
     assert rep.kunneth_ok
     assert rep.subjoin_betti.get(1) == 16
+
+
+def _digest(*parts):
+    """sha256 of RawComplexes (cell counts and boundaries) and chain maps
+    (degree -> Boundary)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, homology.RawComplex):
+            h.update(repr(sorted(part.counts.items())).encode())
+            part = part.cols
+        for k in sorted(part):
+            h.update(repr(k).encode())
+            for a in (part[k].ptr, part[k].rows, part[k].vals):
+                h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.digest()
+
+
+def test_worked_certificates_rank_each_complex_and_map_once(monkeypatch):
+    # the benchmark's questions on a fresh load: equal posets, cores and
+    # maps share their results, so no rank profile repeats and no induced
+    # map is computed twice.  With every poset and map apart, 6 of 18
+    # rank profiles repeated, and one of three induced maps
+    profiles, maps = [], []
+    rank_profile, cone = homology._rank_profile, homology.cone_rank_profile
+
+    def profile_spy(raw, work_cap):
+        profiles.append(_digest(raw))
+        return rank_profile(raw, work_cap)
+
+    def cone_spy(rawS, rawT, colmaps, *args):
+        maps.append(_digest(rawS, rawT, colmaps))
+        return cone(rawS, rawT, colmaps, *args)
+
+    monkeypatch.setattr(homology, "_rank_profile", profile_spy)
+    monkeypatch.setattr(homology, "cone_rank_profile", cone_spy)
+    ctx = OrbitContext(load_group("a5xa5-exr").group.full(), 2)
+    check_conditions(ctx)
+    check_thm41(ctx)
+    check_thm410(ctx, variant="formal")
+    check_thm410(ctx, variant="off-component")
+    check_propEM(ctx, 2)
+    assert profiles and len(profiles) == len(set(profiles))
+    assert maps and len(maps) == len(set(maps))
