@@ -324,6 +324,7 @@ def test_worked_certificates_are_the_same_cold_and_warm(capsys,
         assert answers(order) == cold
         assert answers(order) == cold
 
+
 def _label_free(doc):
     """A qg/1 document less the fields that name labels: the group
     argument, here a spec file's path, and poset ids ("id", in condition

@@ -726,6 +726,7 @@ def test_results_are_shared_by_equal_contents_only(monkeypatch):
     assert betti_of_poset(Q).tilde == (4,)
     assert betti_of_poset(P).is_zero()
 
+
 def test_mv_not_a_cover(sym4):
     U = ap_poset(sym4, 2)
     with pytest.raises(NotACover):

@@ -54,4 +54,3 @@ def test_no_plain_unique_in_src():
     found = [c for path in sorted(SRC.glob("*.py"))
              for c in plain_unique_calls(path.read_text(), path.stem)]
     assert found == []
-
