@@ -34,13 +34,17 @@ The hot set work runs in bulk rather than element by element in Python:
   * normalizer takes the candidates for the target's first generator t
     from t's class in the ambient, one coset of C(t) per conjugate of t
     inside the target, with no scan of the ambient.  They stay
-    permutation rows while later generators filter them, and only the
-    conjugates the filter tests and the final members are looked up.
-    The class, its transversal and C(t) come from one BFS per class,
-    cached on the ambient; a conjugate of a cached element reads its
-    class off that entry.  Every element in centralizer is tested
-    against the survivors of the last; normalizes answers "is it normal"
-    from generators alone;
+    permutation rows while later generators filter them: a conjugate
+    that agrees at the points 0 and 1 with no member of the target is
+    dropped, and only the other conjugates and the final members are
+    looked up.  The class, its transversal and C(t) come
+    from one BFS per class, cached on the ambient; a conjugate of a
+    cached element reads its class off that entry.  Every element in
+    centralizer is tested against the survivors of the last, at one
+    point before whole rows; normalizes answers "is it normal" from
+    generators alone;
+  * sylow_subgroup power tests a normalizer's members in ascending
+    blocks and stops at the first that holds a p-element outside P;
   * elementary_abelian_subgroups steps a whole rank at a time, from the
     p-elements of one power test (PermGroup.p_element_mask) and one
     table of their commuting pairs with products, searched, not looked
@@ -492,9 +496,11 @@ def require_contained(ambient, sub):
 def centralizer(ambient, target):
     """C_ambient(target) as a Subgroup.  target: Subgroup or element indices.
 
-    One element of target (a generator, or an index) at a time, the
+    One element t of target (a generator, or an index) at a time, the
     candidates shrink to those that commute with it, so later elements
-    are tested against the survivors only.
+    are tested against the survivors only.  A candidate x is first
+    tested at one point, x(t(0)) = t(x(0)), from two columns of its
+    rows; only the candidates that pass are compared with t whole.
     """
     ambient = as_subgroup(ambient)
     G = ambient.group
@@ -507,6 +513,7 @@ def centralizer(ambient, target):
     cand = ambient.midx
     for t in tgens:
         trow = G.perms[t]
+        cand = cand[G.perms[cand, trow[0]] == trow[G.perms[cand, 0]]]
         P = G.perms[cand]
         cand = cand[np.all(P[:, trow] == trow[P], axis=1)]
     return Subgroup(G, cand)
@@ -589,9 +596,12 @@ def normalizer(ambient, target):
     lie in target, with x_s t x_s^-1 = s (_element_class).  They are
     kept as permutation rows x_s c, with no lookup.  Each later
     generator u shrinks them to the rows g with g u g^-1 in target: the
-    conjugates come from one scatter (_times_inverse), and only they,
-    which mostly land on target's few elements, are looked up.  The
-    survivors, N's members, are looked up once.
+    conjugates come from one scatter (_times_inverse).  A conjugate
+    whose images of the points 0 and 1 are those of no member of target
+    is dropped at once, by one degree x degree table of the pairs
+    (s(0), s(1)) over target's members; only the rest are looked up and
+    tested by contains_indices.  The survivors, N's members, are looked
+    up once.
 
     x_s t x_s^-1 = s is checked on the rows for every kept s, so
     distinct s give disjoint cosets; the members are checked for
@@ -614,8 +624,14 @@ def normalizer(ambient, target):
             f"{_REPEATED_CANDIDATE}: a transversal row does not conjugate "
             f"{t} to its class member")
     rows = X[:, G.perms[cent]].reshape(-1, G.degree)  # x_s c
+    if rest:
+        # pairs[a, b]: some member s of target has s(0) = a, s(1) = b
+        pairs = np.zeros((G.degree, G.degree), dtype=bool)
+        pairs[G.perms[target.midx, 0], G.perms[target.midx, 1]] = True
     for u in rest:
         conj = _times_inverse(rows[:, G.perms[u]], rows)  # g u g^-1
+        hit = pairs[conj[:, 0], conj[:, 1]]
+        rows, conj = rows[hit], conj[hit]
         rows = rows[target.contains_indices(G.lookup_rows(conj))]
     members = np.sort(G.lookup_rows(rows))
     if np.any(members[1:] == members[:-1]):
@@ -871,14 +887,21 @@ def _check_prime(p):
     return p
 
 
+# members of a normalizer power tested at a time by sylow_subgroup
+_SYLOW_BLOCK = 256
+
+
 def sylow_subgroup(sub, p):
     """A Sylow p-subgroup, grown inside successive normalizers.
 
     While the current p-subgroup P is not Sylow, its normalizer contains a
     p-element outside P (the image of P's normalizer mod P has order
-    divisible by p), and adjoining one multiplies |P| by p.  The
-    p-elements of sub are those with x^(p^a) = 1, p^a the p-part of
-    |sub|: one power test over sub's rows, with no element orders.
+    divisible by p), and adjoining the least one multiplies |P| by p.
+    The p-elements of sub are those with x^(p^a) = 1, p^a the p-part of
+    |sub|, with no element orders: N's members outside P are power
+    tested in ascending blocks of _SYLOW_BLOCK, and the scan stops at
+    the first block that holds a p-element (InvariantViolated if none
+    does).
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -887,15 +910,21 @@ def sylow_subgroup(sub, p):
         return sub._cache[key]
     G = sub.group
     p_part = _p_part(sub.order, p)
-    is_pelement = _power_is_identity(G.perms[sub.midx], p_part)
     P = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
     gens = []
     while P.order < p_part:
         N = normalizer(sub, P) if P.order > 1 else sub
-        cands = N.midx[is_pelement[np.searchsorted(sub.midx, N.midx)]
-                       & ~P.contains_indices(N.midx)]
-        y = int(cands[0])
-        gens.append(y)
+        for lo in range(0, N.order, _SYLOW_BLOCK):
+            block = N.midx[lo:lo + _SYLOW_BLOCK]
+            block = block[~P.contains_indices(block)]
+            hit = block[_power_is_identity(G.perms[block], p_part)]
+            if hit.size:
+                break
+        else:
+            raise InvariantViolated(
+                f"the normalizer of a {p}-subgroup of order {P.order} "
+                f"holds no {p}-element outside it")
+        gens.append(int(hit[0]))
         P = G.subgroup(gens)
     sub._cache[key] = P
     return P

@@ -390,10 +390,14 @@ def _is_radical(sub, S, P, p):
 
 def _conjugacy_class(sub, S, found):
     """The class of S under sub as (members, gens) rows, S first, grown by
-    levels: each generator of sub conjugates a level's rows in one
-    conj_batch; a sorted row joins when its key is new to the set found."""
+    levels: each generator g of sub conjugates a level's rows through an
+    image table, image[x] = g x g^-1 or -1 while unknown, so each element
+    is looked up once per generator (one conj_batch per level of the
+    elements new to the table); a sorted row joins when its key is new
+    to the set found."""
     G = S.group
     agens = sub.generating_set()
+    tables = np.full((len(agens), G.order), -1, dtype=np.int64)
     found.add(S.key)
     members = S.midx[None, :]
     gens = np.array(S.generating_set(), dtype=np.int64)[None, :]
@@ -401,8 +405,11 @@ def _conjugacy_class(sub, S, found):
     levels = [(members, gens)]
     while members.shape[0]:
         cut = members.size
-        images = np.stack([G.conj_batch(g, np.concatenate(
-            (members.ravel(), gens.ravel()))) for g in agens])
+        rows = np.concatenate((members.ravel(), gens.ravel()))
+        for g, image in zip(agens, tables):
+            new = sorted_unique(rows[image[rows] < 0])
+            image[new] = G.conj_batch(g, new)
+        images = tables.take(rows, axis=1)
         members = np.sort(images[:, :cut].reshape(-1, width), axis=1)
         gens = images[:, cut:].reshape(-1, gens.shape[1])
         keys = members.view(np.dtype((np.void, 8 * width))).ravel().tolist()

@@ -303,6 +303,17 @@ def test_sylow_matches_loop_reference(name):
             assert (got.key, got.gens) == (want.key, want.gens), p
 
 
+def test_sylow_scan_past_its_first_block():
+    # l34's least element of order 5 lies past the first block of
+    # members sylow_subgroup power tests, so the scan reaches a later one
+    G = load_group("l34").group.full()
+    fives = np.flatnonzero(element_orders(G.group) == 5)
+    assert fives[0] >= groups._SYLOW_BLOCK
+    got, want = sylow_subgroup(G, 5), _reference_sylow(G, 5)
+    assert (got.key, got.gens) == (want.key, want.gens) == (
+        got.key, (int(fives[0]),))
+
+
 def _q_prime_parts(n):
     """n with every power of one prime q dividing it removed, per q."""
     parts = []
@@ -359,11 +370,14 @@ def test_is_cyclic():
 
 
 def _full_scan_centralizer(ambient, target):
-    # every ambient element against every generator of target
+    # every ambient element against every generator of target, a
+    # Subgroup, or every element index in target
     G = ambient.group
     P = G.perms[ambient.midx]
     mask = np.ones(ambient.order, dtype=bool)
-    for t in target.generating_set():
+    tgens = target.generating_set() if isinstance(target, Subgroup) \
+        else target
+    for t in tgens:
         trow = G.perms[t]
         mask &= np.all(P[:, trow] == trow[P], axis=1)
     return ambient.midx[mask]
@@ -423,6 +437,24 @@ def _check_normalizers_by_full_scan(name, warm):
         assert normalizes(amb, T) == (got.order == amb.order)
     assert normalizer(A6, trivial).key == A6.key
     assert normalizer(P, P).key == P.key
+
+
+def test_centralizer_of_indices_matches_full_scan():
+    # a proper ambient, and index targets holding the identity and
+    # elements that fix point 0, where the one-point test passes
+    # trivially, inside the ambient and outside it
+    G = load_group("sym6").group.full()
+    A6 = derived_subgroup(G)
+    assert A6.order == 360
+    perms = G.group.perms
+    fix0 = np.flatnonzero(perms[:, 0] == 0)[1:]
+    inside = A6.contains_indices(fix0)
+    t, u = int(fix0[inside][0]), int(fix0[~inside][0])
+    v = int(np.flatnonzero(perms[:, 0] != 0)[0])
+    for target in ([0], [0, t], [u, 0], [t, v], [0, u, v]):
+        got = centralizer(A6, target).midx.tolist()
+        assert got == _full_scan_centralizer(A6, target).tolist(), target
+        assert 0 < len(got) < A6.order or target == [0]
 
 
 @pytest.mark.parametrize("name", ["sym6", "aut-alt6"])
@@ -751,11 +783,14 @@ def test_radical_poset_row_count(monkeypatch):
     # a full scan of the ambient per target generator looked up 6 194 659,
     # a Sylow subgroup regrown for each candidate's p-core 279 527, the
     # p-cores read off N ∩ P of fully normalized candidates 247 851, and
-    # normalizers that look up only their members 190 627
+    # normalizers that look up only their members 190 627, then 170 467
+    # after later changes to the group layer; conjugates dropped by
+    # their images of the points 0 and 1 before the lookup, with each
+    # radical class's conjugates looked up once, 121 409
     G = load_group("l34").group.full()
     rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
-    assert sum(rows) <= 238_000
+    assert sum(rows) <= 130_000
 
 
 def test_radical_poset_row_count_alt8(monkeypatch):
@@ -763,11 +798,26 @@ def test_radical_poset_row_count_alt8(monkeypatch):
     # generator looked up 2 487 911 rows; cosets of that generator's
     # centralizer, one per conjugate in the target, look up 485 233, the
     # p-cores read off N ∩ P of fully normalized candidates 371 854, and
-    # normalizers that look up only their members 327 808
+    # normalizers that look up only their members 327 808, then 307 648
+    # after later changes to the group layer; conjugates dropped by
+    # their images of the points 0 and 1 before the lookup, with each
+    # radical class's conjugates looked up once, 141 702
     G = load_group("alt8").group.full()
     rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
-    assert sum(rows) <= 410_000
+    assert sum(rows) <= 155_000
+
+
+def test_radical_poset_row_count_sym8(monkeypatch):
+    # normalizers that look up every conjugate of a later target
+    # generator, and radical classes grown by looking up every member
+    # row's conjugates, looked up 533 269 rows; conjugates dropped by
+    # their images of the points 0 and 1 first, and each element's
+    # conjugate looked up once per class, 312 521
+    G = load_group("sym8").group.full()
+    rows = _counting_lookups(monkeypatch)
+    bouc_poset(G, 2)
+    assert sum(rows) <= 330_000
 
 
 def test_radical_poset_lookup_calls_sym8(monkeypatch):
@@ -799,14 +849,15 @@ def test_radical_poset_subgroup_builds_sym8(monkeypatch):
     assert len(callers) <= 1_300
 
 
-# sha256 of the member CSR (ptr, entries) and the order's (ptr, ids), as
-# int64 bytes, of the bundled radical posets _oracle_bouc does not reach,
-# computed when the radical poset was still a list of Subgroups
+# sha256 of the member CSR (ptr, entries), the order's (ptr, ids) and
+# each order block's gens rows, as int64 bytes, of the bundled radical
+# posets _oracle_bouc does not reach, computed before normalizers dropped
+# conjugates by two points and classes looked each conjugate up once
 RADICAL_DIGESTS = {
-    "sym8": "1f60b592fd56cf2ad9c3eb266a14f49513677132b022950b9634a93eca9bba74",
-    "alt8": "a15ed3181611225208008a5b0579aa348d53fd3eb94c3f40612a9bf2887538f2",
+    "sym8": "4561a085d9291e8011979312466a64c60fe6714d5c0ecf572047aa21429df0c0",
+    "alt8": "9868bd226c15762013b6fa105ca83abe98585714d274a2eb9af86365cf9282e9",
     "a5xa5-exr":
-        "3665a01009bccc2180d048f408e1fdbddfdb8c0f47900cd03583f820e1ffaf30",
+        "2aa7736f55be43d3c2179c68b996b271fa05835d6810f8107340b12e4f7f21c4",
 }
 
 
@@ -814,7 +865,8 @@ RADICAL_DIGESTS = {
 def test_radical_poset_digest(name):
     P = bouc_poset(bundled(name), 2)
     digest = hashlib.sha256()
-    for a in (*member_csr(P)[1:], P.ptr, P.ids):
+    for a in (*member_csr(P)[1:], P.ptr, P.ids,
+              *(gens for _, gens, _ in P.elements.blocks)):
         digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     assert digest.hexdigest() == RADICAL_DIGESTS[name]
 
