@@ -37,12 +37,11 @@ The hot set work runs in bulk rather than element by element in Python:
     permutation rows while later generators filter them: a conjugate
     that agrees at the points 0 and 1 with no member of the target is
     dropped, and only the other conjugates and the final members are
-    looked up.  The class, its transversal and C(t) come
-    from one BFS per class, cached on the ambient; a conjugate of a
-    cached element reads its class off that entry.  Every element in
-    centralizer is tested against the survivors of the last, at one
-    point before whole rows; normalizes answers "is it normal" from
-    generators alone;
+    looked up.  The class, its transversal and C(t) come from one BFS
+    per class, cached on the ambient; a conjugate of a cached element
+    reads its class off that entry.  Every element in centralizer is
+    tested against the survivors of the last, at one point before
+    whole rows; normalizes answers "is it normal" from generators alone;
   * sylow_subgroup power tests a normalizer's members in ascending
     blocks and stops at the first that holds a p-element outside P;
   * elementary_abelian_subgroups steps a whole rank at a time, from the

@@ -409,6 +409,7 @@ def _conjugacy_class(sub, S, found):
         for g, image in zip(agens, tables):
             new = sorted_unique(rows[image[rows] < 0])
             image[new] = G.conj_batch(g, new)
+        # take keeps the rows C-contiguous, as the void view below needs
         images = tables.take(rows, axis=1)
         members = np.sort(images[:, :cut].reshape(-1, width), axis=1)
         gens = images[:, cut:].reshape(-1, gens.shape[1])
