@@ -123,9 +123,9 @@ def _ranks_dict(ranks):
     return {int(k): int(v) for k, v in sorted(ranks.items())}
 
 
-def betti_ap(sub, p, work_cap=DEFAULT_WORK_CAP):
+def betti_ap(sub, p):
     """Reduced Betti numbers of the p-subgroup poset (cached on the poset)."""
-    return betti_of_poset(ap_poset(sub, p), work_cap=work_cap)
+    return betti_of_poset(ap_poset(sub, p))
 
 
 def _surjectivity(f, work_cap):
@@ -432,10 +432,10 @@ def check_thm410(ctx, variant="formal"):
 # -- per-component criteria ------------------------------------------------------------
 
 
-COR51_VARIANTS = ("factor", "image-H", "image-G", "aut-H", "aut-G", "aut")
+COR51_VARIANTS = ("factor", "image-H", "image-G", "aut-H", "aut-G")
 
 
-def _cor51_component_map(ctx, i, variant, aut):
+def _cor51_component_map(ctx, i, variant):
     """The map from the p-subgroup poset of L_i into the chosen target."""
     L = ctx.orbit[i - 1]
     p = ctx.p
@@ -455,19 +455,11 @@ def _cor51_component_map(ctx, i, variant, aut):
         f = PosetMap(source, target,
                      subgroup_ids(target, *act.project_family(source)))
         return f, "p-subgroup poset of the induced automorphisms"
-    if variant == "aut":
-        if aut is None or len(aut) != ctx.t:
-            raise VariantUnavailable(
-                "variant 'aut' needs one (ambient, component) realization "
-                "of the full automorphism group per component")
-        amb, Lsub = aut[i - 1]
-        return image_poset(amb, Lsub, p, cap=ctx.cap).embedded, \
-            "user-supplied automorphism realization"
     raise VariantUnavailable(f"unknown variant {variant!r}; "
                              f"choose from {COR51_VARIANTS}")
 
 
-def check_cor51(ctx, variant="factor", aut=None):
+def check_cor51(ctx, variant="factor"):
     """Per-component nonzero-map criterion.
 
     For each component, the p-subgroup poset of L_i must map nonzero in
@@ -479,7 +471,7 @@ def check_cor51(ctx, variant="factor", aut=None):
     per = []
     all_nonzero = True
     for i in range(1, ctx.t + 1):
-        f, what = _cor51_component_map(ctx, i, variant, aut)
+        f, what = _cor51_component_map(ctx, i, variant)
         rep = induced_map(f, work_cap=ctx.work_cap)
         nz = rep.nonzero()
         all_nonzero = all_nonzero and nz

@@ -94,10 +94,10 @@ def _context(cfg, bundle, G):
 
 
 def _pick_component(cfg, bundle, G):
-    comps = _declared_components(cfg, bundle)
-    if comps is None:
-        comps, _ = detect_components(G)
-    comps = sorted(comps, key=lambda L: (L.order, L.key))
+    """The --component-th component by (order, key), declared ones
+    checked quasisimple as every OrbitContext command checks them."""
+    comps, _ = detect_components(
+        G, declared=_declared_components(cfg, bundle))
     if not 1 <= cfg.component <= len(comps):
         raise QuillenError(
             f"--component {cfg.component} out of 1..{len(comps)}")
@@ -411,9 +411,9 @@ def build_parser():
                     "permutation groups.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def new(name, help_, orbit=False, group=True):
+    def new(name, help_, orbit=False):
         sp = sub.add_parser(name, help=help_)
-        _add_common(sp, group_required=group)
+        _add_common(sp)
         if orbit:
             _add_orbit(sp)
         return sp

@@ -27,6 +27,10 @@ The hot set work runs in bulk rather than element by element in Python:
   * close_indices grows a subgroup a BFS level at a time, one
     lookup_rows per generator per level, from the identity or from a
     subgroup already known, whose right cosets it then adds whole;
+  * _adjoin is the one loop that grows a subgroup until it holds given
+    elements, for generating_set, normal_closure, sylow_subgroup and
+    hyperelementary_check: the first element outside joins the
+    generators, and the subgroup regrows from its members;
   * Subgroup.contains_indices (binary search in the sorted member array)
     is the one membership test; membership asks it once for a whole
     family, over the member CSR a poset keeps, and intersections filter
@@ -44,6 +48,11 @@ The hot set work runs in bulk rather than element by element in Python:
     whole rows; normalizes answers "is it normal" from generators alone;
   * sylow_subgroup power tests a normalizer's members in ascending
     blocks and stops at the first that holds a p-element outside P;
+  * _classes is the one labelling of element classes, one position map
+    per actor generator, and _subgroup_class the one walk of a
+    subgroup's class, as rows, each element looked up once per
+    generator: the radical poset's classes and the simple factors of a
+    minimal normal subgroup;
   * elementary_abelian_subgroups steps a whole rank at a time, from the
     p-elements of one power test (PermGroup.p_element_mask) and one
     table of their commuting pairs with products, searched, not looked
@@ -56,8 +65,8 @@ found by one power test per prime and conjugated once per generator
 (_prime_order_classes).  The minimal normal subgroups are the minimal
 closures of those classes.  A nonabelian minimal normal subgroup M is
 split from one factor (_simple_factors): the closure in M of its
-smallest prime-order class, checked simple, and that factor's
-conjugates under the group, with |T|^k = |M| checked.  Simplicity and
+smallest prime-order class, checked simple, and the rows of that
+factor's class under the group, with |T|^k = |M| checked.  Simplicity and
 quasisimplicity are read off the closures of the prime-order and the
 noncentral classes.  No production route builds the lattice of normal
 subgroups; normal_subgroups is a library function.
@@ -178,7 +187,8 @@ class PermGroup:
             key = np.ascontiguousarray(r, dtype=np.int16).tobytes()
             if key not in index and all(key != g.tobytes() for g in gen_rows_u):
                 gen_rows_u.append(np.ascontiguousarray(r, dtype=np.int16))
-        gen_cols = np.array(gen_rows_u, dtype=np.int16).reshape(-1, degree)
+        gen_cols = np.array(gen_rows_u, dtype=np.int16).reshape(
+            len(gen_rows_u), degree)
         void = np.dtype((np.void, 2 * degree))
         levels = [ident.reshape(1, -1)]
         frontier = levels[0]
@@ -265,6 +275,11 @@ class PermGroup:
     def subgroup_from_rows(self, gen_rows):
         return self.subgroup(
             self.lookup_rows(_as_perm_rows(gen_rows, self.degree)))
+
+
+def _trivial(group):
+    """The trivial subgroup, generated by the identity."""
+    return Subgroup(group, np.zeros(1, dtype=np.int64), gens=(0,))
 
 
 def _gens_tuple(gen_indices):
@@ -358,21 +373,14 @@ class Subgroup:
         return bool(np.all(other.contains_indices(self.midx)))
 
     def generating_set(self):
-        """Small generating set (greedy over members), cached: each pick
-        is the least member outside the closure of the picks before it,
-        and each closure grows from the last."""
+        """Small generating set (greedy over members), cached: _adjoin
+        over the members from the identity, so each pick is the least
+        member outside the closure of the picks before it."""
         if self.gens is not None:
             return self.gens
         if "gens" not in self._cache:
-            gens = []
-            known = Subgroup(self.group, np.zeros(1, dtype=np.int64))
-            while known.order < self.order:
-                outside = self.midx[~known.contains_indices(self.midx)]
-                gens.append(int(outside[0]))
-                # the last closure lies in the next: grow from it
-                known = Subgroup(self.group, close_indices(
-                    self.group, gens, start=known.midx))
-            self._cache["gens"] = tuple(gens) if gens else (0,)
+            self._cache["gens"] = _adjoin(_trivial(self.group), [],
+                                          self.midx).gens
         return self._cache["gens"]
 
     def conjugate(self, g):
@@ -674,14 +682,20 @@ def derived_subgroup(sub):
 
 
 def _adjoin(K, bfs, elements):
-    """<K, elements> for K = <bfs>: each element outside the current K
-    joins bfs, and K grows from its members under bfs."""
+    """<K, elements> for K = <bfs>, the one loop that grows a subgroup
+    until it holds given elements: while some element lies outside K,
+    the first one joins bfs, and K is regrown from its members under
+    bfs.  The elements outside K are found by one contains_indices call
+    over those left per round.  The result carries bfs as its gens."""
     G = K.group
-    for x in elements:
-        if not K.contains_indices([x])[0]:
-            bfs.append(x)
-            K = Subgroup(G, close_indices(G, bfs, start=K.midx))
-    return K
+    rest = np.asarray(elements, dtype=np.int64)
+    while True:
+        rest = rest[~K.contains_indices(rest)]
+        if not rest.size:
+            return K
+        bfs.append(int(rest[0]))
+        K = Subgroup(G, close_indices(G, bfs, start=K.midx),
+                     gens=_gens_tuple(bfs))
 
 
 def normal_closure(ambient, seed_indices):
@@ -699,7 +713,7 @@ def normal_closure(ambient, seed_indices):
     G = ambient.group
     gens = list(dict.fromkeys(int(s) for s in seed_indices if s != 0))
     bfs = []
-    K = _adjoin(Subgroup(G, np.zeros(1, dtype=np.int64)), bfs, gens)
+    K = _adjoin(_trivial(G), bfs, gens)
     agens = ambient.generating_set()
     grew = True
     while grew and K.order < ambient.order:
@@ -720,17 +734,15 @@ def normal_closure(ambient, seed_indices):
 # -- conjugacy classes and normal subgroups -----------------------------------
 
 
-def _conjugation_orbits(actor, target):
-    """Orbits of conjugation by actor on target's members, in one sweep.
-
-    Returns label with label[k] the smallest position in target.midx of
-    the orbit of target.midx[k] (_orbit_labels): every actor generator
-    gives a position map, a permutation of target.midx.
-    """
-    G = target.group
-    midx = target.midx
-    return _orbit_labels([np.searchsorted(midx, G.conj_batch(a, midx))
-                          for a in actor.generating_set()], midx.size)
+def _classes(actor, elements):
+    """The orbits of conjugation by actor on elements, a sorted element
+    array closed under it, as arrays ordered by smallest member, each
+    ascending, in one sweep: every actor generator gives a position map,
+    a permutation of elements, from one conj_batch (_orbit_labels)."""
+    G = actor.group
+    label = _orbit_labels([np.searchsorted(elements, G.conj_batch(a, elements))
+                           for a in actor.generating_set()], elements.size)
+    return _orbit_arrays(elements, label)
 
 
 def _orbit_labels(maps, n):
@@ -760,9 +772,44 @@ def conjugacy_classes(sub):
     """Conjugacy classes of sub (as arrays of member indices), by smallest member."""
     sub = as_subgroup(sub)
     if "classes" not in sub._cache:
-        sub._cache["classes"] = _orbit_arrays(
-            sub.midx, _conjugation_orbits(sub, sub))
+        sub._cache["classes"] = _classes(sub, sub.midx)
     return sub._cache["classes"]
+
+
+def _subgroup_class(sub, S, found):
+    """The class of S under sub as (members, gens) rows, S first, grown by
+    levels: each generator g of sub conjugates a level's rows through an
+    image table, image[x] = g x g^-1 or -1 while unknown, so each element
+    is looked up once per generator (one conj_batch per level of the
+    elements new to the table); a sorted row joins when its key is new
+    to the set found."""
+    G = S.group
+    agens = sub.generating_set()
+    tables = np.full((len(agens), G.order), -1, dtype=np.int64)
+    found.add(S.key)
+    members = S.midx[None, :]
+    gens = np.array(S.generating_set(), dtype=np.int64)[None, :]
+    width = members.shape[1]
+    levels = [(members, gens)]
+    while members.shape[0]:
+        cut = members.size
+        rows = np.concatenate((members.ravel(), gens.ravel()))
+        for g, image in zip(agens, tables):
+            new = sorted_unique(rows[image[rows] < 0])
+            image[new] = G.conj_batch(g, new)
+        # take keeps the rows C-contiguous, as the void view below needs
+        images = tables.take(rows, axis=1)
+        members = np.sort(images[:, :cut].reshape(-1, width), axis=1)
+        gens = images[:, cut:].reshape(-1, gens.shape[1])
+        keys = members.view(np.dtype((np.void, 8 * width))).ravel().tolist()
+        keep = []
+        for i, key in enumerate(keys):
+            if key not in found:
+                found.add(key)
+                keep.append(i)
+        members, gens = members[keep], gens[keep]
+        levels.append((members, gens))
+    return tuple(np.concatenate(x) for x in zip(*levels))
 
 
 def _class_closure(sub, x):
@@ -782,20 +829,15 @@ def _prime_order_classes(sub):
     """sub's conjugacy classes of prime order, as arrays by smallest
     member, cached: the x != 1 with x^r = 1 for some prime r dividing
     |sub|, one power test per r over sub's rows, and their orbits under
-    sub's generators, one conj_batch of those elements per generator
-    (_orbit_labels).  No other element is conjugated."""
+    sub's generators (_classes).  No other element is conjugated."""
     sub = as_subgroup(sub)
     if "prime classes" not in sub._cache:
-        G = sub.group
-        rows = G.perms[sub.midx]
+        rows = sub.group.perms[sub.midx]
         prime = np.zeros(sub.order, dtype=bool)
         for r in _prime_divisors(sub.order):
             prime |= _power_is_identity(rows, r)
         pel = sub.midx[1:][prime[1:]]
-        label = _orbit_labels([np.searchsorted(pel, G.conj_batch(a, pel))
-                               for a in sub.generating_set()], pel.size)
-        sub._cache["prime classes"] = (_orbit_arrays(pel, label)
-                                       if pel.size else [])
+        sub._cache["prime classes"] = _classes(sub, pel) if pel.size else []
     return sub._cache["prime classes"]
 
 
@@ -820,10 +862,8 @@ def normal_subgroups(sub):
     sub = as_subgroup(sub)
     if "normals" in sub._cache:
         return sub._cache["normals"]
-    G = sub.group
-    found = {}
-    triv = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
-    found[triv.key] = triv
+    triv = _trivial(sub.group)
+    found = {triv.key: triv}
     for cls in conjugacy_classes(sub)[1:]:
         N = _class_closure(sub, cls[0])
         found.setdefault(N.key, N)
@@ -834,8 +874,7 @@ def normal_subgroups(sub):
         for B in list(found.values()):
             if A.is_subset_of(B) or B.is_subset_of(A):
                 continue
-            J = Subgroup(G, close_indices(G, B.generating_set(), start=A.midx),
-                         gens=_gens_tuple(A.generating_set() + B.generating_set()))
+            J = subgroup_product(A, B)
             if J.key not in found:
                 found[J.key] = J
                 worklist.append(J)
@@ -909,8 +948,7 @@ def sylow_subgroup(sub, p):
         return sub._cache[key]
     G = sub.group
     p_part = _p_part(sub.order, p)
-    P = Subgroup(G, np.array([0], dtype=np.int64), gens=(0,))
-    gens = []
+    P, bfs = _trivial(G), []
     while P.order < p_part:
         N = normalizer(sub, P) if P.order > 1 else sub
         for lo in range(0, N.order, _SYLOW_BLOCK):
@@ -923,8 +961,7 @@ def sylow_subgroup(sub, p):
             raise InvariantViolated(
                 f"the normalizer of a {p}-subgroup of order {P.order} "
                 f"holds no {p}-element outside it")
-        gens.append(int(hit[0]))
-        P = G.subgroup(gens)
+        P = _adjoin(P, bfs, hit[:1])
     sub._cache[key] = P
     return P
 
@@ -969,7 +1006,7 @@ def hyperelementary_check(sub, q):
     # the q'-elements: x^m = 1 for m the q'-part of |sub|
     qprime = sub.midx[_power_is_identity(sub.group.perms[sub.midx],
                                          sub.order // _p_part(sub.order, q))]
-    K = sub.group.subgroup(qprime)
+    K = _adjoin(_trivial(sub.group), [], qprime)
     cyclic = K.is_cyclic()
     return cyclic, {
         "q": q,
@@ -1007,8 +1044,7 @@ class ConjugationAction:
         self.target = target
         self.kernel = centralizer(actor, target)
 
-        classes = _orbit_arrays(target.midx,
-                                _conjugation_orbits(actor, target))
+        classes = _classes(actor, target.midx)
         chosen = [np.zeros(0, dtype=np.int64)]
         C = actor
         for cls in sorted(classes[1:], key=lambda c: (c.size, int(c[0]))):
@@ -1095,8 +1131,9 @@ def _simple_factors(sub, M):
     under sub's generators, and |T|^k = |M| is checked for the k found
     (ComponentsUndetectable if either fails): distinct conjugates of a
     simple normal subgroup of M multiply directly, so then M is their
-    product.  A factor F is returned as the closure of F.midx[1] in M,
-    and M itself when k = 1.
+    product.  The conjugates are the member rows of T's class under sub
+    (_subgroup_class); a factor F is returned as the closure in M of its
+    smallest nontrivial member, and M itself when k = 1.
     """
     x = min(_prime_order_classes(M), key=len)[0]
     T = _class_closure(M, x)
@@ -1104,15 +1141,7 @@ def _simple_factors(sub, M):
         raise ComponentsUndetectable(
             "nonabelian minimal normal subgroup does not split into "
             "nonabelian simple factors")
-    factors, frontier = {T.key: T}, [T]
-    while frontier:
-        grown = [F.conjugate(g) for F in frontier
-                 for g in sub.generating_set()]
-        frontier = []
-        for F in grown:
-            if F.key not in factors:
-                factors[F.key] = F
-                frontier.append(F)
+    factors, _ = _subgroup_class(sub, T, set())
     if T.order ** len(factors) != M.order:
         raise ComponentsUndetectable(
             f"{len(factors)} conjugates of a simple factor of order "
@@ -1120,7 +1149,7 @@ def _simple_factors(sub, M):
             f"order {M.order}")
     if len(factors) == 1:
         return [M]
-    return [_class_closure(M, F.midx[1]) for F in factors.values()]
+    return [_class_closure(M, row[1]) for row in factors]
 
 
 def detect_components(group, declared=None):

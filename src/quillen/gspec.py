@@ -77,13 +77,13 @@ def _alt_gens(n):
     return [[*range(i), i + 1, i + 2, i, *range(i + 3, n)] for i in range(n - 2)]
 
 
-def _build_rows(raw, degree_hint=None):
+def _build_rows(raw):
     """Return (degree, generator rows) for a spec dict."""
     cons = raw.get("construction")
     if cons is None:
         raise MalformedSpec("spec has no construction field")
     if cons == "generators":
-        degree = raw.get("degree", degree_hint)
+        degree = raw.get("degree")
         if degree is None:
             raise MalformedSpec("generators construction needs a degree")
         rows = [parse_cycles(s, degree) for s in raw.get("generators", [])]

@@ -856,13 +856,13 @@ def join_betti(bettis):
     return acc
 
 
-def kunneth_check(P, Q, work_cap=DEFAULT_WORK_CAP):
+def kunneth_check(P, Q):
     """b̃_n(join) = sum_{i+j=n-1} b̃_i(P) b̃_j(Q), checked exactly.
 
     The degree -1 convention makes this cover empty factors too."""
-    bP = betti_of_poset(P, work_cap=work_cap)
-    bQ = betti_of_poset(Q, work_cap=work_cap)
-    bJ = betti_of_poset(join_posets([P, Q]), work_cap=work_cap)
+    bP = betti_of_poset(P)
+    bQ = betti_of_poset(Q)
+    bJ = betti_of_poset(join_posets([P, Q]))
     top = len(bP.tilde) + len(bQ.tilde) + 1
     conv = join_betti([bP, bQ])
     expected = tuple(conv.get(n, 0) for n in range(-1, top + 1))

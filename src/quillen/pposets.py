@@ -46,6 +46,7 @@ from .groups import (
     _orbit_arrays,
     _orbit_labels,
     _prime_divisors,
+    _subgroup_class,
     as_subgroup,
     center,
     centralizer,
@@ -388,42 +389,6 @@ def _is_radical(sub, S, P, p):
     return core.key == S.key
 
 
-def _conjugacy_class(sub, S, found):
-    """The class of S under sub as (members, gens) rows, S first, grown by
-    levels: each generator g of sub conjugates a level's rows through an
-    image table, image[x] = g x g^-1 or -1 while unknown, so each element
-    is looked up once per generator (one conj_batch per level of the
-    elements new to the table); a sorted row joins when its key is new
-    to the set found."""
-    G = S.group
-    agens = sub.generating_set()
-    tables = np.full((len(agens), G.order), -1, dtype=np.int64)
-    found.add(S.key)
-    members = S.midx[None, :]
-    gens = np.array(S.generating_set(), dtype=np.int64)[None, :]
-    width = members.shape[1]
-    levels = [(members, gens)]
-    while members.shape[0]:
-        cut = members.size
-        rows = np.concatenate((members.ravel(), gens.ravel()))
-        for g, image in zip(agens, tables):
-            new = sorted_unique(rows[image[rows] < 0])
-            image[new] = G.conj_batch(g, new)
-        # take keeps the rows C-contiguous, as the void view below needs
-        images = tables.take(rows, axis=1)
-        members = np.sort(images[:, :cut].reshape(-1, width), axis=1)
-        gens = images[:, cut:].reshape(-1, gens.shape[1])
-        keys = members.view(np.dtype((np.void, 8 * width))).ravel().tolist()
-        keep = []
-        for i, key in enumerate(keys):
-            if key not in found:
-                found.add(key)
-                keep.append(i)
-        members, gens = members[keep], gens[keep]
-        levels.append((members, gens))
-    return tuple(np.concatenate(x) for x in zip(*levels))
-
-
 def bouc_poset(sub, p):
     """Poset of nontrivial p-radical subgroups of sub.
 
@@ -446,7 +411,7 @@ def bouc_poset(sub, p):
     P = sylow_subgroup(sub, p)
     for S in _p_subgroup_class_reps(P)[1:]:
         if S.key not in found and _is_radical(sub, S, P, p):
-            members, gens = _conjugacy_class(sub, S, found)
+            members, gens = _subgroup_class(sub, S, found)
             classes.setdefault(S.order, []).append((members, gens))
     blocks = []
     for order in sorted(classes):
@@ -900,13 +865,12 @@ def verify_psi_tower(ctx):
     return checked
 
 
-def verify_phi_factorization(ctx, i=None):
-    """psi_i agrees elementwise with the composite of the transfer maps
-    Phi_{1,i} o ... o Phi_{i,i}, on the first block of T(i, i), which is
-    the p-subgroup poset of C_i in its own order; returns the number of
+def verify_phi_factorization(ctx):
+    """psi_t agrees elementwise with the composite of the transfer maps
+    Phi_{1,t} o ... o Phi_{t,t}, on the first block of T(t, t), which is
+    the p-subgroup poset of C_t in its own order; returns the number of
     elements checked."""
-    if i is None:
-        i = ctx.t
+    i = ctx.t
     if i == 0:
         return 0
     comp = ctx.phi_step(i, i)

@@ -119,6 +119,19 @@ def test_prop68_cli(capsys):
     assert "holds" in out
 
 
+@pytest.mark.parametrize("command, gens", [("prop68", "(1 2)"),
+                                           ("outers", "(1 2 3)"),
+                                           ("image-poset", "(1 2 3)")])
+def test_declared_component_must_be_quasisimple(capsys, command, gens):
+    # a C2 or C3 declared as a component is refused, as the commands
+    # built on an OrbitContext refuse it, before any verdict or count
+    code, out, err = run_cli(capsys, command, "--group", "sym5",
+                             "--component-gens", gens)
+    assert code != 0
+    assert out == ""
+    assert "is not quasisimple" in err
+
+
 def test_robinson_cli_structured(capsys):
     code, out, _ = run_cli(capsys, "robinson", "--group", "sym5",
                            "--q", "5", "--format", "structured")

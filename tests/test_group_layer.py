@@ -37,15 +37,15 @@ import pytest
 from quillen import groups
 from quillen.errors import ActorDoesNotNormalize, CenterHasPTorsion, \
     ComponentsUndetectable, NotAnElement, ParentMismatch, QuillenError
-from quillen.groups import PermGroup, Subgroup, _class_closure, center, \
-    centralizer, close_indices, conjugacy_classes, conjugation_action, \
-    derived_subgroup, detect_components, elementary_abelian_subgroups, \
-    is_quasisimple, is_simple, member_csr, minimal_normal_subgroups, \
-    normal_subgroups, normalizer, normalizes, p_core, subgroup_product, \
-    sylow_subgroup
+from quillen.groups import PermGroup, Subgroup, _class_closure, \
+    _subgroup_class, center, centralizer, close_indices, conjugacy_classes, \
+    conjugation_action, derived_subgroup, detect_components, \
+    elementary_abelian_subgroups, hyperelementary_check, is_quasisimple, \
+    is_simple, member_csr, minimal_normal_subgroups, normal_subgroups, \
+    normalizer, normalizes, p_core, subgroup_product, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
 from quillen.perms import parse_cycles
-from quillen.pposets import OrbitContext, _conjugacy_class, _is_radical, \
+from quillen.pposets import OrbitContext, _is_radical, \
     _p_subgroup_class_reps, ap_poset, bouc_poset, decomposition, \
     image_poset, image_poset_from_action
 
@@ -270,7 +270,7 @@ def test_bouc_matches_definition(name, p):
             assert radical == (p_core(normalizer(G, S), p).key == S.key)
     assert tested
     for S in skipped:
-        members, _ = _conjugacy_class(G, S, set())
+        members, _ = _subgroup_class(G, S, set())
         assert tested & {M.tobytes() for M in members}
 
 
@@ -422,7 +422,7 @@ def _check_normalizers_by_full_scan(name, warm):
     # derived from the class entry of the first one reached
     four = next(S for S in reps if S.order == 4 and not S.is_cyclic())
     cases += [(G, Subgroup(G.group, M, gens=g)) for S in (two, four)
-              for M, g in zip(*_conjugacy_class(G, S, set()))]
+              for M, g in zip(*_subgroup_class(G, S, set()))]
     if warm:
         # every class entry the cases need is cached before the first
         # check, reached in the opposite order
@@ -755,6 +755,24 @@ def test_image_poset_refuses_a_center_with_p_torsion():
     assert (ip.source.n, ip.poset.n) == (6, 6)
 
 
+def test_trivial_conjugation_action_has_image_of_order_one(sym5):
+    # N(<(1 2)>) centralizes it: the tracking set is empty, so the image
+    # is generated on no points
+    L = sym5.group.subgroup_from_rows([parse_cycles("(1 2)", 5)])
+    act = conjugation_action(normalizer(sym5, L), L)
+    assert act.tracking.size == 0
+    assert (act.image.order, act.image.degree) == (1, 0)
+    assert act.kernel.order == 12
+
+
+def test_image_poset_of_a_trivially_acted_p_group_is_refused(sym5):
+    # <(1 2)> is its own center, of order 2: a typed refusal, not a
+    # failure to build the order-one image
+    L = sym5.group.subgroup_from_rows([parse_cycles("(1 2)", 5)])
+    with pytest.raises(CenterHasPTorsion, match="2-torsion"):
+        image_poset(sym5, L, 2)
+
+
 # a8-in-s8 has the permutation group of sym8 (see _reference)
 @pytest.mark.parametrize(
     "name", [n for n in BUNDLED if n != "a8-in-s8"] + sorted(BUILT))
@@ -825,11 +843,24 @@ def test_radical_poset_lookup_calls_sym8(monkeypatch):
     # closing each class representative, regrowing a Sylow subgroup per
     # candidate and conjugating each radical member on its own made
     # 16 281 calls; index-p extensions, p-cores read off N ∩ P and one
-    # batch per level of each radical class make 3 558
+    # batch per level of each radical class make 3 558, then 2 717
+    # after later changes to the group layer; the Sylow subgroup grown
+    # from its own members, 2 648
     G = load_group("sym8").group.full()
     rows = _counting_lookups(monkeypatch)
     bouc_poset(G, 2)
-    assert len(rows) <= 4_269
+    assert len(rows) <= 2_780
+
+
+def test_hyperelementary_lookup_calls_alt8(monkeypatch):
+    # O^q closed with every q'-element of Alt(8) as a generator made
+    # 43 197 calls over 290 283 840 rows; grown from the identity by
+    # adjoining only the q'-elements outside it, 158 calls
+    G = load_group("alt8").group.full()
+    rows = _counting_lookups(monkeypatch)
+    cyclic, ev = hyperelementary_check(G, 7)
+    assert (cyclic, ev["oq_order"], ev["index"]) == (False, 20160, 1)
+    assert len(rows) <= 250
 
 
 def test_radical_poset_subgroup_builds_sym8(monkeypatch):
@@ -846,7 +877,7 @@ def test_radical_poset_subgroup_builds_sym8(monkeypatch):
 
     monkeypatch.setattr(Subgroup, "__init__", spy)
     bouc_poset(G, 2)
-    assert callers.count("_conjugacy_class") == 0
+    assert callers.count("_subgroup_class") == 0
     assert len(callers) <= 1_300
 
 

@@ -205,7 +205,7 @@ def checker_maps(ctx):
     maps.update({f"phi{i}": ctx.phi_step(i) for i in range(1, ctx.t + 1)})
     maps["thm410-formal"] = diagonal_poset(ctx)[1]
     maps["thm410-off-component"] = off_component_subposet(ctx)[1]
-    maps.update({f"aut-H{i}": _cor51_component_map(ctx, i, "aut-H", None)[0]
+    maps.update({f"aut-H{i}": _cor51_component_map(ctx, i, "aut-H")[0]
                  for i in range(1, ctx.t + 1)})
     return maps
 
@@ -989,15 +989,16 @@ def test_self_checks_survive_python_O():
                    f"declared order {declared.order} passed as quasisimple",
                    groups.detect_components, G, [declared])
         # a simple factor's conjugates with one dropped: A5 x A5 split
-        # from one factor, which conjugation leaves where it is, fails
-        # |T|^k = |M|
-        conjugate = groups.Subgroup.conjugate
-        groups.Subgroup.conjugate = lambda S, g: S
+        # from one factor whose class is read as that factor's row
+        # alone fails |T|^k = |M|
+        subgroup_class = groups._subgroup_class
+        groups._subgroup_class = lambda sub, S, found: (
+            S.midx[None, :], np.array(S.generating_set())[None, :])
         expect(ComponentsUndetectable, "1 conjugates of a simple factor of "
                "order 60 do not make up .* of order 3600",
                "detect_components accepted a dropped conjugate factor",
                groups.detect_components, load_group("a5xa5-exr").group.full())
-        groups.Subgroup.conjugate = conjugate
+        groups._subgroup_class = subgroup_class
         # an index-p extension by an element of S itself repeats S's
         # members: Z/4 as its own table, S = {0, 2} and x = 2
         import quillen.pposets as pp
