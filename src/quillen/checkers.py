@@ -52,12 +52,11 @@ from .homology import (
     induced_map,
 )
 from .pposets import (
+    DIAGONALS,
     ap_poset,
     conj_action_tables,
     decomposition,
-    diagonal_poset,
     image_poset,
-    off_component_subposet,
     p_outer_poset,
     subgroup_ids,
     subgroup_orbits,
@@ -232,6 +231,12 @@ def _condition_C(ctx, dec):
 
 
 def _condition_E(ctx):
+    """(E): the inclusion K0 -> K(X) is zero in reduced homology.
+
+    K0 is a subcomplex of K(X) and no poset's order complex, so (E) alone
+    has no beat-point core to run on: its mapping cone is built on the
+    full complexes, and betti_of_poset(X) supplies K(X)'s Betti vector.
+    """
     cx = ctx.complexes()
     X, wc = ctx.join().X, ctx.work_cap
     rawS = RawComplex.from_simplicial(cx.K0)
@@ -405,12 +410,9 @@ def check_thm410(ctx, variant="formal"):
             "precondition": "p divides the component order",
             "component_order": int(ctx.orbit[0].order),
             "why": "component order is coprime to p"}, inputs)
-    if variant == "formal":
-        D, dmap, _ = diagonal_poset(ctx)
-    elif variant == "off-component":
-        D, dmap, _ = off_component_subposet(ctx)
-    else:
+    if variant not in DIAGONALS:
         raise VariantUnavailable(f"unknown diagonal variant {variant!r}")
+    D, dmap, _ = DIAGONALS[variant](ctx)
     AH = ctx.ap_H()
     ev = {"diagonal_size": D.n, "poset_size": AH.n, "variant": variant}
     if D.n == AH.n:

@@ -862,7 +862,8 @@ def normal_subgroups(sub):
     sub = as_subgroup(sub)
     if "normals" in sub._cache:
         return sub._cache["normals"]
-    triv = _trivial(sub.group)
+    G = sub.group
+    triv = _trivial(G)
     found = {triv.key: triv}
     for cls in conjugacy_classes(sub)[1:]:
         N = _class_closure(sub, cls[0])
@@ -874,7 +875,9 @@ def normal_subgroups(sub):
         for B in list(found.values()):
             if A.is_subset_of(B) or B.is_subset_of(A):
                 continue
-            J = subgroup_product(A, B)
+            gens = _gens_tuple(A.generating_set() + B.generating_set())
+            J = Subgroup(G, close_indices(G, B.generating_set(), A.midx),
+                         gens=gens)
             if J.key not in found:
                 found[J.key] = J
                 worklist.append(J)

@@ -77,30 +77,37 @@ def _alt_gens(n):
     return [[*range(i), i + 1, i + 2, i, *range(i + 3, n)] for i in range(n - 2)]
 
 
+def _field(raw, name):
+    """raw[name], which the spec's construction requires."""
+    if raw.get(name) is None:
+        raise MalformedSpec(
+            f"{raw['construction']} construction needs a {name!r} field")
+    return raw[name]
+
+
 def _build_rows(raw):
     """Return (degree, generator rows) for a spec dict."""
-    cons = raw.get("construction")
+    cons = raw.get("construction") if isinstance(raw, dict) else None
     if cons is None:
-        raise MalformedSpec("spec has no construction field")
+        raise MalformedSpec(
+            "spec must be a JSON object with a 'construction' field")
     if cons == "generators":
-        degree = raw.get("degree")
-        if degree is None:
-            raise MalformedSpec("generators construction needs a degree")
+        degree = _field(raw, "degree")
         rows = [parse_cycles(s, degree) for s in raw.get("generators", [])]
         return degree, rows
     if cons == "symmetric":
-        n = int(raw["degree"])
+        n = int(_field(raw, "degree"))
         return n, [np.array(g) for g in _sym_gens(n)]
     if cons == "alternating":
-        n = int(raw["degree"])
+        n = int(_field(raw, "degree"))
         return n, [np.array(g) for g in _alt_gens(n)]
     if cons == "cyclic":
-        n = int(raw["degree"])
+        n = int(_field(raw, "degree"))
         if n < 2:
             return 1, []
         return n, [np.roll(np.arange(n), -1)]
     if cons == "dihedral":
-        order = int(raw["order"])
+        order = int(_field(raw, "order"))
         if order < 6 or order % 2:
             raise MalformedSpec("dihedral order must be even and at least 6")
         m = order // 2
@@ -108,7 +115,7 @@ def _build_rows(raw):
         ref = (-np.arange(m)) % m
         return m, [rot, ref]
     if cons == "direct_product":
-        parts = [_build_rows(f)[:2] for f in raw["factors"]]
+        parts = [_build_rows(f)[:2] for f in _field(raw, "factors")]
         degree = sum(d for d, _ in parts)
         rows = []
         off = 0
@@ -120,11 +127,11 @@ def _build_rows(raw):
             off += d
         return degree, rows
     if cons == "semidirect":
-        degree, base_rows = _build_rows(raw["base"])
+        degree, base_rows = _build_rows(_field(raw, "base"))
         top_rows = [parse_cycles(s, degree) for s in raw.get("top", [])]
         return degree, base_rows + top_rows, ("semidirect", base_rows, top_rows)
     if cons == "subgroup_of":
-        degree, _ = _build_rows(raw["parent"])[:2]
+        degree, _ = _build_rows(_field(raw, "parent"))[:2]
         rows = [parse_cycles(s, degree) for s in raw.get("generators", [])]
         return degree, rows, ("subgroup_of", raw["parent"])
     raise MalformedSpec(f"unknown construction {cons!r}")

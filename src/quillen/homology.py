@@ -112,7 +112,9 @@ def _stack(ncols, parts):
     """One Boundary of ncols columns from parts (B, col_shift, row_shift,
     sign): entry (i, v) of B's column j lands in column col_shift + j as
     (row_shift + i, sign * v).  One stable argsort by column keeps each
-    column's entries in part order, and in B's order within a part."""
+    column's entries in part order, and in B's order within a part.
+    Mapping cones, direct sums, mv_rank_audit's α and the pair search's
+    face matrix are all stacked here."""
     col, rows, vals = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     for B, cs, rs, sign in parts:
         col.append(B.owners() + cs)
@@ -148,8 +150,10 @@ class RawComplex:
 
     @classmethod
     def from_simplicial(cls, K):
-        """Boundary of K: face t, the row less entry t, has sign (-1)^t.
-        One K.index call per degree; missing faces raise InvariantViolated."""
+        """Boundary of K: face t, the row less entry t, has sign (-1)^t,
+        so a degree-k column has k + 1 entries and ptr is
+        arange(m + 1)·(k + 1).  One K.index call per degree; missing
+        faces raise InvariantViolated."""
         counts = {-1: 1}
         cols = {}
         for k, simps in enumerate(K.dims):
@@ -362,7 +366,9 @@ def _morse_rounds(raw, work_cap):
     round's pairs as two arrays (a, b) of cells of the whole complex
     (_cell_offsets), cell a of degree k with cell b of degree k + 1.
 
-    A round reads only its frontier.  It takes the frontier's
+    The faces are raw's boundaries stacked into one CSR over the whole
+    complex (_stack), and the cofaces are its transpose.  A round reads
+    only its frontier.  It takes the frontier's
     coreduction candidates: b with one live face entry a, with a nonzero
     coefficient.  If there are none, it takes the collapse candidates: a
     with one live coface entry b, with a nonzero coefficient.  It keeps

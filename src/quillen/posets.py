@@ -5,7 +5,10 @@ int64 arrays ptr and ids, ids[ptr[i]:ptr[i+1]], holds the ids above i in
 ascending order.  Ids are assigned along a linear extension (i < j
 whenever element i is below element j), so chains are id-increasing and
 the relation pairs (row, id) are sorted by the key row·n + id, which the
-bulk tests search.
+bulk tests search.  An induced subposet is a mask and a renumbering of
+those pairs; a join concatenates the factors' arrays.  Each order check
+(PosetMap, action tables, the embedded copy of an image poset, the
+Mayer–Vietoris cover) is one sorted search over the pairs.
 
 The order complex K(P) has the nonempty chains of P as simplices, kept
 per degree d as one (m_d, d+1) int64 array of increasing rows, in

@@ -731,7 +731,9 @@ class OrbitContext:
         """Order complex of X with the K0 and K0hat subcomplexes.
 
         K0hat (union of stars of one vertex per factor) is verified
-        acyclic and to contain K0."""
+        acyclic and to contain K0.  Both are row masks on K(X)'s arrays,
+        so their rows stay in the lexicographic order that
+        SimplicialComplex.index searches."""
         if "complexes" not in self._cache:
             jd = self.join()
             KX = order_complex(jd.X)
@@ -981,6 +983,10 @@ def off_component_subposet(ctx):
         cmap = ctx._map(Dc, AH, inc)
         ctx._cache["off-component"] = (Dc, cmap, inc)
     return ctx._cache["off-component"]
+
+
+# the diagonal models of thm410 and `qg diagonal`, by variant name
+DIAGONALS = {"formal": diagonal_poset, "off-component": off_component_subposet}
 
 
 # -- the standard equivalence on the inner part ----------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -378,3 +379,83 @@ def test_structured_output_survives_relabeling(tmp_path, capsys,
             for g, c in pinned:
                 if g == name:
                     assert answer(c, str(path)) == bundled[g, c], (g, c, seed)
+
+
+# one run of each subcommand on a bundled group, with every extra it takes
+EVERY_COMMAND = {
+    "betti": "--group sym5", "euler": "--group sym5",
+    "euler-formula": "--group sym5", "ap": "--group sym5",
+    "bouc": "--group sym5", "image-poset": "--group sym5",
+    "outers": "--group sym5", "diagonal": "--group sym5",
+    "conditions": "--group sym5 --which C", "thm41": "--group sym5",
+    "thm410": "--group sym5", "cor51": "--group sym5",
+    "cor52": "--group sym6 --f (1,2);(1,2,3,4,5,6)",
+    "prop-em": "--group sym5 --n 1", "prop68": "--group sym5",
+    "robinson": "--group sym5 --q 5", "hqc": "--group sym5",
+    "reproduce-paper": "",
+}
+
+
+class _Recorded:
+    """A parsed namespace that records the names read from it."""
+
+    def __init__(self, args):
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_flag_is_read(capsys, monkeypatch):
+    # a flag that no handler reads is a knob that does nothing: each
+    # subcommand reads every dest its subparser declares
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] == 1])
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(time=lambda: 0.0))
+    monkeypatch.setattr(cli, "load_group", cache(load_group))
+    parser = cli.build_parser()
+    subparsers = _subparsers(parser)
+    assert list(subparsers) == list(cli.COMMANDS) == list(EVERY_COMMAND)
+    for command, argv in EVERY_COMMAND.items():
+        args = _Recorded(parser.parse_args([command, *argv.split()]))
+        assert cli.run(args) == 0, command
+        declared = {a.dest for a in subparsers[command]._actions
+                    if a.dest != "help"}
+        assert declared <= args.read, (command, declared - args.read)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("euler", "--work-cap"), ("euler-formula", "--work-cap"),
+    ("ap", "--work-cap"), ("outers", "--work-cap"),
+    ("robinson", "--work-cap"), ("bouc", "--enum-cap"),
+    ("image-poset", "--orbit-index"), ("image-poset", "--component-order"),
+    ("outers", "--orbit-index"), ("outers", "--component-order")])
+def test_unread_flags_are_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--group", "sym5", flag, "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_spec_without_its_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "bare.spec"
+    path.write_text(json.dumps({"construction": "symmetric"}))
+    code, out, err = run_cli(capsys, "betti", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: symmetric construction needs a 'degree' field\n"
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Subcommands:", 1)[1].split("\n\n")[1]
+    listed = [row.split("`")[1] for row in table.splitlines()
+              if row.startswith("| `")]
+    assert listed == list(_subparsers(cli.build_parser()))

@@ -863,6 +863,15 @@ def test_hyperelementary_lookup_calls_alt8(monkeypatch):
     assert len(rows) <= 250
 
 
+def test_normal_subgroups_lookup_calls_aut_alt6(monkeypatch):
+    # each join AB of two normal subgroups grown from A's members under
+    # both groups' generators made 865 calls; under B's alone, 793
+    G = load_group("aut-alt6").group.full()
+    rows = _counting_lookups(monkeypatch)
+    assert len(normal_subgroups(G)) == 6
+    assert len(rows) <= 833
+
+
 def test_radical_poset_subgroup_builds_sym8(monkeypatch):
     # a count of Subgroup builds, by the function that builds each; with
     # one Subgroup per radical member, 2 153 in all, 926 of them in the

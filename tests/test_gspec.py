@@ -76,6 +76,17 @@ def test_malformed():
         build_group({"construction": "nonsense"})
     with pytest.raises(MalformedSpec):
         build_group({"degree": 5})
+    # a construction without its required field names both
+    for cons, field in [("symmetric", "degree"), ("alternating", "degree"),
+                        ("cyclic", "degree"), ("dihedral", "order"),
+                        ("direct_product", "factors"), ("semidirect", "base"),
+                        ("subgroup_of", "parent"), ("generators", "degree")]:
+        with pytest.raises(MalformedSpec,
+                           match=f"{cons} construction needs a '{field}'"):
+            build_group({"construction": cons})
+    # a nested spec that is no object is malformed too
+    with pytest.raises(MalformedSpec, match="must be a JSON object"):
+        build_group({"construction": "direct_product", "factors": [5]})
 
 
 def test_generators_outside_the_group():

@@ -4,8 +4,8 @@ every defaulted one is supplied by some call.
 An ast scan of src/quillen/*.py: a parameter counts as read when its name
 is loaded anywhere in the function's body, nested functions included.
 `self` and `cls` are exempt, and so are the `cli.cmd_*` handlers, which
-share one signature whether or not they use the config.  A parameter
-that nothing reads is a knob that does nothing.
+share one signature whether or not they read the parsed arguments.  A
+parameter that nothing reads is a knob that does nothing.
 
 A defaulted parameter counts as supplied when some call in src, scripts,
 perfbench or tests, to a callee of the function's name (the class's for
