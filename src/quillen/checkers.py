@@ -603,6 +603,8 @@ def check_prop68(ambient, L, p, k=None, cap=DEFAULT_ENUM_CAP,
     injects into the image poset in degree k) is recomputed directly.
     Every poset enumeration is bounded by cap.
     """
+    if k is not None and k < 0:
+        raise IndexOutOfRange(f"degree {k} must be nonnegative")
     ambient = as_subgroup(ambient)
     L = as_subgroup(L)
     p = _check_prime(p)

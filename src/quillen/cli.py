@@ -55,12 +55,10 @@ def _declared_components(args, bundle):
 
 
 def _context(args, bundle, G):
-    order = args.component_order
     return OrbitContext(G, args.p,
                         components=_declared_components(args, bundle),
                         orbit_index=args.orbit_index,
-                        order=[int(x) for x in order.split(",")] if order
-                        else None,
+                        order=args.component_order,
                         cap=args.enum_cap, work_cap=args.work_cap)
 
 
@@ -216,10 +214,7 @@ def cmd_diagonal(args):
 def cmd_conditions(args):
     bundle, G = _load(args)
     ctx = _context(args, bundle, G)
-    which = None
-    if args.which:
-        which = [w.strip() for w in args.which.split(",") if w.strip()]
-    rep = checkers.check_conditions(ctx, which=which)
+    rep = checkers.check_conditions(ctx, which=args.which)
     result = {"verdicts": rep.verdicts(), "consistent": rep.consistent,
               "trivial": rep.trivial, "notes": rep.notes,
               "certificates": {t: c.as_dict()
@@ -305,6 +300,24 @@ def cmd_reproduce_paper(args):
 
 # -- the parser -----------------------------------------------------------------------
 
+
+def _int_list(text):
+    """--component-order: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _selection(text):
+    """--which: comma-separated condition tags, at least one."""
+    tags = [t.strip() for t in text.split(",") if t.strip()]
+    if not tags:
+        raise argparse.ArgumentTypeError(f"empty selection {text!r}")
+    return tags
+
+
 # every flag, declared once: name -> (option strings, add_argument keywords)
 FLAGS = {
     "group": (("--group",), dict(
@@ -333,7 +346,7 @@ FLAGS = {
         type=int, default=0,
         help="which conjugation orbit of components (default 0)")),
     "component-order": (("--component-order",), dict(
-        default=None, metavar="I,J,...",
+        type=_int_list, default=None, metavar="I,J,...",
         help="ordering of the components within the orbit")),
     "component": (("--component",), dict(
         type=int, default=1,
@@ -343,7 +356,7 @@ FLAGS = {
     "cor51-variant": (("--variant",), dict(
         choices=checkers.COR51_VARIANTS, default="factor")),
     "which": (("--which",), dict(
-        default=None,
+        type=_selection, default=None,
         help="comma-separated subset, e.g. C,E (default: all)")),
     "f": (("--f",), dict(
         action="append", default=[], metavar="GENS",

@@ -1254,11 +1254,13 @@ def _commuting_products(G, ext, powers, gens):
     Commuting is tested once per cyclic subgroup, on its generator x:
     x∘y and y∘x are compared at points 0 and 1 (a group with p-elements
     has degree >= 2) for a block of generators against every p-element
-    at once, and in full only on the pairs that agree there.  The
-    composed rows of a commuting pair are its product, looked up once; a
-    pair of two generators is composed one way round only.  The rows of
-    the other powers of x follow from x's by x^e y = x (x^(e-1) y), read
-    off x's row (InvariantViolated if missing)."""
+    at once, then at the other points but the last one at a time, each
+    on the pairs that agreed so far, so a pair that does not commute
+    drops out at its first differing point.  Each commuting pair is then composed
+    once, and its product looked up once; a pair of two generators is
+    composed one way round only.  The rows of the other powers of x
+    follow from x's by x^e y = x (x^(e-1) y), read off x's row
+    (InvariantViolated if missing)."""
     m, p = powers.shape
     P = G.perms[ext]
     is_gen = np.zeros(m, dtype=bool)
@@ -1274,10 +1276,13 @@ def _commuting_products(G, ext, powers, gens):
         i, j = gens[lo + i], j + 1
         pick = ((j > i) | ~is_gen[j]) & ~(powers[i] == j[:, None]).any(axis=1)
         i, j = i[pick], j[pick]
-        xy = np.take_along_axis(P[i], P[j], axis=1)
-        ok = np.all(np.take_along_axis(P[j], P[i], axis=1) == xy, axis=1)
-        found.append(i[ok] * m + j[ok])
-        prods.append(np.searchsorted(ext, G.lookup_rows(xy[ok])))
+        # two permutations that agree on all points but one agree on it
+        for a in range(2, G.degree - 1):
+            ok = P[i, P[j, a]] == P[j, P[i, a]]
+            i, j = i[ok], j[ok]
+        found.append(i * m + j)
+        prods.append(np.searchsorted(ext, G.lookup_rows(
+            np.take_along_axis(P[i], P[j], axis=1))))
     found, prods = np.concatenate(found), np.concatenate(prods)
     both = is_gen[found % m]
     keys = np.concatenate((found, found[both] % m * m + found[both] // m))
@@ -1390,8 +1395,11 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
     reaching each B, whose generators B keeps, is the same as in a
     row-by-row scan.  B's coordinate row is A's followed by A's times z,
     z^2, ..., z^(p-1), each product read off the table by one
-    searchsorted; InvariantViolated if one is missing, or if B's members
-    are not p·|A| distinct elements.
+    searchsorted, but for the products of A's generators with z: the
+    filter has found those already, so it hands their table positions
+    on.  InvariantViolated if a product is missing, or if B's members
+    are not p·|A| distinct elements.  Rows are deduplicated by row_runs,
+    one lexsort of their packed words.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -1439,21 +1447,33 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
                                 side="right")
         count = ptr[gens[:, 0] + 1] - start
         pair_sub = np.repeat(np.arange(len(gens)), count)
-        z = keys[np.repeat(start - np.cumsum(count) + count, count)
-                 + np.arange(count.sum())] % m
+        # at[:, i]: the table position of the pair (generator i, z)
+        at = (np.repeat(start - np.cumsum(count) + count, count)
+              + np.arange(count.sum()))[:, None]
+        z = keys[at[:, 0]] % m
         for g in gens[:, 1:].T:
-            hit = sorted_find(keys, g[pair_sub] * m + z)[0]
+            hit, pos = sorted_find(keys, g[pair_sub] * m + z)
             pair_sub, z = pair_sub[hit], z[hit]
+            at = np.column_stack((at[hit], pos[hit]))
         if pair_sub.size == 0:
             break
         C = coords[pair_sub]
         blocks = [C]
+        # generator i is coordinate p^i, and the filter found its product
+        # with z: A times z searches only the other coordinates
+        ask = np.ones(C.shape[1] - 1, dtype=bool)
+        ask[p ** np.arange(gens.shape[1]) - 1] = False
         for e in range(1, p):
             ze = powers[z, e]
-            hit, pos = sorted_find(keys, C[:, 1:] * m + ze[:, None])
+            cols = ask if e == 1 else slice(None)
+            hit, pos = sorted_find(keys, C[:, 1:][:, cols] * m + ze[:, None])
             if not hit.all():
                 raise InvariantViolated(_MISSING_PRODUCT)
-            blocks += [ze[:, None], prods[pos]]
+            block = np.empty_like(C[:, 1:])
+            block[:, cols] = prods[pos]
+            if e == 1:
+                block[:, ~ask] = prods[at]
+            blocks += [ze[:, None], block]
         new_coords = np.concatenate(blocks, axis=1)
         new_members = np.sort(new_coords, axis=1)
         if (new_members[:, 1:] == new_members[:, :-1]).any():

@@ -2,8 +2,9 @@
 
 All homology here is reduced and over Q, computed with exact arithmetic
 (no floating point anywhere) from integer boundary and chain-map
-matrices, each one Boundary in CSR form, read off the simplex arrays by
-one SimplicialComplex.index call per degree.
+matrices, each one Boundary in CSR form: a boundary's rows are the
+complex's face table as it stands, and a chain map's are found by one
+SimplicialComplex.index call per degree.
 
 Every rank profile, of a complex or of a mapping cone, runs in one
 function, _rank_profile, in two stages.  First reduction pairs, over all
@@ -52,10 +53,12 @@ checked against the arrays kept beside the result, so only equal
 contents share one (_kept).  The stores keep no complex.
 
 Self-checks raise InvariantViolated, so they also run under
-``python -O``: faces and images present, boundary shapes, d∘d = 0 on
-every column, the replayed matching, pivot rows distinct, in range and
-one per unit of rank, ranks no more than the columns, boundary ranks
-within their matrix shape, nonnegative Betti numbers (b̃_{-1} = 1
+``python -O``: on every simplicial boundary, rows rising strictly and
+each face position naming the row less that entry (which gives
+d∘d = 0); images present; boundary shapes; d∘d = 0 on every column of
+every mapping cone; the replayed matching, pivot rows distinct, in
+range and one per unit of rank, ranks no more than the columns,
+boundary ranks within their matrix shape, nonnegative Betti numbers (b̃_{-1} = 1
 exactly for the empty complex), the Euler characteristic across the
 core collapse and the cone-rank range.  The replay proves the ranks the
 pairs account for; the residue's own ranks are proved only when its
@@ -72,8 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, MatrixCapExceeded, NotACover
-from .posets import (PosetMap, beat_point_core, join_posets, order_complex,
-                     row_ptr, sorted_find, sorted_unique)
+from .posets import (PosetMap, _drop, beat_point_core, join_posets,
+                     order_complex, row_ptr, sorted_find, sorted_unique)
 
 DEFAULT_WORK_CAP = 400_000_000
 
@@ -106,6 +109,26 @@ class Boundary:
     def owners(self):
         """The column of each entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.ptr))
+
+
+def _check_faces(K, k):
+    """InvariantViolated unless K's degree-k rows rise strictly and its
+    degree-k face table is right: face t of row i, for t <= k, is the
+    position in degree k - 1 of row i less its entry t (0, the empty
+    simplex, for a vertex)."""
+    simps, face = K.dims[k], K.faces[k]
+    if face.shape != simps.shape:
+        raise InvariantViolated(f"the degree-{k} face table has shape "
+                                f"{face.shape}, not {simps.shape}")
+    step = np.diff(simps, axis=0)
+    if (step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0).any():
+        raise InvariantViolated(f"degree-{k} rows do not rise strictly")
+    below = K.dims[k - 1] if k else np.zeros((1, 0), dtype=np.int64)
+    if ((face < 0) | (face >= len(below))).any():
+        raise InvariantViolated(f"a degree-{k} face is missing")
+    if k and not np.array_equal(below[face], simps[:, _drop(k)]):
+        raise InvariantViolated(
+            f"a degree-{k} face position names another row")
 
 
 def _stack(ncols, parts):
@@ -152,19 +175,19 @@ class RawComplex:
     def from_simplicial(cls, K):
         """Boundary of K: face t, the row less entry t, has sign (-1)^t,
         so a degree-k column has k + 1 entries and ptr is
-        arange(m + 1)·(k + 1).  One K.index call per degree; missing
-        faces raise InvariantViolated."""
+        arange(m + 1)·(k + 1).  The rows are K's face table as it is: a
+        degree's (m, k + 1) table read row by row is its columns, so the
+        boundary's rows are a view of it.  Before use the table is
+        checked (_check_faces): each degree's rows rise strictly and
+        every face position names the row less that entry, else
+        InvariantViolated.  By the simplicial identities that gives
+        d∘d = 0, and it also refuses a wrong face that would cancel."""
         counts = {-1: 1}
         cols = {}
         for k, simps in enumerate(K.dims):
             m = counts[k] = len(simps)
-            faces = [np.delete(simps, t, axis=1) for t in range(k + 1)]
-            rows = (K.index(k - 1, np.concatenate(faces)) if k
-                    else np.zeros(m, dtype=np.int64))
-            if (rows < 0).any():
-                raise InvariantViolated(f"a degree-{k} face is missing")
-            cols[k] = Boundary(np.arange(m + 1) * (k + 1),
-                               rows.reshape(k + 1, -1).T.ravel(),
+            _check_faces(K, k)
+            cols[k] = Boundary(np.arange(m + 1) * (k + 1), K.faces[k].ravel(),
                                np.tile(1 - 2 * (np.arange(k + 1) % 2), m))
         return cls(counts, cols)
 
@@ -633,11 +656,11 @@ def betti_of_raw(raw, work_cap=DEFAULT_WORK_CAP):
 def betti_of_complex(K, work_cap=DEFAULT_WORK_CAP):
     """Reduced Betti vector of a SimplicialComplex (exact, over Q).
 
-    d∘d = 0 is checked on every column.  b̃_{-1} must be 1 exactly when
-    K has no vertex, else InvariantViolated.
+    Every face row is checked (RawComplex.from_simplicial), which gives
+    d∘d = 0.  b̃_{-1} must be 1 exactly when K has no vertex, else
+    InvariantViolated.
     """
     raw = RawComplex.from_simplicial(K)
-    raw.verify_dd_zero()
     bv = betti_of_raw(raw, work_cap=work_cap)
     if bv.minus1 != (0 if raw.count(0) else 1):
         raise InvariantViolated(

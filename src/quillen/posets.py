@@ -12,14 +12,19 @@ Mayer–Vietoris cover) is one sorted search over the pairs.
 
 The order complex K(P) has the nonempty chains of P as simplices, kept
 per degree d as one (m_d, d+1) int64 array of increasing rows, in
-lexicographic order.  One lookup, row_lookup (SimplicialComplex.index in
-a complex), finds rows: faces, images, simplices of a subcomplex, the
-subspaces of a closed subgroup family (pposets.poset_from_subgroups),
-and the members of a subgroup family (groups.SubgroupFamily.positions).
-It searches each table in the order it was built and sorts nothing.
-Every hit-checked search of sorted keys, here and in the group layer,
-goes through one helper, sorted_find, and every plain dedup through
-sorted_unique.
+lexicographic order, beside its table of face positions.  order_complex
+grows the faces with the chains, each read off the chain's parent, so
+no face is searched; a complex built from arrays searches its table
+once.  One lookup, row_lookup (SimplicialComplex.index in a complex),
+finds rows: the faces of a complex built from arrays, images, simplices
+of a subcomplex, the subspaces of a closed subgroup family's maximal
+members (pposets.poset_from_subgroups), and the members of a subgroup
+family (groups.SubgroupFamily.positions).  It searches each table in
+the order it was built and sorts nothing.  One packing helper, _pack,
+puts as many columns as fit into each int64 word, for row_lookup's walk
+and for row_runs, the one row sort.  Every hit-checked search of sorted
+keys, here and in the group layer, goes through one helper,
+sorted_find, and every plain dedup through sorted_unique.
 
 Beat points (elements with a unique upper or unique lower cover) can be
 removed without changing the homotopy type of K(P); the composite
@@ -50,14 +55,42 @@ def row_ptr(rows, n):
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
+def _pack(rows, base, room):
+    """The columns of rows, a 2-d int64 array of entries in [0, base),
+    packed left to right, as many to a word as keep room·base^w within
+    2^62, into int64 words: [(word, base^w)], word the w columns read as
+    one base-base numeral.  Packing keeps order: rows compare
+    lexicographically as their word lists do.  row_runs sorts by the
+    words and row_lookup walks them, so both read a few words where the
+    columns are many."""
+    width, base = rows.shape[1], int(base)
+    w = 1
+    while w < width and room * base ** (w + 1) <= 1 << 62:
+        w += 1
+    out = []
+    for c in range(0, width, w):
+        word = rows[:, c]
+        for col in rows[:, c + 1:c + w].T:
+            word = word * base + col
+        out.append((word, base ** min(w, width - c)))
+    return out
+
+
 def row_runs(rows):
     """(order, head) for a 2-d int array: order, the stable lexicographic
-    order of its rows by one lexsort; head, a mask over order that is
-    True where a run of equal rows starts, at its first occurrence."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    order of its rows by one lexsort of their packed words (_pack);
+    head, a mask over order that is True where a run of equal rows
+    starts, at its first occurrence."""
+    rows = np.asarray(rows, dtype=np.int64)
+    low = rows.min(initial=0)
+    words = [w for w, _ in _pack(rows - low, rows.max(initial=0) - low + 1,
+                                 1)]
+    order = np.lexsort(words[::-1])
+    head = np.zeros(len(rows), dtype=bool)
+    head[:1] = True
+    for w in words:
+        ranked = w[order]
+        head[1:] |= ranked[1:] != ranked[:-1]
     return order, head
 
 
@@ -87,31 +120,33 @@ def row_lookup(table, rows):
     (lexicographic, none repeated), as order_complex builds a degree and
     elementary_abelian_subgroups an order block of a family.  It is
     searched in that order, with no sort; InvariantViolated if its rows
-    do not rise.  The walk goes column by column.  With base one more
-    than every entry of table and rows, the first k + 1 entries of a
-    table row are keyed pid·base + its k-th entry, pid being the rank of
-    its first k entries among the distinct such prefixes.  The keys
-    ascend, and each step up starts a new prefix, so the keys at the
-    steps are the level's distinct prefixes; one sorted_find per column
-    places each query's prefix among them.  A query with a negative
-    entry, or missing in any column, gets -1.  Keys stay below
-    (len(table) + 1)·base, and entries index arrays in memory, so the
-    keys fit int64 for any table that fits in memory.
+    do not rise.  The walk goes word by word over the packed columns
+    (_pack, with room for the prefix ids).  A table row's first words
+    up to word k are keyed pid·B + its k-th word, B the word's radix and
+    pid the rank of its earlier words among the distinct such prefixes.
+    The keys ascend, and each step up starts a new prefix, so the keys
+    at the steps are the level's distinct prefixes; one sorted_find per
+    word places each query's prefix among them.  A query with a negative
+    entry, or missing in any word, gets -1.  Keys stay below
+    (len(table) + 1)·B <= 2^62.
     """
     table = np.asarray(table, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     base = 1 + max(table.max(initial=0), rows.max(initial=0))
     live = (rows >= 0).all(axis=1)
+    if not live.all():
+        rows = np.where(live[:, None], rows, 0)
+    room = len(table) + 1
+    words = list(zip(_pack(table, base, room), _pack(rows, base, room)))
     pid = np.zeros(len(table), dtype=np.int64)
     pos = np.zeros(len(rows), dtype=np.int64)
-    last = table.shape[1] - 1
-    for k in range(last + 1):
-        key = pid * base + table[:, k]
+    for k, ((word, radix), (query, _)) in enumerate(words):
+        key = pid * radix + word
         step = np.diff(key, prepend=-1)
-        if (step < 0).any() or (k == last and (step == 0).any()):
+        if (step < 0).any() or (k == len(words) - 1 and (step == 0).any()):
             raise InvariantViolated("lookup table rows do not rise strictly")
         new = step > 0
-        hit, pos = sorted_find(key[new], pos * base + rows[:, k])
+        hit, pos = sorted_find(key[new], pos * radix + query)
         live &= hit
         pid = np.cumsum(new) - 1
     pos[~live] = -1
@@ -269,13 +304,25 @@ def join_posets(posets):
 
 
 class SimplicialComplex:
-    """Simplices per dimension: dims[d] is an (m_d, d+1) int64 array."""
+    """Simplices per dimension: dims[d] is an (m_d, d+1) int64 array, and
+    faces[d] its (m_d, d+1) table of face positions: faces[d][i, t] is
+    the position in dims[d-1] of row i less its entry t, and 0, the
+    empty simplex, in degree 0.  order_complex hands over the table it
+    grew with the chains; a complex built from its arrays alone gets its
+    table here, once, by one index search per degree.  A face missing
+    there is -1, which RawComplex.from_simplicial refuses."""
 
-    def __init__(self, dims):
+    def __init__(self, dims, faces=None):
         self.dims = [np.asarray(d, dtype=np.int64).reshape(len(d), k + 1)
                      for k, d in enumerate(dims)]
         while self.dims and not len(self.dims[-1]):
             self.dims.pop()
+        if faces is None:
+            faces = [self.index(k - 1, simps[:, _drop(k)].reshape(-1, k))
+                     .reshape(-1, k + 1) if k
+                     else np.zeros((len(simps), 1), dtype=np.int64)
+                     for k, simps in enumerate(self.dims)]
+        self.faces = faces[:len(self.dims)]
 
     @property
     def simplex_counts(self):
@@ -300,33 +347,80 @@ class SimplicialComplex:
                    for d, simps in enumerate(self.dims))
 
 
-def order_complex(P):
-    """All nonempty chains of P, as a SimplicialComplex over P's ids.
+def _drop(k):
+    """(k + 1, k) column picks: row t is 0..k less t, so a degree-k array
+    taken at it lists each simplex's faces, face t dropping entry t."""
+    cols = np.arange(k + 1)
+    return np.array([np.delete(cols, t) for t in range(k + 1)],
+                    dtype=np.int64).reshape(k + 1, k)
 
-    Each degree repeats every chain of the one below once per id above its
-    last element (row of P's CSR), so the rows stay lexicographic.
-    Raises SimplexCapExceeded before allocating a degree past SIMPLEX_CAP.
+
+def order_complex(P):
+    """All nonempty chains of P, as a SimplicialComplex over P's ids, with
+    its face table grown alongside.
+
+    Each degree repeats every chain of the one below once per id above
+    its last element (row of P's CSR), so the rows stay lexicographic
+    and the extensions of one chain are consecutive.  The faces of a
+    chain c = (v_0, ..., v_k) grown from its parent (v_0, ..., v_{k-1})
+    at offset r among the parent's extensions are read off the parent's
+    faces: face k is the parent; face t < k - 1 extends the parent's
+    face t by v_k, at the same offset r among its extensions, since it
+    ends at v_{k-1} too; face k - 1 extends the parent's face k - 1
+    (v_0, ..., v_{k-2}) by v_k, at the offset of v_k in v_{k-2}'s CSR
+    row, one searchsorted of v_{k-2}·n + v_k in P's sorted relation keys.
+    Raises SimplexCapExceeded before allocating a degree past
+    SIMPLEX_CAP.
     """
-    dims = []
+    dims, faces = [], []
     level = np.arange(P.n, dtype=np.int64)[:, None]
+    face = np.zeros((P.n, 1), dtype=np.int64)
+    keys = up = None
     total = P.n
     while len(level):
         dims.append(level)
+        faces.append(face)
         total += int(np.diff(P.ptr)[level[:, -1]].sum())
         if total > SIMPLEX_CAP:
             raise SimplexCapExceeded(
                 f"order complex exceeds {SIMPLEX_CAP} simplices")
-        level = _grow(P, level)
-    return SimplicialComplex(dims)
+        parent, at, first = _extensions(P, level[:, -1])
+        k = level.shape[1]
+        child = np.column_stack((level[parent], P.ids[at]))
+        if k == 1:
+            face = np.column_stack((child[:, 1], parent))
+        else:
+            if keys is None:
+                keys = np.repeat(np.arange(P.n), np.diff(P.ptr)) * P.n + P.ids
+            # up[f]: the first extension of the level's face f
+            below = child[:, k - 2]
+            grown = np.empty_like(child)
+            grown[:, :k] = up[face][parent]
+            grown[:, :k - 1] += (np.arange(len(child)) - first[parent])[:, None]
+            grown[:, k - 1] += np.searchsorted(keys, below * P.n + child[:, k]) \
+                - P.ptr[below]
+            grown[:, k] = parent
+            face = grown
+        level, up = child, first
+    return SimplicialComplex(dims, faces)
+
+
+def _extensions(P, last):
+    """(parent, at, first) for the chains that extend a level of chains
+    ending at the ids last, each once per id above its end, in order:
+    new chain i is chain parent[i] with P.ids[at[i]] appended, and the
+    extensions of chain c start at first[c]."""
+    reps = np.diff(P.ptr)[last]
+    first = np.cumsum(reps) - reps
+    parent = np.repeat(np.arange(len(last)), reps)
+    at = np.arange(len(parent)) + (P.ptr[last] - first)[parent]
+    return parent, at, first
 
 
 def _grow(P, level):
     """Each row of level once per id above its last entry, that id appended."""
-    reps = np.diff(P.ptr)[level[:, -1]]
-    # new row r extends chain c by ids[ptr[c's last] + r - first[c]]
-    shift = np.repeat(P.ptr[level[:, -1]] - np.cumsum(reps) + reps, reps)
-    return np.column_stack((np.repeat(level, reps, axis=0),
-                            P.ids[np.arange(len(shift)) + shift]))
+    parent, at, _ = _extensions(P, level[:, -1])
+    return np.column_stack((level[parent], P.ids[at]))
 
 
 # -- poset maps -----------------------------------------------------------------

@@ -11,9 +11,9 @@ Every inclusion poset of a subgroup family is built by
 poset_from_subgroups, with no pairwise subset tests.  A SubgroupFamily,
 with its coordinate rows, is declared closed under nontrivial subgroups:
 A_p(G), the p-outer poset (a sub-family) and the image poset
-(_image_family).  Its relations are read off the subspaces of its
-members, through fixed tables of the subspaces of F_p^r and one row
-lookup per dimension.  The radical poset, a family with no coordinates,
+(_image_family).  Its relations are read off its maximal members,
+through fixed tables of the subspaces of F_p^r and of their
+containments, and one row lookup per dimension.  The radical poset, a family with no coordinates,
 has its relations read off one sorted array of membership keys, member
 by element, searched once per generator.
 
@@ -146,18 +146,28 @@ def _closed_family_order(family):
     closed under nontrivial subgroups, every member elementary abelian of
     order p^r.
 
-    Each coordinate row of rank r > 1 is gathered through the table of
-    k-dimensional subspaces of F_p^r (subspace_table), listing all its
-    proper nontrivial subgroups, and one row_lookup per k finds them
-    among the rank-k member rows.  The pairs (subgroup, member) are the
-    whole strict order, sorted into the CSR by one lexsort.
+    The order is read off the maximal members, those no higher member
+    holds, from the top rank down.  A rank's maximal members are the
+    ones no maximal member above it listed: each maximal coordinate row
+    of rank r > k is gathered through the table of k-dimensional
+    subspaces of F_p^r (subspace_table), listing its subgroups of order
+    p^k, and one row_lookup per rank k finds them among the rank-k
+    member rows.  Every member lies in a maximal one, so the strict
+    order is the union, over the maximal members, of the strict
+    containments among their subspaces, a fixed table per rank
+    (subspace_order) read through the positions found; one sort of the
+    keys lo·n + hi drops the pairs two maximal members share and gives
+    the CSR.
 
     Raises IndexOutOfRange if a member's order is not a power of p, a
     nontrivial member element fails the power test x^p = 1, a row's
-    sorted coordinates are not the row, or a subspace is not a member.
-    The last proves closure, and also that each member is abelian: two
-    basis elements that do not commute span a coordinate plane that is
-    not a subgroup.
+    sorted coordinates are not the row, or a subspace of a maximal
+    member is not a member.  The last proves closure, and also that
+    each member is abelian: two basis elements that do not commute span
+    a coordinate plane that is not a subgroup.  Checking the maximal
+    members covers the rest: every other member is a subspace of one,
+    listed by its members, so its subgroups, and any two of its
+    elements, lie in that maximal member too.
     """
     if not family.blocks:
         return [0], []
@@ -172,25 +182,58 @@ def _closed_family_order(family):
             raise IndexOutOfRange(_NOT_CLOSED)
         ranks[r] = (n, rows, coords)
         n += len(rows)
-    lo, hi = [], []
-    for k in range(1, max(ranks)):
-        first, table, _ = ranks.get(k, (0, np.empty((0, p ** k), np.int64),
-                                        None))
-        above, subs = [], []
-        for r, (start, _, C) in ranks.items():
-            if r > k:
-                spaces = subspace_table(p, r, k)
-                above.append(start + np.repeat(np.arange(C.shape[0]),
-                                               spaces.shape[0]))
-                subs.append(np.sort(C[:, spaces], axis=2).reshape(-1, p ** k))
-        pos = row_lookup(table, np.concatenate(subs))
+    top = max(ranks)
+    # rank -> coordinate rows of its maximal members, and their ids per
+    # subspace of F_p^r, by dimension k = 1, ..., r (the member itself)
+    maximal = {top: ranks[top][2]}
+    ids = {top: {top: ranks[top][0] + np.arange(len(ranks[top][1]))}}
+    for k in range(top - 1, 0, -1):
+        first, table, coords = ranks.get(k, (0, np.empty((0, p ** k),
+                                                          np.int64), None))
+        subs = [np.sort(C[:, subspace_table(p, r, k)], axis=2)
+                for r, C in maximal.items()]
+        pos = row_lookup(table, np.concatenate(
+            [x.reshape(-1, p ** k) for x in subs]))
         if (pos < 0).any():
             raise IndexOutOfRange(_NOT_CLOSED)
-        lo.append(first + pos)
-        hi.extend(above)
-    lo = np.concatenate(lo) if lo else np.empty(0, np.int64)
-    hi = np.concatenate(hi) if hi else np.empty(0, np.int64)
-    return row_ptr(lo, n), hi[np.lexsort((hi, lo))]
+        for r, part in zip(maximal, np.split(pos, np.cumsum(
+                [x.shape[0] * x.shape[1] for x in subs])[:-1])):
+            ids[r][k] = first + part.reshape(len(maximal[r]), -1)
+        held = np.zeros(len(table), dtype=bool)
+        held[pos] = True
+        if not held.all():
+            maximal[k] = coords[~held]
+            ids[k] = {k: first + np.flatnonzero(~held)}
+    keys = [np.empty(0, np.int64)]
+    for r, at in ids.items():
+        lo, hi = subspace_order(p, r)
+        table = np.column_stack([at[k] for k in range(1, r + 1)])
+        keys.append((table[:, lo] * n + table[:, hi]).ravel())
+    keys = sorted_unique(np.concatenate(keys))
+    return row_ptr(keys // n, n), keys % n
+
+
+@cache
+def subspace_order(p, r):
+    """(lo, hi): the strict containments among the nontrivial subspaces
+    of F_p^r, F_p^r included, one pair each.  The subspaces are numbered
+    by dimension, those of one dimension as subspace_table lists them,
+    F_p^r last; a subspace lies in another when its sorted coordinate
+    positions all do."""
+    spaces = [subspace_table(p, r, k) for k in range(1, r)]
+    spaces.append(np.arange(p ** r, dtype=np.int64)[None])
+    start = np.cumsum([0] + [len(x) for x in spaces])
+    lo, hi = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for j, B in enumerate(spaces):
+        holds = np.zeros((len(B), p ** r), dtype=bool)
+        holds[np.arange(len(B))[:, None], B] = True
+        for i, A in enumerate(spaces[:j]):
+            b, a = np.nonzero(holds[:, A].all(axis=2))
+            lo.append(start[i] + a)
+            hi.append(start[j] + b)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    lo.flags.writeable = hi.flags.writeable = False  # shared by every caller
+    return lo, hi
 
 
 @cache

@@ -1,9 +1,9 @@
 """Tuple-and-dict reference for order complexes, boundaries and chain maps.
 
-quillen stores the simplices of each degree as one int64 array and finds
-faces and images with one row lookup.  These are the loops it replaced:
-chains grown as Python tuples, and faces and images found through one
-tuple -> index dict per degree.  Tests require the arrays to agree with
+quillen stores the simplices of each degree as one int64 array, grows
+each degree's face table with its chains and finds images with one row
+lookup.  These are the loops it replaced: chains grown as Python tuples,
+and faces and images found through one tuple -> index dict per degree.  Tests require the arrays to agree with
 them row for row, in order, and column for column.  Relations are read
 through the set-of-pairs reference in relation_oracle.
 """
@@ -42,6 +42,18 @@ def dict_boundary(dims):
         cols[k] = [[(idx[k - 1][s[:t] + s[t + 1:]], (-1) ** t)
                     for t in range(len(s))] for s in dims[k]]
     return cols
+
+
+def dict_faces(dims):
+    """Per degree, the face positions of tuple simplices: row i, entry t
+    is the index of simplex i without its entry t in the degree below,
+    0 (the empty simplex) for a vertex."""
+    idx = _index_maps(dims)
+    out = [[[0] for _ in dims[0]]] if dims else []
+    for k in range(1, len(dims)):
+        out.append([[idx[k - 1][s[:t] + s[t + 1:]] for t in range(len(s))]
+                    for s in dims[k]])
+    return out
 
 
 def dict_chain_map(table, dimsS, dimsT):

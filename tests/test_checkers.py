@@ -188,6 +188,14 @@ def test_prop68_holds_for_full_automorphism_host():
     assert cert.evidence["outer_count"] == 66
 
 
+def test_prop68_refuses_a_negative_degree(sym5):
+    # as check_propEM does: a degree below 0 is an input error, not a
+    # verdict
+    comps, _ = detect_components(sym5)
+    with pytest.raises(IndexOutOfRange, match="degree -5 must be nonnegative"):
+        check_prop68(sym5, comps[0], 2, k=-5)
+
+
 def test_prop68_names_clause_3_when_L_has_no_homology_at_k(sym5):
     # A_2(A5) has homology in degree 0 alone, so at k = 5 no fixed-point
     # map is tested: the poset of L, not a map, fails the criterion

@@ -444,6 +444,32 @@ def test_unread_flags_are_refused(capsys, command, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--order-cap", "--enum-cap", "--work-cap"])
+def test_a_cap_of_zero_exits_2(capsys, flag):
+    code, out, err = run_cli(capsys, "betti", "--group", "sym5", flag, "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag[2:].replace('-', '_')} must be positive\n"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("thm41", "--component-order", "a,b"),
+    ("thm41", "--component-order", "1,"),
+    ("conditions", "--which", ","),
+    ("conditions", "--which", " "),
+])
+def test_a_malformed_list_flag_is_named(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--group", "sym5", flag, value])
+    assert exit_.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+
+
+def test_a_negative_prop68_degree_exits_2(capsys):
+    code, out, err = run_cli(capsys, "prop68", "--group", "sym5", "--k", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: degree -5 must be nonnegative\n"
+
+
 def test_spec_without_its_field_exits_2(tmp_path, capsys):
     path = tmp_path / "bare.spec"
     path.write_text(json.dumps({"construction": "symmetric"}))

@@ -397,6 +397,62 @@ def test_missing_face_raises():
         RawComplex.from_simplicial(K)
 
 
+def octahedron_complex():
+    return order_complex(join_posets([Poset([0, 1], [0, 0, 0], [])] * 3))
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_face_position_one_off_raises(k, shift):
+    # every face of every degree is checked, whichever way it is off
+    m, width = octahedron_complex().faces[k].shape
+    for i, t in itertools.product(range(m), range(width)):
+        K = octahedron_complex()
+        K.faces[k][i, t] += shift
+        with pytest.raises(InvariantViolated,
+                           match=f"degree-{k} face (is missing|position)"):
+            RawComplex.from_simplicial(K)
+
+
+def test_swapped_faces_that_cancel_are_refused():
+    # an edge with its two faces swapped has boundary a - b for b - a:
+    # d∘d is still zero, but the face rows are wrong
+    K = SimplicialComplex([[(0,), (1,)], [(0, 1)]])
+    K.faces[1] = K.faces[1][:, ::-1].copy()
+    with pytest.raises(InvariantViolated, match="names another row"):
+        RawComplex.from_simplicial(K)
+    swapped = RawComplex({-1: 1, 0: 2, 1: 1}, {
+        0: csr([[(0, 1)], [(0, 1)]]), 1: csr([[(0, 1), (1, -1)]])})
+    swapped.verify_dd_zero()
+
+
+def test_rows_that_do_not_rise_are_refused():
+    K = SimplicialComplex([[(0,), (1,), (2,)], [(1, 2), (0, 1)]])
+    with pytest.raises(InvariantViolated, match="degree-1 rows do not rise"):
+        RawComplex.from_simplicial(K)
+
+
+def test_the_core_complex_searches_no_face(monkeypatch):
+    # order_complex grows the face table: the Betti vector of a fresh
+    # A_2(Sym(8)) searches no row of its core's complex (222 530 before)
+    searched, built = [], []
+    index = SimplicialComplex.index
+
+    def spy_index(K, d, rows):
+        searched.append(len(rows))
+        return index(K, d, rows)
+
+    def spy_complex(P):
+        built.append(P.n)
+        return order_complex(P)
+
+    monkeypatch.setattr(SimplicialComplex, "index", spy_index)
+    monkeypatch.setattr(homology, "order_complex", spy_complex)
+    bv = betti_of_poset(ap_poset(load_group("sym8").group.full(), 2))
+    assert bv.tilde == (0, 0, 512, 0)
+    assert built and sum(searched) == 0
+
+
 EDGE = SimplicialComplex([[(0,), (1,)], [(0, 1)]])
 
 
@@ -814,6 +870,13 @@ def test_self_checks_survive_python_O():
         expect(InvariantViolated, "rows do not rise strictly",
                "row_lookup accepted a table out of order",
                row_lookup, np.array([[0, 2], [0, 1]]), np.array([[0, 1]]))
+        # a face position one off: from_simplicial checks every face row
+        from quillen.posets import order_complex
+        K = order_complex(P)
+        K.faces[1][0, 0] -= 1
+        expect(InvariantViolated, "degree-1 face position names another row",
+               "from_simplicial accepted a wrong face position",
+               RawComplex.from_simplicial, K)
         # the commuting table kept one way round only, i < j: Alt(6)'s
         # rank-2 step at p = 3 asks for x * z^2 with x above z^2
         exact_table = groups._commuting_products

@@ -10,14 +10,15 @@ from quillen.errors import IndexOutOfRange, InvariantViolated, \
     NotAnActionByAutomorphisms, NotAntisymmetric, NotOrderPreserving, \
     NotTransitiveAfterClosure, SimplexCapExceeded
 from quillen.homology import betti_of_poset
-from quillen.posets import Poset, PosetMap, beat_point_core, \
-    check_action_tables, fixed_subposet, join_posets, make_map, order_complex
+from quillen.posets import Poset, PosetMap, SimplicialComplex, \
+    beat_point_core, check_action_tables, fixed_subposet, join_posets, \
+    make_map, order_complex
 from quillen.pposets import ap_poset, bouc_poset
 
 from conftest import bundled
 from core_oracle import sweep_core
 from relation_oracle import closed_order, make_poset, poset_of, relation
-from simplex_oracle import tuple_chains, tuple_dims
+from simplex_oracle import dict_faces, tuple_chains, tuple_dims
 
 
 def poset_from_pairs(n, pairs):
@@ -389,6 +390,42 @@ def test_order_complex_matches_tuple_chains_on_sym5(ap2_sym5):
     assert tuple_dims(K) == tuple_chains(ap2_sym5)
 
 
+def searched_faces(K):
+    """K's face table as one index search per degree finds it."""
+    out = [np.zeros((len(K.dims[0]), 1), dtype=np.int64)] if K.dims else []
+    for k in range(1, len(K.dims)):
+        faces = [np.delete(K.dims[k], t, axis=1) for t in range(k + 1)]
+        out.append(K.index(k - 1, np.concatenate(faces))
+                   .reshape(k + 1, -1).T)
+    return out
+
+
+def check_face_tables(P):
+    K = order_complex(P)
+    table = [f.tolist() for f in K.faces]
+    assert table == [f.tolist() for f in searched_faces(K)]
+    assert table == dict_faces(tuple_chains(P))
+    # a complex built from the same arrays searches its table once
+    assert [f.tolist() for f in SimplicialComplex(K.dims).faces] == table
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_cases(1, 8, 16))
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))
+def test_order_complex_grows_the_searched_face_table(case):
+    P = poset_from_pairs(*case)
+    if P is None:
+        return
+    check_face_tables(P)
+
+
+def test_face_tables_of_a_core_and_a_join(ap2_sym5):
+    octahedron = join_posets([Poset([0, 1], [0, 0, 0], [])] * 3)
+    for P in (ap2_sym5, octahedron,
+              beat_point_core(ap_poset(bundled("alt6"), 3))[0]):
+        check_face_tables(P)
+
+
 def test_simplex_cap(monkeypatch):
     # the octahedron has no beat point: its core's complex has all 26
     # simplices, 6 vertices, 12 edges and 8 triangles
@@ -445,6 +482,58 @@ def test_row_lookup_rejects_a_table_whose_rows_do_not_rise(table):
     for rows in (table[:1], table[:0]):
         with pytest.raises(InvariantViolated, match="do not rise strictly"):
             posets.row_lookup(table, rows)
+
+
+@st.composite
+def wide_tables(draw):
+    """A table of width 1 to 20, entries all small (many columns to a
+    packed word) or up to 2^40 (one), rows often repeated."""
+    width = draw(st.integers(1, 20))
+    top = draw(st.sampled_from([1, 3, 1 << 40]))
+    entry = st.integers(0, top)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=25))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
+
+
+def column_walk(table, rows):
+    """row_lookup's answer one column at a time: a query keeps the table
+    rows that agree with it so far, by plain comparisons."""
+    out = []
+    for q in rows.tolist():
+        live = list(range(len(table)))
+        for k, x in enumerate(q):
+            live = [i for i in live if table[i, k] == x]
+        out.append(live[0] if live else -1)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_tables())
+def test_packed_row_runs_match_lexsort(rows):
+    order, head = posets.row_runs(rows)
+    assert order.tolist() == np.lexsort(rows.T[::-1]).tolist()
+    ranked = rows[order].tolist()
+    assert head.tolist() == [i == 0 or ranked[i] != ranked[i - 1]
+                             for i in range(len(rows))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_tables(), st.data())
+def test_packed_row_lookup_matches_a_column_walk(rows, data):
+    table = np.array(sorted(set(map(tuple, rows.tolist()))),
+                     dtype=np.int64).reshape(-1, rows.shape[1])
+    queries = np.concatenate([rows, rows[:, ::-1], rows + 1])
+    assert posets.row_lookup(table, queries).tolist() == \
+        column_walk(table, queries)
+    if len(table) > 1:
+        # a repeat or a swap anywhere breaks the rise
+        i = data.draw(st.integers(0, len(table) - 2))
+        for bad in (np.insert(table, i, table[i], axis=0),
+                    table[np.r_[:i, i + 1, i, i + 2:len(table)]]):
+            with pytest.raises(InvariantViolated, match="do not rise"):
+                posets.row_lookup(bad, queries)
 
 
 def test_sorted_find_on_empty_keys_and_past_both_ends():

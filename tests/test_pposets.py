@@ -10,16 +10,18 @@ import pytest
 
 from quillen.errors import EmptyFactor, EnumerationCapExceeded, \
     IndexOutOfRange, InvariantViolated, NotAntisymmetric
-from quillen.groups import PermGroup, SubgroupFamily, centralizer, \
-    conjugation_action, detect_components, elementary_abelian_subgroups, \
-    subgroup_product, sylow_subgroup
-from quillen.gspec import load_group
+from quillen import pposets
+from quillen.groups import PermGroup, SubgroupFamily, _prime_divisors, \
+    centralizer, conjugation_action, detect_components, \
+    elementary_abelian_subgroups, subgroup_product, sylow_subgroup
+from quillen.gspec import BUNDLED, load_group
 from quillen.homology import betti_of_poset
 from quillen.pposets import OrbitContext, _check_embedded_copy, ap_poset, \
     bouc_poset, decomposition, image_poset, outers_in_image, p_outer_poset, \
     poset_from_subgroups
 
 from conftest import bundled, compose, element_orders
+from family_order_oracle import family_order
 from relation_oracle import make_poset, relation
 from simplex_oracle import k0_and_k0hat, tuple_dims
 
@@ -127,6 +129,44 @@ def test_poset_from_subgroups_matches_pairwise_oracle(kind, name, p):
         tuple(None if x is None else x[[0, 0]] for x in (M, g, C))])
     with pytest.raises(NotAntisymmetric):
         poset_from_subgroups(twice)
+
+
+BUNDLED_PAIRS = [(name, p) for name in BUNDLED
+                 for p in _prime_divisors(bundled(name).order)]
+
+
+@pytest.mark.parametrize("name,p", BUNDLED_PAIRS)
+def test_closed_family_order_matches_every_member(name, p):
+    # the order read off the maximal members is the one every member
+    # lists from its own coordinate row
+    P = ap_poset(bundled(name), p)
+    assert relation(P) == family_order(P.elements, p)
+
+
+@pytest.mark.parametrize("name,p", [
+    ("sym5", 2), ("aut-alt6", 2), ("aut-alt6", 3), ("a5xa5-exr", 2),
+    ("a5xa5-exr", 3), ("a5xa5-exr", 5)])
+def test_sub_and_image_family_orders_match_every_member(name, p):
+    G = bundled(name)
+    L = detect_components(G)[0][0]
+    for P in (image_poset(G, L, p).poset, p_outer_poset(G, L, p).poset):
+        assert relation(P) == family_order(P.elements, p)
+
+
+def test_relations_look_up_the_maximal_members_only(monkeypatch):
+    # A_2(Sym(8)): 23 170 subspace rows of maximal members, where every
+    # member's subspaces were 104 965 rows, one per relation
+    looked = []
+    lookup = pposets.row_lookup
+
+    def spy(table, rows):
+        looked.append(len(rows))
+        return lookup(table, rows)
+
+    monkeypatch.setattr(pposets, "row_lookup", spy)
+    P = ap_poset(load_group("sym8").group.full(), 2)
+    assert len(P.ids) == 104_965
+    assert 0 < sum(looked) <= 24_330
 
 
 @pytest.mark.parametrize("name,p", [
