@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
 """Output ledger of the bundled catalogue: a sha256 per quantity, per
-bundled (group, prime) pair.
+bundled group and per bundled (group, prime) pair.
 
     python scripts/ledger.py [--out PATH]
 
-For every bundled group and every prime p dividing its order, digests
-six outputs that no choice of the algorithm moves: for the A_p poset
-(pposets.ap_poset) and the p-radical poset (pposets.bouc_poset) alike,
-the family's member CSR (ptr, entries), the poset's order (ptr, ids) and
-its reduced Betti vector.  Generating sets and the chosen Sylow subgroup
-are left out, since another algorithm may choose them differently.
-Writes the ledger as JSON, {"group/p": {quantity: sha256}}, to PATH
-(default tests/ledger.json), which tests/test_ledger.py checks.
+Digests outputs that no choice of the algorithm moves.  For every
+bundled group and every prime p dividing its order, seven: for the A_p
+poset (pposets.ap_poset) and the p-radical poset (pposets.bouc_poset)
+alike, the family's member CSR (ptr, entries), the poset's order (ptr,
+ids) and its reduced Betti vector; and the members of O_p(G).  For
+every bundled group, three: its minimal normal subgroups and its
+detected components, each as member sets in (order, members) order (for
+components, the class name of the error if detection refuses), and its
+conjugacy-class partition, each element labelled by the smallest member
+of its class.  Generating sets and the chosen Sylow subgroup are left
+out, since another algorithm may choose them differently.  Writes the
+ledger as JSON, {"group/p": {quantity: sha256}, "group": {quantity:
+sha256}}, to PATH (default tests/ledger.json), which tests/test_ledger.py
+checks.
 """
 
 import argparse
@@ -37,12 +43,22 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
+def _sets(subgroups):
+    """sha256 of subgroups as one CSR of sorted member sets, ordered by
+    (order, members)."""
+    sets = sorted((S.midx.tolist() for S in subgroups),
+                  key=lambda m: (len(m), m))
+    return _digest(np.cumsum([0] + [len(m) for m in sets]),
+                   [x for m in sets for x in m])
+
+
 def pair_digests(G, p):
-    """{quantity: sha256} of one group's A_p and p-radical posets."""
+    """{quantity: sha256} of one group's A_p and p-radical posets and
+    O_p(G)."""
     from quillen import pposets
-    from quillen.groups import member_csr
+    from quillen.groups import member_csr, p_core
     from quillen.homology import betti_of_poset
-    out = {}
+    out = {"p_core": _digest(p_core(G, p).midx)}
     for name, build in FAMILIES:
         P = getattr(pposets, build)(G, p)
         _, ptr, entries = member_csr(P)
@@ -53,13 +69,32 @@ def pair_digests(G, p):
     return out
 
 
+def group_digests(G):
+    """{quantity: sha256} of one group's minimal normal subgroups,
+    components and conjugacy classes."""
+    from quillen.errors import ComponentsUndetectable
+    from quillen.groups import (conjugacy_classes, detect_components,
+                                minimal_normal_subgroups)
+    try:
+        components = _sets(detect_components(G)[0])
+    except ComponentsUndetectable as e:
+        components = hashlib.sha256(type(e).__name__.encode()).hexdigest()
+    label = np.empty(G.order, dtype=np.int64)
+    for members in conjugacy_classes(G):
+        label[members] = members.min()
+    return {"minimal_normal": _sets(minimal_normal_subgroups(G)),
+            "components": components, "classes": _digest(label)}
+
+
 def ledger():
-    """{"group/p": {quantity: sha256}} over every bundled (group, prime)."""
+    """{"group/p": {quantity: sha256}, "group": {quantity: sha256}} over
+    every bundled group and (group, prime) pair."""
     from quillen.groups import _prime_divisors
     from quillen.gspec import BUNDLED, bundled_group
     out = {}
     for name in BUNDLED:
         G = bundled_group(name)
+        out[name] = group_digests(G)
         for p in _prime_divisors(G.order):
             out[f"{name}/{p}"] = pair_digests(G, p)
     return out

@@ -16,16 +16,14 @@ from .groups import (PermGroup, Subgroup, center, centralizer,
 from .gspec import BUNDLED, build_group, load_group
 from .homology import (BettiVector, HomologyMapReport, RawComplex,
                        betti_of_complex, betti_of_poset, induced_map,
-                       kunneth_check, mv_rank_audit)
+                       kunneth_check)
 from .posets import (Poset, PosetMap, beat_point_core, fixed_subposet,
-                     join_posets, make_map, order_complex)
+                     join_posets, order_complex)
 from .pposets import (OrbitContext, ap_poset, bouc_poset, conjugation_action,
                       decomposition, diagonal_poset, image_poset,
-                      off_component_subposet, p_outer_poset,
-                      psi_h0_equivalence_report, verify_phi_factorization,
-                      verify_psi_tower)
+                      off_component_subposet, p_outer_poset)
 from .checkers import (Certificate, ConditionsReport, EulerFormulaReport,
-                       betti_ap, check_conditions, check_cor51, check_cor52,
+                       check_conditions, check_cor51, check_cor52,
                        check_prop68, check_propEM, check_thm41, check_thm410,
                        euler_formula, hqc_witness, robinson_certificate)
 
@@ -35,14 +33,12 @@ __all__ = [
     "subgroup_product", "sylow_subgroup", "BUNDLED", "build_group",
     "load_group", "BettiVector", "HomologyMapReport", "RawComplex",
     "betti_of_complex", "betti_of_poset", "induced_map", "kunneth_check",
-    "mv_rank_audit", "Poset", "PosetMap", "beat_point_core", "fixed_subposet",
-    "join_posets", "make_map", "order_complex", "OrbitContext", "ap_poset",
-    "bouc_poset", "conjugation_action", "decomposition", "diagonal_poset",
-    "image_poset", "off_component_subposet", "p_outer_poset",
-    "psi_h0_equivalence_report", "verify_phi_factorization",
-    "verify_psi_tower", "Certificate", "ConditionsReport",
-    "EulerFormulaReport", "betti_ap", "check_conditions", "check_cor51",
-    "check_cor52", "check_prop68", "check_propEM", "check_thm41",
-    "check_thm410", "euler_formula", "hqc_witness", "robinson_certificate",
-    "__version__",
+    "Poset", "PosetMap", "beat_point_core", "fixed_subposet", "join_posets",
+    "order_complex", "OrbitContext", "ap_poset", "bouc_poset",
+    "conjugation_action", "decomposition", "diagonal_poset", "image_poset",
+    "off_component_subposet", "p_outer_poset", "Certificate",
+    "ConditionsReport", "EulerFormulaReport", "check_conditions",
+    "check_cor51", "check_cor52", "check_prop68", "check_propEM",
+    "check_thm41", "check_thm410", "euler_formula", "hqc_witness",
+    "robinson_certificate", "__version__",
 ]

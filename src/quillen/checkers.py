@@ -122,11 +122,6 @@ def _ranks_dict(ranks):
     return {int(k): int(v) for k, v in sorted(ranks.items())}
 
 
-def betti_ap(sub, p):
-    """Reduced Betti numbers of the p-subgroup poset (cached on the poset)."""
-    return betti_of_poset(ap_poset(sub, p))
-
-
 def _surjectivity(f, work_cap):
     """(not_surjective, details) for f in homology.
 
@@ -359,7 +354,9 @@ def check_thm41(ctx, restrict=None):
     (a Subgroup restricts to the members it contains, an id list to
     those ids), induces a nonzero map in reduced homology.  When it
     holds, the promised conclusion (nonzero homology of the ambient
-    poset) is recomputed and asserted.
+    poset) is recomputed and asserted.  Past the precondition, whatever
+    the verdict, each projection psi_i up the chain is checked to extend
+    psi_{i-1}.
     """
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t)
     if not ctx.p_divides_component:
@@ -367,6 +364,13 @@ def check_thm41(ctx, restrict=None):
             "precondition": "p divides the component order",
             "component_order": int(ctx.orbit[0].order),
             "why": "component order is coprime to p"}, inputs)
+    # the tower: psi_i restricted to the poset of C_{i-1} is psi_{i-1},
+    # and W[i-1] is a prefix of W[i], so the images compare by id
+    for i in range(1, ctx.t + 1):
+        below = subgroup_ids(ctx.ap_C(i), *member_csr(ctx.ap_C(i - 1))[1:])
+        if (ctx.psi(i - 1).table != ctx.psi(i).table[below]).any():
+            raise InvariantViolated(
+                "projection does not commute with inclusion")
     psi = ctx.psi()
     if restrict is None:
         report = induced_map(psi, ctx.work_cap)
@@ -542,11 +546,24 @@ def check_propEM(ctx, n):
     Route E: the join has homology in degree n and every phi_i is
     surjective through n - t + i.  Either route forces the full chain
     projection to be nonzero in degree n, which is recomputed directly
-    and asserted.  Returns {"M": ..., "E": ...}.
+    and asserted.  Whatever the verdicts, the chain steps are checked to
+    compose to the projection.  Returns {"M": ..., "E": ...}.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree {n} must be nonnegative")
     inputs = _inputs(ctx.G, ctx.p, t=ctx.t, n=int(n))
+    # psi_t is the composite Phi_{1,t} o ... o Phi_{t,t} on the first
+    # block of T(t, t), the poset of C_t in its own order
+    if ctx.t:
+        psi = ctx.psi()
+        comp = ctx.phi_step(ctx.t)
+        for k in range(ctx.t - 1, 0, -1):
+            comp = ctx.phi_step(k, ctx.t).compose(comp)
+        if comp.target is not psi.target:
+            raise InvariantViolated("transfer maps end outside the join")
+        if (comp.table[:psi.source.n] != psi.table).any():
+            raise InvariantViolated(
+                "transfer maps do not compose to the projection")
     bAH = betti_of_poset(ctx.ap_H(), work_cap=ctx.work_cap)
     bX = betti_of_poset(ctx.join().X, work_cap=ctx.work_cap)
     steps = []

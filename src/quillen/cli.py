@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import QuillenError
+from .errors import InvariantViolated, QuillenError
 from .groups import (DEFAULT_ORDER_CAP, _check_prime, detect_components,
                      sylow_subgroup)
 from .gspec import BUNDLED, load_group
@@ -104,8 +104,9 @@ def _cert_report(bundle, G, p, cert):
 
 # -- subcommand handlers --------------------------------------------------------------
 # Each takes the parsed namespace and returns (result_dict, text_lines).
-# Raising QuillenError (or OSError, ValueError) means "no verdict",
-# reported on stderr with a nonzero exit.
+# Raising means "no verdict", reported on stderr by main: a failed
+# self-check (InvariantViolated) exits 3, any other QuillenError, OSError
+# or ValueError exits 2.
 
 
 def cmd_betti(args):
@@ -475,6 +476,9 @@ def main(argv=None):
     try:
         _check(args)
         return run(args)
+    except InvariantViolated as e:
+        print(f"error: self-check failed: {e}", file=sys.stderr)
+        return 3
     except (QuillenError, ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

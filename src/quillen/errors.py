@@ -83,10 +83,6 @@ class MatrixCapExceeded(QuillenError):
     """Exact elimination passed the configured work cap."""
 
 
-class NotACover(QuillenError):
-    """The two subposets do not cover the target in the chain-by-chain sense."""
-
-
 class InvariantViolated(QuillenError):
     """An exact self-check failed: a bug, never a property of the input."""
 

@@ -18,7 +18,10 @@ cap) and "components" (list of generator lists declaring quasisimple
 subgroups, for groups whose components the detector cannot certify or
 where a specific choice is wanted).
 
-Cycle notation in files is 1-based; indices are 0-based internally.
+Counts ("degree", "order") are JSON integers >= 1, and "generators",
+"top", "factors", "components" and each component are lists; any other
+value is a MalformedSpec naming the construction and the field.  Cycle
+notation in files is 1-based; indices are 0-based internally.
 """
 
 import json
@@ -85,6 +88,31 @@ def _field(raw, name):
     return raw[name]
 
 
+def _typed(raw, name, value, ok, what):
+    """value, raw[name], if ok(value); else MalformedSpec naming the
+    construction and the field."""
+    if not ok(value):
+        raise MalformedSpec(f"{raw['construction']} construction: {name!r} "
+                            f"must be {what}, not {value!r}")
+    return value
+
+
+def _count(raw, name):
+    """The required field raw[name], a JSON integer >= 1."""
+    return _typed(raw, name, _field(raw, name), lambda v: isinstance(v, int)
+                  and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+
+
+def _is_words(value):
+    return isinstance(value, list) and all(isinstance(w, str) for w in value)
+
+
+def _words(raw, name):
+    """The optional field raw[name], a list of cycle words ([] if absent)."""
+    return _typed(raw, name, raw.get(name, []), _is_words,
+                  "a list of cycle strings")
+
+
 def _build_rows(raw):
     """Return (degree, generator rows) for a spec dict."""
     cons = raw.get("construction") if isinstance(raw, dict) else None
@@ -92,22 +120,22 @@ def _build_rows(raw):
         raise MalformedSpec(
             "spec must be a JSON object with a 'construction' field")
     if cons == "generators":
-        degree = _field(raw, "degree")
-        rows = [parse_cycles(s, degree) for s in raw.get("generators", [])]
+        degree = _count(raw, "degree")
+        rows = [parse_cycles(s, degree) for s in _words(raw, "generators")]
         return degree, rows
     if cons == "symmetric":
-        n = int(_field(raw, "degree"))
+        n = _count(raw, "degree")
         return n, [np.array(g) for g in _sym_gens(n)]
     if cons == "alternating":
-        n = int(_field(raw, "degree"))
+        n = _count(raw, "degree")
         return n, [np.array(g) for g in _alt_gens(n)]
     if cons == "cyclic":
-        n = int(_field(raw, "degree"))
+        n = _count(raw, "degree")
         if n < 2:
             return 1, []
         return n, [np.roll(np.arange(n), -1)]
     if cons == "dihedral":
-        order = int(_field(raw, "order"))
+        order = _count(raw, "order")
         if order < 6 or order % 2:
             raise MalformedSpec("dihedral order must be even and at least 6")
         m = order // 2
@@ -115,7 +143,9 @@ def _build_rows(raw):
         ref = (-np.arange(m)) % m
         return m, [rot, ref]
     if cons == "direct_product":
-        parts = [_build_rows(f)[:2] for f in _field(raw, "factors")]
+        factors = _typed(raw, "factors", _field(raw, "factors"),
+                         lambda v: isinstance(v, list), "a list of specs")
+        parts = [_build_rows(f)[:2] for f in factors]
         degree = sum(d for d, _ in parts)
         rows = []
         off = 0
@@ -128,11 +158,11 @@ def _build_rows(raw):
         return degree, rows
     if cons == "semidirect":
         degree, base_rows = _build_rows(_field(raw, "base"))
-        top_rows = [parse_cycles(s, degree) for s in raw.get("top", [])]
+        top_rows = [parse_cycles(s, degree) for s in _words(raw, "top")]
         return degree, base_rows + top_rows, ("semidirect", base_rows, top_rows)
     if cons == "subgroup_of":
         degree, _ = _build_rows(_field(raw, "parent"))[:2]
-        rows = [parse_cycles(s, degree) for s in raw.get("generators", [])]
+        rows = [parse_cycles(s, degree) for s in _words(raw, "generators")]
         return degree, rows, ("subgroup_of", raw["parent"])
     raise MalformedSpec(f"unknown construction {cons!r}")
 
@@ -144,6 +174,7 @@ def build_group(spec, order_cap=None):
     raw = spec.raw
     cap = order_cap or raw.get("cap", DEFAULT_ORDER_CAP)
     built = _build_rows(raw)
+    expect = None if raw.get("order") is None else _count(raw, "order")
     degree, rows = built[0], built[1]
     extra = built[2] if len(built) > 2 else None
     G = PermGroup.generate(rows, degree, name=spec.name, order_cap=cap)
@@ -161,15 +192,17 @@ def build_group(spec, order_cap=None):
         _lookup(parent, G.perms,
                 "subgroup_of generators leave the parent group")
 
-    expect = raw.get("order")
-    if expect is not None and G.order != int(expect):
+    if expect is not None and G.order != expect:
         raise MalformedSpec(
             f"spec {spec.name!r} expected order {expect}, built {G.order}")
 
     comps = None
     if "components" in raw:
         comps = []
-        for gen_list in raw["components"]:
+        for gen_list in _typed(raw, "components", raw["components"],
+                               lambda v: isinstance(v, list)
+                               and all(map(_is_words, v)),
+                               "a list of lists of cycle strings"):
             idx = _lookup(G, [parse_cycles(s, degree) for s in gen_list],
                           "component generator outside the group").tolist()
             members = close_indices(G, [i for i in idx if i != 0])

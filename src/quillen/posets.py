@@ -7,8 +7,8 @@ whenever element i is below element j), so chains are id-increasing and
 the relation pairs (row, id) are sorted by the key row·n + id, which the
 bulk tests search.  An induced subposet is a mask and a renumbering of
 those pairs; a join concatenates the factors' arrays.  Each order check
-(PosetMap, action tables, the embedded copy of an image poset, the
-Mayer–Vietoris cover) is one sorted search over the pairs.
+(PosetMap, action tables, the embedded copy of an image poset) is one
+sorted search over the pairs.
 
 The order complex K(P) has the nonempty chains of P as simplices, kept
 per degree d as one (m_d, d+1) int64 array of increasing rows, in
@@ -160,7 +160,7 @@ class Poset:
     it has take and distinct), kept as it is: induced then takes a
     sub-family, and the duplicate check runs on its arrays.  No dict
     from label to id is kept: a family finds its members by their rows
-    (SubgroupFamily.positions), and make_map builds its own.
+    (SubgroupFamily.positions).
 
     results is the store of Betti vectors (homology.betti_of_poset) of
     the load the poset belongs to: a family's group's
@@ -455,19 +455,6 @@ class PosetMap:
         if inner.target is not self.source:
             raise ParentMismatch("composition type mismatch")
         return PosetMap(inner.source, self.target, self.table[inner.table])
-
-
-def make_map(source, target, fn):
-    """PosetMap from a label function: fn maps each source label to a
-    target label; IndexOutOfRange if the target has no such label."""
-    index = {e: i for i, e in enumerate(target.elements)}
-    table = np.empty(source.n, dtype=np.int64)
-    for i, e in enumerate(source.elements):
-        v = fn(e)
-        if v not in index:
-            raise IndexOutOfRange(f"image {v!r} not in target poset")
-        table[i] = index[v]
-    return PosetMap(source, target, table)
 
 
 def check_action_tables(P, tables):

@@ -66,9 +66,6 @@ from .groups import (
 from .homology import (
     DEFAULT_WORK_CAP,
     betti_of_complex,
-    betti_of_poset,
-    induced_map,
-    join_betti,
 )
 from .posets import (
     Poset,
@@ -730,10 +727,6 @@ class OrbitContext:
     def ap_C(self, i):
         return ap_poset(self.C[i], self.p, cap=self.cap)
 
-    def ap_component(self, i):
-        """p-subgroup poset of L_i (1-based)."""
-        return ap_poset(self.orbit[i - 1], self.p, cap=self.cap)
-
     def factor(self, i):
         """Image poset A_i of the chain action of C_i on L_i (1-based)."""
         if not 1 <= i <= self.t:
@@ -894,43 +887,6 @@ class OrbitContext:
         return self._cache[key]
 
 
-def verify_psi_tower(ctx):
-    """The projections commute with the inclusions up the chain; checks
-    every element of every chain poset, returns the number checked.
-    W[i-1] is a prefix of W[i], so the images compare by id."""
-    checked = 0
-    for i in range(1, ctx.t + 1):
-        lo, hi = ctx.psi(i - 1), ctx.psi(i)
-        src_lo = ctx.ap_C(i - 1)
-        b = subgroup_ids(ctx.ap_C(i), *member_csr(src_lo)[1:])
-        if (lo.table != hi.table[b]).any():
-            raise InvariantViolated(
-                "projection does not commute with inclusion")
-        checked += src_lo.n
-    return checked
-
-
-def verify_phi_factorization(ctx):
-    """psi_t agrees elementwise with the composite of the transfer maps
-    Phi_{1,t} o ... o Phi_{t,t}, on the first block of T(t, t), which is
-    the p-subgroup poset of C_t in its own order; returns the number of
-    elements checked."""
-    i = ctx.t
-    if i == 0:
-        return 0
-    comp = ctx.phi_step(i, i)
-    for k in range(i - 1, 0, -1):
-        comp = ctx.phi_step(k, i).compose(comp)
-    psi = ctx.psi(i)
-    if comp.target is not psi.target:
-        raise InvariantViolated("transfer maps end outside the join")
-    src = ctx.ap_C(i)
-    if (comp.table[:src.n] != psi.table).any():
-        raise InvariantViolated(
-            "transfer maps do not compose to the projection")
-    return src.n
-
-
 # -- the decomposition along H -------------------------------------------------------
 
 
@@ -1030,57 +986,3 @@ def off_component_subposet(ctx):
 
 # the diagonal models of thm410 and `qg diagonal`, by variant name
 DIAGONALS = {"formal": diagonal_poset, "off-component": off_component_subposet}
-
-
-# -- the standard equivalence on the inner part ----------------------------------------
-
-
-@dataclass
-class SubjoinReport:
-    """psi restricted to the members inside H0 = C_H(N) L_1 ... L_t, landing
-    on the join of the embedded factor copies."""
-    h0: Subgroup
-    image_matches_subjoin: bool
-    map_report: object
-    iso: bool
-    subjoin_betti: object
-    kunneth_ok: bool
-
-
-def psi_h0_equivalence_report(ctx):
-    """Restrict the projection to the p-subgroups of H0 = C_H(N) L_1...L_t
-    and verify it lands on the join of the embedded copies of the factor
-    posets, isomorphically in rational homology, with the join's Betti
-    numbers matching the product formula."""
-    wc = ctx.work_cap
-    H0 = ctx.C[0]
-    for L in ctx.orbit:
-        H0 = subgroup_product(H0, L)
-    AH = ctx.ap_H()
-    psi = ctx.psi()
-    jd = ctx.join()
-    b0ids = np.flatnonzero(membership(AH, H0).inside())
-    B0, _ = AH.induced(b0ids)
-    # the block of C_0 whole, and each factor's copy of L_i's poset
-    Jids = sorted_unique(np.concatenate(
-        [np.arange(*jd.blocks.get(0, (0, 0)))]
-        + [jd.blocks[i][0] + ctx.factor(i).embedded.table
-           for i in range(1, ctx.t + 1)]))
-    matches = np.array_equal(sorted_unique(psi.table[b0ids]), Jids)
-    J, _ = jd.X.induced(Jids)
-    restricted = ctx._map(B0, J, np.searchsorted(Jids, psi.table[b0ids]))
-    rep = induced_map(restricted, work_cap=wc)
-    top = max(len(rep.source_betti.tilde), len(rep.target_betti.tilde))
-    iso = all(rep.rank(k) == rep.source_betti.get(k) == rep.target_betti.get(k)
-              for k in range(-1, top))
-    factor_bettis = [betti_of_poset(ctx.ap_C(0), work_cap=wc)] \
-        if 0 in jd.active else []
-    factor_bettis += [betti_of_poset(ctx.ap_component(i), work_cap=wc)
-                      for i in range(1, ctx.t + 1)]
-    conv = join_betti(factor_bettis)
-    bJ = betti_of_poset(J, work_cap=wc)
-    degs = set(conv) | set(bJ.nonzero_degrees())
-    kunneth_ok = all(bJ.get(d) == conv.get(d, 0) for d in degs)
-    return SubjoinReport(h0=H0, image_matches_subjoin=matches,
-                         map_report=rep, iso=iso, subjoin_betti=bJ,
-                         kunneth_ok=kunneth_ok)

@@ -12,8 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from quillen import acceptance, cli, groups
+from quillen import acceptance, cli, groups, homology
 from quillen.cli import main
+from quillen.errors import InvariantViolated
 from quillen.gspec import load_group
 from quillen.pposets import OrbitContext
 
@@ -477,6 +478,27 @@ def test_spec_without_its_field_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: symmetric construction needs a 'degree' field\n"
+
+
+def test_a_mistyped_spec_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "typo.spec"
+    path.write_text(json.dumps({"construction": "symmetric", "degree": [3]}))
+    code, out, err = run_cli(capsys, "betti", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: symmetric construction: 'degree' must be an "
+                   "integer >= 1, not [3]\n")
+
+
+def test_a_failed_self_check_exits_3(capsys, monkeypatch):
+    # a failed self-check means a wrong answer was caught, not a refused
+    # input, so it exits apart from exit 2
+    def fail(raw, pairs, live):
+        raise InvariantViolated("pair 0 is not elementary")
+
+    monkeypatch.setattr(homology, "_replay_pairs", fail)
+    code, out, err = run_cli(capsys, "betti", "--group", "sym5")
+    assert (code, out) == (3, "")
+    assert err == "error: self-check failed: pair 0 is not elementary\n"
 
 
 def test_readme_lists_every_subcommand():

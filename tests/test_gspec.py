@@ -87,6 +87,37 @@ def test_malformed():
     # a nested spec that is no object is malformed too
     with pytest.raises(MalformedSpec, match="must be a JSON object"):
         build_group({"construction": "direct_product", "factors": [5]})
+    # a field of the wrong type names the construction and the field: a
+    # count is an integer >= 1, never a bool, a float or a string, and a
+    # generator list is a list of strings
+    sym = {"construction": "symmetric", "degree": 3}
+    for spec, field in [
+            ({"construction": "symmetric", "degree": [3]}, "degree"),
+            ({"construction": "symmetric", "degree": 2.5}, "degree"),
+            ({"construction": "symmetric", "degree": True}, "degree"),
+            ({"construction": "symmetric", "degree": -4}, "degree"),
+            ({"construction": "alternating", "degree": "abc"}, "degree"),
+            ({"construction": "cyclic", "degree": 0}, "degree"),
+            ({"construction": "generators", "degree": "x",
+              "generators": ["(1 2)"]}, "degree"),
+            ({"construction": "generators", "degree": 3,
+              "generators": [5]}, "generators"),
+            ({"construction": "generators", "degree": 3,
+              "generators": "(1 2)"}, "generators"),
+            ({"construction": "dihedral", "order": {"a": 1}}, "order"),
+            ({"construction": "dihedral", "order": "x"}, "order"),
+            ({**sym, "order": "6"}, "order"),
+            ({**sym, "order": 6.0}, "order"),
+            ({**sym, "components": [5]}, "components"),
+            ({**sym, "components": ["(1 2 3)"]}, "components"),
+            ({"construction": "direct_product", "factors": sym}, "factors"),
+            ({"construction": "semidirect", "base": sym, "top": "(1 2)"},
+             "top"),
+            ({"construction": "subgroup_of", "parent": sym,
+              "generators": [["(1 2)"]]}, "generators")]:
+        with pytest.raises(MalformedSpec, match=(
+                f"{spec['construction']} construction: '{field}' must be")):
+            build_group(spec)
 
 
 def test_generators_outside_the_group():

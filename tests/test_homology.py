@@ -13,19 +13,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from quillen import homology
 from quillen.checkers import _cor51_component_map
-from quillen.errors import InvariantViolated, MatrixCapExceeded, NotACover
+from quillen.errors import InvariantViolated, MatrixCapExceeded
+from quillen.groups import member_csr
 from quillen.gspec import load_group
 from quillen.homology import RawComplex, _core, _morse_pairs, \
     _rank_profile, _replay_pairs, _residue, betti_of_complex, \
     betti_of_poset, betti_of_raw, chain_map_from_poset_map, \
     cone_rank_profile, induced_map, kunneth_check, mapping_cone, \
-    mv_rank_audit, sparse_rank
+    sparse_rank
 from quillen.posets import Poset, PosetMap, SimplicialComplex, \
-    beat_point_core, join_posets, make_map, order_complex
+    beat_point_core, join_posets, order_complex
 from quillen.pposets import OrbitContext, ap_poset, bouc_poset, \
-    diagonal_poset, off_component_subposet
+    diagonal_poset, off_component_subposet, subgroup_ids
 
 from conftest import bundled
+from mv_oracle import NotACover, mv_rank_audit
 from rank_oracle import csr, dense_rank, induced_ranks
 from simplex_oracle import dict_boundary, dict_chain_map, \
     tuple_chains, tuple_dims
@@ -107,7 +109,8 @@ def test_induced_zero_inclusion(sym5, ap2_sym5):
     from quillen.groups import detect_components
     comps, _ = detect_components(sym5)
     apA = ap_poset(comps[0], 2)
-    f = make_map(apA, ap2_sym5, lambda E: E)
+    f = PosetMap(apA, ap2_sym5,
+                 subgroup_ids(ap2_sym5, *member_csr(apA)[1:]))
     rep = induced_map(f)
     assert rep.ranks == induced_ranks(f)
     assert rep.is_zero()
@@ -118,7 +121,7 @@ def test_induced_zero_inclusion(sym5, ap2_sym5):
 def test_induced_collapse_to_point():
     P = antichain(3)
     Q = antichain(1)
-    f = make_map(P, Q, lambda e: Q.elements[0])
+    f = PosetMap(P, Q, np.zeros(P.n, dtype=np.int64))
     rep = induced_map(f)
     assert rep.ranks == induced_ranks(f)
     assert rep.is_zero()
@@ -961,25 +964,25 @@ def test_self_checks_survive_python_O():
         hom._morse_pairs = exact_pairs
         # the orbit maps: psi with a component centralizer taken as all of
         # H, so its two descriptions of the projection index differ; a
-        # constant map in place of psi_1, and then of Phi_{1,2}; and a
-        # copy that sends a member to one of another order
+        # constant map in place of psi_1, which check_thm41's tower check
+        # meets, and then of Phi_{1,2}, which check_propEM's factorization
+        # meets; and a copy that sends a member to one of another order
+        from quillen.checkers import check_propEM, check_thm41
         from quillen.posets import PosetMap
-        from quillen.pposets import verify_phi_factorization, \\
-            verify_psi_tower
         cent, ctx.cent[2] = ctx.cent[2], ctx.H
         expect(InvariantViolated, "two descriptions of the projection "
                "index disagree", "psi accepted a wrong projection index",
                ctx.psi, 2)
         ctx.cent[2] = cent
         for key, source, target, check, message in (
-                (("psi", 1), ctx.ap_C(1), ctx.join().W[1], verify_psi_tower,
+                (("psi", 1), ctx.ap_C(1), ctx.join().W[1], check_thm41,
                  "does not commute with inclusion"),
                 (("phi", 1, 2), ctx.mixed_join(1, 2), ctx.mixed_join(0, 2),
-                 verify_phi_factorization,
+                 lambda ctx: check_propEM(ctx, 2),
                  "do not compose to the projection")):
             ctx._cache[key] = PosetMap(source, target, [0] * source.n)
             expect(InvariantViolated, message,
-                   f"{check.__name__} accepted a constant map", check, ctx)
+                   f"a constant {key} map passed", check, ctx)
             del ctx._cache[key]
         # a target dropped from factor 1's family: psi_1 finds its images
         # by row lookup, and one of them is gone

@@ -12,7 +12,7 @@ from quillen.errors import IndexOutOfRange, InvariantViolated, \
 from quillen.homology import betti_of_poset
 from quillen.posets import Poset, PosetMap, SimplicialComplex, \
     beat_point_core, check_action_tables, fixed_subposet, join_posets, \
-    make_map, order_complex
+    order_complex
 from quillen.pposets import ap_poset, bouc_poset
 
 from conftest import bundled
@@ -233,25 +233,14 @@ def test_induced():
     assert sub.related(0, 1)
 
 
-def test_make_map_validates():
+def test_posetmap_validates():
     P = poset_from_pairs(3, [(0, 1), (0, 2)])
     Q = poset_from_pairs(2, [(0, 1)])
-    f = make_map(P, Q, lambda e: Q.elements[0])
+    f = PosetMap(P, Q, np.zeros(3, dtype=np.int64))
     assert list(f.table) == [0, 0, 0]
     # order-reversing target assignment is rejected
     with pytest.raises(NotOrderPreserving):
         PosetMap(P, Q, np.array([1, 0, 0]))
-
-
-def test_make_map_rejects_an_image_missing_from_the_target():
-    P = poset_from_pairs(2, [(0, 1)])
-    Q = make_poset(["a", "b"], [[1], []])
-    assert make_map(P, Q, lambda e: "ab"[e]).table.tolist() == [0, 1]
-    # a label outside the target, and an int that is an id of Q but not
-    # one of its labels
-    for fn in (lambda e: "c", lambda e: e):
-        with pytest.raises(IndexOutOfRange, match="not in target poset"):
-            make_map(P, Q, fn)
 
 
 def test_posetmap_compose():

@@ -8,16 +8,21 @@ ranks no complex twice and computes no induced map twice.
 import hashlib
 
 import numpy as np
+import pytest
 
 from quillen import homology
 from quillen.checkers import FAILS, HOLDS, INAPPLICABLE, check_conditions, \
     check_cor51, check_cor52, check_propEM, check_thm41, check_thm410
+from quillen.errors import InvariantViolated
 from quillen.groups import centralizer, subgroup_product
 from quillen.gspec import load_group
-from quillen.homology import betti_of_poset, mv_rank_audit
+from quillen.homology import betti_of_poset
+from quillen.posets import PosetMap
 from quillen.pposets import OrbitContext, ap_poset, decomposition, \
-    diagonal_poset, off_component_subposet, psi_h0_equivalence_report, \
-    verify_phi_factorization, verify_psi_tower
+    diagonal_poset, off_component_subposet
+
+from mv_oracle import mv_rank_audit
+from subjoin_oracle import psi_h0_equivalence_report
 
 
 def same_betti(a, b, upto=4):
@@ -62,9 +67,22 @@ def test_join_and_complexes(worked_ctx):
     assert cx.k0hat_betti.is_zero()
 
 
-def test_projection_tower(worked_ctx):
-    assert verify_psi_tower(worked_ctx) > 0
-    assert verify_phi_factorization(worked_ctx) > 0
+def test_projection_tower(worked_ctx, monkeypatch):
+    # check_thm41 checks each psi_i against psi_{i-1} up the chain, and
+    # check_propEM the composite of the transfer maps against psi_t: a
+    # constant map in place of psi_1, or of Phi_{1,2}, is caught
+    ctx = worked_ctx
+    for key, source, target, check, message in (
+            (("psi", 1), ctx.ap_C(1), ctx.join().W[1], check_thm41,
+             "does not commute with inclusion"),
+            (("phi", 1, 2), ctx.mixed_join(1, 2), ctx.mixed_join(0, 2),
+             lambda ctx: check_propEM(ctx, 2),
+             "do not compose to the projection")):
+        with monkeypatch.context() as m:
+            m.setitem(ctx._cache, key, PosetMap(
+                source, target, np.zeros(source.n, dtype=np.int64)))
+            with pytest.raises(InvariantViolated, match=message):
+                check(ctx)
 
 
 def test_decomposition_sizes(worked_ctx):
