@@ -15,9 +15,9 @@ Conventions:
 Element arithmetic is on permutation rows, with no table beside the
 element index: an inverse is the argsort of its row, and x^e = 1 is one
 square-and-multiply power test (_power_is_identity), which finds the
-p-elements, a Sylow subgroup's, the q'-elements of the hyperelementary
-check, cyclic subgroups and prime-order classes.  No element orders are
-computed.
+p-elements (on the elements that bring point 0 back after p steps), a
+Sylow subgroup's, the q'-elements of the hyperelementary check, cyclic
+subgroups and prime-order classes.  No element orders are computed.
 
 The hot set work runs in bulk rather than element by element in Python:
   * the one element index is a dict from a row's int16 bytes to its
@@ -48,16 +48,20 @@ The hot set work runs in bulk rather than element by element in Python:
     whole rows; normalizes answers "is it normal" from generators alone;
   * sylow_subgroup power tests a normalizer's members in ascending
     blocks and stops at the first that holds a p-element outside P;
-  * _classes is the one labelling of element classes, one position map
-    per actor generator, and _subgroup_class the one walk of a
-    subgroup's class, as rows, each element looked up once per
-    generator: the radical poset's classes and the simple factors of a
-    minimal normal subgroup;
+  * _position_maps gives one position map per actor generator, from
+    one conj_batch each: _classes labels element classes by them, and
+    the commuting table moves its rows along them; _subgroup_class is
+    the one walk of a subgroup's class, as rows, each element looked up
+    once per generator: the radical poset's classes and the simple
+    factors of a minimal normal subgroup;
   * elementary_abelian_subgroups steps a whole rank at a time, from the
     p-elements of one power test (PermGroup.p_element_mask) and one
-    table of their commuting pairs with products, searched, not looked
-    up, by the rank steps.  It returns a SubgroupFamily, arrays per
-    order whose readers take its member rows, with no Subgroup built.
+    table of their commuting pairs with products: one row per class of
+    p-elements is found and looked up, and the others are moved along
+    the position maps.  The rank steps search the table, with no
+    lookup, and build each subgroup once, from its canonical pair.  It
+    returns a SubgroupFamily, arrays per order whose readers take its
+    member rows, with no Subgroup built.
 
 Components come from normal closures of class representatives.  The
 prime-order classes are labelled over the prime-order elements alone,
@@ -242,10 +246,19 @@ class PermGroup:
 
     def p_element_mask(self, p):
         """Mask of the elements x != 1 with x^p = 1, the elements of order
-        p for p prime, from one power test (_power_is_identity)."""
+        p for p prime.  Point 0 is followed through p applications of
+        every element, and only the elements that bring it back take the
+        whole-row power test (_power_is_identity).  A p above the degree
+        divides no element's order."""
         if p not in self._pmask:
-            mask = _power_is_identity(self.perms, p)
-            mask[0] = False
+            mask = np.zeros(self.order, dtype=bool)
+            if p <= self.degree:
+                each = np.arange(self.order)
+                at = np.zeros(self.order, dtype=np.intp)
+                for _ in range(p):
+                    at = self.perms[each, at]
+                back = np.flatnonzero(at == 0)[1:]
+                mask[back] = _power_is_identity(self.perms[back], p)
             self._pmask[p] = mask
         return self._pmask[p]
 
@@ -734,14 +747,22 @@ def normal_closure(ambient, seed_indices):
 # -- conjugacy classes and normal subgroups -----------------------------------
 
 
+def _position_maps(actor, elements):
+    """One position map per generator a of actor, a permutation of
+    range(len(elements)): map[k] is the position of a x a^-1 for x =
+    elements[k], elements being sorted and closed under conjugation by
+    actor.  One conj_batch per generator."""
+    G = actor.group
+    return [np.searchsorted(elements, G.conj_batch(a, elements))
+            for a in actor.generating_set()]
+
+
 def _classes(actor, elements):
     """The orbits of conjugation by actor on elements, a sorted element
     array closed under it, as arrays ordered by smallest member, each
-    ascending, in one sweep: every actor generator gives a position map,
-    a permutation of elements, from one conj_batch (_orbit_labels)."""
-    G = actor.group
-    label = _orbit_labels([np.searchsorted(elements, G.conj_batch(a, elements))
-                           for a in actor.generating_set()], elements.size)
+    ascending, in one sweep over the position maps (_position_maps,
+    _orbit_labels)."""
+    label = _orbit_labels(_position_maps(actor, elements), elements.size)
     return _orbit_arrays(elements, label)
 
 
@@ -1241,67 +1262,75 @@ _MISSING_PRODUCT = ("a product of commuting p-elements is missing from the "
                     "commuting table")
 
 
-def _commuting_products(G, ext, powers, gens):
+def _commuting_products(sub, ext, powers):
     """Every commuting pair of p-elements from two different cyclic
     subgroups, with its product, as one table (keys, prods).
 
     Elements are named by position in ext, the identity and then the
-    p-elements ascending; m = ext.size, powers[q, e] is the position of
-    the e-th power of q, and gens holds one generator of each cyclic
-    subgroup.  keys holds i·m + j ascending, and prods[k] the position
-    of the product of the pair keys[k], a p-element.
+    p-elements of sub ascending; m = ext.size and powers[q, e] is the
+    position of the e-th power of q.  keys holds i·m + j ascending, and
+    prods[k] the position of the product of the pair keys[k], a
+    p-element.
 
-    Commuting is tested once per cyclic subgroup, on its generator x:
-    x∘y and y∘x are compared at points 0 and 1 (a group with p-elements
-    has degree >= 2) for a block of generators against every p-element
-    at once, then at the other points but the last one at a time, each
-    on the pairs that agreed so far, so a pair that does not commute
-    drops out at its first differing point.  Each commuting pair is then composed
-    once, and its product looked up once; a pair of two generators is
-    composed one way round only.  The rows of the other powers of x
-    follow from x's by x^e y = x (x^(e-1) y), read off x's row
-    (InvariantViolated if missing)."""
-    m, p = powers.shape
+    Row i, the p-elements outside <i> that commute with i, is found
+    directly for one representative t of each class of p-elements under
+    conjugation by sub's generators: the p-elements y with y(t(0)) =
+    t(y(0)), then those whose whole rows commute with t's, and the
+    products t·y, looked up once.  Every other row follows breadth-first
+    through the generators' position maps (_position_maps): conjugation
+    by a generator a sends row x and its products to row a x a^-1 and
+    theirs.  The table is checked symmetric, as commuting is: one argsort
+    of the reversed keys j·m + i gives back keys and prods
+    (InvariantViolated otherwise)."""
+    m = powers.shape[0]
+    G = sub.group
     P = G.perms[ext]
-    is_gen = np.zeros(m, dtype=bool)
-    is_gen[gens] = True
-    found, prods = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    step = max(1, (1 << 22) // m)
-    for lo in range(0, gens.size, step):
-        X = P[gens[lo:lo + step]]
-        # y(x(a)) == x(y(a)), y over the p-elements
-        agree = P[1:, X[:, 0]].T == X[:, P[1:, 0]]
-        agree &= P[1:, X[:, 1]].T == X[:, P[1:, 1]]
-        i, j = np.nonzero(agree)
-        i, j = gens[lo + i], j + 1
-        pick = ((j > i) | ~is_gen[j]) & ~(powers[i] == j[:, None]).any(axis=1)
-        i, j = i[pick], j[pick]
-        # two permutations that agree on all points but one agree on it
-        for a in range(2, G.degree - 1):
-            ok = P[i, P[j, a]] == P[j, P[i, a]]
-            i, j = i[ok], j[ok]
-        found.append(i * m + j)
-        prods.append(np.searchsorted(ext, G.lookup_rows(
-            np.take_along_axis(P[i], P[j], axis=1))))
-    found, prods = np.concatenate(found), np.concatenate(prods)
-    both = is_gen[found % m]
-    keys = np.concatenate((found, found[both] % m * m + found[both] // m))
-    prods = np.concatenate((prods, prods[both]))
-    order = np.argsort(keys)
-    keys, prods = keys[order], prods[order]
-    x, y, xy = keys // m, keys % m, prods
-    rows, cols, out = [x], [y], [xy]
-    for e in range(2, p):
-        hit, pos = sorted_find(keys, x * m + xy)
-        if not hit.all():
-            raise InvariantViolated(_MISSING_PRODUCT)
-        xy = prods[pos]
-        rows.append(powers[x, e])
-        cols.append(y)
-        out.append(xy)
-    keys = np.concatenate(rows) * m + np.concatenate(cols)
-    order = np.argsort(keys)
-    return keys[order], np.concatenate(out)[order]
+    maps = _position_maps(sub, ext)
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    slot = np.empty(m, dtype=np.int64)
+    classes = []  # (elements, rows, products), one row per element
+    while not seen.all():
+        t = int(np.argmin(seen))
+        x = P[t]
+        ys = np.flatnonzero(P[:, x[0]] == x[P[:, 0]])
+        ys = ys[(P[ys][:, x] == x[P[ys]]).all(axis=1)]
+        ys = ys[~np.isin(ys, powers[t])]
+        level = (np.array([t]), ys[None, :], np.searchsorted(
+            ext, G.lookup_rows(x[P[ys]]))[None, :])
+        seen[t] = True
+        found = []
+        while level[0].size:
+            found.append(level)
+            elems, rows, outs = level
+            grown = []
+            for mp in maps:
+                img = mp[elems]
+                new = np.flatnonzero(~seen[img])
+                # an element reached twice in one step keeps one parent
+                slot[img[new]] = new
+                new = new[slot[img[new]] == new]
+                seen[img[new]] = True
+                grown.append((img[new], mp[rows[new]], mp[outs[new]]))
+            level = tuple(map(np.concatenate, zip(*grown)))
+        classes.append(tuple(map(np.concatenate, zip(*found))))
+    width = np.zeros(m, dtype=np.int64)
+    for elems, rows, _ in classes:
+        width[elems] = rows.shape[1]
+    ptr = np.concatenate(([0], np.cumsum(width)))
+    keys = np.empty(ptr[-1], dtype=np.int64)
+    prods = np.empty(ptr[-1], dtype=np.int64)
+    for elems, rows, outs in classes:
+        order = np.argsort(rows, axis=1)
+        at = ptr[elems, None] + np.arange(rows.shape[1])
+        keys[at] = elems[:, None] * m + np.take_along_axis(rows, order, 1)
+        prods[at] = np.take_along_axis(outs, order, 1)
+    rev = keys % m * m + keys // m
+    back = np.argsort(rev)
+    if not (np.array_equal(rev[back], keys)
+            and np.array_equal(prods[back], prods)):
+        raise InvariantViolated("the commuting table is not symmetric")
+    return keys, prods
 
 
 class SubgroupFamily(Sequence):
@@ -1313,6 +1342,8 @@ class SubgroupFamily(Sequence):
     subgroup, padded by -1; and its coordinate rows or None, where column
     c_1 + c_2 p + ... + c_r p^(r-1) holds b_1^c_1 b_2^c_2 ⋯ b_r^c_r for a
     basis b_1, ..., b_r of the subgroup (the generators, in some order).
+    In elementary_abelian_subgroups's family the generators are each
+    member's greedy-max basis, ascending, and b_i is generator i.
     Readers take the rows: member_csr, positions, distinct and take read
     the arrays, and take gives the sub-family at given positions.
     family[k], for 0 <= k < len(family), builds a fresh Subgroup of
@@ -1377,29 +1408,36 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
     """All nontrivial elementary abelian p-subgroups, ascending rank.
 
     Returns a SubgroupFamily, ordered by (order, member tuple), with the
-    coordinate rows of each subgroup in its generators.  BFS by rank: a
-    rank r+1 subgroup B arises as <A, z> where A is a hyperplane and z a
-    commuting p-element larger than all of A's members, so extending
-    every A by every such z and deduplicating member tuples finds
-    everything.
+    coordinate rows of each subgroup in its generators, its greedy-max
+    basis in ascending order: a_1 is its largest member and a_(k+1) the
+    largest outside <a_1, ..., a_k>.  Each subgroup is built once, by
+    canonical augmentation: a rank r+1 subgroup B with basis a_1, ...,
+    a_(r+1) arises only as <A, z> for z = a_1 and A = <a_2, ..., a_(r+1)>,
+    whose own basis that is, so extending every A by every commuting
+    p-element z larger than A's members, and keeping <A, z> when its
+    basis is z followed by A's, finds each B once.  That holds exactly
+    when z is the largest member of <z> and z^e x < b for every e >= 1
+    and nontrivial x in A, b being the generator of x's lowest
+    coordinate.
 
     Each step works on a whole rank, in positions of the p-elements,
     which those of one power test (PermGroup.p_element_mask) list in
     ascending order, so positions order rows as element indices do.  Rank
-    1 is one row per cyclic subgroup, its powers found by bulk lookups.
+    1 is one row per cyclic subgroup, generated by its largest member.
     One table holds every commuting pair of p-elements of different
-    cyclic subgroups with its product (_commuting_products).  A rank's
-    candidate pairs (A, z) are read off the table's row of A's first
-    generator, past A's largest member, and kept where each further
-    generator's row has z too: row-major order, so the first pair
-    reaching each B, whose generators B keeps, is the same as in a
-    row-by-row scan.  B's coordinate row is A's followed by A's times z,
-    z^2, ..., z^(p-1), each product read off the table by one
-    searchsorted, but for the products of A's generators with z: the
-    filter has found those already, so it hands their table positions
-    on.  InvariantViolated if a product is missing, or if B's members
-    are not p·|A| distinct elements.  Rows are deduplicated by row_runs,
-    one lexsort of their packed words.
+    cyclic subgroups with its product (_commuting_products).  One mask
+    of it keeps the steps, the pairs (a, z) the test allows for a
+    generator a: z above a and the largest member of <z>, with z a < a.
+    A rank's candidate pairs (A, z) are read off the steps of the
+    generator of A with the fewest past A's largest member, and kept
+    where every generator's steps have z.  B's coordinate row is A's
+    followed by A's times z, z^2, ..., z^(p-1), each product read off
+    the table by one searchsorted, but for the products of A's
+    generators with z: the filter has found those already, so it hands
+    them on.  The products confirm the rest of the test, a power of z at
+    a time.  InvariantViolated if a product is missing, if B's members
+    are not p·|A| distinct elements, or if a member row repeats.
+    row_runs sorts each rank's rows, one lexsort of their packed words.
     """
     sub = as_subgroup(sub)
     p = _check_prime(p)
@@ -1427,42 +1465,57 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
         if e < p - 1:
             cur = G.lookup_rows(np.take_along_axis(
                 G.perms[pel], G.perms[cur], axis=1))
-    # rank 1: one row per <x>, keyed by its sorted nontrivial members
-    order, head = row_runs(np.sort(powers[1:, 1:], axis=1))
-    gens = order[head].reshape(-1, 1) + 1
+    # top[q]: q is the largest member of <q>, the generator of its rank-1 row
+    top = (powers[:, 2:] < np.arange(m)[:, None]).all(axis=1)
+    top[0] = False
+    gens = np.flatnonzero(top)[:, None]
     coords = powers[gens[:, 0]]
     members = np.sort(coords, axis=1)
+    # two subgroups of order p meet trivially: their least members differ
+    order = np.argsort(members[:, 1])
+    members, gens, coords = members[order], gens[order], coords[order]
     if members.shape[0] > cap:
         raise EnumerationCapExceeded(
             f"{members.shape[0]} rank-1 subgroups exceeds cap {cap}")
-    keys, prods = _commuting_products(G, ext, powers, gens[:, 0])
-    ptr = np.searchsorted(keys, np.arange(m + 1) * m)
+    keys, prods = _commuting_products(sub, ext, powers)
+    # the steps (a, z) a generator a may take: z above a and the largest
+    # member of <z>, with z·a < a
+    a, z = keys // m, keys % m
+    step = (z > a) & top[z] & (prods < a)
+    skeys, sprods = keys[step], prods[step]
+    ptr = np.searchsorted(skeys, np.arange(m + 1) * m)
     levels = [(members, gens, coords)]
     total = members.shape[0]
 
     while True:
-        # z past A's largest member in its first generator's row, kept
-        # where every further generator commutes with it
-        start = np.searchsorted(keys, gens[:, 0] * m + members[:, -1],
-                                side="right")
-        count = ptr[gens[:, 0] + 1] - start
-        pair_sub = np.repeat(np.arange(len(gens)), count)
-        # at[:, i]: the table position of the pair (generator i, z)
-        at = (np.repeat(start - np.cumsum(count) + count, count)
-              + np.arange(count.sum()))[:, None]
-        z = keys[at[:, 0]] % m
-        for g in gens[:, 1:].T:
-            hit, pos = sorted_find(keys, g[pair_sub] * m + z)
+        n, r = gens.shape
+        # z past A's largest member, taken from the steps of the generator
+        # with the fewest and kept where every generator's steps have it;
+        # zg[:, i] is the product of generator i with z
+        start = np.searchsorted(skeys, (gens * m + members[:, -1:]).ravel(),
+                                side="right").reshape(n, r)
+        count = ptr[gens + 1] - start
+        best = count.argmin(axis=1)
+        start, count = start[np.arange(n), best], count[np.arange(n), best]
+        pair_sub = np.repeat(np.arange(n), count)
+        z = skeys[np.repeat(start - np.cumsum(count) + count, count)
+                  + np.arange(count.sum())] % m
+        zg = np.zeros((z.size, 0), dtype=np.int64)
+        for g in gens.T:
+            hit, pos = sorted_find(skeys, g[pair_sub] * m + z)
             pair_sub, z = pair_sub[hit], z[hit]
-            at = np.column_stack((at[hit], pos[hit]))
-        if pair_sub.size == 0:
-            break
+            zg = np.column_stack((zg[hit], sprods[pos[hit]]))
         C = coords[pair_sub]
-        blocks = [C]
+        # column c of A's coordinates is x = b_1^c_1 ⋯ b_r^c_r: its
+        # products with powers of z stay below the generator of the
+        # lowest nonzero c_i
+        low = np.arange(1, p ** r)
+        low = (low[:, None] % p ** np.arange(1, r + 1) != 0).argmax(axis=1)
         # generator i is coordinate p^i, and the filter found its product
         # with z: A times z searches only the other coordinates
-        ask = np.ones(C.shape[1] - 1, dtype=bool)
-        ask[p ** np.arange(gens.shape[1]) - 1] = False
+        ask = np.ones(p ** r - 1, dtype=bool)
+        ask[p ** np.arange(r) - 1] = False
+        blocks = []
         for e in range(1, p):
             ze = powers[z, e]
             cols = ask if e == 1 else slice(None)
@@ -1472,17 +1525,23 @@ def elementary_abelian_subgroups(sub, p, cap=DEFAULT_ENUM_CAP):
             block = np.empty_like(C[:, 1:])
             block[:, cols] = prods[pos]
             if e == 1:
-                block[:, ~ask] = prods[at]
-            blocks += [ze[:, None], block]
-        new_coords = np.concatenate(blocks, axis=1)
+                block[:, ~ask] = zg
+            keep = (block < gens[pair_sub][:, low]).all(axis=1)
+            blocks = [x[keep] for x in blocks] + [ze[keep, None],
+                                                  block[keep]]
+            C, pair_sub, z, zg = C[keep], pair_sub[keep], z[keep], zg[keep]
+        if pair_sub.size == 0:
+            break
+        new_coords = np.concatenate([C] + blocks, axis=1)
         new_members = np.sort(new_coords, axis=1)
         if (new_members[:, 1:] == new_members[:, :-1]).any():
             raise InvariantViolated(
                 "a rank step did not multiply the order by p")
         order, head = row_runs(new_members)
-        first = order[head]
-        members, coords = new_members[first], new_coords[first]
-        gens = np.column_stack((gens[pair_sub[first]], z[first]))
+        if not head.all():
+            raise InvariantViolated("a rank step built a subgroup twice")
+        members, coords = new_members[order], new_coords[order]
+        gens = np.column_stack((gens[pair_sub], z))[order]
         total += members.shape[0]
         if total > cap:
             raise EnumerationCapExceeded(

@@ -18,10 +18,14 @@ cap) and "components" (list of generator lists declaring quasisimple
 subgroups, for groups whose components the detector cannot certify or
 where a specific choice is wanted).
 
-Counts ("degree", "order") are JSON integers >= 1, and "generators",
-"top", "factors", "components" and each component are lists; any other
-value is a MalformedSpec naming the construction and the field.  Cycle
-notation in files is 1-based; indices are 0-based internally.
+Counts ("degree", "order", "cap") are JSON integers >= 1, and
+"generators", "top", "factors", "components" and each component are
+lists; any other value is a MalformedSpec naming the construction and
+the field.  A degree is at most MAX_DEGREE, the int16 range of a
+permutation row's points (MalformedSpec), and a symmetric, alternating,
+cyclic or dihedral group whose order passes the order cap raises
+OrderCapExceeded before any row is built.  Cycle notation in files is
+1-based; indices are 0-based internally.
 """
 
 import json
@@ -32,9 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedSpec, NotAnElement
+from .errors import MalformedSpec, NotAnElement, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, PermGroup, Subgroup, close_indices
 from .perms import parse_cycles
+
+# the points of a permutation row are int16
+MAX_DEGREE = int(np.iinfo(np.int16).max)
 
 BUNDLED = [
     "alt5", "sym4", "sym5", "alt6", "sym6", "aut-alt6",
@@ -103,6 +110,28 @@ def _count(raw, name):
                   and not isinstance(v, bool) and v >= 1, "an integer >= 1")
 
 
+def _degree(raw):
+    """The required field raw["degree"], a count (_count) of at most
+    MAX_DEGREE points."""
+    n = _count(raw, "degree")
+    if n > MAX_DEGREE:
+        raise MalformedSpec(f"{raw['construction']} construction: 'degree' "
+                            f"must be at most {MAX_DEGREE}, not {n}")
+    return n
+
+
+def _within_cap(raw, factors, cap):
+    """OrderCapExceeded unless the product of factors, the order of the
+    group raw builds, is at most cap: checked before any row is built,
+    and stopping at the first partial product past cap."""
+    order = 1
+    for k in factors:
+        order *= k
+        if order > cap:
+            raise OrderCapExceeded(
+                f"{raw['construction']} group order exceeds cap {cap}")
+
+
 def _is_words(value):
     return isinstance(value, list) and all(isinstance(w, str) for w in value)
 
@@ -113,24 +142,29 @@ def _words(raw, name):
                   "a list of cycle strings")
 
 
-def _build_rows(raw):
-    """Return (degree, generator rows) for a spec dict."""
+def _build_rows(raw, cap=DEFAULT_ORDER_CAP):
+    """Return (degree, generator rows) for a spec dict, the symmetric,
+    alternating, cyclic and dihedral groups' orders checked against cap
+    first."""
     cons = raw.get("construction") if isinstance(raw, dict) else None
     if cons is None:
         raise MalformedSpec(
             "spec must be a JSON object with a 'construction' field")
     if cons == "generators":
-        degree = _count(raw, "degree")
+        degree = _degree(raw)
         rows = [parse_cycles(s, degree) for s in _words(raw, "generators")]
         return degree, rows
     if cons == "symmetric":
-        n = _count(raw, "degree")
+        n = _degree(raw)
+        _within_cap(raw, range(2, n + 1), cap)
         return n, [np.array(g) for g in _sym_gens(n)]
     if cons == "alternating":
-        n = _count(raw, "degree")
+        n = _degree(raw)
+        _within_cap(raw, range(3, n + 1), cap)
         return n, [np.array(g) for g in _alt_gens(n)]
     if cons == "cyclic":
-        n = _count(raw, "degree")
+        n = _degree(raw)
+        _within_cap(raw, [n], cap)
         if n < 2:
             return 1, []
         return n, [np.roll(np.arange(n), -1)]
@@ -138,6 +172,10 @@ def _build_rows(raw):
         order = _count(raw, "order")
         if order < 6 or order % 2:
             raise MalformedSpec("dihedral order must be even and at least 6")
+        if order // 2 > MAX_DEGREE:
+            raise MalformedSpec(f"dihedral construction: 'order' must be at "
+                                f"most {2 * MAX_DEGREE}, not {order}")
+        _within_cap(raw, [order], cap)
         m = order // 2
         rot = np.roll(np.arange(m), -1)
         ref = (-np.arange(m)) % m
@@ -145,8 +183,11 @@ def _build_rows(raw):
     if cons == "direct_product":
         factors = _typed(raw, "factors", _field(raw, "factors"),
                          lambda v: isinstance(v, list), "a list of specs")
-        parts = [_build_rows(f)[:2] for f in factors]
+        parts = [_build_rows(f, cap)[:2] for f in factors]
         degree = sum(d for d, _ in parts)
+        if degree > MAX_DEGREE:
+            raise MalformedSpec(f"direct_product construction: the factors "
+                                f"have {degree} points, above {MAX_DEGREE}")
         rows = []
         off = 0
         for d, rs in parts:
@@ -157,11 +198,11 @@ def _build_rows(raw):
             off += d
         return degree, rows
     if cons == "semidirect":
-        degree, base_rows = _build_rows(_field(raw, "base"))
+        degree, base_rows = _build_rows(_field(raw, "base"), cap)
         top_rows = [parse_cycles(s, degree) for s in _words(raw, "top")]
         return degree, base_rows + top_rows, ("semidirect", base_rows, top_rows)
     if cons == "subgroup_of":
-        degree, _ = _build_rows(_field(raw, "parent"))[:2]
+        degree, _ = _build_rows(_field(raw, "parent"), cap)[:2]
         rows = [parse_cycles(s, degree) for s in _words(raw, "generators")]
         return degree, rows, ("subgroup_of", raw["parent"])
     raise MalformedSpec(f"unknown construction {cons!r}")
@@ -172,8 +213,9 @@ def build_group(spec, order_cap=None):
     if isinstance(spec, dict):
         spec = GroupSpec(name=spec.get("name", ""), raw=spec)
     raw = spec.raw
-    cap = order_cap or raw.get("cap", DEFAULT_ORDER_CAP)
-    built = _build_rows(raw)
+    spec_cap = None if raw.get("cap") is None else _count(raw, "cap")
+    cap = order_cap or spec_cap or DEFAULT_ORDER_CAP
+    built = _build_rows(raw, cap)
     expect = None if raw.get("order") is None else _count(raw, "order")
     degree, rows = built[0], built[1]
     extra = built[2] if len(built) > 2 else None
@@ -187,7 +229,7 @@ def build_group(spec, order_cap=None):
             if conj.key != base.key:
                 raise MalformedSpec("semidirect top does not normalize the base")
     if extra and extra[0] == "subgroup_of":
-        pdeg, prows = _build_rows(extra[1])[:2]
+        pdeg, prows = _build_rows(extra[1], cap)[:2]
         parent = PermGroup.generate(prows, pdeg, name="parent", order_cap=cap)
         _lookup(parent, G.perms,
                 "subgroup_of generators leave the parent group")

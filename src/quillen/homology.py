@@ -136,8 +136,7 @@ def _stack(ncols, parts):
     sign): entry (i, v) of B's column j lands in column col_shift + j as
     (row_shift + i, sign * v).  One stable argsort by column keeps each
     column's entries in part order, and in B's order within a part.
-    Mapping cones and the pair search's face matrix are both stacked
-    here."""
+    Mapping cones are stacked here."""
     col, rows, vals = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     for B, cs, rs, sign in parts:
         col.append(B.owners() + cs)
@@ -389,9 +388,10 @@ def _morse_rounds(raw, work_cap):
     round's pairs as two arrays (a, b) of cells of the whole complex
     (_cell_offsets), cell a of degree k with cell b of degree k + 1.
 
-    The faces are raw's boundaries stacked into one CSR over the whole
-    complex (_stack), and the cofaces are its transpose.  A round reads
-    only its frontier.  It takes the frontier's
+    The faces are raw's boundaries, each already in column order,
+    concatenated into one CSR over the whole complex, and the cofaces
+    are its transpose, by one argsort of the distinct keys row·n +
+    column.  A round reads only its frontier.  It takes the frontier's
     coreduction candidates: b with one live face entry a, with a nonzero
     coefficient.  If there are none, it takes the collapse candidates: a
     with one live coface entry b, with a nonzero coefficient.  It keeps
@@ -411,12 +411,17 @@ def _morse_rounds(raw, work_cap):
     """
     degrees, first = _cell_offsets(raw)
     n = int(first[-1])
-    faces = _stack(n, [(raw.columns(k), first[d], first[d - 1] if d else 0, 1)
-                       for d, k in enumerate(degrees)])
-    fp, fr, fv = faces.ptr, faces.rows, faces.vals
-    owner = faces.owners()
+    parts = [raw.columns(k) for k in degrees]
+    fp = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        B.ptr[1:] + shift for B, shift in zip(
+            parts, np.cumsum([0] + [len(B.rows) for B in parts]))])
+    fr = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        B.rows + (first[d - 1] if d else 0) for d, B in enumerate(parts)])
+    fv = np.concatenate([np.zeros(0, dtype=np.int64)]
+                        + [B.vals for B in parts])
+    owner = np.repeat(np.arange(n), np.diff(fp))
     # cofaces: the transpose, each row's entries in owner order
-    by_row = np.argsort(fr, kind="stable")
+    by_row = np.argsort(fr * n + owner)
     cp = row_ptr(fr, n)
     cof, cv = owner[by_row], fv[by_row]
     live = np.ones(n, dtype=bool)
@@ -450,7 +455,10 @@ def _morse_rounds(raw, work_cap):
         a, b, lead = a[ok], b[ok], lead[ok]
         # the first pair of each partner, then none whose a is a kept b
         keep = np.zeros(len(lead), dtype=bool)
-        keep[np.unique(a if coreduction else b, return_index=True)[1]] = True
+        partner = a if coreduction else b
+        by_cell = np.argsort(partner * len(partner) + np.arange(len(partner)))
+        ranked = partner[by_cell]
+        keep[by_cell[np.diff(ranked, prepend=-1) != 0]] = True
         mark[b[keep]] = True
         keep &= ~mark[a]
         mark[b] = False

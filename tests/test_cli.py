@@ -489,6 +489,27 @@ def test_a_mistyped_spec_field_exits_2(tmp_path, capsys):
                    "integer >= 1, not [3]\n")
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({"construction": "alternating", "degree": 40_000},
+     "'degree' must be at most 32767, not 40000"),
+    ({"construction": "generators", "degree": 40_000,
+      "generators": ["(1 40000)"]}, "'degree' must be at most 32767"),
+    ({"construction": "symmetric", "degree": 10 ** 8},
+     "'degree' must be at most 32767, not 100000000"),
+    ({"construction": "symmetric", "degree": 20},
+     "symmetric group order exceeds cap 500000"),
+    ({"construction": "symmetric", "degree": 4, "cap": "big"},
+     "'cap' must be an integer >= 1, not 'big'")])
+def test_an_unbuildable_spec_exits_2(tmp_path, capsys, spec, message):
+    # refused before any row is built: no traceback, no memory error
+    path = tmp_path / "big.spec"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "betti", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_a_failed_self_check_exits_3(capsys, monkeypatch):
     # a failed self-check means a wrong answer was caught, not a refused
     # input, so it exits apart from exit 2

@@ -3,13 +3,15 @@
 elementary_abelian_subgroups is pinned, subgroup by subgroup and with
 each Subgroup's generators, to a row-by-row BFS that shares no code with
 it: p-elements from element orders, powers and products one element at
-a time, commuting tested per candidate, and first occurrences taken from
-np.unique.  The subspace tables behind the closed-family poset route are
-checked against Gaussian binomials and by brute force over F_p^r.  The
-layers in between are checked against compose and tuple-built posets:
-the commuting-product table, the coordinate rows the enumeration hands
-to the poset, and the SubgroupFamily that is the poset's elements, with
-its lookup of members by row.
+a time, commuting tested per candidate, first occurrences taken from
+np.unique, and each subgroup's generators its greedy-max basis, read
+off its member set one composition at a time.  The subspace tables
+behind the closed-family poset route are checked against Gaussian
+binomials and by brute force over F_p^r.  The layers in between are
+checked against compose and tuple-built posets: the commuting-product
+table, the coordinate rows the enumeration hands to the poset, and the
+SubgroupFamily that is the poset's elements, with its lookup of members
+by row.
 """
 
 from itertools import product
@@ -70,8 +72,24 @@ def reference_elab(sub, p):
                              return_index=True)
         level = [cands[i] for i in first]
         found += level
-    return [(np.array((0,) + row, dtype=np.int64).tobytes(), gens)
-            for row, gens in found]
+    return [(np.array((0,) + row, dtype=np.int64).tobytes(),
+             greedy_max_basis(G, row)) for row, _ in found]
+
+
+def greedy_max_basis(G, row):
+    """The basis a_1 > a_2 > ... of the group whose nontrivial members are
+    row, a_1 its largest member and a_(k+1) the largest outside <a_1, ...,
+    a_k>, ascending."""
+    span, basis = {0}, []
+    while len(span) <= len(row):
+        a = max(set(row) - span)
+        basis.append(a)
+        grown, x = set(span), a
+        while x != 0:
+            grown |= {compose(G, s, x) for s in span}
+            x = compose(G, x, a)
+        span = grown
+    return tuple(sorted(basis))
 
 
 CASES = [(name, p) for name in BUNDLED for p in (2, 3, 5)
@@ -83,6 +101,21 @@ def test_elab_matches_row_by_row_reference(name, p):
     G = bundled(name)
     got = [(S.key, S.gens) for S in elementary_abelian_subgroups(G, p)]
     assert got == reference_elab(G, p)
+
+
+@pytest.mark.parametrize("name,p", [("sym6", 2), ("sym6", 3), ("alt8", 2),
+                                    ("a5xa5-e", 2)])
+def test_elab_of_a_subgroup_matches_the_reference(name, p):
+    # a Sylow subgroup and the centralizer of one of its p-elements:
+    # their classes of p-elements are finer than the whole group's, so
+    # more commuting rows are found directly, and neither has gens
+    G = bundled(name)
+    P = sylow_subgroup(G, p)
+    C = groups.centralizer(G, [int(P.midx[-1])])
+    for sub in (P, C):
+        sub = groups.Subgroup(G.group, sub.midx)
+        got = [(S.key, S.gens) for S in elementary_abelian_subgroups(sub, p)]
+        assert got == reference_elab(sub, p)
 
 
 def test_p_element_mask_is_order_p():
@@ -132,8 +165,9 @@ def test_subspace_order_is_inclusion(p, r):
 
 
 def test_rank_steps_search_past_the_generators(monkeypatch):
-    # Sym(8) at p = 2: the products of A's generators with z are the
-    # filter's hits, so 290 937 queries, where 392 958 searched them again
+    # Sym(8) at p = 2: each subgroup is built once, from its canonical
+    # pair, so 108 215 queries, where 290 937 built most subgroups several
+    # times over and 392 958 also searched the filter's hits again
     asked = []
     find = groups.sorted_find
 
@@ -143,7 +177,25 @@ def test_rank_steps_search_past_the_generators(monkeypatch):
 
     monkeypatch.setattr(groups, "sorted_find", spy)
     elementary_abelian_subgroups(load_group("sym8").group.full(), 2)
-    assert 0 < sum(asked) <= 305_500
+    assert 0 < sum(asked) <= 113_500
+
+
+def test_elab_looks_up_few_rows(monkeypatch):
+    # Sym(8) at p = 2: the commuting table looks up the products of one
+    # row per class of involutions and moves the other rows along the
+    # generators' position maps, 1 848 rows in all, where composing every
+    # commuting pair looked up 20 055 products
+    looked = []
+    lookup = groups.PermGroup.lookup_rows
+
+    def spy(self, rows):
+        looked.append(len(rows))
+        return lookup(self, rows)
+
+    G = load_group("sym8").group.full()
+    monkeypatch.setattr(groups.PermGroup, "lookup_rows", spy)
+    elementary_abelian_subgroups(G, 2)
+    assert 0 < sum(looked) <= 2_000
 
 
 LAYER_CASES = [(name, p) for name in ("sym5", "sym6", "aut-alt6", "l34",
@@ -169,16 +221,14 @@ def test_commuting_table_is_every_commuting_pair_with_its_product(name, p):
     G = sub.group
     ext = np.concatenate(([0], sub.midx[G.p_element_mask(p)[sub.midx]]))
     m = ext.size
-    # powers one composition at a time; each cyclic subgroup generated by
-    # its least member
+    # powers one composition at a time
     powers = np.zeros((m, p), dtype=np.int64)
     for q in range(1, m):
         x = 0
         for e in range(1, p):
             x = compose(G, x, int(ext[q]))
             powers[q, e] = np.searchsorted(ext, x)
-    gens = np.flatnonzero(powers[:, 1:].min(axis=1) == np.arange(m))[1:]
-    keys, prods = _commuting_products(G, ext, powers, gens)
+    keys, prods = _commuting_products(sub, ext, powers)
     i, j = keys // m, keys % m
     assert (np.diff(keys) > 0).all() and (i > 0).all() and (j > 0).all()
     assert not (powers[i] == j[:, None]).any()

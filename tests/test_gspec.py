@@ -114,10 +114,32 @@ def test_malformed():
             ({"construction": "semidirect", "base": sym, "top": "(1 2)"},
              "top"),
             ({"construction": "subgroup_of", "parent": sym,
-              "generators": [["(1 2)"]]}, "generators")]:
+              "generators": [["(1 2)"]]}, "generators"),
+            ({**sym, "cap": "big"}, "cap"),
+            ({**sym, "cap": 0}, "cap"),
+            # a point is an int16 row entry, so a degree is at most 32767
+            ({"construction": "alternating", "degree": 40_000}, "degree"),
+            ({"construction": "generators", "degree": 40_000,
+              "generators": ["(1 40000)"]}, "degree"),
+            ({"construction": "symmetric", "degree": 10 ** 8}, "degree"),
+            ({"construction": "dihedral", "order": 100_000}, "order")]:
         with pytest.raises(MalformedSpec, match=(
                 f"{spec['construction']} construction: '{field}' must be")):
             build_group(spec)
+    with pytest.raises(MalformedSpec, match="40000 points, above 32767"):
+        build_group({"construction": "direct_product", "factors": [
+            {"construction": "cyclic", "degree": 20_000}] * 2})
+    # an order past the cap is refused before any row is built: n!, n!/2
+    # and n are known from the degree
+    for spec in ({"construction": "symmetric", "degree": 32_767},
+                 {"construction": "alternating", "degree": 11},
+                 {"construction": "cyclic", "degree": 30, "cap": 29},
+                 {"construction": "dihedral", "order": 60, "cap": 59}):
+        with pytest.raises(OrderCapExceeded, match=(
+                f"{spec['construction']} group order exceeds cap")):
+            build_group(spec)
+    assert build_group({"construction": "cyclic", "degree": 30,
+                        "cap": 30}).group.order == 30
 
 
 def test_generators_outside_the_group():

@@ -883,8 +883,8 @@ def test_self_checks_survive_python_O():
         # the commuting table kept one way round only, i < j: Alt(6)'s
         # rank-2 step at p = 3 asks for x * z^2 with x above z^2
         exact_table = groups._commuting_products
-        def one_way(G, ext, powers, gens):
-            keys, prods = exact_table(G, ext, powers, gens)
+        def one_way(sub, ext, powers):
+            keys, prods = exact_table(sub, ext, powers)
             kept = keys // ext.size < keys % ext.size
             return keys[kept], prods[kept]
         groups._commuting_products = one_way
@@ -893,6 +893,17 @@ def test_self_checks_survive_python_O():
                "the commuting table", groups.elementary_abelian_subgroups,
                load_group("alt6").group.full(), 3)
         groups._commuting_products = exact_table
+        # position maps that permute the p-elements but are no
+        # conjugation: the rows they move break the table's symmetry
+        exact_maps = groups._position_maps
+        def shifted(actor, elements):
+            return [np.roll(mp, 1) for mp in exact_maps(actor, elements)]
+        groups._position_maps = shifted
+        expect(InvariantViolated, "the commuting table is not symmetric",
+               "_commuting_products accepted rows moved by wrong maps",
+               groups.elementary_abelian_subgroups,
+               load_group("sym5").group.full(), 2)
+        groups._position_maps = exact_maps
         # a rank routine that miscounts must trip a check.  Reduction pairs
         # leave the cores' order complexes a zero boundary, so the stand-ins
         # run where a residue keeps one: the worked example's condition (E)
