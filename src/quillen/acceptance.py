@@ -359,14 +359,3 @@ def run_all(selected=None):
             + (f" [over budget: {dt:.1f}s > {budget:.0f}s]" if over else ""))
     return all_ok, lines, timed_lines
 
-
-def main():
-    ok, _, timed_lines = run_all()
-    for line in timed_lines:
-        print(line)
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    import sys
-    sys.exit(main())

@@ -28,9 +28,9 @@ The hot set work runs in bulk rather than element by element in Python:
     lookup_rows per generator per level, from the identity or from a
     subgroup already known, whose right cosets it then adds whole;
   * _adjoin is the one loop that grows a subgroup until it holds given
-    elements, for generating_set, normal_closure, sylow_subgroup and
-    hyperelementary_check: the first element outside joins the
-    generators, and the subgroup regrows from its members;
+    elements, for generating_set, class closures (_class_closure),
+    sylow_subgroup and hyperelementary_check: the first element outside
+    joins the generators, and the subgroup regrows from its members;
   * Subgroup.contains_indices (binary search in the sorted member array)
     is the one membership test; membership asks it once for a whole
     family, over the member CSR a poset keeps, and intersections filter
@@ -63,17 +63,22 @@ The hot set work runs in bulk rather than element by element in Python:
     returns a SubgroupFamily, arrays per order whose readers take its
     member rows, with no Subgroup built.
 
-Components come from normal closures of class representatives.  The
-prime-order classes are labelled over the prime-order elements alone,
-found by one power test per prime and conjugated once per generator
+Components come from class closures.  The normal closure of x is
+<x^G>, the subgroup its class generates, so _class_closure grows it by
+_adjoin over the class's members, which _classes has labelled already:
+no subgroup's members are conjugated to close it.  The prime-order
+classes are labelled over the prime-order elements alone, found by one
+power test per prime and conjugated once per generator
 (_prime_order_classes).  The minimal normal subgroups are the minimal
-closures of those classes.  A nonabelian minimal normal subgroup M is
-split from one factor (_simple_factors): the closure in M of its
-smallest prime-order class, checked simple, and the rows of that
-factor's class under the group, with |T|^k = |M| checked.  Simplicity and
-quasisimplicity are read off the closures of the prime-order and the
-noncentral classes.  No production route builds the lattice of normal
-subgroups; normal_subgroups is a library function.
+closures of those classes, returned as they are.  A nonabelian minimal
+normal subgroup M is split from one factor (_simple_factors): T, the
+closure in M of its smallest prime-order class, is checked simple, and
+the factors are the k rows of T's class under the group, each with T's
+generators conjugated, with |T|^k = |M| checked.  Simplicity reads the
+closures of the prime-order classes, and quasisimplicity (nonabelian,
+every noncentral class closing to the whole) those of the noncentral
+classes; no derived subgroup is formed.  No production route builds
+the lattice of normal subgroups; normal_subgroups is a library function.
 
 The cache rule: data derived from a subgroup (Sylow subgroups, p-cores,
 classes, class closures, the classes of elements under it with a
@@ -220,13 +225,6 @@ class PermGroup:
     def _not_an_element(self, key):
         row = np.frombuffer(key, dtype=np.int16).tolist()
         return NotAnElement(f"{row} is not an element of {self!r}")
-
-    def lookup_row(self, row):
-        key = np.ascontiguousarray(row, dtype=np.int16).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise self._not_an_element(key) from None
 
     def lookup_rows(self, rows):
         """Indices of a batch of rows, shape (n, degree), in one pass."""
@@ -681,19 +679,6 @@ def center(sub):
     return centralizer(sub, sub)
 
 
-def derived_subgroup(sub):
-    """Commutator subgroup: normal closure in sub of generator commutators
-    (ba)^-1 (ab), built as rows and looked up in one call."""
-    sub = as_subgroup(sub)
-    G = sub.group
-    P = G.perms[np.asarray(sub.generating_set(), dtype=np.int64)]
-    ab = P[:, P]  # ab[i, j] is the row a_i∘a_j
-    comms = np.take_along_axis(np.argsort(ab.swapaxes(0, 1), axis=-1), ab,
-                               axis=-1)
-    seeds = set(G.lookup_rows(comms.reshape(-1, G.degree)).tolist()) - {0}
-    return normal_closure(sub, sorted(seeds))
-
-
 def _adjoin(K, bfs, elements):
     """<K, elements> for K = <bfs>, the one loop that grows a subgroup
     until it holds given elements: while some element lies outside K,
@@ -709,39 +694,6 @@ def _adjoin(K, bfs, elements):
         bfs.append(int(rest[0]))
         K = Subgroup(G, close_indices(G, bfs, start=K.midx),
                      gens=_gens_tuple(bfs))
-
-
-def normal_closure(ambient, seed_indices):
-    """Smallest subgroup of ambient containing the seeds and normal in ambient.
-
-    While some ambient generator conjugates K outside itself, the first
-    three conjugates of K's members that fall outside join the returned
-    generators.  K itself grows under a BFS generating set kept apart
-    from those: an element joins it only if it lies outside K.  A
-    generator g moves K = <bfs> iff it moves some element of bfs out of
-    K, so only then are all of K's members conjugated.  Once |K| =
-    |ambient|, K is the ambient (Lagrange) and the loop stops.
-    """
-    ambient = as_subgroup(ambient)
-    G = ambient.group
-    gens = list(dict.fromkeys(int(s) for s in seed_indices if s != 0))
-    bfs = []
-    K = _adjoin(_trivial(G), bfs, gens)
-    agens = ambient.generating_set()
-    grew = True
-    while grew and K.order < ambient.order:
-        grew = False
-        for g in agens:
-            if K.contains_indices(G.conj_batch(g, bfs)).all():
-                continue
-            conj = G.conj_batch(g, K.midx)
-            new = conj[~K.contains_indices(conj)][:3].tolist()
-            gens.extend(new)
-            K = _adjoin(K, bfs, new)
-            grew = True
-            if K.order == ambient.order:
-                break
-    return Subgroup(G, K.midx, gens=tuple(gens) if gens else (0,))
 
 
 # -- conjugacy classes and normal subgroups -----------------------------------
@@ -833,16 +785,19 @@ def _subgroup_class(sub, S, found):
     return tuple(np.concatenate(x) for x in zip(*levels))
 
 
-def _class_closure(sub, x):
-    """normal_closure(sub, [x]), cached on sub (so keyed by its identity).
+def _class_closure(sub, cls):
+    """<cls>, the normal closure in sub of any member of cls, a class of
+    sub as _classes gives it (ascending), cached on sub by cls[0]:
+    _adjoin over the class's members from the identity, so each
+    generator is the least member outside the closure of those before.
 
-    The one closure that minimal_normal_subgroups, is_simple and
-    is_quasisimple share, for x a class representative of sub.
+    The one closure that minimal_normal_subgroups, normal_subgroups,
+    is_simple, is_quasisimple and _simple_factors share.
     """
     sub = as_subgroup(sub)
-    key = ("closure", int(x))
+    key = ("closure", int(cls[0]))
     if key not in sub._cache:
-        sub._cache[key] = normal_closure(sub, [int(x)])
+        sub._cache[key] = _adjoin(_trivial(sub.group), [], cls)
     return sub._cache[key]
 
 
@@ -860,12 +815,6 @@ def _prime_order_classes(sub):
         pel = sub.midx[1:][prime[1:]]
         sub._cache["prime classes"] = _classes(sub, pel) if pel.size else []
     return sub._cache["prime classes"]
-
-
-def _prime_order_reps(sub):
-    """Representatives (smallest members) of sub's classes of prime
-    order, ascending."""
-    return [int(c[0]) for c in _prime_order_classes(sub)]
 
 
 def normal_subgroups(sub):
@@ -887,7 +836,7 @@ def normal_subgroups(sub):
     triv = _trivial(G)
     found = {triv.key: triv}
     for cls in conjugacy_classes(sub)[1:]:
-        N = _class_closure(sub, cls[0])
+        N = _class_closure(sub, cls)
         found.setdefault(N.key, N)
     # close under join
     worklist = list(found.values())
@@ -913,17 +862,16 @@ def minimal_normal_subgroups(sub):
     A minimal normal subgroup is the normal closure of any of its
     nontrivial elements, and every normal closure of a prime-order element
     contains one, so they are the minimal members among the closures of
-    the prime-order class representatives.  Each M is returned as the
-    closure of its smallest nontrivial member M.midx[1], the first class
-    inside M, so its generators are those the lattice reaches it by.
+    the prime-order classes.  Each M is returned as the closure of the
+    first prime-order class that reaches it.
     """
     sub = as_subgroup(sub)
     closures = {}
-    for x in _prime_order_reps(sub):
-        N = _class_closure(sub, x)
+    for cls in _prime_order_classes(sub):
+        N = _class_closure(sub, cls)
         closures.setdefault(N.key, N)
     normals = sorted(closures.values(), key=lambda s: (s.order, s.key))
-    return [_class_closure(sub, N.midx[1]) for N in normals
+    return [N for N in normals
             if not any(M.order < N.order and M.is_subset_of(N)
                        for M in normals)]
 
@@ -935,8 +883,8 @@ def is_simple(sub):
     order whose closure stays inside it.
     """
     sub = as_subgroup(sub)
-    return sub.order > 1 and all(_class_closure(sub, x).order == sub.order
-                                 for x in _prime_order_reps(sub))
+    return sub.order > 1 and all(_class_closure(sub, cls).order == sub.order
+                                 for cls in _prime_order_classes(sub))
 
 
 # -- Sylow subgroups and p-cores ------------------------------------------------
@@ -1131,15 +1079,18 @@ def conjugation_action(actor, target):
 
 
 def is_quasisimple(sub):
-    """Perfect, and every noncentral class closes to sub.
+    """Nonabelian, and every noncentral class closes to sub.
 
-    That is simple modulo the center: a normal subgroup not inside Z(sub)
-    holds a noncentral class.  Stops at the first proper closure.
+    That is perfect and simple modulo the center: a normal subgroup not
+    inside Z(sub) holds a noncentral class.  A proper derived subgroup
+    either holds a noncentral class, whose closure stays inside it, or
+    lies in the center, and then the closure of a noncentral x lies in
+    the abelian <x, Z(sub)>.  Stops at the first proper closure.
     """
     sub = as_subgroup(sub)
-    if sub.order == 1 or derived_subgroup(sub).order != sub.order:
+    if sub.is_abelian():
         return False
-    return all(_class_closure(sub, c[0]).order == sub.order
+    return all(_class_closure(sub, c).order == sub.order
                for c in conjugacy_classes(sub) if c.size > 1)
 
 
@@ -1150,30 +1101,26 @@ def _simple_factors(sub, M):
     under sub are the T_i.  A prime-order element with two nontrivial
     coordinates has an M-class of at least the square of the smallest
     prime-order class size of T_1, so M's smallest prime-order class lies
-    in one factor, and T = <x^M> for its representative x is that
-    factor.  T is checked simple and nonabelian, its conjugates are grown
-    under sub's generators, and |T|^k = |M| is checked for the k found
+    in one factor, and T, that class's closure in M, is that factor.  T
+    is checked simple and nonabelian, its conjugates are grown under
+    sub's generators, and |T|^k = |M| is checked for the k found
     (ComponentsUndetectable if either fails): distinct conjugates of a
     simple normal subgroup of M multiply directly, so then M is their
-    product.  The conjugates are the member rows of T's class under sub
-    (_subgroup_class); a factor F is returned as the closure in M of its
-    smallest nontrivial member, and M itself when k = 1.
+    product.  The factors are the rows of T's class under sub
+    (_subgroup_class), T first, each with T's generators conjugated.
     """
-    x = min(_prime_order_classes(M), key=len)[0]
-    T = _class_closure(M, x)
+    T = _class_closure(M, min(_prime_order_classes(M), key=len))
     if T.is_abelian() or not is_simple(T):
         raise ComponentsUndetectable(
             "nonabelian minimal normal subgroup does not split into "
             "nonabelian simple factors")
-    factors, _ = _subgroup_class(sub, T, set())
-    if T.order ** len(factors) != M.order:
+    members, gens = _subgroup_class(sub, T, set())
+    if T.order ** len(members) != M.order:
         raise ComponentsUndetectable(
-            f"{len(factors)} conjugates of a simple factor of order "
+            f"{len(members)} conjugates of a simple factor of order "
             f"{T.order} do not make up the minimal normal subgroup of "
             f"order {M.order}")
-    if len(factors) == 1:
-        return [M]
-    return [_class_closure(M, row[1]) for row in factors]
+    return [Subgroup(sub.group, m, gens=g) for m, g in zip(members, gens)]
 
 
 def detect_components(group, declared=None):

@@ -13,12 +13,13 @@ A spec is a JSON object with a "construction" field:
                   normalize the base
   subgroup_of     {"parent": spec, "generators": [...]}
 
-plus optional "name", "order" (expected order, verified), "cap" (order
-cap) and "components" (list of generator lists declaring quasisimple
-subgroups, for groups whose components the detector cannot certify or
-where a specific choice is wanted).
+plus optional "name", "order" (expected order, verified) and
+"components" (list of generator lists declaring quasisimple subgroups,
+for groups whose components the detector cannot certify or where a
+specific choice is wanted).  The order cap is the load's, build_group's
+order_cap (qg --order-cap), and a spec carrying "cap" is refused.
 
-Counts ("degree", "order", "cap") are JSON integers >= 1, and
+Counts ("degree", "order") are JSON integers >= 1, and
 "generators", "top", "factors", "components" and each component are
 lists; any other value is a MalformedSpec naming the construction and
 the field.  A degree is at most MAX_DEGREE, the int16 range of a
@@ -143,13 +144,19 @@ def _words(raw, name):
 
 
 def _build_rows(raw, cap=DEFAULT_ORDER_CAP):
-    """Return (degree, generator rows) for a spec dict, the symmetric,
-    alternating, cyclic and dihedral groups' orders checked against cap
-    first."""
+    """(degree, generator rows) for a spec dict, each nested spec built
+    once.  The symmetric, alternating, cyclic and dihedral groups' orders
+    are checked against cap first; a semidirect top must normalize its
+    base, and subgroup_of generators must lie in the parent, each checked
+    in a group generated from the nested spec's rows (MalformedSpec)."""
     cons = raw.get("construction") if isinstance(raw, dict) else None
     if cons is None:
         raise MalformedSpec(
             "spec must be a JSON object with a 'construction' field")
+    if "cap" in raw:
+        raise MalformedSpec(
+            f"{cons} construction: 'cap' is not a spec field; the order "
+            f"cap is the load's (order_cap, qg --order-cap)")
     if cons == "generators":
         degree = _degree(raw)
         rows = [parse_cycles(s, degree) for s in _words(raw, "generators")]
@@ -183,7 +190,7 @@ def _build_rows(raw, cap=DEFAULT_ORDER_CAP):
     if cons == "direct_product":
         factors = _typed(raw, "factors", _field(raw, "factors"),
                          lambda v: isinstance(v, list), "a list of specs")
-        parts = [_build_rows(f, cap)[:2] for f in factors]
+        parts = [_build_rows(f, cap) for f in factors]
         degree = sum(d for d, _ in parts)
         if degree > MAX_DEGREE:
             raise MalformedSpec(f"direct_product construction: the factors "
@@ -200,40 +207,35 @@ def _build_rows(raw, cap=DEFAULT_ORDER_CAP):
     if cons == "semidirect":
         degree, base_rows = _build_rows(_field(raw, "base"), cap)
         top_rows = [parse_cycles(s, degree) for s in _words(raw, "top")]
-        return degree, base_rows + top_rows, ("semidirect", base_rows, top_rows)
+        base = PermGroup.generate(base_rows, degree, name="base",
+                                  order_cap=cap)
+        # t b t^-1 for each top row t and base generator row b
+        conj = [t[np.asarray(b)[np.argsort(t)]]
+                for t in top_rows for b in base_rows]
+        _lookup(base, np.reshape(conj, (-1, degree)),
+                "semidirect top does not normalize the base")
+        return degree, base_rows + top_rows
     if cons == "subgroup_of":
-        degree, _ = _build_rows(_field(raw, "parent"), cap)[:2]
+        degree, parent_rows = _build_rows(_field(raw, "parent"), cap)
         rows = [parse_cycles(s, degree) for s in _words(raw, "generators")]
-        return degree, rows, ("subgroup_of", raw["parent"])
+        parent = PermGroup.generate(parent_rows, degree, name="parent",
+                                    order_cap=cap)
+        _lookup(parent, np.reshape(rows, (-1, degree)),
+                "subgroup_of generators leave the parent group")
+        return degree, rows
     raise MalformedSpec(f"unknown construction {cons!r}")
 
 
 def build_group(spec, order_cap=None):
-    """Build a GroupBundle from a GroupSpec (or raw dict)."""
+    """Build a GroupBundle from a GroupSpec (or raw dict), under the
+    order cap order_cap, DEFAULT_ORDER_CAP when None."""
     if isinstance(spec, dict):
         spec = GroupSpec(name=spec.get("name", ""), raw=spec)
     raw = spec.raw
-    spec_cap = None if raw.get("cap") is None else _count(raw, "cap")
-    cap = order_cap or spec_cap or DEFAULT_ORDER_CAP
-    built = _build_rows(raw, cap)
+    cap = order_cap or DEFAULT_ORDER_CAP
+    degree, rows = _build_rows(raw, cap)
     expect = None if raw.get("order") is None else _count(raw, "order")
-    degree, rows = built[0], built[1]
-    extra = built[2] if len(built) > 2 else None
     G = PermGroup.generate(rows, degree, name=spec.name, order_cap=cap)
-
-    if extra and extra[0] == "semidirect":
-        what = "semidirect generator outside the group"
-        base = G.subgroup(_lookup(G, extra[1], what))
-        for ti in _lookup(G, extra[2], what):
-            conj = base.conjugate(ti)
-            if conj.key != base.key:
-                raise MalformedSpec("semidirect top does not normalize the base")
-    if extra and extra[0] == "subgroup_of":
-        pdeg, prows = _build_rows(extra[1], cap)[:2]
-        parent = PermGroup.generate(prows, pdeg, name="parent", order_cap=cap)
-        _lookup(parent, G.perms,
-                "subgroup_of generators leave the parent group")
-
     if expect is not None and G.order != expect:
         raise MalformedSpec(
             f"spec {spec.name!r} expected order {expect}, built {G.order}")

@@ -67,28 +67,3 @@ def format_cycles(p):
             x = int(p[x])
         out.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
     return "".join(out) if out else "()"
-
-
-def check_permutation(p, degree):
-    p = np.asarray(p)
-    if p.shape != (degree,) or not np.array_equal(np.sort(p), np.arange(degree)):
-        raise NonPermutationGenerator(f"not a permutation of 0..{degree - 1}: {p}")
-    return p
-
-
-def perm_order(p):
-    """Order = lcm of cycle lengths."""
-    p = np.asarray(p)
-    seen = np.zeros(len(p), dtype=bool)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = int(p[x])
-            length += 1
-        order = np.lcm(order, length)
-    return int(order)

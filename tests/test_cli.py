@@ -498,8 +498,10 @@ def test_a_mistyped_spec_field_exits_2(tmp_path, capsys):
      "'degree' must be at most 32767, not 100000000"),
     ({"construction": "symmetric", "degree": 20},
      "symmetric group order exceeds cap 500000"),
-    ({"construction": "symmetric", "degree": 4, "cap": "big"},
-     "'cap' must be an integer >= 1, not 'big'")])
+    # the order cap is the load's: a spec's own cap is refused, not
+    # passed over by --order-cap's default
+    ({"construction": "symmetric", "degree": 6, "cap": 100},
+     "'cap' is not a spec field")])
 def test_an_unbuildable_spec_exits_2(tmp_path, capsys, spec, message):
     # refused before any row is built: no traceback, no memory error
     path = tmp_path / "big.spec"

@@ -5,24 +5,25 @@ at-a-time BFS for closures and for enumerating a group, the P-classes
 that parent-level closures and conjugates reach for the Sylow class
 representatives, the definition O_p(N_G(S)) = S with pairwise subset
 tests for the radical poset (pinned digests where that is too slow), a
-full scan of the ambient for normalizers and centralizers,
-from-scratch closures and joins for normal subgroups, the lattice of
-normal subgroups for the component layer, np.intersect1d for the
-decomposition, and a one-element-at-a-time conjugation BFS for
-conjugacy classes, and is_subset_of and intersection member by member
+full scan of the ambient for normalizers and centralizers, from-scratch
+class closures and joins for normal subgroups, the lattice of normal
+subgroups (with a from-scratch derived subgroup) for the component
+layer, whose subgroups' gens are closed from scratch too,
+np.intersect1d for the decomposition, and a one-element-at-a-time
+conjugation BFS for conjugacy classes, and is_subset_of and intersection member by member
 for the membership of a whole family.  Conjugation actions are checked
 against the group theory they must satisfy: a small tracking set
 whatever generators the target carries, faithfulness modulo the kernel
 on every elementary abelian subgroup, a homomorphic projection, and
 projected images equal to fresh closures of the projected generators.
 The work of the radical poset and of component detection is bounded by
-a count of rows looked up (and of lookup calls and Subgroup builds for
+a count of rows looked up (and of lookup calls, and Subgroup builds for
 sym8's radical poset), and a normalizer's class entry is shared by
 equal ambients and looks up no class row when reused.  A class read off a cached conjugate's
 entry is compared with a BFS grown from the element itself, and the
 normalizers are checked again on a class cache warmed in another order.
 The power test x^e = 1, the prime-order class representatives and
-is_cyclic are checked against element orders from perms.perm_order, and
+is_cyclic are checked against element orders from conftest.perm_order, and
 the references take inverses as the argsort of a row, so they share no
 table with the group layer.
 """
@@ -39,17 +40,17 @@ from quillen.errors import ActorDoesNotNormalize, CenterHasPTorsion, \
     ComponentsUndetectable, NotAnElement, ParentMismatch, QuillenError
 from quillen.groups import PermGroup, Subgroup, _class_closure, \
     _subgroup_class, center, centralizer, close_indices, conjugacy_classes, \
-    conjugation_action, derived_subgroup, detect_components, \
-    elementary_abelian_subgroups, hyperelementary_check, is_quasisimple, \
-    is_simple, member_csr, minimal_normal_subgroups, normal_subgroups, \
-    normalizer, normalizes, p_core, subgroup_product, sylow_subgroup
+    conjugation_action, detect_components, elementary_abelian_subgroups, \
+    hyperelementary_check, is_quasisimple, is_simple, member_csr, \
+    minimal_normal_subgroups, normal_subgroups, normalizer, normalizes, \
+    p_core, subgroup_product, sylow_subgroup
 from quillen.gspec import BUNDLED, load_group
 from quillen.perms import parse_cycles
 from quillen.pposets import OrbitContext, _is_radical, \
     _p_subgroup_class_reps, ap_poset, bouc_poset, decomposition, \
     image_poset, image_poset_from_action
 
-from conftest import bundled, element_orders
+from conftest import bundled, element_orders, lookup_row
 from relation_oracle import make_poset
 
 
@@ -59,7 +60,7 @@ def _naive_closure(G, gens):
     while queue:
         i = queue.pop()
         for g in gens:
-            j = G.lookup_row(G.perms[i][G.perms[g]])
+            j = lookup_row(G, G.perms[i][G.perms[g]])
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
@@ -146,7 +147,7 @@ def test_lookup_rows_batches(sym5):
 def test_lookup_of_non_member_is_typed(alt5):
     G = alt5.group
     transposition = np.array([1, 0, 2, 3, 4])
-    for call in (lambda: G.lookup_row(transposition),
+    for call in (lambda: lookup_row(G, transposition),
                  lambda: G.lookup_rows(np.stack([G.perms[3], transposition])),
                  lambda: G.lookup_rows(G.perms[:, :4])):
         with pytest.raises(NotAnElement) as err:
@@ -344,7 +345,7 @@ def test_power_test_matches_element_orders(name):
 def test_prime_order_reps_match_element_orders(name):
     G = bundled(name)
     orders = element_orders(G.group)
-    assert groups._prime_order_reps(G) == [
+    assert [int(c[0]) for c in groups._prime_order_classes(G)] == [
         int(c[0]) for c in conjugacy_classes(G) if _is_prime(orders[c[0]])]
 
 
@@ -558,23 +559,39 @@ def _generated(G, gens):
 
 @cache
 def _scratch_closure(sub, x):
-    # normal_closure(sub, [x]) with K re-closed from the identity under
-    # every recorded generator at each step, until no conjugate leaves K
-    # or K is all of sub
+    # the closure of x's class in sub from scratch: the class by a
+    # one-element-at-a-time conjugation BFS, its members adjoined in
+    # ascending order, each one outside K joining the recorded generators
+    # and K re-closed from the identity under all of them
     G = sub.group
-    gens = [int(x)] if x else []
+    gens = []
     K = _generated(G, gens)
-    grew = True
-    while grew and K.order < sub.order:
-        grew = False
-        for g in sub.generating_set():
-            conj = G.conj_batch(g, K.midx)
-            outside = conj[~K.contains_indices(conj)]
-            if outside.size:
-                gens.extend(int(y) for y in outside[:3])
-                K = _generated(G, gens)
-                grew = True
+    members = set(K.midx.tolist())
+    for y in _naive_class(sub, x):
+        if y not in members:
+            gens.append(y)
+            K = _generated(G, gens)
+            members = set(K.midx.tolist())
     return Subgroup(G, K.midx, gens=tuple(gens) or (0,))
+
+
+def derived_subgroup(sub):
+    # the commutator subgroup from scratch: the closure of the generators'
+    # commutators (ba)^-1 ab, grown by the least conjugate g k g^-1 of one
+    # of its generators k under one of sub's g that lies outside it, while
+    # there is one
+    G = sub.group
+    P = G.perms
+    sgens = sub.generating_set()
+    K = G.subgroup({lookup_row(G, np.argsort(P[b][P[a]])[P[a][P[b]]])
+                    for a in sgens for b in sgens})
+    while True:
+        conj = {lookup_row(G, P[g][P[k]][np.argsort(P[g])])
+                for g in sgens for k in K.gens}
+        outside = sorted(conj - set(K.midx.tolist()))
+        if not outside:
+            return K
+        K = G.subgroup(K.gens + (outside[0],))
 
 
 def _reference_normal_subgroups(sub):
@@ -645,6 +662,11 @@ BUILT = {
     # simple, and its smallest nontrivial member (0 1 2 3)(4 5) has
     # order 4, so the first prime-order class is not the first class
     "a6": lambda: _perm_group([[1, 2, 3, 0, 5, 4], [1, 2, 3, 4, 0, 5]], 6),
+    # Q8, regular on 1, i, j, k, -1, -i, -j, -k as the points 0..7, by
+    # left multiplication by i and j: nonabelian and not perfect, with
+    # derived subgroup {1, -1}, its center
+    "q8": lambda: _perm_group([[1, 4, 3, 6, 5, 0, 7, 2],
+                               [2, 7, 4, 1, 6, 3, 0, 5]], 8),
 }
 
 
@@ -697,16 +719,22 @@ def _lattice_components(sub):
     return sorted(comps, key=lambda c: (c.order, c.key))
 
 
-def _key_gens(subs):
-    return [(S.key, S.gens) for S in subs]
+def _keys(subs):
+    return [S.key for S in subs]
+
+
+def _generated_by_gens(S):
+    # S's gens close, from scratch, to exactly S's members
+    return _naive_closure(S.group, [g for g in S.gens if g]) == S.midx.tolist()
 
 
 @pytest.mark.parametrize("name", BUNDLED + sorted(BUILT))
 def test_component_layer_matches_the_lattice(name):
     got = BUILT[name]() if name in BUILT else bundled(name)
     want = _reference(name)
-    assert _key_gens(minimal_normal_subgroups(got)) == \
-        _key_gens(_lattice_minimal_normals(want))
+    minimals = minimal_normal_subgroups(got)
+    assert _keys(minimals) == _keys(_lattice_minimal_normals(want))
+    assert all(map(_generated_by_gens, minimals))
     if name == "sl25":
         # its one component is the whole group, which lies over its center
         # {1, -1}, the one minimal normal subgroup: detection cannot see it
@@ -716,11 +744,12 @@ def test_component_layer_matches_the_lattice(name):
         comps = []
     else:
         comps = detect_components(got)[0]
-        assert _key_gens(comps) == _key_gens(_lattice_components(want))
+        assert _keys(comps) == _keys(_lattice_components(want))
+        assert all(map(_generated_by_gens, comps))
     # the group, its minimal normal subgroups and its components
     refs = {T.key: T for T in [want] + _lattice_minimal_normals(want)
             + _lattice_components(want)}
-    for S in [got] + minimal_normal_subgroups(got) + comps:
+    for S in [got] + minimals + comps:
         T = refs[S.key]
         assert is_simple(S) == _lattice_is_simple(T)
         assert is_quasisimple(S) == _lattice_is_quasisimple(T)
@@ -736,11 +765,20 @@ def test_component_layer_cases():
                 for name, G in groups.items()}
     assert verdicts == {"s4xs3xc2": (False, False), "sl25": (False, True),
                         "a5xa5": (False, False), "a5xc2": (False, False),
-                        "sym3": (False, False), "a6": (True, True)}
+                        "sym3": (False, False), "a6": (True, True),
+                        "q8": (False, False)}
     assert groups["a6"].order == 360
     assert element_orders(groups["a6"].group)[1] == 4
     assert derived_subgroup(groups["a5xa5"]).order == 3600
     assert derived_subgroup(groups["a5xc2"]).order == 60
+    # Q8 is nonabelian with G' = Z(G) of order 2: not perfect, which its
+    # noncentral classes show, each closing to a cyclic subgroup of order 4
+    Q8 = groups["q8"]
+    assert Q8.order == 8 and not Q8.is_abelian()
+    assert derived_subgroup(Q8).key == center(Q8).key
+    assert center(Q8).order == 2
+    assert {_class_closure(Q8, c).order for c in conjugacy_classes(Q8)
+            if c.size > 1} == {4}
 
 
 def test_image_poset_refuses_a_center_with_p_torsion():
@@ -779,7 +817,7 @@ def test_image_poset_of_a_trivially_acted_p_group_is_refused(sym5):
 def test_normal_closure_matches_scratch(name):
     sub = _reference(name)
     for cls in conjugacy_classes(sub):
-        got = _class_closure(sub, cls[0])
+        got = _class_closure(sub, cls)
         want = _scratch_closure(sub, cls[0])
         assert (got.key, got.gens) == (want.key, want.gens)
 
@@ -795,6 +833,12 @@ def test_component_detection_row_count(monkeypatch):
     rows = _counting_lookups(monkeypatch)
     detect_components(G)
     assert sum(rows) <= 150_000
+    # lookup calls: closing each prime-order class by normal_closure's
+    # conjugation loop, and re-closing each minimal normal subgroup and
+    # factor by its smallest member, made 1 366; each class closed by
+    # adjoining its own members, and the factors read off their class's
+    # rows, 1 100
+    assert len(rows) <= 1_200
 
 
 def test_radical_poset_row_count(monkeypatch):
@@ -932,27 +976,31 @@ def test_decomposition_matches_intersect1d(worked_ctx):
     assert dec.r.table.tolist() == rtab
 
 
-def _naive_classes(sub):
+def _naive_class(sub, x):
+    # x's class under sub, ascending, one conjugate looked up at a time
     G = sub.group
     # each generator's row with its inverse, the row's argsort
     gens = [(G.perms[g], np.argsort(G.perms[g]))
             for g in sub.generating_set()]
+    orbit = {int(x)}
+    queue = [int(x)]
+    while queue:
+        y = queue.pop()
+        for g, ginv in gens:
+            z = lookup_row(G, g[G.perms[y]][ginv])  # g y g^-1
+            if z not in orbit:
+                orbit.add(z)
+                queue.append(z)
+    return sorted(orbit)
+
+
+def _naive_classes(sub):
     seen = set()
     classes = []
     for x in sub.midx.tolist():
-        if x in seen:
-            continue
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g, ginv in gens:
-                z = G.lookup_row(g[G.perms[y]][ginv])  # g y g^-1
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        seen |= orbit
-        classes.append(sorted(orbit))
+        if x not in seen:
+            classes.append(_naive_class(sub, x))
+            seen.update(classes[-1])
     return classes
 
 

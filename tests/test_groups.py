@@ -6,7 +6,7 @@ from quillen.groups import center, centralizer, detect_components, \
 from quillen.gspec import load_group
 from quillen.pposets import ap_poset, bouc_poset
 
-from conftest import bundled
+from conftest import bundled, lookup_row
 
 
 def test_orders_sym_alt(sym5, alt5):
@@ -111,7 +111,7 @@ def test_subgroup_product_order(sym5):
 def test_conjugate(sym5):
     G = sym5.group
     t = G.subgroup_from_rows([[1, 0, 2, 3, 4]])
-    g = G.lookup_row(np.array([1, 2, 3, 4, 0]))
+    g = lookup_row(G, np.array([1, 2, 3, 4, 0]))
     assert t.conjugate(g).order == 2
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quillen.errors import MalformedSpec, OrderCapExceeded
+from quillen import gspec
 from quillen.gspec import BUNDLED, build_group, load_group
 
 EXPECTED = {
@@ -36,6 +37,28 @@ def test_constructions():
             "parent": {"construction": "symmetric", "degree": 4},
             "generators": ["(1 2 3)", "(2 3 4)"]}
     assert build_group(spec).group.order == 12
+
+
+def test_each_spec_node_is_built_once(monkeypatch):
+    # a subgroup_of spec builds its parent's rows once, inside its own
+    # node, and build_group builds the top node once
+    calls = []
+    build_rows = gspec._build_rows
+
+    def counting(raw, cap):
+        calls.append(raw["construction"])
+        return build_rows(raw, cap)
+
+    monkeypatch.setattr(gspec, "_build_rows", counting)
+    spec = {"construction": "subgroup_of",
+            "parent": {"construction": "symmetric", "degree": 5},
+            "generators": ["(1 2 3 4 5)", "(1 2)"]}
+    assert build_group(spec).group.order == 120
+    assert calls == ["subgroup_of", "symmetric"]
+    calls.clear()
+    assert load_group("a5xa5-exr").group.order == 14400
+    assert calls == ["semidirect", "direct_product", "alternating",
+                     "alternating"]
 
 
 def test_semidirect():
@@ -115,8 +138,6 @@ def test_malformed():
              "top"),
             ({"construction": "subgroup_of", "parent": sym,
               "generators": [["(1 2)"]]}, "generators"),
-            ({**sym, "cap": "big"}, "cap"),
-            ({**sym, "cap": 0}, "cap"),
             # a point is an int16 row entry, so a degree is at most 32767
             ({"construction": "alternating", "degree": 40_000}, "degree"),
             ({"construction": "generators", "degree": 40_000,
@@ -131,15 +152,27 @@ def test_malformed():
             {"construction": "cyclic", "degree": 20_000}] * 2})
     # an order past the cap is refused before any row is built: n!, n!/2
     # and n are known from the degree
-    for spec in ({"construction": "symmetric", "degree": 32_767},
-                 {"construction": "alternating", "degree": 11},
-                 {"construction": "cyclic", "degree": 30, "cap": 29},
-                 {"construction": "dihedral", "order": 60, "cap": 59}):
+    for spec, cap in (({"construction": "symmetric", "degree": 32_767}, None),
+                      ({"construction": "alternating", "degree": 11}, None),
+                      ({"construction": "cyclic", "degree": 30}, 29),
+                      ({"construction": "dihedral", "order": 60}, 59)):
         with pytest.raises(OrderCapExceeded, match=(
                 f"{spec['construction']} group order exceeds cap")):
-            build_group(spec)
-    assert build_group({"construction": "cyclic", "degree": 30,
-                        "cap": 30}).group.order == 30
+            build_group(spec, order_cap=cap)
+    assert build_group({"construction": "cyclic", "degree": 30},
+                       order_cap=30).group.order == 30
+
+
+def test_a_spec_cap_is_refused():
+    # the order cap is the load's: a "cap" field, at any depth and of any
+    # value, is refused by name, and never read
+    sym = {"construction": "symmetric", "degree": 3}
+    for spec in ({**sym, "cap": 100}, {**sym, "cap": "big"}, {**sym, "cap": 0},
+                 {"construction": "direct_product",
+                  "factors": [sym, {**sym, "cap": 10}]}):
+        with pytest.raises(MalformedSpec, match=(
+                "symmetric construction: 'cap' is not a spec field")):
+            build_group(spec, order_cap=10)
 
 
 def test_generators_outside_the_group():
@@ -150,3 +183,15 @@ def test_generators_outside_the_group():
         build_group({"construction": "subgroup_of",
                      "parent": {"construction": "alternating", "degree": 4},
                      "generators": ["(1 2)"]})
+    # a nested node is checked where it is built, not at the top alone
+    with pytest.raises(MalformedSpec, match="leave the parent"):
+        build_group({"construction": "direct_product", "factors": [
+            {"construction": "cyclic", "degree": 2},
+            {"construction": "subgroup_of",
+             "parent": {"construction": "alternating", "degree": 4},
+             "generators": ["(1 2)"]}]})
+    with pytest.raises(MalformedSpec, match="does not normalize the base"):
+        build_group({"construction": "semidirect",
+                     "base": {"construction": "generators", "degree": 3,
+                              "generators": ["(1 2)"]},
+                     "top": ["(1 2 3)"]})

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quillen.errors import NonPermutationGenerator
-from quillen.perms import check_permutation, format_cycles, parse_cycles, \
-    perm_order
+from quillen.perms import format_cycles, parse_cycles
+
+from conftest import check_permutation, perm_order
 
 
 def test_parse_basic():

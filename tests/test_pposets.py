@@ -20,7 +20,7 @@ from quillen.pposets import OrbitContext, _check_embedded_copy, ap_poset, \
     bouc_poset, decomposition, image_poset, outers_in_image, p_outer_poset, \
     poset_from_subgroups
 
-from conftest import bundled, compose, element_orders
+from conftest import bundled, compose, element_orders, lookup_row
 from family_order_oracle import family_order
 from relation_oracle import make_poset, relation
 from simplex_oracle import k0_and_k0hat, tuple_dims
@@ -268,8 +268,8 @@ def test_closure_check_rejects_a_nonabelian_exponent_p_member(central_first):
     H = PermGroup.generate(rows, 9).full()
     G = H.group
     assert H.order == 27 and not H.is_abelian()
-    x, y = (G.lookup_row(r) for r in rows)
-    z = G.lookup_row([a + 3 * ((b + 1) % 3) for a, b in pts])
+    x, y = (lookup_row(G, r) for r in rows)
+    z = lookup_row(G, [a + 3 * ((b + 1) % 3) for a, b in pts])
     elab = elementary_abelian_subgroups(H, 3)
     assert [E.order for E in elab] == [3] * 13 + [9] * 4
     assert poset_from_subgroups(elab).ids.size == 16
@@ -296,7 +296,7 @@ def test_closure_check_rejects_members_that_are_not_subgroups(sym4):
         poset_from_subgroups(fake)
     # {1, (123)}: of order 2 with no proper subgroup to look up, so only
     # the power test sees the 3-cycle
-    t = G.lookup_row([1, 2, 0, 3])
+    t = lookup_row(G, [1, 2, 0, 3])
     fake = _with_member(elab, [0, t], [t], [0, t])
     with pytest.raises(IndexOutOfRange):
         poset_from_subgroups(fake)
