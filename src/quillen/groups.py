@@ -20,10 +20,18 @@ Sylow subgroup's, the q'-elements of the hyperelementary check, cyclic
 subgroups and prime-order classes.  No element orders are computed.
 
 The hot set work runs in bulk rather than element by element in Python:
+  * PermGroup.generate numbers the elements by a BFS of the Cayley
+    graph, a level at a time: a level's products are keyed as exact
+    int64 words (the row packed as posets._pack packs rows) by one
+    stacked matrix product of the frontier, with no product row built,
+    and one sort and one search of the keys seen find the new elements.
+    Each is numbered by where it is first seen (level, then generator,
+    then frontier row), and only the new rows are built;
   * the one element index is a dict from a row's int16 bytes to its
-    index; PermGroup.lookup_rows resolves a whole batch in one pass (a
-    void view of the rows, one list of keys, one map over the dict) and
-    raises NotAnElement for a row outside the group;
+    index, built once from the final rows; PermGroup.lookup_rows
+    resolves a whole batch in one pass (a void view of the rows, one
+    list of keys, one map over the dict) and raises NotAnElement for a
+    row outside the group;
   * close_indices grows a subgroup a BFS level at a time, one
     lookup_rows per generator per level, from the identity or from a
     subgroup already known, whose right cosets it then adds whole;
@@ -102,6 +110,7 @@ from .errors import (
     ActorDoesNotNormalize,
     ComponentsUndetectable,
     EnumerationCapExceeded,
+    IndexOutOfRange,
     InvariantViolated,
     NotAnElement,
     NotPrime,
@@ -109,8 +118,8 @@ from .errors import (
     ParentMismatch,
     SubgroupNotContained,
 )
-from .posets import Poset, row_lookup, row_ptr, row_runs, sorted_find, \
-    sorted_unique
+from .posets import Poset, _word_width, row_lookup, row_ptr, row_runs, \
+    sorted_find, sorted_unique
 
 DEFAULT_ORDER_CAP = 500_000
 
@@ -147,6 +156,21 @@ def _p_part(n, p):
     return q
 
 
+def _check_order_cap(order_cap):
+    """IndexOutOfRange unless order_cap is at least 1, the order of the
+    trivial group."""
+    if order_cap < 1:
+        raise IndexOutOfRange(f"order cap {order_cap} must be at least 1")
+
+
+def _merge_sorted(a, b):
+    """The ascending arrays a and b as one: a stable sort (timsort)
+    merges the two runs in one pass, in place."""
+    out = np.concatenate((a, b))
+    out.sort(kind="stable")
+    return out
+
+
 def _as_perm_rows(gen_rows, degree):
     rows = np.asarray(gen_rows, dtype=np.int16)
     if rows.ndim == 1:
@@ -159,8 +183,8 @@ def _as_perm_rows(gen_rows, degree):
 class PermGroup:
     """A finite permutation group, fully enumerated.
 
-    Built by generate, which hands over the index it grew: a dict from
-    each row's bytes to its position in perms.
+    Built by generate, which hands over the index it built from the
+    final rows: a dict from each row's bytes to its position in perms.
     """
 
     __slots__ = ("perms", "order", "degree", "gens", "name", "_index",
@@ -183,38 +207,96 @@ class PermGroup:
     def generate(cls, gen_rows, degree, name="", order_cap=DEFAULT_ORDER_CAP):
         """Enumerate the group generated by the given permutation rows.
 
-        BFS by whole levels: a level's products, generator by generator
-        and row by row, are keyed together, and the new ones enter the
-        index in that first-seen order, which fixes the element numbering.
+        BFS of the Cayley graph by whole levels, the generators
+        deduplicated in the order given and the identity dropped.  Each
+        product f∘g of a level is keyed as exact int64 words, the row f∘g
+        packed as posets._pack packs rows (_word_width columns to a word:
+        one word through degree 15).  A word of f∘g is linear in f's row,
+        which it reads at the columns g[i], so one stacked matrix product
+        of the frontier's columns keys the whole level, generator-major,
+        with no product row built.  The keys are sorted once; a run of
+        equal keys is one element, first seen at the least position in
+        its run, and one search of the run heads against the keys seen
+        finds the new ones.  They take the next indices in the order of
+        their first positions, so the numbering is the dict BFS's: level,
+        then generator, then frontier row.  Only their rows are built.
+        The keys seen are two sorted arrays, base and a recent one that
+        joins it once it holds more than sqrt(len(base)) keys, so that a
+        deep graph's levels of a few elements do not copy them all.  The
+        bytes index lookup_rows reads is built once, from the final rows.
+
+        OrderCapExceeded once a level takes the order past order_cap, and
+        IndexOutOfRange, before any enumeration, for a cap below 1.
         """
-        rows = _as_perm_rows(gen_rows, degree)
+        _check_order_cap(order_cap)
+        rows = np.ascontiguousarray(_as_perm_rows(gen_rows, degree))
         ident = np.arange(degree, dtype=np.int16)
-        index = {ident.tobytes(): 0}
-        # dedupe generators, keep their future indices
-        gen_rows_u = []
-        for r in rows:
-            key = np.ascontiguousarray(r, dtype=np.int16).tobytes()
-            if key not in index and all(key != g.tobytes() for g in gen_rows_u):
-                gen_rows_u.append(np.ascontiguousarray(r, dtype=np.int16))
-        gen_cols = np.array(gen_rows_u, dtype=np.int16).reshape(
-            len(gen_rows_u), degree)
-        void = np.dtype((np.void, 2 * degree))
+        gens = dict.fromkeys(r.tobytes() for r in rows)
+        gens.pop(ident.tobytes(), None)
+        gen_cols = np.frombuffer(b"".join(gens), dtype=np.int16).reshape(
+            len(gens), degree)
+        k = len(gen_cols)
+        # word u of a row h packs its columns i with i // w == u, h[i] at
+        # place value pv[i].  Word u of f∘g reads f at the columns g[i]:
+        # feeds marks them over all generators, U lists them (padded),
+        # and Wb[u, g, t] is the place value f[U[u, t]] takes in f∘g
+        w = _word_width(degree, degree, 1)
+        nw = max(1, -(-degree // w))
+        col = np.arange(degree)
+        word = col // w
+        pv = np.int64(degree) ** (np.minimum(word * w + w, degree) - 1 - col)
+        feeds = np.zeros((nw, degree), dtype=bool)
+        feeds[word, gen_cols] = True
+        width = feeds.sum(axis=1).max(initial=0)
+        U = np.argsort(~feeds, axis=1, kind="stable")[:, :width]
+        Wb = np.zeros((nw, k, width), dtype=np.int64)
+        np.add.at(Wb, (word, np.arange(k)[:, None],
+                       np.cumsum(feeds, axis=1)[word, gen_cols] - 1), pv)
+        # a level's keys, one int64 word or a void of nw words each
+        key = np.dtype(np.int64) if nw == 1 else np.dtype((np.void, 8 * nw))
+        ident_key = np.zeros(nw, dtype=np.int64)
+        np.add.at(ident_key, word, col * pv)
+        # the keys seen, sorted: base, and recent, which joins base once
+        # it holds more than sqrt(len(base)) keys, so that levels of a few
+        # elements each, as in a deep Cayley graph, do not copy them all
+        base, recent = ident_key.view(key), ident_key[:0].view(key)
         levels = [ident.reshape(1, -1)]
-        frontier = levels[0]
-        while frontier.size and gen_rows_u:
-            # rows f∘g, generator-major
-            prods = frontier[:, gen_cols].swapaxes(0, 1).reshape(-1, degree)
-            # products not yet indexed, once each, in first-seen order
-            fresh = [k for k in dict.fromkeys(prods.view(void).ravel().tolist())
-                     if k not in index]
-            index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-            if len(index) > order_cap:
+        while k:
+            frontier = levels[-1]
+            m = len(frontier)
+            # the products' keys, generator-major
+            keys = np.ascontiguousarray((Wb @ frontier.T[U]).transpose(
+                1, 2, 0)).view(key).ravel()
+            order = np.argsort(keys)
+            keys = keys[order]
+            head = np.ones(len(keys), dtype=bool)
+            head[1:] = keys[1:] != keys[:-1]
+            start = np.flatnonzero(head)
+            heads = keys[start]
+            new = ~(sorted_find(base, heads)[0] | sorted_find(recent, heads)[0])
+            recent = _merge_sorted(recent, heads[new])
+            if len(base) + len(recent) > order_cap:
                 raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
-            frontier = np.frombuffer(b"".join(fresh), dtype=np.int16).reshape(
-                -1, degree)
-            levels.append(frontier)
-        gen_idx = [index[g.tobytes()] for g in gen_rows_u] or [0]
-        return cls(np.concatenate(levels), gen_idx, index, name=name)
+            if len(recent) ** 2 > len(base):
+                base, recent = _merge_sorted(base, recent), recent[:0]
+            # the new elements' first positions, ascending: one block of
+            # frontier rows per generator
+            first = np.sort(np.minimum.reduceat(order, start)[new])
+            if not len(first):
+                break
+            cut = [0, *np.searchsorted(first, np.arange(1, k) * m).tolist(),
+                   len(first)]
+            levels.append(np.concatenate([
+                frontier[first[cut[g]:cut[g + 1], None] - g * m, gen_cols[g]]
+                for g in range(k)]))
+        # the index, a level's keys at a time
+        void = np.dtype((np.void, 2 * degree))
+        index = {ident.tobytes(): 0}
+        for rows in levels[1:]:
+            index.update(zip(rows.view(void).ravel().tolist(),
+                             range(len(index), len(index) + len(rows))))
+        return cls(np.concatenate(levels), [index[g] for g in gens] or [0],
+                   index, name=name)
 
     def __repr__(self):
         nm = self.name or "PermGroup"

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedSpec, NotAnElement, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, PermGroup, Subgroup, close_indices
+from .groups import DEFAULT_ORDER_CAP, PermGroup, Subgroup, \
+    _check_order_cap, close_indices
 from .perms import parse_cycles
 
 # the points of a permutation row are int16
@@ -228,11 +229,13 @@ def _build_rows(raw, cap=DEFAULT_ORDER_CAP):
 
 def build_group(spec, order_cap=None):
     """Build a GroupBundle from a GroupSpec (or raw dict), under the
-    order cap order_cap, DEFAULT_ORDER_CAP when None."""
+    order cap order_cap, DEFAULT_ORDER_CAP when None.  A cap below 1 is
+    refused (IndexOutOfRange) before any row is built."""
     if isinstance(spec, dict):
         spec = GroupSpec(name=spec.get("name", ""), raw=spec)
     raw = spec.raw
-    cap = order_cap or DEFAULT_ORDER_CAP
+    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
+    _check_order_cap(cap)
     degree, rows = _build_rows(raw, cap)
     expect = None if raw.get("order") is None else _count(raw, "order")
     G = PermGroup.generate(rows, degree, name=spec.name, order_cap=cap)

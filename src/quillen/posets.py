@@ -55,18 +55,24 @@ def row_ptr(rows, n):
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
-def _pack(rows, base, room):
-    """The columns of rows, a 2-d int64 array of entries in [0, base),
-    packed left to right, as many to a word as keep room·base^w within
-    2^62, into int64 words: [(word, base^w)], word the w columns read as
-    one base-base numeral.  Packing keeps order: rows compare
-    lexicographically as their word lists do.  row_runs sorts by the
-    words and row_lookup walks them, so both read a few words where the
-    columns are many."""
-    width, base = rows.shape[1], int(base)
+def _word_width(width, base, room):
+    """w, the columns _pack puts into one int64 word: the most, up to
+    width, that keep room·base^w within 2^62."""
     w = 1
     while w < width and room * base ** (w + 1) <= 1 << 62:
         w += 1
+    return w
+
+
+def _pack(rows, base, room):
+    """The columns of rows, a 2-d int64 array of entries in [0, base),
+    packed left to right, _word_width of them to a word, into int64
+    words: [(word, base^w)], word the w columns read as one base-base
+    numeral.  Packing keeps order: rows compare lexicographically as
+    their word lists do.  row_runs sorts by the words and row_lookup
+    walks them, so both read a few words where the columns are many."""
+    width, base = rows.shape[1], int(base)
+    w = _word_width(width, base, room)
     out = []
     for c in range(0, width, w):
         word = rows[:, c]

@@ -167,7 +167,9 @@ def test_subspace_order_is_inclusion(p, r):
 def test_rank_steps_search_past_the_generators(monkeypatch):
     # Sym(8) at p = 2: each subgroup is built once, from its canonical
     # pair, so 108 215 queries, where 290 937 built most subgroups several
-    # times over and 392 958 also searched the filter's hits again
+    # times over and 392 958 also searched the filter's hits again; the
+    # load, whose enumeration searches too, comes before the spy
+    G = load_group("sym8").group.full()
     asked = []
     find = groups.sorted_find
 
@@ -176,7 +178,7 @@ def test_rank_steps_search_past_the_generators(monkeypatch):
         return find(keys, q)
 
     monkeypatch.setattr(groups, "sorted_find", spy)
-    elementary_abelian_subgroups(load_group("sym8").group.full(), 2)
+    elementary_abelian_subgroups(G, 2)
     assert 0 < sum(asked) <= 113_500
 
 
