@@ -27,14 +27,17 @@ The hot set work runs in bulk rather than element by element in Python:
     and one sort and one search of the keys seen find the new elements.
     Each is numbered by where it is first seen (level, then generator,
     then frontier row), and only the new rows are built;
-  * the one element index is a dict from a row's int16 bytes to its
-    index, built once from the final rows; PermGroup.lookup_rows
-    resolves a whole batch in one pass (a void view of the rows, one
-    list of keys, one map over the dict) and raises NotAnElement for a
-    row outside the group;
+  * the one element index is two int64 arrays built once from the
+    final rows: every element's key (the same exact words, one matrix
+    product per batch of rows), ascending, and the element number of
+    each key.  PermGroup.lookup_rows packs a whole batch and resolves it
+    with one sorted_find; it raises NotAnElement for a row outside the
+    group, and for any entry outside [0, degree), on which packing
+    would alias;
   * close_indices grows a subgroup a BFS level at a time, one
-    lookup_rows per generator per level, from the identity or from a
-    subgroup already known, whose right cosets it then adds whole;
+    lookup_rows per level for the products under every generator, from
+    the identity or from a subgroup already known, whose right cosets it
+    then adds whole;
   * _adjoin is the one loop that grows a subgroup until it holds given
     elements, for generating_set, class closures (_class_closure),
     sylow_subgroup and hyperelementary_check: the first element outside
@@ -180,22 +183,35 @@ def _as_perm_rows(gen_rows, degree):
     return rows
 
 
+def _key_dtype(nw):
+    """The dtype that reads a row's nw int64 words as one sortable key:
+    int64 for one word, nw words of bytes for several."""
+    return np.dtype(np.int64) if nw == 1 else np.dtype((np.void, 8 * nw))
+
+
 class PermGroup:
     """A finite permutation group, fully enumerated.
 
-    Built by generate, which hands over the index it built from the
-    final rows: a dict from each row's bytes to its position in perms.
+    Built by generate, which hands over the final rows, the generator
+    rows and the word matrix: row @ words is a row's exact int64 words
+    (_word_width columns to a word, radix degree).  The element index is
+    built here, once: _keys, every row's key ascending, by one product
+    and one argsort, and _numbers, the element number of each key.
     """
 
-    __slots__ = ("perms", "order", "degree", "gens", "name", "_index",
-                 "_pmask", "_full", "_derived", "results")
+    __slots__ = ("perms", "order", "degree", "gens", "name", "_words",
+                 "_keys", "_numbers", "_pmask", "_full", "_derived",
+                 "results")
 
-    def __init__(self, perms, gen_indices, index, name=""):
+    def __init__(self, perms, gen_rows, words, name=""):
         self.perms = np.ascontiguousarray(perms, dtype=np.int16)
         self.order, self.degree = self.perms.shape
-        self.gens = tuple(int(g) for g in gen_indices)
         self.name = name
-        self._index = index
+        self._words = words
+        keys = (self.perms @ words).view(_key_dtype(words.shape[1])).ravel()
+        self._numbers = np.argsort(keys)
+        self._keys = keys[self._numbers]
+        self.gens = tuple(self.lookup_rows(gen_rows).tolist()) or (0,)
         self._pmask = {}
         self._full = None
         # Subgroup.key -> derived data of that subgroup (Subgroup._cache)
@@ -223,7 +239,8 @@ class PermGroup:
         The keys seen are two sorted arrays, base and a recent one that
         joins it once it holds more than sqrt(len(base)) keys, so that a
         deep graph's levels of a few elements do not copy them all.  The
-        bytes index lookup_rows reads is built once, from the final rows.
+        sorted index lookup_rows reads is built once, from the final rows
+        and the same words.
 
         OrderCapExceeded once a level takes the order past order_cap, and
         IndexOutOfRange, before any enumeration, for a cap below 1.
@@ -252,10 +269,12 @@ class PermGroup:
         Wb = np.zeros((nw, k, width), dtype=np.int64)
         np.add.at(Wb, (word, np.arange(k)[:, None],
                        np.cumsum(feeds, axis=1)[word, gen_cols] - 1), pv)
-        # a level's keys, one int64 word or a void of nw words each
-        key = np.dtype(np.int64) if nw == 1 else np.dtype((np.void, 8 * nw))
-        ident_key = np.zeros(nw, dtype=np.int64)
-        np.add.at(ident_key, word, col * pv)
+        # a level's keys, one int64 word or a void of nw words each;
+        # words[i, u] is column i's place value in word u
+        key = _key_dtype(nw)
+        words = np.zeros((degree, nw), dtype=np.int64)
+        words[col, word] = pv
+        ident_key = col @ words
         # the keys seen, sorted: base, and recent, which joins base once
         # it holds more than sqrt(len(base)) keys, so that levels of a few
         # elements each, as in a deep Cayley graph, do not copy them all
@@ -289,14 +308,7 @@ class PermGroup:
             levels.append(np.concatenate([
                 frontier[first[cut[g]:cut[g + 1], None] - g * m, gen_cols[g]]
                 for g in range(k)]))
-        # the index, a level's keys at a time
-        void = np.dtype((np.void, 2 * degree))
-        index = {ident.tobytes(): 0}
-        for rows in levels[1:]:
-            index.update(zip(rows.view(void).ravel().tolist(),
-                             range(len(index), len(index) + len(rows))))
-        return cls(np.concatenate(levels), [index[g] for g in gens] or [0],
-                   index, name=name)
+        return cls(np.concatenate(levels), gen_cols, words, name=name)
 
     def __repr__(self):
         nm = self.name or "PermGroup"
@@ -304,25 +316,36 @@ class PermGroup:
 
     # -- element table access ------------------------------------------------
 
-    def _not_an_element(self, key):
-        row = np.frombuffer(key, dtype=np.int16).tolist()
-        return NotAnElement(f"{row} is not an element of {self!r}")
-
     def lookup_rows(self, rows):
-        """Indices of a batch of rows, shape (n, degree), in one pass."""
-        rows = np.ascontiguousarray(rows, dtype=np.int16)
+        """Indices of a batch of rows, shape (n, degree), in one pass: the
+        rows packed as the index's keys, found by one sorted_find.
+
+        NotAnElement for a row outside the group, and for any entry
+        outside [0, degree), on which packing is not injective (at
+        degree 8, [0, 9, ...] packs as [1, 1, ...]).  Through a uint16
+        view a negative entry reads as 2^16 + e, so one max checks the
+        range; an entry that the cast to int16 would wrap fails the
+        round trip.
+        """
+        given = np.asarray(rows)
+        rows = given.astype(np.int16, copy=False)
         if rows.size == 0:
             return np.empty(0, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise NotAnElement(
                 f"rows of shape {rows.shape} are not elements of {self!r}")
-        keys = rows.view(np.dtype((np.void, rows.itemsize * self.degree)))
-        try:
-            return np.fromiter(
-                map(self._index.__getitem__, keys.ravel().tolist()),
-                dtype=np.int64, count=rows.shape[0])
-        except KeyError as e:
-            raise self._not_an_element(e.args[0]) from None
+        if rows.view(np.uint16).max() < self.degree and (
+                rows is given or (rows == given).all()):
+            hit, pos = sorted_find(self._keys, (rows @ self._words).view(
+                self._keys.dtype).ravel())
+            if hit.all():
+                return self._numbers[pos]
+        else:
+            # the first row with an entry out of range is reported
+            hit = (rows.view(np.uint16) < self.degree).all(axis=1) & \
+                (rows == given).all(axis=1)
+        row = given[np.argmin(hit)].tolist()
+        raise NotAnElement(f"{row} is not an element of {self!r}")
 
     def p_element_mask(self, p):
         """Mask of the elements x != 1 with x^p = 1, the elements of order
@@ -388,7 +411,7 @@ def close_indices(group, gen_indices, start=None):
     alone, which gives the subgroup generated by gen_indices).  The result
     is a union of right cosets K y, so the BFS runs over cosets a level at
     a time: one representative of each new coset times every generator,
-    looked up in one batch per generator.  The products outside the
+    looked up in one batch, generator-major.  The products outside the
     members found so far bring in their cosets K y whole, in one more
     batch, and one product per new coset represents it at the next level.
     """
@@ -400,8 +423,7 @@ def close_indices(group, gen_indices, start=None):
     while frontier.size and grows:
         P = group.perms[frontier]
         new = np.zeros(group.order, dtype=bool)
-        for g in grows:
-            new[group.lookup_rows(P[:, g])] = True
+        new[group.lookup_rows(np.concatenate([P[:, g] for g in grows]))] = True
         frontier = np.flatnonzero(new & ~member)
         if K.size > 1 and frontier.size:
             # cosets[i, j] is the index of K[i] * frontier[j]

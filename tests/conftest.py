@@ -52,6 +52,17 @@ def lookup_row(G, row):
     return int(G.lookup_rows(np.reshape(row, (1, -1)))[0])
 
 
+def assert_index_size(G):
+    """The element index of the PermGroup G holds exactly |G| keys,
+    strictly ascending (sorted, no two neighbours equal: several-word
+    keys are bytes, with no ordered compare), and numbers each element
+    once."""
+    keys = G._keys
+    assert len(keys) == G.order
+    assert np.array_equal(np.sort(G._numbers), np.arange(G.order))
+    assert (np.sort(keys) == keys).all() and (keys[1:] != keys[:-1]).all()
+
+
 def compose(G, i, j):
     """Index of perms[i] ∘ perms[j], one row looked up."""
     return lookup_row(G, G.perms[i][G.perms[j]])

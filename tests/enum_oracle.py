@@ -4,8 +4,9 @@ for PermGroup.generate.
 Every product row f∘g of a level, generator by generator and row by
 row, becomes its int16 bytes; the level's keys are deduplicated in
 first-seen order by a dict, and those not yet indexed take the next
-indices.  Tests require generate to give the same rows, generator
-indices and index, and to pass an order cap exactly where this does.
+indices.  Tests require generate to give the same rows and generator
+indices, an element index that numbers every row as this index does,
+and to pass an order cap exactly where this does.
 """
 
 import numpy as np

@@ -2,11 +2,11 @@
 
 The element numbering is what every ledger digest and qg/1 digest reads,
 so generate must give the oracle's rows in the oracle's order, the same
-generator indices and the same index, and pass an order cap exactly where
-the oracle does: on the bundled groups, on seeded relabelings of them,
-on a conjugation action's image, and on generated generator sets of
-degree 1 to 40, which key as one int64 word up to degree 15 and as
-several from 16 on.
+generator indices and an index that numbers every row as the oracle's
+does, and pass an order cap exactly where the oracle does: on the
+bundled groups, on seeded relabelings of them, on a conjugation
+action's image, and on generated generator sets of degree 1 to 40,
+which key as one int64 word up to degree 15 and as several from 16 on.
 """
 
 import random
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_index_size
 from enum_oracle import enumerate_group
 from quillen.errors import IndexOutOfRange, OrderCapExceeded
 from quillen.groups import PermGroup, conjugation_action, \
@@ -37,7 +38,12 @@ def assert_same(rows, degree, order_cap=None):
     perms, gens, index = want
     assert G.perms.tobytes() == perms.tobytes()
     assert G.gens == gens
-    assert G._index == index
+    # every row the oracle indexes maps to the oracle's number, and the
+    # sorted index holds nothing else
+    rows = np.frombuffer(b"".join(index), dtype=np.int16).reshape(
+        len(index), degree)
+    assert G.lookup_rows(rows).tolist() == list(index.values())
+    assert_index_size(G)
     return G
 
 

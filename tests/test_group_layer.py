@@ -50,7 +50,8 @@ from quillen.pposets import OrbitContext, _is_radical, \
     _p_subgroup_class_reps, ap_poset, bouc_poset, decomposition, \
     image_poset, image_poset_from_action
 
-from conftest import bundled, element_orders, lookup_row
+from conftest import assert_index_size, bundled, element_orders, \
+    lookup_row
 from relation_oracle import make_poset
 
 
@@ -127,8 +128,8 @@ def test_generate_matches_per_row_loop(name):
     got = PermGroup.generate(rows, G.degree)
     assert got.perms.tobytes() == perms.tobytes()
     assert got.gens == gens
-    # the index generate hands over numbers every row by its position
-    assert len(got._index) == got.order
+    # the index numbers every row by its position
+    assert_index_size(got)
     assert got.lookup_rows(got.perms).tolist() == list(range(got.order))
 
 
@@ -155,6 +156,39 @@ def test_lookup_of_non_member_is_typed(alt5):
         assert isinstance(err.value, QuillenError)
     with pytest.raises(NotAnElement, match=r"\[1, 0, 2, 3, 4\]"):
         G.lookup_rows(transposition.reshape(1, -1))
+
+
+@pytest.mark.parametrize("name", ["sym8", "l34"])
+def test_lookup_rows_is_exact(name):
+    # sym8 keys a row as one int64 word, l34 (degree 21) as two.  Packing
+    # is injective only on entries in [0, degree): an element r with
+    # 1 <= r[0] <= n - 2 has rows beside it, with an entry past n or
+    # below 0, that pack to r's key, and each is refused, not aliased
+    G = bundled(name).group
+    n = G.degree
+    i = np.flatnonzero((G.perms[:, 0] >= 1) & (G.perms[:, 0] <= n - 2))[0]
+    r = G.perms[i]
+    above, below = r.copy(), r.copy()
+    above[:2] += (-1, n)
+    below[:2] += (1, -n)
+    for row in (above, below):
+        assert (row @ G._words == r @ G._words).all()
+    # an entry the cast to int16 would wrap round to r's
+    wrapped = r.astype(np.int64)
+    wrapped[1] += 1 << 16
+    not_a_perm = np.arange(n)
+    not_a_perm[1] = 0
+    refused = [above, below, wrapped, not_a_perm]
+    if name == "l34":
+        # a permutation outside the group (sym8 holds every one)
+        swap = np.arange(n)
+        swap[:2] = (1, 0)
+        refused.append(swap)
+    for row in refused:
+        for batch in ([row], [r, row]):
+            with pytest.raises(NotAnElement, match=str(row.tolist())[1:-1]):
+                G.lookup_rows(batch)
+    assert G.lookup_rows([r, r]).tolist() == [i, i]
 
 
 def _reference_class_reps(P):

@@ -1,6 +1,7 @@
-"""scripts/question_peaks.py reports per-question tracemalloc peaks;
-checked on hand-written questions and on a one-group workload added to
-perfbench's workload table for the test."""
+"""scripts/question_peaks.py reports per-question tracemalloc peaks and
+the memory the loads leave held; checked on hand-written questions and
+loads, and on a one-group workload added to perfbench's workload table
+for the test."""
 
 import importlib.util
 import json
@@ -36,6 +37,19 @@ def test_peaks_of_hand_written_questions():
     assert out[3]["peak_mib"] < 0.1
 
 
+def test_memory_a_load_leaves_held():
+    kept = []
+
+    def load():
+        kept.append(np.ones(1 << 18))  # 2 MiB, held past the load
+        np.ones(1 << 19)  # 4 MiB, freed within it
+        return "loaded"
+
+    out, held = question_peaks.held_after(load)
+    assert out == "loaded"
+    assert 2 <= held < 2.1
+
+
 def test_schema_on_a_tiny_workload(monkeypatch, capsys):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
@@ -49,6 +63,7 @@ def test_schema_on_a_tiny_workload(monkeypatch, capsys):
     question_peaks.main(["--workload", "tiny", "--seed", "7"])
     rec = json.loads(capsys.readouterr().out)
     assert (rec["workload"], rec["seed"]) == ("tiny", 7)
+    assert isinstance(rec["load_mib"], float) and rec["load_mib"] >= 0
     assert [(q["id"], q["correct"]) for q in rec["questions"]] == \
         [("order", True), ("misses", False)]
     assert all(isinstance(q["peak_mib"], float) and q["peak_mib"] >= 0
